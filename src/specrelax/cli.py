@@ -34,16 +34,19 @@ from .verify import AR, MODES, RelaxConfig
 
 def parse_seed_spec(spec) -> tuple[int, ...]:
     """Parse `0..199`, `3`, or `1,2,5` (or a config-file list) into a seed tuple."""
-    if isinstance(spec, (list, tuple)):
-        return tuple(int(s) for s in spec)
     seeds: list[int] = []
-    for part in str(spec).split(","):
-        part = part.strip()
-        if ".." in part:
-            lo, hi = part.split("..", 1)
-            seeds.extend(range(int(lo), int(hi) + 1))
-        elif part:
-            seeds.append(int(part))
+    try:
+        if isinstance(spec, (list, tuple)):
+            return tuple(int(s) for s in spec)
+        for part in str(spec).split(","):
+            part = part.strip()
+            if ".." in part:
+                lo, hi = part.split("..", 1)
+                seeds.extend(range(int(lo), int(hi) + 1))
+            elif part:
+                seeds.append(int(part))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot parse seed spec {spec!r}") from exc
     if not seeds:
         raise ConfigError(f"no seeds in spec {spec!r}")
     return tuple(seeds)

@@ -50,10 +50,6 @@ class VocabExhausted(EngineError):
     """A tree level requests more sibling candidates than the vocabulary holds."""
 
 
-class NotAPath(EngineError):
-    """Nodes handed to a path operation are not an ancestor-linked chain."""
-
-
 class RowOutOfRange(EngineError):
     """A heatmap export referenced a grid row outside the model's grid."""
 

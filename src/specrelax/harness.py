@@ -23,16 +23,6 @@ from .verify import AR, MODES, RelaxConfig, decode_sequence
 
 DEFAULT_KAPPA = 0.1
 
-METRIC_KEYS = (
-    "meanAlpha",
-    "targetCalls",
-    "drafterCalls",
-    "speedupProxy",
-    "accumulatedTVD",
-    "perTokenTVD",
-    "tokensEmitted",
-)
-
 
 @dataclass(frozen=True)
 class Metrics:
@@ -153,6 +143,17 @@ class ExperimentConfig:
             raise ConfigError(f"drafter file not found: {self.drafter_path}")
 
 
+def _check_drafter_matches(target: Target, drafter: Drafter | None) -> None:
+    """Raise ConfigError unless the drafter proposes over the target's vocabulary and grid."""
+    if drafter is None:
+        return
+    target_vocab, drafter_vocab = getattr(target, "vocab"), getattr(drafter, "vocab")
+    if drafter_vocab != target_vocab:
+        raise ConfigError(f"drafter vocabulary {drafter_vocab} != target vocabulary {target_vocab}")
+    if target.grid_side and drafter.grid_side and drafter.grid_side != target.grid_side:
+        raise ConfigError(f"drafter grid side {drafter.grid_side} != target grid side {target.grid_side}")
+
+
 def _dump_line(out: TextIO, record: dict) -> None:
     out.write(json.dumps(record, sort_keys=True))
     out.write("\n")
@@ -162,6 +163,7 @@ def run_experiment(cfg: ExperimentConfig) -> Metrics:
     """Decode one sequence per seed, write JSONL records, return the seed mean."""
     target = load_model(cfg.model_path)
     drafter = load_model(cfg.drafter_path) if cfg.drafter_path else None
+    _check_drafter_matches(target, drafter)
     length = cfg.length
     if length is None:
         if target.grid_side is None:
@@ -236,6 +238,7 @@ def mc_distribution_test(
     3 * sqrt(V^length / samples) multinomial bound; stricter caps are the
     caller's business.
     """
+    _check_drafter_matches(target, drafter)
     oracle = enumerate_ar_distribution(target, length)
     mask = mask if mask is not None else TreeMask.chain(length)
     relax = relax if relax is not None else RelaxConfig()

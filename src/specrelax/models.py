@@ -18,6 +18,7 @@ from typing import Mapping, NamedTuple, Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from .core import (
+    EngineError,
     FeatureVec,
     GridPos,
     ModelFormatError,
@@ -368,9 +369,6 @@ class LinearDrafter:
     def zeros(cls, vocab: int, side: int) -> "LinearDrafter":
         return cls(np.zeros((vocab, vocab + 2 * side)), np.zeros(vocab), vocab, side)
 
-    def feature_dim(self) -> int:
-        return self.vocab + 2 * self.side
-
     def logits(self, last: TokenId | None, pos: GridPos) -> np.ndarray:
         z = self.bias + self.weights[:, self.vocab + pos.row] + self.weights[
             :, self.vocab + self.side + pos.col
@@ -429,20 +427,29 @@ def save_model(model, path: str | Path) -> None:
 
 
 def load_model(path: str | Path):
-    """Load a model file, dispatching on its `kind` field."""
+    """Load a model file, dispatching on its `kind` field.
+
+    Every way a file can fail to describe a valid model, from a missing key or
+    an ill-typed value to a failed model invariant, raises ModelFormatError.
+    """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ModelFormatError(f"cannot read model file {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ModelFormatError(f"{path}: expected a JSON object")
     version = data.get("format_version")
     if version != FORMAT_VERSION:
         raise ModelFormatError(
             f"{path}: unsupported format_version {version!r}, expected {FORMAT_VERSION}"
         )
     kind = data.get("kind")
-    if kind not in _MODEL_KINDS:
+    if not isinstance(kind, str) or kind not in _MODEL_KINDS:
         raise ModelFormatError(f"{path}: unknown model kind {kind!r}")
-    return _MODEL_KINDS[kind].from_dict(data)
+    try:
+        return _MODEL_KINDS[kind].from_dict(data)
+    except (KeyError, TypeError, ValueError, AttributeError, EngineError) as exc:
+        raise ModelFormatError(f"{path}: malformed {kind} model: {exc!r}") from exc
 
 
 def random_tabular_model(

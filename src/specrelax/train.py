@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import FeatureVec, GridPos, NonFinite, ProbDist, RngStream, TokenId, cosine_sim, derive_seed
+from .core import ConfigError, FeatureVec, GridPos, NonFinite, ProbDist, RngStream, TokenId, cosine_sim, derive_seed
 from .models import LinearDrafter, Target
 
 LOG_FLOOR = 1e-12
@@ -39,11 +39,11 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         if self.c < 1.0:
-            raise ValueError("convergence weight c must be >= 1")
+            raise ConfigError("convergence weight c must be >= 1")
         if self.learning_rate <= 0.0:
-            raise ValueError("learning rate must be positive")
+            raise ConfigError("learning rate must be positive")
         if self.epochs < 0 or self.num_sequences < 1:
-            raise ValueError("epochs must be >= 0 and num_sequences >= 1")
+            raise ConfigError("epochs must be >= 0 and num_sequences >= 1")
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import GridPos, NotAPath, ProbDist, RngStream, TokenId, VocabExhausted
+from .core import ConfigError, GridPos, ProbDist, RngStream, TokenId, VocabExhausted
 from .models import Drafter
 
 DEFAULT_NODE_CAP = 256
@@ -27,21 +27,17 @@ class TreeMask:
 
     def __post_init__(self) -> None:
         if len(self.widths) < 1:
-            raise ValueError("a tree mask needs at least one level")
+            raise ConfigError("a tree mask needs at least one level")
         if any(w < 1 for w in self.widths):
-            raise ValueError("all level widths must be >= 1")
+            raise ConfigError("all level widths must be >= 1")
         if self.node_count() > self.node_cap:
-            raise ValueError(
+            raise ConfigError(
                 f"mask holds {self.node_count()} nodes, above the cap {self.node_cap}"
             )
 
     @property
     def depth(self) -> int:
         return len(self.widths)
-
-    @property
-    def max_width(self) -> int:
-        return max(self.widths)
 
     def node_count(self) -> int:
         total, level = 0, 1
@@ -61,7 +57,7 @@ class TreeMask:
         try:
             widths = tuple(int(part) for part in text.split(","))
         except ValueError as exc:
-            raise ValueError(f"cannot parse tree mask {text!r}") from exc
+            raise ConfigError(f"cannot parse tree mask {text!r}") from exc
         return cls(widths, node_cap)
 
     @classmethod
@@ -94,15 +90,6 @@ class DraftNode:
         self.children: list[DraftNode] = []
         # Drafter conditional over this node's children; set while sampling.
         self.child_dist: ProbDist | None = None
-
-    def path_tokens(self) -> list[TokenId]:
-        tokens: list[TokenId] = []
-        node: DraftNode | None = self
-        while node is not None:
-            tokens.append(node.token)
-            node = node.parent
-        tokens.reverse()
-        return tokens
 
     def __repr__(self) -> str:
         return f"DraftNode(token={self.token}, level={self.level}, p={self.drafter_prob:.4g})"
@@ -245,15 +232,3 @@ def sample_draft_tree(
         levels.append(level_nodes)
         frontier = next_frontier
     return DraftTree(prefix_t, start_pos, start_index, side, levels, nodes, root_dist, mask)
-
-
-def flatten_accepted_path(tree: DraftTree, accepted_nodes: Sequence[DraftNode]) -> list[TokenId]:
-    """Prefix extended by a root-to-node path's tokens, in level order."""
-    if not accepted_nodes:
-        return list(tree.prefix)
-    previous: DraftNode | None = None
-    for node in accepted_nodes:
-        if node.parent is not previous:
-            raise NotAPath("accepted nodes are not an ancestor-linked chain from the root")
-        previous = node
-    return list(tree.prefix) + [node.token for node in accepted_nodes]

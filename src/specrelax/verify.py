@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .core import (
+    ConfigError,
     DegenerateResidual,
     GridPos,
     PROB_ATOL,
@@ -52,11 +53,11 @@ class RelaxConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.tau_pos <= 1.01 or not 0.0 <= self.tau_seq <= 1.01:
-            raise ValueError("cosine thresholds must lie in [0, 1.01]")
+            raise ConfigError("cosine thresholds must lie in [0, 1.01]")
         if not 0.0 <= self.tvd_budget <= 1.0:
-            raise ValueError("tvd budget must lie in [0, 1]")
+            raise ConfigError("tvd budget must lie in [0, 1]")
         if self.sibling_mode not in (LITERAL, RESIDUAL_ADJUSTED):
-            raise ValueError(f"unknown sibling mode {self.sibling_mode!r}")
+            raise ConfigError(f"unknown sibling mode {self.sibling_mode!r}")
 
 
 class TreeEvals:
@@ -70,9 +71,6 @@ class TreeEvals:
 
     def for_node(self, node: DraftNode) -> TargetEval:
         return self.nodes[node.node_id]
-
-    def parent_eval(self, node: DraftNode) -> TargetEval:
-        return self.root if node.parent is None else self.nodes[node.parent.node_id]
 
 
 def evaluate_tree(target: Target, tree: DraftTree) -> TreeEvals:
@@ -101,26 +99,12 @@ class SimilaritySets:
 
     inter_pairs: dict[int, frozenset[tuple[int, int]]]
     conv_pairs: frozenset[tuple[int, int]]
-    _inter_adj: dict[int, tuple[int, ...]]
-    _conv_adj: dict[int, tuple[int, ...]]
-
-    def inter_partners(self, node_id: int) -> tuple[int, ...]:
-        return self._inter_adj.get(node_id, ())
-
-    def conv_children(self, node_id: int) -> tuple[int, ...]:
-        return self._conv_adj.get(node_id, ())
-
-    @classmethod
-    def empty(cls) -> "SimilaritySets":
-        return cls({}, frozenset(), {}, {})
 
 
 def build_sets(tree: DraftTree, evals: TreeEvals, cfg: RelaxConfig) -> SimilaritySets:
     """Collect same-parent sibling pairs and parent-child links above threshold."""
     inter_pairs: dict[int, set[tuple[int, int]]] = {}
-    inter_adj: dict[int, list[int]] = {}
     conv_pairs: set[tuple[int, int]] = set()
-    conv_adj: dict[int, list[int]] = {}
 
     if cfg.enable_interchange and cfg.tau_pos <= 1.0:
         for level_idx, level in enumerate(tree.levels):
@@ -134,10 +118,7 @@ def build_sets(tree: DraftTree, evals: TreeEvals, cfg: RelaxConfig) -> Similarit
                     feat_a = evals.for_node(a).feature
                     for b in siblings[i + 1 :]:
                         if cosine_sim(feat_a, evals.for_node(b).feature) >= cfg.tau_pos:
-                            lo, hi = sorted((a.node_id, b.node_id))
-                            pairs.add((lo, hi))
-                            inter_adj.setdefault(a.node_id, []).append(b.node_id)
-                            inter_adj.setdefault(b.node_id, []).append(a.node_id)
+                            pairs.add(_sibling_pair(a, b))
 
     if cfg.enable_convergence and cfg.tau_seq <= 1.0:
         for level in tree.levels[:-1]:
@@ -146,14 +127,15 @@ def build_sets(tree: DraftTree, evals: TreeEvals, cfg: RelaxConfig) -> Similarit
                 for child in node.children:
                     if cosine_sim(feat, evals.for_node(child).feature) >= cfg.tau_seq:
                         conv_pairs.add((node.node_id, child.node_id))
-                        conv_adj.setdefault(node.node_id, []).append(child.node_id)
 
     return SimilaritySets(
         {lvl: frozenset(p) for lvl, p in inter_pairs.items()},
         frozenset(conv_pairs),
-        {k: tuple(v) for k, v in inter_adj.items()},
-        {k: tuple(v) for k, v in conv_adj.items()},
     )
+
+
+def _sibling_pair(a: DraftNode, b: DraftNode) -> tuple[int, int]:
+    return (a.node_id, b.node_id) if a.node_id < b.node_id else (b.node_id, a.node_id)
 
 
 @dataclass(frozen=True)
@@ -161,14 +143,14 @@ class RelaxedDist:
     """A target conditional with extra mass granted to one boosted token.
 
     `added_mass` equals the total-variation distance between the base law and
-    the implied transfer law; when the engine records the donor tokens in
-    `transfers`, that law can be materialized and the identity checked.
+    the transfer law that moves each donor's mass in `transfers` onto the
+    boosted token; `transfer_dist` materializes that law to check the identity.
     """
 
     base_q: ProbDist
     boosted_token: TokenId
     added_mass: float
-    transfers: tuple[tuple[TokenId, float], ...] | None = None
+    transfers: tuple[tuple[TokenId, float], ...]
 
     def __post_init__(self) -> None:
         if self.added_mass < -PROB_ATOL:
@@ -181,8 +163,6 @@ class RelaxedDist:
 
     def transfer_dist(self) -> ProbDist:
         """Materialize the relaxed law by moving donor mass onto the boosted token."""
-        if self.transfers is None:
-            raise ValueError("donor tokens were not recorded for this relaxation")
         mass = self.base_q.mass.copy()
         for token, amount in self.transfers:
             mass[token] -= amount
@@ -191,33 +171,44 @@ class RelaxedDist:
         return ProbDist(mass)
 
 
-def _fit_masses(mass_i: float, mass_c: float, budget_left: float) -> tuple[float, float]:
-    """All-or-nothing budget fitting: sibling mass first, then child mass."""
-    applied_i = mass_i if mass_i <= budget_left + PROB_ATOL else 0.0
-    remaining = budget_left - applied_i
-    applied_c = mass_c if mass_c <= remaining + PROB_ATOL else 0.0
-    return applied_i, applied_c
-
-
 def relax_q(
     q: ProbDist,
     candidate: TokenId,
-    set_mass_i: float,
-    set_mass_c: float,
+    donors_i: Sequence[tuple[TokenId, float]],
+    donors_c: Sequence[tuple[TokenId, float]],
     budget_left: float,
-) -> tuple[RelaxedDist, float]:
-    """Boost `candidate` by whichever set masses fit the remaining budget.
+) -> tuple[RelaxedDist, float, float]:
+    """Boost `candidate` by whichever donor sets fit the remaining budget.
 
-    Each set is applied whole or not at all, sibling mass before child mass;
-    a set that does not fit is skipped silently.
+    `donors_i` are the (token, mass) pairs of the candidate's similar siblings
+    and `donors_c` those of its aligned children. A child token that equals
+    the candidate or a sibling donor is dropped, so every donor gives up mass
+    it actually holds, exactly once. Each set is applied whole or not at all,
+    sibling mass before child mass; a set that does not fit is skipped
+    silently. Returns the relaxation and the sibling and child mass applied.
     """
+    seen = {candidate, *(token for token, _ in donors_i)}
+    kept_c: list[tuple[TokenId, float]] = []
+    for token, mass in donors_c:
+        if token not in seen:
+            seen.add(token)
+            kept_c.append((token, mass))
+    set_mass_i = math.fsum(m for _, m in donors_i)
+    set_mass_c = math.fsum(m for _, m in kept_c)
     if set_mass_i < 0.0 or set_mass_c < 0.0:
         raise ValueError("set masses must be non-negative")
     if budget_left < -PROB_ATOL:
         raise ValueError("budget_left must be non-negative")
-    applied_i, applied_c = _fit_masses(set_mass_i, set_mass_c, budget_left)
-    consumed = applied_i + applied_c
-    return RelaxedDist(q, candidate, consumed), consumed
+    applied_i = set_mass_i if set_mass_i <= budget_left + PROB_ATOL else 0.0
+    remaining = budget_left - applied_i
+    applied_c = set_mass_c if set_mass_c <= remaining + PROB_ATOL else 0.0
+    transfers: list[tuple[TokenId, float]] = []
+    if applied_i > 0.0:
+        transfers.extend(donors_i)
+    if applied_c > 0.0:
+        transfers.extend(kept_c)
+    relaxed = RelaxedDist(q, candidate, applied_i + applied_c, tuple(transfers))
+    return relaxed, applied_i, applied_c
 
 
 class TraceRecord(NamedTuple):
@@ -265,36 +256,6 @@ class VerifyOutcome:
         return list(self.accepted_tokens) + [self.correction_token]
 
 
-def _partner_masses(
-    tree: DraftTree,
-    sets: SimilaritySets,
-    node: DraftNode,
-    base: ProbDist,
-) -> tuple[float, float, list[tuple[TokenId, float]], list[tuple[TokenId, float]]]:
-    """Deduplicated donor masses for one candidate under the current conditional.
-
-    Sibling partners never collide with the candidate; child tokens that equal
-    the candidate or a sibling partner are dropped so the transfer stays
-    realizable (every donor gives up mass it actually holds, exactly once).
-    """
-    donors_i: list[tuple[TokenId, float]] = []
-    seen = {node.token}
-    for partner_id in sets.inter_partners(node.node_id):
-        token = tree.nodes[partner_id].token
-        seen.add(token)
-        donors_i.append((token, base[token]))
-    donors_c: list[tuple[TokenId, float]] = []
-    for child_id in sets.conv_children(node.node_id):
-        token = tree.nodes[child_id].token
-        if token in seen:
-            continue
-        seen.add(token)
-        donors_c.append((token, base[token]))
-    mass_i = math.fsum(m for _, m in donors_i)
-    mass_c = math.fsum(m for _, m in donors_c)
-    return mass_i, mass_c, donors_i, donors_c
-
-
 def _run_verification(
     tree: DraftTree,
     evals: TreeEvals,
@@ -324,17 +285,22 @@ def _run_verification(
             q_x = base[node.token]
             applied_i = applied_c = 0.0
             if sets is not None:
-                mass_i, mass_c, donors_i, donors_c = _partner_masses(tree, sets, node, base)
-                _, consumed = relax_q(base, node.token, mass_i, mass_c, budget - budget_used)
-                applied_i, applied_c = _fit_masses(mass_i, mass_c, budget - budget_used)
-                transfers: list[tuple[TokenId, float]] = []
-                if applied_i > 0.0:
-                    transfers.extend(donors_i)
-                if applied_c > 0.0:
-                    transfers.extend(donors_c)
-                relaxed = RelaxedDist(base, node.token, consumed, tuple(transfers))
+                level_pairs = sets.inter_pairs.get(node.level, ())
+                donors_i = [
+                    (other.token, base[other.token])
+                    for other in siblings
+                    if other is not node and _sibling_pair(node, other) in level_pairs
+                ]
+                donors_c = [
+                    (child.token, base[child.token])
+                    for child in node.children
+                    if (node.node_id, child.node_id) in sets.conv_pairs
+                ]
+                relaxed, applied_i, applied_c = relax_q(
+                    base, node.token, donors_i, donors_c, budget - budget_used
+                )
                 relaxations.append(relaxed)
-                budget_used += consumed
+                budget_used += relaxed.added_mass
                 q_eff = relaxed.boosted_prob()
             else:
                 q_eff = q_x

@@ -10,6 +10,8 @@ import pytest
 from specrelax import (
     ConfigError,
     ExperimentConfig,
+    GridWorldModel,
+    LinearDrafter,
     Metrics,
     RelaxConfig,
     RngStream,
@@ -260,6 +262,33 @@ def test_run_experiment_validates_inputs(tmp_path, model_files):
         ExperimentConfig(model_path=str(model_files["grid"]), mode="vanilla", seeds=(0,))
 
 
+def test_mismatched_drafter_is_refused_before_decoding(tmp_path, model_files, tabular_v4):
+    cases = [
+        (tabular_v4, LinearDrafter.zeros(32, 8), "vocabulary"),  # V=4 target, V=32 drafter
+        (GridWorldModel.default(), LinearDrafter.zeros(32, 4), "grid side"),  # 8x8 vs side 4
+    ]
+    for target, drafter, what in cases:
+        with pytest.raises(ConfigError, match=what):
+            mc_distribution_test(target, drafter, "vanilla", 10, 2)
+        target_path, drafter_path = tmp_path / "target.json", tmp_path / "drafter.json"
+        save_model(target, target_path)
+        save_model(drafter, drafter_path)
+        cfg = ExperimentConfig(
+            model_path=str(target_path), drafter_path=str(drafter_path), mode="cascade",
+            seeds=(0,), length=4, metrics_path=str(tmp_path / "m.jsonl"),
+        )
+        with pytest.raises(ConfigError, match=what):
+            run_experiment(cfg)
+        assert not (tmp_path / "m.jsonl").exists()
+
+
+def test_cli_mismatched_drafter_exits_2(tmp_path, model_files, capsys):
+    code = run_cli(["decode", "--model", model_files["tab"], "--drafter", model_files["grid_drafter"],
+                    "--mode", "vanilla", "--len", "4", "--out", tmp_path / "m.jsonl"])
+    assert code == 2
+    assert "vocabulary" in capsys.readouterr().err
+
+
 def test_parse_seed_spec_forms():
     assert parse_seed_spec("0..3") == (0, 1, 2, 3)
     assert parse_seed_spec("5") == (5,)
@@ -267,6 +296,10 @@ def test_parse_seed_spec_forms():
     assert parse_seed_spec([2, 3]) == (2, 3)
     with pytest.raises(ConfigError):
         parse_seed_spec("")
+    with pytest.raises(ConfigError):
+        parse_seed_spec("1..x")
+    with pytest.raises(ConfigError):
+        parse_seed_spec(["a"])
 
 
 def run_cli(args) -> int:
@@ -358,3 +391,22 @@ def test_cli_reports_engine_errors(tmp_path, capsys):
                     "--seeds", "0", "--out", tmp_path / "m.jsonl"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["decode", "--tvd-budget", "2"],
+        ["decode", "--tree", "0,1"],
+        ["decode", "--seeds", "1..x"],
+        ["train", "--epochs", "-1"],
+    ],
+)
+def test_cli_bad_flag_values_exit_2(tmp_path, model_files, capsys, flags):
+    command, *rest = flags
+    args = [command, "--model", model_files["grid"], "--out", tmp_path / "out.json"]
+    if command == "decode":
+        args += ["--drafter", model_files["grid_drafter"], "--mode", "vanilla"]
+    assert run_cli(args + rest) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err

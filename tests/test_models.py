@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specrelax import (
     GridPos,
@@ -185,5 +189,78 @@ def test_loader_rejects_unknown_version(tmp_path, tabular_v4):
 def test_loader_rejects_unknown_kind(tmp_path):
     path = tmp_path / "m.json"
     path.write_text('{"format_version": 1, "kind": "mystery"}')
+    with pytest.raises(ModelFormatError):
+        load_model(path)
+
+
+STOCK_MODELS = {
+    "gridworld": GridWorldModel.default().to_dict(),
+    "tabular": random_tabular_model(4, 1, seed=0).to_dict(),
+    "linear_drafter": LinearDrafter.zeros(32, 8).to_dict(),
+}
+OPTIONAL_KEYS = {"featureJitter"}
+
+# Digit-free strings, so no replacement parses as a number.
+_text = st.text(alphabet="abxyz ,.-", max_size=5)
+_scalar = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), _text)
+JSON_VALUES = {
+    "null": st.none(),
+    "bool": st.booleans(),
+    "number": st.one_of(st.integers(-3, 3), st.floats(-2.0, 2.0)),
+    "string": _text,
+    "array": st.lists(_scalar, max_size=3),
+    "object": st.dictionaries(_text, _scalar, max_size=3),
+}
+
+
+def json_type(value) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "bool"
+    if isinstance(value, (int, float)):
+        return "number"
+    if isinstance(value, str):
+        return "string"
+    return "array" if isinstance(value, list) else "object"
+
+
+@st.composite
+def mutated_model_dicts(draw):
+    """A stock model dict with one key removed, or one value of another JSON type."""
+    data = dict(STOCK_MODELS[draw(st.sampled_from(sorted(STOCK_MODELS)))])
+    key = draw(st.sampled_from(sorted(data)))
+    if draw(st.booleans()):
+        del data[key]
+        return data, key not in OPTIONAL_KEYS
+    other = sorted(t for t in JSON_VALUES if t != json_type(data[key]))
+    data[key] = draw(JSON_VALUES[draw(st.sampled_from(other))])
+    return data, False
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_model_dicts())
+def test_malformed_model_files_raise_model_format_error_only(tmp_path_factory, case):
+    data, must_fail = case
+    path = tmp_path_factory.getbasetemp() / "mutated-model.json"
+    path.write_text(json.dumps(data))
+    try:
+        load_model(path)
+    except ModelFormatError:
+        return
+    # Some replacements still describe a valid model (JSON true for a mixing
+    # weight reads as 1.0); a missing required key never does.
+    assert not must_fail, f"loaded a model without a required key: {sorted(data)}"
+
+
+def test_loader_wraps_missing_keys_and_bad_shapes(tmp_path):
+    path = tmp_path / "m.json"
+    tabular = dict(STOCK_MODELS["tabular"])
+    del tabular["V"]
+    path.write_text(json.dumps(tabular))
+    with pytest.raises(ModelFormatError):
+        load_model(path)
+    drafter = dict(STOCK_MODELS["linear_drafter"], weights=[[0.0] * 3] * 32)
+    path.write_text(json.dumps(drafter))
     with pytest.raises(ModelFormatError):
         load_model(path)

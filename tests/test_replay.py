@@ -1,0 +1,143 @@
+"""Golden replay: refactors that keep semantics must reproduce these outputs bit for bit.
+
+Each case decodes 20 seeds and hashes four byte streams with SHA-256: the
+emitted tokens, the metrics JSONL and the trace JSONL (formatted exactly as
+`run_experiment` writes them), and every recorded relaxation. A change that
+moves any pinned digest changes what the engine emits; it must be a change
+of semantics, and it re-pins the digests deliberately.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from specrelax import (
+    GridWorldModel,
+    LinearDrafter,
+    Metrics,
+    RelaxConfig,
+    RngStream,
+    TreeMask,
+    decode_with_metrics,
+    random_tabular_model,
+    tempered_table_drafter,
+)
+from specrelax.tree import STOCHASTIC, TOPK
+
+SEEDS = range(20)
+
+
+def _models(family):
+    if family == "grid":
+        return GridWorldModel.default(), LinearDrafter.zeros(32, 8), 64
+    target = random_tabular_model(4, 1, seed=11)
+    return target, tempered_table_drafter(target), 16
+
+
+def _line(record: dict) -> str:
+    return json.dumps(record, sort_keys=True) + "\n"
+
+
+def replay_digests(family: str, mode: str, candidates: str) -> dict[str, str]:
+    target, drafter, length = _models(family)
+    streams = {"tokens": [], "metrics": [], "trace": [], "relaxations": []}
+    per_seed = []
+    for seed in SEEDS:
+        def sink(cycle, outcome, _seed=seed):
+            for rec in outcome.trace:
+                streams["trace"].append(_line({"seed": _seed, "cycle": cycle, **rec.to_record()}))
+            for relaxed in outcome.relaxations:
+                streams["relaxations"].append(_line({
+                    "seed": _seed,
+                    "cycle": cycle,
+                    "base": relaxed.base_q.mass.tolist(),
+                    "token": relaxed.boosted_token,
+                    "added": relaxed.added_mass,
+                    "transfers": relaxed.transfers,
+                }))
+
+        tokens, metrics = decode_with_metrics(
+            target, drafter, mode, TreeMask.default(), RelaxConfig(), length, RngStream(seed),
+            candidate_mode=candidates, on_outcome=sink,
+        )
+        per_seed.append(metrics)
+        streams["tokens"].append(_line({"seed": seed, "tokens": tokens}))
+        streams["metrics"].append(_line({"seed": seed, **metrics.to_record()}))
+    streams["metrics"].append(_line({"aggregate": True, **Metrics.aggregate(per_seed).to_record()}))
+    return {
+        name: hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()
+        for name, lines in streams.items()
+    }
+
+
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+GOLDEN = {
+    "grid/cascade/stochastic": {
+        "tokens": "0a9c7d698f2c6e905f463be75d429c6fd33b0813dfc63282041119c5e9be0f61",
+        "metrics": "ce428873a1682fe25b509725fa8a0e075cd1f61f0a46b66d0ce1f6b58de5e343",
+        "trace": "8b436f94297c8a6d773d58f0b6502915092f4feeb645408d61b0f633dff783d9",
+        "relaxations": "4bbbd58bb39ac14195142306c5d6f8c9f20ab92b6e6311c619d3681bcf2b0c73",
+    },
+    "grid/cascade/topk": {
+        "tokens": "7f5282e6e334bdd543411354e1ab006fe8b43074541631a6193f648cea8311e7",
+        "metrics": "2ee638fe43413fa512627a8e7ceb2961a706e00101e0a0f689746537e34a6f36",
+        "trace": "c866be7ba7b884b4fcbd5c168278af0536e70c69e324d6d24ca8191e31170be6",
+        "relaxations": "4694f9e9dda8a480ed4fb59416b8fce780f452e4f93dca681917d3b7e8e57356",
+    },
+    "grid/vanilla/stochastic": {
+        "tokens": "ebb28d04b4980a0c1d2476c19b38b691fac53cafd5a45533119514f5119218b5",
+        "metrics": "284ed3a6c2a08fb9c7f0738e65047d7759ec90fc89096998e4bf4e53e766146c",
+        "trace": "f86aeb600c885896257203c69be6a453c7a88e27d7fc83466c6763ee9fc007ee",
+        "relaxations": EMPTY,
+    },
+    "grid/vanilla/topk": {
+        "tokens": "5fcd6d75534c3e83baadce8113ab49a33369d28357391997d397b7681abb78a0",
+        "metrics": "cd2a7b8df0c5c546e9a0ecd8e96bf04b55442f6862e9348d847f9a5cb969b952",
+        "trace": "dcf017244a8a31b49043b04119b1800f8c36a9f6d2b9ca56e132a9ae76f2dbfe",
+        "relaxations": EMPTY,
+    },
+    "tabular/cascade/stochastic": {
+        "tokens": "69ac42c88ca70bc208daa66e713c4e9e02bb279d1717ed5b1dc7a99b9ef072b1",
+        "metrics": "8598a8c8fe9b0704cee47eff81e5ef1aff8e3afa2ffbac54a3b36cdf3f369936",
+        "trace": "53a337f5bc3bd0fb94fa4e69db4fcb1d88ef26726c2292af33b3929119782e9a",
+        "relaxations": "8462f7a0e072bfe1089bf11967e2eab1b8c91c1c8ba62bab579af4219833ef81",
+    },
+    "tabular/cascade/topk": {
+        "tokens": "47b8029af0eeb573538c0215f2afb4f339474308ff1a68300471933debe77826",
+        "metrics": "2a5b8af0d45034fd26fbbd533522c16efbdf52e9b2ffc209acf0dfec425aa18d",
+        "trace": "08f983583f7de8c4b2faf24d2ffdd2ca01761ddea0d6f81cf1ae8ae51530fd0e",
+        "relaxations": "edd0e24e8c420452bce9d6aba0e4dfed7b587655acc58339013c7f2f7ed627ba",
+    },
+    "tabular/vanilla/stochastic": {
+        "tokens": "2cffb07e6299e7e2a661e1802e3bd204dd4859ef6059a4268a84b8ca6da27945",
+        "metrics": "514cf3d89c9183d7fe361c5286dfa54919c3e9d893bd5c82eda87d79833ccf2f",
+        "trace": "5b2395f1691f755b92af5ca6508a2ff266e034f18ca33db0145499991eceb0fa",
+        "relaxations": EMPTY,
+    },
+    "tabular/vanilla/topk": {
+        "tokens": "47b8029af0eeb573538c0215f2afb4f339474308ff1a68300471933debe77826",
+        "metrics": "2a5b8af0d45034fd26fbbd533522c16efbdf52e9b2ffc209acf0dfec425aa18d",
+        "trace": "5a0652d5f269b2af5487afac362107830c67e62c738eb1a3a3f6d175948584c9",
+        "relaxations": EMPTY,
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_replay_matches_golden_digests(case):
+    family, mode, candidates = case.split("/")
+    assert replay_digests(family, mode, candidates) == GOLDEN[case]
+
+
+def test_golden_covers_both_models_modes_and_candidate_kinds():
+    assert sorted(GOLDEN) == sorted(
+        f"{f}/{m}/{c}" for f in ("grid", "tabular") for m in ("cascade", "vanilla")
+        for c in (TOPK, STOCHASTIC)
+    )
+    for case, digests in GOLDEN.items():
+        relaxed = case.split("/")[1] == "cascade"
+        assert (digests["relaxations"] != EMPTY) == relaxed, case

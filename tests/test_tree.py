@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from specrelax import (
+    ConfigError,
     GridPos,
-    NotAPath,
     ProbDist,
     RngStream,
     TreeMask,
     VocabExhausted,
-    flatten_accepted_path,
     sample_draft_tree,
 )
 from specrelax.tree import STOCHASTIC
@@ -30,12 +29,14 @@ class FixedDrafter:
 
 
 def test_mask_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         TreeMask(())
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         TreeMask((2, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         TreeMask((4, 4, 4, 4))  # 340 nodes > default cap
+    with pytest.raises(ConfigError):
+        TreeMask.parse("4,x")
     assert TreeMask.parse("4,2,2,1,1").widths == (4, 2, 2, 1, 1)
     assert TreeMask.default().node_count() == 60
     assert TreeMask((4, 2)).clipped(1).widths == (4,)
@@ -119,27 +120,3 @@ def test_start_pos_must_match_prefix_length():
     drafter = FixedDrafter([0.5, 0.5])
     with pytest.raises(ValueError):
         sample_draft_tree(drafter, [0, 1], GridPos(0, 0), TreeMask((1,)), RngStream(0), side=4)
-
-
-def test_flatten_path_concatenates():
-    drafter = FixedDrafter([0.4, 0.3, 0.2, 0.1])
-    tree = sample_draft_tree(drafter, (5,), GridPos(0, 1), TreeMask((2, 2)), RngStream(0), side=4)
-    first = tree.levels[0][1]
-    child = first.children[0]
-    assert flatten_accepted_path(tree, [first, child]) == [5, first.token, child.token]
-
-
-def test_flatten_empty_path_returns_prefix():
-    drafter = FixedDrafter([0.5, 0.5])
-    tree = sample_draft_tree(drafter, (3,), GridPos(0, 1), TreeMask((1,)), RngStream(0), side=4)
-    assert flatten_accepted_path(tree, []) == [3]
-
-
-def test_flatten_rejects_non_paths():
-    drafter = FixedDrafter([0.4, 0.3, 0.2, 0.1])
-    tree = sample_draft_tree(drafter, (), GridPos(0, 0), TreeMask((2, 2)), RngStream(0))
-    a, b = tree.levels[0]
-    with pytest.raises(NotAPath):
-        flatten_accepted_path(tree, [a, b])  # siblings, not ancestor-linked
-    with pytest.raises(NotAPath):
-        flatten_accepted_path(tree, [b.children[0]])  # does not start at the root

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from specrelax import (
+    ConfigError,
     DegenerateResidual,
     FeatureVec,
     GridPos,
@@ -71,34 +72,65 @@ def manual_evals(root_dist, node_specs):
 # --- relax_q ------------------------------------------------------------------
 
 
+def donors(q, tokens):
+    return [(t, q[t]) for t in tokens]
+
+
 def test_relax_q_both_sets_fit_sequentially():
     q = ProbDist([0.4, 0.3, 0.2, 0.1])
-    relaxed, consumed = relax_q(q, 0, 0.3, 0.2, 0.5)
+    relaxed, applied_i, applied_c = relax_q(q, 0, donors(q, [1]), donors(q, [2]), 0.5)
+    consumed = applied_i + applied_c
     assert consumed == pytest.approx(0.5, abs=ATOL)
     assert relaxed.boosted_prob() == pytest.approx(0.9, abs=ATOL)
     assert relaxed.added_mass == consumed
+    assert relaxed.transfers == ((1, 0.3), (2, 0.2))
 
 
 def test_relax_q_is_all_or_nothing_per_set():
     q = ProbDist([0.1, 0.4, 0.3, 0.2])
-    relaxed, consumed = relax_q(q, 0, 0.4, 0.2, 0.5)
+    relaxed, applied_i, applied_c = relax_q(q, 0, donors(q, [1]), donors(q, [3]), 0.5)
     # C is skipped: 0.4 + 0.2 > 0.5.
-    assert consumed == pytest.approx(0.4, abs=ATOL)
+    assert (applied_i, applied_c) == (pytest.approx(0.4, abs=ATOL), 0.0)
+    assert relaxed.added_mass == pytest.approx(0.4, abs=ATOL)
     assert relaxed.boosted_prob() == pytest.approx(0.5, abs=ATOL)
+    assert relaxed.transfers == ((1, 0.4),)
 
 
 def test_relax_q_skips_oversized_first_set_but_takes_second():
     q = ProbDist([0.1, 0.6, 0.3])
-    relaxed, consumed = relax_q(q, 0, 0.6, 0.3, 0.5)
-    assert consumed == pytest.approx(0.3, abs=ATOL)
+    relaxed, applied_i, applied_c = relax_q(q, 0, donors(q, [1]), donors(q, [2]), 0.5)
+    assert (applied_i, applied_c) == (0.0, pytest.approx(0.3, abs=ATOL))
+    assert relaxed.added_mass == pytest.approx(0.3, abs=ATOL)
     assert relaxed.boosted_prob() == pytest.approx(0.4, abs=ATOL)
 
 
 def test_relax_q_exhausted_budget_is_identity():
-    q = ProbDist([0.25, 0.75])
-    relaxed, consumed = relax_q(q, 0, 0.5, 0.25, 0.0)
-    assert consumed == 0.0
+    q = ProbDist([0.25, 0.5, 0.25])
+    relaxed, applied_i, applied_c = relax_q(q, 0, donors(q, [1]), donors(q, [2]), 0.0)
+    assert applied_i == applied_c == relaxed.added_mass == 0.0
     assert relaxed.boosted_prob() == q[0]
+    assert relaxed.transfers == ()
+
+
+def test_relax_q_drops_child_donors_already_counted():
+    q = ProbDist([0.1, 0.2, 0.3, 0.4])
+    relaxed, applied_i, applied_c = relax_q(
+        q, 0, donors(q, [1]), donors(q, [0, 1, 3]), 1.0
+    )
+    # Child tokens 0 (the candidate) and 1 (a sibling donor) give nothing twice.
+    assert applied_i == pytest.approx(0.2, abs=ATOL)
+    assert applied_c == pytest.approx(0.4, abs=ATOL)
+    assert relaxed.transfers == ((1, 0.2), (3, 0.4))
+
+
+def test_relax_q_rejects_negative_masses_and_budget():
+    q = ProbDist([0.5, 0.5])
+    with pytest.raises(ValueError):
+        relax_q(q, 0, [(1, -0.1)], [], 0.5)
+    with pytest.raises(ValueError):
+        relax_q(q, 0, [], [(1, -0.1)], 0.5)
+    with pytest.raises(ValueError):
+        relax_q(q, 0, [], [], -0.1)
 
 
 # --- build_sets ---------------------------------------------------------------
@@ -129,9 +161,22 @@ def test_interchange_set_from_hand_cosines():
     tree, evals = sibling_tree_with_features(feats)
     sets = build_sets(tree, evals, RelaxConfig(tau_pos=0.9, tau_seq=1.01))
     assert sets.inter_pairs[1] == frozenset({(0, 1)})
-    assert sets.inter_partners(0) == (1,)
-    assert sets.inter_partners(1) == (0,)
-    assert sets.inter_partners(2) == ()
+
+
+def test_partner_lookup_reads_each_pair_from_both_ends():
+    feats = [
+        FeatureVec([1.0, 0.0]),
+        FeatureVec([0.99, 0.141]),
+        FeatureVec([0.0, 1.0]),
+    ]
+    tree, evals = sibling_tree_with_features(feats, probs=(0.9, 0.9, 0.9))
+    cfg = RelaxConfig(tau_pos=0.9, tau_seq=1.01, tvd_budget=1.0)
+    outcome = verify_cascade(tree, evals, cfg, ScriptedRng([0.99, 0.99, 0.99, 0.5]))
+    # Under the root law [0.5, 0.3, 0.2], tokens 0 and 1 lend to each other;
+    # token 2 has no partner.
+    added = [rec.added_mass_i for rec in outcome.trace]
+    assert added == [pytest.approx(0.3, abs=ATOL), pytest.approx(0.5, abs=ATOL), 0.0]
+    assert [rec.decision for rec in outcome.trace] == ["reject"] * 3
 
 
 def test_interchange_pairs_are_irreflexive_and_symmetric_on_random_trees():
@@ -145,8 +190,7 @@ def test_interchange_pairs_are_irreflexive_and_symmetric_on_random_trees():
         sets = build_sets(tree, evals, RelaxConfig(tau_pos=0.2, tau_seq=0.2))
         for level, pairs in sets.inter_pairs.items():
             for a, b in pairs:
-                assert a != b
-                assert b in sets.inter_partners(a) and a in sets.inter_partners(b)
+                assert a < b
                 assert tree.nodes[a].level == level == tree.nodes[b].level
                 assert tree.nodes[a].parent is tree.nodes[b].parent
         for a, b in sets.conv_pairs:
@@ -155,13 +199,13 @@ def test_interchange_pairs_are_irreflexive_and_symmetric_on_random_trees():
 
 
 def test_relax_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         RelaxConfig(tau_pos=-0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         RelaxConfig(tau_seq=1.02)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         RelaxConfig(tvd_budget=1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         RelaxConfig(sibling_mode="greedy")
 
 
