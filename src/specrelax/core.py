@@ -8,6 +8,7 @@ or a pure function over those values. All heavier machinery builds on top.
 from __future__ import annotations
 
 from bisect import bisect_right
+from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -73,7 +74,7 @@ class ProbDist:
     so that shared rows can be sampled and ranked cheaply in hot loops.
     """
 
-    __slots__ = ("mass", "_cdf", "_order")
+    __slots__ = ("mass", "_cdf", "_ranked")
 
     def __init__(self, mass: Sequence[float] | np.ndarray) -> None:
         arr = np.asarray(mass, dtype=np.float64)
@@ -90,7 +91,7 @@ class ProbDist:
         arr.flags.writeable = False
         self.mass = arr
         self._cdf: tuple[float, ...] | None = None
-        self._order: tuple[int, ...] | None = None
+        self._ranked: tuple[tuple[TokenId, float], ...] | None = None
 
     @classmethod
     def normalized(cls, raw: Sequence[float] | np.ndarray) -> "ProbDist":
@@ -126,12 +127,13 @@ class ProbDist:
                 idx -= 1
         return idx
 
-    def descending_order(self) -> tuple[int, ...]:
-        """Token ids sorted by decreasing mass; ties broken by ascending id."""
-        if self._order is None:
-            order = np.lexsort((np.arange(self.mass.size), -self.mass))
-            self._order = tuple(int(i) for i in order)
-        return self._order
+    def ranked(self) -> tuple[tuple[TokenId, float], ...]:
+        """(token, probability) of every positive-mass token, by decreasing mass; ties to the lower id."""
+        if self._ranked is None:
+            pairs = [(token, prob) for token, prob in enumerate(self.mass.tolist()) if prob > 0.0]
+            pairs.sort(key=itemgetter(1), reverse=True)  # stable: ties keep ascending ids
+            self._ranked = tuple(pairs)
+        return self._ranked
 
 
 class FeatureVec:

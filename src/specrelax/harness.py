@@ -154,6 +154,15 @@ def _check_drafter_matches(target: Target, drafter: Drafter | None) -> None:
         raise ConfigError(f"drafter grid side {drafter.grid_side} != target grid side {target.grid_side}")
 
 
+def _check_length(target: Target, length: int) -> None:
+    """Raise ConfigError unless `length` is positive and fits the target's grid, if it has one."""
+    if length < 1:
+        raise ConfigError(f"sequence length must be at least 1, got {length}")
+    side = target.grid_side
+    if side and length > side * side:
+        raise ConfigError(f"length {length} exceeds the {side}x{side} grid")
+
+
 def _dump_line(out: TextIO, record: dict) -> None:
     out.write(json.dumps(record, sort_keys=True))
     out.write("\n")
@@ -169,6 +178,7 @@ def run_experiment(cfg: ExperimentConfig) -> Metrics:
         if target.grid_side is None:
             raise ConfigError("a sequence length is required for non-grid models")
         length = target.grid_side * target.grid_side
+    _check_length(target, length)
 
     per_seed: list[Metrics] = []
     metric_records: list[dict] = []
@@ -238,6 +248,9 @@ def mc_distribution_test(
     3 * sqrt(V^length / samples) multinomial bound; stricter caps are the
     caller's business.
     """
+    if samples < 1:
+        raise ConfigError(f"at least one sample is required, got {samples}")
+    _check_length(target, length)
     _check_drafter_matches(target, drafter)
     oracle = enumerate_ar_distribution(target, length)
     mask = mask if mask is not None else TreeMask.chain(length)

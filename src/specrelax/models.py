@@ -36,6 +36,18 @@ ENUMERATION_GUARD = 1_000_000
 Window = tuple[int, ...]
 
 
+def _power_exceeds_guard(base: int, exponent: int) -> bool:
+    """Whether base**exponent > ENUMERATION_GUARD, decided without building a huge power."""
+    if base <= 1:
+        return False  # 0**n and 1**n never exceed 1
+    power = 1
+    for _ in range(exponent):
+        power *= base
+        if power > ENUMERATION_GUARD:
+            return True
+    return False
+
+
 class TargetEval(NamedTuple):
     """One target forward: next-token law plus the hidden-state feature."""
 
@@ -77,7 +89,7 @@ class TabularModel:
     ) -> None:
         if vocab < 1 or order < 1:
             raise ValueError("vocab and order must be positive")
-        if vocab**order > ENUMERATION_GUARD:
+        if _power_exceeds_guard(vocab, order):
             raise TooLarge(f"tabular model with {vocab}^{order} windows")
         self.vocab = vocab
         self.order = order
@@ -489,7 +501,7 @@ def enumerate_ar_distribution(
     Guarded at V^L <= 10^6 states; the result sums to 1 within 1e-9.
     """
     vocab = getattr(model, "vocab")
-    if vocab**length > ENUMERATION_GUARD:
+    if _power_exceeds_guard(vocab, length):
         raise TooLarge(f"{vocab}^{length} sequences exceed enumeration guard")
     grid = side if side is not None else (model.grid_side or max(1, math.isqrt(max(length - 1, 0)) + 1))
     result: dict[tuple[int, ...], float] = {(): 1.0}

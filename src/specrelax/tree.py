@@ -1,14 +1,19 @@
 """Static tree masks and drafter-sampled token trees.
 
 A mask fixes how many sibling candidates each surviving branch spawns per
-level; sampling instantiates it against a drafter, recording every node's
-drafter probability and the conditional the node's children were drawn from.
+level; sampling instantiates it against a drafter into flat per-node lists,
+recording every node's token, drafter probability, parent, children, path
+and the conditional the node's children were drawn from. The sibling and
+parent-child pairs of a tree shape are indexed once per shape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .core import ConfigError, GridPos, ProbDist, RngStream, TokenId, VocabExhausted
 from .models import Drafter
@@ -69,36 +74,26 @@ class TreeMask:
         return cls((1,) * depth)
 
 
-class DraftNode:
-    """One drafted token: identity, drafter probability, and tree wiring."""
-
-    __slots__ = ("token", "drafter_prob", "parent", "level", "node_id", "children", "child_dist")
-
-    def __init__(
-        self,
-        token: TokenId,
-        drafter_prob: float,
-        parent: "DraftNode | None",
-        level: int,
-        node_id: int,
-    ) -> None:
-        self.token = token
-        self.drafter_prob = drafter_prob
-        self.parent = parent
-        self.level = level
-        self.node_id = node_id
-        self.children: list[DraftNode] = []
-        # Drafter conditional over this node's children; set while sampling.
-        self.child_dist: ProbDist | None = None
-
-    def __repr__(self) -> str:
-        return f"DraftNode(token={self.token}, level={self.level}, p={self.drafter_prob:.4g})"
+ROOT = -1  # parent index of level-1 nodes
+_NO_CHILDREN = range(0)
 
 
 class DraftTree:
-    """A sampled speculation tree extending `prefix` from `start_pos`."""
+    """A sampled speculation tree extending `prefix` from `start_pos`, as flat per-node lists.
 
-    __slots__ = ("prefix", "start_pos", "start_index", "side", "levels", "nodes", "root_dist", "mask")
+    Node ids are level-major: level l (1-based) holds ids
+    `level_starts[l-1] .. level_starts[l]-1`, and the children of each node
+    are one contiguous id range, in the order they were drafted. Per node i:
+    `tokens[i]`, `probs[i]` (its drafter probability), `parents[i]` (`ROOT`
+    for level 1), `children[i]` (a range of ids), `child_dists[i]` (the
+    drafter conditional its children were drawn from; None on the deepest
+    level) and `paths[i]` (prefix plus the tokens from the root to i).
+    """
+
+    __slots__ = (
+        "prefix", "start_pos", "start_index", "side", "root_dist", "mask", "level_starts",
+        "tokens", "probs", "parents", "children", "child_dists", "paths",
+    )
 
     def __init__(
         self,
@@ -106,26 +101,90 @@ class DraftTree:
         start_pos: GridPos,
         start_index: int,
         side: int,
-        levels: list[list[DraftNode]],
-        nodes: list[DraftNode],
         root_dist: ProbDist,
         mask: TreeMask,
+        level_starts: list[int],
+        tokens: list[TokenId],
+        probs: list[float],
+        parents: list[int],
+        children: list[range],
+        child_dists: list[ProbDist | None],
+        paths: list[tuple[TokenId, ...]],
     ) -> None:
         self.prefix = prefix
         self.start_pos = start_pos
         self.start_index = start_index
         self.side = side
-        self.levels = levels
-        self.nodes = nodes
         self.root_dist = root_dist
         self.mask = mask
+        self.level_starts = level_starts
+        self.tokens = tokens
+        self.probs = probs
+        self.parents = parents
+        self.children = children
+        self.child_dists = child_dists
+        self.paths = paths
 
     @property
     def depth(self) -> int:
-        return len(self.levels)
+        return len(self.level_starts) - 1
 
-    def root_children(self) -> list[DraftNode]:
-        return self.levels[0] if self.levels else []
+    @property
+    def nodes(self) -> range:
+        """All node ids."""
+        return range(len(self.tokens))
+
+    def level(self, level: int) -> range:
+        """Node ids of level `level` (1-based)."""
+        return range(self.level_starts[level - 1], self.level_starts[level])
+
+    def layout(self) -> "PairLayout":
+        """Sibling and parent-child pairs of this tree's shape (cached per shape)."""
+        return pair_layout(tuple(self.parents))
+
+
+class PairLayout(NamedTuple):
+    """Every sibling pair and parent-child link of one tree shape, as index arrays.
+
+    `first` and `second` list the sibling pairs (first < second, same parent),
+    level by level, and then the parent-child links (parent, child) in child
+    order; `level_ends[l-1]` is the end of level l's sibling pairs, so
+    `level_ends[-1]` counts them all. `pairs` repeats the arrays as Python
+    tuples for building result sets.
+    """
+
+    first: np.ndarray
+    second: np.ndarray
+    pairs: tuple[tuple[int, int], ...]
+    level_ends: tuple[int, ...]
+
+
+@lru_cache(maxsize=64)
+def pair_layout(parents: tuple[int, ...]) -> PairLayout:
+    """Index the pairs of the level-major tree whose node i has parent `parents[i]`."""
+    levels: list[int] = []
+    for parent in parents:
+        levels.append(1 if parent == ROOT else levels[parent] + 1)
+    sibling_pairs: list[tuple[int, int]] = []
+    level_ends: list[int] = []
+    start = 0
+    for node in range(1, len(parents) + 1):
+        # Siblings are contiguous ids; a group ends where the parent changes.
+        if node < len(parents) and parents[node] == parents[start]:
+            continue
+        sibling_pairs.extend(
+            (a, b) for a in range(start, node) for b in range(a + 1, node)
+        )
+        if node == len(parents) or levels[node] != levels[start]:
+            level_ends.append(len(sibling_pairs))
+        start = node
+    links = [(parent, child) for child, parent in enumerate(parents) if parent != ROOT]
+    pairs = tuple(sibling_pairs + links)
+    index = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    first, second = index[:, 0].copy(), index[:, 1].copy()
+    first.flags.writeable = False
+    second.flags.writeable = False
+    return PairLayout(first, second, pairs, tuple(level_ends))
 
 
 def _inverse_cdf(mass: list[float], total: float, r: float) -> int:
@@ -143,18 +202,10 @@ def _inverse_cdf(mass: list[float], total: float, r: float) -> int:
 
 def _select_candidates(
     dist: ProbDist, width: int, mode: str, rng: RngStream
-) -> list[tuple[TokenId, float]]:
+) -> Sequence[tuple[TokenId, float]]:
     """Pick up to `width` distinct positive-probability tokens from one conditional."""
     if mode == TOPK:
-        picked: list[tuple[TokenId, float]] = []
-        for token in dist.descending_order():
-            prob = dist[token]
-            if prob <= 0.0:
-                break
-            picked.append((token, prob))
-            if len(picked) == width:
-                break
-        return picked
+        return dist.ranked()[:width]
     if mode == STOCHASTIC:
         if width == 1:
             token = dist.sample(rng)
@@ -200,35 +251,44 @@ def sample_draft_tree(
     prefix_t = tuple(prefix)
     root_dist = drafter.distribution(prefix_t, start_pos)
 
-    levels: list[list[DraftNode]] = []
-    nodes: list[DraftNode] = []
-    # Frontier entries: (node or None for root, its path, its conditional).
-    frontier: list[tuple[DraftNode | None, tuple[TokenId, ...], ProbDist]] = [
-        (None, prefix_t, root_dist)
-    ]
-    for depth_idx, width in enumerate(mask.widths):
+    level_starts = [0]
+    tokens: list[TokenId] = []
+    probs: list[float] = []
+    parents: list[int] = []
+    children: list[range] = []
+    child_dists: list[ProbDist | None] = []
+    paths: list[tuple[TokenId, ...]] = []
+    # Frontier entries: (parent id, its path, the conditional its children come from).
+    frontier: list[tuple[int, tuple[TokenId, ...], ProbDist]] = [(ROOT, prefix_t, root_dist)]
+    for level_num, width in enumerate(mask.widths, start=1):
         if width > vocab:
             raise VocabExhausted(f"width {width} exceeds vocabulary of {vocab}")
-        level_num = depth_idx + 1
-        level_nodes: list[DraftNode] = []
-        next_frontier: list[tuple[DraftNode | None, tuple[TokenId, ...], ProbDist]] = []
         want_children = level_num < mask.depth
         child_pos = (
             GridPos.from_index(start_index + level_num, side) if want_children else None
         )
+        next_frontier: list[tuple[int, tuple[TokenId, ...], ProbDist]] = []
         for parent, path, dist in frontier:
+            first = len(tokens)
             for token, prob in _select_candidates(dist, width, mode, rng):
-                node = DraftNode(token, prob, parent, level_num, len(nodes))
-                nodes.append(node)
-                level_nodes.append(node)
-                if parent is not None:
-                    parent.children.append(node)
+                node_path = path + (token,)
+                child_dist = None
                 if want_children:
-                    child_path = path + (token,)
-                    node.child_dist = drafter.distribution(child_path, child_pos)
-                    next_frontier.append((node, child_path, node.child_dist))
-        if not level_nodes:
+                    child_dist = drafter.distribution(node_path, child_pos)
+                    next_frontier.append((len(tokens), node_path, child_dist))
+                tokens.append(token)
+                probs.append(prob)
+                parents.append(parent)
+                children.append(_NO_CHILDREN)
+                child_dists.append(child_dist)
+                paths.append(node_path)
+            if parent != ROOT:
+                children[parent] = range(first, len(tokens))
+        if len(tokens) == level_starts[-1]:
             break
-        levels.append(level_nodes)
+        level_starts.append(len(tokens))
         frontier = next_frontier
-    return DraftTree(prefix_t, start_pos, start_index, side, levels, nodes, root_dist, mask)
+    return DraftTree(
+        prefix_t, start_pos, start_index, side, root_dist, mask, level_starts,
+        tokens, probs, parents, children, child_dists, paths,
+    )

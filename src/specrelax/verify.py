@@ -11,21 +11,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Callable, NamedTuple, Sequence
+
+import numpy as np
 
 from .core import (
     ConfigError,
     DegenerateResidual,
     GridPos,
+    NORM_FLOOR,
     PROB_ATOL,
     ProbDist,
     RngStream,
     TokenId,
-    cosine_sim,
+    ZeroNormFeature,
+    cosine_sim,  # noqa: F401  (bench/tracer.py counts scalar cosines through this name)
     residual_dist,
 )
 from .models import Drafter, Target, TargetEval
-from .tree import DraftNode, DraftTree, TOPK, TreeMask, sample_draft_tree
+from .tree import DraftTree, TOPK, TreeMask, sample_draft_tree
 
 LITERAL = "literal"
 RESIDUAL_ADJUSTED = "residual-adjusted"
@@ -61,16 +66,13 @@ class RelaxConfig:
 
 
 class TreeEvals:
-    """Target evaluations for a draft tree: the root conditional plus one per node."""
+    """Target evaluations for a draft tree: the root conditional plus one per node id."""
 
     __slots__ = ("root", "nodes")
 
     def __init__(self, root: TargetEval, nodes: list[TargetEval]) -> None:
         self.root = root
         self.nodes = nodes
-
-    def for_node(self, node: DraftNode) -> TargetEval:
-        return self.nodes[node.node_id]
 
 
 def evaluate_tree(target: Target, tree: DraftTree) -> TreeEvals:
@@ -81,15 +83,12 @@ def evaluate_tree(target: Target, tree: DraftTree) -> TreeEvals:
     """
     root = target.evaluate(tree.prefix, tree.start_pos)
     cap = tree.side * tree.side - 1
-    evals: list[TargetEval] = [None] * len(tree.nodes)  # type: ignore[list-item]
-    paths: dict[int, tuple[TokenId, ...]] = {}
-    for level_idx, level in enumerate(tree.levels):
-        pos = GridPos.from_index(min(tree.start_index + level_idx + 1, cap), tree.side)
-        for node in level:
-            parent_path = tree.prefix if node.parent is None else paths[node.parent.node_id]
-            path = parent_path + (node.token,)
-            paths[node.node_id] = path
-            evals[node.node_id] = target.evaluate(path, pos)
+    evals: list[TargetEval] = []
+    starts = tree.level_starts
+    for level in range(1, len(starts)):
+        pos = GridPos.from_index(min(tree.start_index + level, cap), tree.side)
+        for path in tree.paths[starts[level - 1] : starts[level]]:
+            evals.append(target.evaluate(path, pos))
     return TreeEvals(root, evals)
 
 
@@ -102,40 +101,49 @@ class SimilaritySets:
 
 
 def build_sets(tree: DraftTree, evals: TreeEvals, cfg: RelaxConfig) -> SimilaritySets:
-    """Collect same-parent sibling pairs and parent-child links above threshold."""
-    inter_pairs: dict[int, set[tuple[int, int]]] = {}
-    conv_pairs: set[tuple[int, int]] = set()
+    """Collect same-parent sibling pairs and parent-child links above threshold.
 
-    if cfg.enable_interchange and cfg.tau_pos <= 1.0:
-        for level_idx, level in enumerate(tree.levels):
-            pairs = inter_pairs.setdefault(level_idx + 1, set())
-            groups: dict[int | None, list[DraftNode]] = {}
-            for node in level:
-                key = None if node.parent is None else node.parent.node_id
-                groups.setdefault(key, []).append(node)
-            for siblings in groups.values():
-                for i, a in enumerate(siblings):
-                    feat_a = evals.for_node(a).feature
-                    for b in siblings[i + 1 :]:
-                        if cosine_sim(feat_a, evals.for_node(b).feature) >= cfg.tau_pos:
-                            pairs.add(_sibling_pair(a, b))
+    The cosines of every enabled pair come from one stacked pass. Each pair's
+    dot product runs through the same BLAS kernel as `cosine_sim`'s and its
+    norms are the features' own, so every threshold decision matches the
+    scalar definition exactly. Clamping to [-1, 1] is skipped: against a
+    threshold in [0, 1] it cannot change a decision.
+    """
+    want_i = cfg.enable_interchange and cfg.tau_pos <= 1.0
+    want_c = cfg.enable_convergence and cfg.tau_seq <= 1.0
+    if not (want_i or want_c):
+        return SimilaritySets({}, frozenset())
+    layout = tree.layout()
+    n_sibling = layout.level_ends[-1]
+    lo = 0 if want_i else n_sibling
+    hi = len(layout.pairs) if want_c else n_sibling
+    hits = [False] * lo  # hits[k]: is layout.pairs[k] similar
+    if lo < hi:
+        feats = [ev.feature for ev in evals.nodes]
+        norms = [feat.norm for feat in feats]
+        # Checked before stacking, which needs every feature to have one shape.
+        if min(norms) <= NORM_FLOOR:
+            for a, b in layout.pairs[lo:hi]:
+                if min(norms[a], norms[b]) <= NORM_FLOOR:
+                    raise ZeroNormFeature(f"cosine undefined for norms ({norms[a]!r}, {norms[b]!r})")
+        first, second = layout.first[lo:hi], layout.second[lo:hi]
+        values = np.array([feat.values for feat in feats])
+        norm_arr = np.array(norms)
+        cos = np.vecdot(values[first], values[second]) / (norm_arr[first] * norm_arr[second])
+        hits += (cos[: n_sibling - lo] >= cfg.tau_pos).tolist()
+        hits += (cos[n_sibling - lo :] >= cfg.tau_seq).tolist()
+    inter_pairs: dict[int, frozenset[tuple[int, int]]] = {}
+    if want_i:
+        start = 0
+        for level, end in enumerate(layout.level_ends, start=1):
+            inter_pairs[level] = frozenset(compress(layout.pairs[start:end], hits[start:end]))
+            start = end
+    conv_pairs = frozenset(compress(layout.pairs[n_sibling:], hits[n_sibling:]))
+    return SimilaritySets(inter_pairs, conv_pairs)
 
-    if cfg.enable_convergence and cfg.tau_seq <= 1.0:
-        for level in tree.levels[:-1]:
-            for node in level:
-                feat = evals.for_node(node).feature
-                for child in node.children:
-                    if cosine_sim(feat, evals.for_node(child).feature) >= cfg.tau_seq:
-                        conv_pairs.add((node.node_id, child.node_id))
 
-    return SimilaritySets(
-        {lvl: frozenset(p) for lvl, p in inter_pairs.items()},
-        frozenset(conv_pairs),
-    )
-
-
-def _sibling_pair(a: DraftNode, b: DraftNode) -> tuple[int, int]:
-    return (a.node_id, b.node_id) if a.node_id < b.node_id else (b.node_id, a.node_id)
+def _sibling_pair(a: int, b: int) -> tuple[int, int]:
+    return (a, b) if a < b else (b, a)
 
 
 @dataclass(frozen=True)
@@ -264,53 +272,54 @@ def _run_verification(
     budget: float,
     sibling_mode: str,
 ) -> VerifyOutcome:
-    accepted: list[DraftNode] = []
+    tokens = tree.tokens
+    accepted: list[TokenId] = []
     trace: list[TraceRecord] = []
     relaxations: list[RelaxedDist] = []
     budget_used = 0.0
     correction: TokenId | None = None
 
-    parent: DraftNode | None = None
-    for level in tree.levels:
-        siblings = tree.root_children() if parent is None else parent.children
-        if not siblings:
-            break
-        q_dist = (evals.root if parent is None else evals.for_node(parent)).dist
-        p_dist = tree.root_dist if parent is None else parent.child_dist
+    # Walk down the accepted path: each level offers the children of the
+    # last accepted node (the root's children first).
+    level = 1
+    siblings = tree.level(1)
+    q_dist, p_dist = evals.root.dist, tree.root_dist
+    while siblings:
         q_work = q_dist
-        chosen: DraftNode | None = None
+        chosen: int | None = None
+        level_pairs = sets.inter_pairs.get(level, ()) if sets is not None else ()
         for sibling_idx, node in enumerate(siblings):
             r = rng.next_real()
             base = q_work if sibling_mode == RESIDUAL_ADJUSTED else q_dist
-            q_x = base[node.token]
+            q_x = base[tokens[node]]
+            p_x = tree.probs[node]
             applied_i = applied_c = 0.0
             if sets is not None:
-                level_pairs = sets.inter_pairs.get(node.level, ())
                 donors_i = [
-                    (other.token, base[other.token])
+                    (tokens[other], base[tokens[other]])
                     for other in siblings
-                    if other is not node and _sibling_pair(node, other) in level_pairs
+                    if other != node and _sibling_pair(node, other) in level_pairs
                 ]
                 donors_c = [
-                    (child.token, base[child.token])
-                    for child in node.children
-                    if (node.node_id, child.node_id) in sets.conv_pairs
+                    (tokens[child], base[tokens[child]])
+                    for child in tree.children[node]
+                    if (node, child) in sets.conv_pairs
                 ]
                 relaxed, applied_i, applied_c = relax_q(
-                    base, node.token, donors_i, donors_c, budget - budget_used
+                    base, tokens[node], donors_i, donors_c, budget - budget_used
                 )
                 relaxations.append(relaxed)
                 budget_used += relaxed.added_mass
                 q_eff = relaxed.boosted_prob()
             else:
                 q_eff = q_x
-            accept = r < min(1.0, q_eff / node.drafter_prob)
+            accept = r < min(1.0, q_eff / p_x)
             trace.append(
                 TraceRecord(
-                    node.level,
+                    level,
                     sibling_idx,
                     q_x,
-                    node.drafter_prob,
+                    p_x,
                     applied_i,
                     applied_c,
                     r,
@@ -338,11 +347,12 @@ def _run_verification(
                     corr_dist = q_dist
             correction = corr_dist.sample(rng)
             break
-        accepted.append(chosen)
-        parent = chosen
+        accepted.append(tokens[chosen])
+        siblings = tree.children[chosen]
+        q_dist, p_dist = evals.nodes[chosen].dist, tree.child_dists[chosen]
+        level += 1
 
-    tokens = [node.token for node in accepted]
-    return VerifyOutcome(tokens, correction, len(tokens), budget_used, trace, relaxations)
+    return VerifyOutcome(accepted, correction, len(accepted), budget_used, trace, relaxations)
 
 
 def verify_vanilla(

@@ -6,6 +6,7 @@ import pytest
 from specrelax import (
     FeatureVec,
     GridWorldModel,
+    ProbDist,
     TabularModel,
     TrainConfig,
     random_tabular_model,
@@ -76,3 +77,16 @@ class ScriptedRng:
         value = self.values[self.counter]
         self.counter += 1
         return value
+
+
+class FixedDrafter:
+    """Context-free drafter emitting one constant distribution."""
+
+    grid_side = None
+
+    def __init__(self, mass):
+        self.dist = ProbDist(mass)
+        self.vocab = len(self.dist)
+
+    def distribution(self, prefix, pos):
+        return self.dist

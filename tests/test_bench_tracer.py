@@ -1,0 +1,53 @@
+"""The benchmark's tracer (bench/tracer.py) must keep working against the engine.
+
+The tracer rebinds module globals and model methods of specrelax and reads
+result attributes (`len(tree.nodes)`, the similarity sets' pair sets, each
+outcome's trace decisions and consumed budget). It runs in a subprocess,
+because installing it patches the package for the rest of the process.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = """
+import json, sys
+sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/bench"]
+from tracer import Tracer
+
+tracer = Tracer()
+tracer.install()
+from specrelax import GridWorldModel, LinearDrafter, RelaxConfig, RngStream, TreeMask, harness
+
+target, drafter = GridWorldModel.default(), LinearDrafter.zeros(32, 8)
+counts = {}
+for mode in ("cascade", "vanilla"):
+    tracer.reset()
+    harness.decode_with_metrics(
+        target, drafter, mode, TreeMask.default(), RelaxConfig(), 16, RngStream(3)
+    )
+    layers = tracer.layer_metrics(1, 0.0, 1.0)
+    counts[mode] = {key: layers[key] for key in
+                    ("tree.nodes", "verify.calls", "verify.build_sets.pairs", "verify.decisions")}
+print(json.dumps(counts))
+"""
+
+
+def test_tracer_installs_and_counts_a_cascade_and_a_vanilla_decode():
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(ROOT)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout.strip().splitlines()[-1])
+    for mode in ("cascade", "vanilla"):
+        assert counts[mode]["tree.nodes"] > 0
+        assert counts[mode]["verify.calls"] > 0
+        assert counts[mode]["verify.decisions"] > 0
+    assert counts["cascade"]["verify.build_sets.pairs"] > 0
+    assert counts["vanilla"]["verify.build_sets.pairs"] == 0

@@ -400,11 +400,19 @@ def test_cli_reports_engine_errors(tmp_path, capsys):
         ["decode", "--tree", "0,1"],
         ["decode", "--seeds", "1..x"],
         ["train", "--epochs", "-1"],
+        ["decode", "--len", "100"],
+        ["decode", "--mode", "ar", "--len", "-3"],
+        ["decode", "--len", "0"],
+        ["oracle", "--samples", "0"],
+        ["oracle", "--len", "0", "--tree", "1"],
     ],
 )
 def test_cli_bad_flag_values_exit_2(tmp_path, model_files, capsys, flags):
     command, *rest = flags
-    args = [command, "--model", model_files["grid"], "--out", tmp_path / "out.json"]
+    if command == "oracle":
+        args = [command, "--model", model_files["tab"]]
+    else:
+        args = [command, "--model", model_files["grid"], "--out", tmp_path / "out.json"]
     if command == "decode":
         args += ["--drafter", model_files["grid_drafter"], "--mode", "vanilla"]
     assert run_cli(args + rest) == 2

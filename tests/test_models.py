@@ -264,3 +264,25 @@ def test_loader_wraps_missing_keys_and_bad_shapes(tmp_path):
     path.write_text(json.dumps(drafter))
     with pytest.raises(ModelFormatError):
         load_model(path)
+
+
+def test_huge_order_is_refused_without_building_the_power(tmp_path):
+    import time
+
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(dict(STOCK_MODELS["tabular"], order=10**8)))
+    start = time.process_time()
+    with pytest.raises(ModelFormatError):
+        load_model(path)
+    with pytest.raises(TooLarge):
+        enumerate_ar_distribution(random_tabular_model(4, 1, seed=0), 10**8)
+    assert time.process_time() - start < 0.5
+
+
+def test_size_guard_boundary():
+    from specrelax.models import ENUMERATION_GUARD, _power_exceeds_guard
+
+    assert ENUMERATION_GUARD == 10**6
+    assert not _power_exceeds_guard(10, 6) and _power_exceeds_guard(10, 7)
+    assert not _power_exceeds_guard(1000, 2) and _power_exceeds_guard(1001, 2)
+    assert not _power_exceeds_guard(1, 10**9) and not _power_exceeds_guard(7, 0)

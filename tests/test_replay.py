@@ -30,11 +30,21 @@ from specrelax.tree import STOCHASTIC, TOPK
 SEEDS = range(20)
 
 
+# The jittered gridworld spreads sibling and parent-child cosines over about
+# [0.995, 1.0]; thresholds at their median make the similarity sets, and so
+# every downstream stream, depend on each cosine's side of the threshold.
+JITTER_RELAX = RelaxConfig(tau_pos=0.998, tau_seq=0.998)
+
+
 def _models(family):
+    """(target, drafter, sequence length, relaxation config) of one model family."""
     if family == "grid":
-        return GridWorldModel.default(), LinearDrafter.zeros(32, 8), 64
+        return GridWorldModel.default(), LinearDrafter.zeros(32, 8), 64, RelaxConfig()
+    if family == "grid-jitter":
+        target = GridWorldModel.default(feature_jitter=0.05)
+        return target, LinearDrafter.zeros(32, 8), 64, JITTER_RELAX
     target = random_tabular_model(4, 1, seed=11)
-    return target, tempered_table_drafter(target), 16
+    return target, tempered_table_drafter(target), 16, RelaxConfig()
 
 
 def _line(record: dict) -> str:
@@ -42,7 +52,7 @@ def _line(record: dict) -> str:
 
 
 def replay_digests(family: str, mode: str, candidates: str) -> dict[str, str]:
-    target, drafter, length = _models(family)
+    target, drafter, length, relax = _models(family)
     streams = {"tokens": [], "metrics": [], "trace": [], "relaxations": []}
     per_seed = []
     for seed in SEEDS:
@@ -60,7 +70,7 @@ def replay_digests(family: str, mode: str, candidates: str) -> dict[str, str]:
                 }))
 
         tokens, metrics = decode_with_metrics(
-            target, drafter, mode, TreeMask.default(), RelaxConfig(), length, RngStream(seed),
+            target, drafter, mode, TreeMask.default(), relax, length, RngStream(seed),
             candidate_mode=candidates, on_outcome=sink,
         )
         per_seed.append(metrics)
@@ -76,6 +86,18 @@ def replay_digests(family: str, mode: str, candidates: str) -> dict[str, str]:
 EMPTY = hashlib.sha256(b"").hexdigest()
 
 GOLDEN = {
+    "grid-jitter/cascade/stochastic": {
+        "tokens": "5cce94cc5bb1ea605739f1e08055dd7368ae88a4ab30eddbfb805ca503036897",
+        "metrics": "d39788fff79768366684fefc86e5e1eed6f013dce0687fb5c1a295e31302610c",
+        "trace": "04e9d2f497a6697223c70115abfeba744c96c909c6990cdda603131907691698",
+        "relaxations": "458811e15fb65f8066e4bebde220c7689b1644fffdf5d138148af749c4b1b0f3",
+    },
+    "grid-jitter/cascade/topk": {
+        "tokens": "d52e3a2112501af5507751ed99ea271683f355ef256cc8163e2fa85bcf4dae58",
+        "metrics": "461381bfb5a21e06db2ad4cbcedbdf9e829cc20675b707105cc36af6f4ccafe6",
+        "trace": "22522c14484709f9e6632890e4337ddd337f0c1552287bcda6bc166b188e1aae",
+        "relaxations": "e9e2c5ea98af0c3eeba2bbac42dce5d3effd57b70717e666bbf954113f0b94c9",
+    },
     "grid/cascade/stochastic": {
         "tokens": "0a9c7d698f2c6e905f463be75d429c6fd33b0813dfc63282041119c5e9be0f61",
         "metrics": "ce428873a1682fe25b509725fa8a0e075cd1f61f0a46b66d0ce1f6b58de5e343",
@@ -135,8 +157,11 @@ def test_replay_matches_golden_digests(case):
 
 def test_golden_covers_both_models_modes_and_candidate_kinds():
     assert sorted(GOLDEN) == sorted(
-        f"{f}/{m}/{c}" for f in ("grid", "tabular") for m in ("cascade", "vanilla")
-        for c in (TOPK, STOCHASTIC)
+        [
+            f"{f}/{m}/{c}" for f in ("grid", "tabular") for m in ("cascade", "vanilla")
+            for c in (TOPK, STOCHASTIC)
+        ]
+        + [f"grid-jitter/cascade/{c}" for c in (TOPK, STOCHASTIC)]
     )
     for case, digests in GOLDEN.items():
         relaxed = case.split("/")[1] == "cascade"

@@ -6,26 +6,14 @@ import pytest
 from specrelax import (
     ConfigError,
     GridPos,
-    ProbDist,
     RngStream,
     TreeMask,
     VocabExhausted,
     sample_draft_tree,
 )
-from specrelax.tree import STOCHASTIC
+from specrelax.tree import ROOT, STOCHASTIC
 
-
-class FixedDrafter:
-    """Context-free drafter emitting one constant distribution."""
-
-    grid_side = None
-
-    def __init__(self, mass):
-        self.dist = ProbDist(mass)
-        self.vocab = len(self.dist)
-
-    def distribution(self, prefix, pos):
-        return self.dist
+from conftest import FixedDrafter
 
 
 def test_mask_validation():
@@ -46,18 +34,20 @@ def test_mask_validation():
 def test_top2_candidates_by_probability():
     drafter = FixedDrafter([0.5, 0.3, 0.2])
     tree = sample_draft_tree(drafter, [], GridPos(0, 0), TreeMask((2,)), RngStream(0))
-    level = tree.levels[0]
-    assert [n.token for n in level] == [0, 1]
-    assert [n.drafter_prob for n in level] == [0.5, 0.3]
+    level = tree.level(1)
+    assert [tree.tokens[n] for n in level] == [0, 1]
+    assert [tree.probs[n] for n in level] == [0.5, 0.3]
 
 
 def test_width_one_tree_is_greedy_chain():
     drafter = FixedDrafter([0.2, 0.5, 0.3])
     tree = sample_draft_tree(drafter, [], GridPos(0, 0), TreeMask((1, 1)), RngStream(0))
-    assert [len(level) for level in tree.levels] == [1, 1]
-    chain = [tree.levels[0][0], tree.levels[1][0]]
-    assert [n.token for n in chain] == [1, 1]
-    assert chain[1].parent is chain[0]
+    assert [len(tree.level(lvl)) for lvl in (1, 2)] == [1, 1]
+    chain = [tree.level(1)[0], tree.level(2)[0]]
+    assert [tree.tokens[n] for n in chain] == [1, 1]
+    assert tree.parents[chain[1]] == chain[0]
+    assert list(tree.children[chain[0]]) == [chain[1]]
+    assert tree.paths[chain[1]] == (1, 1)
 
 
 def test_width_beyond_vocab_raises():
@@ -69,7 +59,7 @@ def test_width_beyond_vocab_raises():
 def test_level_counts_multiply():
     drafter = FixedDrafter([0.4, 0.3, 0.2, 0.1])
     tree = sample_draft_tree(drafter, [], GridPos(0, 0), TreeMask((3, 2, 1)), RngStream(0))
-    assert [len(level) for level in tree.levels] == [3, 6, 6]
+    assert [len(tree.level(lvl)) for lvl in (1, 2, 3)] == [3, 6, 6]
     assert len(tree.nodes) == 15
 
 
@@ -82,11 +72,10 @@ def test_sibling_tokens_are_distinct():
             tree = sample_draft_tree(
                 drafter, [], GridPos(0, 0), TreeMask((3, 2)), RngStream(trial), mode=mode
             )
-            for level in tree.levels:
-                groups: dict[int | None, list[int]] = {}
-                for node in level:
-                    key = None if node.parent is None else node.parent.node_id
-                    groups.setdefault(key, []).append(node.token)
+            for level in range(1, tree.depth + 1):
+                groups: dict[int, list[int]] = {}
+                for node in tree.level(level):
+                    groups.setdefault(tree.parents[node], []).append(tree.tokens[node])
                 for tokens in groups.values():
                     assert len(tokens) == len(set(tokens))
                     assert all(
@@ -101,7 +90,7 @@ def test_stochastic_chain_matches_direct_sampling():
     tree = sample_draft_tree(
         drafter, [], GridPos(0, 0), TreeMask((1, 1, 1)), RngStream(42), mode=STOCHASTIC
     )
-    assert [level[0].token for level in tree.levels] == expected
+    assert [tree.tokens[tree.level(lvl)[0]] for lvl in (1, 2, 3)] == expected
 
 
 def test_stochastic_candidates_distinct_without_replacement():
@@ -109,14 +98,47 @@ def test_stochastic_candidates_distinct_without_replacement():
     tree = sample_draft_tree(
         drafter, [], GridPos(0, 0), TreeMask((3,)), RngStream(5), mode=STOCHASTIC
     )
-    tokens = [n.token for n in tree.levels[0]]
+    tokens = [tree.tokens[n] for n in tree.level(1)]
     assert sorted(tokens) == [0, 1, 2]
     # Original drafter probabilities are preserved, not the renormalized ones.
-    for node in tree.levels[0]:
-        assert node.drafter_prob == drafter.dist[node.token]
+    for node in tree.level(1):
+        assert tree.probs[node] == drafter.dist[tree.tokens[node]]
 
 
 def test_start_pos_must_match_prefix_length():
     drafter = FixedDrafter([0.5, 0.5])
     with pytest.raises(ValueError):
         sample_draft_tree(drafter, [0, 1], GridPos(0, 0), TreeMask((1,)), RngStream(0), side=4)
+
+
+def test_flat_arrays_describe_one_consistent_tree():
+    rng_np = np.random.default_rng(3)
+    for trial in range(10):
+        mass = rng_np.dirichlet(np.ones(5))
+        mass[trial % 5] = 0.0  # prunes levels wider than the four positive tokens
+        drafter = FixedDrafter(mass / mass.sum())
+        for mode in ("topk", STOCHASTIC):
+            for widths in ((3, 3, 2), (5, 1), (4, 2, 2, 1, 1)):
+                tree = sample_draft_tree(
+                    drafter, [1, 2], GridPos(0, 2), TreeMask(widths, node_cap=512),
+                    RngStream(trial), mode=mode, side=8,
+                )
+                n = len(tree.nodes)
+                assert tree.level_starts[0] == 0 and tree.level_starts[-1] == n
+                for level in range(1, tree.depth + 1):
+                    for node in tree.level(level):
+                        parent = tree.parents[node]
+                        if level == 1:
+                            assert parent == ROOT
+                            assert tree.paths[node] == (1, 2, tree.tokens[node])
+                        else:
+                            assert parent in tree.level(level - 1)
+                            assert tree.paths[node] == tree.paths[parent] + (tree.tokens[node],)
+                        assert tree.probs[node] == drafter.dist[tree.tokens[node]]
+                        kids = [c for c in tree.nodes if tree.parents[c] == node]
+                        assert list(tree.children[node]) == kids
+                        assert len(kids) == (
+                            0 if level == tree.depth else min(widths[level], 4)
+                        )
+                        last = level == len(widths)
+                        assert (tree.child_dists[node] is None) == last

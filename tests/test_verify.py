@@ -12,22 +12,25 @@ from specrelax import (
     cosine_sim,
     RelaxConfig,
     RngStream,
+    SimilaritySets,
     TargetEval,
     TreeMask,
     build_sets,
     decode_sequence,
     enumerate_ar_distribution,
     evaluate_tree,
+    random_tabular_model,
     relax_q,
     residual_dist,
     sample_draft_tree,
+    tempered_table_drafter,
     verify_cascade,
     verify_vanilla,
 )
-from specrelax.tree import DraftNode, DraftTree, STOCHASTIC
+from specrelax.tree import ROOT, DraftTree, STOCHASTIC
 from specrelax.verify import TreeEvals, RESIDUAL_ADJUSTED
 
-from conftest import ScriptedRng, small_gridworld
+from conftest import FixedDrafter, ScriptedRng, small_gridworld
 
 ATOL = 1e-9
 
@@ -40,27 +43,39 @@ def unit_feature(axis: int, dim: int = 4) -> FeatureVec:
     return FeatureVec(values)
 
 
-def manual_tree(level_specs, root_dist, prefix=(), side=8):
+def manual_tree(level_specs, root_dist, prefix=(), side=8, child_dists=None):
     """Build a DraftTree by hand: level_specs is a list of lists of
-    (token, drafter_prob, parent_index_in_previous_level | None)."""
-    nodes: list[DraftNode] = []
-    levels: list[list[DraftNode]] = []
+    (token, drafter_prob, parent_index_in_previous_level | None), each level
+    listed in parent order; `child_dists` maps a node id to the conditional
+    its children were drawn from."""
+    tokens, probs, parents, paths = [], [], [], []
+    level_starts = [0]
     for level_num, spec in enumerate(level_specs, start=1):
-        level: list[DraftNode] = []
         for token, prob, parent_idx in spec:
-            parent = None if parent_idx is None else levels[level_num - 2][parent_idx]
-            node = DraftNode(token, prob, parent, level_num, len(nodes))
-            if parent is not None:
-                parent.children.append(node)
-            nodes.append(node)
-            level.append(node)
-        levels.append(level)
+            parent = ROOT if parent_idx is None else level_starts[level_num - 2] + parent_idx
+            tokens.append(token)
+            probs.append(prob)
+            parents.append(parent)
+            paths.append((tuple(prefix) if parent == ROOT else paths[parent]) + (token,))
+        level_starts.append(len(tokens))
+    children = [range(0)] * len(tokens)
+    for node, parent in enumerate(parents):
+        if parent != ROOT:
+            first = children[parent].start if children[parent] else node
+            assert first + len(children[parent]) == node, "list each level in parent order"
+            children[parent] = range(first, node + 1)
+    child_dists = child_dists or {}
     mask = TreeMask(tuple(max(1, len(s)) for s in level_specs))
     start = len(prefix)
     return DraftTree(
-        tuple(prefix), GridPos.from_index(start, side), start, side, levels, nodes,
-        root_dist, mask,
+        tuple(prefix), GridPos.from_index(start, side), start, side, root_dist, mask,
+        level_starts, tokens, probs, parents, children,
+        [child_dists.get(node) for node in range(len(tokens))], paths,
     )
+
+
+def level_of(tree, node):
+    return next(lvl for lvl in range(1, tree.depth + 1) if node in tree.level(lvl))
 
 
 def manual_evals(root_dist, node_specs):
@@ -180,8 +195,6 @@ def test_partner_lookup_reads_each_pair_from_both_ends():
 
 
 def test_interchange_pairs_are_irreflexive_and_symmetric_on_random_trees():
-    from specrelax import random_tabular_model, tempered_table_drafter
-
     for seed in range(6):
         target = random_tabular_model(6, 1, seed=seed, h=3)
         drafter = tempered_table_drafter(target)
@@ -191,11 +204,11 @@ def test_interchange_pairs_are_irreflexive_and_symmetric_on_random_trees():
         for level, pairs in sets.inter_pairs.items():
             for a, b in pairs:
                 assert a < b
-                assert tree.nodes[a].level == level == tree.nodes[b].level
-                assert tree.nodes[a].parent is tree.nodes[b].parent
+                assert level_of(tree, a) == level == level_of(tree, b)
+                assert tree.parents[a] == tree.parents[b]
         for a, b in sets.conv_pairs:
-            assert tree.nodes[b].level == tree.nodes[a].level + 1
-            assert tree.nodes[b].parent is tree.nodes[a]
+            assert level_of(tree, b) == level_of(tree, a) + 1
+            assert tree.parents[b] == a
 
 
 def test_relax_config_validation():
@@ -220,10 +233,149 @@ def test_build_sets_propagates_zero_norm_features():
 
 def test_gridworld_same_cluster_siblings_always_interchangeable(gridworld):
     tree = sample_draft_tree(gridworld, [], GridPos(0, 0), TreeMask((4,)), RngStream(0))
-    assert [n.token for n in tree.levels[0]] == [0, 1, 2, 3]  # one cluster
+    assert [tree.tokens[n] for n in tree.level(1)] == [0, 1, 2, 3]  # one cluster
     evals = evaluate_tree(gridworld, tree)
     sets = build_sets(tree, evals, RelaxConfig(tau_pos=1.0, tau_seq=1.01))
     assert len(sets.inter_pairs[1]) == 6  # all pairs of the 4 siblings
+
+
+def scalar_sets(tree, evals, cfg):
+    """Reference definition of the similarity sets: one `cosine_sim` per candidate pair."""
+    feature = [ev.feature for ev in evals.nodes]
+    inter_pairs = {}
+    if cfg.enable_interchange and cfg.tau_pos <= 1.0:
+        for level in range(1, tree.depth + 1):
+            pairs = inter_pairs.setdefault(level, set())
+            nodes = list(tree.level(level))
+            for i, a in enumerate(nodes):
+                for b in nodes[i + 1 :]:
+                    if tree.parents[a] != tree.parents[b]:
+                        continue
+                    if cosine_sim(feature[a], feature[b]) >= cfg.tau_pos:
+                        pairs.add((a, b))
+    conv_pairs = set()
+    if cfg.enable_convergence and cfg.tau_seq <= 1.0:
+        for node in tree.nodes:
+            for child in tree.children[node]:
+                if cosine_sim(feature[node], feature[child]) >= cfg.tau_seq:
+                    conv_pairs.add((node, child))
+    return SimilaritySets(
+        {level: frozenset(p) for level, p in inter_pairs.items()}, frozenset(conv_pairs)
+    )
+
+
+SET_CONFIGS = [
+    RelaxConfig(tau_pos=tau_pos, tau_seq=tau_seq, enable_interchange=inter, enable_convergence=conv)
+    for tau_pos, tau_seq in ((0.0, 0.0), (0.2, 0.6), (0.5, 0.2), (1.0, 1.0), (1.01, 0.3), (0.3, 1.01))
+    for inter in (True, False)
+    for conv in (True, False)
+]
+
+
+def assert_sets_match_scalar(tree, evals, configs=SET_CONFIGS):
+    for cfg in configs:
+        assert build_sets(tree, evals, cfg) == scalar_sets(tree, evals, cfg), cfg
+
+
+def test_build_sets_match_scalar_definition_on_random_tabular_trees():
+    for seed in range(8):
+        target = random_tabular_model(5, 2, seed=seed, h=3)
+        drafter = tempered_table_drafter(target)
+        for mode in ("topk", STOCHASTIC):
+            for mask in (TreeMask((3, 2)), TreeMask((4, 2, 2, 1, 1))):
+                tree = sample_draft_tree(
+                    drafter, [seed % 5], GridPos(0, 1), mask, RngStream(seed), mode=mode,
+                    side=8,
+                )
+                assert_sets_match_scalar(tree, evaluate_tree(target, tree))
+
+
+def test_build_sets_match_scalar_definition_on_jittered_gridworld_trees():
+    from specrelax import GridWorldModel, LinearDrafter
+
+    target = GridWorldModel.default(feature_jitter=0.05)
+    drafter = LinearDrafter.zeros(32, 8)
+    # Sibling and parent-child cosines here spread over about [0.995, 1.0].
+    near = [
+        RelaxConfig(tau_pos=tau, tau_seq=tau) for tau in (0.996, 0.997, 0.998, 0.999, 0.9995)
+    ]
+    for seed in range(6):
+        prefix = [(7 * seed + 3 * i) % 32 for i in range(5 + 9 * seed)]
+        for mode in ("topk", STOCHASTIC):
+            tree = sample_draft_tree(
+                drafter, prefix, GridPos.from_index(len(prefix), 8), TreeMask.default(),
+                RngStream(seed), mode=mode,
+            )
+            evals = evaluate_tree(target, tree)
+            assert_sets_match_scalar(tree, evals, SET_CONFIGS + near)
+
+
+def test_build_sets_match_scalar_definition_on_pruned_trees():
+    target = random_tabular_model(4, 1, seed=3, h=3)
+    # Two positive tokens against widths of 3: every level is pruned.
+    drafter = FixedDrafter([0.6, 0.0, 0.4, 0.0])
+    mask = TreeMask((3, 3, 2))
+    full = sample_draft_tree(
+        tempered_table_drafter(target), [], GridPos(0, 0), mask, RngStream(0), side=4
+    )
+    for mode in ("topk", STOCHASTIC):
+        tree = sample_draft_tree(drafter, [], GridPos(0, 0), mask, RngStream(1), mode=mode, side=4)
+        assert [len(tree.level(lvl)) for lvl in (1, 2, 3)] == [2, 4, 8]
+        assert tree.layout().pairs != full.layout().pairs
+        assert_sets_match_scalar(tree, evaluate_tree(target, tree))
+
+
+def test_full_trees_of_one_mask_share_one_layout():
+    target = random_tabular_model(4, 1, seed=5, h=3)
+    drafter = tempered_table_drafter(target)
+    mask = TreeMask((3, 2, 1))
+    trees = [
+        sample_draft_tree(drafter, [], GridPos(0, 0), mask, RngStream(seed), side=4)
+        for seed in range(3)
+    ]
+    assert trees[0].layout() is trees[1].layout() is trees[2].layout()
+    layout = trees[0].layout()
+    # Sibling pairs: 3 among the root's children, then 1 in each of 3 pairs
+    # of siblings, none among only children; then 6 + 6 parent-child links.
+    assert layout.level_ends == (3, 6, 6)
+    assert len(layout.pairs) == 6 + 12
+
+
+def test_threshold_one_with_identical_features_matches_scalar():
+    rng_np = np.random.default_rng(7)
+    for _ in range(200):
+        feat = FeatureVec(rng_np.normal(size=int(rng_np.integers(2, 9))))
+        root_dist = ProbDist([0.5, 0.3, 0.2])
+        tree = manual_tree(
+            [[(0, 0.5, None), (1, 0.3, None), (2, 0.2, None)], [(1, 0.5, 0), (2, 0.5, 0)]],
+            root_dist, child_dists={0: root_dist},
+        )
+        evals = manual_evals(root_dist, [(root_dist, feat)] * 5)
+        assert_sets_match_scalar(tree, evals, [RelaxConfig(tau_pos=1.0, tau_seq=1.0)])
+
+
+def test_build_sets_raises_zero_norm_exactly_where_scalar_does():
+    from specrelax import ZeroNormFeature
+
+    root_dist = ProbDist([0.5, 0.3, 0.2])
+    # Node 0 has a sibling; node 2 is the lone child of node 0; node 1 has none.
+    tree = manual_tree(
+        [[(0, 0.5, None), (1, 0.3, None)], [(2, 0.5, 0)]], root_dist,
+        child_dists={0: root_dist},
+    )
+    zero = FeatureVec([0.0, 1e-13])
+    for zero_node in range(3):
+        feats = [unit_feature(1, dim=2)] * 3
+        feats[zero_node] = zero
+        evals = manual_evals(root_dist, [(root_dist, f) for f in feats])
+        for cfg in SET_CONFIGS:
+            try:
+                expected = scalar_sets(tree, evals, cfg)
+            except ZeroNormFeature:
+                with pytest.raises(ZeroNormFeature):
+                    build_sets(tree, evals, cfg)
+            else:
+                assert build_sets(tree, evals, cfg) == expected
 
 
 # --- verify_vanilla -----------------------------------------------------------
@@ -260,10 +412,9 @@ def test_vanilla_accepts_everything_when_q_dominates_p():
     q = ProbDist([0.5, 0.5])
     root_dist = ProbDist([0.5, 0.5])
     tree = manual_tree(
-        [[(0, 0.5, None)], [(1, 0.5, 0)], [(0, 0.5, 0)]], root_dist
+        [[(0, 0.5, None)], [(1, 0.5, 0)], [(0, 0.5, 0)]], root_dist,
+        child_dists={0: root_dist, 1: root_dist},
     )
-    for node in tree.nodes[:-1]:
-        node.child_dist = root_dist
     evals = manual_evals(q, [(q, unit_feature(1))] * 3)
     outcome = verify_vanilla(tree, evals, ScriptedRng([0.999, 0.999, 0.999]))
     assert outcome.alpha == 3
@@ -313,7 +464,7 @@ def test_cascade_oversized_interchange_mass_is_skipped(gridworld):
 
     drafter = LinearDrafter.zeros(gridworld.vocab, gridworld.side)
     tree = sample_draft_tree(drafter, [], GridPos(0, 0), TreeMask((4,)), RngStream(1))
-    assert [n.token for n in tree.levels[0]] == [0, 1, 2, 3]
+    assert [tree.tokens[n] for n in tree.level(1)] == [0, 1, 2, 3]
     evals = evaluate_tree(gridworld, tree)
     small = gridworld
     assert evals.root.dist[0] == pytest.approx(0.8 / 8, abs=ATOL)
@@ -335,8 +486,10 @@ def test_cascade_oversized_interchange_mass_is_skipped(gridworld):
 def test_cascade_budget_is_shared_across_levels():
     # Two chain levels, each with a sibling-free candidate but a convergent child.
     root_dist = ProbDist([0.5, 0.3, 0.2])
-    tree = manual_tree([[(0, 0.5, None)], [(1, 0.5, 0)]], root_dist)
-    tree.nodes[0].child_dist = ProbDist([0.2, 0.5, 0.3])
+    tree = manual_tree(
+        [[(0, 0.5, None)], [(1, 0.5, 0)]], root_dist,
+        child_dists={0: ProbDist([0.2, 0.5, 0.3])},
+    )
     q_root = ProbDist([0.3, 0.45, 0.25])  # level-1 law; child token 1 holds 0.45
     q_node0 = ProbDist([0.25, 0.5, 0.25])  # level-2 law; accepts token 1 outright
     feats = unit_feature(1)
@@ -504,26 +657,27 @@ def closed_form_outcome_law(tree, evals, cfg):
     """
     results: dict[tuple[int, ...], float] = {}
     relax = cfg is not None and (cfg.tau_pos <= 1.0 or cfg.tau_seq <= 1.0)
+    tree_tokens = tree.tokens
 
     def partner_masses(node, siblings, q):
-        mass_i, seen = 0.0, {node.token}
+        mass_i, seen = 0.0, {tree_tokens[node]}
         if cfg.tau_pos <= 1.0:
-            feat = evals.for_node(node).feature
+            feat = evals.nodes[node].feature
             for other in siblings:
-                if other is node:
+                if other == node:
                     continue
-                if cosine_sim(feat, evals.for_node(other).feature) >= cfg.tau_pos:
-                    mass_i += q[other.token]
-                    seen.add(other.token)
+                if cosine_sim(feat, evals.nodes[other].feature) >= cfg.tau_pos:
+                    mass_i += q[tree_tokens[other]]
+                    seen.add(tree_tokens[other])
         mass_c = 0.0
         if cfg.tau_seq <= 1.0:
-            feat = evals.for_node(node).feature
-            for child in node.children:
-                if child.token in seen:
+            feat = evals.nodes[node].feature
+            for child in tree.children[node]:
+                if tree_tokens[child] in seen:
                     continue
-                if cosine_sim(feat, evals.for_node(child).feature) >= cfg.tau_seq:
-                    mass_c += q[child.token]
-                    seen.add(child.token)
+                if cosine_sim(feat, evals.nodes[child].feature) >= cfg.tau_seq:
+                    mass_c += q[tree_tokens[child]]
+                    seen.add(tree_tokens[child])
         return mass_i, mass_c
 
     def walk(parent, level_idx, tokens, budget_left, weight):
@@ -532,12 +686,12 @@ def closed_form_outcome_law(tree, evals, cfg):
         if level_idx >= tree.depth:
             results[tokens] = results.get(tokens, 0.0) + weight
             return
-        siblings = tree.root_children() if parent is None else parent.children
+        siblings = tree.level(1) if parent is None else tree.children[parent]
         if not siblings:
             results[tokens] = results.get(tokens, 0.0) + weight
             return
-        q = (evals.root if parent is None else evals.for_node(parent)).dist
-        p_full = tree.root_dist if parent is None else parent.child_dist
+        q = (evals.root if parent is None else evals.nodes[parent]).dist
+        p_full = tree.root_dist if parent is None else tree.child_dists[parent]
         survive = weight
         budget = budget_left
         for node in siblings:
@@ -549,8 +703,8 @@ def closed_form_outcome_law(tree, evals, cfg):
                 if mass_c <= budget - boost + 1e-9:
                     boost += mass_c
                 budget -= boost
-            threshold = min(1.0, min(q[node.token] + boost, 1.0) / node.drafter_prob)
-            walk(node, level_idx + 1, tokens + (node.token,), budget, survive * threshold)
+            threshold = min(1.0, min(q[tree_tokens[node]] + boost, 1.0) / tree.probs[node])
+            walk(node, level_idx + 1, tokens + (tree_tokens[node],), budget, survive * threshold)
             survive *= 1.0 - threshold
         if survive > 0.0:
             try:
@@ -589,9 +743,8 @@ def budgeted_two_level_scenario():
     tree = manual_tree(
         [[(0, 0.55, None), (1, 0.30, None)], [(2, 0.55, 0), (0, 0.45, 1)]],
         root_dist,
+        child_dists={0: ProbDist([0.25, 0.20, 0.55]), 1: ProbDist([0.45, 0.30, 0.25])},
     )
-    tree.nodes[0].child_dist = ProbDist([0.25, 0.20, 0.55])
-    tree.nodes[1].child_dist = ProbDist([0.45, 0.30, 0.25])
     q_root = ProbDist([0.15, 0.10, 0.75])
     q_left = ProbDist([0.30, 0.30, 0.40])
     q_right = ProbDist([0.50, 0.25, 0.25])
