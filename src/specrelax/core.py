@@ -94,6 +94,15 @@ class ProbDist:
         self._ranked: tuple[tuple[TokenId, float], ...] | None = None
 
     @classmethod
+    def _of_checked_row(cls, row: np.ndarray) -> "ProbDist":
+        """Wrap a read-only row whose caller already ran the checks of __init__."""
+        dist = cls.__new__(cls)
+        dist.mass = row
+        dist._cdf = None
+        dist._ranked = None
+        return dist
+
+    @classmethod
     def normalized(cls, raw: Sequence[float] | np.ndarray) -> "ProbDist":
         """Build a distribution from non-negative weights, dividing by their sum."""
         arr = np.asarray(raw, dtype=np.float64)

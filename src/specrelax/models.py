@@ -23,6 +23,7 @@ from .core import (
     GridPos,
     ModelFormatError,
     NonFinite,
+    PROB_ATOL,
     ProbDist,
     TokenId,
     TooLarge,
@@ -349,7 +350,9 @@ class LinearDrafter:
     """Softmax drafter over one-hot features of (last token, grid row, grid col).
 
     The feature dimension is V + 2N. The first position (empty prefix) drops
-    the last-token one-hot and uses only the positional terms.
+    the last-token one-hot and uses only the positional terms. Every
+    conditional is a read-only row of one softmax table, built and checked in
+    a single numpy pass by the first `distribution` call.
     """
 
     kind = "linear_drafter"
@@ -375,30 +378,54 @@ class LinearDrafter:
         self.vocab = vocab
         self.side = side
         self.grid_side: int | None = side
-        self._cache: dict[tuple[int | None, int, int], ProbDist] = {}
+        self._table: np.ndarray | None = None
+        self._rows: list[ProbDist | None] = []
 
     @classmethod
     def zeros(cls, vocab: int, side: int) -> "LinearDrafter":
         return cls(np.zeros((vocab, vocab + 2 * side)), np.zeros(vocab), vocab, side)
 
-    def logits(self, last: TokenId | None, pos: GridPos) -> np.ndarray:
-        z = self.bias + self.weights[:, self.vocab + pos.row] + self.weights[
-            :, self.vocab + self.side + pos.col
-        ]
-        if last is not None:
-            z = z + self.weights[:, last]
-        return z
+    def _build_table(self) -> np.ndarray:
+        """Every conditional's softmax as one C-contiguous ((V+1)*N*N, V) table.
+
+        Row ((last + 1) * N + row) * N + col follows token `last` at (row, col);
+        the first N*N rows follow the empty prefix. Logits add up in the order
+        ((bias + row term) + col term) + last-token term, and each row is
+        reduced along axis 1 of the 2-D table, so a row equals, bit for bit,
+        the softmax of its logit vector computed on its own.
+        """
+        v, n = self.vocab, self.side
+        wt = self.weights.T
+        table = np.empty(((v + 1) * n * n, v))
+        grid = table.reshape(v + 1, n, n, v)
+        # A logit sum that overflows to inf leaves inf - inf = nan in its row;
+        # the check below turns that into NonFinite instead of a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add(self.bias, wt[v : v + n, None, :], out=grid[0])
+            grid[0] += wt[None, v + n : v + 2 * n, :]
+            np.add(grid[0], wt[:v, None, None, :], out=grid[1:])
+            table -= table.max(axis=1, keepdims=True)
+            np.exp(table, out=table)
+        if not np.all(np.isfinite(table)):
+            raise NonFinite("drafter logits overflow: softmax table has non-finite entries")
+        norms = table.sum(axis=1, keepdims=True)
+        if np.any(table < 0.0) or not np.all(np.isfinite(norms) & (norms > 0.0)):
+            raise ValueError("softmax table needs non-negative entries and positive finite row sums")
+        table /= norms
+        if np.any(np.abs(table.sum(axis=1) - 1.0) > PROB_ATOL):
+            raise ValueError("a drafter softmax row does not sum to 1.0")
+        table.flags.writeable = False
+        return table
 
     def distribution(self, prefix: Sequence[TokenId], pos: GridPos) -> ProbDist:
-        last = prefix[-1] if len(prefix) > 0 else None
-        key = (last, pos.row, pos.col)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        z = self.logits(last, pos)
-        z = z - z.max()
-        dist = ProbDist.normalized(np.exp(z))
-        self._cache[key] = dist
+        if self._table is None:
+            self._table = self._build_table()
+            self._rows = [None] * len(self._table)
+        last = prefix[-1] + 1 if len(prefix) > 0 else 0
+        index = (last * self.side + pos.row) * self.side + pos.col
+        dist = self._rows[index]
+        if dist is None:
+            dist = self._rows[index] = ProbDist._of_checked_row(self._table[index])
         return dist
 
     def to_dict(self) -> dict:

@@ -33,7 +33,8 @@ for mode in ("cascade", "vanilla"):
     )
     layers = tracer.layer_metrics(1, 0.0, 1.0)
     counts[mode] = {key: layers[key] for key in
-                    ("tree.nodes", "verify.calls", "verify.build_sets.pairs", "verify.decisions")}
+                    ("tree.nodes", "verify.calls", "verify.build_sets.pairs", "verify.decisions",
+                     "models.drafter_calls", "models.target_evals")}
 print(json.dumps(counts))
 """
 
@@ -49,5 +50,9 @@ def test_tracer_installs_and_counts_a_cascade_and_a_vanilla_decode():
         assert counts[mode]["tree.nodes"] > 0
         assert counts[mode]["verify.calls"] > 0
         assert counts[mode]["verify.decisions"] > 0
+        # The tracer counts model calls by rebinding `distribution` and
+        # `evaluate` on the model classes; a lookup moved elsewhere reads 0.
+        assert counts[mode]["models.drafter_calls"] > 0
+        assert counts[mode]["models.target_evals"] > 0
     assert counts["cascade"]["verify.build_sets.pairs"] > 0
     assert counts["vanilla"]["verify.build_sets.pairs"] == 0

@@ -418,3 +418,15 @@ def test_cli_bad_flag_values_exit_2(tmp_path, model_files, capsys, flags):
     assert run_cli(args + rest) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_cli_overflowing_drafter_exits_2(tmp_path, model_files, capsys):
+    # Every parameter is finite, so the file loads; the logit sums overflow to inf.
+    save_model(LinearDrafter(np.full((32, 48), 1e308), np.full(32, 1e308), 32, 8),
+               tmp_path / "huge.json")
+    code = run_cli(["decode", "--model", model_files["grid"], "--drafter", tmp_path / "huge.json",
+                    "--mode", "vanilla", "--seeds", "1", "--len", "8",
+                    "--out", tmp_path / "m.jsonl"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err

@@ -12,13 +12,18 @@ from specrelax import (
     GridWorldModel,
     LinearDrafter,
     ModelFormatError,
+    NonFinite,
+    ProbDist,
+    RngStream,
     TabularModel,
     TooLarge,
+    TrainConfig,
     cosine_sim,
     enumerate_ar_distribution,
     load_model,
     random_tabular_model,
     save_model,
+    train_drafter,
 )
 from specrelax.core import UnknownWindow
 
@@ -116,6 +121,72 @@ def test_linear_drafter_is_deterministic():
     a = drafter.distribution([2], GridPos(1, 0))
     b = drafter.distribution([2], GridPos(1, 0))
     assert np.array_equal(a.mass, b.mass)
+
+
+def reference_row(drafter: LinearDrafter, last: int | None, pos: GridPos) -> ProbDist:
+    """One conditional computed on its own: the logits, then a per-row softmax."""
+    v, n = drafter.vocab, drafter.side
+    z = drafter.bias + drafter.weights[:, v + pos.row] + drafter.weights[:, v + n + pos.col]
+    if last is not None:
+        z = z + drafter.weights[:, last]
+    return ProbDist.normalized(np.exp(z - z.max()))
+
+
+DRAFTER_SHAPES = [(v, n) for v in (2, 3, 5, 13, 32, 33) for n in (1, 2, 8)]
+SMALL_TRAINING = TrainConfig(epochs=10, num_sequences=2, seed=1)
+
+
+def _parity_drafters():
+    rng = np.random.default_rng(17)
+    for v, n in DRAFTER_SHAPES:
+        yield f"zero-{v}x{n}", LinearDrafter.zeros(v, n)
+        yield f"normal-{v}x{n}", LinearDrafter(
+            rng.normal(scale=2.0, size=(v, v + 2 * n)), rng.normal(size=v), v, n
+        )
+    # Training takes the grid side from the target: 8 for tabular targets.
+    yield "trained-grid-32x8", train_drafter(GridWorldModel.default(), SMALL_TRAINING)
+    yield "trained-grid-8x2", train_drafter(small_gridworld(), SMALL_TRAINING)
+    for v in (2, 3, 5, 13, 33):
+        yield f"trained-tabular-{v}x8", train_drafter(random_tabular_model(v, 1, seed=v), SMALL_TRAINING)
+
+
+def test_linear_drafter_table_rows_match_per_row_softmax_bitwise():
+    for name, drafter in _parity_drafters():
+        assert drafter._table is None, name
+        for last in [None, *range(drafter.vocab)]:
+            prefix = [] if last is None else [last]
+            for index in range(drafter.side**2):
+                pos = GridPos.from_index(index, drafter.side)
+                row, ref = drafter.distribution(prefix, pos), reference_row(drafter, last, pos)
+                assert row.mass.tobytes() == ref.mass.tobytes(), (name, last, pos)
+                assert not row.mass.flags.writeable, (name, last, pos)
+                assert drafter.distribution(prefix, pos) is row
+                assert row.sample(RngStream(index)) == ref.sample(RngStream(index))
+                assert row._cdf == ref._cdf, (name, last, pos)
+                assert row.ranked() == ref.ranked(), (name, last, pos)
+        assert drafter._table.shape == ((drafter.vocab + 1) * drafter.side**2, drafter.vocab)
+        assert drafter._table.flags.c_contiguous and not drafter._table.flags.writeable
+
+
+def test_linear_drafter_builds_its_table_on_first_use_only():
+    drafter = LinearDrafter.zeros(4, 2)
+    assert drafter._table is None
+    assert train_drafter(small_gridworld(), SMALL_TRAINING)._table is None
+    row = drafter.distribution([3], GridPos(1, 1))
+    with pytest.raises(ValueError):
+        row.mass[0] = 1.0
+    assert row.mass.base is drafter._table
+
+
+def test_linear_drafter_overflowing_logits_raise_non_finite():
+    huge = LinearDrafter(np.full((3, 3 + 4), 1e308), np.full(3, 1e308), 3, 2)
+    with pytest.raises(NonFinite):
+        huge.distribution([0], GridPos(0, 0))
+    # Logits that overflow to -inf on some tokens only leave those tokens zero mass.
+    weights = np.zeros((3, 3 + 4))
+    weights[0, 3:] = -1e308
+    p = LinearDrafter(weights, np.zeros(3), 3, 2).distribution([], GridPos(1, 0))
+    assert p.mass.tolist() == [0.0, 0.5, 0.5]
 
 
 def test_enumerate_single_step():

@@ -20,10 +20,12 @@ from specrelax import (
     Metrics,
     RelaxConfig,
     RngStream,
+    TrainConfig,
     TreeMask,
     decode_with_metrics,
     random_tabular_model,
     tempered_table_drafter,
+    train_drafter,
 )
 from specrelax.tree import STOCHASTIC, TOPK
 
@@ -35,6 +37,11 @@ SEEDS = range(20)
 # every downstream stream, depend on each cosine's side of the threshold.
 JITTER_RELAX = RelaxConfig(tau_pos=0.998, tau_seq=0.998)
 
+# A briefly trained drafter has non-uniform rows, so a change in how its
+# softmax rows are summed or normalized shows in every stream; the zero
+# drafter's uniform rows cannot show it.
+TRAINED_CONFIG = TrainConfig(epochs=20, num_sequences=4, seed=5)
+
 
 def _models(family):
     """(target, drafter, sequence length, relaxation config) of one model family."""
@@ -43,6 +50,9 @@ def _models(family):
     if family == "grid-jitter":
         target = GridWorldModel.default(feature_jitter=0.05)
         return target, LinearDrafter.zeros(32, 8), 64, JITTER_RELAX
+    if family == "grid-trained":
+        target = GridWorldModel.default()
+        return target, train_drafter(target, TRAINED_CONFIG), 64, RelaxConfig()
     target = random_tabular_model(4, 1, seed=11)
     return target, tempered_table_drafter(target), 16, RelaxConfig()
 
@@ -97,6 +107,24 @@ GOLDEN = {
         "metrics": "461381bfb5a21e06db2ad4cbcedbdf9e829cc20675b707105cc36af6f4ccafe6",
         "trace": "22522c14484709f9e6632890e4337ddd337f0c1552287bcda6bc166b188e1aae",
         "relaxations": "e9e2c5ea98af0c3eeba2bbac42dce5d3effd57b70717e666bbf954113f0b94c9",
+    },
+    "grid-trained/cascade/stochastic": {
+        "tokens": "d1ea17465ac0e677a847be1443d65cd49430e77129ef2b72fa8c37ecabfd5ac5",
+        "metrics": "b14708644892371ab081854758df57d40dd38aa316ea21c915532ea55ae2b9a4",
+        "trace": "f4f7bcd25d11c127b12613495ce68afc5c8379a162fd439591ed1db2f0f16c22",
+        "relaxations": "90f2ed7fd83b5836499b47e4babc61472b2bab2b9f3a1fdaca58c93509a4a473",
+    },
+    "grid-trained/cascade/topk": {
+        "tokens": "f77b291524d90b39c1332da9e567ead96e722e5aa68b7cbc70886409f5ef9196",
+        "metrics": "0b79fa222f649543dab2ab5c7157e4079c5b80a8d8fbc06414b15a52b4a5bbdf",
+        "trace": "8633b8fe2c86e4b698c60e1baa3bdf37e5dd07b8fe337ca43e0b755ac2d0fb5c",
+        "relaxations": "994d489ea902ebe0171f6466c4bdc119e28f1cbe36d2b1c394a8025e4abda56a",
+    },
+    "grid-trained/vanilla/stochastic": {
+        "tokens": "ec6178cae48ade6c04adbe6cff503446c7a19bcc311ffb1aa4db2b3411a573ba",
+        "metrics": "671cfc07598aee4f8e4fa8fd6a48c63558624d1c5ee4b519ec9c32370b20510c",
+        "trace": "76fcfb652625589a6bf3f9ecf06915d6e94de7e11662ebcd95535675ff086b36",
+        "relaxations": EMPTY,
     },
     "grid/cascade/stochastic": {
         "tokens": "0a9c7d698f2c6e905f463be75d429c6fd33b0813dfc63282041119c5e9be0f61",
@@ -162,6 +190,8 @@ def test_golden_covers_both_models_modes_and_candidate_kinds():
             for c in (TOPK, STOCHASTIC)
         ]
         + [f"grid-jitter/cascade/{c}" for c in (TOPK, STOCHASTIC)]
+        + [f"grid-trained/{m}/{c}"
+           for m, c in (("vanilla", STOCHASTIC), ("cascade", TOPK), ("cascade", STOCHASTIC))]
     )
     for case, digests in GOLDEN.items():
         relaxed = case.split("/")[1] == "cascade"
