@@ -1,8 +1,9 @@
 """Command-line front end: decode experiments, drafter training, oracles, fixtures.
 
-Every flag can also be supplied through a JSON config file (`--config`);
-explicit flags override file values. All outputs are deterministic for a
-fixed invocation, so repeated runs produce byte-identical files.
+Every flag of `decode`, `train` and `oracle` can also be supplied through a
+JSON config file (`--config`) whose keys are the flag names; explicit flags
+override file values. All outputs are deterministic for a fixed invocation,
+so repeated runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -59,41 +60,64 @@ def _apply_config_file(
 ) -> None:
     """Pre-scan for --config and install its values as subcommand defaults.
 
-    Subparsers parse into a fresh namespace, so the defaults must land on the
-    subcommand's own parser for explicit flags to keep overriding them.
+    A key is a flag name without its dashes (`len`) or the flag's dest
+    (`length`); any other key, or a file that is not a JSON object, exits 2.
+    The defaults land on the subcommand's own parser, which parses into a
+    fresh namespace, so explicit flags keep overriding them.
     """
-    if "--config" not in argv or not argv:
+    if "--config" not in argv:
         return
     idx = argv.index("--config")
     try:
         path = argv[idx + 1]
     except IndexError:
         parser.error("--config requires a file path")
+    command = subparsers.get(argv[0])
+    if command is None:
+        return  # argparse itself reports the missing or unknown subcommand
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
-        parser.error(f"cannot read config file {path}: {exc}")
-    defaults = {key.replace("-", "_"): value for key, value in data.items()}
-    command = argv[0]
-    if command in subparsers:
-        subparsers[command].set_defaults(**defaults)
+        command.error(f"cannot read config file {path}: {exc}")
+    if not isinstance(data, dict):
+        command.error(f"config file {path} must hold a JSON object, not {type(data).__name__}")
+    dests = {
+        key: action.dest
+        for action in command._actions if action.dest not in ("help", "config")
+        for key in (action.dest, *(option.lstrip("-") for option in action.option_strings))
+    }
+    unknown = [key for key in data if key not in dests]
+    if unknown:
+        command.error(f"unknown key(s) in config file {path}: {', '.join(map(repr, unknown))}")
+    command.set_defaults(**{dests[key]: value for key, value in data.items()})
+
+
+def _relax_flags() -> argparse.ArgumentParser:
+    """Parent parser of the relaxation flags; a threshold above 1 switches its set off."""
+    # One per subcommand: a parent's actions are shared, and set_defaults mutates them.
+    d = RelaxConfig()
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--tau-pos", type=float, default=d.tau_pos, help="sibling cosine threshold")
+    p.add_argument("--tau-seq", type=float, default=d.tau_seq, help="parent-child cosine threshold")
+    p.add_argument("--tvd-budget", type=float, default=d.tvd_budget, help="per-call TVD budget")
+    return p
+
+
+def _relax_config(args: argparse.Namespace) -> RelaxConfig:
+    return RelaxConfig(tau_pos=args.tau_pos, tau_seq=args.tau_seq, tvd_budget=args.tvd_budget)
 
 
 def _build_decode_parser(sub) -> argparse.ArgumentParser:
-    p = sub.add_parser("decode", help="run seeded decoding experiments")
+    p = sub.add_parser("decode", parents=[_relax_flags()], help="run seeded decoding experiments")
     p.add_argument("--config", help="JSON file whose keys mirror these flags")
     p.add_argument("--model", required=False, help="target model file")
     p.add_argument("--drafter", help="drafter model file (vanilla/cascade)")
     p.add_argument("--mode", choices=MODES, default="vanilla")
     p.add_argument("--tree", default="4,2,2,1,1", help="per-level widths, e.g. 4,2,2,1,1")
-    p.add_argument("--tau-pos", type=float, default=0.85)
-    p.add_argument("--tau-seq", type=float, default=0.5)
-    p.add_argument("--tvd-budget", type=float, default=0.5)
     p.add_argument("--seeds", default="0", help="e.g. 0..199 or 0,7,9")
     p.add_argument("--len", type=int, dest="length", help="tokens per sequence (grid default N^2)")
     p.add_argument("--kappa", type=float, default=DEFAULT_KAPPA, help="drafter cost ratio")
     p.add_argument("--candidates", choices=(TOPK, STOCHASTIC), default=TOPK)
-    p.add_argument("--sibling-mode", choices=("literal", "residual-adjusted"), default="literal")
     p.add_argument("--out", required=False, help="metrics JSONL path")
     p.add_argument("--trace", help="per-decision trace JSONL path")
     p.add_argument("--heatmap", help="similarity heatmap CSV path")
@@ -116,7 +140,9 @@ def _build_train_parser(sub) -> argparse.ArgumentParser:
 
 
 def _build_oracle_parser(sub) -> argparse.ArgumentParser:
-    p = sub.add_parser("oracle", help="Monte Carlo check against the exact sequence law")
+    p = sub.add_parser(
+        "oracle", parents=[_relax_flags()], help="Monte Carlo check against the exact sequence law"
+    )
     p.add_argument("--config", help="JSON file whose keys mirror these flags")
     p.add_argument("--model", required=False, help="target model file")
     p.add_argument("--drafter", help="drafter file; default tempers the target's table")
@@ -124,9 +150,6 @@ def _build_oracle_parser(sub) -> argparse.ArgumentParser:
     p.add_argument("--len", type=int, dest="length", default=3)
     p.add_argument("--samples", type=int, default=500_000)
     p.add_argument("--tree", help="per-level widths; default is a chain of --len levels")
-    p.add_argument("--tau-pos", type=float, default=0.85)
-    p.add_argument("--tau-seq", type=float, default=0.5)
-    p.add_argument("--tvd-budget", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
     return p
 
@@ -159,19 +182,13 @@ def _parse_mask(value) -> TreeMask:
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
-    relax = RelaxConfig(
-        tau_pos=args.tau_pos,
-        tau_seq=args.tau_seq,
-        tvd_budget=args.tvd_budget,
-        sibling_mode=args.sibling_mode,
-    )
     cfg = ExperimentConfig(
         model_path=_require(args, "model"),
         mode=args.mode,
         seeds=parse_seed_spec(args.seeds),
         drafter_path=args.drafter,
         mask=_parse_mask(args.tree),
-        relax=relax,
+        relax=_relax_config(args),
         length=args.length,
         kappa=args.kappa,
         candidate_mode=args.candidates,
@@ -213,10 +230,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         else:
             raise ConfigError("non-tabular targets need an explicit --drafter")
     mask = _parse_mask(args.tree) if args.tree else TreeMask.chain(args.length)
-    relax = RelaxConfig(tau_pos=args.tau_pos, tau_seq=args.tau_seq, tvd_budget=args.tvd_budget)
     distance, passed = mc_distribution_test(
         target, drafter, args.mode, args.samples, args.length,
-        mask=mask, relax=relax, base_seed=args.seed,
+        mask=mask, relax=_relax_config(args), base_seed=args.seed,
     )
     print(json.dumps({"tvdToOracle": distance, "pass": passed}, sort_keys=True))
     return 0 if passed else 1
@@ -239,20 +255,24 @@ def _cmd_make_model(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The `specrelax` parser, and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="specrelax",
         description="Speculative decoding with similarity-relaxed acceptance, desk scale.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers = {
+    return parser, {
         "decode": _build_decode_parser(sub),
         "train": _build_train_parser(sub),
         "oracle": _build_oracle_parser(sub),
         "make-model": _build_make_model_parser(sub),
     }
 
+
+def main(argv: list[str] | None = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    parser, subparsers = build_parser()
     _apply_config_file(parser, subparsers, argv)
     args = parser.parse_args(argv)
     handlers = {

@@ -40,7 +40,7 @@ class DegenerateResidual(EngineError):
 
 
 class UnknownWindow(EngineError):
-    """A tabular model was asked about a context window it does not cover."""
+    """A model was asked about a context window (prefix or grid cell) it does not cover."""
 
 
 class TooLarge(EngineError):

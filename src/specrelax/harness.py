@@ -154,13 +154,14 @@ def _check_drafter_matches(target: Target, drafter: Drafter | None) -> None:
         raise ConfigError(f"drafter grid side {drafter.grid_side} != target grid side {target.grid_side}")
 
 
-def _check_length(target: Target, length: int) -> None:
-    """Raise ConfigError unless `length` is positive and fits the target's grid, if it has one."""
+def _check_length(target: Target, drafter: Drafter | None, length: int) -> None:
+    """Raise ConfigError unless `length` is positive and fits the grid of each model that has one."""
     if length < 1:
         raise ConfigError(f"sequence length must be at least 1, got {length}")
-    side = target.grid_side
-    if side and length > side * side:
-        raise ConfigError(f"length {length} exceeds the {side}x{side} grid")
+    for role, model in (("target", target), ("drafter", drafter)):
+        side = model.grid_side if model is not None else None
+        if side and length > side * side:
+            raise ConfigError(f"length {length} exceeds the {role}'s {side}x{side} grid")
 
 
 def _dump_line(out: TextIO, record: dict) -> None:
@@ -178,7 +179,7 @@ def run_experiment(cfg: ExperimentConfig) -> Metrics:
         if target.grid_side is None:
             raise ConfigError("a sequence length is required for non-grid models")
         length = target.grid_side * target.grid_side
-    _check_length(target, length)
+    _check_length(target, drafter, length)
 
     per_seed: list[Metrics] = []
     metric_records: list[dict] = []
@@ -250,8 +251,8 @@ def mc_distribution_test(
     """
     if samples < 1:
         raise ConfigError(f"at least one sample is required, got {samples}")
-    _check_length(target, length)
     _check_drafter_matches(target, drafter)
+    _check_length(target, drafter, length)
     oracle = enumerate_ar_distribution(target, length)
     mask = mask if mask is not None else TreeMask.chain(length)
     relax = relax if relax is not None else RelaxConfig()

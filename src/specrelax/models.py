@@ -352,7 +352,8 @@ class LinearDrafter:
     The feature dimension is V + 2N. The first position (empty prefix) drops
     the last-token one-hot and uses only the positional terms. Every
     conditional is a read-only row of one softmax table, built and checked in
-    a single numpy pass by the first `distribution` call.
+    a single numpy pass by the first `distribution` call. A token outside the
+    vocabulary or a cell outside the N x N grid raises UnknownWindow.
     """
 
     kind = "linear_drafter"
@@ -421,8 +422,13 @@ class LinearDrafter:
         if self._table is None:
             self._table = self._build_table()
             self._rows = [None] * len(self._table)
+        n = self.side
+        row, col = pos
         last = prefix[-1] + 1 if len(prefix) > 0 else 0
-        index = (last * self.side + pos.row) * self.side + pos.col
+        if not ((0 < last <= self.vocab or len(prefix) == 0) and 0 <= row < n and 0 <= col < n):
+            raise UnknownWindow(f"last token {prefix[-1:]} or cell ({row}, {col}) outside "
+                                f"the drafter's {self.vocab} tokens and {n}x{n} grid")
+        index = (last * n + row) * n + col
         dist = self._rows[index]
         if dist is None:
             dist = self._rows[index] = ProbDist._of_checked_row(self._table[index])
@@ -491,16 +497,14 @@ def load_model(path: str | Path):
         raise ModelFormatError(f"{path}: malformed {kind} model: {exc!r}") from exc
 
 
-def random_tabular_model(
-    vocab: int, order: int, seed: int, h: int = 4, concentration: float = 1.0
-) -> TabularModel:
-    """Seeded tabular fixture: Dirichlet rows and unit random features per window."""
+def random_tabular_model(vocab: int, order: int, seed: int, h: int = 4) -> TabularModel:
+    """Seeded tabular fixture: flat-Dirichlet rows and unit random features per window."""
     rng = np.random.default_rng(seed)
     table: dict[Window, ProbDist] = {}
     features: dict[Window, FeatureVec] = {}
     for length in range(order + 1):
         for window in itertools.product(range(vocab), repeat=length):
-            table[window] = ProbDist(rng.dirichlet(np.full(vocab, concentration)))
+            table[window] = ProbDist(rng.dirichlet(np.ones(vocab)))
             raw = rng.normal(size=h)
             features[window] = FeatureVec(raw / np.linalg.norm(raw))
     return TabularModel(vocab, order, table, features, h)

@@ -35,7 +35,6 @@ class TrainConfig:
     hard_ce_weight: float = 1.0
     seed: int = 0
     num_sequences: int = 24
-    sequence_length: int | None = None
 
     def __post_init__(self) -> None:
         if self.c < 1.0:
@@ -160,8 +159,7 @@ def train_drafter(
 ) -> LinearDrafter:
     """Fit a fresh linear drafter against target rollouts; deterministic per seed."""
     side = target.grid_side or 8
-    length = cfg.sequence_length or side * side
-    sequences = build_training_samples(target, cfg.num_sequences, length, side, cfg.seed)
+    sequences = build_training_samples(target, cfg.num_sequences, side * side, side, cfg.seed)
     batch: list[TrainSample] = [s for seq in sequences for s in seq]
     weight_arr = np.concatenate([mark_convergent(seq, cfg) for seq in sequences])
 
@@ -188,8 +186,7 @@ def held_out_convergent_kl(
 ) -> float:
     """Mean KL(q || p) over convergence-marked positions of fresh rollouts."""
     side = target.grid_side or drafter.side
-    length = cfg.sequence_length or side * side
-    sequences = build_training_samples(target, num_sequences, length, side, seed)
+    sequences = build_training_samples(target, num_sequences, side * side, side, seed)
     total, count = 0.0, 0
     for seq in sequences:
         flags = convergence_flags(seq, cfg.tau_seq_train)

@@ -32,9 +32,6 @@ from .core import (
 from .models import Drafter, Target, TargetEval
 from .tree import DraftTree, TOPK, TreeMask, sample_draft_tree
 
-LITERAL = "literal"
-RESIDUAL_ADJUSTED = "residual-adjusted"
-
 AR = "ar"
 VANILLA = "vanilla"
 CASCADE = "cascade"
@@ -45,24 +42,20 @@ MODES = (AR, VANILLA, CASCADE)
 class RelaxConfig:
     """Thresholds and budget governing relaxed acceptance.
 
-    Cosine thresholds are compared with >=; 1.01 makes a set unsatisfiable.
-    The budget is reset once per verification call and shared by all levels.
+    Cosine thresholds are compared with >=; a threshold above 1 (1.01 at most)
+    switches its set off. The budget is reset once per verification call and
+    shared by all levels.
     """
 
     tau_pos: float = 0.85
     tau_seq: float = 0.5
     tvd_budget: float = 0.5
-    enable_interchange: bool = True
-    enable_convergence: bool = True
-    sibling_mode: str = LITERAL
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.tau_pos <= 1.01 or not 0.0 <= self.tau_seq <= 1.01:
             raise ConfigError("cosine thresholds must lie in [0, 1.01]")
         if not 0.0 <= self.tvd_budget <= 1.0:
             raise ConfigError("tvd budget must lie in [0, 1]")
-        if self.sibling_mode not in (LITERAL, RESIDUAL_ADJUSTED):
-            raise ConfigError(f"unknown sibling mode {self.sibling_mode!r}")
 
 
 class TreeEvals:
@@ -109,8 +102,8 @@ def build_sets(tree: DraftTree, evals: TreeEvals, cfg: RelaxConfig) -> Similarit
     scalar definition exactly. Clamping to [-1, 1] is skipped: against a
     threshold in [0, 1] it cannot change a decision.
     """
-    want_i = cfg.enable_interchange and cfg.tau_pos <= 1.0
-    want_c = cfg.enable_convergence and cfg.tau_seq <= 1.0
+    want_i = cfg.tau_pos <= 1.0
+    want_c = cfg.tau_seq <= 1.0
     if not (want_i or want_c):
         return SimilaritySets({}, frozenset())
     layout = tree.layout()
@@ -270,7 +263,6 @@ def _run_verification(
     rng: RngStream,
     sets: SimilaritySets | None,
     budget: float,
-    sibling_mode: str,
 ) -> VerifyOutcome:
     tokens = tree.tokens
     accepted: list[TokenId] = []
@@ -285,28 +277,26 @@ def _run_verification(
     siblings = tree.level(1)
     q_dist, p_dist = evals.root.dist, tree.root_dist
     while siblings:
-        q_work = q_dist
         chosen: int | None = None
         level_pairs = sets.inter_pairs.get(level, ()) if sets is not None else ()
         for sibling_idx, node in enumerate(siblings):
             r = rng.next_real()
-            base = q_work if sibling_mode == RESIDUAL_ADJUSTED else q_dist
-            q_x = base[tokens[node]]
+            q_x = q_dist[tokens[node]]
             p_x = tree.probs[node]
             applied_i = applied_c = 0.0
             if sets is not None:
                 donors_i = [
-                    (tokens[other], base[tokens[other]])
+                    (tokens[other], q_dist[tokens[other]])
                     for other in siblings
                     if other != node and _sibling_pair(node, other) in level_pairs
                 ]
                 donors_c = [
-                    (tokens[child], base[tokens[child]])
+                    (tokens[child], q_dist[tokens[child]])
                     for child in tree.children[node]
                     if (node, child) in sets.conv_pairs
                 ]
                 relaxed, applied_i, applied_c = relax_q(
-                    base, tokens[node], donors_i, donors_c, budget - budget_used
+                    q_dist, tokens[node], donors_i, donors_c, budget - budget_used
                 )
                 relaxations.append(relaxed)
                 budget_used += relaxed.added_mass
@@ -330,21 +320,13 @@ def _run_verification(
             if accept:
                 chosen = node
                 break
-            if sibling_mode == RESIDUAL_ADJUSTED:
-                try:
-                    q_work = residual_dist(q_work, p_dist)
-                except DegenerateResidual:
-                    pass  # p already covers q_work; keep sampling law unchanged
         if chosen is None:
             # Correction stays exactly target-shaped: the unrelaxed conditional
-            # minus the drafter (or, residual-adjusted, the running residual).
-            if sibling_mode == RESIDUAL_ADJUSTED:
-                corr_dist = q_work
-            else:
-                try:
-                    corr_dist = residual_dist(q_dist, p_dist)
-                except DegenerateResidual:
-                    corr_dist = q_dist
+            # minus the drafter, or the conditional itself when p covers q.
+            try:
+                corr_dist = residual_dist(q_dist, p_dist)
+            except DegenerateResidual:
+                corr_dist = q_dist
             correction = corr_dist.sample(rng)
             break
         accepted.append(tokens[chosen])
@@ -355,14 +337,9 @@ def _run_verification(
     return VerifyOutcome(accepted, correction, len(accepted), budget_used, trace, relaxations)
 
 
-def verify_vanilla(
-    tree: DraftTree,
-    evals: TreeEvals,
-    rng: RngStream,
-    sibling_mode: str = LITERAL,
-) -> VerifyOutcome:
+def verify_vanilla(tree: DraftTree, evals: TreeEvals, rng: RngStream) -> VerifyOutcome:
     """Exact acceptance: r < min(1, q/p) per candidate, residual correction on reject."""
-    return _run_verification(tree, evals, rng, None, 0.0, sibling_mode)
+    return _run_verification(tree, evals, rng, None, 0.0)
 
 
 def verify_cascade(
@@ -373,7 +350,7 @@ def verify_cascade(
 ) -> VerifyOutcome:
     """Relaxed acceptance under `cfg`, with the budget reset for this call."""
     sets = build_sets(tree, evals, cfg)
-    return _run_verification(tree, evals, rng, sets, cfg.tvd_budget, cfg.sibling_mode)
+    return _run_verification(tree, evals, rng, sets, cfg.tvd_budget)
 
 
 @dataclass
@@ -438,7 +415,7 @@ def decode_sequence(
         if mode == CASCADE:
             outcome = verify_cascade(tree, evals, cfg, rng)
         else:
-            outcome = verify_vanilla(tree, evals, rng, cfg.sibling_mode)
+            outcome = verify_vanilla(tree, evals, rng)
         stats.verify_calls += 1
         stats.target_calls += 1
         stats.drafter_calls += tree.depth

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from specrelax import (
     RngStream,
     RowOutOfRange,
     TabularModel,
+    TrainConfig,
     TreeMask,
     decode_sequence,
     decode_with_metrics,
@@ -24,8 +26,9 @@ from specrelax import (
     mc_distribution_test,
     run_experiment,
     save_model,
+    train_drafter,
 )
-from specrelax.cli import main as cli_main, parse_seed_spec
+from specrelax.cli import build_parser, main as cli_main, parse_seed_spec
 from specrelax.harness import read_metrics_jsonl
 
 from conftest import make_tabular_v2
@@ -430,3 +433,103 @@ def test_cli_overflowing_drafter_exits_2(tmp_path, model_files, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def exit_code(args) -> int:
+    """The CLI's exit code, whether `main` returns it or argparse exits with it."""
+    try:
+        return run_cli(args)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_cli_sibling_mode_flag_is_gone(tmp_path, model_files, capsys):
+    code = exit_code(["decode", "--model", model_files["grid"], "--drafter", model_files["grid_drafter"],
+                      "--mode", "vanilla", "--seeds", "0", "--len", "8",
+                      "--sibling-mode", "literal", "--out", tmp_path / "m.jsonl"])
+    assert code == 2
+    assert "unrecognized arguments: --sibling-mode" in capsys.readouterr().err
+    assert not (tmp_path / "m.jsonl").exists()
+
+
+def test_cli_relaxation_flags_default_to_relax_config():
+    parser, _ = build_parser()
+    for command in ("decode", "oracle"):
+        args = parser.parse_args([command])
+        assert RelaxConfig(args.tau_pos, args.tau_seq, args.tvd_budget) == RelaxConfig()
+
+
+def write_config(tmp_path, data) -> Path:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_cli_config_keys_are_flag_names_or_dests(tmp_path, model_files):
+    out = tmp_path / "m.jsonl"
+    for key in ("len", "length"):  # --len's flag name, then its dest
+        config = {"model": str(model_files["grid"]), "drafter": str(model_files["grid_drafter"]),
+                  "mode": "cascade", "seeds": "0,1", key: 8, "tvd-budget": 0.0, "out": str(out)}
+        assert run_cli(["decode", "--config", write_config(tmp_path, config)]) == 0
+        _, aggregate = read_metrics_jsonl(out)
+        assert aggregate.tokens_emitted == 8
+        assert aggregate.accumulated_tvd == 0.0
+
+
+@pytest.mark.parametrize(
+    "command, data, message",
+    [
+        ("decode", {"tvd-budgt": 0.0}, "unknown key(s) in config file"),
+        ("decode", {"sibling-mode": "literal"}, "'sibling-mode'"),
+        ("decode", [{"len": 8}], "must hold a JSON object, not list"),
+        ("oracle", {"samples": 100, "candidates": "topk"}, "'candidates'"),
+        ("train", {"epochs": 1, "tvd_budget": 0.5}, "'tvd_budget'"),
+    ],
+    ids=["misspelt-key", "sibling-mode-key", "list-file", "oracle-foreign-key", "train-foreign-key"],
+)
+def test_cli_bad_config_files_exit_2(tmp_path, model_files, capsys, command, data, message):
+    if isinstance(data, dict):
+        data = {"model": str(model_files["tab" if command == "oracle" else "grid"]), **data}
+        if command == "decode":
+            data.update(drafter=str(model_files["grid_drafter"]), mode="vanilla", seeds="0", len=8)
+        if command != "oracle":
+            data["out"] = str(tmp_path / "out.json")
+    assert exit_code([command, "--config", write_config(tmp_path, data)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.fixture(scope="module")
+def tabular_linear_files(tmp_path_factory, tabular_v4):
+    """The V=4 tabular target and a linear drafter trained on it, whose grid is 8x8."""
+    drafter = train_drafter(tabular_v4, TrainConfig(epochs=2, num_sequences=2))
+    assert drafter.grid_side == 8
+    work = tmp_path_factory.mktemp("tabular-linear")
+    save_model(tabular_v4, work / "tab.json")
+    save_model(drafter, work / "linear.json")
+    return tabular_v4, drafter, work / "tab.json", work / "linear.json"
+
+
+def test_length_beyond_the_drafter_grid_is_refused(tmp_path, tabular_linear_files):
+    target, drafter, target_path, drafter_path = tabular_linear_files
+    with pytest.raises(ConfigError, match="drafter's 8x8 grid"):
+        mc_distribution_test(target, drafter, "vanilla", 10, 70)
+    cfg = ExperimentConfig(
+        model_path=str(target_path), drafter_path=str(drafter_path), mode="vanilla",
+        seeds=(0,), length=65, metrics_path=str(tmp_path / "m.jsonl"),
+    )
+    with pytest.raises(ConfigError, match="drafter's 8x8 grid"):
+        run_experiment(cfg)
+    assert not (tmp_path / "m.jsonl").exists()
+    assert run_experiment(replace(cfg, length=64)).tokens_emitted == 64
+
+
+@pytest.mark.parametrize("length", ["70", "100"])
+def test_cli_length_beyond_the_drafter_grid_exits_2(tmp_path, tabular_linear_files, capsys, length):
+    _, _, target_path, drafter_path = tabular_linear_files
+    code = run_cli(["decode", "--model", target_path, "--drafter", drafter_path, "--mode", "vanilla",
+                    "--len", length, "--out", tmp_path / "m.jsonl"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "drafter's 8x8 grid" in err
+    assert not (tmp_path / "m.jsonl").exists()

@@ -189,6 +189,22 @@ def test_linear_drafter_overflowing_logits_raise_non_finite():
     assert p.mass.tolist() == [0.0, 0.5, 0.5]
 
 
+def test_linear_drafter_rejects_tokens_and_cells_outside_its_range():
+    drafter = train_drafter(random_tabular_model(4, 1, seed=4), SMALL_TRAINING)
+    assert (drafter.vocab, drafter.side) == (4, 8)
+    outside = [
+        ([-1], GridPos(0, 0)), ([4], GridPos(0, 0)), ([0], GridPos(8, 0)), ([0], GridPos(0, 8)),
+        ([], GridPos(-1, 0)), ([], GridPos(0, -1)), ([2, 3], GridPos(7, 8)),
+    ]
+    for prefix, pos in outside:
+        with pytest.raises(UnknownWindow):
+            drafter.distribution(prefix, pos)
+    # The edges of the range still read their own rows.
+    for prefix, pos, index in [([], GridPos(0, 0), 0), ([0], GridPos(7, 0), 64 + 56),
+                               ([3], GridPos(7, 7), 4 * 64 + 63)]:
+        assert drafter.distribution(prefix, pos).mass.tobytes() == drafter._table[index].tobytes()
+
+
 def test_enumerate_single_step():
     model = make_tabular_v2({(): [0.9, 0.1]})
     law = enumerate_ar_distribution(model, 1)

@@ -28,7 +28,7 @@ from specrelax import (
     verify_vanilla,
 )
 from specrelax.tree import ROOT, DraftTree, STOCHASTIC
-from specrelax.verify import TreeEvals, RESIDUAL_ADJUSTED
+from specrelax.verify import TreeEvals
 
 from conftest import FixedDrafter, ScriptedRng, small_gridworld
 
@@ -211,6 +211,12 @@ def test_interchange_pairs_are_irreflexive_and_symmetric_on_random_trees():
             assert tree.parents[b] == a
 
 
+def test_relax_config_is_two_thresholds_and_a_budget():
+    from dataclasses import fields
+
+    assert [f.name for f in fields(RelaxConfig)] == ["tau_pos", "tau_seq", "tvd_budget"]
+
+
 def test_relax_config_validation():
     with pytest.raises(ConfigError):
         RelaxConfig(tau_pos=-0.1)
@@ -218,8 +224,6 @@ def test_relax_config_validation():
         RelaxConfig(tau_seq=1.02)
     with pytest.raises(ConfigError):
         RelaxConfig(tvd_budget=1.5)
-    with pytest.raises(ConfigError):
-        RelaxConfig(sibling_mode="greedy")
 
 
 def test_build_sets_propagates_zero_norm_features():
@@ -243,7 +247,7 @@ def scalar_sets(tree, evals, cfg):
     """Reference definition of the similarity sets: one `cosine_sim` per candidate pair."""
     feature = [ev.feature for ev in evals.nodes]
     inter_pairs = {}
-    if cfg.enable_interchange and cfg.tau_pos <= 1.0:
+    if cfg.tau_pos <= 1.0:
         for level in range(1, tree.depth + 1):
             pairs = inter_pairs.setdefault(level, set())
             nodes = list(tree.level(level))
@@ -254,7 +258,7 @@ def scalar_sets(tree, evals, cfg):
                     if cosine_sim(feature[a], feature[b]) >= cfg.tau_pos:
                         pairs.add((a, b))
     conv_pairs = set()
-    if cfg.enable_convergence and cfg.tau_seq <= 1.0:
+    if cfg.tau_seq <= 1.0:
         for node in tree.nodes:
             for child in tree.children[node]:
                 if cosine_sim(feature[node], feature[child]) >= cfg.tau_seq:
@@ -264,12 +268,13 @@ def scalar_sets(tree, evals, cfg):
     )
 
 
-SET_CONFIGS = [
-    RelaxConfig(tau_pos=tau_pos, tau_seq=tau_seq, enable_interchange=inter, enable_convergence=conv)
+# Each set is on at its threshold or switched off by 1.01; duplicates dropped.
+SET_CONFIGS = list(dict.fromkeys(
+    RelaxConfig(tau_pos=tau_pos if inter else 1.01, tau_seq=tau_seq if conv else 1.01)
     for tau_pos, tau_seq in ((0.0, 0.0), (0.2, 0.6), (0.5, 0.2), (1.0, 1.0), (1.01, 0.3), (0.3, 1.01))
     for inter in (True, False)
     for conv in (True, False)
-]
+))
 
 
 def assert_sets_match_scalar(tree, evals, configs=SET_CONFIGS):
@@ -848,20 +853,6 @@ def test_decode_against_reference_chain_implementation(tabular_v4, tabular_v4_dr
             RngStream(seed), candidate_mode=STOCHASTIC,
         )
         assert actual == expected
-
-
-def test_residual_adjusted_chain_equals_literal_chain(tabular_v4, tabular_v4_drafter):
-    for seed in range(10):
-        literal, _ = decode_sequence(
-            tabular_v4, tabular_v4_drafter, "vanilla", TreeMask.chain(3), RelaxConfig(), 9,
-            RngStream(seed), candidate_mode=STOCHASTIC,
-        )
-        adjusted, _ = decode_sequence(
-            tabular_v4, tabular_v4_drafter, "vanilla", TreeMask.chain(3),
-            RelaxConfig(sibling_mode=RESIDUAL_ADJUSTED), 9,
-            RngStream(seed), candidate_mode=STOCHASTIC,
-        )
-        assert literal == adjusted
 
 
 def test_budget_soundness_small_sweep(gridworld, grid_drafter):
