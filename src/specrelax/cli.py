@@ -33,40 +33,44 @@ from .tree import STOCHASTIC, TOPK, TreeMask
 from .verify import AR, MODES, RelaxConfig
 
 
-def parse_seed_spec(spec) -> tuple[int, ...]:
-    """Parse `0..199`, `3`, or `1,2,5` (or a config-file list) into a seed tuple."""
+def parse_seed_spec(spec: str) -> tuple[int, ...]:
+    """Parse `0..199`, `3`, or `1,2,5` into a seed tuple."""
     seeds: list[int] = []
     try:
-        if isinstance(spec, (list, tuple)):
-            return tuple(int(s) for s in spec)
-        for part in str(spec).split(","):
+        for part in spec.split(","):
             part = part.strip()
             if ".." in part:
                 lo, hi = part.split("..", 1)
                 seeds.extend(range(int(lo), int(hi) + 1))
             elif part:
                 seeds.append(int(part))
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"cannot parse seed spec {spec!r}") from exc
     if not seeds:
         raise ConfigError(f"no seeds in spec {spec!r}")
     return tuple(seeds)
 
 
-def _apply_config_file(
+def _is_scalar(value) -> bool:
+    return isinstance(value, (str, int, float)) and not isinstance(value, bool)
+
+
+def _splice_config_file(
     parser: argparse.ArgumentParser,
     subparsers: dict[str, argparse.ArgumentParser],
     argv: list[str],
-) -> None:
-    """Pre-scan for --config and install its values as subcommand defaults.
+) -> list[str]:
+    """`argv` with a --config file's values inserted as flags right after the subcommand.
 
     A key is a flag name without its dashes (`len`) or the flag's dest
     (`length`); any other key, or a file that is not a JSON object, exits 2.
-    The defaults land on the subcommand's own parser, which parses into a
-    fresh namespace, so explicit flags keep overriding them.
+    A string or number becomes its text, and a list of them is comma-joined
+    for a flag without a `type` (`--seeds`, `--tree`); any other value exits
+    2. argparse then checks each value as if it had been typed, and an
+    explicit flag, which comes later, overrides it.
     """
     if "--config" not in argv:
-        return
+        return argv
     idx = argv.index("--config")
     try:
         path = argv[idx + 1]
@@ -74,27 +78,36 @@ def _apply_config_file(
         parser.error("--config requires a file path")
     command = subparsers.get(argv[0])
     if command is None:
-        return  # argparse itself reports the missing or unknown subcommand
+        return argv  # argparse itself reports the missing or unknown subcommand
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         command.error(f"cannot read config file {path}: {exc}")
     if not isinstance(data, dict):
         command.error(f"config file {path} must hold a JSON object, not {type(data).__name__}")
-    dests = {
-        key: action.dest
+    actions = {
+        key: action
         for action in command._actions if action.dest not in ("help", "config")
         for key in (action.dest, *(option.lstrip("-") for option in action.option_strings))
     }
-    unknown = [key for key in data if key not in dests]
+    unknown = [key for key in data if key not in actions]
     if unknown:
         command.error(f"unknown key(s) in config file {path}: {', '.join(map(repr, unknown))}")
-    command.set_defaults(**{dests[key]: value for key, value in data.items()})
+    flags = []
+    for key, value in data.items():
+        action = actions[key]
+        if _is_scalar(value):
+            text = str(value)
+        elif isinstance(value, list) and action.type is None and all(map(_is_scalar, value)):
+            text = ",".join(map(str, value))
+        else:
+            command.error(f"config key {key!r}: {json.dumps(value)} is not a string or number")
+        flags.append(f"{action.option_strings[0]}={text}")
+    return [argv[0], *flags, *argv[1:]]
 
 
 def _relax_flags() -> argparse.ArgumentParser:
     """Parent parser of the relaxation flags; a threshold above 1 switches its set off."""
-    # One per subcommand: a parent's actions are shared, and set_defaults mutates them.
     d = RelaxConfig()
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--tau-pos", type=float, default=d.tau_pos, help="sibling cosine threshold")
@@ -110,7 +123,7 @@ def _relax_config(args: argparse.Namespace) -> RelaxConfig:
 def _build_decode_parser(sub) -> argparse.ArgumentParser:
     p = sub.add_parser("decode", parents=[_relax_flags()], help="run seeded decoding experiments")
     p.add_argument("--config", help="JSON file whose keys mirror these flags")
-    p.add_argument("--model", required=False, help="target model file")
+    p.add_argument("--model", required=True, help="target model file")
     p.add_argument("--drafter", help="drafter model file (vanilla/cascade)")
     p.add_argument("--mode", choices=MODES, default="vanilla")
     p.add_argument("--tree", default="4,2,2,1,1", help="per-level widths, e.g. 4,2,2,1,1")
@@ -118,7 +131,7 @@ def _build_decode_parser(sub) -> argparse.ArgumentParser:
     p.add_argument("--len", type=int, dest="length", help="tokens per sequence (grid default N^2)")
     p.add_argument("--kappa", type=float, default=DEFAULT_KAPPA, help="drafter cost ratio")
     p.add_argument("--candidates", choices=(TOPK, STOCHASTIC), default=TOPK)
-    p.add_argument("--out", required=False, help="metrics JSONL path")
+    p.add_argument("--out", required=True, help="metrics JSONL path")
     p.add_argument("--trace", help="per-decision trace JSONL path")
     p.add_argument("--heatmap", help="similarity heatmap CSV path")
     return p
@@ -127,7 +140,7 @@ def _build_decode_parser(sub) -> argparse.ArgumentParser:
 def _build_train_parser(sub) -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit a linear drafter against a target model")
     p.add_argument("--config", help="JSON file whose keys mirror these flags")
-    p.add_argument("--model", required=False, help="target model file")
+    p.add_argument("--model", required=True, help="target model file")
     p.add_argument("--c", type=float, default=2.0, help="convergence reweighting factor")
     p.add_argument("--tau-seq-train", type=float, default=0.5)
     p.add_argument("--epochs", type=int, default=80)
@@ -135,7 +148,7 @@ def _build_train_parser(sub) -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sequences", type=int, default=24, help="training rollouts")
     p.add_argument("--hard-ce-weight", type=float, default=1.0)
-    p.add_argument("--out", required=False, help="drafter JSON path")
+    p.add_argument("--out", required=True, help="drafter JSON path")
     return p
 
 
@@ -144,7 +157,7 @@ def _build_oracle_parser(sub) -> argparse.ArgumentParser:
         "oracle", parents=[_relax_flags()], help="Monte Carlo check against the exact sequence law"
     )
     p.add_argument("--config", help="JSON file whose keys mirror these flags")
-    p.add_argument("--model", required=False, help="target model file")
+    p.add_argument("--model", required=True, help="target model file")
     p.add_argument("--drafter", help="drafter file; default tempers the target's table")
     p.add_argument("--mode", choices=MODES, default="vanilla")
     p.add_argument("--len", type=int, dest="length", default=3)
@@ -168,31 +181,18 @@ def _build_make_model_parser(sub) -> argparse.ArgumentParser:
     return p
 
 
-def _require(args: argparse.Namespace, name: str) -> str:
-    value = getattr(args, name, None)
-    if value is None:
-        raise ConfigError(f"--{name} is required (flag or config file)")
-    return value
-
-
-def _parse_mask(value) -> TreeMask:
-    if isinstance(value, (list, tuple)):
-        return TreeMask(tuple(int(w) for w in value))
-    return TreeMask.parse(str(value))
-
-
 def _cmd_decode(args: argparse.Namespace) -> int:
     cfg = ExperimentConfig(
-        model_path=_require(args, "model"),
+        model_path=args.model,
         mode=args.mode,
         seeds=parse_seed_spec(args.seeds),
         drafter_path=args.drafter,
-        mask=_parse_mask(args.tree),
+        mask=TreeMask.parse(args.tree),
         relax=_relax_config(args),
         length=args.length,
         kappa=args.kappa,
         candidate_mode=args.candidates,
-        metrics_path=_require(args, "out"),
+        metrics_path=args.out,
         trace_path=args.trace,
         heatmap_path=args.heatmap,
     )
@@ -202,7 +202,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    target = load_model(_require(args, "model"))
+    target = load_model(args.model)
     cfg = TrainConfig(
         c=args.c,
         tau_seq_train=args.tau_seq_train,
@@ -213,14 +213,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
         num_sequences=args.sequences,
     )
     drafter = train_drafter(target, cfg)
-    out = _require(args, "out")
-    save_model(drafter, out)
-    print(f"wrote drafter to {out}")
+    save_model(drafter, args.out)
+    print(f"wrote drafter to {args.out}")
     return 0
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    target = load_model(_require(args, "model"))
+    target = load_model(args.model)
     drafter = None
     if args.mode != AR:
         if args.drafter:
@@ -229,7 +228,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             drafter = tempered_table_drafter(target)
         else:
             raise ConfigError("non-tabular targets need an explicit --drafter")
-    mask = _parse_mask(args.tree) if args.tree else TreeMask.chain(args.length)
+    mask = TreeMask.parse(args.tree) if args.tree else TreeMask.chain(args.length)
     distance, passed = mc_distribution_test(
         target, drafter, args.mode, args.samples, args.length,
         mask=mask, relax=_relax_config(args), base_seed=args.seed,
@@ -273,8 +272,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = build_parser()
-    _apply_config_file(parser, subparsers, argv)
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_splice_config_file(parser, subparsers, argv))
     handlers = {
         "decode": _cmd_decode,
         "train": _cmd_train,

@@ -24,6 +24,18 @@ from .verify import AR, MODES, RelaxConfig, decode_sequence
 DEFAULT_KAPPA = 0.1
 
 
+# Metrics field -> JSONL key; every record conversion derives from this table.
+_METRIC_KEYS = (
+    ("mean_alpha", "meanAlpha"),
+    ("target_calls", "targetCalls"),
+    ("drafter_calls", "drafterCalls"),
+    ("speedup_proxy", "speedupProxy"),
+    ("accumulated_tvd", "accumulatedTVD"),
+    ("per_token_tvd", "perTokenTVD"),
+    ("tokens_emitted", "tokensEmitted"),
+)
+
+
 @dataclass(frozen=True)
 class Metrics:
     """Acceptance and cost summary for one decode (or a mean over seeds)."""
@@ -37,42 +49,18 @@ class Metrics:
     tokens_emitted: float
 
     def to_record(self) -> dict:
-        return {
-            "meanAlpha": self.mean_alpha,
-            "targetCalls": self.target_calls,
-            "drafterCalls": self.drafter_calls,
-            "speedupProxy": self.speedup_proxy,
-            "accumulatedTVD": self.accumulated_tvd,
-            "perTokenTVD": self.per_token_tvd,
-            "tokensEmitted": self.tokens_emitted,
-        }
+        return {key: getattr(self, name) for name, key in _METRIC_KEYS}
 
     @classmethod
     def from_record(cls, record: dict) -> "Metrics":
-        return cls(
-            record["meanAlpha"],
-            record["targetCalls"],
-            record["drafterCalls"],
-            record["speedupProxy"],
-            record["accumulatedTVD"],
-            record["perTokenTVD"],
-            record["tokensEmitted"],
-        )
+        return cls(**{name: record[key] for name, key in _METRIC_KEYS})
 
     @classmethod
     def aggregate(cls, per_seed: Sequence["Metrics"]) -> "Metrics":
         if not per_seed:
             raise ValueError("cannot aggregate zero runs")
         n = len(per_seed)
-        return cls(
-            sum(m.mean_alpha for m in per_seed) / n,
-            sum(m.target_calls for m in per_seed) / n,
-            sum(m.drafter_calls for m in per_seed) / n,
-            sum(m.speedup_proxy for m in per_seed) / n,
-            sum(m.accumulated_tvd for m in per_seed) / n,
-            sum(m.per_token_tvd for m in per_seed) / n,
-            sum(m.tokens_emitted for m in per_seed) / n,
-        )
+        return cls(**{name: sum(getattr(m, name) for m in per_seed) / n for name, _ in _METRIC_KEYS})
 
 
 def decode_with_metrics(

@@ -28,16 +28,15 @@ class TreeMask:
     """Per-level branch counts; level l holds prod(widths[:l]) nodes at most."""
 
     widths: tuple[int, ...]
-    node_cap: int = DEFAULT_NODE_CAP
 
     def __post_init__(self) -> None:
         if len(self.widths) < 1:
             raise ConfigError("a tree mask needs at least one level")
         if any(w < 1 for w in self.widths):
             raise ConfigError("all level widths must be >= 1")
-        if self.node_count() > self.node_cap:
+        if self.node_count() > DEFAULT_NODE_CAP:
             raise ConfigError(
-                f"mask holds {self.node_count()} nodes, above the cap {self.node_cap}"
+                f"mask holds {self.node_count()} nodes, above the cap {DEFAULT_NODE_CAP}"
             )
 
     @property
@@ -55,15 +54,15 @@ class TreeMask:
         """Mask truncated to at most `depth` levels (for sequence tails)."""
         if depth >= self.depth:
             return self
-        return TreeMask(self.widths[:depth], self.node_cap)
+        return TreeMask(self.widths[:depth])
 
     @classmethod
-    def parse(cls, text: str, node_cap: int = DEFAULT_NODE_CAP) -> "TreeMask":
+    def parse(cls, text: str) -> "TreeMask":
         try:
             widths = tuple(int(part) for part in text.split(","))
         except ValueError as exc:
             raise ConfigError(f"cannot parse tree mask {text!r}") from exc
-        return cls(widths, node_cap)
+        return cls(widths)
 
     @classmethod
     def default(cls) -> "TreeMask":

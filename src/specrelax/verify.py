@@ -10,7 +10,7 @@ onto the candidate, never exceeding a per-call total-variation budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 from typing import Callable, NamedTuple, Sequence
 
@@ -139,46 +139,13 @@ def _sibling_pair(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
-@dataclass(frozen=True)
-class RelaxedDist:
-    """A target conditional with extra mass granted to one boosted token.
-
-    `added_mass` equals the total-variation distance between the base law and
-    the transfer law that moves each donor's mass in `transfers` onto the
-    boosted token; `transfer_dist` materializes that law to check the identity.
-    """
-
-    base_q: ProbDist
-    boosted_token: TokenId
-    added_mass: float
-    transfers: tuple[tuple[TokenId, float], ...]
-
-    def __post_init__(self) -> None:
-        if self.added_mass < -PROB_ATOL:
-            raise ValueError("added mass must be non-negative")
-        if self.boosted_prob() > 1.0 + PROB_ATOL:
-            raise ValueError("boosted probability exceeds 1")
-
-    def boosted_prob(self) -> float:
-        return min(self.base_q[self.boosted_token] + self.added_mass, 1.0)
-
-    def transfer_dist(self) -> ProbDist:
-        """Materialize the relaxed law by moving donor mass onto the boosted token."""
-        mass = self.base_q.mass.copy()
-        for token, amount in self.transfers:
-            mass[token] -= amount
-        mass[self.boosted_token] += self.added_mass
-        mass[mass < 0.0] = 0.0  # guard against -1e-18 style dust
-        return ProbDist(mass)
-
-
 def relax_q(
     q: ProbDist,
     candidate: TokenId,
     donors_i: Sequence[tuple[TokenId, float]],
     donors_c: Sequence[tuple[TokenId, float]],
     budget_left: float,
-) -> tuple[RelaxedDist, float, float]:
+) -> tuple[float, float, tuple[tuple[TokenId, float], ...]]:
     """Boost `candidate` by whichever donor sets fit the remaining budget.
 
     `donors_i` are the (token, mass) pairs of the candidate's similar siblings
@@ -186,7 +153,8 @@ def relax_q(
     the candidate or a sibling donor is dropped, so every donor gives up mass
     it actually holds, exactly once. Each set is applied whole or not at all,
     sibling mass before child mass; a set that does not fit is skipped
-    silently. Returns the relaxation and the sibling and child mass applied.
+    silently. Returns the sibling and child mass applied, and the donors
+    whose mass moved.
     """
     seen = {candidate, *(token for token, _ in donors_i)}
     kept_c: list[tuple[TokenId, float]] = []
@@ -208,12 +176,19 @@ def relax_q(
         transfers.extend(donors_i)
     if applied_c > 0.0:
         transfers.extend(kept_c)
-    relaxed = RelaxedDist(q, candidate, applied_i + applied_c, tuple(transfers))
-    return relaxed, applied_i, applied_c
+    return applied_i, applied_c, tuple(transfers)
 
 
 class TraceRecord(NamedTuple):
-    """One accept/reject decision, with the relaxation actually applied."""
+    """One accept/reject decision, with the relaxation actually applied.
+
+    `token` is the candidate and `q_dist` the level's target conditional, so
+    `q` is `q_dist[token]`. Each donor in `transfers` moved its mass onto the
+    candidate (none under `vanilla`); `added_mass` equals the total-variation
+    distance between `q_dist` and the transfer law, which `transfer_dist`
+    materializes to check that identity. `to_record` gives the trace JSONL
+    fields, which leave out the last three.
+    """
 
     level: int
     sibling: int
@@ -224,6 +199,25 @@ class TraceRecord(NamedTuple):
     r: float
     decision: str
     budget_left: float
+    token: TokenId
+    q_dist: ProbDist
+    transfers: tuple[tuple[TokenId, float], ...]
+
+    @property
+    def added_mass(self) -> float:
+        return self.added_mass_i + self.added_mass_c
+
+    def boosted_prob(self) -> float:
+        return min(self.q + self.added_mass, 1.0)
+
+    def transfer_dist(self) -> ProbDist:
+        """Materialize the relaxed law by moving donor mass onto the candidate."""
+        mass = self.q_dist.mass.copy()
+        for token, amount in self.transfers:
+            mass[token] -= amount
+        mass[self.token] += self.added_mass
+        mass[mass < 0.0] = 0.0  # guard against -1e-18 style dust
+        return ProbDist(mass)
 
     def to_record(self) -> dict:
         return {
@@ -245,10 +239,12 @@ class VerifyOutcome:
 
     accepted_tokens: list[TokenId]
     correction_token: TokenId | None
-    alpha: int
     tvd_consumed: float
-    trace: list[TraceRecord] = field(default_factory=list)
-    relaxations: list[RelaxedDist] = field(default_factory=list)
+    trace: list[TraceRecord]
+
+    @property
+    def alpha(self) -> int:
+        return len(self.accepted_tokens)
 
     @property
     def emitted_tokens(self) -> list[TokenId]:
@@ -267,7 +263,6 @@ def _run_verification(
     tokens = tree.tokens
     accepted: list[TokenId] = []
     trace: list[TraceRecord] = []
-    relaxations: list[RelaxedDist] = []
     budget_used = 0.0
     correction: TokenId | None = None
 
@@ -281,9 +276,11 @@ def _run_verification(
         level_pairs = sets.inter_pairs.get(level, ()) if sets is not None else ()
         for sibling_idx, node in enumerate(siblings):
             r = rng.next_real()
-            q_x = q_dist[tokens[node]]
+            token = tokens[node]
+            q_x = q_dist[token]
             p_x = tree.probs[node]
             applied_i = applied_c = 0.0
+            transfers: tuple[tuple[TokenId, float], ...] = ()
             if sets is not None:
                 donors_i = [
                     (tokens[other], q_dist[tokens[other]])
@@ -295,12 +292,11 @@ def _run_verification(
                     for child in tree.children[node]
                     if (node, child) in sets.conv_pairs
                 ]
-                relaxed, applied_i, applied_c = relax_q(
-                    q_dist, tokens[node], donors_i, donors_c, budget - budget_used
+                applied_i, applied_c, transfers = relax_q(
+                    q_dist, token, donors_i, donors_c, budget - budget_used
                 )
-                relaxations.append(relaxed)
-                budget_used += relaxed.added_mass
-                q_eff = relaxed.boosted_prob()
+                budget_used += applied_i + applied_c
+                q_eff = min(q_x + (applied_i + applied_c), 1.0)
             else:
                 q_eff = q_x
             accept = r < min(1.0, q_eff / p_x)
@@ -315,6 +311,9 @@ def _run_verification(
                     r,
                     "accept" if accept else "reject",
                     budget - budget_used,
+                    token,
+                    q_dist,
+                    transfers,
                 )
             )
             if accept:
@@ -334,7 +333,7 @@ def _run_verification(
         q_dist, p_dist = evals.nodes[chosen].dist, tree.child_dists[chosen]
         level += 1
 
-    return VerifyOutcome(accepted, correction, len(accepted), budget_used, trace, relaxations)
+    return VerifyOutcome(accepted, correction, budget_used, trace)
 
 
 def verify_vanilla(tree: DraftTree, evals: TreeEvals, rng: RngStream) -> VerifyOutcome:
@@ -421,11 +420,12 @@ def decode_sequence(
         stats.drafter_calls += tree.depth
         stats.accepted_draft_tokens += outcome.alpha
         stats.accumulated_tvd += outcome.tvd_consumed
-        tokens.extend(outcome.emitted_tokens)
+        emitted = outcome.emitted_tokens
+        tokens.extend(emitted)
         if on_outcome is not None:
             on_outcome(cycle, outcome)
         cycle += 1
-        if not outcome.emitted_tokens:
+        if not emitted:
             # Unreachable for sane trees (a rejection always emits a correction),
             # but guards against infinite loops on empty instantiations.
             raise RuntimeError("verification cycle emitted no tokens")

@@ -126,17 +126,17 @@ def test_criterion_4_budget_soundness(gridworld):
             worst_call = max(worst_call, outcome.tvd_consumed)
             if outcome.tvd_consumed > cfg.tvd_budget + TOL:
                 sound = False
-            for relaxed in outcome.relaxations:
+            for relaxed in outcome.trace:
                 relaxation_checks += 1
                 donated = math.fsum(m for _, m in relaxed.transfers)
                 if abs(relaxed.added_mass - donated) > 1e-12:
                     sound = False
                 if relaxed.boosted_prob() > 1.0 + TOL:
                     sound = False
-                if any(m > relaxed.base_q[t] + 1e-15 for t, m in relaxed.transfers):
+                if any(m > relaxed.q_dist[t] + 1e-15 for t, m in relaxed.transfers):
                     sound = False
                 if relaxed.added_mass > 0.0:
-                    implied = tvd(relaxed.transfer_dist(), relaxed.base_q)
+                    implied = tvd(relaxed.transfer_dist(), relaxed.q_dist)
                     if abs(implied - relaxed.added_mass) > 1e-12:
                         sound = False
     _elapsed_ok(4, started, 60.0)

@@ -2,7 +2,8 @@
 
 Each case decodes 20 seeds and hashes four byte streams with SHA-256: the
 emitted tokens, the metrics JSONL and the trace JSONL (formatted exactly as
-`run_experiment` writes them), and every recorded relaxation. A change that
+`run_experiment` writes them), and the relaxation of every cascade decision
+(its target conditional, candidate, added mass and donors). A change that
 moves any pinned digest changes what the engine emits; it must be a change
 of semantics, and it re-pins the digests deliberately.
 """
@@ -69,15 +70,15 @@ def replay_digests(family: str, mode: str, candidates: str) -> dict[str, str]:
         def sink(cycle, outcome, _seed=seed):
             for rec in outcome.trace:
                 streams["trace"].append(_line({"seed": _seed, "cycle": cycle, **rec.to_record()}))
-            for relaxed in outcome.relaxations:
-                streams["relaxations"].append(_line({
-                    "seed": _seed,
-                    "cycle": cycle,
-                    "base": relaxed.base_q.mass.tolist(),
-                    "token": relaxed.boosted_token,
-                    "added": relaxed.added_mass,
-                    "transfers": relaxed.transfers,
-                }))
+                if mode == "cascade":
+                    streams["relaxations"].append(_line({
+                        "seed": _seed,
+                        "cycle": cycle,
+                        "base": rec.q_dist.mass.tolist(),
+                        "token": rec.token,
+                        "added": rec.added_mass,
+                        "transfers": rec.transfers,
+                    }))
 
         tokens, metrics = decode_with_metrics(
             target, drafter, mode, TreeMask.default(), relax, length, RngStream(seed),

@@ -120,7 +120,7 @@ def test_flat_arrays_describe_one_consistent_tree():
         for mode in ("topk", STOCHASTIC):
             for widths in ((3, 3, 2), (5, 1), (4, 2, 2, 1, 1)):
                 tree = sample_draft_tree(
-                    drafter, [1, 2], GridPos(0, 2), TreeMask(widths, node_cap=512),
+                    drafter, [1, 2], GridPos(0, 2), TreeMask(widths),
                     RngStream(trial), mode=mode, side=8,
                 )
                 n = len(tree.nodes)

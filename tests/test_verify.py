@@ -8,6 +8,7 @@ from specrelax import (
     DegenerateResidual,
     FeatureVec,
     GridPos,
+    LinearDrafter,
     ProbDist,
     cosine_sim,
     RelaxConfig,
@@ -28,7 +29,7 @@ from specrelax import (
     verify_vanilla,
 )
 from specrelax.tree import ROOT, DraftTree, STOCHASTIC
-from specrelax.verify import TreeEvals
+from specrelax.verify import TraceRecord, TreeEvals
 
 from conftest import FixedDrafter, ScriptedRng, small_gridworld
 
@@ -91,9 +92,19 @@ def donors(q, tokens):
     return [(t, q[t]) for t in tokens]
 
 
+def relaxed_decision(q, candidate, donors_i, donors_c, budget_left):
+    """relax_q's result as the decision record the verification walk builds from it."""
+    applied_i, applied_c, transfers = relax_q(q, candidate, donors_i, donors_c, budget_left)
+    record = TraceRecord(
+        1, 0, q[candidate], 1.0, applied_i, applied_c, 0.0, "reject", budget_left,
+        candidate, q, transfers,
+    )
+    return record, applied_i, applied_c
+
+
 def test_relax_q_both_sets_fit_sequentially():
     q = ProbDist([0.4, 0.3, 0.2, 0.1])
-    relaxed, applied_i, applied_c = relax_q(q, 0, donors(q, [1]), donors(q, [2]), 0.5)
+    relaxed, applied_i, applied_c = relaxed_decision(q, 0, donors(q, [1]), donors(q, [2]), 0.5)
     consumed = applied_i + applied_c
     assert consumed == pytest.approx(0.5, abs=ATOL)
     assert relaxed.boosted_prob() == pytest.approx(0.9, abs=ATOL)
@@ -103,7 +114,7 @@ def test_relax_q_both_sets_fit_sequentially():
 
 def test_relax_q_is_all_or_nothing_per_set():
     q = ProbDist([0.1, 0.4, 0.3, 0.2])
-    relaxed, applied_i, applied_c = relax_q(q, 0, donors(q, [1]), donors(q, [3]), 0.5)
+    relaxed, applied_i, applied_c = relaxed_decision(q, 0, donors(q, [1]), donors(q, [3]), 0.5)
     # C is skipped: 0.4 + 0.2 > 0.5.
     assert (applied_i, applied_c) == (pytest.approx(0.4, abs=ATOL), 0.0)
     assert relaxed.added_mass == pytest.approx(0.4, abs=ATOL)
@@ -113,7 +124,7 @@ def test_relax_q_is_all_or_nothing_per_set():
 
 def test_relax_q_skips_oversized_first_set_but_takes_second():
     q = ProbDist([0.1, 0.6, 0.3])
-    relaxed, applied_i, applied_c = relax_q(q, 0, donors(q, [1]), donors(q, [2]), 0.5)
+    relaxed, applied_i, applied_c = relaxed_decision(q, 0, donors(q, [1]), donors(q, [2]), 0.5)
     assert (applied_i, applied_c) == (0.0, pytest.approx(0.3, abs=ATOL))
     assert relaxed.added_mass == pytest.approx(0.3, abs=ATOL)
     assert relaxed.boosted_prob() == pytest.approx(0.4, abs=ATOL)
@@ -121,7 +132,7 @@ def test_relax_q_skips_oversized_first_set_but_takes_second():
 
 def test_relax_q_exhausted_budget_is_identity():
     q = ProbDist([0.25, 0.5, 0.25])
-    relaxed, applied_i, applied_c = relax_q(q, 0, donors(q, [1]), donors(q, [2]), 0.0)
+    relaxed, applied_i, applied_c = relaxed_decision(q, 0, donors(q, [1]), donors(q, [2]), 0.0)
     assert applied_i == applied_c == relaxed.added_mass == 0.0
     assert relaxed.boosted_prob() == q[0]
     assert relaxed.transfers == ()
@@ -129,7 +140,7 @@ def test_relax_q_exhausted_budget_is_identity():
 
 def test_relax_q_drops_child_donors_already_counted():
     q = ProbDist([0.1, 0.2, 0.3, 0.4])
-    relaxed, applied_i, applied_c = relax_q(
+    relaxed, applied_i, applied_c = relaxed_decision(
         q, 0, donors(q, [1]), donors(q, [0, 1, 3]), 1.0
     )
     # Child tokens 0 (the candidate) and 1 (a sibling donor) give nothing twice.
@@ -514,13 +525,63 @@ def test_cascade_transfer_invariant_holds():
     tree, evals = two_sibling_relax_case()
     cfg = RelaxConfig(tau_pos=0.9, tau_seq=1.01, tvd_budget=0.5)
     outcome = verify_cascade(tree, evals, cfg, ScriptedRng([0.6]))
-    relaxed = outcome.relaxations[0]
+    relaxed = outcome.trace[0]
     assert relaxed.added_mass == pytest.approx(sum(m for _, m in relaxed.transfers), abs=0)
     transfer = relaxed.transfer_dist()
     from specrelax import tvd
 
-    assert tvd(transfer, relaxed.base_q) == pytest.approx(relaxed.added_mass, abs=1e-12)
-    assert transfer[relaxed.boosted_token] == pytest.approx(relaxed.boosted_prob(), abs=1e-12)
+    assert tvd(transfer, relaxed.q_dist) == pytest.approx(relaxed.added_mass, abs=1e-12)
+    assert transfer[relaxed.token] == pytest.approx(relaxed.boosted_prob(), abs=1e-12)
+
+
+def test_decisions_name_their_candidate_and_donors(gridworld, monkeypatch):
+    import specrelax.verify as verify_mod
+
+    no_sets = SimilaritySets({}, frozenset())
+    calls = []  # (tree, similarity sets, outcome) of every verification call
+
+    def recording_cascade(tree, evals, cfg, rng):
+        outcome = real_cascade(tree, evals, cfg, rng)
+        calls.append((tree, build_sets(tree, evals, cfg), outcome))
+        return outcome
+
+    def recording_vanilla(tree, evals, rng):
+        outcome = real_vanilla(tree, evals, rng)
+        calls.append((tree, no_sets, outcome))
+        return outcome
+
+    real_cascade, real_vanilla = verify_mod.verify_cascade, verify_mod.verify_vanilla
+    monkeypatch.setattr(verify_mod, "verify_cascade", recording_cascade)
+    monkeypatch.setattr(verify_mod, "verify_vanilla", recording_vanilla)
+    drafter = LinearDrafter.zeros(gridworld.vocab, gridworld.side)
+    for mode in ("cascade", "vanilla"):
+        for seed in range(5):
+            decode_sequence(
+                gridworld, drafter, mode, TreeMask.default(), RelaxConfig(), 64, RngStream(seed)
+            )
+    donations = {"cascade": 0, "vanilla": 0}
+    for tree, sets, outcome in calls:
+        mode = "vanilla" if sets is no_sets else "cascade"
+        siblings = tree.level(1)
+        for rec in outcome.trace:
+            node = siblings[rec.sibling]
+            assert node in tree.level(rec.level)
+            assert rec.token == tree.tokens[node]
+            partners = {
+                tree.tokens[other] for other in siblings
+                if (min(node, other), max(node, other)) in sets.inter_pairs.get(rec.level, ())
+            }
+            partners |= {
+                tree.tokens[child] for child in tree.children[node] if (node, child) in sets.conv_pairs
+            }
+            donors = [token for token, _ in rec.transfers]
+            assert set(donors) <= partners and rec.token not in donors
+            if mode == "vanilla":
+                assert rec.transfers == () and rec.added_mass == 0.0
+            donations[mode] += bool(donors)
+            if rec.decision == "accept":
+                siblings = tree.children[node]
+    assert donations["cascade"] > 0 and donations["vanilla"] == 0
 
 
 def test_cascade_with_relaxation_off_matches_vanilla_bitwise(tabular_v4, tabular_v4_drafter, gridworld, grid_drafter):
