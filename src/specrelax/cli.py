@@ -55,10 +55,34 @@ def _is_scalar(value) -> bool:
     return isinstance(value, (str, int, float)) and not isinstance(value, bool)
 
 
+def _config_path(command: argparse.ArgumentParser, args: list[str]) -> str | None:
+    """The file named by `command`'s --config option in `args`, or None.
+
+    Every spelling argparse accepts counts: `--config FILE`, `--config=FILE`
+    and an unambiguous prefix in either form (`--conf FILE`). As in
+    argparse, the last occurrence wins.
+    """
+    options = command._option_string_actions
+    path = None
+    for i, arg in enumerate(args):
+        if arg == "--":
+            break
+        if not arg.startswith("--"):
+            continue
+        name, has_value, value = arg.partition("=")
+        matches = [name] if name in options else [o for o in options if o.startswith(name)]
+        if len(matches) != 1 or options[matches[0]].dest != "config":
+            continue
+        if not has_value:
+            if i + 1 == len(args):
+                command.error("--config requires a file path")
+            value = args[i + 1]
+        path = value
+    return path
+
+
 def _splice_config_file(
-    parser: argparse.ArgumentParser,
-    subparsers: dict[str, argparse.ArgumentParser],
-    argv: list[str],
+    subparsers: dict[str, argparse.ArgumentParser], argv: list[str]
 ) -> list[str]:
     """`argv` with a --config file's values inserted as flags right after the subcommand.
 
@@ -69,16 +93,12 @@ def _splice_config_file(
     2. argparse then checks each value as if it had been typed, and an
     explicit flag, which comes later, overrides it.
     """
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    try:
-        path = argv[idx + 1]
-    except IndexError:
-        parser.error("--config requires a file path")
-    command = subparsers.get(argv[0])
+    command = subparsers.get(argv[0]) if argv else None
     if command is None:
         return argv  # argparse itself reports the missing or unknown subcommand
+    path = _config_path(command, argv[1:])
+    if path is None:
+        return argv
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
@@ -272,7 +292,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = build_parser()
-    args = parser.parse_args(_splice_config_file(parser, subparsers, argv))
+    args = parser.parse_args(_splice_config_file(subparsers, argv))
     handlers = {
         "decode": _cmd_decode,
         "train": _cmd_train,

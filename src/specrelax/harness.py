@@ -63,6 +63,12 @@ class Metrics:
         return cls(**{name: sum(getattr(m, name) for m in per_seed) / n for name, _ in _METRIC_KEYS})
 
 
+def _check_kappa(kappa: float) -> None:
+    """Raise ConfigError unless the drafter cost ratio is finite and non-negative."""
+    if not (math.isfinite(kappa) and kappa >= 0.0):
+        raise ConfigError(f"kappa must be finite and non-negative, got {kappa!r}")
+
+
 def decode_with_metrics(
     target: Target,
     drafter: Drafter | None,
@@ -79,6 +85,7 @@ def decode_with_metrics(
 
     Autoregressive decodes score mean alpha 1.0 and speedup 1.0 by convention.
     """
+    _check_kappa(kappa)
     tokens, stats = decode_sequence(
         target, drafter, mode, mask, cfg, length, rng,
         candidate_mode=candidate_mode, on_outcome=on_outcome,
@@ -123,6 +130,7 @@ class ExperimentConfig:
             raise ConfigError("at least one seed is required")
         if self.candidate_mode not in (TOPK, STOCHASTIC):
             raise ConfigError(f"unknown candidate mode {self.candidate_mode!r}")
+        _check_kappa(self.kappa)
         if not Path(self.model_path).exists():
             raise ConfigError(f"model file not found: {self.model_path}")
         if self.mode != AR and self.drafter_path is None:

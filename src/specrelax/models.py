@@ -63,11 +63,32 @@ class Drafter(Protocol):
     def distribution(self, prefix: Sequence[TokenId], pos: GridPos) -> ProbDist: ...
 
 
+# Per node of a batch: its next-token laws, its features as the rows of one
+# read-only (nodes, h) float64 array, and each feature's own norm.
+BatchEval = tuple[list[ProbDist], np.ndarray, np.ndarray]
+
+
 @runtime_checkable
 class Target(Protocol):
     grid_side: int | None
 
     def evaluate(self, prefix: Sequence[TokenId], pos: GridPos) -> TargetEval: ...
+
+    def evaluate_batch(
+        self,
+        paths: Sequence[Sequence[TokenId]],
+        level_starts: Sequence[int],
+        start_index: int,
+        side: int,
+    ) -> BatchEval:
+        """Evaluate every node of a level-major draft tree in one call.
+
+        Node i has prefix `paths[i]` (never empty). Level l (1-based) holds
+        ids `level_starts[l-1] .. level_starts[l]-1` and sits at sequence
+        index `start_index + l` of a `side` x `side` grid, clamped to its last
+        cell. Row i of the result equals `evaluate(paths[i], pos)` bit for bit.
+        """
+        ...
 
 
 class TabularModel:
@@ -130,6 +151,29 @@ class TabularModel:
             return self._evals[key]
         except KeyError:
             raise UnknownWindow(f"no table row for window {key}") from None
+
+    def evaluate_batch(
+        self,
+        paths: Sequence[Sequence[TokenId]],
+        level_starts: Sequence[int],
+        start_index: int,
+        side: int,
+    ) -> BatchEval:
+        """`Target.evaluate_batch`; a tabular law ignores the grid, so only `paths` is read."""
+        dists: list[ProbDist] = []
+        values: list[np.ndarray] = []
+        norms: list[float] = []
+        for path in paths:
+            key = self.window(path)
+            ev = self._evals.get(key)
+            if ev is None:
+                raise UnknownWindow(f"no table row for window {key}")
+            dists.append(ev.dist)
+            values.append(ev.feature.values)
+            norms.append(ev.feature.norm)
+        features = np.array(values)
+        features.flags.writeable = False
+        return dists, features, np.array(norms)
 
     def distribution(self, prefix: Sequence[TokenId], pos: GridPos) -> ProbDist:
         return self.evaluate(prefix, pos).dist
@@ -232,7 +276,10 @@ class GridWorldModel:
         ]
 
         self._dist_by_region = [self._build_region_dist(r) for r in range(n_regions)]
+        self._n_clusters = n_clusters
         self._feature_cache: dict[tuple[int, int | None], FeatureVec] = {}
+        # `_build_feature_table`'s result, built by the first `evaluate_batch`.
+        self._feature_table: tuple[np.ndarray, np.ndarray, frozenset[int]] | None = None
 
     def _build_region_dist(self, region: int) -> ProbDist:
         preferred = self.region_clusters[region]
@@ -249,21 +296,44 @@ class GridWorldModel:
     def cluster_of(self, token: TokenId) -> int:
         return self.clusters[token]
 
-    def _feature(self, region: int, cluster: int | None, prefix: Sequence[TokenId], pos: GridPos) -> FeatureVec:
+    def _cached_feature(self, region: int, cluster: int | None) -> FeatureVec:
+        """The unjittered feature of (region, cluster), built once."""
         key = (region, cluster)
-        if self.feature_jitter == 0.0:
-            cached = self._feature_cache.get(key)
-            if cached is not None:
-                return cached
+        feat = self._feature_cache.get(key)
+        if feat is None:
+            feat = self._feature_cache[key] = self._make_feature(region, cluster, None)
+        return feat
+
+    def _make_feature(
+        self, region: int, cluster: int | None, jitter: np.ndarray | None
+    ) -> FeatureVec:
         raw = self._region_anchors[region].copy()
         if cluster is not None:
             raw += self.feature_mix * self._cluster_anchors[cluster]
-        if self.feature_jitter > 0.0:
-            raw += self._jitter(prefix, pos)
-        feat = FeatureVec(raw / np.linalg.norm(raw))
-        if self.feature_jitter == 0.0:
-            self._feature_cache[key] = feat
-        return feat
+        if jitter is not None:
+            raw += jitter
+        return FeatureVec(raw / np.linalg.norm(raw))
+
+    def _build_feature_table(self) -> tuple[np.ndarray, np.ndarray, frozenset[int]]:
+        """Every unjittered (region, cluster) feature as one read-only table, with its norms.
+
+        Row region * clusters + cluster holds that pair's `FeatureVec` bytes.
+        A pair whose anchors cancel has no feature: its row is NaN and listed
+        in the returned set, so that gathering it raises as `evaluate` does.
+        """
+        values = np.full((len(self._dist_by_region) * self._n_clusters, self.h), np.nan)
+        norms = np.full(len(values), np.nan)
+        undefined: set[int] = set()
+        for row in range(len(values)):
+            try:
+                feat = self._cached_feature(*divmod(row, self._n_clusters))
+            except NonFinite:
+                undefined.add(row)
+                continue
+            values[row] = feat.values
+            norms[row] = feat.norm
+        values.flags.writeable = False
+        return values, norms, frozenset(undefined)
 
     def _jitter(self, prefix: Sequence[TokenId], pos: GridPos) -> np.ndarray:
         # Deterministic per (prefix, pos): fold tokens through a 64-bit mixer.
@@ -280,9 +350,52 @@ class GridWorldModel:
     def evaluate(self, prefix: Sequence[TokenId], pos: GridPos) -> TargetEval:
         region = self.region_of(pos)
         cluster = self.cluster_of(prefix[-1]) if len(prefix) > 0 else None
-        return TargetEval(
-            self._dist_by_region[region], self._feature(region, cluster, prefix, pos)
-        )
+        if self.feature_jitter > 0.0:
+            feat = self._make_feature(region, cluster, self._jitter(prefix, pos))
+        else:
+            feat = self._cached_feature(region, cluster)
+        return TargetEval(self._dist_by_region[region], feat)
+
+    def evaluate_batch(
+        self,
+        paths: Sequence[Sequence[TokenId]],
+        level_starts: Sequence[int],
+        start_index: int,
+        side: int,
+    ) -> BatchEval:
+        """`Target.evaluate_batch`: one law per level; unjittered rows come from one table."""
+        jittered = self.feature_jitter > 0.0
+        if not jittered and self._feature_table is None:
+            self._feature_table = self._build_feature_table()
+        cap = side * side - 1
+        clusters = self.clusters
+        dists: list[ProbDist] = []
+        rows: list[int] = []
+        feats: list[FeatureVec] = []
+        for level in range(1, len(level_starts)):
+            lo, hi = level_starts[level - 1], level_starts[level]
+            pos = GridPos.from_index(min(start_index + level, cap), side)
+            region = self.region_of(pos)
+            dists += [self._dist_by_region[region]] * (hi - lo)
+            if jittered:
+                feats += [
+                    self._make_feature(region, clusters[path[-1]], self._jitter(path, pos))
+                    for path in paths[lo:hi]
+                ]
+            else:
+                base = region * self._n_clusters
+                rows += [base + clusters[path[-1]] for path in paths[lo:hi]]
+        if jittered:
+            features = np.array([feat.values for feat in feats])
+            norms = np.array([feat.norm for feat in feats])
+        else:
+            table, table_norms, undefined = self._feature_table
+            if undefined and not undefined.isdisjoint(rows):
+                first_bad = next(row for row in rows if row in undefined)
+                self._cached_feature(*divmod(first_bad, self._n_clusters))  # raises NonFinite
+            features, norms = table.take(rows, axis=0), table_norms.take(rows)
+        features.flags.writeable = False
+        return dists, features, norms
 
     def distribution(self, prefix: Sequence[TokenId], pos: GridPos) -> ProbDist:
         return self._dist_by_region[self.region_of(pos)]

@@ -58,31 +58,29 @@ class RelaxConfig:
             raise ConfigError("tvd budget must lie in [0, 1]")
 
 
-class TreeEvals:
-    """Target evaluations for a draft tree: the root conditional plus one per node id."""
+class TreeEvals(NamedTuple):
+    """One target pass over a draft tree.
 
-    __slots__ = ("root", "nodes")
+    `root` evaluates the prefix. Node i's conditional is `dists[i]`, its
+    feature is row i of the read-only `(nodes, h)` array `features`, and
+    `norms[i]` is that feature's own norm.
+    """
 
-    def __init__(self, root: TargetEval, nodes: list[TargetEval]) -> None:
-        self.root = root
-        self.nodes = nodes
+    root: TargetEval
+    dists: list[ProbDist]
+    features: np.ndarray
+    norms: np.ndarray
 
 
 def evaluate_tree(target: Target, tree: DraftTree) -> TreeEvals:
-    """One simulated parallel target pass over root and every tree node.
+    """One simulated parallel target pass: the root, then every node in one batch.
 
-    Node evaluations one step past the grid end reuse the final cell's
-    position; only their features are ever consulted there.
+    Nodes one step past the grid end are evaluated at the final cell; only
+    their features are ever consulted there.
     """
     root = target.evaluate(tree.prefix, tree.start_pos)
-    cap = tree.side * tree.side - 1
-    evals: list[TargetEval] = []
-    starts = tree.level_starts
-    for level in range(1, len(starts)):
-        pos = GridPos.from_index(min(tree.start_index + level, cap), tree.side)
-        for path in tree.paths[starts[level - 1] : starts[level]]:
-            evals.append(target.evaluate(path, pos))
-    return TreeEvals(root, evals)
+    batch = target.evaluate_batch(tree.paths, tree.level_starts, tree.start_index, tree.side)
+    return TreeEvals(root, *batch)
 
 
 @dataclass(frozen=True)
@@ -96,11 +94,11 @@ class SimilaritySets:
 def build_sets(tree: DraftTree, evals: TreeEvals, cfg: RelaxConfig) -> SimilaritySets:
     """Collect same-parent sibling pairs and parent-child links above threshold.
 
-    The cosines of every enabled pair come from one stacked pass. Each pair's
-    dot product runs through the same BLAS kernel as `cosine_sim`'s and its
-    norms are the features' own, so every threshold decision matches the
-    scalar definition exactly. Clamping to [-1, 1] is skipped: against a
-    threshold in [0, 1] it cannot change a decision.
+    The cosines of every enabled pair come from one pass over the stacked
+    features. Each pair's dot product runs through the same BLAS kernel as
+    `cosine_sim`'s and its norms are the features' own, so every threshold
+    decision matches the scalar definition exactly. Clamping to [-1, 1] is
+    skipped: against a threshold in [0, 1] it cannot change a decision.
     """
     want_i = cfg.tau_pos <= 1.0
     want_c = cfg.tau_seq <= 1.0
@@ -112,17 +110,15 @@ def build_sets(tree: DraftTree, evals: TreeEvals, cfg: RelaxConfig) -> Similarit
     hi = len(layout.pairs) if want_c else n_sibling
     hits = [False] * lo  # hits[k]: is layout.pairs[k] similar
     if lo < hi:
-        feats = [ev.feature for ev in evals.nodes]
-        norms = [feat.norm for feat in feats]
-        # Checked before stacking, which needs every feature to have one shape.
-        if min(norms) <= NORM_FLOOR:
+        norms = evals.norms
+        if norms.min() <= NORM_FLOOR:
             for a, b in layout.pairs[lo:hi]:
-                if min(norms[a], norms[b]) <= NORM_FLOOR:
-                    raise ZeroNormFeature(f"cosine undefined for norms ({norms[a]!r}, {norms[b]!r})")
+                na, nb = float(norms[a]), float(norms[b])
+                if min(na, nb) <= NORM_FLOOR:
+                    raise ZeroNormFeature(f"cosine undefined for norms ({na!r}, {nb!r})")
         first, second = layout.first[lo:hi], layout.second[lo:hi]
-        values = np.array([feat.values for feat in feats])
-        norm_arr = np.array(norms)
-        cos = np.vecdot(values[first], values[second]) / (norm_arr[first] * norm_arr[second])
+        values = evals.features
+        cos = np.vecdot(values[first], values[second]) / (norms[first] * norms[second])
         hits += (cos[: n_sibling - lo] >= cfg.tau_pos).tolist()
         hits += (cos[n_sibling - lo :] >= cfg.tau_seq).tolist()
     inter_pairs: dict[int, frozenset[tuple[int, int]]] = {}
@@ -330,7 +326,7 @@ def _run_verification(
             break
         accepted.append(tokens[chosen])
         siblings = tree.children[chosen]
-        q_dist, p_dist = evals.nodes[chosen].dist, tree.child_dists[chosen]
+        q_dist, p_dist = evals.dists[chosen], tree.child_dists[chosen]
         level += 1
 
     return VerifyOutcome(accepted, correction, budget_used, trace)
@@ -381,13 +377,15 @@ def decode_sequence(
     draft/verify cycles, appending accepted tokens plus the correction token
     when a rejection occurs; the drafted-but-unverified deepest token of a
     fully accepted cycle is never emitted. Target cost is one parallel pass
-    per cycle; drafter cost is one pass per drafted level.
+    per cycle; drafter cost is one pass per drafted level. An unknown mode,
+    a length beyond the grid and a drafting mode without a drafter raise
+    ConfigError.
     """
     if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     side = target.grid_side or max(1, math.isqrt(max(length - 1, 0)) + 1)
     if length > side * side:
-        raise ValueError(f"length {length} exceeds the {side}x{side} grid")
+        raise ConfigError(f"length {length} exceeds the {side}x{side} grid")
     stats = DecodeStats()
     tokens: list[TokenId] = []
 
@@ -400,7 +398,7 @@ def decode_sequence(
         return tokens, stats
 
     if drafter is None:
-        raise ValueError(f"mode {mode!r} requires a drafter")
+        raise ConfigError(f"mode {mode!r} requires a drafter")
 
     cycle = 0
     while len(tokens) < length:

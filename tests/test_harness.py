@@ -266,6 +266,21 @@ def test_run_experiment_validates_inputs(tmp_path, model_files):
         ExperimentConfig(model_path=str(model_files["grid"]), mode="vanilla", seeds=(0,))
 
 
+def test_kappa_must_be_finite_and_non_negative(tmp_path, model_files, tabular_v4, tabular_v4_drafter):
+    base = dict(model_path=str(model_files["grid"]), drafter_path=str(model_files["grid_drafter"]),
+                mode="vanilla", seeds=(0,))
+    for kappa in (-1.0, -0.5, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="kappa"):
+            ExperimentConfig(**base, kappa=kappa)
+        with pytest.raises(ConfigError, match="kappa"):
+            decode_with_metrics(tabular_v4, tabular_v4_drafter, "vanilla", TreeMask.chain(2),
+                                RelaxConfig(), 4, RngStream(0), kappa=kappa)
+    assert ExperimentConfig(**base, kappa=0.0).kappa == 0.0
+    _, metrics = decode_with_metrics(tabular_v4, tabular_v4_drafter, "vanilla", TreeMask.chain(2),
+                                     RelaxConfig(), 4, RngStream(0), kappa=0.0)
+    assert metrics.speedup_proxy == metrics.tokens_emitted / metrics.target_calls
+
+
 def test_mismatched_drafter_is_refused_before_decoding(tmp_path, model_files, tabular_v4):
     cases = [
         (tabular_v4, LinearDrafter.zeros(32, 8), "vocabulary"),  # V=4 target, V=32 drafter
@@ -407,6 +422,9 @@ def test_cli_reports_engine_errors(tmp_path, capsys):
         ["oracle", "--samples", "0"],
         ["oracle", "--len", "0", "--tree", "1"],
         ["decode", "--tree", "8,8,8"],
+        ["decode", "--tree", "1", "--len", "4", "--kappa", "-1"],
+        ["decode", "--len", "2", "--kappa", "-0.5"],
+        ["decode", "--len", "2", "--kappa", "nan"],
     ],
 )
 def test_cli_bad_flag_values_exit_2(tmp_path, model_files, capsys, flags):
@@ -503,6 +521,30 @@ def test_cli_bad_config_files_exit_2(tmp_path, model_files, capsys, command, dat
     err = capsys.readouterr().err
     assert message in err and "error:" in err and "Traceback" not in err
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize(
+    "spelling",
+    [lambda path: [f"--config={path}"], lambda path: ["--conf", path], lambda path: [f"--conf={path}"]],
+    ids=["equals", "prefix", "prefix-equals"],
+)
+def test_cli_bad_config_file_in_any_spelling_exits_2(tmp_path, model_files, capsys, spelling):
+    data = {"model": str(model_files["grid"]), "drafter": str(model_files["grid_drafter"]),
+            "mode": "cascade", "len": 4, "tvd-budget": 5, "out": str(tmp_path / "out.json")}
+    assert exit_code(["decode", *spelling(write_config(tmp_path, data))]) == 2
+    err = capsys.readouterr().err
+    assert "tvd budget must lie in [0, 1]" in err and "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_cli_config_equals_spelling_decodes_like_the_spaced_one(tmp_path, model_files):
+    config = {"model": str(model_files["grid"]), "drafter": str(model_files["grid_drafter"]),
+              "mode": "cascade", "seeds": "0,3", "len": 8}
+    spaced, equals = tmp_path / "spaced.jsonl", tmp_path / "equals.jsonl"
+    path = write_config(tmp_path, config)
+    assert run_cli(["decode", "--config", path, "--out", spaced]) == 0
+    assert run_cli(["decode", f"--config={path}", "--out", equals]) == 0
+    assert spaced.read_bytes() == equals.read_bytes()
 
 
 def test_cli_config_lists_are_comma_joined_for_seeds_and_tree(tmp_path, model_files):

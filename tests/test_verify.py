@@ -8,8 +8,12 @@ from specrelax import (
     DegenerateResidual,
     FeatureVec,
     GridPos,
+    GridWorldModel,
     LinearDrafter,
+    NonFinite,
     ProbDist,
+    TabularModel,
+    ZeroNormFeature,
     cosine_sim,
     RelaxConfig,
     RngStream,
@@ -80,9 +84,17 @@ def level_of(tree, node):
 
 
 def manual_evals(root_dist, node_specs):
-    """node_specs: list of (dist, feature) per node id."""
+    """node_specs: list of (dist, feature) per node id, all features of one dimension."""
     root = TargetEval(root_dist, unit_feature(0))
-    return TreeEvals(root, [TargetEval(d, f) for d, f in node_specs])
+    features = np.array([f.values for _, f in node_specs])
+    features.flags.writeable = False
+    norms = np.array([f.norm for _, f in node_specs])
+    return TreeEvals(root, [d for d, _ in node_specs], features, norms)
+
+
+def node_features(evals):
+    """Each node's feature row of `evals` as a FeatureVec, for the scalar `cosine_sim`."""
+    return [FeatureVec(row) for row in evals.features]
 
 
 # --- relax_q ------------------------------------------------------------------
@@ -240,7 +252,7 @@ def test_relax_config_validation():
 def test_build_sets_propagates_zero_norm_features():
     from specrelax import ZeroNormFeature
 
-    feats = [unit_feature(0), FeatureVec([1e-13, 0.0]), unit_feature(1)]
+    feats = [unit_feature(0), FeatureVec([1e-13, 0.0, 0.0, 0.0]), unit_feature(1)]
     tree, evals = sibling_tree_with_features(feats)
     with pytest.raises(ZeroNormFeature):
         build_sets(tree, evals, RelaxConfig(tau_pos=0.5, tau_seq=1.01))
@@ -254,9 +266,11 @@ def test_gridworld_same_cluster_siblings_always_interchangeable(gridworld):
     assert len(sets.inter_pairs[1]) == 6  # all pairs of the 4 siblings
 
 
-def scalar_sets(tree, evals, cfg):
-    """Reference definition of the similarity sets: one `cosine_sim` per candidate pair."""
-    feature = [ev.feature for ev in evals.nodes]
+def scalar_sets(tree, feature, cfg):
+    """Reference definition of the similarity sets: one `cosine_sim` per candidate pair.
+
+    `feature[i]` is node i's FeatureVec.
+    """
     inter_pairs = {}
     if cfg.tau_pos <= 1.0:
         for level in range(1, tree.depth + 1):
@@ -290,7 +304,7 @@ SET_CONFIGS = list(dict.fromkeys(
 
 def assert_sets_match_scalar(tree, evals, configs=SET_CONFIGS):
     for cfg in configs:
-        assert build_sets(tree, evals, cfg) == scalar_sets(tree, evals, cfg), cfg
+        assert build_sets(tree, evals, cfg) == scalar_sets(tree, node_features(evals), cfg), cfg
 
 
 def test_build_sets_match_scalar_definition_on_random_tabular_trees():
@@ -386,12 +400,168 @@ def test_build_sets_raises_zero_norm_exactly_where_scalar_does():
         evals = manual_evals(root_dist, [(root_dist, f) for f in feats])
         for cfg in SET_CONFIGS:
             try:
-                expected = scalar_sets(tree, evals, cfg)
+                expected = scalar_sets(tree, feats, cfg)
             except ZeroNormFeature:
                 with pytest.raises(ZeroNormFeature):
                     build_sets(tree, evals, cfg)
             else:
                 assert build_sets(tree, evals, cfg) == expected
+
+
+# --- evaluate_tree --------------------------------------------------------------
+
+
+def per_node_evals(target, tree):
+    """Scalar reference of the batched pass: one `evaluate` per node, at its level's
+    sequence index clamped to the grid's last cell."""
+    cap = tree.side * tree.side - 1
+    evals = []
+    for level in range(1, tree.depth + 1):
+        pos = GridPos.from_index(min(tree.start_index + level, cap), tree.side)
+        evals += [target.evaluate(tree.paths[node], pos) for node in tree.level(level)]
+    return evals
+
+
+def assert_batch_matches_per_node(target, tree):
+    evals = evaluate_tree(target, tree)
+    reference = per_node_evals(target, tree)
+    n, h = len(reference), len(reference[0].feature)
+    root = target.evaluate(tree.prefix, tree.start_pos)
+    assert evals.root.dist is root.dist
+    assert evals.root.feature.values.tobytes() == root.feature.values.tobytes()
+    assert len(evals.dists) == n
+    assert evals.features.shape == (n, h) and evals.features.dtype == np.float64
+    assert not evals.features.flags.writeable
+    assert evals.norms.shape == (n,) and evals.norms.dtype == np.float64
+    for node, ev in enumerate(reference):
+        assert evals.dists[node] is ev.dist  # the walk's own law, not a copy
+        assert evals.dists[node].mass.tobytes() == ev.dist.mass.tobytes()
+        assert evals.features[node].tobytes() == ev.feature.values.tobytes()
+        assert float(evals.norms[node]).hex() == ev.feature.norm.hex()
+    return reference
+
+
+def grid_trees(target, drafter):
+    """Top-k and stochastic default-mask trees across the grid, then trees that
+    reach past its last cell (their deepest level is evaluated there)."""
+    trees = []
+    for seed, start in enumerate((0, 5, 23, 40, 59)):
+        prefix = [(7 * seed + 3 * i) % target.vocab for i in range(start)]
+        for mode in ("topk", STOCHASTIC):
+            trees.append(sample_draft_tree(
+                drafter, prefix, GridPos.from_index(start, target.side), TreeMask.default(),
+                RngStream(seed), mode=mode,
+            ))
+    for start, mask in ((62, TreeMask((4, 2))), (63, TreeMask((3,)))):
+        prefix = [i % target.vocab for i in range(start)]
+        trees.append(sample_draft_tree(
+            drafter, prefix, GridPos.from_index(start, target.side), mask, RngStream(start),
+            mode=STOCHASTIC,
+        ))
+    return trees
+
+
+def random_anchor_gridworld(seed=0):
+    """The default grid layout with seeded random anchors: a row-wise norm of its
+    features differs in the last bit from some `FeatureVec.norm`."""
+    layout, rng = GridWorldModel.default(), np.random.default_rng(seed)
+    return GridWorldModel(
+        8, 32, 8, layout.clusters, layout.regions, layout.region_clusters,
+        [rng.normal(size=8) for _ in range(3)], [rng.normal(size=8) for _ in range(4)],
+        feature_mix=0.7,
+    )
+
+
+@pytest.mark.parametrize(
+    "make_target",
+    [
+        GridWorldModel.default,
+        lambda: GridWorldModel.default(feature_jitter=0.05),
+        random_anchor_gridworld,
+    ],
+    ids=["default", "jitter", "random-anchors"],
+)
+def test_evaluate_batch_matches_per_node_evaluate_on_gridworlds(make_target):
+    target = make_target()
+    drafter = LinearDrafter.zeros(32, 8)
+    trees = grid_trees(target, drafter)
+    assert {tree.start_index + tree.depth for tree in trees} >= {64}  # the clamped cell
+    for tree in trees:
+        assert_batch_matches_per_node(target, tree)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_evaluate_batch_matches_per_node_evaluate_on_tabular_models(order):
+    for seed in range(4):
+        target = random_tabular_model(5, order, seed=seed, h=3)
+        drafter = tempered_table_drafter(target)
+        # Prefixes shorter than, equal to and longer than the window.
+        for prefix in ([], [seed % 5], [1, 4, seed % 5]):
+            for mode in ("topk", STOCHASTIC):
+                tree = sample_draft_tree(
+                    drafter, prefix, GridPos.from_index(len(prefix), 8), TreeMask.default(),
+                    RngStream(seed), mode=mode, side=8,
+                )
+                assert_batch_matches_per_node(target, tree)
+
+
+def test_evaluate_batch_matches_per_node_evaluate_on_pruned_trees():
+    tabular = random_tabular_model(4, 1, seed=3, h=3)
+    grid = small_gridworld()
+    mask = TreeMask((3, 3, 2))
+    for target, mass in ((tabular, [0.6, 0.0, 0.4, 0.0]), (grid, [0.0, 0.6, 0.0, 0.0, 0.4, 0, 0, 0])):
+        for mode in ("topk", STOCHASTIC):
+            tree = sample_draft_tree(
+                FixedDrafter(mass), [], GridPos(0, 0), mask, RngStream(1), mode=mode, side=2,
+            )
+            assert [len(tree.level(lvl)) for lvl in (1, 2, 3)] == [2, 4, 8]
+            assert_batch_matches_per_node(target, tree)
+
+
+def test_batched_sets_raise_zero_norm_exactly_where_per_node_features_do():
+    base = random_tabular_model(3, 1, seed=2, h=3)
+    zero = FeatureVec([0.0, 1e-13, 0.0])
+    raised = 0
+    for zero_window in [(), (0,), (1,), (2,)]:
+        features = {w: (zero if w == zero_window else f) for w, f in base._features.items()}
+        target = TabularModel(3, 1, base._table, features, 3)
+        for mode in ("topk", STOCHASTIC):
+            for mask in (TreeMask((2, 2, 1)), TreeMask((3, 1))):
+                tree = sample_draft_tree(
+                    tempered_table_drafter(base), [1], GridPos(0, 1), mask, RngStream(7),
+                    mode=mode, side=4,
+                )
+                evals = evaluate_tree(target, tree)
+                feats = [ev.feature for ev in assert_batch_matches_per_node(target, tree)]
+                for cfg in SET_CONFIGS:
+                    try:
+                        expected = scalar_sets(tree, feats, cfg)
+                    except ZeroNormFeature:
+                        raised += 1
+                        with pytest.raises(ZeroNormFeature):
+                            build_sets(tree, evals, cfg)
+                    else:
+                        assert build_sets(tree, evals, cfg) == expected
+    assert raised > 0
+
+
+def test_gridworld_batch_raises_where_evaluate_does_on_cancelling_anchors():
+    # Cluster 1's anchor cancels the region anchor: 1 + 0.2 * -5 == 0.
+    target = GridWorldModel(
+        side=2, vocab=4, h=2, clusters=[0, 0, 1, 1], regions=[0, 0, 0, 0], region_clusters=[0],
+        region_anchors=[[1.0, 0.0]], cluster_anchors=[[0.0, 1.0], [-5.0, 0.0]],
+    )
+    mask = TreeMask((2, 1))
+    with np.errstate(invalid="ignore"):
+        safe = sample_draft_tree(FixedDrafter([0.5, 0.5, 0, 0]), [], GridPos(0, 0), mask,
+                                 RngStream(0), side=2)
+        assert_batch_matches_per_node(target, safe)
+        bad = sample_draft_tree(FixedDrafter([0.5, 0, 0.5, 0]), [], GridPos(0, 0), mask,
+                                RngStream(0), side=2)
+        with pytest.raises(NonFinite):
+            per_node_evals(target, bad)
+        with pytest.raises(NonFinite):
+            evaluate_tree(target, bad)
 
 
 # --- verify_vanilla -----------------------------------------------------------
@@ -725,23 +895,25 @@ def closed_form_outcome_law(tree, evals, cfg):
     relax = cfg is not None and (cfg.tau_pos <= 1.0 or cfg.tau_seq <= 1.0)
     tree_tokens = tree.tokens
 
+    features = node_features(evals)
+
     def partner_masses(node, siblings, q):
         mass_i, seen = 0.0, {tree_tokens[node]}
         if cfg.tau_pos <= 1.0:
-            feat = evals.nodes[node].feature
+            feat = features[node]
             for other in siblings:
                 if other == node:
                     continue
-                if cosine_sim(feat, evals.nodes[other].feature) >= cfg.tau_pos:
+                if cosine_sim(feat, features[other]) >= cfg.tau_pos:
                     mass_i += q[tree_tokens[other]]
                     seen.add(tree_tokens[other])
         mass_c = 0.0
         if cfg.tau_seq <= 1.0:
-            feat = evals.nodes[node].feature
+            feat = features[node]
             for child in tree.children[node]:
                 if tree_tokens[child] in seen:
                     continue
-                if cosine_sim(feat, evals.nodes[child].feature) >= cfg.tau_seq:
+                if cosine_sim(feat, features[child]) >= cfg.tau_seq:
                     mass_c += q[tree_tokens[child]]
                     seen.add(tree_tokens[child])
         return mass_i, mass_c
@@ -756,7 +928,7 @@ def closed_form_outcome_law(tree, evals, cfg):
         if not siblings:
             results[tokens] = results.get(tokens, 0.0) + weight
             return
-        q = (evals.root if parent is None else evals.nodes[parent]).dist
+        q = evals.root.dist if parent is None else evals.dists[parent]
         p_full = tree.root_dist if parent is None else tree.child_dists[parent]
         survive = weight
         budget = budget_left
@@ -844,6 +1016,18 @@ def test_engine_matches_closed_form_outcome_law_vanilla():
 
 
 # --- decode_sequence ------------------------------------------------------------
+
+
+def test_decode_sequence_refuses_bad_requests_with_config_error(tabular_v4, tabular_v4_drafter):
+    args = (TreeMask.chain(2), RelaxConfig())
+    with pytest.raises(ConfigError, match="mode must be one of"):
+        decode_sequence(tabular_v4, tabular_v4_drafter, "bogus", *args, 4, RngStream(0))
+    with pytest.raises(ConfigError, match="exceeds the 8x8 grid"):
+        decode_sequence(GridWorldModel.default(), LinearDrafter.zeros(32, 8), "vanilla", *args, 65,
+                        RngStream(0))
+    for mode in ("vanilla", "cascade"):
+        with pytest.raises(ConfigError, match="requires a drafter"):
+            decode_sequence(tabular_v4, None, mode, *args, 4, RngStream(0))
 
 
 def test_ar_mode_counts(tabular_v4):
