@@ -19,9 +19,11 @@ import numpy as np
 from .core import ConfigError, FeatureVec, GridPos, RngStream, RowOutOfRange, TokenId, cosine_sim, derive_seed
 from .models import Drafter, Target, enumerate_ar_distribution, load_model
 from .tree import STOCHASTIC, TOPK, TreeMask
-from .verify import AR, MODES, RelaxConfig, decode_sequence
+from .verify import AR, MODES, DecodeStats, RelaxConfig, decode_lanes, decode_sequence
 
 DEFAULT_KAPPA = 0.1
+# Samples `mc_distribution_test` decodes in lockstep at a time.
+MC_LANES = 1000
 
 
 # Metrics field -> JSONL key; every record conversion derives from this table.
@@ -69,6 +71,22 @@ def _check_kappa(kappa: float) -> None:
         raise ConfigError(f"kappa must be finite and non-negative, got {kappa!r}")
 
 
+def _metrics(mode: str, stats: DecodeStats, kappa: float) -> Metrics:
+    """Summarize one decode's counters; `ar` scores mean alpha 1.0 and speedup 1.0 by convention."""
+    if mode == AR:
+        return Metrics(1.0, stats.target_calls, 0, 1.0, 0.0, 0.0, stats.tokens_emitted)
+    cost = stats.target_calls + kappa * stats.drafter_calls
+    return Metrics(
+        stats.accepted_draft_tokens / stats.verify_calls,
+        stats.target_calls,
+        stats.drafter_calls,
+        stats.tokens_emitted / cost,
+        stats.accumulated_tvd,
+        stats.accumulated_tvd / stats.tokens_emitted,
+        stats.tokens_emitted,
+    )
+
+
 def decode_with_metrics(
     target: Target,
     drafter: Drafter | None,
@@ -90,20 +108,7 @@ def decode_with_metrics(
         target, drafter, mode, mask, cfg, length, rng,
         candidate_mode=candidate_mode, on_outcome=on_outcome,
     )
-    if mode == AR:
-        metrics = Metrics(1.0, stats.target_calls, 0, 1.0, 0.0, 0.0, stats.tokens_emitted)
-    else:
-        cost = stats.target_calls + kappa * stats.drafter_calls
-        metrics = Metrics(
-            stats.accepted_draft_tokens / stats.verify_calls,
-            stats.target_calls,
-            stats.drafter_calls,
-            stats.tokens_emitted / cost,
-            stats.accumulated_tvd,
-            stats.accumulated_tvd / stats.tokens_emitted,
-            stats.tokens_emitted,
-        )
-    return tokens, metrics
+    return tokens, _metrics(mode, stats, kappa)
 
 
 @dataclass(frozen=True)
@@ -177,25 +182,22 @@ def run_experiment(cfg: ExperimentConfig) -> Metrics:
         length = target.grid_side * target.grid_side
     _check_length(target, drafter, length)
 
-    per_seed: list[Metrics] = []
-    metric_records: list[dict] = []
-    trace_records: list[dict] = []
-    first_tokens: list[TokenId] | None = None
-    for seed in cfg.seeds:
-        rng = RngStream(seed)
-        sink = None
-        if cfg.trace_path is not None:
-            def sink(cycle: int, outcome, _seed=seed) -> None:
-                for rec in outcome.trace:
-                    trace_records.append({"seed": _seed, "cycle": cycle, **rec.to_record()})
-        tokens, metrics = decode_with_metrics(
-            target, drafter, cfg.mode, cfg.mask, cfg.relax, length, rng,
-            kappa=cfg.kappa, candidate_mode=cfg.candidate_mode, on_outcome=sink,
-        )
-        if first_tokens is None:
-            first_tokens = tokens
-        per_seed.append(metrics)
-        metric_records.append({"seed": seed, **metrics.to_record()})
+    # One lane per seed; each lane's trace records are kept apart so that the
+    # file lists them seed by seed, cycle by cycle.
+    traces: list[list[dict]] = [[] for _ in cfg.seeds]
+    sink = None
+    if cfg.trace_path is not None:
+        def sink(lane: int, cycle: int, outcome) -> None:
+            seed = cfg.seeds[lane]
+            traces[lane].extend({"seed": seed, "cycle": cycle, **rec.to_record()} for rec in outcome.trace)
+    results = decode_lanes(
+        target, drafter, cfg.mode, cfg.mask, cfg.relax, length,
+        [RngStream(seed) for seed in cfg.seeds], candidate_mode=cfg.candidate_mode, on_outcome=sink,
+    )
+    per_seed = [_metrics(cfg.mode, stats, cfg.kappa) for _, stats in results]
+    metric_records = [{"seed": seed, **m.to_record()} for seed, m in zip(cfg.seeds, per_seed)]
+    trace_records = [record for trace in traces for record in trace]
+    first_tokens = results[0][0]
 
     aggregate = Metrics.aggregate(per_seed)
     if cfg.metrics_path is not None:
@@ -207,7 +209,7 @@ def run_experiment(cfg: ExperimentConfig) -> Metrics:
         with open(cfg.trace_path, "w", encoding="utf-8", newline="\n") as out:
             for record in trace_records:
                 _dump_line(out, record)
-    if cfg.heatmap_path is not None and first_tokens is not None:
+    if cfg.heatmap_path is not None:
         side = target.grid_side or max(1, math.isqrt(max(length - 1, 0)) + 1)
         export_similarity_heatmap(target, first_tokens, range(side), cfg.heatmap_path)
     return aggregate
@@ -241,7 +243,8 @@ def mc_distribution_test(
     """Empirical sequence law over `samples` seeded decodes versus the exact law.
 
     Draft candidates are sampled (not ranked) here, since the exactness claim
-    concerns proposals drawn from the drafter. The pass flag applies the
+    concerns proposals drawn from the drafter. The samples are decoded as
+    lanes, MC_LANES at a time. The pass flag applies the
     3 * sqrt(V^length / samples) multinomial bound; stricter caps are the
     caller's business.
     """
@@ -253,13 +256,13 @@ def mc_distribution_test(
     mask = mask if mask is not None else TreeMask.chain(length)
     relax = relax if relax is not None else RelaxConfig()
     counts: dict[tuple[int, ...], int] = {}
-    for i in range(samples):
-        rng = RngStream(derive_seed(base_seed, i))
-        tokens, _ = decode_sequence(
-            target, drafter, mode, mask, relax, length, rng, candidate_mode=STOCHASTIC
-        )
-        key = tuple(tokens)
-        counts[key] = counts.get(key, 0) + 1
+    for lo in range(0, samples, MC_LANES):
+        rngs = [RngStream(derive_seed(base_seed, i)) for i in range(lo, min(lo + MC_LANES, samples))]
+        for tokens, _ in decode_lanes(
+            target, drafter, mode, mask, relax, length, rngs, candidate_mode=STOCHASTIC
+        ):
+            key = tuple(tokens)
+            counts[key] = counts.get(key, 0) + 1
     distance = 0.0
     for key, prob in oracle.items():
         distance += abs(counts.get(key, 0) / samples - prob)

@@ -13,7 +13,7 @@ import itertools
 import json
 import math
 from pathlib import Path
-from typing import Mapping, NamedTuple, Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -30,6 +30,9 @@ from .core import (
     UnknownWindow,
     _mix64,
 )
+
+if TYPE_CHECKING:
+    from .tree import NodePaths
 
 FORMAT_VERSION = 1
 ENUMERATION_GUARD = 1_000_000
@@ -59,8 +62,20 @@ class TargetEval(NamedTuple):
 @runtime_checkable
 class Drafter(Protocol):
     grid_side: int | None
+    # How many trailing tokens of a prefix `conditionals` reads.
+    context: int
 
     def distribution(self, prefix: Sequence[TokenId], pos: GridPos) -> ProbDist: ...
+
+    def conditionals(self, contexts: np.ndarray, index: np.ndarray, side: int) -> np.ndarray:
+        """The next-token conditionals of many prefixes, as the rows of one `(n, V)` array.
+
+        Prefix j (never empty) has length `index[j]`, so its next token sits
+        at that sequence index of a `side` x `side` grid; `contexts[j]` holds
+        its last `context` tokens, -1 before its start. Row j equals the mass
+        of `distribution(prefix, pos)` bit for bit.
+        """
+        ...
 
 
 # Per node of a batch: its next-token laws, its features as the rows of one
@@ -74,19 +89,12 @@ class Target(Protocol):
 
     def evaluate(self, prefix: Sequence[TokenId], pos: GridPos) -> TargetEval: ...
 
-    def evaluate_batch(
-        self,
-        paths: Sequence[Sequence[TokenId]],
-        level_starts: Sequence[int],
-        start_index: int,
-        side: int,
-    ) -> BatchEval:
-        """Evaluate every node of a level-major draft tree in one call.
+    def evaluate_batch(self, paths: "NodePaths", side: int) -> BatchEval:
+        """Evaluate every node of a draft forest in one call.
 
-        Node i has prefix `paths[i]` (never empty). Level l (1-based) holds
-        ids `level_starts[l-1] .. level_starts[l]-1` and sits at sequence
-        index `start_index + l` of a `side` x `side` grid, clamped to its last
-        cell. Row i of the result equals `evaluate(paths[i], pos)` bit for bit.
+        Node i has prefix `paths[i]` (never empty) and sits at sequence index
+        `paths.index[i]` of a `side` x `side` grid, clamped to its last cell.
+        Row i of the result equals `evaluate(paths[i], pos)` bit for bit.
         """
         ...
 
@@ -139,6 +147,11 @@ class TabularModel:
         self._evals: dict[Window, TargetEval] = {
             w: TargetEval(self._table[w], self._features[w]) for w in self._table
         }
+        # Every window's evaluation in window-id order, its features and
+        # norms stacked, and its conditionals stacked; built on first use.
+        self._rows: list[TargetEval] | None = None
+        self._row_features: tuple[np.ndarray, np.ndarray] | None = None
+        self._row_masses: np.ndarray | None = None
 
     def window(self, prefix: Sequence[TokenId]) -> Window:
         if len(prefix) >= self.order:
@@ -152,28 +165,50 @@ class TabularModel:
         except KeyError:
             raise UnknownWindow(f"no table row for window {key}") from None
 
-    def evaluate_batch(
-        self,
-        paths: Sequence[Sequence[TokenId]],
-        level_starts: Sequence[int],
-        start_index: int,
-        side: int,
-    ) -> BatchEval:
-        """`Target.evaluate_batch`; a tabular law ignores the grid, so only `paths` is read."""
-        dists: list[ProbDist] = []
-        values: list[np.ndarray] = []
-        norms: list[float] = []
-        for path in paths:
-            key = self.window(path)
-            ev = self._evals.get(key)
-            if ev is None:
-                raise UnknownWindow(f"no table row for window {key}")
-            dists.append(ev.dist)
-            values.append(ev.feature.values)
-            norms.append(ev.feature.norm)
-        features = np.array(values)
+    def _window_ids(self, tails: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """Each window's id: windows of length m follow all shorter ones in
+        lexicographic order, so the id is (V^m - 1) / (V - 1) plus the window
+        read in base V. Row j of `tails` ends with a window of `lengths[j]` tokens."""
+        if self._rows is None:
+            self._rows = [
+                self._evals[window]
+                for length in range(self.order + 1)
+                for window in itertools.product(range(self.vocab), repeat=length)
+            ]
+        k, v = self.order, self.vocab
+        length = np.minimum(lengths, k)
+        inside = np.arange(k) >= (k - length)[:, None]
+        bad = ((tails < 0) | (tails >= v)) & inside
+        if bad.any():
+            j = int(np.flatnonzero(bad.any(axis=1))[0])
+            raise UnknownWindow(f"no table row for window {tuple(tails[j][inside[j]].tolist())}")
+        sizes = v ** np.arange(k + 1, dtype=np.intp)
+        powers = sizes[k - 1 :: -1] if k else sizes[:0]
+        return (np.cumsum(sizes) - sizes)[length] + (np.where(inside, tails, 0) * powers).sum(axis=1)
+
+    def evaluate_batch(self, paths: "NodePaths", side: int) -> BatchEval:
+        """`Target.evaluate_batch`; a tabular law ignores the grid, so only the windows are read."""
+        ids = self._window_ids(paths.tail(self.order, np.arange(len(paths))), paths.index)
+        if self._row_features is None:
+            values = np.array([ev.feature.values for ev in self._rows]).reshape(len(self._rows), self.h)
+            values.flags.writeable = False
+            self._row_features = (values, np.array([ev.feature.norm for ev in self._rows]))
+        values, norms = self._row_features
+        features = values.take(ids, axis=0)
         features.flags.writeable = False
-        return dists, features, np.array(norms)
+        return [self._rows[i].dist for i in ids.tolist()], features, norms.take(ids)
+
+    @property
+    def context(self) -> int:
+        return self.order
+
+    def conditionals(self, contexts: np.ndarray, index: np.ndarray, side: int) -> np.ndarray:
+        """`Drafter.conditionals`: each prefix's window row."""
+        ids = self._window_ids(contexts, index)
+        if self._row_masses is None:
+            self._row_masses = np.array([ev.dist.mass for ev in self._rows])
+            self._row_masses.flags.writeable = False
+        return self._row_masses.take(ids, axis=0)
 
     def distribution(self, prefix: Sequence[TokenId], pos: GridPos) -> ProbDist:
         return self.evaluate(prefix, pos).dist
@@ -276,6 +311,10 @@ class GridWorldModel:
         ]
 
         self._dist_by_region = [self._build_region_dist(r) for r in range(n_regions)]
+        self._region_masses = np.array([d.mass for d in self._dist_by_region])
+        self._region_masses.flags.writeable = False
+        self._region_array = np.array(self.regions, dtype=np.intp)
+        self._cluster_array = np.array(self.clusters, dtype=np.intp)
         self._n_clusters = n_clusters
         self._feature_cache: dict[tuple[int, int | None], FeatureVec] = {}
         # `_build_feature_table`'s result, built by the first `evaluate_batch`.
@@ -356,42 +395,34 @@ class GridWorldModel:
             feat = self._cached_feature(region, cluster)
         return TargetEval(self._dist_by_region[region], feat)
 
-    def evaluate_batch(
-        self,
-        paths: Sequence[Sequence[TokenId]],
-        level_starts: Sequence[int],
-        start_index: int,
-        side: int,
-    ) -> BatchEval:
-        """`Target.evaluate_batch`: one law per level; unjittered rows come from one table."""
-        jittered = self.feature_jitter > 0.0
-        if not jittered and self._feature_table is None:
-            self._feature_table = self._build_feature_table()
-        cap = side * side - 1
-        clusters = self.clusters
-        dists: list[ProbDist] = []
-        rows: list[int] = []
-        feats: list[FeatureVec] = []
-        for level in range(1, len(level_starts)):
-            lo, hi = level_starts[level - 1], level_starts[level]
-            pos = GridPos.from_index(min(start_index + level, cap), side)
-            region = self.region_of(pos)
-            dists += [self._dist_by_region[region]] * (hi - lo)
-            if jittered:
-                feats += [
-                    self._make_feature(region, clusters[path[-1]], self._jitter(path, pos))
-                    for path in paths[lo:hi]
-                ]
-            else:
-                base = region * self._n_clusters
-                rows += [base + clusters[path[-1]] for path in paths[lo:hi]]
-        if jittered:
-            features = np.array([feat.values for feat in feats])
+    def _regions(self, index: np.ndarray, side: int) -> np.ndarray:
+        """The region of each sequence index of a `side` x `side` grid."""
+        return self._region_array[index // side * self.side + index % side]
+
+    def evaluate_batch(self, paths: "NodePaths", side: int) -> BatchEval:
+        """`Target.evaluate_batch`: laws by region; unjittered features come from one table."""
+        cells = np.minimum(paths.index, side * side - 1)
+        regions = self._regions(cells, side)
+        dists = list(map(self._dist_by_region.__getitem__, regions.tolist()))
+        if self.feature_jitter > 0.0:
+            clusters = self.clusters
+            feats = [
+                self._make_feature(
+                    region, clusters[token], self._jitter(paths[node], GridPos.from_index(cell, side))
+                )
+                for node, (region, token, cell) in enumerate(
+                    zip(regions.tolist(), paths.token.tolist(), cells.tolist())
+                )
+            ]
+            features = np.array([feat.values for feat in feats]).reshape(len(feats), self.h)
             norms = np.array([feat.norm for feat in feats])
         else:
+            if self._feature_table is None:
+                self._feature_table = self._build_feature_table()
             table, table_norms, undefined = self._feature_table
-            if undefined and not undefined.isdisjoint(rows):
-                first_bad = next(row for row in rows if row in undefined)
+            rows = regions * self._n_clusters + self._cluster_array[paths.token]
+            if undefined and not undefined.isdisjoint(rows.tolist()):
+                first_bad = next(row for row in rows.tolist() if row in undefined)
                 self._cached_feature(*divmod(first_bad, self._n_clusters))  # raises NonFinite
             features, norms = table.take(rows, axis=0), table_norms.take(rows)
         features.flags.writeable = False
@@ -399,6 +430,12 @@ class GridWorldModel:
 
     def distribution(self, prefix: Sequence[TokenId], pos: GridPos) -> ProbDist:
         return self._dist_by_region[self.region_of(pos)]
+
+    context = 0
+
+    def conditionals(self, contexts: np.ndarray, index: np.ndarray, side: int) -> np.ndarray:
+        """`Drafter.conditionals`: each prefix's region law."""
+        return self._region_masses.take(self._regions(index, side), axis=0)
 
     @classmethod
     def default(cls, feature_jitter: float = 0.0) -> "GridWorldModel":
@@ -531,10 +568,14 @@ class LinearDrafter:
         table.flags.writeable = False
         return table
 
-    def distribution(self, prefix: Sequence[TokenId], pos: GridPos) -> ProbDist:
+    def _softmax_table(self) -> np.ndarray:
         if self._table is None:
             self._table = self._build_table()
             self._rows = [None] * len(self._table)
+        return self._table
+
+    def distribution(self, prefix: Sequence[TokenId], pos: GridPos) -> ProbDist:
+        self._softmax_table()
         n = self.side
         row, col = pos
         last = prefix[-1] + 1 if len(prefix) > 0 else 0
@@ -546,6 +587,24 @@ class LinearDrafter:
         if dist is None:
             dist = self._rows[index] = ProbDist._of_checked_row(self._table[index])
         return dist
+
+    context = 1
+
+    def conditionals(self, contexts: np.ndarray, index: np.ndarray, side: int) -> np.ndarray:
+        """`Drafter.conditionals`: one gather from the softmax table."""
+        table = self._softmax_table()
+        n = self.side
+        last = contexts[:, 0] + 1
+        if side == n:
+            rows = last * (n * n) + index
+        else:
+            row, col = np.divmod(index, side)
+            if row.max(initial=0) >= n or col.max(initial=0) >= n:
+                raise UnknownWindow(f"a cell of the {side}x{side} grid lies outside the drafter's {n}x{n} grid")
+            rows = (last * n + row) * n + col
+        if last.min(initial=1) < 1 or last.max(initial=1) > self.vocab:
+            raise UnknownWindow(f"a last token lies outside the drafter's {self.vocab} tokens")
+        return table.take(rows, axis=0)
 
     def to_dict(self) -> dict:
         return {

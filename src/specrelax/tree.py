@@ -1,14 +1,18 @@
-"""Static tree masks and drafter-sampled token trees.
+"""Static tree masks and drafter-sampled token forests.
 
 A mask fixes how many sibling candidates each surviving branch spawns per
-level; sampling instantiates it against a drafter into flat per-node lists,
-recording every node's token, drafter probability, parent, children, path
-and the conditional the node's children were drawn from. The sibling and
+level; sampling instantiates it against a drafter, for every lane of a
+forest at once, into flat per-node lists. A lane is one sequence being
+decoded, with its own prefix, clipped mask and random stream. Each level is
+drafted with one drafter lookup and one numpy candidate selection for all
+lanes; paths and child conditionals are read lazily. The sibling and
 parent-child pairs of a tree shape are indexed once per shape.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -21,6 +25,17 @@ from .models import Drafter
 DEFAULT_NODE_CAP = 256
 TOPK = "topk"
 STOCHASTIC = "stochastic"
+CANDIDATE_MODES = (TOPK, STOCHASTIC)
+
+# Total mass at or below which a draw without replacement stops early.
+EXHAUSTION_FLOOR = 1e-12
+# A row whose every positive mass exceeds this is drawn min(width, positive
+# tokens) times: the running total stays above EXHAUSTION_FLOOR until the
+# positive tokens run out, whatever the draws pick.
+SAFE_MIN_MASS = 1e-9
+# Rows this wide or wider are drawn one at a time when they may run out of
+# positive tokens: the rounding left in the running total then grows past the floor.
+SAFE_ROW_WIDTH = 4096
 
 
 @dataclass(frozen=True)
@@ -74,48 +89,133 @@ class TreeMask:
 
 
 ROOT = -1  # parent index of level-1 nodes
-_NO_CHILDREN = range(0)
+
+
+class NodePaths:
+    """Every node's path, its lane's prefix plus the tokens from the lane's root to it.
+
+    Nothing is materialized up front: `token[i]` is the path's last token,
+    `index[i]` its length (the sequence index of the token that follows it),
+    `tail(k, nodes)` the last k tokens of several paths at once, and
+    `paths[i]` one whole path. Level-1 nodes have parent `ROOT`.
+    """
+
+    __slots__ = ("prefixes", "lane", "parent", "token", "index")
+
+    def __init__(
+        self,
+        prefixes: Sequence[tuple[TokenId, ...]],
+        lane: np.ndarray,
+        parent: np.ndarray,
+        token: np.ndarray,
+        index: np.ndarray,
+    ) -> None:
+        self.prefixes = prefixes
+        self.lane = lane
+        self.parent = parent
+        self.token = token
+        self.index = index
+
+    def __len__(self) -> int:
+        return len(self.token)
+
+    def __getitem__(self, node: int) -> tuple[TokenId, ...]:
+        drafted: list[TokenId] = []
+        lane = int(self.lane[node])
+        while node != ROOT:
+            drafted.append(int(self.token[node]))
+            node = int(self.parent[node])
+        return self.prefixes[lane] + tuple(reversed(drafted))
+
+    def tail(self, k: int, nodes: np.ndarray) -> np.ndarray:
+        """The last `k` tokens of each listed path, in order, as an int array; -1 pads short paths."""
+        lanes = self.lane[nodes]
+        prefix_len = np.array([len(p) for p in self.prefixes])
+        drafted = self.index[nodes] - prefix_len[lanes]
+        out = np.full((len(nodes), k), -1, dtype=np.intp)
+        # before[l, b]: the token b + 1 places before the end of lane l's prefix.
+        before = np.full((len(self.prefixes), k), -1, dtype=np.intp)
+        if (drafted < k).any():
+            for lane, prefix in enumerate(self.prefixes):
+                back = prefix[: len(prefix) - k - 1 : -1] if len(prefix) > k else prefix[::-1]
+                before[lane, : len(back)] = back
+        node = np.asarray(nodes)
+        for back in range(k):
+            col = k - 1 - back
+            drafted_here = back < drafted
+            out[drafted_here, col] = self.token[node[drafted_here]]
+            in_prefix = ~drafted_here
+            out[in_prefix, col] = before[lanes[in_prefix], (back - drafted)[in_prefix]]
+            node = np.where(drafted_here, self.parent[node], node)
+        return out
+
+
+class ChildDists:
+    """Each node's drafter conditional for its children, wrapped on first read.
+
+    Node i's conditional is row `rows[i]` of the read-only `table`; a
+    negative row marks a node on its lane's deepest level, whose entry is None.
+    """
+
+    __slots__ = ("table", "rows")
+
+    def __init__(self, table: np.ndarray, rows: list[int]) -> None:
+        self.table = table
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, node: int) -> ProbDist | None:
+        row = self.rows[node]
+        return None if row < 0 else ProbDist._of_checked_row(self.table[row])
 
 
 class DraftTree:
-    """A sampled speculation tree extending `prefix` from `start_pos`, as flat per-node lists.
+    """A draft forest: one speculation tree per lane, as flat per-node lists.
 
-    Node ids are level-major: level l (1-based) holds ids
-    `level_starts[l-1] .. level_starts[l]-1`, and the children of each node
-    are one contiguous id range, in the order they were drafted. Per node i:
-    `tokens[i]`, `probs[i]` (its drafter probability), `parents[i]` (`ROOT`
-    for level 1), `children[i]` (a range of ids), `child_dists[i]` (the
-    drafter conditional its children were drawn from; None on the deepest
-    level) and `paths[i]` (prefix plus the tokens from the root to i).
+    Lane k extends `prefixes[k]` from `start_positions[k]`, and
+    `root_dists[k]` is the drafter conditional its level 1 was drawn from.
+    Node ids are lane-major, and level-major within a lane: lane k's level l
+    (1-based) holds ids `level_starts[k][l-1] .. level_starts[k][l]-1`, and
+    the children of each node are one contiguous id range, in the order they
+    were drafted. Per node i: `tokens[i]`, `probs[i]` (its drafter
+    probability), `parents[i]` (`ROOT` on level 1), `children[i]` (a range of
+    ids), `child_dists[i]` (the conditional its children were drawn from;
+    None on its lane's deepest level) and `paths[i]` (its prefix plus the
+    tokens from its lane's root to i). The structure lists may be shared
+    with other forests of the same shape; treat them as read-only.
+
+    A one-lane forest is a plain draft tree: `prefix`, `start_pos`,
+    `start_index`, `root_dist`, `depth`, `level` and `layout` read its one
+    lane. `lane(k)` is lane k alone as such a tree, sharing the node lists
+    and ids of the forest. `nodes` spans every lane.
     """
 
     __slots__ = (
-        "prefix", "start_pos", "start_index", "side", "root_dist", "mask", "level_starts",
-        "tokens", "probs", "parents", "children", "child_dists", "paths",
+        "side", "prefixes", "start_positions", "root_dists", "level_starts",
+        "tokens", "probs", "parents", "children", "child_dists", "paths", "_shapes",
     )
 
     def __init__(
         self,
-        prefix: tuple[TokenId, ...],
-        start_pos: GridPos,
-        start_index: int,
         side: int,
-        root_dist: ProbDist,
-        mask: TreeMask,
-        level_starts: list[int],
+        prefixes: list[tuple[TokenId, ...]],
+        start_positions: list[GridPos],
+        root_dists: list[ProbDist],
+        level_starts: list[list[int]],
         tokens: list[TokenId],
         probs: list[float],
         parents: list[int],
         children: list[range],
-        child_dists: list[ProbDist | None],
-        paths: list[tuple[TokenId, ...]],
+        child_dists: Sequence[ProbDist | None],
+        paths: Sequence[tuple[TokenId, ...]],
+        shapes: list[tuple[int, ...]] | None = None,
     ) -> None:
-        self.prefix = prefix
-        self.start_pos = start_pos
-        self.start_index = start_index
         self.side = side
-        self.root_dist = root_dist
-        self.mask = mask
+        self.prefixes = prefixes
+        self.start_positions = start_positions
+        self.root_dists = root_dists
         self.level_starts = level_starts
         self.tokens = tokens
         self.probs = probs
@@ -123,23 +223,65 @@ class DraftTree:
         self.children = children
         self.child_dists = child_dists
         self.paths = paths
-
-    @property
-    def depth(self) -> int:
-        return len(self.level_starts) - 1
+        # Per lane, its parents counted from its first node: the key of its pair layout.
+        self._shapes = shapes
 
     @property
     def nodes(self) -> range:
-        """All node ids."""
-        return range(len(self.tokens))
+        """All node ids of every lane."""
+        return range(self.level_starts[0][0], self.level_starts[-1][-1])
+
+    def lane(self, k: int) -> "DraftTree":
+        """Lane `k` as a one-lane tree over the same node lists and ids."""
+        return DraftTree(
+            self.side, self.prefixes[k : k + 1], self.start_positions[k : k + 1],
+            self.root_dists[k : k + 1], self.level_starts[k : k + 1], self.tokens, self.probs,
+            self.parents, self.children, self.child_dists, self.paths,
+            None if self._shapes is None else self._shapes[k : k + 1],
+        )
+
+    def _only(self, per_lane: list):
+        if len(per_lane) != 1:
+            raise ValueError(f"a forest of {len(per_lane)} lanes: take one lane with lane(k)")
+        return per_lane[0]
+
+    @property
+    def prefix(self) -> tuple[TokenId, ...]:
+        return self._only(self.prefixes)
+
+    @property
+    def start_pos(self) -> GridPos:
+        return self._only(self.start_positions)
+
+    @property
+    def start_index(self) -> int:
+        return len(self.prefix)
+
+    @property
+    def root_dist(self) -> ProbDist:
+        return self._only(self.root_dists)
+
+    @property
+    def depth(self) -> int:
+        return len(self._only(self.level_starts)) - 1
 
     def level(self, level: int) -> range:
         """Node ids of level `level` (1-based)."""
-        return range(self.level_starts[level - 1], self.level_starts[level])
+        starts = self._only(self.level_starts)
+        return range(starts[level - 1], starts[level])
+
+    def shapes(self) -> tuple[tuple[int, ...], ...]:
+        """Each lane's shape: its parents, counted from its first node (`ROOT` kept)."""
+        if self._shapes is None:
+            self._shapes = [
+                tuple(p if p == ROOT else p - starts[0] for p in self.parents[starts[0] : starts[-1]])
+                for starts in self.level_starts
+            ]
+        return tuple(self._shapes)
 
     def layout(self) -> "PairLayout":
-        """Sibling and parent-child pairs of this tree's shape (cached per shape)."""
-        return pair_layout(tuple(self.parents))
+        """Sibling and parent-child pairs of this one-lane tree's shape (cached per shape)."""
+        return pair_layout(self._only(self.shapes()))
 
 
 class PairLayout(NamedTuple):
@@ -148,14 +290,15 @@ class PairLayout(NamedTuple):
     `first` and `second` list the sibling pairs (first < second, same parent),
     level by level, and then the parent-child links (parent, child) in child
     order; `level_ends[l-1]` is the end of level l's sibling pairs, so
-    `level_ends[-1]` counts them all. `pairs` repeats the arrays as Python
-    tuples for building result sets.
+    `level_ends[-1]` counts them all. `index` stacks `first` and `second` as
+    two rows. `pairs` repeats them as Python tuples.
     """
 
     first: np.ndarray
     second: np.ndarray
     pairs: tuple[tuple[int, int], ...]
     level_ends: tuple[int, ...]
+    index: np.ndarray
 
 
 @lru_cache(maxsize=64)
@@ -171,19 +314,148 @@ def pair_layout(parents: tuple[int, ...]) -> PairLayout:
         # Siblings are contiguous ids; a group ends where the parent changes.
         if node < len(parents) and parents[node] == parents[start]:
             continue
-        sibling_pairs.extend(
-            (a, b) for a in range(start, node) for b in range(a + 1, node)
-        )
+        sibling_pairs.extend((a, b) for a in range(start, node) for b in range(a + 1, node))
         if node == len(parents) or levels[node] != levels[start]:
             level_ends.append(len(sibling_pairs))
         start = node
     links = [(parent, child) for child, parent in enumerate(parents) if parent != ROOT]
     pairs = tuple(sibling_pairs + links)
-    index = np.array(pairs, dtype=np.intp).reshape(-1, 2)
-    first, second = index[:, 0].copy(), index[:, 1].copy()
-    first.flags.writeable = False
-    second.flags.writeable = False
-    return PairLayout(first, second, pairs, tuple(level_ends))
+    index = np.array(pairs, dtype=np.intp).reshape(-1, 2).T.copy()
+    index.flags.writeable = False
+    return PairLayout(index[0], index[1], pairs, tuple(level_ends), index)
+
+
+class ForestPairs(NamedTuple):
+    """The enabled pairs of a forest whose lanes start at id 0, level by level.
+
+    `first` and `second` list level 1's sibling pairs of every lane, then
+    level 2's, and so on, then every lane's parent-child links; `sibling`
+    marks the sibling pairs, and `groups[l-1]` is where level l starts
+    (`groups[-2]` where the links start, `groups[-1]` the end).
+    """
+
+    first: np.ndarray
+    second: np.ndarray
+    sibling: np.ndarray
+    groups: np.ndarray
+
+
+@lru_cache(maxsize=16)
+def forest_pairs(shapes: tuple[tuple[int, ...], ...], siblings: bool, links: bool) -> ForestPairs:
+    """Concatenate the lanes' per-shape layouts, each shifted by its lane's first node id.
+
+    Only sibling pairs (`siblings`) and parent-child links (`links`) that are
+    asked for are listed.
+    """
+    layouts = [pair_layout(shape) for shape in shapes]
+    offsets = np.cumsum([0] + [len(shape) for shape in shapes[:-1]])
+    depth = max(len(layout.level_ends) for layout in layouts)
+    parts: list[list[np.ndarray]] = [[] for _ in range(depth + 1)]
+    for layout, offset in zip(layouts, offsets.tolist()):
+        ends = (0,) + layout.level_ends
+        if siblings:
+            for level in range(1, len(layout.level_ends) + 1):
+                parts[level - 1].append(layout.index[:2, ends[level - 1] : ends[level]] + offset)
+        if links:
+            parts[depth].append(layout.index[:2, ends[-1] :] + offset)
+    blocks = [np.concatenate(group, axis=1) if group else np.empty((2, 0), np.intp) for group in parts]
+    index = np.concatenate(blocks, axis=1)
+    sizes = [block.shape[1] for block in blocks]
+    groups = np.cumsum([0] + sizes)
+    sibling = np.arange(index.shape[1]) < groups[depth]
+    for array in (index, sibling, groups):
+        array.flags.writeable = False
+    return ForestPairs(index[0], index[1], sibling, groups)
+
+
+class _Skeleton(NamedTuple):
+    """The structure of a drafted forest, everything but its tokens and probabilities.
+
+    `order[i]` is the drafting-order position of lane-major node i; drafting
+    order is level by level, each level grouped by lane. `cond_rows[i]` is
+    node i's row in the stacked child conditionals, which follow drafting
+    order, or -1 on its lane's deepest level.
+    """
+
+    order: np.ndarray
+    lane: np.ndarray
+    level: np.ndarray
+    parent: np.ndarray
+    parents: list[int]
+    children: list[range]
+    level_starts: list[list[int]]
+    shapes: list[tuple[int, ...]]
+    cond_rows: list[int]
+
+
+def _skeleton(depths: tuple[int, ...], kids: Sequence[np.ndarray]) -> _Skeleton:
+    """Lay out a forest whose lane k has `depths[k]` levels.
+
+    `kids[l-1][j]` counts the children of level l's j-th frontier row: the
+    lanes themselves on level 1, then, in drafting order, the nodes of the
+    level above whose lane goes deeper.
+    """
+    n_lanes = len(depths)
+    depth = np.array(depths)
+    row_lane = np.arange(n_lanes)
+    row_node = np.full(n_lanes, ROOT)
+    lanes, parents, levels = [], [], []
+    n = 0
+    for level, counts in enumerate(kids, start=1):
+        node_lane = np.repeat(row_lane, counts)
+        lanes.append(node_lane)
+        parents.append(np.repeat(row_node, counts))
+        levels.append(np.full(len(node_lane), level))
+        grows = depth[node_lane] > level
+        row_node = np.arange(n, n + len(node_lane))[grows]
+        row_lane = node_lane[grows]
+        n += len(node_lane)
+    drafted_lane = np.concatenate(lanes)
+    order = np.argsort(drafted_lane, kind="stable")
+    new_id = np.empty(n, dtype=np.intp)
+    new_id[order] = np.arange(n)
+    lane = drafted_lane[order]
+    level = np.concatenate(levels)[order]
+    old_parent = np.concatenate(parents)[order]
+    parent = np.where(old_parent == ROOT, ROOT, new_id[old_parent])
+    # Within a lane, parents never decrease along the ids: children are contiguous.
+    kid_ids = np.flatnonzero(parent != ROOT)
+    n_kids = np.bincount(parent[kid_ids], minlength=n)
+    first_kid = np.append(kid_ids, 0)[np.searchsorted(parent[kid_ids], np.arange(n))]
+    first_kid[n_kids == 0] = 0
+    grows = depth[lane] > level
+    cond_rows = np.full(n, -1)
+    drafted_grows = np.flatnonzero(grows[new_id])  # drafting-order positions of growing nodes
+    cond_rows[new_id[drafted_grows]] = np.arange(len(drafted_grows))
+    lane_size = np.bincount(lane, minlength=n_lanes)
+    lane_start = np.cumsum(lane_size) - lane_size
+    level_counts = np.zeros((n_lanes, int(depth.max()) + 1), dtype=np.intp)
+    np.add.at(level_counts, (lane, level), 1)
+    starts = lane_start[:, None] + np.cumsum(level_counts, axis=1)
+    parent.flags.writeable = False
+    lane.flags.writeable = False
+    level.flags.writeable = False
+    local = np.where(parent == ROOT, ROOT, parent - lane_start[lane]).tolist()
+    level_starts = [row[: d + 1] for row, d in zip(starts.tolist(), depths)]
+    return _Skeleton(
+        order, lane, level, parent, parent.tolist(),
+        list(map(range, first_kid.tolist(), (first_kid + n_kids).tolist())),
+        level_starts,
+        [tuple(local[s[0] : s[-1]]) for s in level_starts],
+        cond_rows.tolist(),
+    )
+
+
+@lru_cache(maxsize=64)
+def _full_skeleton(widths: tuple[int, ...], depths: tuple[int, ...]) -> _Skeleton:
+    """The skeleton of a forest in which every row has exactly its level's width of children."""
+    kids, rows = [], len(depths)
+    for level in range(1, max(depths) + 1):
+        kids.append(np.full(rows, widths[level - 1]))
+        rows = sum(
+            math.prod(widths[:level]) for d in depths if d > level
+        )
+    return _skeleton(depths, kids)
 
 
 def _inverse_cdf(mass: list[float], total: float, r: float) -> int:
@@ -199,95 +471,241 @@ def _inverse_cdf(mass: list[float], total: float, r: float) -> int:
     return last_positive
 
 
-def _select_candidates(
-    dist: ProbDist, width: int, mode: str, rng: RngStream
-) -> Sequence[tuple[TokenId, float]]:
-    """Pick up to `width` distinct positive-probability tokens from one conditional."""
-    if mode == TOPK:
-        return dist.ranked()[:width]
-    if mode == STOCHASTIC:
-        if width == 1:
-            token = dist.sample(rng)
-            return [(token, dist[token])]
-        working = dist.mass.tolist()
-        total = sum(working)
-        picked = []
-        for _ in range(width):
-            if total <= 1e-12:
-                break
-            token = _inverse_cdf(working, total, rng.next_real())
-            picked.append((token, dist[token]))
-            total -= working[token]
-            working[token] = 0.0
-        return picked
-    raise ValueError(f"unknown candidate mode {mode!r}")
+def _draw_row(mass: np.ndarray, width: int, rng: RngStream) -> list[TokenId]:
+    """Draw up to `width` distinct tokens from one row, one uniform at a time.
+
+    A width-1 row takes one inverse-CDF draw against the row's cumulative
+    sums. Wider rows draw sequentially without replacement against `r *
+    total`, taking the drawn token's mass off the running total, and stop
+    once that total is at most EXHAUSTION_FLOOR.
+    """
+    if width == 1:
+        cdf = np.cumsum(mass).tolist()
+        idx = bisect_right(cdf, rng.next_real())
+        if idx >= len(cdf):
+            # Cumulative rounding left the final cdf entry a hair below 1.
+            idx = len(cdf) - 1
+            while idx > 0 and mass[idx] == 0.0:
+                idx -= 1
+        return [idx]
+    working = mass.tolist()
+    total = sum(working)
+    picked = []
+    for _ in range(width):
+        if total <= EXHAUSTION_FLOOR:
+            break
+        token = _inverse_cdf(working, total, rng.next_real())
+        picked.append(token)
+        total -= working[token]
+        working[token] = 0.0
+    return picked
+
+
+def _top_k(rows: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Each row's `width` most probable positive tokens, ties to the lower id.
+
+    Returns the `(rows, width)` picks and, unless every pick is valid, which are.
+    """
+    picks = np.argsort(-rows, axis=1, kind="stable")[:, :width]
+    if rows.min() > 0.0:
+        return picks, None
+    return picks, rows[np.arange(len(rows))[:, None], picks] > 0.0
+
+
+def _stochastic(
+    rows: np.ndarray, width: int, row_lane: np.ndarray, rngs: Sequence[RngStream]
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Draw every row's candidates without replacement, one lane's uniforms in row order.
+
+    Each row makes exactly the draws `_draw_row` makes. Where every positive
+    mass of a row clears SAFE_MIN_MASS, that is min(width, positive tokens)
+    draws (one for width 1), so each lane's uniforms are taken up front and
+    all rows are drawn together, step by step, with the same cumulative sums,
+    `r * total` thresholds and running totals. A lane holding any other row
+    draws its rows one by one through `_draw_row`. Returns the `(rows,
+    width)` picks and, unless every pick is valid, which are.
+    """
+    n_rows, vocab = rows.shape
+    bounds = np.searchsorted(row_lane, np.arange(len(rngs) + 1)).tolist()
+    if rows.min() > SAFE_MIN_MASS:
+        uniforms = [
+            rng.next_real()
+            for rng, lo, hi in zip(rngs, bounds, bounds[1:])
+            for _ in range((hi - lo) * width)
+        ]
+        return _draw_steps(rows, np.array(uniforms).reshape(n_rows, width), None), None
+
+    positive = rows > 0.0
+    n_positive = positive.sum(axis=1)
+    draws = np.minimum(width, n_positive) if width > 1 else np.ones(n_rows, dtype=np.intp)
+    valid = np.arange(width) < draws[:, None]
+    min_positive = np.where(positive, rows, np.inf).min(axis=1)
+    safe = (width == 1) | (
+        (min_positive > SAFE_MIN_MASS) & ((n_positive >= width) | (vocab + width < SAFE_ROW_WIDTH))
+    )
+    serial = set(row_lane[~safe].tolist())
+    picks = np.zeros((n_rows, width), dtype=np.intp)
+    fast_rows: list[int] = []
+    uniforms = np.zeros((n_rows, width))
+    for lane, (rng, lo, hi) in enumerate(zip(rngs, bounds, bounds[1:])):
+        for row in range(lo, hi):
+            if lane in serial:
+                picked = _draw_row(rows[row], width, rng)
+                picks[row, : len(picked)] = picked
+                valid[row] = np.arange(width) < len(picked)
+            else:
+                fast_rows.append(row)
+                uniforms[row, : draws[row]] = [rng.next_real() for _ in range(draws[row])]
+    if fast_rows:
+        picks[fast_rows] = _draw_steps(rows[fast_rows], uniforms[fast_rows], draws[fast_rows])
+    return picks, valid
+
+
+def _draw_steps(rows: np.ndarray, uniforms: np.ndarray, draws: np.ndarray | None) -> np.ndarray:
+    """Draw without replacement from every row at once, `uniforms[j, s]` for row j's step s.
+
+    Row j takes `draws[j]` steps (every step when `draws` is None); the
+    picks of steps it does not take are left 0.
+    """
+    n_rows, width = uniforms.shape
+    vocab = rows.shape[1]
+    picks = np.zeros((n_rows, width), dtype=np.intp)
+    working = rows.copy() if width > 1 else rows
+    reach = np.arange(n_rows)
+    cum = np.cumsum(working, axis=1)
+    total = cum[:, -1]
+    for step in range(width):
+        if step:
+            cum = np.cumsum(working, axis=1)
+        r = uniforms[:, step]
+        hit = cum > (r if width == 1 else r * total)[:, None]
+        token = hit.argmax(axis=1)
+        if not hit[:, -1].all():
+            # No prefix sum passed the threshold: take the last positive token.
+            missed = ~hit[:, -1]
+            pos = working[missed] > 0.0
+            last = vocab - 1 - pos[:, ::-1].argmax(axis=1)
+            token[missed] = np.where(pos.any(axis=1), last, 0)
+        if draws is None:
+            picks[:, step] = token
+            if step + 1 < width:
+                total = total - working[reach, token]
+                working[reach, token] = 0.0
+        else:
+            live = step < draws
+            picks[live, step] = token[live]
+            if step + 1 < width:
+                total = np.where(live, total - working[reach, token], total)
+                working[reach[live], token[live]] = 0.0
+    return picks
 
 
 def sample_draft_tree(
     drafter: Drafter,
-    prefix: Sequence[TokenId],
-    start_pos: GridPos,
+    prefixes: Sequence[Sequence[TokenId]],
+    start_positions: Sequence[GridPos],
     mask: TreeMask,
-    rng: RngStream,
+    depths: Sequence[int],
+    rngs: Sequence[RngStream],
     mode: str = TOPK,
     side: int | None = None,
 ) -> DraftTree:
-    """Instantiate `mask` against the drafter, level by level.
+    """Instantiate `mask` against the drafter for every lane, all lanes level by level.
 
-    Top-k mode ranks candidates by drafter probability (deterministic; ties to
-    the lower token id). Stochastic mode draws them sequentially without
-    replacement, consuming one uniform per node, so a width-1 mask reproduces
-    plain autoregressive drafting draw for draw.
+    Lane k drafts after `prefixes[k]` from `start_positions[k]` under the
+    first `depths[k]` levels of `mask`, drawing from `rngs[k]`. Each lane's
+    root conditional comes from `drafter.distribution`; each deeper level's
+    conditionals come from one `drafter.conditionals` lookup for every lane.
+    Top-k mode ranks candidates by drafter probability (deterministic; ties
+    to the lower token id). Stochastic mode draws them sequentially without
+    replacement, consuming one uniform per node of its lane's stream in node
+    order, so a width-1 mask reproduces plain autoregressive drafting draw
+    for draw.
     """
+    if mode not in CANDIDATE_MODES:
+        raise ConfigError(f"unknown candidate mode {mode!r}")
+    prefixes = [tuple(p) for p in prefixes]
+    depths = tuple(depths)
+    if any(not 1 <= d <= mask.depth for d in depths):
+        raise ValueError(f"lane depths must lie in [1, {mask.depth}]")
+    max_depth = max(depths)
     if side is None:
-        side = drafter.grid_side if drafter.grid_side else len(prefix) + mask.depth
-    start_index = start_pos.flatten(side)
-    if start_index != len(prefix):
-        raise ValueError(
-            f"start_pos maps to sequence index {start_index}, expected {len(prefix)}"
-        )
+        side = drafter.grid_side or max(len(p) + d for p, d in zip(prefixes, depths))
     vocab = getattr(drafter, "vocab")
-    prefix_t = tuple(prefix)
-    root_dist = drafter.distribution(prefix_t, start_pos)
+    if max(mask.widths[:max_depth]) > vocab:
+        raise VocabExhausted(f"width {max(mask.widths[:max_depth])} exceeds vocabulary of {vocab}")
+    for prefix, pos, depth in zip(prefixes, start_positions, depths):
+        start_index = pos.flatten(side)
+        if start_index != len(prefix):
+            raise ValueError(
+                f"start_pos maps to sequence index {start_index}, expected {len(prefix)}"
+            )
+        if depth > 1 and start_index + depth - 1 >= side * side:
+            raise ValueError(f"sequence index {start_index + depth - 1} outside {side}x{side} grid")
+    root_dists = [drafter.distribution(p, pos) for p, pos in zip(prefixes, start_positions)]
 
-    level_starts = [0]
-    tokens: list[TokenId] = []
-    probs: list[float] = []
-    parents: list[int] = []
-    children: list[range] = []
-    child_dists: list[ProbDist | None] = []
-    paths: list[tuple[TokenId, ...]] = []
-    # Frontier entries: (parent id, its path, the conditional its children come from).
-    frontier: list[tuple[int, tuple[TokenId, ...], ProbDist]] = [(ROOT, prefix_t, root_dist)]
-    for level_num, width in enumerate(mask.widths, start=1):
-        if width > vocab:
-            raise VocabExhausted(f"width {width} exceeds vocabulary of {vocab}")
-        want_children = level_num < mask.depth
-        child_pos = (
-            GridPos.from_index(start_index + level_num, side) if want_children else None
-        )
-        next_frontier: list[tuple[int, tuple[TokenId, ...], ProbDist]] = []
-        for parent, path, dist in frontier:
-            first = len(tokens)
-            for token, prob in _select_candidates(dist, width, mode, rng):
-                node_path = path + (token,)
-                child_dist = None
-                if want_children:
-                    child_dist = drafter.distribution(node_path, child_pos)
-                    next_frontier.append((len(tokens), node_path, child_dist))
-                tokens.append(token)
-                probs.append(prob)
-                parents.append(parent)
-                children.append(_NO_CHILDREN)
-                child_dists.append(child_dist)
-                paths.append(node_path)
-            if parent != ROOT:
-                children[parent] = range(first, len(tokens))
-        if len(tokens) == level_starts[-1]:
+    # Drafting order: level by level, each level grouped by lane. Each
+    # frontier row holds the conditional one node's children are drawn from.
+    n_lanes = len(prefixes)
+    lane_depth = np.array(depths)
+    prefix_len = np.array([len(p) for p in prefixes])
+    context = drafter.context
+    # contexts[j]: the last `context` tokens of row j's path, -1 before its start.
+    contexts = np.full((n_lanes, context), -1, dtype=np.intp)
+    if context > 1 and max_depth > 1:
+        for lane, prefix in enumerate(prefixes):
+            tail = prefix[-context:]
+            contexts[lane, context - len(tail) :] = tail
+    rows = np.array([d.mass for d in root_dists])
+    row_lane = np.arange(n_lanes)
+    tokens, probs, tables, kids = [], [], [], []
+    regular = True
+    for level in range(1, max_depth + 1):
+        width = mask.widths[level - 1]
+        if mode == TOPK:
+            picks, valid = _top_k(rows, width)
+        else:
+            picks, valid = _stochastic(rows, width, row_lane, rngs)
+        if valid is None:
+            source = np.repeat(np.arange(len(rows)), width)
+            level_tokens = picks.ravel()
+            kids.append(np.full(len(rows), width))
+        else:
+            regular = False
+            source, col = np.nonzero(valid)
+            level_tokens = picks[source, col]
+            kids.append(valid.sum(axis=1))
+        tokens.append(level_tokens)
+        probs.append(rows[source, level_tokens])
+        if level == max_depth:
             break
-        level_starts.append(len(tokens))
-        frontier = next_frontier
+        node_lane = row_lane[source]
+        grows = lane_depth[node_lane] > level
+        if context > 1:
+            contexts = np.concatenate([contexts[source, 1:], level_tokens[:, None]], axis=1)
+        else:
+            contexts = level_tokens[:, None][:, :context]
+        if not grows.all():
+            contexts, node_lane, source = contexts[grows], node_lane[grows], source[grows]
+        rows = drafter.conditionals(contexts, prefix_len[node_lane] + level, side)
+        tables.append(rows)
+        row_lane = node_lane
+
+    skeleton = _full_skeleton(mask.widths, depths) if regular else _skeleton(depths, kids)
+    token = np.concatenate(tokens)[skeleton.order]
+    table = np.concatenate(tables) if tables else np.empty((0, vocab))
+    table.flags.writeable = False
     return DraftTree(
-        prefix_t, start_pos, start_index, side, root_dist, mask, level_starts,
-        tokens, probs, parents, children, child_dists, paths,
+        side,
+        prefixes,
+        list(start_positions),
+        root_dists,
+        skeleton.level_starts,
+        token.tolist(),
+        np.concatenate(probs)[skeleton.order].tolist(),
+        skeleton.parents,
+        skeleton.children,
+        ChildDists(table, skeleton.cond_rows),
+        NodePaths(prefixes, skeleton.lane, skeleton.parent, token, prefix_len[skeleton.lane] + skeleton.level),
+        skeleton.shapes,
     )

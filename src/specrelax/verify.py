@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -30,7 +29,7 @@ from .core import (
     residual_dist,
 )
 from .models import Drafter, Target, TargetEval
-from .tree import DraftTree, TOPK, TreeMask, sample_draft_tree
+from .tree import CANDIDATE_MODES, DraftTree, TOPK, TreeMask, forest_pairs, sample_draft_tree
 
 AR = "ar"
 VANILLA = "vanilla"
@@ -59,28 +58,37 @@ class RelaxConfig:
 
 
 class TreeEvals(NamedTuple):
-    """One target pass over a draft tree.
+    """One target pass over a draft forest.
 
-    `root` evaluates the prefix. Node i's conditional is `dists[i]`, its
-    feature is row i of the read-only `(nodes, h)` array `features`, and
-    `norms[i]` is that feature's own norm.
+    `roots[k]` evaluates lane k's prefix. Node i's conditional is `dists[i]`,
+    its feature is row i of the read-only `(nodes, h)` array `features`, and
+    `norms[i]` is that feature's own norm. A one-lane pass's `root` is its one
+    root; `lane(k)` is lane k's root with the shared node arrays.
     """
 
-    root: TargetEval
+    roots: list[TargetEval]
     dists: list[ProbDist]
     features: np.ndarray
     norms: np.ndarray
 
+    @property
+    def root(self) -> TargetEval:
+        if len(self.roots) != 1:
+            raise ValueError(f"a pass over {len(self.roots)} lanes: take one lane with lane(k)")
+        return self.roots[0]
+
+    def lane(self, k: int) -> "TreeEvals":
+        return TreeEvals(self.roots[k : k + 1], self.dists, self.features, self.norms)
+
 
 def evaluate_tree(target: Target, tree: DraftTree) -> TreeEvals:
-    """One simulated parallel target pass: the root, then every node in one batch.
+    """One simulated parallel target pass: each lane's root, then every node in one batch.
 
     Nodes one step past the grid end are evaluated at the final cell; only
     their features are ever consulted there.
     """
-    root = target.evaluate(tree.prefix, tree.start_pos)
-    batch = target.evaluate_batch(tree.paths, tree.level_starts, tree.start_index, tree.side)
-    return TreeEvals(root, *batch)
+    roots = [target.evaluate(p, pos) for p, pos in zip(tree.prefixes, tree.start_positions)]
+    return TreeEvals(roots, *target.evaluate_batch(tree.paths, tree.side))
 
 
 @dataclass(frozen=True)
@@ -92,43 +100,41 @@ class SimilaritySets:
 
 
 def build_sets(tree: DraftTree, evals: TreeEvals, cfg: RelaxConfig) -> SimilaritySets:
-    """Collect same-parent sibling pairs and parent-child links above threshold.
+    """Collect same-parent sibling pairs and parent-child links above threshold, in every lane.
 
-    The cosines of every enabled pair come from one pass over the stacked
-    features. Each pair's dot product runs through the same BLAS kernel as
-    `cosine_sim`'s and its norms are the features' own, so every threshold
-    decision matches the scalar definition exactly. Clamping to [-1, 1] is
-    skipped: against a threshold in [0, 1] it cannot change a decision.
+    A forest's pairs are its lanes' cached per-shape layouts, each shifted by
+    its lane's first node id (`forest_pairs`), and their cosines come from
+    one pass over the stacked features. Each pair's dot product runs through
+    the same BLAS kernel as `cosine_sim`'s and its norms are the features'
+    own, so every threshold decision matches the scalar definition exactly.
+    Clamping to [-1, 1] is skipped: against a threshold in [0, 1] it cannot
+    change a decision. Level l's sibling pairs of every lane share one set.
     """
     want_i = cfg.tau_pos <= 1.0
     want_c = cfg.tau_seq <= 1.0
     if not (want_i or want_c):
         return SimilaritySets({}, frozenset())
-    layout = tree.layout()
-    n_sibling = layout.level_ends[-1]
-    lo = 0 if want_i else n_sibling
-    hi = len(layout.pairs) if want_c else n_sibling
-    hits = [False] * lo  # hits[k]: is layout.pairs[k] similar
-    if lo < hi:
-        norms = evals.norms
-        if norms.min() <= NORM_FLOOR:
-            for a, b in layout.pairs[lo:hi]:
-                na, nb = float(norms[a]), float(norms[b])
-                if min(na, nb) <= NORM_FLOOR:
-                    raise ZeroNormFeature(f"cosine undefined for norms ({na!r}, {nb!r})")
-        first, second = layout.first[lo:hi], layout.second[lo:hi]
-        values = evals.features
-        cos = np.vecdot(values[first], values[second]) / (norms[first] * norms[second])
-        hits += (cos[: n_sibling - lo] >= cfg.tau_pos).tolist()
-        hits += (cos[n_sibling - lo :] >= cfg.tau_seq).tolist()
+    first, second, sibling, groups = forest_pairs(tree.shapes(), want_i, want_c)
+    start = tree.level_starts[0][0]
+    if start:
+        first, second = first + start, second + start
+    norms = evals.norms
+    if len(first) and norms.min() <= NORM_FLOOR:
+        zero = (norms[first] <= NORM_FLOOR) | (norms[second] <= NORM_FLOOR)
+        if zero.any():
+            k = int(zero.argmax())
+            na, nb = float(norms[first[k]]), float(norms[second[k]])
+            raise ZeroNormFeature(f"cosine undefined for norms ({na!r}, {nb!r})")
+    values = evals.features
+    cos = np.vecdot(values[first], values[second]) / (norms[first] * norms[second])
+    hit = np.flatnonzero(cos >= np.where(sibling, cfg.tau_pos, cfg.tau_seq))
+    bounds = np.searchsorted(hit, groups).tolist()
+    pairs = list(zip(first[hit].tolist(), second[hit].tolist()))
     inter_pairs: dict[int, frozenset[tuple[int, int]]] = {}
     if want_i:
-        start = 0
-        for level, end in enumerate(layout.level_ends, start=1):
-            inter_pairs[level] = frozenset(compress(layout.pairs[start:end], hits[start:end]))
-            start = end
-    conv_pairs = frozenset(compress(layout.pairs[n_sibling:], hits[n_sibling:]))
-    return SimilaritySets(inter_pairs, conv_pairs)
+        for level in range(1, len(bounds) - 1):
+            inter_pairs[level] = frozenset(pairs[bounds[level - 1] : bounds[level]])
+    return SimilaritySets(inter_pairs, frozenset(pairs[bounds[-2] :]))
 
 
 def _sibling_pair(a: int, b: int) -> tuple[int, int]:
@@ -342,9 +348,15 @@ def verify_cascade(
     evals: TreeEvals,
     cfg: RelaxConfig,
     rng: RngStream,
+    sets: SimilaritySets | None = None,
 ) -> VerifyOutcome:
-    """Relaxed acceptance under `cfg`, with the budget reset for this call."""
-    sets = build_sets(tree, evals, cfg)
+    """Relaxed acceptance under `cfg`, with the budget reset for this call.
+
+    `sets` are the similarity sets of the forest `tree` is a lane of; by
+    default they are built for `tree` alone.
+    """
+    if sets is None:
+        sets = build_sets(tree, evals, cfg)
     return _run_verification(tree, evals, rng, sets, cfg.tvd_budget)
 
 
@@ -360,6 +372,97 @@ class DecodeStats:
     accumulated_tvd: float = 0.0
 
 
+def decode_lanes(
+    target: Target,
+    drafter: Drafter | None,
+    mode: str,
+    mask: TreeMask,
+    cfg: RelaxConfig,
+    length: int,
+    rngs: Sequence[RngStream],
+    candidate_mode: str = TOPK,
+    on_outcome: Callable[[int, int, VerifyOutcome], None] | None = None,
+) -> list[tuple[list[TokenId], DecodeStats]]:
+    """Generate `length` tokens in each of several lanes, one lane per stream in `rngs`.
+
+    `ar` samples the target directly. `vanilla` and `cascade` repeat
+    draft/verify cycles, appending accepted tokens plus the correction token
+    when a rejection occurs; the drafted-but-unverified deepest token of a
+    fully accepted cycle is never emitted. Target cost is one parallel pass
+    per cycle; drafter cost is one pass per drafted level.
+
+    The lanes run in lockstep: each cycle drafts one forest holding every
+    unfinished lane's tree, evaluates it with one target pass, takes every
+    lane's similarity sets from one pass, and then walks each lane's tree
+    on its own stream. A lane's tokens, counters and decisions are those of
+    decoding it alone. `on_outcome(lane, cycle, outcome)` sees each lane's
+    calls in order. An unknown mode or candidate mode, a length below 1 or
+    beyond the grid and a drafting mode without a drafter raise ConfigError
+    before anything is drawn.
+    """
+    if mode not in MODES:
+        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+    if candidate_mode not in CANDIDATE_MODES:
+        raise ConfigError(f"unknown candidate mode {candidate_mode!r}")
+    if length < 1:
+        raise ConfigError(f"sequence length must be at least 1, got {length}")
+    side = target.grid_side or max(1, math.isqrt(length - 1) + 1)
+    if length > side * side:
+        raise ConfigError(f"length {length} exceeds the {side}x{side} grid")
+    if mode != AR and drafter is None:
+        raise ConfigError(f"mode {mode!r} requires a drafter")
+    lanes = [([], DecodeStats()) for _ in rngs]
+
+    if mode == AR:
+        for (tokens, stats), rng in zip(lanes, rngs):
+            for t in range(length):
+                ev = target.evaluate(tokens, GridPos.from_index(t, side))
+                tokens.append(ev.dist.sample(rng))
+            stats.target_calls = stats.tokens_emitted = length
+        return lanes
+
+    live = list(range(len(rngs)))
+    while live:
+        prefixes = [lanes[k][0] for k in live]
+        tree = sample_draft_tree(
+            drafter,
+            prefixes,
+            [GridPos.from_index(len(p), side) for p in prefixes],
+            mask,
+            [min(mask.depth, length - len(p)) for p in prefixes],
+            [rngs[k] for k in live],
+            mode=candidate_mode,
+            side=side,
+        )
+        evals = evaluate_tree(target, tree)
+        sets = build_sets(tree, evals, cfg) if mode == CASCADE else None
+        for j, k in enumerate(live):
+            lane_tree, lane_evals = tree.lane(j), evals.lane(j)
+            if mode == CASCADE:
+                outcome = verify_cascade(lane_tree, lane_evals, cfg, rngs[k], sets)
+            else:
+                outcome = verify_vanilla(lane_tree, lane_evals, rngs[k])
+            tokens, stats = lanes[k]
+            cycle = stats.verify_calls
+            stats.verify_calls += 1
+            stats.target_calls += 1
+            stats.drafter_calls += lane_tree.depth
+            stats.accepted_draft_tokens += outcome.alpha
+            stats.accumulated_tvd += outcome.tvd_consumed
+            emitted = outcome.emitted_tokens
+            tokens.extend(emitted)
+            if on_outcome is not None:
+                on_outcome(k, cycle, outcome)
+            if not emitted:
+                # Unreachable for sane trees (a rejection always emits a correction),
+                # but guards against infinite loops on empty instantiations.
+                raise RuntimeError("verification cycle emitted no tokens")
+        live = [k for k in live if len(lanes[k][0]) < length]
+    for tokens, stats in lanes:
+        stats.tokens_emitted = len(tokens)
+    return lanes
+
+
 def decode_sequence(
     target: Target,
     drafter: Drafter | None,
@@ -371,61 +474,11 @@ def decode_sequence(
     candidate_mode: str = TOPK,
     on_outcome: Callable[[int, VerifyOutcome], None] | None = None,
 ) -> tuple[list[TokenId], DecodeStats]:
-    """Generate `length` tokens in one of three modes.
+    """Generate `length` tokens on one stream: `decode_lanes` with one lane.
 
-    `ar` samples the target directly. `vanilla` and `cascade` repeat
-    draft/verify cycles, appending accepted tokens plus the correction token
-    when a rejection occurs; the drafted-but-unverified deepest token of a
-    fully accepted cycle is never emitted. Target cost is one parallel pass
-    per cycle; drafter cost is one pass per drafted level. An unknown mode,
-    a length beyond the grid and a drafting mode without a drafter raise
-    ConfigError.
+    `on_outcome(cycle, outcome)` sees every verification call.
     """
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    side = target.grid_side or max(1, math.isqrt(max(length - 1, 0)) + 1)
-    if length > side * side:
-        raise ConfigError(f"length {length} exceeds the {side}x{side} grid")
-    stats = DecodeStats()
-    tokens: list[TokenId] = []
-
-    if mode == AR:
-        for t in range(length):
-            ev = target.evaluate(tokens, GridPos.from_index(t, side))
-            tokens.append(ev.dist.sample(rng))
-            stats.target_calls += 1
-        stats.tokens_emitted = length
-        return tokens, stats
-
-    if drafter is None:
-        raise ConfigError(f"mode {mode!r} requires a drafter")
-
-    cycle = 0
-    while len(tokens) < length:
-        depth_left = length - len(tokens)
-        eff_mask = mask.clipped(depth_left)
-        start_pos = GridPos.from_index(len(tokens), side)
-        tree = sample_draft_tree(
-            drafter, tokens, start_pos, eff_mask, rng, mode=candidate_mode, side=side
-        )
-        evals = evaluate_tree(target, tree)
-        if mode == CASCADE:
-            outcome = verify_cascade(tree, evals, cfg, rng)
-        else:
-            outcome = verify_vanilla(tree, evals, rng)
-        stats.verify_calls += 1
-        stats.target_calls += 1
-        stats.drafter_calls += tree.depth
-        stats.accepted_draft_tokens += outcome.alpha
-        stats.accumulated_tvd += outcome.tvd_consumed
-        emitted = outcome.emitted_tokens
-        tokens.extend(emitted)
-        if on_outcome is not None:
-            on_outcome(cycle, outcome)
-        cycle += 1
-        if not emitted:
-            # Unreachable for sane trees (a rejection always emits a correction),
-            # but guards against infinite loops on empty instantiations.
-            raise RuntimeError("verification cycle emitted no tokens")
-    stats.tokens_emitted = len(tokens)
-    return tokens, stats
+    sink = None if on_outcome is None else (lambda lane, cycle, outcome: on_outcome(cycle, outcome))
+    return decode_lanes(
+        target, drafter, mode, mask, cfg, length, [rng], candidate_mode=candidate_mode, on_outcome=sink
+    )[0]

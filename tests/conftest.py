@@ -10,6 +10,7 @@ from specrelax import (
     TabularModel,
     TrainConfig,
     random_tabular_model,
+    sample_draft_tree,
     tempered_table_drafter,
     train_drafter,
 )
@@ -83,6 +84,7 @@ class FixedDrafter:
     """Context-free drafter emitting one constant distribution."""
 
     grid_side = None
+    context = 0
 
     def __init__(self, mass):
         self.dist = ProbDist(mass)
@@ -90,3 +92,11 @@ class FixedDrafter:
 
     def distribution(self, prefix, pos):
         return self.dist
+
+    def conditionals(self, contexts, index, side):
+        return np.broadcast_to(self.dist.mass, (len(index), self.vocab))
+
+
+def draft_one(drafter, prefix, start_pos, mask, rng, **kwargs):
+    """A one-lane forest: the draft tree of one prefix."""
+    return sample_draft_tree(drafter, [prefix], [start_pos], mask, [mask.depth], [rng], **kwargs)

@@ -13,6 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPT = """
@@ -56,3 +58,45 @@ def test_tracer_installs_and_counts_a_cascade_and_a_vanilla_decode():
         assert counts[mode]["models.target_evals"] > 0
     assert counts["cascade"]["verify.build_sets.pairs"] > 0
     assert counts["vanilla"]["verify.build_sets.pairs"] == 0
+
+
+EXPERIMENT_SCRIPT = """
+import json, sys
+sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/bench"]
+from tracer import Tracer
+
+tracer = Tracer()
+tracer.install()
+from pathlib import Path
+from specrelax import ExperimentConfig, GridWorldModel, LinearDrafter, TreeMask, harness, save_model
+
+work = Path(sys.argv[2])
+save_model(GridWorldModel.default(), work / "grid.json")
+save_model(LinearDrafter.zeros(32, 8), work / "drafter.json")
+tracer.reset()
+harness.run_experiment(ExperimentConfig(
+    model_path=str(work / "grid.json"), drafter_path=str(work / "drafter.json"), mode=sys.argv[3],
+    seeds=(0, 1, 2, 3), mask=TreeMask.default(), length=32, metrics_path=str(work / "metrics.jsonl"),
+))
+per_seed, _ = harness.read_metrics_jsonl(work / "metrics.jsonl")
+layers = tracer.layer_metrics(1, 0.0, 1.0)
+print(json.dumps({"target_calls": sum(m.target_calls for _, m in per_seed), **layers}))
+"""
+
+
+@pytest.mark.parametrize("mode", ["cascade", "vanilla"])
+def test_tracer_counts_a_four_seed_experiment_decoded_as_lanes(mode, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", EXPERIMENT_SCRIPT, str(ROOT), str(tmp_path), mode],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout.strip().splitlines()[-1])
+    # One traced verification call per lane and cycle: every target pass of every seed.
+    assert counts["verify.calls"] == counts["target_calls"] > 0
+    if mode == "cascade":
+        assert counts["verify.build_sets.pairs"] > 0
+    else:
+        assert counts["verify.build_sets.pairs"] == 0
+    assert counts["tree.nodes"] > 0
+    assert counts["models.drafter_calls"] > 0

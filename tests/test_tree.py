@@ -9,11 +9,10 @@ from specrelax import (
     RngStream,
     TreeMask,
     VocabExhausted,
-    sample_draft_tree,
 )
 from specrelax.tree import ROOT, STOCHASTIC
 
-from conftest import FixedDrafter
+from conftest import FixedDrafter, draft_one
 
 
 def test_mask_validation():
@@ -33,7 +32,7 @@ def test_mask_validation():
 
 def test_top2_candidates_by_probability():
     drafter = FixedDrafter([0.5, 0.3, 0.2])
-    tree = sample_draft_tree(drafter, [], GridPos(0, 0), TreeMask((2,)), RngStream(0))
+    tree = draft_one(drafter, [], GridPos(0, 0), TreeMask((2,)), RngStream(0))
     level = tree.level(1)
     assert [tree.tokens[n] for n in level] == [0, 1]
     assert [tree.probs[n] for n in level] == [0.5, 0.3]
@@ -41,7 +40,7 @@ def test_top2_candidates_by_probability():
 
 def test_width_one_tree_is_greedy_chain():
     drafter = FixedDrafter([0.2, 0.5, 0.3])
-    tree = sample_draft_tree(drafter, [], GridPos(0, 0), TreeMask((1, 1)), RngStream(0))
+    tree = draft_one(drafter, [], GridPos(0, 0), TreeMask((1, 1)), RngStream(0))
     assert [len(tree.level(lvl)) for lvl in (1, 2)] == [1, 1]
     chain = [tree.level(1)[0], tree.level(2)[0]]
     assert [tree.tokens[n] for n in chain] == [1, 1]
@@ -53,12 +52,12 @@ def test_width_one_tree_is_greedy_chain():
 def test_width_beyond_vocab_raises():
     drafter = FixedDrafter([0.6, 0.4])
     with pytest.raises(VocabExhausted):
-        sample_draft_tree(drafter, [], GridPos(0, 0), TreeMask((3,)), RngStream(0))
+        draft_one(drafter, [], GridPos(0, 0), TreeMask((3,)), RngStream(0))
 
 
 def test_level_counts_multiply():
     drafter = FixedDrafter([0.4, 0.3, 0.2, 0.1])
-    tree = sample_draft_tree(drafter, [], GridPos(0, 0), TreeMask((3, 2, 1)), RngStream(0))
+    tree = draft_one(drafter, [], GridPos(0, 0), TreeMask((3, 2, 1)), RngStream(0))
     assert [len(tree.level(lvl)) for lvl in (1, 2, 3)] == [3, 6, 6]
     assert len(tree.nodes) == 15
 
@@ -69,7 +68,7 @@ def test_sibling_tokens_are_distinct():
         mass = rng_np.dirichlet(np.ones(6))
         drafter = FixedDrafter(mass)
         for mode in ("topk", STOCHASTIC):
-            tree = sample_draft_tree(
+            tree = draft_one(
                 drafter, [], GridPos(0, 0), TreeMask((3, 2)), RngStream(trial), mode=mode
             )
             for level in range(1, tree.depth + 1):
@@ -87,7 +86,7 @@ def test_stochastic_chain_matches_direct_sampling():
     drafter = FixedDrafter([0.5, 0.3, 0.2])
     rng = RngStream(42)
     expected = [drafter.dist.sample(rng) for _ in range(3)]
-    tree = sample_draft_tree(
+    tree = draft_one(
         drafter, [], GridPos(0, 0), TreeMask((1, 1, 1)), RngStream(42), mode=STOCHASTIC
     )
     assert [tree.tokens[tree.level(lvl)[0]] for lvl in (1, 2, 3)] == expected
@@ -95,7 +94,7 @@ def test_stochastic_chain_matches_direct_sampling():
 
 def test_stochastic_candidates_distinct_without_replacement():
     drafter = FixedDrafter([0.7, 0.2, 0.1])
-    tree = sample_draft_tree(
+    tree = draft_one(
         drafter, [], GridPos(0, 0), TreeMask((3,)), RngStream(5), mode=STOCHASTIC
     )
     tokens = [tree.tokens[n] for n in tree.level(1)]
@@ -108,7 +107,7 @@ def test_stochastic_candidates_distinct_without_replacement():
 def test_start_pos_must_match_prefix_length():
     drafter = FixedDrafter([0.5, 0.5])
     with pytest.raises(ValueError):
-        sample_draft_tree(drafter, [0, 1], GridPos(0, 0), TreeMask((1,)), RngStream(0), side=4)
+        draft_one(drafter, [0, 1], GridPos(0, 0), TreeMask((1,)), RngStream(0), side=4)
 
 
 def test_flat_arrays_describe_one_consistent_tree():
@@ -119,12 +118,12 @@ def test_flat_arrays_describe_one_consistent_tree():
         drafter = FixedDrafter(mass / mass.sum())
         for mode in ("topk", STOCHASTIC):
             for widths in ((3, 3, 2), (5, 1), (4, 2, 2, 1, 1)):
-                tree = sample_draft_tree(
+                tree = draft_one(
                     drafter, [1, 2], GridPos(0, 2), TreeMask(widths),
                     RngStream(trial), mode=mode, side=8,
                 )
                 n = len(tree.nodes)
-                assert tree.level_starts[0] == 0 and tree.level_starts[-1] == n
+                assert tree.level_starts[0][0] == 0 and tree.level_starts[0][-1] == n
                 for level in range(1, tree.depth + 1):
                     for node in tree.level(level):
                         parent = tree.parents[node]

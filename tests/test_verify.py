@@ -22,12 +22,12 @@ from specrelax import (
     TreeMask,
     build_sets,
     decode_sequence,
+    decode_with_metrics,
     enumerate_ar_distribution,
     evaluate_tree,
     random_tabular_model,
     relax_q,
     residual_dist,
-    sample_draft_tree,
     tempered_table_drafter,
     verify_cascade,
     verify_vanilla,
@@ -35,7 +35,7 @@ from specrelax import (
 from specrelax.tree import ROOT, DraftTree, STOCHASTIC
 from specrelax.verify import TraceRecord, TreeEvals
 
-from conftest import FixedDrafter, ScriptedRng, small_gridworld
+from conftest import FixedDrafter, draft_one, ScriptedRng, small_gridworld
 
 ATOL = 1e-9
 
@@ -70,11 +70,10 @@ def manual_tree(level_specs, root_dist, prefix=(), side=8, child_dists=None):
             assert first + len(children[parent]) == node, "list each level in parent order"
             children[parent] = range(first, node + 1)
     child_dists = child_dists or {}
-    mask = TreeMask(tuple(max(1, len(s)) for s in level_specs))
     start = len(prefix)
     return DraftTree(
-        tuple(prefix), GridPos.from_index(start, side), start, side, root_dist, mask,
-        level_starts, tokens, probs, parents, children,
+        side, [tuple(prefix)], [GridPos.from_index(start, side)], [root_dist],
+        [level_starts], tokens, probs, parents, children,
         [child_dists.get(node) for node in range(len(tokens))], paths,
     )
 
@@ -89,7 +88,7 @@ def manual_evals(root_dist, node_specs):
     features = np.array([f.values for _, f in node_specs])
     features.flags.writeable = False
     norms = np.array([f.norm for _, f in node_specs])
-    return TreeEvals(root, [d for d, _ in node_specs], features, norms)
+    return TreeEvals([root], [d for d, _ in node_specs], features, norms)
 
 
 def node_features(evals):
@@ -221,7 +220,7 @@ def test_interchange_pairs_are_irreflexive_and_symmetric_on_random_trees():
     for seed in range(6):
         target = random_tabular_model(6, 1, seed=seed, h=3)
         drafter = tempered_table_drafter(target)
-        tree = sample_draft_tree(drafter, [], GridPos(0, 0), TreeMask((3, 2)), RngStream(seed))
+        tree = draft_one(drafter, [], GridPos(0, 0), TreeMask((3, 2)), RngStream(seed))
         evals = evaluate_tree(target, tree)
         sets = build_sets(tree, evals, RelaxConfig(tau_pos=0.2, tau_seq=0.2))
         for level, pairs in sets.inter_pairs.items():
@@ -259,7 +258,7 @@ def test_build_sets_propagates_zero_norm_features():
 
 
 def test_gridworld_same_cluster_siblings_always_interchangeable(gridworld):
-    tree = sample_draft_tree(gridworld, [], GridPos(0, 0), TreeMask((4,)), RngStream(0))
+    tree = draft_one(gridworld, [], GridPos(0, 0), TreeMask((4,)), RngStream(0))
     assert [tree.tokens[n] for n in tree.level(1)] == [0, 1, 2, 3]  # one cluster
     evals = evaluate_tree(gridworld, tree)
     sets = build_sets(tree, evals, RelaxConfig(tau_pos=1.0, tau_seq=1.01))
@@ -313,7 +312,7 @@ def test_build_sets_match_scalar_definition_on_random_tabular_trees():
         drafter = tempered_table_drafter(target)
         for mode in ("topk", STOCHASTIC):
             for mask in (TreeMask((3, 2)), TreeMask((4, 2, 2, 1, 1))):
-                tree = sample_draft_tree(
+                tree = draft_one(
                     drafter, [seed % 5], GridPos(0, 1), mask, RngStream(seed), mode=mode,
                     side=8,
                 )
@@ -332,7 +331,7 @@ def test_build_sets_match_scalar_definition_on_jittered_gridworld_trees():
     for seed in range(6):
         prefix = [(7 * seed + 3 * i) % 32 for i in range(5 + 9 * seed)]
         for mode in ("topk", STOCHASTIC):
-            tree = sample_draft_tree(
+            tree = draft_one(
                 drafter, prefix, GridPos.from_index(len(prefix), 8), TreeMask.default(),
                 RngStream(seed), mode=mode,
             )
@@ -345,11 +344,11 @@ def test_build_sets_match_scalar_definition_on_pruned_trees():
     # Two positive tokens against widths of 3: every level is pruned.
     drafter = FixedDrafter([0.6, 0.0, 0.4, 0.0])
     mask = TreeMask((3, 3, 2))
-    full = sample_draft_tree(
+    full = draft_one(
         tempered_table_drafter(target), [], GridPos(0, 0), mask, RngStream(0), side=4
     )
     for mode in ("topk", STOCHASTIC):
-        tree = sample_draft_tree(drafter, [], GridPos(0, 0), mask, RngStream(1), mode=mode, side=4)
+        tree = draft_one(drafter, [], GridPos(0, 0), mask, RngStream(1), mode=mode, side=4)
         assert [len(tree.level(lvl)) for lvl in (1, 2, 3)] == [2, 4, 8]
         assert tree.layout().pairs != full.layout().pairs
         assert_sets_match_scalar(tree, evaluate_tree(target, tree))
@@ -360,7 +359,7 @@ def test_full_trees_of_one_mask_share_one_layout():
     drafter = tempered_table_drafter(target)
     mask = TreeMask((3, 2, 1))
     trees = [
-        sample_draft_tree(drafter, [], GridPos(0, 0), mask, RngStream(seed), side=4)
+        draft_one(drafter, [], GridPos(0, 0), mask, RngStream(seed), side=4)
         for seed in range(3)
     ]
     assert trees[0].layout() is trees[1].layout() is trees[2].layout()
@@ -448,13 +447,13 @@ def grid_trees(target, drafter):
     for seed, start in enumerate((0, 5, 23, 40, 59)):
         prefix = [(7 * seed + 3 * i) % target.vocab for i in range(start)]
         for mode in ("topk", STOCHASTIC):
-            trees.append(sample_draft_tree(
+            trees.append(draft_one(
                 drafter, prefix, GridPos.from_index(start, target.side), TreeMask.default(),
                 RngStream(seed), mode=mode,
             ))
     for start, mask in ((62, TreeMask((4, 2))), (63, TreeMask((3,)))):
         prefix = [i % target.vocab for i in range(start)]
-        trees.append(sample_draft_tree(
+        trees.append(draft_one(
             drafter, prefix, GridPos.from_index(start, target.side), mask, RngStream(start),
             mode=STOCHASTIC,
         ))
@@ -498,7 +497,7 @@ def test_evaluate_batch_matches_per_node_evaluate_on_tabular_models(order):
         # Prefixes shorter than, equal to and longer than the window.
         for prefix in ([], [seed % 5], [1, 4, seed % 5]):
             for mode in ("topk", STOCHASTIC):
-                tree = sample_draft_tree(
+                tree = draft_one(
                     drafter, prefix, GridPos.from_index(len(prefix), 8), TreeMask.default(),
                     RngStream(seed), mode=mode, side=8,
                 )
@@ -511,7 +510,7 @@ def test_evaluate_batch_matches_per_node_evaluate_on_pruned_trees():
     mask = TreeMask((3, 3, 2))
     for target, mass in ((tabular, [0.6, 0.0, 0.4, 0.0]), (grid, [0.0, 0.6, 0.0, 0.0, 0.4, 0, 0, 0])):
         for mode in ("topk", STOCHASTIC):
-            tree = sample_draft_tree(
+            tree = draft_one(
                 FixedDrafter(mass), [], GridPos(0, 0), mask, RngStream(1), mode=mode, side=2,
             )
             assert [len(tree.level(lvl)) for lvl in (1, 2, 3)] == [2, 4, 8]
@@ -527,7 +526,7 @@ def test_batched_sets_raise_zero_norm_exactly_where_per_node_features_do():
         target = TabularModel(3, 1, base._table, features, 3)
         for mode in ("topk", STOCHASTIC):
             for mask in (TreeMask((2, 2, 1)), TreeMask((3, 1))):
-                tree = sample_draft_tree(
+                tree = draft_one(
                     tempered_table_drafter(base), [1], GridPos(0, 1), mask, RngStream(7),
                     mode=mode, side=4,
                 )
@@ -553,10 +552,10 @@ def test_gridworld_batch_raises_where_evaluate_does_on_cancelling_anchors():
     )
     mask = TreeMask((2, 1))
     with np.errstate(invalid="ignore"):
-        safe = sample_draft_tree(FixedDrafter([0.5, 0.5, 0, 0]), [], GridPos(0, 0), mask,
+        safe = draft_one(FixedDrafter([0.5, 0.5, 0, 0]), [], GridPos(0, 0), mask,
                                  RngStream(0), side=2)
         assert_batch_matches_per_node(target, safe)
-        bad = sample_draft_tree(FixedDrafter([0.5, 0, 0.5, 0]), [], GridPos(0, 0), mask,
+        bad = draft_one(FixedDrafter([0.5, 0, 0.5, 0]), [], GridPos(0, 0), mask,
                                 RngStream(0), side=2)
         with pytest.raises(NonFinite):
             per_node_evals(target, bad)
@@ -649,7 +648,7 @@ def test_cascade_oversized_interchange_mass_is_skipped(gridworld):
     from specrelax import LinearDrafter
 
     drafter = LinearDrafter.zeros(gridworld.vocab, gridworld.side)
-    tree = sample_draft_tree(drafter, [], GridPos(0, 0), TreeMask((4,)), RngStream(1))
+    tree = draft_one(drafter, [], GridPos(0, 0), TreeMask((4,)), RngStream(1))
     assert [tree.tokens[n] for n in tree.level(1)] == [0, 1, 2, 3]
     evals = evaluate_tree(gridworld, tree)
     small = gridworld
@@ -658,7 +657,7 @@ def test_cascade_oversized_interchange_mass_is_skipped(gridworld):
     # Rebuild the scenario on the 8-token cluster model for the 0.2 split.
     model = small_gridworld()
     drafter = LinearDrafter.zeros(model.vocab, model.side)
-    tree = sample_draft_tree(drafter, [], GridPos(0, 0), TreeMask((4,)), RngStream(1))
+    tree = draft_one(drafter, [], GridPos(0, 0), TreeMask((4,)), RngStream(1))
     evals = evaluate_tree(model, tree)
     cfg = RelaxConfig(tau_pos=0.9, tau_seq=1.01, tvd_budget=0.5)
     outcome = verify_cascade(tree, evals, cfg, ScriptedRng([0.9]))
@@ -710,9 +709,9 @@ def test_decisions_name_their_candidate_and_donors(gridworld, monkeypatch):
     no_sets = SimilaritySets({}, frozenset())
     calls = []  # (tree, similarity sets, outcome) of every verification call
 
-    def recording_cascade(tree, evals, cfg, rng):
-        outcome = real_cascade(tree, evals, cfg, rng)
-        calls.append((tree, build_sets(tree, evals, cfg), outcome))
+    def recording_cascade(tree, evals, cfg, rng, sets):
+        outcome = real_cascade(tree, evals, cfg, rng, sets)
+        calls.append((tree, sets, outcome))
         return outcome
 
     def recording_vanilla(tree, evals, rng):
@@ -1028,6 +1027,50 @@ def test_decode_sequence_refuses_bad_requests_with_config_error(tabular_v4, tabu
     for mode in ("vanilla", "cascade"):
         with pytest.raises(ConfigError, match="requires a drafter"):
             decode_sequence(tabular_v4, None, mode, *args, 4, RngStream(0))
+    # Lengths below 1, in every mode and through both library entries.
+    for mode in ("ar", "vanilla", "cascade"):
+        for length in (0, -3):
+            with pytest.raises(ConfigError, match="at least 1"):
+                decode_sequence(tabular_v4, tabular_v4_drafter, mode, *args, length, RngStream(0))
+            with pytest.raises(ConfigError, match="at least 1"):
+                decode_with_metrics(tabular_v4, tabular_v4_drafter, mode, *args, length, RngStream(0))
+
+
+class CountingDrafter:
+    """Wraps a drafter and counts every conditional it hands out."""
+
+    def __init__(self, drafter):
+        self.drafter = drafter
+        self.grid_side, self.vocab, self.context = drafter.grid_side, drafter.vocab, drafter.context
+        self.calls = 0
+
+    def distribution(self, prefix, pos):
+        self.calls += 1
+        return self.drafter.distribution(prefix, pos)
+
+    def conditionals(self, contexts, index, side):
+        self.calls += 1
+        return self.drafter.conditionals(contexts, index, side)
+
+
+def test_unknown_candidate_mode_is_refused_before_any_drafting(tabular_v4, tabular_v4_drafter):
+    drafter = CountingDrafter(tabular_v4_drafter)
+    for mode in ("ar", "vanilla", "cascade"):
+        rng = RngStream(0)
+        with pytest.raises(ConfigError, match="unknown candidate mode 'bogus'"):
+            decode_sequence(tabular_v4, drafter, mode, TreeMask.chain(2), RelaxConfig(), 4, rng,
+                            candidate_mode="bogus")
+        with pytest.raises(ConfigError, match="unknown candidate mode 'bogus'"):
+            decode_with_metrics(tabular_v4, drafter, mode, TreeMask.chain(2), RelaxConfig(), 4, rng,
+                                candidate_mode="bogus")
+        assert rng.counter == 0
+    assert drafter.calls == 0
+    # The counting drafter itself decodes like the drafter it wraps.
+    plain, _ = decode_sequence(tabular_v4, tabular_v4_drafter, "vanilla", TreeMask.chain(2),
+                               RelaxConfig(), 4, RngStream(0))
+    counted, _ = decode_sequence(tabular_v4, drafter, "vanilla", TreeMask.chain(2), RelaxConfig(), 4,
+                                 RngStream(0))
+    assert counted == plain and drafter.calls > 0
 
 
 def test_ar_mode_counts(tabular_v4):
