@@ -215,7 +215,10 @@ def residual_dist(q: ProbDist, p: ProbDist) -> ProbDist:
     total = float(excess.sum())
     if total <= RESIDUAL_FLOOR:
         raise DegenerateResidual("q and p coincide; residual mass is zero")
-    return ProbDist(excess / total)
+    # Finite, non-negative and summing to 1 by construction: skip re-checking.
+    mass = excess / total
+    mass.flags.writeable = False
+    return ProbDist._of_checked_row(mass)
 
 
 _MASK64 = (1 << 64) - 1

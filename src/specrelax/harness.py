@@ -23,7 +23,7 @@ from .verify import AR, MODES, DecodeStats, RelaxConfig, decode_lanes, decode_se
 
 DEFAULT_KAPPA = 0.1
 # Samples `mc_distribution_test` decodes in lockstep at a time.
-MC_LANES = 1000
+MC_LANES = 128
 
 
 # Metrics field -> JSONL key; every record conversion derives from this table.
@@ -195,23 +195,21 @@ def run_experiment(cfg: ExperimentConfig) -> Metrics:
         [RngStream(seed) for seed in cfg.seeds], candidate_mode=cfg.candidate_mode, on_outcome=sink,
     )
     per_seed = [_metrics(cfg.mode, stats, cfg.kappa) for _, stats in results]
-    metric_records = [{"seed": seed, **m.to_record()} for seed, m in zip(cfg.seeds, per_seed)]
-    trace_records = [record for trace in traces for record in trace]
-    first_tokens = results[0][0]
 
     aggregate = Metrics.aggregate(per_seed)
     if cfg.metrics_path is not None:
         with open(cfg.metrics_path, "w", encoding="utf-8", newline="\n") as out:
-            for record in metric_records:
-                _dump_line(out, record)
+            for seed, metrics in zip(cfg.seeds, per_seed):
+                _dump_line(out, {"seed": seed, **metrics.to_record()})
             _dump_line(out, {"aggregate": True, **aggregate.to_record()})
     if cfg.trace_path is not None:
         with open(cfg.trace_path, "w", encoding="utf-8", newline="\n") as out:
-            for record in trace_records:
-                _dump_line(out, record)
+            for trace in traces:
+                for record in trace:
+                    _dump_line(out, record)
     if cfg.heatmap_path is not None:
         side = target.grid_side or max(1, math.isqrt(max(length - 1, 0)) + 1)
-        export_similarity_heatmap(target, first_tokens, range(side), cfg.heatmap_path)
+        export_similarity_heatmap(target, results[0][0], range(side), cfg.heatmap_path)
     return aggregate
 
 

@@ -150,6 +150,7 @@ class TabularModel:
         # Every window's evaluation in window-id order, its features and
         # norms stacked, and its conditionals stacked; built on first use.
         self._rows: list[TargetEval] | None = None
+        self._window_starts = self._window_powers = np.zeros(0, dtype=np.intp)
         self._row_features: tuple[np.ndarray, np.ndarray] | None = None
         self._row_masses: np.ndarray | None = None
 
@@ -169,22 +170,25 @@ class TabularModel:
         """Each window's id: windows of length m follow all shorter ones in
         lexicographic order, so the id is (V^m - 1) / (V - 1) plus the window
         read in base V. Row j of `tails` ends with a window of `lengths[j]` tokens."""
+        k, v = self.order, self.vocab
         if self._rows is None:
             self._rows = [
                 self._evals[window]
-                for length in range(self.order + 1)
-                for window in itertools.product(range(self.vocab), repeat=length)
+                for length in range(k + 1)
+                for window in itertools.product(range(v), repeat=length)
             ]
-        k, v = self.order, self.vocab
+            sizes = v ** np.arange(k + 1, dtype=np.intp)
+            self._window_starts = np.cumsum(sizes) - sizes
+            self._window_powers = sizes[k - 1 :: -1] if k else sizes[:0]
+        if len(tails) and tails.min() >= 0 and tails.max() < v and lengths.min() >= k:
+            return self._window_starts[k] + tails @ self._window_powers  # every window full
         length = np.minimum(lengths, k)
         inside = np.arange(k) >= (k - length)[:, None]
         bad = ((tails < 0) | (tails >= v)) & inside
         if bad.any():
             j = int(np.flatnonzero(bad.any(axis=1))[0])
             raise UnknownWindow(f"no table row for window {tuple(tails[j][inside[j]].tolist())}")
-        sizes = v ** np.arange(k + 1, dtype=np.intp)
-        powers = sizes[k - 1 :: -1] if k else sizes[:0]
-        return (np.cumsum(sizes) - sizes)[length] + (np.where(inside, tails, 0) * powers).sum(axis=1)
+        return self._window_starts[length] + np.where(inside, tails, 0) @ self._window_powers
 
     def evaluate_batch(self, paths: "NodePaths", side: int) -> BatchEval:
         """`Target.evaluate_batch`; a tabular law ignores the grid, so only the windows are read."""
@@ -244,6 +248,7 @@ class GridWorldModel:
     """
 
     kind = "gridworld"
+    context = 0  # as a drafter, a gridworld reads only the cell
 
     def __init__(
         self,
@@ -311,11 +316,9 @@ class GridWorldModel:
         ]
 
         self._dist_by_region = [self._build_region_dist(r) for r in range(n_regions)]
-        self._region_masses = np.array([d.mass for d in self._dist_by_region])
-        self._region_masses.flags.writeable = False
-        self._region_array = np.array(self.regions, dtype=np.intp)
-        self._cluster_array = np.array(self.clusters, dtype=np.intp)
         self._n_clusters = n_clusters
+        # Regions and clusters as arrays, and the region laws stacked; built on first batch use.
+        self._arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._feature_cache: dict[tuple[int, int | None], FeatureVec] = {}
         # `_build_feature_table`'s result, built by the first `evaluate_batch`.
         self._feature_table: tuple[np.ndarray, np.ndarray, frozenset[int]] | None = None
@@ -395,9 +398,16 @@ class GridWorldModel:
             feat = self._cached_feature(region, cluster)
         return TargetEval(self._dist_by_region[region], feat)
 
+    def _batch_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self._arrays is None:
+            masses = np.array([d.mass for d in self._dist_by_region])
+            masses.flags.writeable = False
+            self._arrays = (np.array(self.regions), np.array(self.clusters), masses)
+        return self._arrays
+
     def _regions(self, index: np.ndarray, side: int) -> np.ndarray:
         """The region of each sequence index of a `side` x `side` grid."""
-        return self._region_array[index // side * self.side + index % side]
+        return self._batch_arrays()[0][index // side * self.side + index % side]
 
     def evaluate_batch(self, paths: "NodePaths", side: int) -> BatchEval:
         """`Target.evaluate_batch`: laws by region; unjittered features come from one table."""
@@ -420,7 +430,7 @@ class GridWorldModel:
             if self._feature_table is None:
                 self._feature_table = self._build_feature_table()
             table, table_norms, undefined = self._feature_table
-            rows = regions * self._n_clusters + self._cluster_array[paths.token]
+            rows = regions * self._n_clusters + self._batch_arrays()[1][paths.token]
             if undefined and not undefined.isdisjoint(rows.tolist()):
                 first_bad = next(row for row in rows.tolist() if row in undefined)
                 self._cached_feature(*divmod(first_bad, self._n_clusters))  # raises NonFinite
@@ -431,11 +441,9 @@ class GridWorldModel:
     def distribution(self, prefix: Sequence[TokenId], pos: GridPos) -> ProbDist:
         return self._dist_by_region[self.region_of(pos)]
 
-    context = 0
-
     def conditionals(self, contexts: np.ndarray, index: np.ndarray, side: int) -> np.ndarray:
         """`Drafter.conditionals`: each prefix's region law."""
-        return self._region_masses.take(self._regions(index, side), axis=0)
+        return self._batch_arrays()[2].take(self._regions(index, side), axis=0)
 
     @classmethod
     def default(cls, feature_jitter: float = 0.0) -> "GridWorldModel":
@@ -507,6 +515,7 @@ class LinearDrafter:
     """
 
     kind = "linear_drafter"
+    context = 1  # the last token
 
     def __init__(
         self,
@@ -588,21 +597,19 @@ class LinearDrafter:
             dist = self._rows[index] = ProbDist._of_checked_row(self._table[index])
         return dist
 
-    context = 1
-
     def conditionals(self, contexts: np.ndarray, index: np.ndarray, side: int) -> np.ndarray:
         """`Drafter.conditionals`: one gather from the softmax table."""
         table = self._softmax_table()
         n = self.side
-        last = contexts[:, 0] + 1
         if side == n:
-            rows = last * (n * n) + index
+            rows = contexts[:, 0] * (n * n) + (index + n * n)
         else:
             row, col = np.divmod(index, side)
-            if row.max(initial=0) >= n or col.max(initial=0) >= n:
+            if (row >= n).any() or (col >= n).any():
                 raise UnknownWindow(f"a cell of the {side}x{side} grid lies outside the drafter's {n}x{n} grid")
-            rows = (last * n + row) * n + col
-        if last.min(initial=1) < 1 or last.max(initial=1) > self.vocab:
+            rows = ((contexts[:, 0] + 1) * n + row) * n + col
+        # Row r follows token r // (N*N) - 1, which must be one of the V tokens.
+        if len(rows) and (rows.min() < n * n or rows.max() >= len(table)):
             raise UnknownWindow(f"a last token lies outside the drafter's {self.vocab} tokens")
         return table.take(rows, axis=0)
 

@@ -11,7 +11,6 @@ parent-child pairs of a tree shape are indexed once per shape.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -36,6 +35,8 @@ SAFE_MIN_MASS = 1e-9
 # Rows this wide or wider are drawn one at a time when they may run out of
 # positive tokens: the rounding left in the running total then grows past the floor.
 SAFE_ROW_WIDTH = 4096
+# Forests of at most this many nodes keep their skeleton cached whatever their lanes' depths.
+SKELETON_CACHE_NODES = 256
 
 
 @dataclass(frozen=True)
@@ -95,12 +96,13 @@ class NodePaths:
     """Every node's path, its lane's prefix plus the tokens from the lane's root to it.
 
     Nothing is materialized up front: `token[i]` is the path's last token,
-    `index[i]` its length (the sequence index of the token that follows it),
-    `tail(k, nodes)` the last k tokens of several paths at once, and
-    `paths[i]` one whole path. Level-1 nodes have parent `ROOT`.
+    `level[i]` how many of its tokens were drafted, `index[i]` its length
+    (the sequence index of the token that follows it), `tail(k, nodes)` the
+    last k tokens of several paths at once, and `paths[i]` one whole path.
+    Level-1 nodes have parent `ROOT`.
     """
 
-    __slots__ = ("prefixes", "lane", "parent", "token", "index")
+    __slots__ = ("prefixes", "lane", "parent", "token", "level", "index")
 
     def __init__(
         self,
@@ -108,12 +110,14 @@ class NodePaths:
         lane: np.ndarray,
         parent: np.ndarray,
         token: np.ndarray,
+        level: np.ndarray,
         index: np.ndarray,
     ) -> None:
         self.prefixes = prefixes
         self.lane = lane
         self.parent = parent
         self.token = token
+        self.level = level
         self.index = index
 
     def __len__(self) -> int:
@@ -129,25 +133,10 @@ class NodePaths:
 
     def tail(self, k: int, nodes: np.ndarray) -> np.ndarray:
         """The last `k` tokens of each listed path, in order, as an int array; -1 pads short paths."""
-        lanes = self.lane[nodes]
-        prefix_len = np.array([len(p) for p in self.prefixes])
-        drafted = self.index[nodes] - prefix_len[lanes]
-        out = np.full((len(nodes), k), -1, dtype=np.intp)
-        # before[l, b]: the token b + 1 places before the end of lane l's prefix.
-        before = np.full((len(self.prefixes), k), -1, dtype=np.intp)
-        if (drafted < k).any():
-            for lane, prefix in enumerate(self.prefixes):
-                back = prefix[: len(prefix) - k - 1 : -1] if len(prefix) > k else prefix[::-1]
-                before[lane, : len(back)] = back
-        node = np.asarray(nodes)
-        for back in range(k):
-            col = k - 1 - back
-            drafted_here = back < drafted
-            out[drafted_here, col] = self.token[node[drafted_here]]
-            in_prefix = ~drafted_here
-            out[in_prefix, col] = before[lanes[in_prefix], (back - drafted)[in_prefix]]
-            node = np.where(drafted_here, self.parent[node], node)
-        return out
+        if k == 1:
+            return self.token[nodes][:, None]
+        pad = (-1,) * k
+        return np.array([(pad + self[node])[-k:] for node in nodes.tolist()], dtype=np.intp).reshape(-1, k)
 
 
 class ChildDists:
@@ -162,9 +151,6 @@ class ChildDists:
     def __init__(self, table: np.ndarray, rows: list[int]) -> None:
         self.table = table
         self.rows = rows
-
-    def __len__(self) -> int:
-        return len(self.rows)
 
     def __getitem__(self, node: int) -> ProbDist | None:
         row = self.rows[node]
@@ -233,12 +219,16 @@ class DraftTree:
 
     def lane(self, k: int) -> "DraftTree":
         """Lane `k` as a one-lane tree over the same node lists and ids."""
-        return DraftTree(
-            self.side, self.prefixes[k : k + 1], self.start_positions[k : k + 1],
-            self.root_dists[k : k + 1], self.level_starts[k : k + 1], self.tokens, self.probs,
-            self.parents, self.children, self.child_dists, self.paths,
-            None if self._shapes is None else self._shapes[k : k + 1],
-        )
+        view = DraftTree.__new__(DraftTree)  # skips __init__: this runs once per lane and cycle
+        view.side, view.tokens, view.probs = self.side, self.tokens, self.probs
+        view.parents, view.children = self.parents, self.children
+        view.child_dists, view.paths = self.child_dists, self.paths
+        view.prefixes = self.prefixes[k : k + 1]
+        view.start_positions = self.start_positions[k : k + 1]
+        view.root_dists = self.root_dists[k : k + 1]
+        view.level_starts = self.level_starts[k : k + 1]
+        view._shapes = None if self._shapes is None else self._shapes[k : k + 1]
+        return view
 
     def _only(self, per_lane: list):
         if len(per_lane) != 1:
@@ -290,15 +280,14 @@ class PairLayout(NamedTuple):
     `first` and `second` list the sibling pairs (first < second, same parent),
     level by level, and then the parent-child links (parent, child) in child
     order; `level_ends[l-1]` is the end of level l's sibling pairs, so
-    `level_ends[-1]` counts them all. `index` stacks `first` and `second` as
-    two rows. `pairs` repeats them as Python tuples.
+    `level_ends[-1]` counts them all. `pairs` repeats the arrays as Python
+    tuples for building result sets.
     """
 
     first: np.ndarray
     second: np.ndarray
     pairs: tuple[tuple[int, int], ...]
     level_ends: tuple[int, ...]
-    index: np.ndarray
 
 
 @lru_cache(maxsize=64)
@@ -320,9 +309,11 @@ def pair_layout(parents: tuple[int, ...]) -> PairLayout:
         start = node
     links = [(parent, child) for child, parent in enumerate(parents) if parent != ROOT]
     pairs = tuple(sibling_pairs + links)
-    index = np.array(pairs, dtype=np.intp).reshape(-1, 2).T.copy()
-    index.flags.writeable = False
-    return PairLayout(index[0], index[1], pairs, tuple(level_ends), index)
+    index = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    first, second = index[:, 0].copy(), index[:, 1].copy()
+    first.flags.writeable = False
+    second.flags.writeable = False
+    return PairLayout(first, second, pairs, tuple(level_ends))
 
 
 class ForestPairs(NamedTuple):
@@ -348,24 +339,26 @@ def forest_pairs(shapes: tuple[tuple[int, ...], ...], siblings: bool, links: boo
     asked for are listed.
     """
     layouts = [pair_layout(shape) for shape in shapes]
-    offsets = np.cumsum([0] + [len(shape) for shape in shapes[:-1]])
+    offsets = np.cumsum([0] + [len(shape) for shape in shapes[:-1]]).tolist()
     depth = max(len(layout.level_ends) for layout in layouts)
-    parts: list[list[np.ndarray]] = [[] for _ in range(depth + 1)]
-    for layout, offset in zip(layouts, offsets.tolist()):
+    # members[g]: each lane's (layout, first id, start, end) slice in group g, links last.
+    members: list[list[tuple[PairLayout, int, int, int]]] = [[] for _ in range(depth + 1)]
+    for layout, offset in zip(layouts, offsets):
         ends = (0,) + layout.level_ends
         if siblings:
-            for level in range(1, len(layout.level_ends) + 1):
-                parts[level - 1].append(layout.index[:2, ends[level - 1] : ends[level]] + offset)
+            for level in range(1, len(ends)):
+                members[level - 1].append((layout, offset, ends[level - 1], ends[level]))
         if links:
-            parts[depth].append(layout.index[:2, ends[-1] :] + offset)
-    blocks = [np.concatenate(group, axis=1) if group else np.empty((2, 0), np.intp) for group in parts]
-    index = np.concatenate(blocks, axis=1)
-    sizes = [block.shape[1] for block in blocks]
-    groups = np.cumsum([0] + sizes)
-    sibling = np.arange(index.shape[1]) < groups[depth]
-    for array in (index, sibling, groups):
+            members[depth].append((layout, offset, ends[-1], len(layout.pairs)))
+    slices = [piece for group in members for piece in group]
+    first = np.concatenate([[]] + [lay.first[a:b] + off for lay, off, a, b in slices]).astype(np.intp)
+    second = np.concatenate([[]] + [lay.second[a:b] + off for lay, off, a, b in slices]).astype(np.intp)
+    sizes = [sum(b - a for _, _, a, b in group) for group in members]
+    bounds = np.cumsum([0] + sizes)
+    sibling = np.arange(len(first)) < bounds[depth]
+    for array in (first, second, sibling, bounds):
         array.flags.writeable = False
-    return ForestPairs(index[0], index[1], sibling, groups)
+    return ForestPairs(first, second, sibling, bounds)
 
 
 class _Skeleton(NamedTuple):
@@ -388,12 +381,12 @@ class _Skeleton(NamedTuple):
     cond_rows: list[int]
 
 
-def _skeleton(depths: tuple[int, ...], kids: Sequence[np.ndarray]) -> _Skeleton:
+def _skeleton(depths: tuple[int, ...], kids: Sequence[np.ndarray | int]) -> _Skeleton:
     """Lay out a forest whose lane k has `depths[k]` levels.
 
     `kids[l-1][j]` counts the children of level l's j-th frontier row: the
     lanes themselves on level 1, then, in drafting order, the nodes of the
-    level above whose lane goes deeper.
+    level above whose lane goes deeper. A single count stands for every row.
     """
     n_lanes = len(depths)
     depth = np.array(depths)
@@ -446,16 +439,10 @@ def _skeleton(depths: tuple[int, ...], kids: Sequence[np.ndarray]) -> _Skeleton:
     )
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=16)
 def _full_skeleton(widths: tuple[int, ...], depths: tuple[int, ...]) -> _Skeleton:
-    """The skeleton of a forest in which every row has exactly its level's width of children."""
-    kids, rows = [], len(depths)
-    for level in range(1, max(depths) + 1):
-        kids.append(np.full(rows, widths[level - 1]))
-        rows = sum(
-            math.prod(widths[:level]) for d in depths if d > level
-        )
-    return _skeleton(depths, kids)
+    """The skeleton of a forest in which every row of level l has exactly `widths[l-1]` children."""
+    return _skeleton(depths, widths)
 
 
 def _inverse_cdf(mass: list[float], total: float, r: float) -> int:
@@ -658,6 +645,8 @@ def sample_draft_tree(
             contexts[lane, context - len(tail) :] = tail
     rows = np.array([d.mass for d in root_dists])
     row_lane = np.arange(n_lanes)
+    row_index = prefix_len  # the sequence index each frontier row's children sit at
+    shallowest = int(lane_depth.min())
     tokens, probs, tables, kids = [], [], [], []
     regular = True
     for level in range(1, max_depth + 1):
@@ -667,9 +656,9 @@ def sample_draft_tree(
         else:
             picks, valid = _stochastic(rows, width, row_lane, rngs)
         if valid is None:
-            source = np.repeat(np.arange(len(rows)), width)
+            source = np.arange(len(rows)).repeat(width)
             level_tokens = picks.ravel()
-            kids.append(np.full(len(rows), width))
+            kids.append(width)
         else:
             regular = False
             source, col = np.nonzero(valid)
@@ -679,19 +668,21 @@ def sample_draft_tree(
         probs.append(rows[source, level_tokens])
         if level == max_depth:
             break
-        node_lane = row_lane[source]
-        grows = lane_depth[node_lane] > level
+        row_lane, row_index = row_lane[source], row_index[source] + 1
         if context > 1:
             contexts = np.concatenate([contexts[source, 1:], level_tokens[:, None]], axis=1)
         else:
             contexts = level_tokens[:, None][:, :context]
-        if not grows.all():
-            contexts, node_lane, source = contexts[grows], node_lane[grows], source[grows]
-        rows = drafter.conditionals(contexts, prefix_len[node_lane] + level, side)
+        if level >= shallowest:
+            grows = lane_depth[row_lane] > level
+            contexts, row_lane, row_index = contexts[grows], row_lane[grows], row_index[grows]
+        rows = drafter.conditionals(contexts, row_index, side)
         tables.append(rows)
-        row_lane = node_lane
 
-    skeleton = _full_skeleton(mask.widths, depths) if regular else _skeleton(depths, kids)
+    # Cached skeletons are kept to forests whose lanes share one depth or that
+    # are small: a large forest with mixed depths seldom recurs.
+    cached = regular and (shallowest == max_depth or sum(map(len, tokens)) <= SKELETON_CACHE_NODES)
+    skeleton = _full_skeleton(mask.widths[:max_depth], depths) if cached else _skeleton(depths, kids)
     token = np.concatenate(tokens)[skeleton.order]
     table = np.concatenate(tables) if tables else np.empty((0, vocab))
     table.flags.writeable = False
@@ -706,6 +697,9 @@ def sample_draft_tree(
         skeleton.parents,
         skeleton.children,
         ChildDists(table, skeleton.cond_rows),
-        NodePaths(prefixes, skeleton.lane, skeleton.parent, token, prefix_len[skeleton.lane] + skeleton.level),
+        NodePaths(
+            prefixes, skeleton.lane, skeleton.parent, token, skeleton.level,
+            prefix_len[skeleton.lane] + skeleton.level,
+        ),
         skeleton.shapes,
     )

@@ -78,7 +78,7 @@ class TreeEvals(NamedTuple):
         return self.roots[0]
 
     def lane(self, k: int) -> "TreeEvals":
-        return TreeEvals(self.roots[k : k + 1], self.dists, self.features, self.norms)
+        return tuple.__new__(TreeEvals, (self.roots[k : k + 1], self.dists, self.features, self.norms))
 
 
 def evaluate_tree(target: Target, tree: DraftTree) -> TreeEvals:
@@ -427,7 +427,7 @@ def decode_lanes(
         tree = sample_draft_tree(
             drafter,
             prefixes,
-            [GridPos.from_index(len(p), side) for p in prefixes],
+            [GridPos(*divmod(len(p), side)) for p in prefixes],
             mask,
             [min(mask.depth, length - len(p)) for p in prefixes],
             [rngs[k] for k in live],
