@@ -28,13 +28,9 @@ CANDIDATE_MODES = (TOPK, STOCHASTIC)
 
 # Total mass at or below which a draw without replacement stops early.
 EXHAUSTION_FLOOR = 1e-12
-# A row whose every positive mass exceeds this is drawn min(width, positive
-# tokens) times: the running total stays above EXHAUSTION_FLOOR until the
-# positive tokens run out, whatever the draws pick.
+# A row whose every mass exceeds this is drawn `width` times: its running
+# total stays above EXHAUSTION_FLOOR until then, whatever the draws pick.
 SAFE_MIN_MASS = 1e-9
-# Rows this wide or wider are drawn one at a time when they may run out of
-# positive tokens: the rounding left in the running total then grows past the floor.
-SAFE_ROW_WIDTH = 4096
 # Forests of at most this many nodes keep their skeleton cached whatever their lanes' depths.
 SKELETON_CACHE_NODES = 256
 
@@ -502,17 +498,15 @@ def _top_k(rows: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray | None]
 def _stochastic(
     rows: np.ndarray, width: int, row_lane: np.ndarray, rngs: Sequence[RngStream]
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Draw every row's candidates without replacement, one lane's uniforms in row order.
+    """Draw every row's candidates without replacement, each lane's uniforms in row order.
 
-    Each row makes exactly the draws `_draw_row` makes. Where every positive
-    mass of a row clears SAFE_MIN_MASS, that is min(width, positive tokens)
-    draws (one for width 1), so each lane's uniforms are taken up front and
-    all rows are drawn together, step by step, with the same cumulative sums,
-    `r * total` thresholds and running totals. A lane holding any other row
-    draws its rows one by one through `_draw_row`. Returns the `(rows,
-    width)` picks and, unless every pick is valid, which are.
+    Each row makes exactly the draws `_draw_row` makes. When every mass of
+    every row exceeds SAFE_MIN_MASS, that is `width` draws per row, so the
+    uniforms are taken up front and all rows are drawn together, step by
+    step (`_draw_steps`). Otherwise each row is drawn on its own through
+    `_draw_row`. Returns the `(rows, width)` picks and, unless every pick is
+    valid, which are.
     """
-    n_rows, vocab = rows.shape
     bounds = np.searchsorted(row_lane, np.arange(len(rngs) + 1)).tolist()
     if rows.min() > SAFE_MIN_MASS:
         uniforms = [
@@ -520,43 +514,27 @@ def _stochastic(
             for rng, lo, hi in zip(rngs, bounds, bounds[1:])
             for _ in range((hi - lo) * width)
         ]
-        return _draw_steps(rows, np.array(uniforms).reshape(n_rows, width), None), None
-
-    positive = rows > 0.0
-    n_positive = positive.sum(axis=1)
-    draws = np.minimum(width, n_positive) if width > 1 else np.ones(n_rows, dtype=np.intp)
-    valid = np.arange(width) < draws[:, None]
-    min_positive = np.where(positive, rows, np.inf).min(axis=1)
-    safe = (width == 1) | (
-        (min_positive > SAFE_MIN_MASS) & ((n_positive >= width) | (vocab + width < SAFE_ROW_WIDTH))
-    )
-    serial = set(row_lane[~safe].tolist())
-    picks = np.zeros((n_rows, width), dtype=np.intp)
-    fast_rows: list[int] = []
-    uniforms = np.zeros((n_rows, width))
-    for lane, (rng, lo, hi) in enumerate(zip(rngs, bounds, bounds[1:])):
+        return _draw_steps(rows, np.array(uniforms).reshape(len(rows), width)), None
+    picks = np.zeros((len(rows), width), dtype=np.intp)
+    valid = np.zeros((len(rows), width), dtype=bool)
+    for rng, lo, hi in zip(rngs, bounds, bounds[1:]):
         for row in range(lo, hi):
-            if lane in serial:
-                picked = _draw_row(rows[row], width, rng)
-                picks[row, : len(picked)] = picked
-                valid[row] = np.arange(width) < len(picked)
-            else:
-                fast_rows.append(row)
-                uniforms[row, : draws[row]] = [rng.next_real() for _ in range(draws[row])]
-    if fast_rows:
-        picks[fast_rows] = _draw_steps(rows[fast_rows], uniforms[fast_rows], draws[fast_rows])
+            picked = _draw_row(rows[row], width, rng)
+            picks[row, : len(picked)] = picked
+            valid[row, : len(picked)] = True
     return picks, valid
 
 
-def _draw_steps(rows: np.ndarray, uniforms: np.ndarray, draws: np.ndarray | None) -> np.ndarray:
+def _draw_steps(rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Draw without replacement from every row at once, `uniforms[j, s]` for row j's step s.
 
-    Row j takes `draws[j]` steps (every step when `draws` is None); the
-    picks of steps it does not take are left 0.
+    The same arithmetic as `_draw_row`, one step for all rows at a time:
+    the prefix sums of the row's remaining mass against `r * total` (against
+    `r` for width 1), falling back to the last positive token.
     """
     n_rows, width = uniforms.shape
     vocab = rows.shape[1]
-    picks = np.zeros((n_rows, width), dtype=np.intp)
+    picks = np.empty((n_rows, width), dtype=np.intp)
     working = rows.copy() if width > 1 else rows
     reach = np.arange(n_rows)
     cum = np.cumsum(working, axis=1)
@@ -573,17 +551,10 @@ def _draw_steps(rows: np.ndarray, uniforms: np.ndarray, draws: np.ndarray | None
             pos = working[missed] > 0.0
             last = vocab - 1 - pos[:, ::-1].argmax(axis=1)
             token[missed] = np.where(pos.any(axis=1), last, 0)
-        if draws is None:
-            picks[:, step] = token
-            if step + 1 < width:
-                total = total - working[reach, token]
-                working[reach, token] = 0.0
-        else:
-            live = step < draws
-            picks[live, step] = token[live]
-            if step + 1 < width:
-                total = np.where(live, total - working[reach, token], total)
-                working[reach[live], token[live]] = 0.0
+        picks[:, step] = token
+        if step + 1 < width:
+            total = total - working[reach, token]
+            working[reach, token] = 0.0
     return picks
 
 
