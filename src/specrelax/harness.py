@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import ConfigError, FeatureVec, GridPos, RngStream, RowOutOfRange, TokenId, cosine_sim, derive_seed
 from .models import Drafter, Target, enumerate_ar_distribution, load_model
-from .tree import STOCHASTIC, TOPK, TreeMask
+from .tree import CANDIDATE_MODES, STOCHASTIC, TOPK, TreeMask
 from .verify import AR, MODES, DecodeStats, RelaxConfig, decode_lanes, decode_sequence
 
 DEFAULT_KAPPA = 0.1
@@ -133,7 +133,7 @@ class ExperimentConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
-        if self.candidate_mode not in (TOPK, STOCHASTIC):
+        if self.candidate_mode not in CANDIDATE_MODES:
             raise ConfigError(f"unknown candidate mode {self.candidate_mode!r}")
         _check_kappa(self.kappa)
         if not Path(self.model_path).exists():

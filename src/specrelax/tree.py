@@ -144,7 +144,7 @@ class ChildDists:
 
     __slots__ = ("table", "rows")
 
-    def __init__(self, table: np.ndarray, rows: list[int]) -> None:
+    def __init__(self, table: np.ndarray, rows: Sequence[int]) -> None:
         self.table = table
         self.rows = rows
 
@@ -165,8 +165,9 @@ class DraftTree:
     probability), `parents[i]` (`ROOT` on level 1), `children[i]` (a range of
     ids), `child_dists[i]` (the conditional its children were drawn from;
     None on its lane's deepest level) and `paths[i]` (its prefix plus the
-    tokens from its lane's root to i). The structure lists may be shared
-    with other forests of the same shape; treat them as read-only.
+    tokens from its lane's root to i). A drafted forest's structure
+    (`level_starts`, `parents`, `children`) is tuples, shared by forests of
+    the same shape.
 
     A one-lane forest is a plain draft tree: `prefix`, `start_pos`,
     `start_index`, `root_dist`, `depth`, `level` and `layout` read its one
@@ -185,14 +186,14 @@ class DraftTree:
         prefixes: list[tuple[TokenId, ...]],
         start_positions: list[GridPos],
         root_dists: list[ProbDist],
-        level_starts: list[list[int]],
+        level_starts: Sequence[Sequence[int]],
         tokens: list[TokenId],
         probs: list[float],
-        parents: list[int],
-        children: list[range],
+        parents: Sequence[int],
+        children: Sequence[range],
         child_dists: Sequence[ProbDist | None],
         paths: Sequence[tuple[TokenId, ...]],
-        shapes: list[tuple[int, ...]] | None = None,
+        shapes: Sequence[tuple[int, ...]] | None = None,
     ) -> None:
         self.side = side
         self.prefixes = prefixes
@@ -370,11 +371,11 @@ class _Skeleton(NamedTuple):
     lane: np.ndarray
     level: np.ndarray
     parent: np.ndarray
-    parents: list[int]
-    children: list[range]
-    level_starts: list[list[int]]
-    shapes: list[tuple[int, ...]]
-    cond_rows: list[int]
+    parents: tuple[int, ...]
+    children: tuple[range, ...]
+    level_starts: tuple[tuple[int, ...], ...]
+    shapes: tuple[tuple[int, ...], ...]
+    cond_rows: tuple[int, ...]
 
 
 def _skeleton(depths: tuple[int, ...], kids: Sequence[np.ndarray | int]) -> _Skeleton:
@@ -425,13 +426,13 @@ def _skeleton(depths: tuple[int, ...], kids: Sequence[np.ndarray | int]) -> _Ske
     lane.flags.writeable = False
     level.flags.writeable = False
     local = np.where(parent == ROOT, ROOT, parent - lane_start[lane]).tolist()
-    level_starts = [row[: d + 1] for row, d in zip(starts.tolist(), depths)]
+    level_starts = tuple(tuple(row[: d + 1]) for row, d in zip(starts.tolist(), depths))
     return _Skeleton(
-        order, lane, level, parent, parent.tolist(),
-        list(map(range, first_kid.tolist(), (first_kid + n_kids).tolist())),
+        order, lane, level, parent, tuple(parent.tolist()),
+        tuple(map(range, first_kid.tolist(), (first_kid + n_kids).tolist())),
         level_starts,
-        [tuple(local[s[0] : s[-1]]) for s in level_starts],
-        cond_rows.tolist(),
+        tuple(tuple(local[s[0] : s[-1]]) for s in level_starts),
+        tuple(cond_rows.tolist()),
     )
 
 
