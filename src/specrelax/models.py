@@ -180,8 +180,6 @@ class TabularModel:
             sizes = v ** np.arange(k + 1, dtype=np.intp)
             self._window_starts = np.cumsum(sizes) - sizes
             self._window_powers = sizes[k - 1 :: -1] if k else sizes[:0]
-        if len(tails) and tails.min() >= 0 and tails.max() < v and lengths.min() >= k:
-            return self._window_starts[k] + tails @ self._window_powers  # every window full
         length = np.minimum(lengths, k)
         inside = np.arange(k) >= (k - length)[:, None]
         bad = ((tails < 0) | (tails >= v)) & inside
@@ -601,13 +599,10 @@ class LinearDrafter:
         """`Drafter.conditionals`: one gather from the softmax table."""
         table = self._softmax_table()
         n = self.side
-        if side == n:
-            rows = contexts[:, 0] * (n * n) + (index + n * n)
-        else:
-            row, col = np.divmod(index, side)
-            if (row >= n).any() or (col >= n).any():
-                raise UnknownWindow(f"a cell of the {side}x{side} grid lies outside the drafter's {n}x{n} grid")
-            rows = ((contexts[:, 0] + 1) * n + row) * n + col
+        row, col = np.divmod(index, side)
+        if (row >= n).any() or (col >= n).any():
+            raise UnknownWindow(f"a cell of the {side}x{side} grid lies outside the drafter's {n}x{n} grid")
+        rows = ((contexts[:, 0] + 1) * n + row) * n + col
         # Row r follows token r // (N*N) - 1, which must be one of the V tokens.
         if len(rows) and (rows.min() < n * n or rows.max() >= len(table)):
             raise UnknownWindow(f"a last token lies outside the drafter's {self.vocab} tokens")

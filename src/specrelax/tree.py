@@ -11,7 +11,6 @@ parent-child pairs of a tree shape are indexed once per shape.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -31,8 +30,6 @@ EXHAUSTION_FLOOR = 1e-12
 # A row whose every mass exceeds this is drawn `width` times: its running
 # total stays above EXHAUSTION_FLOOR until then, whatever the draws pick.
 SAFE_MIN_MASS = 1e-9
-# Forests of at most this many nodes keep their skeleton cached whatever their lanes' depths.
-SKELETON_CACHE_NODES = 256
 
 
 @dataclass(frozen=True)
@@ -458,22 +455,16 @@ def _inverse_cdf(mass: list[float], total: float, r: float) -> int:
 def _draw_row(mass: np.ndarray, width: int, rng: RngStream) -> list[TokenId]:
     """Draw up to `width` distinct tokens from one row, one uniform at a time.
 
-    A width-1 row takes one inverse-CDF draw against the row's cumulative
-    sums. Wider rows draw sequentially without replacement against `r *
-    total`, taking the drawn token's mass off the running total, and stop
-    once that total is at most EXHAUSTION_FLOOR.
+    A width-1 row takes one `ProbDist.sample` draw. Wider rows draw
+    sequentially without replacement against `r * total`, taking the drawn
+    token's mass off the running total, and stop once that total is at most
+    EXHAUSTION_FLOOR. The starting total is the row's left-to-right sum, as
+    in `_draw_steps` (Python's own `sum` compensates from 3.12 on).
     """
     if width == 1:
-        cdf = np.cumsum(mass).tolist()
-        idx = bisect_right(cdf, rng.next_real())
-        if idx >= len(cdf):
-            # Cumulative rounding left the final cdf entry a hair below 1.
-            idx = len(cdf) - 1
-            while idx > 0 and mass[idx] == 0.0:
-                idx -= 1
-        return [idx]
+        return [ProbDist._of_checked_row(mass).sample(rng)]
     working = mass.tolist()
-    total = sum(working)
+    total = float(np.cumsum(mass)[-1])
     picked = []
     for _ in range(width):
         if total <= EXHAUSTION_FLOOR:
@@ -651,10 +642,12 @@ def sample_draft_tree(
         rows = drafter.conditionals(contexts, row_index, side)
         tables.append(rows)
 
-    # Cached skeletons are kept to forests whose lanes share one depth or that
-    # are small: a large forest with mixed depths seldom recurs.
-    cached = regular and (shallowest == max_depth or sum(map(len, tokens)) <= SKELETON_CACHE_NODES)
-    skeleton = _full_skeleton(mask.widths[:max_depth], depths) if cached else _skeleton(depths, kids)
+    # Only forests whose lanes share one depth keep their skeleton cached:
+    # mixed depths come from lanes nearing their ends and seldom recur.
+    if regular and shallowest == max_depth:
+        skeleton = _full_skeleton(mask.widths[:max_depth], depths)
+    else:
+        skeleton = _skeleton(depths, kids)
     token = np.concatenate(tokens)[skeleton.order]
     table = np.concatenate(tables) if tables else np.empty((0, vocab))
     table.flags.writeable = False

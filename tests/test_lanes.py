@@ -52,7 +52,8 @@ def _select_candidates(dist, width, mode, rng):
         token = dist.sample(rng)
         return [(token, dist[token])]
     working = dist.mass.tolist()
-    total = sum(working)
+    # Left to right, as the per-node drafter summed on Python 3.11 (`sum` compensates from 3.12 on).
+    total = float(np.cumsum(dist.mass)[-1])
     picked = []
     for _ in range(width):
         if total <= 1e-12:

@@ -711,7 +711,10 @@ def test_decisions_name_their_candidate_and_donors(gridworld, monkeypatch):
 
     def recording_cascade(tree, evals, cfg, rng, sets):
         outcome = real_cascade(tree, evals, cfg, rng, sets)
-        calls.append((tree, sets, outcome))
+        own = build_sets(tree, evals, cfg)
+        # A one-lane decode's forest is its one tree: the walk must be given exactly its sets.
+        assert sets == own
+        calls.append((tree, own, outcome))
         return outcome
 
     def recording_vanilla(tree, evals, rng):
