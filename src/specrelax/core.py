@@ -8,7 +8,6 @@ or a pure function over those values. All heavier machinery builds on top.
 from __future__ import annotations
 
 from bisect import bisect_right
-from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -70,11 +69,11 @@ class ConfigError(EngineError):
 class ProbDist:
     """Normalized probability mass over a finite token vocabulary.
 
-    Instances are immutable; helper caches (cdf, sort order) are built lazily
-    so that shared rows can be sampled and ranked cheaply in hot loops.
+    Instances are immutable; the cdf is built lazily so that shared rows can
+    be sampled cheaply in hot loops.
     """
 
-    __slots__ = ("mass", "_cdf", "_ranked")
+    __slots__ = ("mass", "_cdf")
 
     def __init__(self, mass: Sequence[float] | np.ndarray) -> None:
         arr = np.asarray(mass, dtype=np.float64)
@@ -91,7 +90,6 @@ class ProbDist:
         arr.flags.writeable = False
         self.mass = arr
         self._cdf: tuple[float, ...] | None = None
-        self._ranked: tuple[tuple[TokenId, float], ...] | None = None
 
     @classmethod
     def _of_checked_row(cls, row: np.ndarray) -> "ProbDist":
@@ -99,7 +97,6 @@ class ProbDist:
         dist = cls.__new__(cls)
         dist.mass = row
         dist._cdf = None
-        dist._ranked = None
         return dist
 
     @classmethod
@@ -135,14 +132,6 @@ class ProbDist:
             while idx > 0 and self.mass[idx] == 0.0:
                 idx -= 1
         return idx
-
-    def ranked(self) -> tuple[tuple[TokenId, float], ...]:
-        """(token, probability) of every positive-mass token, by decreasing mass; ties to the lower id."""
-        if self._ranked is None:
-            pairs = [(token, prob) for token, prob in enumerate(self.mass.tolist()) if prob > 0.0]
-            pairs.sort(key=itemgetter(1), reverse=True)  # stable: ties keep ascending ids
-            self._ranked = tuple(pairs)
-        return self._ranked
 
 
 class FeatureVec:

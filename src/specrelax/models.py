@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple, Protocol, Sequence, runti
 import numpy as np
 
 from .core import (
+    ConfigError,
     EngineError,
     FeatureVec,
     GridPos,
@@ -99,6 +100,14 @@ class Target(Protocol):
         ...
 
 
+def _check_tabular_shape(vocab: int, order: int) -> None:
+    """Refuse a tabular model without tokens or context, or with more windows than the guard."""
+    if vocab < 1 or order < 1:
+        raise ConfigError("vocab and order must be positive")
+    if _power_exceeds_guard(vocab, order):
+        raise TooLarge(f"tabular model with {vocab}^{order} windows")
+
+
 class TabularModel:
     """Order-k lookup model: each length-k context window owns its next-token law.
 
@@ -117,10 +126,7 @@ class TabularModel:
         feature_table: Mapping[Window, FeatureVec | Sequence[float]],
         h: int,
     ) -> None:
-        if vocab < 1 or order < 1:
-            raise ValueError("vocab and order must be positive")
-        if _power_exceeds_guard(vocab, order):
-            raise TooLarge(f"tabular model with {vocab}^{order} windows")
+        _check_tabular_shape(vocab, order)
         self.vocab = vocab
         self.order = order
         self.h = h
@@ -130,13 +136,13 @@ class TabularModel:
             key = tuple(int(t) for t in window)
             dist = row if isinstance(row, ProbDist) else ProbDist(row)
             if len(dist) != vocab:
-                raise ValueError(f"row for window {key} has size {len(dist)} != {vocab}")
+                raise ConfigError(f"row for window {key} has size {len(dist)} != {vocab}")
             self._table[key] = dist
         for window, vec in feature_table.items():
             key = tuple(int(t) for t in window)
             feat = vec if isinstance(vec, FeatureVec) else FeatureVec(vec)
             if len(feat) != h:
-                raise ValueError(f"feature for window {key} has dim {len(feat)} != {h}")
+                raise ConfigError(f"feature for window {key} has dim {len(feat)} != {h}")
             self._features[key] = feat
         for length in range(order + 1):
             for window in itertools.product(range(vocab), repeat=length):
@@ -263,15 +269,15 @@ class GridWorldModel:
         feature_jitter: float = 0.0,
     ) -> None:
         if side < 1 or vocab < 2:
-            raise ValueError("side must be >= 1 and vocab >= 2")
+            raise ConfigError("side must be >= 1 and vocab >= 2")
         if len(clusters) != vocab:
-            raise ValueError("clusters must assign every token")
+            raise ConfigError("clusters must assign every token")
         if len(regions) != side * side:
-            raise ValueError("regions must cover every grid cell")
+            raise ConfigError("regions must cover every grid cell")
         if not 0.0 < in_cluster_mass < 1.0:
-            raise ValueError("in_cluster_mass must lie in (0, 1)")
+            raise ConfigError("in_cluster_mass must lie in (0, 1)")
         if not 0.0 <= feature_jitter <= 0.05:
-            raise ValueError("feature_jitter must lie in [0, 0.05]")
+            raise ConfigError("feature_jitter must lie in [0, 0.05]")
         self.side = side
         self.grid_side: int | None = side
         self.vocab = vocab
@@ -286,13 +292,13 @@ class GridWorldModel:
         n_regions = len(region_clusters)
         n_clusters = max(self.clusters) + 1
         if len(region_anchors) != n_regions:
-            raise ValueError("one region anchor required per region")
+            raise ConfigError("one region anchor required per region")
         if len(cluster_anchors) < n_clusters:
-            raise ValueError("one cluster anchor required per cluster")
+            raise ConfigError("one cluster anchor required per cluster")
         if max(self.regions) >= n_regions:
-            raise ValueError("region map references a region without an anchor")
+            raise ConfigError("region map references a region without an anchor")
         if any(not 0 <= c < n_clusters for c in self.region_clusters):
-            raise ValueError("region_clusters references an unknown cluster")
+            raise ConfigError("region_clusters references an unknown cluster")
 
         def _unit(vec) -> np.ndarray:
             arr = np.asarray(
@@ -302,7 +308,7 @@ class GridWorldModel:
                 raise NonFinite(f"anchor must be a finite vector of dim {h}")
             norm = float(np.linalg.norm(arr))
             if norm <= 0.0:
-                raise ValueError("region anchors must be non-zero")
+                raise ConfigError("region anchors must be non-zero")
             return arr / norm
 
         self._region_anchors = [_unit(v) for v in region_anchors]
@@ -325,7 +331,7 @@ class GridWorldModel:
         preferred = self.region_clusters[region]
         members = [t for t in range(self.vocab) if self.clusters[t] == preferred]
         if not members or len(members) == self.vocab:
-            raise ValueError("each region needs a proper, non-empty preferred cluster")
+            raise ConfigError("each region needs a proper, non-empty preferred cluster")
         mass = np.full(self.vocab, (1.0 - self.in_cluster_mass) / (self.vocab - len(members)))
         mass[members] = self.in_cluster_mass / len(members)
         return ProbDist(mass)
@@ -673,6 +679,9 @@ def load_model(path: str | Path):
 
 def random_tabular_model(vocab: int, order: int, seed: int, h: int = 4) -> TabularModel:
     """Seeded tabular fixture: flat-Dirichlet rows and unit random features per window."""
+    _check_tabular_shape(vocab, order)
+    if h < 1:
+        raise ConfigError("feature dimension h must be positive")
     rng = np.random.default_rng(seed)
     table: dict[Window, ProbDist] = {}
     features: dict[Window, FeatureVec] = {}
@@ -691,7 +700,7 @@ def tempered_table_drafter(model: TabularModel, exponent: float = 0.5) -> Tabula
     support of each row is preserved.
     """
     if not 0.0 < exponent <= 1.0:
-        raise ValueError("exponent must lie in (0, 1]")
+        raise ConfigError("exponent must lie in (0, 1]")
     table = {
         w: ProbDist.normalized(np.power(d.mass, exponent)) for w, d in model._table.items()
     }

@@ -43,6 +43,10 @@ class TrainConfig:
             raise ConfigError("learning rate must be positive")
         if self.epochs < 0 or self.num_sequences < 1:
             raise ConfigError("epochs must be >= 0 and num_sequences >= 1")
+        if not 0.0 <= self.tau_seq_train <= 1.01:
+            raise ConfigError("tau_seq_train must lie in [0, 1.01]")
+        if not (math.isfinite(self.hard_ce_weight) and self.hard_ce_weight >= 0.0):
+            raise ConfigError("hard_ce_weight must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ forest at once, into flat per-node lists. A lane is one sequence being
 decoded, with its own prefix, clipped mask and random stream. Each level is
 drafted with one drafter lookup and one numpy candidate selection for all
 lanes; paths and child conditionals are read lazily. The sibling and
-parent-child pairs of a tree shape are indexed once per shape.
+parent-child pairs of a forest are indexed once per forest structure.
 """
 
 from __future__ import annotations
@@ -58,12 +58,6 @@ class TreeMask:
             level *= w
             total += level
         return total
-
-    def clipped(self, depth: int) -> "TreeMask":
-        """Mask truncated to at most `depth` levels (for sequence tails)."""
-        if depth >= self.depth:
-            return self
-        return TreeMask(self.widths[:depth])
 
     @classmethod
     def parse(cls, text: str) -> "TreeMask":
@@ -153,48 +147,40 @@ class ChildDists:
 class DraftTree:
     """A draft forest: one speculation tree per lane, as flat per-node lists.
 
-    Lane k extends `prefixes[k]` from `start_positions[k]`, and
-    `root_dists[k]` is the drafter conditional its level 1 was drawn from.
-    Node ids are lane-major, and level-major within a lane: lane k's level l
-    (1-based) holds ids `level_starts[k][l-1] .. level_starts[k][l]-1`, and
-    the children of each node are one contiguous id range, in the order they
-    were drafted. Per node i: `tokens[i]`, `probs[i]` (its drafter
-    probability), `parents[i]` (`ROOT` on level 1), `children[i]` (a range of
-    ids), `child_dists[i]` (the conditional its children were drawn from;
-    None on its lane's deepest level) and `paths[i]` (its prefix plus the
-    tokens from its lane's root to i). A drafted forest's structure
-    (`level_starts`, `parents`, `children`) is tuples, shared by forests of
-    the same shape.
-
-    A one-lane forest is a plain draft tree: `prefix`, `start_pos`,
-    `start_index`, `root_dist`, `depth`, `level` and `layout` read its one
-    lane. `lane(k)` is lane k alone as such a tree, sharing the node lists
-    and ids of the forest. `nodes` spans every lane.
+    Lane k extends `prefixes[k]`, starting at sequence index
+    `len(prefixes[k])`, and `root_dists[k]` is the drafter conditional its
+    level 1 was drawn from. Node ids count from 0, lane-major, and
+    level-major within a lane: lane k's level l (1-based) holds ids
+    `level_starts[k][l-1] .. level_starts[k][l]-1`, and the children of each
+    node are one contiguous id range, in the order they were drafted. Per node i: `tokens[i]`,
+    `probs[i]` (its drafter probability), `parents[i]` (`ROOT` on level 1),
+    `children[i]` (a range of ids), `child_dists[i]` (the conditional its
+    children were drawn from; None on its lane's deepest level) and
+    `paths[i]` (its prefix plus the tokens from its lane's root to i). The
+    structure (`level_starts`, `parents`, `children`) is tuples, shared by
+    drafted forests of the same shape; `nodes` spans every lane.
     """
 
     __slots__ = (
-        "side", "prefixes", "start_positions", "root_dists", "level_starts",
-        "tokens", "probs", "parents", "children", "child_dists", "paths", "_shapes",
+        "side", "prefixes", "root_dists", "level_starts",
+        "tokens", "probs", "parents", "children", "child_dists", "paths",
     )
 
     def __init__(
         self,
         side: int,
         prefixes: list[tuple[TokenId, ...]],
-        start_positions: list[GridPos],
         root_dists: list[ProbDist],
-        level_starts: Sequence[Sequence[int]],
+        level_starts: tuple[tuple[int, ...], ...],
         tokens: list[TokenId],
         probs: list[float],
-        parents: Sequence[int],
+        parents: tuple[int, ...],
         children: Sequence[range],
         child_dists: Sequence[ProbDist | None],
         paths: Sequence[tuple[TokenId, ...]],
-        shapes: Sequence[tuple[int, ...]] | None = None,
     ) -> None:
         self.side = side
         self.prefixes = prefixes
-        self.start_positions = start_positions
         self.root_dists = root_dists
         self.level_starts = level_starts
         self.tokens = tokens
@@ -203,115 +189,15 @@ class DraftTree:
         self.children = children
         self.child_dists = child_dists
         self.paths = paths
-        # Per lane, its parents counted from its first node: the key of its pair layout.
-        self._shapes = shapes
 
     @property
     def nodes(self) -> range:
         """All node ids of every lane."""
-        return range(self.level_starts[0][0], self.level_starts[-1][-1])
-
-    def lane(self, k: int) -> "DraftTree":
-        """Lane `k` as a one-lane tree over the same node lists and ids."""
-        view = DraftTree.__new__(DraftTree)  # skips __init__: this runs once per lane and cycle
-        view.side, view.tokens, view.probs = self.side, self.tokens, self.probs
-        view.parents, view.children = self.parents, self.children
-        view.child_dists, view.paths = self.child_dists, self.paths
-        view.prefixes = self.prefixes[k : k + 1]
-        view.start_positions = self.start_positions[k : k + 1]
-        view.root_dists = self.root_dists[k : k + 1]
-        view.level_starts = self.level_starts[k : k + 1]
-        view._shapes = None if self._shapes is None else self._shapes[k : k + 1]
-        return view
-
-    def _only(self, per_lane: list):
-        if len(per_lane) != 1:
-            raise ValueError(f"a forest of {len(per_lane)} lanes: take one lane with lane(k)")
-        return per_lane[0]
-
-    @property
-    def prefix(self) -> tuple[TokenId, ...]:
-        return self._only(self.prefixes)
-
-    @property
-    def start_pos(self) -> GridPos:
-        return self._only(self.start_positions)
-
-    @property
-    def start_index(self) -> int:
-        return len(self.prefix)
-
-    @property
-    def root_dist(self) -> ProbDist:
-        return self._only(self.root_dists)
-
-    @property
-    def depth(self) -> int:
-        return len(self._only(self.level_starts)) - 1
-
-    def level(self, level: int) -> range:
-        """Node ids of level `level` (1-based)."""
-        starts = self._only(self.level_starts)
-        return range(starts[level - 1], starts[level])
-
-    def shapes(self) -> tuple[tuple[int, ...], ...]:
-        """Each lane's shape: its parents, counted from its first node (`ROOT` kept)."""
-        if self._shapes is None:
-            self._shapes = [
-                tuple(p if p == ROOT else p - starts[0] for p in self.parents[starts[0] : starts[-1]])
-                for starts in self.level_starts
-            ]
-        return tuple(self._shapes)
-
-    def layout(self) -> "PairLayout":
-        """Sibling and parent-child pairs of this one-lane tree's shape (cached per shape)."""
-        return pair_layout(self._only(self.shapes()))
-
-
-class PairLayout(NamedTuple):
-    """Every sibling pair and parent-child link of one tree shape, as index arrays.
-
-    `first` and `second` list the sibling pairs (first < second, same parent),
-    level by level, and then the parent-child links (parent, child) in child
-    order; `level_ends[l-1]` is the end of level l's sibling pairs, so
-    `level_ends[-1]` counts them all. `pairs` repeats the arrays as Python
-    tuples for building result sets.
-    """
-
-    first: np.ndarray
-    second: np.ndarray
-    pairs: tuple[tuple[int, int], ...]
-    level_ends: tuple[int, ...]
-
-
-@lru_cache(maxsize=64)
-def pair_layout(parents: tuple[int, ...]) -> PairLayout:
-    """Index the pairs of the level-major tree whose node i has parent `parents[i]`."""
-    levels: list[int] = []
-    for parent in parents:
-        levels.append(1 if parent == ROOT else levels[parent] + 1)
-    sibling_pairs: list[tuple[int, int]] = []
-    level_ends: list[int] = []
-    start = 0
-    for node in range(1, len(parents) + 1):
-        # Siblings are contiguous ids; a group ends where the parent changes.
-        if node < len(parents) and parents[node] == parents[start]:
-            continue
-        sibling_pairs.extend((a, b) for a in range(start, node) for b in range(a + 1, node))
-        if node == len(parents) or levels[node] != levels[start]:
-            level_ends.append(len(sibling_pairs))
-        start = node
-    links = [(parent, child) for child, parent in enumerate(parents) if parent != ROOT]
-    pairs = tuple(sibling_pairs + links)
-    index = np.array(pairs, dtype=np.intp).reshape(-1, 2)
-    first, second = index[:, 0].copy(), index[:, 1].copy()
-    first.flags.writeable = False
-    second.flags.writeable = False
-    return PairLayout(first, second, pairs, tuple(level_ends))
+        return range(self.level_starts[-1][-1])
 
 
 class ForestPairs(NamedTuple):
-    """The enabled pairs of a forest whose lanes start at id 0, level by level.
+    """The enabled pairs of a forest, level by level.
 
     `first` and `second` list level 1's sibling pairs of every lane, then
     level 2's, and so on, then every lane's parent-child links; `sibling`
@@ -326,33 +212,44 @@ class ForestPairs(NamedTuple):
 
 
 @lru_cache(maxsize=16)
-def forest_pairs(shapes: tuple[tuple[int, ...], ...], siblings: bool, links: bool) -> ForestPairs:
-    """Concatenate the lanes' per-shape layouts, each shifted by its lane's first node id.
+def forest_pairs(
+    parents: tuple[int, ...], level_starts: tuple[tuple[int, ...], ...], siblings: bool, links: bool
+) -> ForestPairs:
+    """Index the sibling pairs and parent-child links of the forest with these parents.
 
-    Only sibling pairs (`siblings`) and parent-child links (`links`) that are
-    asked for are listed.
+    Siblings are runs of equal parent, and on level 1 runs within one lane.
+    Each level lists its pairs `(a, b)`, `a < b`, in lexicographic order;
+    links follow the child ids. Only sibling pairs (`siblings`) and
+    parent-child links (`links`) that are asked for are listed.
     """
-    layouts = [pair_layout(shape) for shape in shapes]
-    offsets = np.cumsum([0] + [len(shape) for shape in shapes[:-1]]).tolist()
-    depth = max(len(layout.level_ends) for layout in layouts)
-    # members[g]: each lane's (layout, first id, start, end) slice in group g, links last.
-    members: list[list[tuple[PairLayout, int, int, int]]] = [[] for _ in range(depth + 1)]
-    for layout, offset in zip(layouts, offsets):
-        ends = (0,) + layout.level_ends
-        if siblings:
-            for level in range(1, len(ends)):
-                members[level - 1].append((layout, offset, ends[level - 1], ends[level]))
-        if links:
-            members[depth].append((layout, offset, ends[-1], len(layout.pairs)))
-    slices = [piece for group in members for piece in group]
-    first = np.concatenate([[]] + [lay.first[a:b] + off for lay, off, a, b in slices]).astype(np.intp)
-    second = np.concatenate([[]] + [lay.second[a:b] + off for lay, off, a, b in slices]).astype(np.intp)
-    sizes = [sum(b - a for _, _, a, b in group) for group in members]
-    bounds = np.cumsum([0] + sizes)
-    sibling = np.arange(len(first)) < bounds[depth]
-    for array in (first, second, sibling, bounds):
+    parent = np.array(parents, dtype=np.intp)
+    n = len(parent)
+    depth = max(len(starts) for starts in level_starts) - 1
+    level = np.repeat(
+        [lvl for starts in level_starts for lvl in range(1, len(starts))],
+        [b - a for starts in level_starts for a, b in zip(starts, starts[1:])],
+    )
+    later = np.zeros(n, dtype=np.intp)  # how many siblings follow each node
+    if siblings:
+        new_group = np.ones(n, dtype=bool)
+        new_group[1:] = parent[1:] != parent[:-1]
+        new_group[[starts[0] for starts in level_starts]] = True
+        group_end = np.append(np.flatnonzero(new_group), n)[np.cumsum(new_group)]
+        later = group_end - np.arange(n) - 1
+    node = np.argsort(level, kind="stable")  # level-major
+    count = later[node]
+    # Node a pairs with each of the `later[a]` siblings right after it.
+    first = np.repeat(node, count)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(count) - count, count)
+    kids = np.flatnonzero(parent != ROOT) if links else np.empty(0, dtype=np.intp)
+    per_level = np.bincount(level, weights=later, minlength=depth + 1)[1:].astype(np.intp)
+    groups = np.cumsum(np.concatenate([[0], per_level, [len(kids)]]))
+    first = np.concatenate([first, parent[kids]])
+    second = np.concatenate([second, kids])
+    sibling = np.arange(len(first)) < groups[depth]
+    for array in (first, second, sibling, groups):
         array.flags.writeable = False
-    return ForestPairs(first, second, sibling, bounds)
+    return ForestPairs(first, second, sibling, groups)
 
 
 class _Skeleton(NamedTuple):
@@ -371,7 +268,6 @@ class _Skeleton(NamedTuple):
     parents: tuple[int, ...]
     children: tuple[range, ...]
     level_starts: tuple[tuple[int, ...], ...]
-    shapes: tuple[tuple[int, ...], ...]
     cond_rows: tuple[int, ...]
 
 
@@ -422,13 +318,10 @@ def _skeleton(depths: tuple[int, ...], kids: Sequence[np.ndarray | int]) -> _Ske
     parent.flags.writeable = False
     lane.flags.writeable = False
     level.flags.writeable = False
-    local = np.where(parent == ROOT, ROOT, parent - lane_start[lane]).tolist()
-    level_starts = tuple(tuple(row[: d + 1]) for row, d in zip(starts.tolist(), depths))
     return _Skeleton(
         order, lane, level, parent, tuple(parent.tolist()),
         tuple(map(range, first_kid.tolist(), (first_kid + n_kids).tolist())),
-        level_starts,
-        tuple(tuple(local[s[0] : s[-1]]) for s in level_starts),
+        tuple(tuple(row[: d + 1]) for row, d in zip(starts.tolist(), depths)),
         tuple(cond_rows.tolist()),
     )
 
@@ -553,7 +446,6 @@ def _draw_steps(rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
 def sample_draft_tree(
     drafter: Drafter,
     prefixes: Sequence[Sequence[TokenId]],
-    start_positions: Sequence[GridPos],
     mask: TreeMask,
     depths: Sequence[int],
     rngs: Sequence[RngStream],
@@ -562,8 +454,9 @@ def sample_draft_tree(
 ) -> DraftTree:
     """Instantiate `mask` against the drafter for every lane, all lanes level by level.
 
-    Lane k drafts after `prefixes[k]` from `start_positions[k]` under the
-    first `depths[k]` levels of `mask`, drawing from `rngs[k]`. Each lane's
+    Lane k drafts after `prefixes[k]`, from grid cell
+    `divmod(len(prefixes[k]), side)`, under the first `depths[k]` levels of
+    `mask`, drawing from `rngs[k]`. Each lane's
     root conditional comes from `drafter.distribution`; each deeper level's
     conditionals come from one `drafter.conditionals` lookup for every lane.
     Top-k mode ranks candidates by drafter probability (deterministic; ties
@@ -584,15 +477,10 @@ def sample_draft_tree(
     vocab = getattr(drafter, "vocab")
     if max(mask.widths[:max_depth]) > vocab:
         raise VocabExhausted(f"width {max(mask.widths[:max_depth])} exceeds vocabulary of {vocab}")
-    for prefix, pos, depth in zip(prefixes, start_positions, depths):
-        start_index = pos.flatten(side)
-        if start_index != len(prefix):
-            raise ValueError(
-                f"start_pos maps to sequence index {start_index}, expected {len(prefix)}"
-            )
-        if depth > 1 and start_index + depth - 1 >= side * side:
-            raise ValueError(f"sequence index {start_index + depth - 1} outside {side}x{side} grid")
-    root_dists = [drafter.distribution(p, pos) for p, pos in zip(prefixes, start_positions)]
+    for prefix, depth in zip(prefixes, depths):
+        if depth > 1 and len(prefix) + depth - 1 >= side * side:
+            raise ValueError(f"sequence index {len(prefix) + depth - 1} outside {side}x{side} grid")
+    root_dists = [drafter.distribution(p, GridPos.from_index(len(p), side)) for p in prefixes]
 
     # Drafting order: level by level, each level grouped by lane. Each
     # frontier row holds the conditional one node's children are drawn from.
@@ -654,7 +542,6 @@ def sample_draft_tree(
     return DraftTree(
         side,
         prefixes,
-        list(start_positions),
         root_dists,
         skeleton.level_starts,
         token.tolist(),
@@ -666,5 +553,4 @@ def sample_draft_tree(
             prefixes, skeleton.lane, skeleton.parent, token, skeleton.level,
             prefix_len[skeleton.lane] + skeleton.level,
         ),
-        skeleton.shapes,
     )

@@ -62,23 +62,13 @@ class TreeEvals(NamedTuple):
 
     `roots[k]` evaluates lane k's prefix. Node i's conditional is `dists[i]`,
     its feature is row i of the read-only `(nodes, h)` array `features`, and
-    `norms[i]` is that feature's own norm. A one-lane pass's `root` is its one
-    root; `lane(k)` is lane k's root with the shared node arrays.
+    `norms[i]` is that feature's own norm.
     """
 
     roots: list[TargetEval]
     dists: list[ProbDist]
     features: np.ndarray
     norms: np.ndarray
-
-    @property
-    def root(self) -> TargetEval:
-        if len(self.roots) != 1:
-            raise ValueError(f"a pass over {len(self.roots)} lanes: take one lane with lane(k)")
-        return self.roots[0]
-
-    def lane(self, k: int) -> "TreeEvals":
-        return tuple.__new__(TreeEvals, (self.roots[k : k + 1], self.dists, self.features, self.norms))
 
 
 def evaluate_tree(target: Target, tree: DraftTree) -> TreeEvals:
@@ -87,7 +77,7 @@ def evaluate_tree(target: Target, tree: DraftTree) -> TreeEvals:
     Nodes one step past the grid end are evaluated at the final cell; only
     their features are ever consulted there.
     """
-    roots = [target.evaluate(p, pos) for p, pos in zip(tree.prefixes, tree.start_positions)]
+    roots = [target.evaluate(p, GridPos.from_index(len(p), tree.side)) for p in tree.prefixes]
     return TreeEvals(roots, *target.evaluate_batch(tree.paths, tree.side))
 
 
@@ -102,11 +92,11 @@ class SimilaritySets:
 def build_sets(tree: DraftTree, evals: TreeEvals, cfg: RelaxConfig) -> SimilaritySets:
     """Collect same-parent sibling pairs and parent-child links above threshold, in every lane.
 
-    A forest's pairs are its lanes' cached per-shape layouts, each shifted by
-    its lane's first node id (`forest_pairs`), and their cosines come from
-    one pass over the stacked features. Each pair's dot product runs through
-    the same BLAS kernel as `cosine_sim`'s and its norms are the features'
-    own, so every threshold decision matches the scalar definition exactly.
+    A forest's pairs are indexed once per forest structure (`forest_pairs`),
+    and their cosines come from one pass over the stacked features. Each
+    pair's dot product runs through the same BLAS kernel as `cosine_sim`'s
+    and its norms are the features' own, so every threshold decision matches
+    the scalar definition exactly.
     Clamping to [-1, 1] is skipped: against a threshold in [0, 1] it cannot
     change a decision. Level l's sibling pairs of every lane share one set.
     """
@@ -114,10 +104,7 @@ def build_sets(tree: DraftTree, evals: TreeEvals, cfg: RelaxConfig) -> Similarit
     want_c = cfg.tau_seq <= 1.0
     if not (want_i or want_c):
         return SimilaritySets({}, frozenset())
-    first, second, sibling, groups = forest_pairs(tree.shapes(), want_i, want_c)
-    start = tree.level_starts[0][0]
-    if start:
-        first, second = first + start, second + start
+    first, second, sibling, groups = forest_pairs(tree.parents, tree.level_starts, want_i, want_c)
     norms = evals.norms
     if len(first) and norms.min() <= NORM_FLOOR:
         zero = (norms[first] <= NORM_FLOOR) | (norms[second] <= NORM_FLOOR)
@@ -258,10 +245,12 @@ class VerifyOutcome:
 def _run_verification(
     tree: DraftTree,
     evals: TreeEvals,
+    lane: int,
     rng: RngStream,
     sets: SimilaritySets | None,
     budget: float,
 ) -> VerifyOutcome:
+    """Walk lane `lane` of the forest `tree` on its own stream."""
     tokens = tree.tokens
     accepted: list[TokenId] = []
     trace: list[TraceRecord] = []
@@ -271,8 +260,9 @@ def _run_verification(
     # Walk down the accepted path: each level offers the children of the
     # last accepted node (the root's children first).
     level = 1
-    siblings = tree.level(1)
-    q_dist, p_dist = evals.root.dist, tree.root_dist
+    starts = tree.level_starts[lane]
+    siblings = range(starts[0], starts[1])
+    q_dist, p_dist = evals.roots[lane].dist, tree.root_dists[lane]
     while siblings:
         chosen: int | None = None
         level_pairs = sets.inter_pairs.get(level, ()) if sets is not None else ()
@@ -338,9 +328,9 @@ def _run_verification(
     return VerifyOutcome(accepted, correction, budget_used, trace)
 
 
-def verify_vanilla(tree: DraftTree, evals: TreeEvals, rng: RngStream) -> VerifyOutcome:
-    """Exact acceptance: r < min(1, q/p) per candidate, residual correction on reject."""
-    return _run_verification(tree, evals, rng, None, 0.0)
+def verify_vanilla(tree: DraftTree, evals: TreeEvals, rng: RngStream, lane: int = 0) -> VerifyOutcome:
+    """Exact acceptance of lane `lane`: r < min(1, q/p) per candidate, residual correction on reject."""
+    return _run_verification(tree, evals, lane, rng, None, 0.0)
 
 
 def verify_cascade(
@@ -349,15 +339,15 @@ def verify_cascade(
     cfg: RelaxConfig,
     rng: RngStream,
     sets: SimilaritySets | None = None,
+    lane: int = 0,
 ) -> VerifyOutcome:
-    """Relaxed acceptance under `cfg`, with the budget reset for this call.
+    """Relaxed acceptance of lane `lane` under `cfg`, with the budget reset for this call.
 
-    `sets` are the similarity sets of the forest `tree` is a lane of; by
-    default they are built for `tree` alone.
+    `sets` are the forest's similarity sets; by default they are built here.
     """
     if sets is None:
         sets = build_sets(tree, evals, cfg)
-    return _run_verification(tree, evals, rng, sets, cfg.tvd_budget)
+    return _run_verification(tree, evals, lane, rng, sets, cfg.tvd_budget)
 
 
 @dataclass
@@ -427,7 +417,6 @@ def decode_lanes(
         tree = sample_draft_tree(
             drafter,
             prefixes,
-            [GridPos(*divmod(len(p), side)) for p in prefixes],
             mask,
             [min(mask.depth, length - len(p)) for p in prefixes],
             [rngs[k] for k in live],
@@ -437,16 +426,15 @@ def decode_lanes(
         evals = evaluate_tree(target, tree)
         sets = build_sets(tree, evals, cfg) if mode == CASCADE else None
         for j, k in enumerate(live):
-            lane_tree, lane_evals = tree.lane(j), evals.lane(j)
             if mode == CASCADE:
-                outcome = verify_cascade(lane_tree, lane_evals, cfg, rngs[k], sets)
+                outcome = verify_cascade(tree, evals, cfg, rngs[k], sets, lane=j)
             else:
-                outcome = verify_vanilla(lane_tree, lane_evals, rngs[k])
+                outcome = verify_vanilla(tree, evals, rngs[k], lane=j)
             tokens, stats = lanes[k]
             cycle = stats.verify_calls
             stats.verify_calls += 1
             stats.target_calls += 1
-            stats.drafter_calls += lane_tree.depth
+            stats.drafter_calls += len(tree.level_starts[j]) - 1
             stats.accepted_draft_tokens += outcome.alpha
             stats.accumulated_tvd += outcome.tvd_consumed
             emitted = outcome.emitted_tokens

@@ -97,6 +97,17 @@ class FixedDrafter:
         return np.broadcast_to(self.dist.mass, (len(index), self.vocab))
 
 
-def draft_one(drafter, prefix, start_pos, mask, rng, **kwargs):
+def draft_one(drafter, prefix, mask, rng, **kwargs):
     """A one-lane forest: the draft tree of one prefix."""
-    return sample_draft_tree(drafter, [prefix], [start_pos], mask, [mask.depth], [rng], **kwargs)
+    return sample_draft_tree(drafter, [prefix], mask, [mask.depth], [rng], **kwargs)
+
+
+def tree_depth(tree, lane=0):
+    """How many levels lane `lane` of a forest has."""
+    return len(tree.level_starts[lane]) - 1
+
+
+def tree_level(tree, level, lane=0):
+    """Node ids of level `level` (1-based) of lane `lane`."""
+    starts = tree.level_starts[lane]
+    return range(starts[level - 1], starts[level])

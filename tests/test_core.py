@@ -186,13 +186,6 @@ def test_probdist_sampling_matches_inverse_cdf():
     assert d.sample(Fixed(0.999999)) == 2
 
 
-def test_probdist_descending_order_breaks_ties_by_index():
-    assert dist(0.25, 0.25, 0.5).ranked() == ((2, 0.5), (0, 0.25), (1, 0.25))
-    assert [t for t, _ in dist(0.25, 0.25, 0.25, 0.25).ranked()] == [0, 1, 2, 3]
-    # Zero-mass tokens are never ranked.
-    assert dist(0.0, 0.75, 0.0, 0.25).ranked() == ((1, 0.75), (3, 0.25))
-
-
 # --- RngStream ---------------------------------------------------------------
 
 

@@ -402,6 +402,34 @@ def test_cli_make_model_round_trip(tmp_path):
     assert load_model(tmp_path / "g.json").side == 8
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--family", "tabular", "--vocab", "0"],
+        ["--family", "tabular", "--order", "0"],
+        ["--family", "tabular", "--h", "0"],
+        # 3^40 windows: refused by the size guard before any window is drawn.
+        ["--family", "tabular", "--vocab", "3", "--order", "40"],
+        ["--family", "gridworld", "--jitter", "0.5"],
+        ["--family", "tempered-drafter", "--exponent", "0"],
+        ["--family", "tempered-drafter", "--exponent", "2"],
+    ],
+)
+def test_cli_make_model_bad_values_exit_2(tmp_path, model_files, capsys, monkeypatch, flags):
+    def refuse_to_draw(*args, **kwargs):
+        raise AssertionError("a tabular model was drawn before its arguments were checked")
+
+    if "tabular" in flags:
+        monkeypatch.setattr(np.random, "default_rng", refuse_to_draw)
+    if "tempered-drafter" in flags:
+        flags = flags + ["--from", model_files["tab"]]
+    out = tmp_path / "model.json"
+    assert run_cli(["make-model", *flags, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_reports_engine_errors(tmp_path, capsys):
     code = run_cli(["decode", "--model", tmp_path / "nope.json", "--mode", "ar",
                     "--seeds", "0", "--out", tmp_path / "m.jsonl"])
@@ -425,6 +453,10 @@ def test_cli_reports_engine_errors(tmp_path, capsys):
         ["decode", "--tree", "1", "--len", "4", "--kappa", "-1"],
         ["decode", "--len", "2", "--kappa", "-0.5"],
         ["decode", "--len", "2", "--kappa", "nan"],
+        ["train", "--tau-seq-train", "5"],
+        ["train", "--tau-seq-train", "nan"],
+        ["train", "--tau-seq-train", "-3"],
+        ["train", "--hard-ce-weight", "-1"],
     ],
 )
 def test_cli_bad_flag_values_exit_2(tmp_path, model_files, capsys, flags):

@@ -3,6 +3,8 @@ the scalar per-node drafter that forest drafting replaced."""
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from specrelax import (
 )
 from specrelax.tree import ROOT, STOCHASTIC, TOPK
 
-from conftest import FixedDrafter
+from conftest import FixedDrafter, tree_depth, tree_level
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -47,7 +49,9 @@ def _select_candidates(dist, width, mode, rng):
     """Pick up to `width` distinct positive-probability tokens from one conditional,
     as the per-node drafter did before forests were drafted level by level."""
     if mode == TOPK:
-        return dist.ranked()[:width]
+        ranked = [(token, prob) for token, prob in enumerate(dist.mass.tolist()) if prob > 0.0]
+        ranked.sort(key=itemgetter(1), reverse=True)  # stable: ties keep ascending ids
+        return ranked[:width]
     if width == 1:
         token = dist.sample(rng)
         return [(token, dist[token])]
@@ -89,19 +93,15 @@ def reference_tree(drafter, prefix, mask, rng, mode, side):
 
 def assert_forest_matches_reference(drafter, prefixes, mask, depths, seeds, mode, side):
     rngs = [RngStream(seed) for seed in seeds]
-    forest = sample_draft_tree(
-        drafter, prefixes, [GridPos.from_index(len(p), side) for p in prefixes], mask, depths,
-        rngs, mode=mode, side=side,
-    )
+    forest = sample_draft_tree(drafter, prefixes, mask, depths, rngs, mode=mode, side=side)
     assert len(forest.nodes) == len(forest.tokens)
     for k, (prefix, depth, seed) in enumerate(zip(prefixes, depths, seeds)):
         ref_rng = RngStream(seed)
         tokens, probs, parents, child_masses = reference_tree(
-            drafter, prefix, mask.clipped(depth), ref_rng, mode, side
+            drafter, prefix, TreeMask(mask.widths[:depth]), ref_rng, mode, side
         )
-        tree = forest.lane(k)
-        start = tree.level_starts[0][0]
-        ids = list(tree.nodes)
+        start, end = forest.level_starts[k][0], forest.level_starts[k][-1]
+        ids = list(range(start, end))
         assert ids == list(range(start, start + len(tokens)))
         assert [forest.tokens[i] for i in ids] == tokens
         assert [forest.probs[i] for i in ids] == probs
@@ -115,7 +115,7 @@ def assert_forest_matches_reference(drafter, prefixes, mask, depths, seeds, mode
                 forest.tokens[a] for a in reversed(list(_ancestors(forest, i)))
             )
         assert rngs[k].counter == ref_rng.counter
-        assert tree.depth == depth
+        assert tree_depth(forest, k) == depth
 
 
 def _ancestors(forest, node):
@@ -176,11 +176,10 @@ def test_stochastic_rows_at_the_exhaustion_floor_match_the_scalar_drafter(mass):
         )
         # Level 1 of lane 0 is one row drawn on its own stream.
         rng = RngStream(21)
-        forest = sample_draft_tree(drafter, [[]], [GridPos(0, 0)], TreeMask((width,)), [1], [rng],
-                                   mode=STOCHASTIC, side=4)
+        forest = sample_draft_tree(drafter, [[]], TreeMask((width,)), [1], [rng], mode=STOCHASTIC, side=4)
         ref_rng = RngStream(21)
         expected = _select_candidates(dist, width, STOCHASTIC, ref_rng)
-        assert [(forest.tokens[n], forest.probs[n]) for n in forest.level(1)] == expected
+        assert [(forest.tokens[n], forest.probs[n]) for n in tree_level(forest, 1)] == expected
         assert rng.counter == ref_rng.counter
 
 

@@ -163,7 +163,6 @@ def test_linear_drafter_table_rows_match_per_row_softmax_bitwise():
                 assert drafter.distribution(prefix, pos) is row
                 assert row.sample(RngStream(index)) == ref.sample(RngStream(index))
                 assert row._cdf == ref._cdf, (name, last, pos)
-                assert row.ranked() == ref.ranked(), (name, last, pos)
         assert drafter._table.shape == ((drafter.vocab + 1) * drafter.side**2, drafter.vocab)
         assert drafter._table.flags.c_contiguous and not drafter._table.flags.writeable
 

@@ -5,14 +5,13 @@ import pytest
 
 from specrelax import (
     ConfigError,
-    GridPos,
     RngStream,
     TreeMask,
     VocabExhausted,
 )
 from specrelax.tree import ROOT, STOCHASTIC
 
-from conftest import FixedDrafter, draft_one
+from conftest import FixedDrafter, draft_one, tree_depth, tree_level
 
 
 def test_mask_validation():
@@ -26,23 +25,33 @@ def test_mask_validation():
         TreeMask.parse("4,x")
     assert TreeMask.parse("4,2,2,1,1").widths == (4, 2, 2, 1, 1)
     assert TreeMask.default().node_count() == 60
-    assert TreeMask((4, 2)).clipped(1).widths == (4,)
     assert TreeMask.chain(3).widths == (1, 1, 1)
 
 
 def test_top2_candidates_by_probability():
     drafter = FixedDrafter([0.5, 0.3, 0.2])
-    tree = draft_one(drafter, [], GridPos(0, 0), TreeMask((2,)), RngStream(0))
-    level = tree.level(1)
+    tree = draft_one(drafter, [], TreeMask((2,)), RngStream(0))
+    level = tree_level(tree, 1)
     assert [tree.tokens[n] for n in level] == [0, 1]
     assert [tree.probs[n] for n in level] == [0.5, 0.3]
 
 
+def test_topk_candidates_descend_with_ties_to_the_lower_id():
+    for mass, expected in (
+        ([0.25, 0.25, 0.5], [(2, 0.5), (0, 0.25), (1, 0.25)]),
+        ([0.25, 0.25, 0.25, 0.25], [(0, 0.25), (1, 0.25), (2, 0.25), (3, 0.25)]),
+        # Zero-mass tokens are never candidates.
+        ([0.0, 0.75, 0.0, 0.25], [(1, 0.75), (3, 0.25)]),
+    ):
+        tree = draft_one(FixedDrafter(mass), [], TreeMask((len(mass),)), RngStream(0))
+        assert [(tree.tokens[n], tree.probs[n]) for n in tree_level(tree, 1)] == expected
+
+
 def test_width_one_tree_is_greedy_chain():
     drafter = FixedDrafter([0.2, 0.5, 0.3])
-    tree = draft_one(drafter, [], GridPos(0, 0), TreeMask((1, 1)), RngStream(0))
-    assert [len(tree.level(lvl)) for lvl in (1, 2)] == [1, 1]
-    chain = [tree.level(1)[0], tree.level(2)[0]]
+    tree = draft_one(drafter, [], TreeMask((1, 1)), RngStream(0))
+    assert [len(tree_level(tree, lvl)) for lvl in (1, 2)] == [1, 1]
+    chain = [tree_level(tree, 1)[0], tree_level(tree, 2)[0]]
     assert [tree.tokens[n] for n in chain] == [1, 1]
     assert tree.parents[chain[1]] == chain[0]
     assert list(tree.children[chain[0]]) == [chain[1]]
@@ -52,13 +61,13 @@ def test_width_one_tree_is_greedy_chain():
 def test_width_beyond_vocab_raises():
     drafter = FixedDrafter([0.6, 0.4])
     with pytest.raises(VocabExhausted):
-        draft_one(drafter, [], GridPos(0, 0), TreeMask((3,)), RngStream(0))
+        draft_one(drafter, [], TreeMask((3,)), RngStream(0))
 
 
 def test_level_counts_multiply():
     drafter = FixedDrafter([0.4, 0.3, 0.2, 0.1])
-    tree = draft_one(drafter, [], GridPos(0, 0), TreeMask((3, 2, 1)), RngStream(0))
-    assert [len(tree.level(lvl)) for lvl in (1, 2, 3)] == [3, 6, 6]
+    tree = draft_one(drafter, [], TreeMask((3, 2, 1)), RngStream(0))
+    assert [len(tree_level(tree, lvl)) for lvl in (1, 2, 3)] == [3, 6, 6]
     assert len(tree.nodes) == 15
 
 
@@ -69,11 +78,11 @@ def test_sibling_tokens_are_distinct():
         drafter = FixedDrafter(mass)
         for mode in ("topk", STOCHASTIC):
             tree = draft_one(
-                drafter, [], GridPos(0, 0), TreeMask((3, 2)), RngStream(trial), mode=mode
+                drafter, [], TreeMask((3, 2)), RngStream(trial), mode=mode
             )
-            for level in range(1, tree.depth + 1):
+            for level in range(1, tree_depth(tree) + 1):
                 groups: dict[int, list[int]] = {}
-                for node in tree.level(level):
+                for node in tree_level(tree, level):
                     groups.setdefault(tree.parents[node], []).append(tree.tokens[node])
                 for tokens in groups.values():
                     assert len(tokens) == len(set(tokens))
@@ -87,27 +96,21 @@ def test_stochastic_chain_matches_direct_sampling():
     rng = RngStream(42)
     expected = [drafter.dist.sample(rng) for _ in range(3)]
     tree = draft_one(
-        drafter, [], GridPos(0, 0), TreeMask((1, 1, 1)), RngStream(42), mode=STOCHASTIC
+        drafter, [], TreeMask((1, 1, 1)), RngStream(42), mode=STOCHASTIC
     )
-    assert [tree.tokens[tree.level(lvl)[0]] for lvl in (1, 2, 3)] == expected
+    assert [tree.tokens[tree_level(tree, lvl)[0]] for lvl in (1, 2, 3)] == expected
 
 
 def test_stochastic_candidates_distinct_without_replacement():
     drafter = FixedDrafter([0.7, 0.2, 0.1])
     tree = draft_one(
-        drafter, [], GridPos(0, 0), TreeMask((3,)), RngStream(5), mode=STOCHASTIC
+        drafter, [], TreeMask((3,)), RngStream(5), mode=STOCHASTIC
     )
-    tokens = [tree.tokens[n] for n in tree.level(1)]
+    tokens = [tree.tokens[n] for n in tree_level(tree, 1)]
     assert sorted(tokens) == [0, 1, 2]
     # Original drafter probabilities are preserved, not the renormalized ones.
-    for node in tree.level(1):
+    for node in tree_level(tree, 1):
         assert tree.probs[node] == drafter.dist[tree.tokens[node]]
-
-
-def test_start_pos_must_match_prefix_length():
-    drafter = FixedDrafter([0.5, 0.5])
-    with pytest.raises(ValueError):
-        draft_one(drafter, [0, 1], GridPos(0, 0), TreeMask((1,)), RngStream(0), side=4)
 
 
 def test_flat_arrays_describe_one_consistent_tree():
@@ -119,25 +122,25 @@ def test_flat_arrays_describe_one_consistent_tree():
         for mode in ("topk", STOCHASTIC):
             for widths in ((3, 3, 2), (5, 1), (4, 2, 2, 1, 1)):
                 tree = draft_one(
-                    drafter, [1, 2], GridPos(0, 2), TreeMask(widths),
+                    drafter, [1, 2], TreeMask(widths),
                     RngStream(trial), mode=mode, side=8,
                 )
                 n = len(tree.nodes)
                 assert tree.level_starts[0][0] == 0 and tree.level_starts[0][-1] == n
-                for level in range(1, tree.depth + 1):
-                    for node in tree.level(level):
+                for level in range(1, tree_depth(tree) + 1):
+                    for node in tree_level(tree, level):
                         parent = tree.parents[node]
                         if level == 1:
                             assert parent == ROOT
                             assert tree.paths[node] == (1, 2, tree.tokens[node])
                         else:
-                            assert parent in tree.level(level - 1)
+                            assert parent in tree_level(tree, level - 1)
                             assert tree.paths[node] == tree.paths[parent] + (tree.tokens[node],)
                         assert tree.probs[node] == drafter.dist[tree.tokens[node]]
                         kids = [c for c in tree.nodes if tree.parents[c] == node]
                         assert list(tree.children[node]) == kids
                         assert len(kids) == (
-                            0 if level == tree.depth else min(widths[level], 4)
+                            0 if level == tree_depth(tree) else min(widths[level], 4)
                         )
                         last = level == len(widths)
                         assert (tree.child_dists[node] is None) == last

@@ -21,6 +21,7 @@ from specrelax import (
     TargetEval,
     TreeMask,
     build_sets,
+    decode_lanes,
     decode_sequence,
     decode_with_metrics,
     enumerate_ar_distribution,
@@ -28,14 +29,15 @@ from specrelax import (
     random_tabular_model,
     relax_q,
     residual_dist,
+    sample_draft_tree,
     tempered_table_drafter,
     verify_cascade,
     verify_vanilla,
 )
-from specrelax.tree import ROOT, DraftTree, STOCHASTIC
+from specrelax.tree import ROOT, DraftTree, STOCHASTIC, forest_pairs
 from specrelax.verify import TraceRecord, TreeEvals
 
-from conftest import FixedDrafter, draft_one, ScriptedRng, small_gridworld
+from conftest import FixedDrafter, ScriptedRng, draft_one, small_gridworld, tree_depth, tree_level
 
 ATOL = 1e-9
 
@@ -70,16 +72,14 @@ def manual_tree(level_specs, root_dist, prefix=(), side=8, child_dists=None):
             assert first + len(children[parent]) == node, "list each level in parent order"
             children[parent] = range(first, node + 1)
     child_dists = child_dists or {}
-    start = len(prefix)
     return DraftTree(
-        side, [tuple(prefix)], [GridPos.from_index(start, side)], [root_dist],
-        [level_starts], tokens, probs, parents, children,
-        [child_dists.get(node) for node in range(len(tokens))], paths,
+        side, [tuple(prefix)], [root_dist], (tuple(level_starts),), tokens, probs, tuple(parents),
+        children, [child_dists.get(node) for node in range(len(tokens))], paths,
     )
 
 
 def level_of(tree, node):
-    return next(lvl for lvl in range(1, tree.depth + 1) if node in tree.level(lvl))
+    return next(lvl for lvl in range(1, tree_depth(tree) + 1) if node in tree_level(tree, lvl))
 
 
 def manual_evals(root_dist, node_specs):
@@ -220,7 +220,7 @@ def test_interchange_pairs_are_irreflexive_and_symmetric_on_random_trees():
     for seed in range(6):
         target = random_tabular_model(6, 1, seed=seed, h=3)
         drafter = tempered_table_drafter(target)
-        tree = draft_one(drafter, [], GridPos(0, 0), TreeMask((3, 2)), RngStream(seed))
+        tree = draft_one(drafter, [], TreeMask((3, 2)), RngStream(seed))
         evals = evaluate_tree(target, tree)
         sets = build_sets(tree, evals, RelaxConfig(tau_pos=0.2, tau_seq=0.2))
         for level, pairs in sets.inter_pairs.items():
@@ -258,8 +258,8 @@ def test_build_sets_propagates_zero_norm_features():
 
 
 def test_gridworld_same_cluster_siblings_always_interchangeable(gridworld):
-    tree = draft_one(gridworld, [], GridPos(0, 0), TreeMask((4,)), RngStream(0))
-    assert [tree.tokens[n] for n in tree.level(1)] == [0, 1, 2, 3]  # one cluster
+    tree = draft_one(gridworld, [], TreeMask((4,)), RngStream(0))
+    assert [tree.tokens[n] for n in tree_level(tree, 1)] == [0, 1, 2, 3]  # one cluster
     evals = evaluate_tree(gridworld, tree)
     sets = build_sets(tree, evals, RelaxConfig(tau_pos=1.0, tau_seq=1.01))
     assert len(sets.inter_pairs[1]) == 6  # all pairs of the 4 siblings
@@ -272,15 +272,16 @@ def scalar_sets(tree, feature, cfg):
     """
     inter_pairs = {}
     if cfg.tau_pos <= 1.0:
-        for level in range(1, tree.depth + 1):
-            pairs = inter_pairs.setdefault(level, set())
-            nodes = list(tree.level(level))
-            for i, a in enumerate(nodes):
-                for b in nodes[i + 1 :]:
-                    if tree.parents[a] != tree.parents[b]:
-                        continue
-                    if cosine_sim(feature[a], feature[b]) >= cfg.tau_pos:
-                        pairs.add((a, b))
+        for lane in range(len(tree.level_starts)):
+            for level in range(1, tree_depth(tree, lane) + 1):
+                pairs = inter_pairs.setdefault(level, set())
+                nodes = list(tree_level(tree, level, lane))
+                for i, a in enumerate(nodes):
+                    for b in nodes[i + 1 :]:
+                        if tree.parents[a] != tree.parents[b]:
+                            continue
+                        if cosine_sim(feature[a], feature[b]) >= cfg.tau_pos:
+                            pairs.add((a, b))
     conv_pairs = set()
     if cfg.tau_seq <= 1.0:
         for node in tree.nodes:
@@ -313,10 +314,23 @@ def test_build_sets_match_scalar_definition_on_random_tabular_trees():
         for mode in ("topk", STOCHASTIC):
             for mask in (TreeMask((3, 2)), TreeMask((4, 2, 2, 1, 1))):
                 tree = draft_one(
-                    drafter, [seed % 5], GridPos(0, 1), mask, RngStream(seed), mode=mode,
+                    drafter, [seed % 5], mask, RngStream(seed), mode=mode,
                     side=8,
                 )
                 assert_sets_match_scalar(tree, evaluate_tree(target, tree))
+
+
+def test_build_sets_match_scalar_definition_on_mixed_depth_forests():
+    # Depth-1 lanes put level-1 runs of different lanes, all with parent ROOT, side by side.
+    for seed in range(4):
+        target = random_tabular_model(5, 2, seed=seed, h=3)
+        drafter = tempered_table_drafter(target)
+        for mode in ("topk", STOCHASTIC):
+            forest = sample_draft_tree(
+                drafter, [[], [seed % 5], [1, 2], [3]], TreeMask.default(), [1, 5, 1, 3],
+                [RngStream(seed + k) for k in range(4)], mode=mode, side=8,
+            )
+            assert_sets_match_scalar(forest, evaluate_tree(target, forest))
 
 
 def test_build_sets_match_scalar_definition_on_jittered_gridworld_trees():
@@ -332,7 +346,7 @@ def test_build_sets_match_scalar_definition_on_jittered_gridworld_trees():
         prefix = [(7 * seed + 3 * i) % 32 for i in range(5 + 9 * seed)]
         for mode in ("topk", STOCHASTIC):
             tree = draft_one(
-                drafter, prefix, GridPos.from_index(len(prefix), 8), TreeMask.default(),
+                drafter, prefix, TreeMask.default(),
                 RngStream(seed), mode=mode,
             )
             evals = evaluate_tree(target, tree)
@@ -345,13 +359,19 @@ def test_build_sets_match_scalar_definition_on_pruned_trees():
     drafter = FixedDrafter([0.6, 0.0, 0.4, 0.0])
     mask = TreeMask((3, 3, 2))
     full = draft_one(
-        tempered_table_drafter(target), [], GridPos(0, 0), mask, RngStream(0), side=4
+        tempered_table_drafter(target), [], mask, RngStream(0), side=4
     )
     for mode in ("topk", STOCHASTIC):
-        tree = draft_one(drafter, [], GridPos(0, 0), mask, RngStream(1), mode=mode, side=4)
-        assert [len(tree.level(lvl)) for lvl in (1, 2, 3)] == [2, 4, 8]
-        assert tree.layout().pairs != full.layout().pairs
+        tree = draft_one(drafter, [], mask, RngStream(1), mode=mode, side=4)
+        assert [len(tree_level(tree, lvl)) for lvl in (1, 2, 3)] == [2, 4, 8]
+        assert all_pairs(tree) != all_pairs(full)
         assert_sets_match_scalar(tree, evaluate_tree(target, tree))
+
+
+def all_pairs(tree):
+    """Every sibling pair and parent-child link of a forest, as (first, second) tuples."""
+    pairs = forest_pairs(tree.parents, tree.level_starts, True, True)
+    return list(zip(pairs.first.tolist(), pairs.second.tolist()))
 
 
 def test_full_trees_of_one_mask_share_one_layout():
@@ -359,15 +379,15 @@ def test_full_trees_of_one_mask_share_one_layout():
     drafter = tempered_table_drafter(target)
     mask = TreeMask((3, 2, 1))
     trees = [
-        draft_one(drafter, [], GridPos(0, 0), mask, RngStream(seed), side=4)
+        draft_one(drafter, [], mask, RngStream(seed), side=4)
         for seed in range(3)
     ]
-    assert trees[0].layout() is trees[1].layout() is trees[2].layout()
-    layout = trees[0].layout()
+    pairs = [forest_pairs(tree.parents, tree.level_starts, True, True) for tree in trees]
+    assert pairs[0] is pairs[1] is pairs[2]
     # Sibling pairs: 3 among the root's children, then 1 in each of 3 pairs
     # of siblings, none among only children; then 6 + 6 parent-child links.
-    assert layout.level_ends == (3, 6, 6)
-    assert len(layout.pairs) == 6 + 12
+    assert pairs[0].groups.tolist() == [0, 3, 6, 6, 18]
+    assert len(all_pairs(trees[0])) == 6 + 12
 
 
 def test_threshold_one_with_identical_features_matches_scalar():
@@ -415,9 +435,9 @@ def per_node_evals(target, tree):
     sequence index clamped to the grid's last cell."""
     cap = tree.side * tree.side - 1
     evals = []
-    for level in range(1, tree.depth + 1):
-        pos = GridPos.from_index(min(tree.start_index + level, cap), tree.side)
-        evals += [target.evaluate(tree.paths[node], pos) for node in tree.level(level)]
+    for level in range(1, tree_depth(tree) + 1):
+        pos = GridPos.from_index(min(len(tree.prefixes[0]) + level, cap), tree.side)
+        evals += [target.evaluate(tree.paths[node], pos) for node in tree_level(tree, level)]
     return evals
 
 
@@ -425,9 +445,10 @@ def assert_batch_matches_per_node(target, tree):
     evals = evaluate_tree(target, tree)
     reference = per_node_evals(target, tree)
     n, h = len(reference), len(reference[0].feature)
-    root = target.evaluate(tree.prefix, tree.start_pos)
-    assert evals.root.dist is root.dist
-    assert evals.root.feature.values.tobytes() == root.feature.values.tobytes()
+    prefix = tree.prefixes[0]
+    root = target.evaluate(prefix, GridPos.from_index(len(prefix), tree.side))
+    assert evals.roots[0].dist is root.dist
+    assert evals.roots[0].feature.values.tobytes() == root.feature.values.tobytes()
     assert len(evals.dists) == n
     assert evals.features.shape == (n, h) and evals.features.dtype == np.float64
     assert not evals.features.flags.writeable
@@ -448,13 +469,13 @@ def grid_trees(target, drafter):
         prefix = [(7 * seed + 3 * i) % target.vocab for i in range(start)]
         for mode in ("topk", STOCHASTIC):
             trees.append(draft_one(
-                drafter, prefix, GridPos.from_index(start, target.side), TreeMask.default(),
+                drafter, prefix, TreeMask.default(),
                 RngStream(seed), mode=mode,
             ))
     for start, mask in ((62, TreeMask((4, 2))), (63, TreeMask((3,)))):
         prefix = [i % target.vocab for i in range(start)]
         trees.append(draft_one(
-            drafter, prefix, GridPos.from_index(start, target.side), mask, RngStream(start),
+            drafter, prefix, mask, RngStream(start),
             mode=STOCHASTIC,
         ))
     return trees
@@ -484,7 +505,7 @@ def test_evaluate_batch_matches_per_node_evaluate_on_gridworlds(make_target):
     target = make_target()
     drafter = LinearDrafter.zeros(32, 8)
     trees = grid_trees(target, drafter)
-    assert {tree.start_index + tree.depth for tree in trees} >= {64}  # the clamped cell
+    assert {len(tree.prefixes[0]) + tree_depth(tree) for tree in trees} >= {64}  # the clamped cell
     for tree in trees:
         assert_batch_matches_per_node(target, tree)
 
@@ -498,7 +519,7 @@ def test_evaluate_batch_matches_per_node_evaluate_on_tabular_models(order):
         for prefix in ([], [seed % 5], [1, 4, seed % 5]):
             for mode in ("topk", STOCHASTIC):
                 tree = draft_one(
-                    drafter, prefix, GridPos.from_index(len(prefix), 8), TreeMask.default(),
+                    drafter, prefix, TreeMask.default(),
                     RngStream(seed), mode=mode, side=8,
                 )
                 assert_batch_matches_per_node(target, tree)
@@ -511,9 +532,9 @@ def test_evaluate_batch_matches_per_node_evaluate_on_pruned_trees():
     for target, mass in ((tabular, [0.6, 0.0, 0.4, 0.0]), (grid, [0.0, 0.6, 0.0, 0.0, 0.4, 0, 0, 0])):
         for mode in ("topk", STOCHASTIC):
             tree = draft_one(
-                FixedDrafter(mass), [], GridPos(0, 0), mask, RngStream(1), mode=mode, side=2,
+                FixedDrafter(mass), [], mask, RngStream(1), mode=mode, side=2,
             )
-            assert [len(tree.level(lvl)) for lvl in (1, 2, 3)] == [2, 4, 8]
+            assert [len(tree_level(tree, lvl)) for lvl in (1, 2, 3)] == [2, 4, 8]
             assert_batch_matches_per_node(target, tree)
 
 
@@ -527,7 +548,7 @@ def test_batched_sets_raise_zero_norm_exactly_where_per_node_features_do():
         for mode in ("topk", STOCHASTIC):
             for mask in (TreeMask((2, 2, 1)), TreeMask((3, 1))):
                 tree = draft_one(
-                    tempered_table_drafter(base), [1], GridPos(0, 1), mask, RngStream(7),
+                    tempered_table_drafter(base), [1], mask, RngStream(7),
                     mode=mode, side=4,
                 )
                 evals = evaluate_tree(target, tree)
@@ -552,10 +573,10 @@ def test_gridworld_batch_raises_where_evaluate_does_on_cancelling_anchors():
     )
     mask = TreeMask((2, 1))
     with np.errstate(invalid="ignore"):
-        safe = draft_one(FixedDrafter([0.5, 0.5, 0, 0]), [], GridPos(0, 0), mask,
+        safe = draft_one(FixedDrafter([0.5, 0.5, 0, 0]), [], mask,
                                  RngStream(0), side=2)
         assert_batch_matches_per_node(target, safe)
-        bad = draft_one(FixedDrafter([0.5, 0, 0.5, 0]), [], GridPos(0, 0), mask,
+        bad = draft_one(FixedDrafter([0.5, 0, 0.5, 0]), [], mask,
                                 RngStream(0), side=2)
         with pytest.raises(NonFinite):
             per_node_evals(target, bad)
@@ -648,16 +669,16 @@ def test_cascade_oversized_interchange_mass_is_skipped(gridworld):
     from specrelax import LinearDrafter
 
     drafter = LinearDrafter.zeros(gridworld.vocab, gridworld.side)
-    tree = draft_one(drafter, [], GridPos(0, 0), TreeMask((4,)), RngStream(1))
-    assert [tree.tokens[n] for n in tree.level(1)] == [0, 1, 2, 3]
+    tree = draft_one(drafter, [], TreeMask((4,)), RngStream(1))
+    assert [tree.tokens[n] for n in tree_level(tree, 1)] == [0, 1, 2, 3]
     evals = evaluate_tree(gridworld, tree)
     small = gridworld
-    assert evals.root.dist[0] == pytest.approx(0.8 / 8, abs=ATOL)
+    assert evals.roots[0].dist[0] == pytest.approx(0.8 / 8, abs=ATOL)
 
     # Rebuild the scenario on the 8-token cluster model for the 0.2 split.
     model = small_gridworld()
     drafter = LinearDrafter.zeros(model.vocab, model.side)
-    tree = draft_one(drafter, [], GridPos(0, 0), TreeMask((4,)), RngStream(1))
+    tree = draft_one(drafter, [], TreeMask((4,)), RngStream(1))
     evals = evaluate_tree(model, tree)
     cfg = RelaxConfig(tau_pos=0.9, tau_seq=1.01, tvd_budget=0.5)
     outcome = verify_cascade(tree, evals, cfg, ScriptedRng([0.9]))
@@ -707,19 +728,19 @@ def test_decisions_name_their_candidate_and_donors(gridworld, monkeypatch):
     import specrelax.verify as verify_mod
 
     no_sets = SimilaritySets({}, frozenset())
-    calls = []  # (tree, similarity sets, outcome) of every verification call
+    calls = []  # (forest, lane, similarity sets, outcome) of every verification call
 
-    def recording_cascade(tree, evals, cfg, rng, sets):
-        outcome = real_cascade(tree, evals, cfg, rng, sets)
+    def recording_cascade(tree, evals, cfg, rng, sets, lane):
+        outcome = real_cascade(tree, evals, cfg, rng, sets, lane=lane)
         own = build_sets(tree, evals, cfg)
-        # A one-lane decode's forest is its one tree: the walk must be given exactly its sets.
+        # The walk must be given exactly the sets of its own forest, rebuilt here.
         assert sets == own
-        calls.append((tree, own, outcome))
+        calls.append((tree, lane, own, outcome))
         return outcome
 
-    def recording_vanilla(tree, evals, rng):
-        outcome = real_vanilla(tree, evals, rng)
-        calls.append((tree, no_sets, outcome))
+    def recording_vanilla(tree, evals, rng, lane):
+        outcome = real_vanilla(tree, evals, rng, lane=lane)
+        calls.append((tree, lane, no_sets, outcome))
         return outcome
 
     real_cascade, real_vanilla = verify_mod.verify_cascade, verify_mod.verify_vanilla
@@ -731,13 +752,19 @@ def test_decisions_name_their_candidate_and_donors(gridworld, monkeypatch):
             decode_sequence(
                 gridworld, drafter, mode, TreeMask.default(), RelaxConfig(), 64, RngStream(seed)
             )
+        # Four seeds in lockstep: each walk reads its own lane of one shared forest.
+        decode_lanes(
+            gridworld, drafter, mode, TreeMask.default(), RelaxConfig(), 64,
+            [RngStream(seed) for seed in range(5, 9)],
+        )
     donations = {"cascade": 0, "vanilla": 0}
-    for tree, sets, outcome in calls:
+    later_lane_donations = 0
+    for tree, lane, sets, outcome in calls:
         mode = "vanilla" if sets is no_sets else "cascade"
-        siblings = tree.level(1)
+        siblings = tree_level(tree, 1, lane)
         for rec in outcome.trace:
             node = siblings[rec.sibling]
-            assert node in tree.level(rec.level)
+            assert node in tree_level(tree, rec.level, lane)
             assert rec.token == tree.tokens[node]
             partners = {
                 tree.tokens[other] for other in siblings
@@ -751,9 +778,12 @@ def test_decisions_name_their_candidate_and_donors(gridworld, monkeypatch):
             if mode == "vanilla":
                 assert rec.transfers == () and rec.added_mass == 0.0
             donations[mode] += bool(donors)
+            later_lane_donations += bool(donors) and lane > 0
             if rec.decision == "accept":
                 siblings = tree.children[node]
     assert donations["cascade"] > 0 and donations["vanilla"] == 0
+    assert later_lane_donations > 0
+    assert {lane for _, lane, _, _ in calls} == {0, 1, 2, 3}
 
 
 def test_cascade_with_relaxation_off_matches_vanilla_bitwise(tabular_v4, tabular_v4_drafter, gridworld, grid_drafter):
@@ -923,15 +953,15 @@ def closed_form_outcome_law(tree, evals, cfg):
     def walk(parent, level_idx, tokens, budget_left, weight):
         if weight <= 0.0:
             return
-        if level_idx >= tree.depth:
+        if level_idx >= tree_depth(tree):
             results[tokens] = results.get(tokens, 0.0) + weight
             return
-        siblings = tree.level(1) if parent is None else tree.children[parent]
+        siblings = tree_level(tree, 1) if parent is None else tree.children[parent]
         if not siblings:
             results[tokens] = results.get(tokens, 0.0) + weight
             return
-        q = evals.root.dist if parent is None else evals.dists[parent]
-        p_full = tree.root_dist if parent is None else tree.child_dists[parent]
+        q = evals.roots[0].dist if parent is None else evals.dists[parent]
+        p_full = tree.root_dists[0] if parent is None else tree.child_dists[parent]
         survive = weight
         budget = budget_left
         for node in siblings:
