@@ -251,3 +251,36 @@ class RngStream:
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, counter={self.counter})"
+
+
+# The SplitMix64 constants as numpy scalars, for uint64 arrays (Python ints convert per call).
+_GAMMA_U64 = np.uint64(_GAMMA)
+_MIX1_U64 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2_U64 = np.uint64(0x94D049BB133111EB)
+
+
+def peek_reals(rngs: Sequence[RngStream], counts: Sequence[int]) -> np.ndarray:
+    """The next `counts[k]` uniforms of each stream `rngs[k]`, concatenated, moving no counter.
+
+    One numpy uint64 SplitMix64 pass over every stream, bit for bit the
+    values `next_real` would return: uniform j (from 1) of stream k is the
+    draw at counter `rngs[k].counter + j`, and uint64 arithmetic wraps
+    modulo 2**64 where `next_real` masks.
+    """
+    # Draw i of the block (1-based) mixes `key + (counter + i - start) * gamma`,
+    # so each stream contributes one offset and the block one arange.
+    offsets, start = [], 0
+    for rng, count in zip(rngs, counts):
+        offsets.append((rng._key + (rng.counter - start) * _GAMMA) & _MASK64)
+        start += int(count)
+    z = np.arange(1, start + 1, dtype=np.uint64)
+    z *= _GAMMA_U64
+    z += np.repeat(np.array(offsets, dtype=np.uint64), counts)
+    # _mix64(z), on uint64 lanes that wrap modulo 2**64.
+    z ^= z >> 30
+    z *= _MIX1_U64
+    z ^= z >> 27
+    z *= _MIX2_U64
+    z ^= z >> 31
+    z >>= 11
+    return z * 1.1102230246251565e-16  # 2**-53

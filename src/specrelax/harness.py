@@ -165,9 +165,12 @@ def _check_length(target: Target, drafter: Drafter | None, length: int) -> None:
             raise ConfigError(f"length {length} exceeds the {role}'s {side}x{side} grid")
 
 
+# `json.dumps(record, sort_keys=True)` would build a new encoder for every line.
+_LINE_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def _dump_line(out: TextIO, record: dict) -> None:
-    out.write(json.dumps(record, sort_keys=True))
-    out.write("\n")
+    out.write(_LINE_ENCODER.encode(record) + "\n")
 
 
 def run_experiment(cfg: ExperimentConfig) -> Metrics:

@@ -37,10 +37,10 @@ class TrainConfig:
     num_sequences: int = 24
 
     def __post_init__(self) -> None:
-        if self.c < 1.0:
-            raise ConfigError("convergence weight c must be >= 1")
-        if self.learning_rate <= 0.0:
-            raise ConfigError("learning rate must be positive")
+        if not (math.isfinite(self.c) and self.c >= 1.0):
+            raise ConfigError("convergence weight c must be finite and >= 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ConfigError("learning rate must be finite and positive")
         if self.epochs < 0 or self.num_sequences < 1:
             raise ConfigError("epochs must be >= 0 and num_sequences >= 1")
         if not 0.0 <= self.tau_seq_train <= 1.01:

@@ -13,11 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
+from operator import mul
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import ConfigError, GridPos, ProbDist, RngStream, TokenId, VocabExhausted
+from .core import ConfigError, GridPos, ProbDist, RngStream, TokenId, VocabExhausted, peek_reals
 from .models import Drafter
 
 DEFAULT_NODE_CAP = 256
@@ -345,7 +347,21 @@ def _inverse_cdf(mass: list[float], total: float, r: float) -> int:
     return last_positive
 
 
-def _draw_row(mass: np.ndarray, width: int, rng: RngStream) -> list[TokenId]:
+class _BlockStream:
+    """`next_real` over a list of peeked uniforms; `used` counts those read."""
+
+    __slots__ = ("values", "used")
+
+    def __init__(self, values: list[float]) -> None:
+        self.values = values
+        self.used = 0
+
+    def next_real(self) -> float:
+        self.used += 1
+        return self.values[self.used - 1]
+
+
+def _draw_row(mass: np.ndarray, width: int, rng: _BlockStream) -> list[TokenId]:
     """Draw up to `width` distinct tokens from one row, one uniform at a time.
 
     A width-1 row takes one `ProbDist.sample` draw. Wider rows draw
@@ -381,32 +397,37 @@ def _top_k(rows: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray | None]
 
 
 def _stochastic(
-    rows: np.ndarray, width: int, row_lane: np.ndarray, rngs: Sequence[RngStream]
+    rows: np.ndarray, width: int, row_lane: np.ndarray, block: np.ndarray, cursor: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Draw every row's candidates without replacement, each lane's uniforms in row order.
 
-    Each row makes exactly the draws `_draw_row` makes. When every mass of
-    every row exceeds SAFE_MIN_MASS, that is `width` draws per row, so the
-    uniforms are taken up front and all rows are drawn together, step by
+    Lane k's uniforms are read from `block` at `cursor[k]` on, and the
+    cursor is moved past the ones used. Each row makes exactly the draws
+    `_draw_row` makes. When every mass of every row exceeds SAFE_MIN_MASS,
+    that is `width` draws per row, so all rows are drawn together, step by
     step (`_draw_steps`). Otherwise each row is drawn on its own through
     `_draw_row`. Returns the `(rows, width)` picks and, unless every pick is
     valid, which are.
     """
-    bounds = np.searchsorted(row_lane, np.arange(len(rngs) + 1)).tolist()
+    bounds = np.searchsorted(row_lane, np.arange(len(cursor) + 1))
     if rows.min() > SAFE_MIN_MASS:
-        uniforms = [
-            rng.next_real()
-            for rng, lo, hi in zip(rngs, bounds, bounds[1:])
-            for _ in range((hi - lo) * width)
-        ]
-        return _draw_steps(rows, np.array(uniforms).reshape(len(rows), width)), None
+        # Row j of lane k reads its `width` uniforms from `cursor[k] + (j - bounds[k]) * width` on.
+        spans = bounds * width
+        base = cursor - spans[:-1]
+        np.add(base, spans[1:], out=cursor)
+        at = np.arange(len(rows) * width).reshape(len(rows), width) + base[row_lane][:, None]
+        return _draw_steps(rows, block[at]), None
     picks = np.zeros((len(rows), width), dtype=np.intp)
     valid = np.zeros((len(rows), width), dtype=bool)
-    for rng, lo, hi in zip(rngs, bounds, bounds[1:]):
+    bounds = bounds.tolist()
+    for lane, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        start = int(cursor[lane])
+        stream = _BlockStream(block[start : start + (hi - lo) * width].tolist())
         for row in range(lo, hi):
-            picked = _draw_row(rows[row], width, rng)
+            picked = _draw_row(rows[row], width, stream)
             picks[row, : len(picked)] = picked
             valid[row, : len(picked)] = True
+        cursor[lane] += stream.used
     return picks, valid
 
 
@@ -463,7 +484,9 @@ def sample_draft_tree(
     to the lower token id). Stochastic mode draws them sequentially without
     replacement, consuming one uniform per node of its lane's stream in node
     order, so a width-1 mask reproduces plain autoregressive drafting draw
-    for draw.
+    for draw. Every lane's uniforms come from one `peek_reals` pass over its
+    clipped mask's node count; each counter then moves past the ones its
+    lane used, so the unused ones stay the stream's next draws.
     """
     if mode not in CANDIDATE_MODES:
         raise ConfigError(f"unknown candidate mode {mode!r}")
@@ -498,6 +521,14 @@ def sample_draft_tree(
     row_lane = np.arange(n_lanes)
     row_index = prefix_len  # the sequence index each frontier row's children sit at
     shallowest = int(lane_depth.min())
+    if mode == STOCHASTIC:
+        # Every node takes at most one uniform: peek each lane's clipped-mask
+        # node count at once, and read them through per-lane cursors.
+        through = list(accumulate(accumulate(mask.widths, mul)))  # nodes on levels 1..l
+        sizes = [through[d - 1] for d in depths]
+        block = peek_reals(rngs, sizes)
+        block_start = [0, *accumulate(sizes)][:-1]
+        cursor = np.array(block_start)
     tokens, probs, tables, kids = [], [], [], []
     regular = True
     for level in range(1, max_depth + 1):
@@ -505,7 +536,7 @@ def sample_draft_tree(
         if mode == TOPK:
             picks, valid = _top_k(rows, width)
         else:
-            picks, valid = _stochastic(rows, width, row_lane, rngs)
+            picks, valid = _stochastic(rows, width, row_lane, block, cursor)
         if valid is None:
             source = np.arange(len(rows)).repeat(width)
             level_tokens = picks.ravel()
@@ -529,6 +560,11 @@ def sample_draft_tree(
             contexts, row_lane, row_index = contexts[grows], row_lane[grows], row_index[grows]
         rows = drafter.conditionals(contexts, row_index, side)
         tables.append(rows)
+
+    if mode == STOCHASTIC:
+        # The uniforms left unread are each stream's next draws.
+        for rng, start, end in zip(rngs, block_start, cursor.tolist()):
+            rng.counter += end - start
 
     # Only forests whose lanes share one depth keep their skeleton cached:
     # mixed depths come from lanes nearing their ends and seldom recur.

@@ -18,6 +18,7 @@ from specrelax import (
     residual_dist,
     tvd,
 )
+from specrelax.core import peek_reals
 
 ATOL = 1e-9
 
@@ -216,6 +217,36 @@ def test_rng_distinct_seeds_decorrelate():
     b = RngStream(1)
     matches = sum(a.next_real() == b.next_real() for _ in range(1000))
     assert matches == 0
+
+
+# Counters at the start, the middle and the wrap of the 64-bit counter space.
+COUNTERS = st.sampled_from([0, 1, 2**63, 2**64 - 3]) | st.integers(0, 2**64 + 5)
+LANE = st.tuples(st.integers(0, 2**64 - 1), COUNTERS, st.integers(0, 9))
+
+
+@settings(max_examples=150, deadline=None)
+@given(lanes=st.lists(LANE, min_size=1, max_size=5), equal=st.booleans())
+def test_peek_reals_matches_next_real_and_moves_no_counter(lanes, equal):
+    if equal:  # every lane asks for as many uniforms as the first
+        lanes = [(seed, counter, lanes[0][2]) for seed, counter, _ in lanes]
+    rngs = [RngStream(seed, counter) for seed, counter, _ in lanes]
+    counts = [count for _, _, count in lanes]
+    block = peek_reals(rngs, counts)
+    assert [rng.counter for rng in rngs] == [counter for _, counter, _ in lanes]
+    expected = []
+    for seed, counter, count in lanes:
+        rng = RngStream(seed, counter)
+        expected += [rng.next_real() for _ in range(count)]
+    assert block.dtype == np.float64 and len(block) == sum(counts)
+    assert block.tobytes() == np.array(expected, dtype=np.float64).tobytes()
+
+
+def test_peek_reals_across_the_counter_wrap():
+    # Draws 2**64 - 2 .. 2**64 + 2: the counter's product with the gamma wraps.
+    rng = RngStream(2**64 - 1, 2**64 - 3)
+    block = peek_reals([rng, RngStream(5)], [5, 0])
+    assert rng.counter == 2**64 - 3
+    assert block.tolist() == [rng.next_real() for _ in range(5)]
 
 
 def test_derive_seed_is_deterministic_and_spread():

@@ -28,6 +28,7 @@ from specrelax import (
     save_model,
     train_drafter,
 )
+from specrelax import train as train_module
 from specrelax.cli import build_parser, main as cli_main, parse_seed_spec
 from specrelax.harness import read_metrics_jsonl
 
@@ -457,9 +458,17 @@ def test_cli_reports_engine_errors(tmp_path, capsys):
         ["train", "--tau-seq-train", "nan"],
         ["train", "--tau-seq-train", "-3"],
         ["train", "--hard-ce-weight", "-1"],
+        ["train", "--c", "nan"],
+        ["train", "--c", "inf"],
+        ["train", "--lr", "nan"],
+        ["train", "--lr", "inf"],
     ],
 )
-def test_cli_bad_flag_values_exit_2(tmp_path, model_files, capsys, flags):
+def test_cli_bad_flag_values_exit_2(tmp_path, model_files, capsys, monkeypatch, flags):
+    def no_rollout(*args, **kwargs):
+        raise AssertionError("a refused flag value ran the training rollout")
+
+    monkeypatch.setattr(train_module, "build_training_samples", no_rollout)
     command, *rest = flags
     if command == "oracle":
         args = [command, "--model", model_files["tab"]]
@@ -470,6 +479,7 @@ def test_cli_bad_flag_values_exit_2(tmp_path, model_files, capsys, flags):
     assert run_cli(args + rest) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_cli_overflowing_drafter_exits_2(tmp_path, model_files, capsys):

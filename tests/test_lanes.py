@@ -22,7 +22,7 @@ from specrelax import (
     sample_draft_tree,
     tempered_table_drafter,
 )
-from specrelax.tree import ROOT, STOCHASTIC, TOPK
+from specrelax.tree import ROOT, SAFE_MIN_MASS, STOCHASTIC, TOPK
 
 from conftest import FixedDrafter, tree_depth, tree_level
 
@@ -200,6 +200,42 @@ def test_random_rows_with_zeros_and_tiny_masses_match_the_scalar_drafter():
             assert_forest_matches_reference(
                 drafter, [[], [0], []], TreeMask(widths), [2, 1, 2], [trial, trial + 1, trial + 2],
                 mode, 4,
+            )
+
+
+class IndexDrafter:
+    """Context-free drafter whose conditional at sequence index i is `masses[i % len(masses)]`."""
+
+    grid_side = None
+    context = 0
+
+    def __init__(self, masses):
+        self.masses = np.array(masses)
+        self.masses.flags.writeable = False
+        self.vocab = self.masses.shape[1]
+
+    def distribution(self, prefix, pos):
+        return ProbDist(self.masses[len(prefix) % len(self.masses)])
+
+    def conditionals(self, contexts, index, side):
+        return self.masses[np.asarray(index) % len(self.masses)]
+
+
+def test_forests_mixing_row_by_row_and_stepped_levels_match_the_scalar_drafter():
+    # Even indexes hold a row with a tiny and a zero mass, drawn row by row
+    # (`_draw_row`), which can stop before its width; odd indexes a row with
+    # no small mass, drawn step by step for all rows at once (`_draw_steps`).
+    # Each lane's stepped level must read its uniforms after those its
+    # row-by-row levels used.
+    slow = [0.6, 0.4 - 1e-12, 1e-12, 0.0]
+    fast = [0.1, 0.2, 0.3, 0.4]
+    assert min(slow) <= SAFE_MIN_MASS < min(fast)
+    drafter = IndexDrafter([slow, fast])
+    prefixes = [[], [1, 2], [3, 0], [0, 1, 2, 3]]  # even lengths: every level is one kind
+    for mask in (TreeMask((3, 2, 2)), TreeMask((2, 3, 1, 2))):
+        for seeds in ((1, 2, 3, 4), (50, 60, 70, 80), (9, 9, 9, 9)):
+            assert_forest_matches_reference(
+                drafter, prefixes, mask, [mask.depth, 1, mask.depth - 1, mask.depth], seeds, STOCHASTIC, 4
             )
 
 
