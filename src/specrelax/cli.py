@@ -17,6 +17,8 @@ from .core import ConfigError, EngineError
 from .harness import (
     DEFAULT_KAPPA,
     ExperimentConfig,
+    check_output_path,
+    load_target,
     mc_distribution_test,
     run_experiment,
 )
@@ -222,7 +224,8 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    target = load_model(args.model)
+    target = load_target(args.model)
+    check_output_path(args.out)
     cfg = TrainConfig(
         c=args.c,
         tau_seq_train=args.tau_seq_train,
@@ -239,7 +242,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    target = load_model(args.model)
+    target = load_target(args.model)
     drafter = None
     if args.mode != AR:
         if args.drafter:
@@ -258,6 +261,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_make_model(args: argparse.Namespace) -> int:
+    check_output_path(args.out)
     if args.family == "gridworld":
         model = GridWorldModel.default(feature_jitter=args.jitter)
     elif args.family == "tabular":

@@ -23,7 +23,7 @@ from .verify import AR, MODES, DecodeStats, RelaxConfig, decode_lanes, decode_se
 
 DEFAULT_KAPPA = 0.1
 # Samples `mc_distribution_test` decodes in lockstep at a time.
-MC_LANES = 128
+MC_LANES = 512
 
 
 # Metrics field -> JSONL key; every record conversion derives from this table.
@@ -142,6 +142,26 @@ class ExperimentConfig:
             raise ConfigError(f"mode {self.mode!r} requires --drafter")
         if self.drafter_path is not None and not Path(self.drafter_path).exists():
             raise ConfigError(f"drafter file not found: {self.drafter_path}")
+        for path in (self.metrics_path, self.trace_path, self.heatmap_path):
+            if path is not None:
+                check_output_path(path)
+
+
+def check_output_path(path: str | Path) -> None:
+    """Raise ConfigError unless a file can be created at `path`: its directory exists and it is none."""
+    out = Path(path)
+    if out.is_dir():
+        raise ConfigError(f"output path {str(path)!r} is a directory")
+    if not out.parent.is_dir():
+        raise ConfigError(f"output path {str(path)!r} is in a directory that does not exist")
+
+
+def load_target(path: str | Path) -> Target:
+    """Load a model file that must hold a target; refuse any other kind before work is done."""
+    model = load_model(path)
+    if not isinstance(model, Target):
+        raise ConfigError(f"{path} holds a {model.kind!r} model, which cannot serve as the target")
+    return model
 
 
 def _check_drafter_matches(target: Target, drafter: Drafter | None) -> None:
@@ -175,7 +195,7 @@ def _dump_line(out: TextIO, record: dict) -> None:
 
 def run_experiment(cfg: ExperimentConfig) -> Metrics:
     """Decode one sequence per seed, write JSONL records, return the seed mean."""
-    target = load_model(cfg.model_path)
+    target = load_target(cfg.model_path)
     drafter = load_model(cfg.drafter_path) if cfg.drafter_path else None
     _check_drafter_matches(target, drafter)
     length = cfg.length
@@ -184,15 +204,21 @@ def run_experiment(cfg: ExperimentConfig) -> Metrics:
             raise ConfigError("a sequence length is required for non-grid models")
         length = target.grid_side * target.grid_side
     _check_length(target, drafter, length)
+    side = target.grid_side or max(1, math.isqrt(max(length - 1, 0)) + 1)
+    if cfg.heatmap_path is not None and length != side * side:
+        raise ConfigError(
+            f"the heatmap covers every row of the {side}x{side} grid, so it needs length {side * side}, "
+            f"got {length}"
+        )
 
-    # One lane per seed; each lane's trace records are kept apart so that the
+    # One lane per seed; each lane's trace lines are kept apart so that the
     # file lists them seed by seed, cycle by cycle.
-    traces: list[list[dict]] = [[] for _ in cfg.seeds]
+    traces: list[list[str]] = [[] for _ in cfg.seeds]
     sink = None
     if cfg.trace_path is not None:
         def sink(lane: int, cycle: int, outcome) -> None:
             seed = cfg.seeds[lane]
-            traces[lane].extend({"seed": seed, "cycle": cycle, **rec.to_record()} for rec in outcome.trace)
+            traces[lane].extend([rec.to_line(seed, cycle) for rec in outcome.trace])
     results = decode_lanes(
         target, drafter, cfg.mode, cfg.mask, cfg.relax, length,
         [RngStream(seed) for seed in cfg.seeds], candidate_mode=cfg.candidate_mode, on_outcome=sink,
@@ -207,11 +233,9 @@ def run_experiment(cfg: ExperimentConfig) -> Metrics:
             _dump_line(out, {"aggregate": True, **aggregate.to_record()})
     if cfg.trace_path is not None:
         with open(cfg.trace_path, "w", encoding="utf-8", newline="\n") as out:
-            for trace in traces:
-                for record in trace:
-                    _dump_line(out, record)
+            for lines in traces:
+                out.writelines(lines)
     if cfg.heatmap_path is not None:
-        side = target.grid_side or max(1, math.isqrt(max(length - 1, 0)) + 1)
         export_similarity_heatmap(target, results[0][0], range(side), cfg.heatmap_path)
     return aggregate
 

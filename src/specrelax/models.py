@@ -682,6 +682,8 @@ def random_tabular_model(vocab: int, order: int, seed: int, h: int = 4) -> Tabul
     _check_tabular_shape(vocab, order)
     if h < 1:
         raise ConfigError("feature dimension h must be positive")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     table: dict[Window, ProbDist] = {}
     features: dict[Window, FeatureVec] = {}

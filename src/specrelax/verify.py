@@ -168,6 +168,20 @@ def relax_q(
     return applied_i, applied_c, tuple(transfers)
 
 
+# Trace field -> JSONL key, in sorted key order; `to_record` and `to_line` derive from this table.
+_TRACE_KEYS = (
+    ("added_mass_c", "addedMassC"),
+    ("added_mass_i", "addedMassI"),
+    ("budget_left", "budgetLeft"),
+    ("decision", "decision"),
+    ("level", "level"),
+    ("p", "p"),
+    ("q", "q"),
+    ("r", "r"),
+    ("sibling", "sibling"),
+)
+
+
 class TraceRecord(NamedTuple):
     """One accept/reject decision, with the relaxation actually applied.
 
@@ -176,7 +190,7 @@ class TraceRecord(NamedTuple):
     candidate (none under `vanilla`); `added_mass` equals the total-variation
     distance between `q_dist` and the transfer law, which `transfer_dist`
     materializes to check that identity. `to_record` gives the trace JSONL
-    fields, which leave out the last three.
+    fields, which leave out the last three, and `to_line` writes them.
     """
 
     level: int
@@ -209,17 +223,35 @@ class TraceRecord(NamedTuple):
         return ProbDist(mass)
 
     def to_record(self) -> dict:
-        return {
-            "level": self.level,
-            "sibling": self.sibling,
-            "q": self.q,
-            "p": self.p,
-            "addedMassI": self.added_mass_i,
-            "addedMassC": self.added_mass_c,
-            "r": self.r,
-            "decision": self.decision,
-            "budgetLeft": self.budget_left,
-        }
+        return {key: getattr(self, name) for name, key in _TRACE_KEYS}
+
+    def to_line(self, seed: int, cycle: int) -> str:
+        """This decision's trace JSONL line, newline included.
+
+        The text is `json.dumps({"seed": seed, "cycle": cycle, **self.to_record()},
+        sort_keys=True)`, written without the dict or the encoder (every field is finite).
+        """
+        return _TRACE_LINE.format(*self, seed, cycle)
+
+
+def _trace_line_template() -> str:
+    """The `str.format` template of one trace line, filled from `(*record, seed, cycle)`.
+
+    Keys come in sorted order, as `sort_keys` writes them. An empty format
+    spec renders an int as `%d` and a float (numpy's included) as
+    `float.__repr__`, which is what `json.dumps` writes for finite values;
+    `decision` is a plain ASCII word, so quoting it is its JSON string.
+    """
+    positions = {name: i for i, name in enumerate((*TraceRecord._fields, "seed", "cycle"))}
+    keys = sorted([*_TRACE_KEYS, ("seed", "seed"), ("cycle", "cycle")], key=lambda pair: pair[1])
+    fields = [
+        f'"{key}": "{{{positions[name]}}}"' if name == "decision" else f'"{key}": {{{positions[name]}}}'
+        for name, key in keys
+    ]
+    return "{{" + ", ".join(fields) + "}}\n"
+
+
+_TRACE_LINE = _trace_line_template()
 
 
 @dataclass

@@ -20,17 +20,21 @@ from specrelax import (
     TabularModel,
     TrainConfig,
     TreeMask,
+    decode_lanes,
     decode_sequence,
     decode_with_metrics,
     export_similarity_heatmap,
+    load_model,
     mc_distribution_test,
     run_experiment,
     save_model,
     train_drafter,
 )
+from specrelax import harness
 from specrelax import train as train_module
 from specrelax.cli import build_parser, main as cli_main, parse_seed_spec
 from specrelax.harness import read_metrics_jsonl
+from specrelax.tree import STOCHASTIC, TOPK
 
 from conftest import make_tabular_v2
 
@@ -147,6 +151,14 @@ def test_mc_vanilla_chain_matches_enumeration():
     assert distance <= 0.015
 
 
+def test_mc_oracle_result_does_not_depend_on_the_lane_block(monkeypatch, tabular_v4, tabular_v4_drafter):
+    # Lanes are independent, so the samples may be decoded in blocks of any size.
+    args = (tabular_v4, tabular_v4_drafter, "vanilla", 40, 3)
+    whole = mc_distribution_test(*args, base_seed=9)
+    monkeypatch.setattr(harness, "MC_LANES", 7)
+    assert mc_distribution_test(*args, base_seed=9) == whole
+
+
 def test_mc_cascade_records_distance_without_pass_requirement(gridworld):
     from specrelax import LinearDrafter
 
@@ -258,6 +270,37 @@ def test_run_experiment_writes_per_seed_and_aggregate(tmp_path, model_files):
     assert (tmp_path / "hm.csv").exists()
 
 
+@pytest.mark.parametrize("candidate_mode", [TOPK, STOCHASTIC])
+@pytest.mark.parametrize("mode", ["vanilla", "cascade"])
+@pytest.mark.parametrize("family,length", [("grid", 64), ("tab", 16)])
+def test_trace_lines_are_the_sorted_json_of_each_decision(tmp_path, model_files, family, length, mode,
+                                                          candidate_mode):
+    seeds = (3, 4, 5, 6)
+    target_path, drafter_path = model_files[family], model_files[f"{family}_drafter"]
+    trace_path = tmp_path / "trace.jsonl"
+    run_experiment(ExperimentConfig(
+        model_path=str(target_path), drafter_path=str(drafter_path), mode=mode, seeds=seeds,
+        length=length, candidate_mode=candidate_mode, trace_path=str(trace_path),
+    ))
+
+    expected: list[list[str]] = [[] for _ in seeds]
+
+    def collect(lane, cycle, outcome):
+        expected[lane].extend(
+            json.dumps({"seed": seeds[lane], "cycle": cycle, **rec.to_record()}, sort_keys=True)
+            for rec in outcome.trace
+        )
+
+    decode_lanes(load_model(target_path), load_model(drafter_path), mode, TreeMask.default(), RelaxConfig(),
+                 length, [RngStream(seed) for seed in seeds], candidate_mode=candidate_mode,
+                 on_outcome=collect)
+    text = trace_path.read_text(encoding="utf-8")
+    assert text.endswith("\n")
+    assert text[:-1].split("\n") == [line for lane in expected for line in lane]
+    if family == "grid" and mode == "cascade":
+        assert any(json.loads(line)["addedMassI"] > 0.0 for lane in expected for line in lane)
+
+
 def test_run_experiment_validates_inputs(tmp_path, model_files):
     with pytest.raises(ConfigError):
         ExperimentConfig(model_path=str(tmp_path / "missing.json"), mode="ar", seeds=(0,))
@@ -307,6 +350,100 @@ def test_cli_mismatched_drafter_exits_2(tmp_path, model_files, capsys):
                     "--mode", "vanilla", "--len", "4", "--out", tmp_path / "m.jsonl"])
     assert code == 2
     assert "vocabulary" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["decode", "--mode", "ar", "--len", "8", "--out", "{out}"],
+        ["decode", "--drafter", "{drafter}", "--len", "8", "--out", "{out}"],
+        ["oracle", "--samples", "10"],
+        ["oracle", "--mode", "ar", "--len", "2", "--samples", "10"],
+        ["oracle", "--drafter", "{drafter}", "--len", "2", "--samples", "10"],
+        ["train", "--epochs", "1", "--sequences", "1", "--out", "{out}"],
+    ],
+)
+def test_cli_refuses_a_drafter_file_as_the_target(tmp_path, model_files, capsys, monkeypatch, command):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on a drafter file given as the target")
+
+    monkeypatch.setattr(harness, "decode_lanes", no_work)
+    monkeypatch.setattr(train_module, "build_training_samples", no_work)
+    out = tmp_path / "out.json"
+    values = {"out": str(out), "drafter": str(model_files["grid_drafter"])}
+    name, *rest = command
+    code = run_cli([name, "--model", model_files["grid_drafter"], *(arg.format(**values) for arg in rest)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert str(model_files["grid_drafter"]) in err and "'linear_drafter'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["decode", "--out", "{missing}"],
+        ["decode", "--out", "{dir}"],
+        ["decode", "--out", "{ok}", "--trace", "{dir}"],
+        ["decode", "--out", "{ok}", "--trace", "{missing}"],
+        ["decode", "--out", "{ok}", "--heatmap", "{missing}"],
+        ["decode", "--out", "{ok}", "--heatmap", "{dir}"],
+        ["decode", "--out", ""],
+        ["train", "--epochs", "1", "--sequences", "1", "--out", "{missing}"],
+        ["train", "--epochs", "1", "--sequences", "1", "--out", "{dir}"],
+        ["make-model", "--family", "tabular", "--out", "{missing}"],
+        ["make-model", "--family", "gridworld", "--out", "{dir}"],
+    ],
+)
+def test_cli_unwritable_output_paths_exit_2_before_any_work(tmp_path, model_files, capsys, monkeypatch,
+                                                             command):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output paths were checked")
+
+    monkeypatch.setattr(harness, "decode_lanes", no_work)
+    monkeypatch.setattr(train_module, "build_training_samples", no_work)
+    monkeypatch.setattr(np.random, "default_rng", no_work)
+    (tmp_path / "dir").mkdir()
+    values = {"missing": str(tmp_path / "missing" / "x.json"), "dir": str(tmp_path / "dir"),
+              "ok": str(tmp_path / "ok.jsonl")}
+    name, *rest = command
+    args = [name]
+    if name == "decode":
+        args += ["--model", model_files["grid"], "--drafter", model_files["grid_drafter"]]
+    elif name == "train":
+        args += ["--model", model_files["grid"]]
+    code = run_cli(args + [arg.format(**values) for arg in rest])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err and "output path" in err
+    assert not (tmp_path / "ok.jsonl").exists() and not (tmp_path / "missing").exists()
+    assert list((tmp_path / "dir").iterdir()) == []
+
+
+@pytest.mark.parametrize("family,length", [("grid", "8"), ("grid", "63"), ("tab", "5"), ("tab", "8")])
+def test_cli_heatmap_over_a_partial_grid_exits_2_before_decoding(tmp_path, model_files, capsys, monkeypatch,
+                                                                 family, length):
+    def no_decode(*args, **kwargs):
+        raise AssertionError("decoded before the heatmap's length was checked")
+
+    monkeypatch.setattr(harness, "decode_lanes", no_decode)
+    out, heatmap = tmp_path / "m.jsonl", tmp_path / "h.csv"
+    code = run_cli(["decode", "--model", model_files[family], "--drafter", model_files[f"{family}_drafter"],
+                    "--len", length, "--out", out, "--heatmap", heatmap])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "heatmap" in err
+    assert not out.exists() and not heatmap.exists()
+
+
+def test_cli_heatmap_over_a_whole_tabular_grid_is_written(tmp_path, model_files):
+    heatmap = tmp_path / "h.csv"
+    assert run_cli(["decode", "--model", model_files["tab"], "--drafter", model_files["tab_drafter"],
+                    "--len", "9", "--out", tmp_path / "m.jsonl", "--heatmap", heatmap]) == 0
+    rows = list(csv.reader(heatmap.open(encoding="utf-8")))
+    assert rows[0] == ["pos"] + [str(p) for p in range(9)]
+    assert len(rows) == 10
 
 
 def test_parse_seed_spec_forms():
@@ -409,6 +546,7 @@ def test_cli_make_model_round_trip(tmp_path):
         ["--family", "tabular", "--vocab", "0"],
         ["--family", "tabular", "--order", "0"],
         ["--family", "tabular", "--h", "0"],
+        ["--family", "tabular", "--seed", "-1"],
         # 3^40 windows: refused by the size guard before any window is drawn.
         ["--family", "tabular", "--vocab", "3", "--order", "40"],
         ["--family", "gridworld", "--jitter", "0.5"],
