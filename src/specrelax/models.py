@@ -100,12 +100,25 @@ class Target(Protocol):
         ...
 
 
-def _check_tabular_shape(vocab: int, order: int) -> None:
-    """Refuse a tabular model without tokens or context, or with more windows than the guard."""
-    if vocab < 1 or order < 1:
-        raise ConfigError("vocab and order must be positive")
-    if _power_exceeds_guard(vocab, order):
-        raise TooLarge(f"tabular model with {vocab}^{order} windows")
+def _check_tabular_shape(vocab: int, order: int, h: int) -> None:
+    """Refuse a tabular model without tokens, context or features, or with more cells than the guard.
+
+    Each of the `vocab**length` windows of each length 0 to `order` holds
+    `vocab` masses, `h` feature values and its `length` tokens, so the table
+    has `windows * (vocab + h)` cells plus the window tokens. The count
+    stops once it passes ENUMERATION_GUARD, so a huge shape costs nothing.
+    """
+    if vocab < 1 or order < 1 or h < 1:
+        raise ConfigError("vocab, order and h must be positive")
+    cells, windows = 0, 1
+    for length in range(order + 1):
+        cells += windows * (vocab + h + length)
+        if cells > ENUMERATION_GUARD:
+            raise TooLarge(
+                f"tabular model with vocab {vocab}, order {order} and h {h} holds more than "
+                f"{ENUMERATION_GUARD} table cells"
+            )
+        windows *= vocab
 
 
 class TabularModel:
@@ -126,7 +139,7 @@ class TabularModel:
         feature_table: Mapping[Window, FeatureVec | Sequence[float]],
         h: int,
     ) -> None:
-        _check_tabular_shape(vocab, order)
+        _check_tabular_shape(vocab, order, h)
         self.vocab = vocab
         self.order = order
         self.h = h
@@ -605,10 +618,18 @@ class LinearDrafter:
         """`Drafter.conditionals`: one gather from the softmax table."""
         table = self._softmax_table()
         n = self.side
-        row, col = np.divmod(index, side)
-        if (row >= n).any() or (col >= n).any():
-            raise UnknownWindow(f"a cell of the {side}x{side} grid lies outside the drafter's {n}x{n} grid")
-        rows = ((contexts[:, 0] + 1) * n + row) * n + col
+        if side == n:
+            # On the drafter's own grid the cell's offset in its block is the index itself.
+            if len(index) and index.max() >= n * n:
+                raise UnknownWindow(f"a sequence index lies outside the drafter's {n}x{n} grid")
+            rows = (contexts[:, 0] + 1) * (n * n) + index
+        else:
+            row, col = np.divmod(index, side)
+            if (row >= n).any() or (col >= n).any():
+                raise UnknownWindow(
+                    f"a cell of the {side}x{side} grid lies outside the drafter's {n}x{n} grid"
+                )
+            rows = ((contexts[:, 0] + 1) * n + row) * n + col
         # Row r follows token r // (N*N) - 1, which must be one of the V tokens.
         if len(rows) and (rows.min() < n * n or rows.max() >= len(table)):
             raise UnknownWindow(f"a last token lies outside the drafter's {self.vocab} tokens")
@@ -679,9 +700,7 @@ def load_model(path: str | Path):
 
 def random_tabular_model(vocab: int, order: int, seed: int, h: int = 4) -> TabularModel:
     """Seeded tabular fixture: flat-Dirichlet rows and unit random features per window."""
-    _check_tabular_shape(vocab, order)
-    if h < 1:
-        raise ConfigError("feature dimension h must be positive")
+    _check_tabular_shape(vocab, order, h)
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
-from operator import mul
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -254,13 +252,30 @@ def forest_pairs(
     return ForestPairs(first, second, sibling, groups)
 
 
+class _Level(NamedTuple):
+    """One level of a forest in drafting order, as a full forest draws it.
+
+    `lanes[j]` is the lane of frontier row j. The level's nodes follow row
+    by row: `ids` holds their lane-major ids, so in a full forest node `n`
+    takes uniform `block[ids[n]]`, and `source` the frontier row of each.
+    `grow` lists the nodes whose lane goes deeper, the rows of the next
+    level; it is None when every node does.
+    """
+
+    lanes: np.ndarray
+    ids: np.ndarray
+    source: np.ndarray
+    grow: np.ndarray | None
+
+
 class _Skeleton(NamedTuple):
     """The structure of a drafted forest, everything but its tokens and probabilities.
 
     `order[i]` is the drafting-order position of lane-major node i; drafting
-    order is level by level, each level grouped by lane. `cond_rows[i]` is
-    node i's row in the stacked child conditionals, which follow drafting
-    order, or -1 on its lane's deepest level.
+    order is level by level, each level grouped by lane. Lane k holds
+    `lane_sizes[k]` nodes. `cond_rows[i]` is node i's row in the stacked
+    child conditionals, which follow drafting order, or -1 on its lane's
+    deepest level. `levels[l-1]` lays out level l.
     """
 
     order: np.ndarray
@@ -270,7 +285,9 @@ class _Skeleton(NamedTuple):
     parents: tuple[int, ...]
     children: tuple[range, ...]
     level_starts: tuple[tuple[int, ...], ...]
+    lane_sizes: tuple[int, ...]
     cond_rows: tuple[int, ...]
+    levels: tuple[_Level, ...]
 
 
 def _skeleton(depths: tuple[int, ...], kids: Sequence[np.ndarray | int]) -> _Skeleton:
@@ -284,14 +301,16 @@ def _skeleton(depths: tuple[int, ...], kids: Sequence[np.ndarray | int]) -> _Ske
     depth = np.array(depths)
     row_lane = np.arange(n_lanes)
     row_node = np.full(n_lanes, ROOT)
-    lanes, parents, levels = [], [], []
+    lanes, parents, levels, frontiers = [], [], [], []
     n = 0
     for level, counts in enumerate(kids, start=1):
-        node_lane = np.repeat(row_lane, counts)
+        source = np.repeat(np.arange(len(row_lane)), counts)
+        node_lane = row_lane[source]
         lanes.append(node_lane)
-        parents.append(np.repeat(row_node, counts))
+        parents.append(row_node[source])
         levels.append(np.full(len(node_lane), level))
         grows = depth[node_lane] > level
+        frontiers.append((row_lane, n, source, None if grows.all() else np.flatnonzero(grows)))
         row_node = np.arange(n, n + len(node_lane))[grows]
         row_lane = node_lane[grows]
         n += len(node_lane)
@@ -317,14 +336,19 @@ def _skeleton(depths: tuple[int, ...], kids: Sequence[np.ndarray | int]) -> _Ske
     level_counts = np.zeros((n_lanes, int(depth.max()) + 1), dtype=np.intp)
     np.add.at(level_counts, (lane, level), 1)
     starts = lane_start[:, None] + np.cumsum(level_counts, axis=1)
-    parent.flags.writeable = False
-    lane.flags.writeable = False
-    level.flags.writeable = False
+    steps = tuple(
+        _Level(row_lane, new_id[start : start + len(source)], source, grow)
+        for row_lane, start, source, grow in frontiers
+    )
+    for array in (parent, lane, level, *(a for step in steps for a in step if a is not None)):
+        array.flags.writeable = False
     return _Skeleton(
         order, lane, level, parent, tuple(parent.tolist()),
         tuple(map(range, first_kid.tolist(), (first_kid + n_kids).tolist())),
         tuple(tuple(row[: d + 1]) for row, d in zip(starts.tolist(), depths)),
+        tuple(lane_size.tolist()),
         tuple(cond_rows.tolist()),
+        steps,
     )
 
 
@@ -385,41 +409,18 @@ def _draw_row(mass: np.ndarray, width: int, rng: _BlockStream) -> list[TokenId]:
     return picked
 
 
-def _top_k(rows: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """Each row's `width` most probable positive tokens, ties to the lower id.
-
-    Returns the `(rows, width)` picks and, unless every pick is valid, which are.
-    """
-    picks = np.argsort(-rows, axis=1, kind="stable")[:, :width]
-    if rows.min() > 0.0:
-        return picks, None
-    return picks, rows[np.arange(len(rows))[:, None], picks] > 0.0
-
-
-def _stochastic(
+def _draw_rows(
     rows: np.ndarray, width: int, row_lane: np.ndarray, block: np.ndarray, cursor: np.ndarray
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Draw every row's candidates without replacement, each lane's uniforms in row order.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw each row's candidates on its own through `_draw_row`, each lane's uniforms in row order.
 
     Lane k's uniforms are read from `block` at `cursor[k]` on, and the
-    cursor is moved past the ones used. Each row makes exactly the draws
-    `_draw_row` makes. When every mass of every row exceeds SAFE_MIN_MASS,
-    that is `width` draws per row, so all rows are drawn together, step by
-    step (`_draw_steps`). Otherwise each row is drawn on its own through
-    `_draw_row`. Returns the `(rows, width)` picks and, unless every pick is
-    valid, which are.
+    cursor is moved past the ones used. Returns the `(rows, width)` picks
+    and which of them are valid.
     """
-    bounds = np.searchsorted(row_lane, np.arange(len(cursor) + 1))
-    if rows.min() > SAFE_MIN_MASS:
-        # Row j of lane k reads its `width` uniforms from `cursor[k] + (j - bounds[k]) * width` on.
-        spans = bounds * width
-        base = cursor - spans[:-1]
-        np.add(base, spans[1:], out=cursor)
-        at = np.arange(len(rows) * width).reshape(len(rows), width) + base[row_lane][:, None]
-        return _draw_steps(rows, block[at]), None
     picks = np.zeros((len(rows), width), dtype=np.intp)
     valid = np.zeros((len(rows), width), dtype=bool)
-    bounds = bounds.tolist()
+    bounds = np.searchsorted(row_lane, np.arange(len(cursor) + 1)).tolist()
     for lane, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         start = int(cursor[lane])
         stream = _BlockStream(block[start : start + (hi - lo) * width].tolist())
@@ -431,6 +432,17 @@ def _stochastic(
     return picks, valid
 
 
+def _first_hits(working: np.ndarray, hit: np.ndarray) -> np.ndarray:
+    """Each row's first hit; a row without one takes its last positive token (0 if none)."""
+    token = hit.argmax(axis=1)
+    if not hit[:, -1].all():
+        missed = ~hit[:, -1]
+        pos = working[missed] > 0.0
+        last = working.shape[1] - 1 - pos[:, ::-1].argmax(axis=1)
+        token[missed] = np.where(pos.any(axis=1), last, 0)
+    return token
+
+
 def _draw_steps(rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Draw without replacement from every row at once, `uniforms[j, s]` for row j's step s.
 
@@ -439,24 +451,17 @@ def _draw_steps(rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     `r` for width 1), falling back to the last positive token.
     """
     n_rows, width = uniforms.shape
-    vocab = rows.shape[1]
+    if width == 1:
+        return _first_hits(rows, rows.cumsum(axis=1) > uniforms)[:, None]
     picks = np.empty((n_rows, width), dtype=np.intp)
-    working = rows.copy() if width > 1 else rows
+    working = rows.copy()
     reach = np.arange(n_rows)
-    cum = np.cumsum(working, axis=1)
-    total = cum[:, -1]
+    total = None
     for step in range(width):
-        if step:
-            cum = np.cumsum(working, axis=1)
-        r = uniforms[:, step]
-        hit = cum > (r if width == 1 else r * total)[:, None]
-        token = hit.argmax(axis=1)
-        if not hit[:, -1].all():
-            # No prefix sum passed the threshold: take the last positive token.
-            missed = ~hit[:, -1]
-            pos = working[missed] > 0.0
-            last = vocab - 1 - pos[:, ::-1].argmax(axis=1)
-            token[missed] = np.where(pos.any(axis=1), last, 0)
+        cum = working.cumsum(axis=1)
+        if total is None:
+            total = cum[:, -1]
+        token = _first_hits(working, cum > (uniforms[:, step] * total)[:, None])
         picks[:, step] = token
         if step + 1 < width:
             total = total - working[reach, token]
@@ -487,29 +492,38 @@ def sample_draft_tree(
     for draw. Every lane's uniforms come from one `peek_reals` pass over its
     clipped mask's node count; each counter then moves past the ones its
     lane used, so the unused ones stay the stream's next draws.
+
+    The forest is laid out up front as if full, every row yielding its
+    level's width, so lane-major node i takes uniform i of the block. From
+    the first level with a stochastic row holding a mass at or below
+    SAFE_MIN_MASS, or with a zero-mass top-k pick, rows are drawn one by one
+    and the forest is laid out from the counts drawn. Lane depths outside
+    `[1, mask.depth]` and a lane reaching past the grid raise ConfigError.
     """
     if mode not in CANDIDATE_MODES:
         raise ConfigError(f"unknown candidate mode {mode!r}")
     prefixes = [tuple(p) for p in prefixes]
     depths = tuple(depths)
-    if any(not 1 <= d <= mask.depth for d in depths):
-        raise ValueError(f"lane depths must lie in [1, {mask.depth}]")
-    max_depth = max(depths)
+    shallowest, max_depth = min(depths), max(depths)
+    if shallowest < 1 or max_depth > mask.depth:
+        raise ConfigError(f"lane depths must lie in [1, {mask.depth}]")
     if side is None:
         side = drafter.grid_side or max(len(p) + d for p, d in zip(prefixes, depths))
     vocab = getattr(drafter, "vocab")
-    if max(mask.widths[:max_depth]) > vocab:
-        raise VocabExhausted(f"width {max(mask.widths[:max_depth])} exceeds vocabulary of {vocab}")
-    for prefix, depth in zip(prefixes, depths):
-        if depth > 1 and len(prefix) + depth - 1 >= side * side:
-            raise ValueError(f"sequence index {len(prefix) + depth - 1} outside {side}x{side} grid")
-    root_dists = [drafter.distribution(p, GridPos.from_index(len(p), side)) for p in prefixes]
+    widths = mask.widths[:max_depth]
+    if max(widths) > vocab:
+        raise VocabExhausted(f"width {max(widths)} exceeds vocabulary of {vocab}")
+    prefix_len = np.array([len(p) for p in prefixes])
+    lane_depth = np.array(depths)
+    deepest = int((prefix_len + lane_depth).max()) - 1  # the last sequence index drafted
+    if deepest >= side * side:
+        raise ConfigError(f"sequence index {deepest} outside {side}x{side} grid")
+    # Every lane's cell is on the grid, so each root cell is a plain divmod.
+    root_dists = [drafter.distribution(p, GridPos(*divmod(len(p), side))) for p in prefixes]
 
     # Drafting order: level by level, each level grouped by lane. Each
     # frontier row holds the conditional one node's children are drawn from.
     n_lanes = len(prefixes)
-    lane_depth = np.array(depths)
-    prefix_len = np.array([len(p) for p in prefixes])
     context = drafter.context
     # contexts[j]: the last `context` tokens of row j's path, -1 before its start.
     contexts = np.full((n_lanes, context), -1, dtype=np.intp)
@@ -519,59 +533,79 @@ def sample_draft_tree(
             contexts[lane, context - len(tail) :] = tail
     rows = np.array([d.mass for d in root_dists])
     row_lane = np.arange(n_lanes)
-    row_index = prefix_len  # the sequence index each frontier row's children sit at
-    shallowest = int(lane_depth.min())
+    # Only forests whose lanes share one depth keep their layout cached:
+    # mixed depths come from lanes nearing their ends and seldom recur.
+    if shallowest == max_depth:
+        layout = _full_skeleton(widths, depths)
+    else:
+        layout = _skeleton(depths, widths)
     if mode == STOCHASTIC:
-        # Every node takes at most one uniform: peek each lane's clipped-mask
-        # node count at once, and read them through per-lane cursors.
-        through = list(accumulate(accumulate(mask.widths, mul)))  # nodes on levels 1..l
-        sizes = [through[d - 1] for d in depths]
-        block = peek_reals(rngs, sizes)
-        block_start = [0, *accumulate(sizes)][:-1]
-        cursor = np.array(block_start)
+        # Lane k's block is its node count, so in a full forest lane-major
+        # node i takes uniform i.
+        used = layout.lane_sizes
+        block = peek_reals(rngs, used)
+    full = True
     tokens, probs, tables, kids = [], [], [], []
-    regular = True
-    for level in range(1, max_depth + 1):
-        width = mask.widths[level - 1]
-        if mode == TOPK:
-            picks, valid = _top_k(rows, width)
+    for level, width in enumerate(widths, start=1):
+        valid = None
+        if full:
+            step = layout.levels[level - 1]
+            source = step.source
         else:
-            picks, valid = _stochastic(rows, width, row_lane, block, cursor)
-        if valid is None:
             source = np.arange(len(rows)).repeat(width)
-            level_tokens = picks.ravel()
+        if mode == TOPK:
+            if width == 1:
+                picks = rows.argmax(axis=1)[:, None]  # the first maximum: ties to the lower id
+            else:
+                picks = np.argsort(-rows, axis=1, kind="stable")[:, :width]
+        elif full and rows.min() > SAFE_MIN_MASS:
+            picks = _draw_steps(rows, block[step.ids].reshape(len(rows), width))
+        else:
+            if full:
+                # Row by row from here on: each lane reads on from its first
+                # uniform of this level, or from its block's end if it stopped above.
+                cursor = np.array([starts[min(level, len(starts)) - 1] for starts in layout.level_starts])
+            picks, valid = _draw_rows(rows, width, row_lane, block, cursor)
+        level_tokens = picks.ravel()
+        level_probs = rows[source, level_tokens]
+        if mode == TOPK and not level_probs.min() > 0.0:
+            valid = (level_probs > 0.0).reshape(picks.shape)
+        if valid is None:
             kids.append(width)
         else:
-            regular = False
-            source, col = np.nonzero(valid)
-            level_tokens = picks[source, col]
+            full = False
+            keep = valid.ravel()
+            source, level_tokens, level_probs = source[keep], level_tokens[keep], level_probs[keep]
             kids.append(valid.sum(axis=1))
         tokens.append(level_tokens)
-        probs.append(rows[source, level_tokens])
+        probs.append(level_probs)
         if level == max_depth:
             break
-        row_lane, row_index = row_lane[source], row_index[source] + 1
+        if full:
+            grow = step.grow
+            row_lane = layout.levels[level].lanes
+        else:
+            row_lane = row_lane[source]
+            grow = np.flatnonzero(lane_depth[row_lane] > level) if level >= shallowest else None
+            if grow is not None:
+                row_lane = row_lane[grow]
         if context > 1:
             contexts = np.concatenate([contexts[source, 1:], level_tokens[:, None]], axis=1)
         else:
             contexts = level_tokens[:, None][:, :context]
-        if level >= shallowest:
-            grows = lane_depth[row_lane] > level
-            contexts, row_lane, row_index = contexts[grows], row_lane[grows], row_index[grows]
-        rows = drafter.conditionals(contexts, row_index, side)
+        if grow is not None:
+            contexts = contexts[grow]
+        rows = drafter.conditionals(contexts, prefix_len[row_lane] + level, side)
         tables.append(rows)
 
     if mode == STOCHASTIC:
         # The uniforms left unread are each stream's next draws.
-        for rng, start, end in zip(rngs, block_start, cursor.tolist()):
-            rng.counter += end - start
+        if not full:
+            used = (cursor - [starts[0] for starts in layout.level_starts]).tolist()
+        for rng, count in zip(rngs, used):
+            rng.counter += count
 
-    # Only forests whose lanes share one depth keep their skeleton cached:
-    # mixed depths come from lanes nearing their ends and seldom recur.
-    if regular and shallowest == max_depth:
-        skeleton = _full_skeleton(mask.widths[:max_depth], depths)
-    else:
-        skeleton = _skeleton(depths, kids)
+    skeleton = layout if full else _skeleton(depths, kids)
     token = np.concatenate(tokens)[skeleton.order]
     table = np.concatenate(tables) if tables else np.empty((0, vocab))
     table.flags.writeable = False

@@ -552,6 +552,9 @@ def test_cli_make_model_round_trip(tmp_path):
         ["--family", "gridworld", "--jitter", "0.5"],
         ["--family", "tempered-drafter", "--exponent", "0"],
         ["--family", "tempered-drafter", "--exponent", "2"],
+        # Two windows at order 1, but 10^12 and 4 * 10^9 table cells.
+        ["--family", "tabular", "--vocab", "999999"],
+        ["--family", "tabular", "--h", "1000000000"],
     ],
 )
 def test_cli_make_model_bad_values_exit_2(tmp_path, model_files, capsys, monkeypatch, flags):

@@ -224,9 +224,9 @@ class IndexDrafter:
 def test_forests_mixing_row_by_row_and_stepped_levels_match_the_scalar_drafter():
     # Even indexes hold a row with a tiny and a zero mass, drawn row by row
     # (`_draw_row`), which can stop before its width; odd indexes a row with
-    # no small mass, drawn step by step for all rows at once (`_draw_steps`).
-    # Each lane's stepped level must read its uniforms after those its
-    # row-by-row levels used.
+    # no small mass. Level 1 sits at an even index, so each forest falls back
+    # at once and draws its odd levels row by row too: each lane must read
+    # its uniforms on from those its earlier levels used.
     slow = [0.6, 0.4 - 1e-12, 1e-12, 0.0]
     fast = [0.1, 0.2, 0.3, 0.4]
     assert min(slow) <= SAFE_MIN_MASS < min(fast)
@@ -237,6 +237,24 @@ def test_forests_mixing_row_by_row_and_stepped_levels_match_the_scalar_drafter()
             assert_forest_matches_reference(
                 drafter, prefixes, mask, [mask.depth, 1, mask.depth - 1, mask.depth], seeds, STOCHASTIC, 4
             )
+
+
+def test_forests_falling_back_after_full_levels_match_the_scalar_drafter():
+    # Indexes 0 and 1 (mod 3) hold rows every candidate can be drawn from in
+    # one pass; index 2 a row with a tiny mass, which a stochastic level
+    # draws row by row, or with one positive token, which a top-k level of
+    # width 3 cannot fill. Prefix lengths divisible by 3 make levels 1 and 2
+    # full and level 3 the first to fall back; later levels stay row by row.
+    # Each lane must read on from its own first uniform of level 3, and
+    # lanes that stop above level 3 must use up their blocks.
+    fast = [[0.1, 0.2, 0.3, 0.4], [0.4, 0.1, 0.25, 0.25]]
+    for mode, odd in ((STOCHASTIC, [0.6, 0.4 - 1e-12, 1e-12, 0.0]), (TOPK, [0.0, 1.0, 0.0, 0.0])):
+        drafter = IndexDrafter([*fast, odd])
+        prefixes = [[], [1, 2, 3], [3, 0, 2], [0, 1, 2, 3, 0, 1], [2, 2, 2]]
+        for mask in (TreeMask((2, 2, 3, 2)), TreeMask((3, 1, 3, 1, 2))):
+            depths = [mask.depth, 1, 2, mask.depth, 3]
+            for seeds in ((1, 2, 3, 4, 5), (50, 60, 70, 80, 90)):
+                assert_forest_matches_reference(drafter, prefixes, mask, depths, seeds, mode, 4)
 
 
 # --- lanes against one-lane decodes ----------------------------------------------
@@ -344,3 +362,19 @@ def test_lanes_finish_on_different_cycles_and_stop_drawing():
             candidate_mode=STOCHASTIC,
         ) == (tokens, stats)
         assert rng.counter == alone.counter
+
+
+def test_mixed_depth_forests_stay_out_of_the_layout_cache(monkeypatch):
+    from specrelax import tree
+
+    cached, laid_out = [], []
+    full_skeleton, skeleton = tree._full_skeleton, tree._skeleton
+    monkeypatch.setattr(tree, "_full_skeleton", lambda w, d: cached.append(d) or full_skeleton(w, d))
+    monkeypatch.setattr(tree, "_skeleton", lambda d, kids: laid_out.append(d) or skeleton(d, kids))
+    # Lanes reach the end of the sequence after different numbers of tokens.
+    decode_lanes(
+        GridWorldModel.default(), LinearDrafter.zeros(32, 8), "cascade", TreeMask.default(), RelaxConfig(),
+        30, [RngStream(seed) for seed in range(6)], candidate_mode=STOCHASTIC,
+    )
+    assert cached and all(len(set(depths)) == 1 for depths in cached)
+    assert any(len(set(depths)) > 1 for depths in laid_out)

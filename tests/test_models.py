@@ -204,6 +204,52 @@ def test_linear_drafter_rejects_tokens_and_cells_outside_its_range():
         assert drafter.distribution(prefix, pos).mass.tobytes() == drafter._table[index].tobytes()
 
 
+def test_linear_drafter_conditionals_match_distribution_bitwise():
+    rng = np.random.default_rng(3)
+    v, n = 5, 4
+    drafter = LinearDrafter(rng.normal(scale=2.0, size=(v, v + 2 * n)), rng.normal(size=v), v, n)
+    # The drafter's own grid, then a smaller lane grid that maps each index to its own cell.
+    for side in (n, n - 1):
+        lasts, index = np.arange(v).repeat(side * side), np.tile(np.arange(side * side), v)
+        rows = drafter.conditionals(lasts[:, None], index, side)
+        for row, last, i in zip(rows, lasts.tolist(), index.tolist()):
+            expected = drafter.distribution([last], GridPos.from_index(i, side)).mass
+            assert row.tobytes() == expected.tobytes(), (side, last, i)
+
+
+def test_linear_drafter_conditionals_reject_indexes_and_tokens_outside_its_range():
+    drafter = LinearDrafter.zeros(4, 2)
+    ok_context, ok_index = np.array([[0], [3]]), np.array([1, 3])
+    assert drafter.conditionals(ok_context, ok_index, 2).shape == (2, 4)
+    for side in (2, 1):
+        past_grid = np.array([1, 4 if side == 2 else 2])  # row 2 of a 2x2 grid
+        cases = [
+            (ok_context, past_grid),
+            (np.array([[0], [4]]), ok_index % side**2),  # a last token >= V
+            (np.array([[-1], [0]]), ok_index % side**2),  # no last token
+        ]
+        for contexts, index in cases:
+            with pytest.raises(UnknownWindow):
+                drafter.conditionals(contexts, index, side)
+
+
+def test_tabular_size_guard_counts_cells_before_any_draw(monkeypatch):
+    from specrelax.models import _check_tabular_shape
+
+    def refuse_to_draw(*args, **kwargs):
+        raise AssertionError("a tabular model was drawn before its size was checked")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse_to_draw)
+    # Few windows, but a huge vocabulary or feature dimension per window.
+    for vocab, h in ((999_999, 4), (4, 10**9)):
+        with pytest.raises(TooLarge):
+            random_tabular_model(vocab, 1, seed=0, h=h)
+    # Order 1, vocab 1: windows () and (0,), holding (1 + h) + (1 + h + 1) cells.
+    _check_tabular_shape(1, 1, 499_998)
+    with pytest.raises(TooLarge):
+        _check_tabular_shape(1, 1, 499_999)
+
+
 def test_enumerate_single_step():
     model = make_tabular_v2({(): [0.9, 0.1]})
     law = enumerate_ar_distribution(model, 1)

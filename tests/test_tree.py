@@ -8,6 +8,7 @@ from specrelax import (
     RngStream,
     TreeMask,
     VocabExhausted,
+    sample_draft_tree,
 )
 from specrelax.tree import ROOT, STOCHASTIC
 
@@ -62,6 +63,25 @@ def test_width_beyond_vocab_raises():
     drafter = FixedDrafter([0.6, 0.4])
     with pytest.raises(VocabExhausted):
         draft_one(drafter, [], TreeMask((3,)), RngStream(0))
+
+
+def test_lane_depths_outside_the_mask_raise_config_error():
+    drafter = FixedDrafter([0.6, 0.4])
+    for depths in ([0], [2, 3], [1, -1]):
+        rngs = [RngStream(k) for k in range(len(depths))]
+        with pytest.raises(ConfigError):
+            sample_draft_tree(drafter, [[]] * len(depths), TreeMask((2, 2)), depths, rngs)
+
+
+def test_lane_reaching_past_the_grid_raises_config_error():
+    drafter = FixedDrafter([0.6, 0.4])
+    # On a 2x2 grid, a 2-level tree after 2 tokens ends at index 3, after 3 tokens at
+    # index 4; a 1-level tree after 4 tokens starts at index 4.
+    sample_draft_tree(drafter, [[0, 1]], TreeMask((1, 1)), [2], [RngStream(0)], side=2)
+    for prefixes, depths in (([[0, 1], [0, 1, 0]], [2, 2]), ([[0], [0, 1, 0, 1]], [2, 1])):
+        with pytest.raises(ConfigError):
+            sample_draft_tree(drafter, prefixes, TreeMask((1, 1)), depths,
+                              [RngStream(0), RngStream(1)], side=2)
 
 
 def test_level_counts_multiply():
