@@ -8,6 +8,7 @@ or a pure function over those values. All heavier machinery builds on top.
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import accumulate
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -66,6 +67,12 @@ class ConfigError(EngineError):
     """An experiment or CLI configuration is invalid or incomplete."""
 
 
+class InvalidValue(EngineError, ValueError):
+    """A value type or model was built from malformed numbers: a wrong shape, a
+    negative mass, a sum off 1, an index off the grid. Also a ValueError, so
+    callers that catch the builtin still see it."""
+
+
 class ProbDist:
     """Normalized probability mass over a finite token vocabulary.
 
@@ -78,14 +85,14 @@ class ProbDist:
     def __init__(self, mass: Sequence[float] | np.ndarray) -> None:
         arr = np.asarray(mass, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("probability mass must be a non-empty 1-d array")
+            raise InvalidValue("probability mass must be a non-empty 1-d array")
         if not np.all(np.isfinite(arr)):
             raise NonFinite("probability mass contains non-finite entries")
         if np.any(arr < 0.0):
-            raise ValueError("probability mass must be non-negative")
+            raise InvalidValue("probability mass must be non-negative")
         total = float(arr.sum())
         if abs(total - 1.0) > PROB_ATOL:
-            raise ValueError(f"probability mass sums to {total!r}, expected 1.0")
+            raise InvalidValue(f"probability mass sums to {total!r}, expected 1.0")
         arr = arr.copy()
         arr.flags.writeable = False
         self.mass = arr
@@ -105,7 +112,7 @@ class ProbDist:
         arr = np.asarray(raw, dtype=np.float64)
         total = float(arr.sum())
         if not np.isfinite(total) or total <= 0.0:
-            raise ValueError("weights must be non-negative with a positive sum")
+            raise InvalidValue("weights must be non-negative with a positive sum")
         return cls(arr / total)
 
     def __len__(self) -> int:
@@ -142,7 +149,7 @@ class FeatureVec:
     def __init__(self, values: Sequence[float] | np.ndarray) -> None:
         arr = np.asarray(values, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("feature vector must be a non-empty 1-d array")
+            raise InvalidValue("feature vector must be a non-empty 1-d array")
         if not np.all(np.isfinite(arr)):
             raise NonFinite("feature vector contains non-finite entries")
         arr = arr.copy()
@@ -175,7 +182,7 @@ class GridPos(NamedTuple):
     @classmethod
     def from_index(cls, index: int, side: int) -> "GridPos":
         if not 0 <= index < side * side:
-            raise ValueError(f"sequence index {index} outside {side}x{side} grid")
+            raise InvalidValue(f"sequence index {index} outside {side}x{side} grid")
         row, col = divmod(index, side)
         return cls(row, col)
 
@@ -240,6 +247,15 @@ class RngStream:
         self.counter = counter
         self._key = _mix64(self.seed)
 
+    @classmethod
+    def _of_checked_key(cls, seed: int, key: int) -> "RngStream":
+        """A stream at counter 0 whose caller already masked `seed` and mixed it into `key`."""
+        rng = cls.__new__(cls)
+        rng.seed = seed
+        rng.counter = 0
+        rng._key = key
+        return rng
+
     def next_real(self) -> float:
         """Next uniform double in [0, 1)."""
         self.counter += 1
@@ -259,6 +275,31 @@ _MIX1_U64 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2_U64 = np.uint64(0x94D049BB133111EB)
 
 
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    """`_mix64` of every entry of the uint64 array `z`, in place: uint64 lanes wrap modulo 2**64."""
+    z ^= z >> 30
+    z *= _MIX1_U64
+    z ^= z >> 27
+    z *= _MIX2_U64
+    z ^= z >> 31
+    return z
+
+
+def derive_streams(base: int, lo: int, hi: int) -> list[RngStream]:
+    """`[RngStream(derive_seed(base, i)) for i in range(lo, hi)]`, from one numpy uint64 pass.
+
+    Each child seed mixes `_mix64(base) + i * gamma`, and each stream's key
+    mixes its seed once more; `derive_seed` stays the scalar reference.
+    """
+    z = np.arange(hi - lo, dtype=np.uint64)
+    z += np.uint64(lo & _MASK64)
+    z *= _GAMMA_U64
+    z += np.uint64(_mix64(base & _MASK64))
+    seeds = _mix64_array(z)
+    keys = _mix64_array(seeds.copy())
+    return list(map(RngStream._of_checked_key, seeds.tolist(), keys.tolist()))
+
+
 def peek_reals(rngs: Sequence[RngStream], counts: Sequence[int]) -> np.ndarray:
     """The next `counts[k]` uniforms of each stream `rngs[k]`, concatenated, moving no counter.
 
@@ -269,18 +310,13 @@ def peek_reals(rngs: Sequence[RngStream], counts: Sequence[int]) -> np.ndarray:
     """
     # Draw i of the block (1-based) mixes `key + (counter + i - start) * gamma`,
     # so each stream contributes one offset and the block one arange.
-    offsets, start = [], 0
-    for rng, count in zip(rngs, counts):
-        offsets.append((rng._key + (rng.counter - start) * _GAMMA) & _MASK64)
-        start += int(count)
-    z = np.arange(1, start + 1, dtype=np.uint64)
+    starts = list(accumulate(counts, initial=0))
+    offsets = np.array([(rng.counter - start) & _MASK64 for rng, start in zip(rngs, starts)], dtype=np.uint64)
+    offsets *= _GAMMA_U64
+    offsets += np.array([rng._key for rng in rngs], dtype=np.uint64)
+    z = np.arange(1, starts[-1] + 1, dtype=np.uint64)
     z *= _GAMMA_U64
-    z += np.repeat(np.array(offsets, dtype=np.uint64), counts)
-    # _mix64(z), on uint64 lanes that wrap modulo 2**64.
-    z ^= z >> 30
-    z *= _MIX1_U64
-    z ^= z >> 27
-    z *= _MIX2_U64
-    z ^= z >> 31
+    z += np.repeat(offsets, counts)
+    z = _mix64_array(z)
     z >>= 11
     return z * 1.1102230246251565e-16  # 2**-53

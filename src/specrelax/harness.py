@@ -16,7 +16,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .core import ConfigError, FeatureVec, GridPos, RngStream, RowOutOfRange, TokenId, cosine_sim, derive_seed
+from .core import ConfigError, FeatureVec, GridPos, RngStream, RowOutOfRange, TokenId, cosine_sim, derive_streams
 from .models import Drafter, Target, enumerate_ar_distribution, load_model
 from .tree import CANDIDATE_MODES, STOCHASTIC, TOPK, TreeMask
 from .verify import AR, MODES, DecodeStats, RelaxConfig, decode_lanes, decode_sequence
@@ -268,8 +268,10 @@ def mc_distribution_test(
     """Empirical sequence law over `samples` seeded decodes versus the exact law.
 
     Draft candidates are sampled (not ranked) here, since the exactness claim
-    concerns proposals drawn from the drafter. The samples are decoded as
-    lanes, MC_LANES at a time. The pass flag applies the
+    concerns proposals drawn from the drafter. Sample i decodes on the
+    stream `RngStream(derive_seed(base_seed, i))`; the samples are decoded
+    as lanes, MC_LANES at a time, whose streams come from one
+    `derive_streams` pass. The pass flag applies the
     3 * sqrt(V^length / samples) multinomial bound; stricter caps are the
     caller's business.
     """
@@ -282,7 +284,7 @@ def mc_distribution_test(
     relax = relax if relax is not None else RelaxConfig()
     counts: dict[tuple[int, ...], int] = {}
     for lo in range(0, samples, MC_LANES):
-        rngs = [RngStream(derive_seed(base_seed, i)) for i in range(lo, min(lo + MC_LANES, samples))]
+        rngs = derive_streams(base_seed, lo, min(lo + MC_LANES, samples))
         for tokens, _ in decode_lanes(
             target, drafter, mode, mask, relax, length, rngs, candidate_mode=STOCHASTIC
         ):

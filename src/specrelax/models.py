@@ -22,6 +22,7 @@ from .core import (
     EngineError,
     FeatureVec,
     GridPos,
+    InvalidValue,
     ModelFormatError,
     NonFinite,
     PROB_ATOL,
@@ -545,9 +546,9 @@ class LinearDrafter:
         b = np.asarray(bias, dtype=np.float64)
         d = vocab + 2 * side
         if w.shape != (vocab, d):
-            raise ValueError(f"weights must have shape ({vocab}, {d}), got {w.shape}")
+            raise InvalidValue(f"weights must have shape ({vocab}, {d}), got {w.shape}")
         if b.shape != (vocab,):
-            raise ValueError(f"bias must have shape ({vocab},), got {b.shape}")
+            raise InvalidValue(f"bias must have shape ({vocab},), got {b.shape}")
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
             raise NonFinite("drafter parameters must be finite")
         self.weights = w
@@ -585,12 +586,12 @@ class LinearDrafter:
             np.exp(table, out=table)
         if not np.all(np.isfinite(table)):
             raise NonFinite("drafter logits overflow: softmax table has non-finite entries")
-        norms = table.sum(axis=1, keepdims=True)
-        if np.any(table < 0.0) or not np.all(np.isfinite(norms) & (norms > 0.0)):
-            raise ValueError("softmax table needs non-negative entries and positive finite row sums")
-        table /= norms
-        if np.any(np.abs(table.sum(axis=1) - 1.0) > PROB_ATOL):
-            raise ValueError("a drafter softmax row does not sum to 1.0")
+        negative = np.any(table < 0.0)
+        # A zero or infinite row sum leaves a row of nan or zeros, which fails the sum check.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            table /= table.sum(axis=1, keepdims=True)
+        if negative or not np.all(np.abs(table.sum(axis=1) - 1.0) <= PROB_ATOL):
+            raise InvalidValue("a drafter softmax row has a negative entry or does not sum to 1.0")
         table.flags.writeable = False
         return table
 

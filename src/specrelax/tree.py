@@ -149,8 +149,10 @@ class DraftTree:
 
     Lane k extends `prefixes[k]`, starting at sequence index
     `len(prefixes[k])`, and `root_dists[k]` is the drafter conditional its
-    level 1 was drawn from. Node ids count from 0, lane-major, and
-    level-major within a lane: lane k's level l (1-based) holds ids
+    level 1 was drawn from. Lanes with equal prefixes share one root:
+    `root_prefixes` lists the distinct prefixes in order of first use, and
+    lane k's is `root_prefixes[root_index[k]]`. Node ids count from 0,
+    lane-major, and level-major within a lane: lane k's level l (1-based) holds ids
     `level_starts[k][l-1] .. level_starts[k][l]-1`, and the children of each
     node are one contiguous id range, in the order they were drafted. Per node i: `tokens[i]`,
     `probs[i]` (its drafter probability), `parents[i]` (`ROOT` on level 1),
@@ -162,7 +164,7 @@ class DraftTree:
     """
 
     __slots__ = (
-        "side", "prefixes", "root_dists", "level_starts",
+        "side", "prefixes", "root_prefixes", "root_index", "root_dists", "level_starts",
         "tokens", "probs", "parents", "children", "child_dists", "paths",
     )
 
@@ -170,6 +172,8 @@ class DraftTree:
         self,
         side: int,
         prefixes: list[tuple[TokenId, ...]],
+        root_prefixes: list[tuple[TokenId, ...]],
+        root_index: list[int],
         root_dists: list[ProbDist],
         level_starts: tuple[tuple[int, ...], ...],
         tokens: list[TokenId],
@@ -181,6 +185,8 @@ class DraftTree:
     ) -> None:
         self.side = side
         self.prefixes = prefixes
+        self.root_prefixes = root_prefixes
+        self.root_index = root_index
         self.root_dists = root_dists
         self.level_starts = level_starts
         self.tokens = tokens
@@ -482,9 +488,10 @@ def sample_draft_tree(
 
     Lane k drafts after `prefixes[k]`, from grid cell
     `divmod(len(prefixes[k]), side)`, under the first `depths[k]` levels of
-    `mask`, drawing from `rngs[k]`. Each lane's
-    root conditional comes from `drafter.distribution`; each deeper level's
-    conditionals come from one `drafter.conditionals` lookup for every lane.
+    `mask`, drawing from `rngs[k]`. Lanes are grouped by their whole prefix,
+    and each distinct prefix takes its root conditional from one
+    `drafter.distribution` call; each deeper level's conditionals come from
+    one `drafter.conditionals` lookup for every lane.
     Top-k mode ranks candidates by drafter probability (deterministic; ties
     to the lower token id). Stochastic mode draws them sequentially without
     replacement, consuming one uniform per node of its lane's stream in node
@@ -503,6 +510,10 @@ def sample_draft_tree(
     if mode not in CANDIDATE_MODES:
         raise ConfigError(f"unknown candidate mode {mode!r}")
     prefixes = [tuple(p) for p in prefixes]
+    # Each prefix is hashed once: its root group, numbered in order of first use.
+    groups: dict[tuple[TokenId, ...], int] = {}
+    root_index = [groups.setdefault(p, len(groups)) for p in prefixes]
+    root_prefixes = list(groups)
     depths = tuple(depths)
     shallowest, max_depth = min(depths), max(depths)
     if shallowest < 1 or max_depth > mask.depth:
@@ -519,7 +530,8 @@ def sample_draft_tree(
     if deepest >= side * side:
         raise ConfigError(f"sequence index {deepest} outside {side}x{side} grid")
     # Every lane's cell is on the grid, so each root cell is a plain divmod.
-    root_dists = [drafter.distribution(p, GridPos(*divmod(len(p), side))) for p in prefixes]
+    group_dists = [drafter.distribution(p, GridPos(*divmod(len(p), side))) for p in root_prefixes]
+    root_dists = [group_dists[g] for g in root_index]
 
     # Drafting order: level by level, each level grouped by lane. Each
     # frontier row holds the conditional one node's children are drawn from.
@@ -531,7 +543,7 @@ def sample_draft_tree(
         for lane, prefix in enumerate(prefixes):
             tail = prefix[-context:]
             contexts[lane, context - len(tail) :] = tail
-    rows = np.array([d.mass for d in root_dists])
+    rows = np.array([d.mass for d in group_dists]).take(root_index, axis=0)
     row_lane = np.arange(n_lanes)
     # Only forests whose lanes share one depth keep their layout cached:
     # mixed depths come from lanes nearing their ends and seldom recur.
@@ -612,6 +624,8 @@ def sample_draft_tree(
     return DraftTree(
         side,
         prefixes,
+        root_prefixes,
+        root_index,
         root_dists,
         skeleton.level_starts,
         token.tolist(),

@@ -72,13 +72,17 @@ class TreeEvals(NamedTuple):
 
 
 def evaluate_tree(target: Target, tree: DraftTree) -> TreeEvals:
-    """One simulated parallel target pass: each lane's root, then every node in one batch.
+    """One simulated parallel target pass: each distinct root prefix, then every node in one batch.
 
-    Nodes one step past the grid end are evaluated at the final cell; only
-    their features are ever consulted there.
+    Lanes that share a root prefix share its evaluation. Nodes one step past
+    the grid end are evaluated at the final cell; only their features are
+    ever consulted there.
     """
-    roots = [target.evaluate(p, GridPos.from_index(len(p), tree.side)) for p in tree.prefixes]
-    return TreeEvals(roots, *target.evaluate_batch(tree.paths, tree.side))
+    side = tree.side
+    # `sample_draft_tree` checked that every lane's cell is on the grid.
+    distinct = [target.evaluate(p, GridPos(*divmod(len(p), side))) for p in tree.root_prefixes]
+    roots = [distinct[g] for g in tree.root_index]
+    return TreeEvals(roots, *target.evaluate_batch(tree.paths, side))
 
 
 @dataclass(frozen=True)
@@ -444,13 +448,14 @@ def decode_lanes(
         return lanes
 
     live = list(range(len(rngs)))
+    depth = mask.depth
     while live:
         prefixes = [lanes[k][0] for k in live]
         tree = sample_draft_tree(
             drafter,
             prefixes,
             mask,
-            [min(mask.depth, length - len(p)) for p in prefixes],
+            [min(depth, length - len(p)) for p in prefixes],
             [rngs[k] for k in live],
             mode=candidate_mode,
             side=side,

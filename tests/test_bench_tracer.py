@@ -100,3 +100,51 @@ def test_tracer_counts_a_four_seed_experiment_decoded_as_lanes(mode, tmp_path):
         assert counts["verify.build_sets.pairs"] == 0
     assert counts["tree.nodes"] > 0
     assert counts["models.drafter_calls"] > 0
+
+
+LANES_SCRIPT = """
+import json, sys
+sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/bench"]
+from tracer import Tracer
+
+tracer = Tracer()
+tracer.install()
+from specrelax import RelaxConfig, TreeMask, decode_lanes, random_tabular_model, tempered_table_drafter
+from specrelax.core import derive_streams
+
+target = random_tabular_model(4, 1, seed=11)
+drafter = tempered_table_drafter(target)
+emitted = {}
+
+def record(lane, cycle, outcome):
+    emitted[lane, cycle] = outcome.emitted_tokens
+
+tracer.reset()
+decode_lanes(
+    target, drafter, "vanilla", TreeMask.chain(3), RelaxConfig(), 3, derive_streams(5, 0, 64),
+    candidate_mode="stochastic", on_outcome=record,
+)
+layers = tracer.layer_metrics(1, 0.0, 1.0)
+# Rebuild every live lane's prefix, cycle by cycle, from what each cycle emitted.
+prefixes, lane_cycles, distinct = [()] * 64, 0, 0
+for cycle in range(max(c for _, c in emitted) + 1):
+    live = [lane for lane in range(64) if (lane, cycle) in emitted]
+    lane_cycles += len(live)
+    distinct += len({prefixes[lane] for lane in live})
+    for lane in live:
+        prefixes[lane] += tuple(emitted[lane, cycle])
+print(json.dumps({"lane_cycles": lane_cycles, "distinct": distinct, **layers}))
+"""
+
+
+def test_tracer_counts_one_root_call_per_distinct_prefix_and_cycle():
+    proc = subprocess.run(
+        [sys.executable, "-c", LANES_SCRIPT, str(ROOT)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout.strip().splitlines()[-1])
+    # 64 lanes decoding 3-token chains share most prefixes: per-lane root calls would count lane_cycles.
+    assert counts["distinct"] < counts["lane_cycles"] / 4
+    assert counts["models.drafter_calls"] == counts["distinct"]
+    assert counts["models.target_evals"] == counts["distinct"]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from specrelax import (
     DegenerateResidual,
+    EngineError,
     FeatureVec,
     GridPos,
     LengthMismatch,
@@ -18,7 +19,7 @@ from specrelax import (
     residual_dist,
     tvd,
 )
-from specrelax.core import peek_reals
+from specrelax.core import derive_streams, peek_reals
 
 ATOL = 1e-9
 
@@ -249,6 +250,22 @@ def test_peek_reals_across_the_counter_wrap():
     assert block.tolist() == [rng.next_real() for _ in range(5)]
 
 
+BASES = st.sampled_from([0, 1, -1, 2**63, 2**64 - 1, 2**64, -(2**70)]) | st.integers(-(2**65), 2**65)
+# Starts whose ranges cross 2**32 and 2**64, and starts near 10**9.
+STARTS = st.sampled_from([0, 2**32 - 3, 10**9, 10**9 + 7, 2**64 - 2]) | st.integers(0, 2**40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(base=BASES, lo=STARTS, size=st.integers(0, 6))
+def test_derive_streams_equal_derive_seed_streams(base, lo, size):
+    streams = derive_streams(base, lo, lo + size)
+    expected = [RngStream(derive_seed(base, i)) for i in range(lo, lo + size)]
+    assert [(s.seed, s._key, s.counter) for s in streams] == [(e.seed, e._key, e.counter) for e in expected]
+    assert all(type(s.seed) is int and type(s._key) is int for s in streams)
+    for stream, ref in zip(streams, expected):
+        assert [stream.next_real() for _ in range(3)] == [ref.next_real() for _ in range(3)]
+
+
 def test_derive_seed_is_deterministic_and_spread():
     children = {derive_seed(42, i) for i in range(1000)}
     assert len(children) == 1000
@@ -271,3 +288,26 @@ def test_gridpos_flatten_bijection():
 def test_gridpos_rejects_out_of_range():
     with pytest.raises(ValueError):
         GridPos.from_index(25, 5)
+
+
+# --- library errors ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ProbDist([[0.5, 0.5]]),
+        lambda: ProbDist([]),
+        lambda: ProbDist([-0.1, 1.1]),
+        lambda: ProbDist([0.5, 0.6]),
+        lambda: ProbDist.normalized([0.0, 0.0]),
+        lambda: FeatureVec([]),
+        lambda: GridPos.from_index(-1, 5),
+    ],
+    ids=["probdist-shape", "probdist-empty", "probdist-negative", "probdist-sum", "normalized-zero-sum",
+         "featurevec-empty", "gridpos-off-grid"],
+)
+def test_value_types_raise_engine_errors_that_are_value_errors(build):
+    with pytest.raises(EngineError) as info:
+        build()
+    assert isinstance(info.value, ValueError)

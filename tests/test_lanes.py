@@ -18,10 +18,12 @@ from specrelax import (
     TreeMask,
     decode_lanes,
     decode_sequence,
+    evaluate_tree,
     random_tabular_model,
     sample_draft_tree,
     tempered_table_drafter,
 )
+from specrelax.core import UnknownWindow
 from specrelax.tree import ROOT, SAFE_MIN_MASS, STOCHASTIC, TOPK
 
 from conftest import FixedDrafter, tree_depth, tree_level
@@ -378,3 +380,82 @@ def test_mixed_depth_forests_stay_out_of_the_layout_cache(monkeypatch):
     )
     assert cached and all(len(set(depths)) == 1 for depths in cached)
     assert any(len(set(depths)) > 1 for depths in laid_out)
+
+
+# --- lanes sharing a root prefix -------------------------------------------------
+
+
+class Counting:
+    """A model whose `distribution` and `evaluate` calls are listed, each with its prefix."""
+
+    def __init__(self, model):
+        self.model = model
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+    def distribution(self, prefix, pos):
+        self.calls.append(tuple(prefix))
+        return self.model.distribution(prefix, pos)
+
+    def evaluate(self, prefix, pos):
+        self.calls.append(tuple(prefix))
+        return self.model.evaluate(prefix, pos)
+
+
+# (1, 3) and (2, 3) share their length and last token: only the whole prefix tells them apart.
+SHARED_PREFIXES = [(), (1, 3), (3,), (), (2, 3), (1, 3), (3,), (1, 3)]
+
+
+def _shared_prefix_models(case, grid_drafter):
+    if case == "tabular":
+        target = random_tabular_model(5, 2, seed=6, h=3)
+        return target, tempered_table_drafter(target)
+    if case == "grid":
+        return GridWorldModel.default(), grid_drafter
+    return GridWorldModel.default(feature_jitter=0.05), LinearDrafter.zeros(32, 8)
+
+
+@pytest.mark.parametrize("mode", [TOPK, STOCHASTIC])
+@pytest.mark.parametrize("case", ["tabular", "grid", "grid-jitter"])
+def test_lanes_sharing_a_prefix_share_one_root_pass(case, mode, grid_drafter):
+    target, drafter = _shared_prefix_models(case, grid_drafter)
+    mask, side = TreeMask((2, 2, 1)), 8
+    depths = [3, 3, 2, 3, 3, 1, 3, 3]
+    counted_drafter, counted_target = Counting(drafter), Counting(target)
+    forest = sample_draft_tree(
+        counted_drafter, SHARED_PREFIXES, mask, depths, [RngStream(k) for k in range(8)], mode=mode, side=side
+    )
+    evals = evaluate_tree(counted_target, forest)
+    distinct = list(dict.fromkeys(SHARED_PREFIXES))
+    assert counted_drafter.calls == distinct
+    assert counted_target.calls == distinct
+    assert forest.root_prefixes == distinct
+    # Each lane's tree and evaluations are those of a forest of that lane alone.
+    for k, (prefix, depth) in enumerate(zip(SHARED_PREFIXES, depths)):
+        rng = RngStream(k)
+        alone = sample_draft_tree(drafter, [prefix], mask, [depth], [rng], mode=mode, side=side)
+        alone_evals = evaluate_tree(target, alone)
+        ids = list(range(forest.level_starts[k][0], forest.level_starts[k][-1]))
+        assert [forest.tokens[i] for i in ids] == alone.tokens
+        assert [forest.probs[i] for i in ids] == alone.probs
+        assert forest.root_dists[k].mass.tobytes() == alone.root_dists[0].mass.tobytes()
+        root, alone_root = evals.roots[k], alone_evals.roots[0]
+        assert root.dist.mass.tobytes() == alone_root.dist.mass.tobytes()
+        assert root.feature.values.tobytes() == alone_root.feature.values.tobytes()
+        assert evals.features[ids].tobytes() == alone_evals.features.tobytes()
+        assert evals.norms[ids].tobytes() == alone_evals.norms.tobytes()
+
+
+@pytest.mark.parametrize("case", ["tabular", "grid"])
+def test_a_lane_with_a_prefix_out_of_range_raises_before_any_draw(case, grid_drafter):
+    target, drafter = _shared_prefix_models(case, grid_drafter)
+    bad = (1, 40)  # token 40 lies outside both vocabularies
+    with pytest.raises(UnknownWindow) as alone:
+        drafter.distribution(bad, GridPos(0, 2))
+    rngs = [RngStream(k) for k in range(4)]
+    with pytest.raises(UnknownWindow) as lanes:
+        sample_draft_tree(drafter, [(), (1, 3), bad, (1, 3)], TreeMask((2, 1)), [2] * 4, rngs, mode=STOCHASTIC, side=8)
+    assert str(lanes.value) == str(alone.value)
+    assert [rng.counter for rng in rngs] == [0] * 4

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specrelax import (
+    EngineError,
     GridPos,
     GridWorldModel,
     LinearDrafter,
@@ -186,6 +187,30 @@ def test_linear_drafter_overflowing_logits_raise_non_finite():
     weights[0, 3:] = -1e308
     p = LinearDrafter(weights, np.zeros(3), 3, 2).distribution([], GridPos(1, 0))
     assert p.mass.tolist() == [0.0, 0.5, 0.5]
+
+
+@pytest.mark.parametrize(
+    "weights, bias", [(np.zeros((3, 6)), np.zeros(3)), (np.zeros((3, 7)), np.zeros(4))], ids=["weights", "bias"]
+)
+def test_linear_drafter_shapes_raise_engine_errors_that_are_value_errors(weights, bias):
+    with pytest.raises(EngineError) as info:
+        LinearDrafter(weights, bias, 3, 2)
+    assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("exp_value", [-1.0, 0.0], ids=["negative", "zero-sum"])
+def test_linear_drafter_bad_softmax_rows_raise_engine_errors(monkeypatch, exp_value):
+    # The table check guards the softmax itself: force exp to yield rows it must refuse.
+    drafter = LinearDrafter.zeros(3, 2)
+
+    def fake_exp(x, out):
+        out[...] = exp_value
+        return out
+
+    monkeypatch.setattr(np, "exp", fake_exp)
+    with pytest.raises(EngineError) as info:
+        drafter.distribution([], GridPos(0, 0))
+    assert isinstance(info.value, ValueError)
 
 
 def test_linear_drafter_rejects_tokens_and_cells_outside_its_range():

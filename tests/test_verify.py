@@ -73,7 +73,8 @@ def manual_tree(level_specs, root_dist, prefix=(), side=8, child_dists=None):
             children[parent] = range(first, node + 1)
     child_dists = child_dists or {}
     return DraftTree(
-        side, [tuple(prefix)], [root_dist], (tuple(level_starts),), tokens, probs, tuple(parents),
+        side, [tuple(prefix)], [tuple(prefix)], [0], [root_dist], (tuple(level_starts),), tokens, probs,
+        tuple(parents),
         children, [child_dists.get(node) for node in range(len(tokens))], paths,
     )
 
