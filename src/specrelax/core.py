@@ -76,11 +76,11 @@ class InvalidValue(EngineError, ValueError):
 class ProbDist:
     """Normalized probability mass over a finite token vocabulary.
 
-    Instances are immutable; the cdf is built lazily so that shared rows can
-    be sampled cheaply in hot loops.
+    Instances are immutable; the cdf and `floats` are built lazily so that
+    shared rows can be sampled and read cheaply in hot loops.
     """
 
-    __slots__ = ("mass", "_cdf")
+    __slots__ = ("mass", "_cdf", "_floats")
 
     def __init__(self, mass: Sequence[float] | np.ndarray) -> None:
         arr = np.asarray(mass, dtype=np.float64)
@@ -97,6 +97,7 @@ class ProbDist:
         arr.flags.writeable = False
         self.mass = arr
         self._cdf: tuple[float, ...] | None = None
+        self._floats: tuple[float, ...] | None = None
 
     @classmethod
     def _of_checked_row(cls, row: np.ndarray) -> "ProbDist":
@@ -104,6 +105,7 @@ class ProbDist:
         dist = cls.__new__(cls)
         dist.mass = row
         dist._cdf = None
+        dist._floats = None
         return dist
 
     @classmethod
@@ -114,6 +116,13 @@ class ProbDist:
         if not np.isfinite(total) or total <= 0.0:
             raise InvalidValue("weights must be non-negative with a positive sum")
         return cls(arr / total)
+
+    @property
+    def floats(self) -> tuple[float, ...]:
+        """The masses as a tuple of Python floats, built on first read: `floats[t] == self[t]`."""
+        if self._floats is None:
+            self._floats = tuple(self.mass.tolist())
+        return self._floats
 
     def __len__(self) -> int:
         return int(self.mass.size)

@@ -22,8 +22,9 @@ from .tree import CANDIDATE_MODES, STOCHASTIC, TOPK, TreeMask
 from .verify import AR, MODES, DecodeStats, RelaxConfig, decode_lanes, decode_sequence
 
 DEFAULT_KAPPA = 0.1
-# Samples `mc_distribution_test` decodes in lockstep at a time.
-MC_LANES = 512
+# Sequences decoded in lockstep at a time, by `run_experiment` (seeds) and
+# `mc_distribution_test` (samples); it bounds a decode's memory.
+LANE_BLOCK = 512
 
 
 # Metrics field -> JSONL key; every record conversion derives from this table.
@@ -211,18 +212,20 @@ def run_experiment(cfg: ExperimentConfig) -> Metrics:
             f"got {length}"
         )
 
-    # One lane per seed; each lane's trace lines are kept apart so that the
-    # file lists them seed by seed, cycle by cycle.
+    # One lane per seed, LANE_BLOCK seeds at a time; each lane's trace lines
+    # are kept apart so that the file lists them seed by seed, cycle by cycle.
     traces: list[list[str]] = [[] for _ in cfg.seeds]
-    sink = None
-    if cfg.trace_path is not None:
-        def sink(lane: int, cycle: int, outcome) -> None:
-            seed = cfg.seeds[lane]
-            traces[lane].extend([rec.to_line(seed, cycle) for rec in outcome.trace])
-    results = decode_lanes(
-        target, drafter, cfg.mode, cfg.mask, cfg.relax, length,
-        [RngStream(seed) for seed in cfg.seeds], candidate_mode=cfg.candidate_mode, on_outcome=sink,
-    )
+    results = []
+    for lo in range(0, len(cfg.seeds), LANE_BLOCK):
+        seeds = cfg.seeds[lo : lo + LANE_BLOCK]
+        sink = None
+        if cfg.trace_path is not None:
+            def sink(lane: int, cycle: int, outcome) -> None:
+                traces[lo + lane].extend(outcome.trace_lines(seeds[lane], cycle))
+        results += decode_lanes(
+            target, drafter, cfg.mode, cfg.mask, cfg.relax, length,
+            [RngStream(seed) for seed in seeds], candidate_mode=cfg.candidate_mode, on_outcome=sink,
+        )
     per_seed = [_metrics(cfg.mode, stats, cfg.kappa) for _, stats in results]
 
     aggregate = Metrics.aggregate(per_seed)
@@ -270,7 +273,7 @@ def mc_distribution_test(
     Draft candidates are sampled (not ranked) here, since the exactness claim
     concerns proposals drawn from the drafter. Sample i decodes on the
     stream `RngStream(derive_seed(base_seed, i))`; the samples are decoded
-    as lanes, MC_LANES at a time, whose streams come from one
+    as lanes, LANE_BLOCK at a time, whose streams come from one
     `derive_streams` pass. The pass flag applies the
     3 * sqrt(V^length / samples) multinomial bound; stricter caps are the
     caller's business.
@@ -283,8 +286,8 @@ def mc_distribution_test(
     mask = mask if mask is not None else TreeMask.chain(length)
     relax = relax if relax is not None else RelaxConfig()
     counts: dict[tuple[int, ...], int] = {}
-    for lo in range(0, samples, MC_LANES):
-        rngs = derive_streams(base_seed, lo, min(lo + MC_LANES, samples))
+    for lo in range(0, samples, LANE_BLOCK):
+        rngs = derive_streams(base_seed, lo, min(lo + LANE_BLOCK, samples))
         for tokens, _ in decode_lanes(
             target, drafter, mode, mask, relax, length, rngs, candidate_mode=STOCHASTIC
         ):

@@ -31,6 +31,7 @@ from .core import (
     TooLarge,
     UnknownWindow,
     _mix64,
+    _mix64_array,
 )
 
 if TYPE_CHECKING:
@@ -255,6 +256,11 @@ class TabularModel:
         return cls(int(data["V"]), int(data["order"]), table, features, int(data["h"]))
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """`np.linalg.norm` of each row, bit for bit: the same BLAS dot product, then its square root."""
+    return np.sqrt(np.vecdot(rows, rows))
+
+
 class GridWorldModel:
     """Grid target whose next-token law depends on the spatial region only.
 
@@ -397,6 +403,7 @@ class GridWorldModel:
 
     def _jitter(self, prefix: Sequence[TokenId], pos: GridPos) -> np.ndarray:
         # Deterministic per (prefix, pos): fold tokens through a 64-bit mixer.
+        # Python ints: for one path they beat `_jitters`' per-token numpy passes.
         acc = _mix64(pos.flatten(self.side) + 0x9E37)
         for tok in prefix:
             acc = _mix64(acc ^ (tok + 0x100))
@@ -406,6 +413,27 @@ class GridWorldModel:
             comps[i] = (acc >> 11) * 1.1102230246251565e-16 - 0.5
         norm = float(np.linalg.norm(comps))
         return comps * (self.feature_jitter / norm) if norm > 0 else comps * 0.0
+
+    def _jitters(self, paths: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        """`_jitter` of many paths at once, bit for bit, one row per path.
+
+        Row j of `paths` holds path j's tokens, left-padded with -1, and
+        `cells[j]` is its flattened cell. The fold runs in uint64 arrays, one
+        numpy pass per token column for every path.
+        """
+        acc = _mix64_array(np.asarray(cells, dtype=np.uint64) + np.uint64(0x9E37))
+        columns = paths.T.astype(np.uint64)
+        columns += np.uint64(0x100)
+        for column, live in zip(columns, paths.T >= 0):
+            np.copyto(acc, _mix64_array(acc ^ column), where=live)
+        comps = np.empty((len(acc), self.h))
+        for i in range(self.h):
+            acc += np.uint64(1)
+            comps[:, i] = _mix64_array(acc) >> np.uint64(11)
+        comps *= 1.1102230246251565e-16  # 2**-53
+        comps -= 0.5
+        # A zero norm needs all h mixer outputs in [2**63, 2**63 + 2**11): `_jitter`'s guard is left out.
+        return comps * (self.feature_jitter / _row_norms(comps))[:, None]
 
     def evaluate(self, prefix: Sequence[TokenId], pos: GridPos) -> TargetEval:
         region = self.region_of(pos)
@@ -428,22 +456,23 @@ class GridWorldModel:
         return self._batch_arrays()[0][index // side * self.side + index % side]
 
     def evaluate_batch(self, paths: "NodePaths", side: int) -> BatchEval:
-        """`Target.evaluate_batch`: laws by region; unjittered features come from one table."""
+        """`Target.evaluate_batch`: laws by region; unjittered features come from one table,
+        jittered ones from one fold over every node's path."""
         cells = np.minimum(paths.index, side * side - 1)
         regions = self._regions(cells, side)
         dists = list(map(self._dist_by_region.__getitem__, regions.tolist()))
         if self.feature_jitter > 0.0:
-            clusters = self.clusters
-            feats = [
-                self._make_feature(
-                    region, clusters[token], self._jitter(paths[node], GridPos.from_index(cell, side))
-                )
-                for node, (region, token, cell) in enumerate(
-                    zip(regions.tolist(), paths.token.tolist(), cells.tolist())
-                )
-            ]
-            features = np.array([feat.values for feat in feats]).reshape(len(feats), self.h)
-            norms = np.array([feat.norm for feat in feats])
+            # `_make_feature` for every node at once, in the same elementwise steps.
+            rows, cols = np.divmod(cells, side)
+            tails = paths.tail(int(paths.index.max(initial=0)), np.arange(len(paths)))
+            clusters = self._batch_arrays()[1][paths.token]
+            features = np.array(self._region_anchors)[regions]
+            features += self.feature_mix * np.array(self._cluster_anchors)[clusters]
+            features += self._jitters(tails, rows * self.side + cols)
+            features /= _row_norms(features)[:, None]
+            if not np.all(np.isfinite(features)):
+                raise NonFinite("feature vector contains non-finite entries")
+            norms = _row_norms(features)
         else:
             if self._feature_table is None:
                 self._feature_table = self._build_feature_table()

@@ -122,8 +122,26 @@ class NodePaths:
         """The last `k` tokens of each listed path, in order, as an int array; -1 pads short paths."""
         if k == 1:
             return self.token[nodes][:, None]
-        pad = (-1,) * k
-        return np.array([(pad + self[node])[-k:] for node in nodes.tolist()], dtype=np.intp).reshape(-1, k)
+        level = self.level[nodes]
+        out = np.full((len(nodes), k), -1, dtype=np.intp)
+        # Drafted tokens, read up each node's ancestors, fill the columns from the right.
+        up = np.array(nodes, dtype=np.intp)
+        for d in range(min(k, int(level.max(initial=0)))):
+            live = level > d
+            out[live, k - 1 - d] = self.token[up[live]]
+            up[live] = self.parent[up[live]]
+        # The lane prefix's last tokens fill the columns left of them.
+        width = k - int(level.min(initial=k))
+        if width > 0:
+            prefixes = np.full((len(self.prefixes), width), -1, dtype=np.intp)
+            for lane, prefix in enumerate(self.prefixes):
+                last = prefix[-width:]
+                prefixes[lane, width - len(last) :] = last
+            src = np.arange(k) + (level - k + width)[:, None]
+            take = (src >= 0) & (src < width)
+            lanes = np.broadcast_to(self.lane[nodes][:, None], src.shape)
+            out[take] = prefixes[lanes[take], src[take]]
+        return out
 
 
 class ChildDists:

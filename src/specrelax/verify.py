@@ -1,10 +1,14 @@
-"""Verification engines: exact speculative acceptance and its similarity relaxation.
+"""Verification engines: speculative acceptance and its similarity relaxation.
 
-The exact engine walks the draft tree level by level, accepting a candidate
-when a uniform draw falls under min(1, q/p) and sampling the residual
-correction on rejection. The relaxed engine additionally transfers target
-mass from feature-similar sibling tokens and feature-aligned child tokens
-onto the candidate, never exceeding a per-call total-variation budget.
+The plain engine (`vanilla`) walks the draft tree level by level, accepting
+a candidate when a uniform draw falls under min(1, q/p) and sampling the
+residual correction on rejection. Its output is exactly target-distributed
+only on width-1 chains with stochastic candidates; with top-k candidates or
+wider trees `p` is not the candidate's proposal law, and exact tree
+verification is an open item. The relaxed engine (`cascade`) additionally
+transfers target mass from feature-similar sibling tokens and
+feature-aligned child tokens onto the candidate, never exceeding a per-call
+total-variation budget.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .core import (
     residual_dist,
 )
 from .models import Drafter, Target, TargetEval
-from .tree import CANDIDATE_MODES, DraftTree, TOPK, TreeMask, forest_pairs, sample_draft_tree
+from .tree import CANDIDATE_MODES, ROOT, DraftTree, TOPK, TreeMask, forest_pairs, sample_draft_tree
 
 AR = "ar"
 VANILLA = "vanilla"
@@ -258,14 +262,40 @@ def _trace_line_template() -> str:
 _TRACE_LINE = _trace_line_template()
 
 
-@dataclass
 class VerifyOutcome:
-    """Result of one verification call over a draft tree."""
+    """Result of one verification call over a draft tree.
 
-    accepted_tokens: list[TokenId]
-    correction_token: TokenId | None
-    tvd_consumed: float
-    trace: list[TraceRecord]
+    Each decision is kept as a plain tuple in `TraceRecord` field order.
+    `trace` builds the records on first read and keeps them, and
+    `trace_lines` formats the tuples directly, so a decode whose decisions
+    nobody reads builds no records.
+    """
+
+    __slots__ = ("accepted_tokens", "correction_token", "tvd_consumed", "_decisions", "_trace")
+
+    def __init__(
+        self,
+        accepted_tokens: list[TokenId],
+        correction_token: TokenId | None,
+        tvd_consumed: float,
+        decisions: list[tuple],
+    ) -> None:
+        self.accepted_tokens = accepted_tokens
+        self.correction_token = correction_token
+        self.tvd_consumed = tvd_consumed
+        self._decisions = decisions
+        self._trace: list[TraceRecord] | None = None
+
+    @property
+    def trace(self) -> list[TraceRecord]:
+        if self._trace is None:
+            self._trace = list(map(TraceRecord._make, self._decisions))
+        return self._trace
+
+    def trace_lines(self, seed: int, cycle: int) -> list[str]:
+        """Every decision's trace JSONL line, as `TraceRecord.to_line` writes it."""
+        line = _TRACE_LINE.format
+        return [line(*decision, seed, cycle) for decision in self._decisions]
 
     @property
     def alpha(self) -> int:
@@ -287,37 +317,39 @@ def _run_verification(
     budget: float,
 ) -> VerifyOutcome:
     """Walk lane `lane` of the forest `tree` on its own stream."""
-    tokens = tree.tokens
+    tokens, probs, children = tree.tokens, tree.probs, tree.children
     accepted: list[TokenId] = []
-    trace: list[TraceRecord] = []
+    decisions: list[tuple] = []
     budget_used = 0.0
     correction: TokenId | None = None
 
     # Walk down the accepted path: each level offers the children of the
-    # last accepted node (the root's children first).
+    # last accepted node `parent` (the root's children first).
     level = 1
+    parent = ROOT
     starts = tree.level_starts[lane]
     siblings = range(starts[0], starts[1])
-    q_dist, p_dist = evals.roots[lane].dist, tree.root_dists[lane]
+    q_dist = evals.roots[lane].dist
     while siblings:
-        chosen: int | None = None
+        # Target rows are shared across nodes and cycles, so their floats are built once.
+        q_masses = q_dist.floats
         level_pairs = sets.inter_pairs.get(level, ()) if sets is not None else ()
         for sibling_idx, node in enumerate(siblings):
             r = rng.next_real()
             token = tokens[node]
-            q_x = q_dist[token]
-            p_x = tree.probs[node]
+            q_x = q_masses[token]
+            p_x = probs[node]
             applied_i = applied_c = 0.0
             transfers: tuple[tuple[TokenId, float], ...] = ()
             if sets is not None:
                 donors_i = [
-                    (tokens[other], q_dist[tokens[other]])
+                    (tokens[other], q_masses[tokens[other]])
                     for other in siblings
                     if other != node and _sibling_pair(node, other) in level_pairs
                 ]
                 donors_c = [
-                    (tokens[child], q_dist[tokens[child]])
-                    for child in tree.children[node]
+                    (tokens[child], q_masses[tokens[child]])
+                    for child in children[node]
                     if (node, child) in sets.conv_pairs
                 ]
                 applied_i, applied_c, transfers = relax_q(
@@ -328,44 +360,37 @@ def _run_verification(
             else:
                 q_eff = q_x
             accept = r < min(1.0, q_eff / p_x)
-            trace.append(
-                TraceRecord(
-                    level,
-                    sibling_idx,
-                    q_x,
-                    p_x,
-                    applied_i,
-                    applied_c,
-                    r,
-                    "accept" if accept else "reject",
-                    budget - budget_used,
-                    token,
-                    q_dist,
-                    transfers,
-                )
-            )
+            decisions.append((
+                level, sibling_idx, q_x, p_x, applied_i, applied_c, r,
+                "accept" if accept else "reject", budget - budget_used, token, q_dist, transfers,
+            ))
             if accept:
-                chosen = node
                 break
-        if chosen is None:
-            # Correction stays exactly target-shaped: the unrelaxed conditional
-            # minus the drafter, or the conditional itself when p covers q.
+        else:
+            # Every sibling rejected. The correction stays exactly target-shaped:
+            # the unrelaxed conditional minus the drafter row the level was drawn
+            # from, or the conditional itself when p covers q.
+            p_dist = tree.root_dists[lane] if parent == ROOT else tree.child_dists[parent]
             try:
                 corr_dist = residual_dist(q_dist, p_dist)
             except DegenerateResidual:
                 corr_dist = q_dist
             correction = corr_dist.sample(rng)
             break
-        accepted.append(tokens[chosen])
-        siblings = tree.children[chosen]
-        q_dist, p_dist = evals.dists[chosen], tree.child_dists[chosen]
+        accepted.append(token)
+        parent = node
+        siblings = children[node]
+        q_dist = evals.dists[node]
         level += 1
 
-    return VerifyOutcome(accepted, correction, budget_used, trace)
+    return VerifyOutcome(accepted, correction, budget_used, decisions)
 
 
 def verify_vanilla(tree: DraftTree, evals: TreeEvals, rng: RngStream, lane: int = 0) -> VerifyOutcome:
-    """Exact acceptance of lane `lane`: r < min(1, q/p) per candidate, residual correction on reject."""
+    """Plain acceptance of lane `lane`: r < min(1, q/p) per candidate, residual correction on reject.
+
+    Exactly target-distributed only on width-1 chains with stochastic candidates.
+    """
     return _run_verification(tree, evals, lane, rng, None, 0.0)
 
 
@@ -474,11 +499,12 @@ def decode_lanes(
             stats.drafter_calls += len(tree.level_starts[j]) - 1
             stats.accepted_draft_tokens += outcome.alpha
             stats.accumulated_tvd += outcome.tvd_consumed
-            emitted = outcome.emitted_tokens
-            tokens.extend(emitted)
+            tokens.extend(outcome.accepted_tokens)
+            if outcome.correction_token is not None:
+                tokens.append(outcome.correction_token)
             if on_outcome is not None:
                 on_outcome(k, cycle, outcome)
-            if not emitted:
+            if not outcome.accepted_tokens and outcome.correction_token is None:
                 # Unreachable for sane trees (a rejection always emits a correction),
                 # but guards against infinite loops on empty instantiations.
                 raise RuntimeError("verification cycle emitted no tokens")

@@ -155,7 +155,7 @@ def test_mc_oracle_result_does_not_depend_on_the_lane_block(monkeypatch, tabular
     # Lanes are independent, so the samples may be decoded in blocks of any size.
     args = (tabular_v4, tabular_v4_drafter, "vanilla", 40, 3)
     whole = mc_distribution_test(*args, base_seed=9)
-    monkeypatch.setattr(harness, "MC_LANES", 7)
+    monkeypatch.setattr(harness, "LANE_BLOCK", 7)
     assert mc_distribution_test(*args, base_seed=9) == whole
 
 
@@ -299,6 +299,31 @@ def test_trace_lines_are_the_sorted_json_of_each_decision(tmp_path, model_files,
     assert text[:-1].split("\n") == [line for lane in expected for line in lane]
     if family == "grid" and mode == "cascade":
         assert any(json.loads(line)["addedMassI"] > 0.0 for lane in expected for line in lane)
+
+
+def test_run_experiment_decodes_seeds_in_blocks(monkeypatch, tmp_path, model_files):
+    # Seeds are decoded LANE_BLOCK at a time; the outputs do not depend on the block.
+    def config(tag):
+        return ExperimentConfig(
+            model_path=str(model_files["grid"]), drafter_path=str(model_files["grid_drafter"]),
+            mode="cascade", seeds=tuple(range(10, 17)), length=20, candidate_mode=STOCHASTIC,
+            metrics_path=str(tmp_path / f"{tag}.metrics.jsonl"), trace_path=str(tmp_path / f"{tag}.trace.jsonl"),
+        )
+
+    whole = run_experiment(config("whole"))
+    lanes_per_call = []
+    decode = harness.decode_lanes
+
+    def counting_decode(*args, **kwargs):
+        lanes_per_call.append(len(args[6]))
+        return decode(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "decode_lanes", counting_decode)
+    monkeypatch.setattr(harness, "LANE_BLOCK", 3)
+    assert run_experiment(config("blocked")) == whole
+    assert lanes_per_call == [3, 3, 1]
+    for suffix in ("metrics.jsonl", "trace.jsonl"):
+        assert (tmp_path / f"blocked.{suffix}").read_bytes() == (tmp_path / f"whole.{suffix}").read_bytes()
 
 
 def test_run_experiment_validates_inputs(tmp_path, model_files):

@@ -25,6 +25,7 @@ from specrelax import (
 )
 from specrelax.core import UnknownWindow
 from specrelax.tree import ROOT, SAFE_MIN_MASS, STOCHASTIC, TOPK
+from specrelax.verify import TraceRecord
 
 from conftest import FixedDrafter, tree_depth, tree_level
 
@@ -303,6 +304,40 @@ def assert_lanes_match_one_lane_decodes(target, drafter, mode, mask, cfg, length
                 assert l_rec.transfers == rec.transfers
                 assert l_rec.q_dist.mass.tobytes() == rec.q_dist.mass.tobytes()
     return expected
+
+
+def test_decisions_become_trace_records_only_when_read(monkeypatch):
+    made = []
+    make, new = TraceRecord._make, TraceRecord.__new__
+
+    def counting_make(cls, iterable):
+        made.append("_make")
+        return make(iterable)
+
+    def counting_new(cls, *args, **kwargs):
+        made.append("__new__")
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(TraceRecord, "_make", classmethod(counting_make))
+    monkeypatch.setattr(TraceRecord, "__new__", counting_new)
+    target, drafter = GridWorldModel.default(), LinearDrafter.zeros(32, 8)
+    args = (target, drafter, "cascade", TreeMask.default(), RelaxConfig(), 23)
+    plain = decode_lanes(*args, [RngStream(seed) for seed in SEEDS])
+    assert made == []
+
+    outcomes = []
+    traced = decode_lanes(
+        *args, [RngStream(seed) for seed in SEEDS],
+        on_outcome=lambda lane, cycle, outcome: outcomes.append((lane, cycle, outcome)),
+    )
+    assert traced == plain and made == []  # a sink that reads no trace builds no records
+    first = [outcome.trace for _, _, outcome in outcomes]
+    decisions = sum(map(len, first))
+    assert decisions > 0 and len(made) == decisions  # one record per decision
+    assert [outcome.trace for _, _, outcome in outcomes] == first
+    assert len(made) == decisions  # a second read builds nothing more
+    for (lane, cycle, outcome), records in zip(outcomes, first):
+        assert outcome.trace_lines(SEEDS[lane], cycle) == [rec.to_line(SEEDS[lane], cycle) for rec in records]
 
 
 JITTER_RELAX = RelaxConfig(tau_pos=0.998, tau_seq=0.998)

@@ -79,6 +79,18 @@ def test_gridworld_jitter_is_deterministic_and_small():
     assert not np.array_equal(f1.values, base.values)
 
 
+def test_gridworld_jitter_fold_matches_the_one_path_jitter_bitwise():
+    model = GridWorldModel.default(feature_jitter=0.05)
+    rng = np.random.default_rng(3)
+    paths = [[]] + [rng.integers(0, 32, size=n).tolist() for n in (1, 2, 7, 30, 63, 64)]
+    width = max(map(len, paths))
+    padded = np.array([[-1] * (width - len(p)) + p for p in paths])
+    for cells in (np.zeros(len(paths), dtype=np.intp), np.arange(len(paths)) * 9 % 64, np.full(len(paths), 63)):
+        rows = model._jitters(padded, cells)
+        for prefix, cell, row in zip(paths, cells.tolist(), rows):
+            assert row.tobytes() == model._jitter(prefix, GridPos.from_index(cell, 8)).tobytes()
+
+
 def test_tabular_lookup():
     model = make_tabular_v2({(0,): [0.9, 0.1]})
     assert np.allclose(model.evaluate([0], GridPos(0, 0)).dist.mass, [0.9, 0.1], atol=ATOL)

@@ -164,3 +164,19 @@ def test_flat_arrays_describe_one_consistent_tree():
                         )
                         last = level == len(widths)
                         assert (tree.child_dists[node] is None) == last
+
+
+def test_path_tails_match_each_whole_path():
+    drafter = FixedDrafter(np.array([0.1, 0.2, 0.3, 0.4, 0.0]))
+    prefixes = [[], [3], [1, 2, 0, 3, 1], [2, 2]]
+    for mode in ("topk", STOCHASTIC):
+        forest = sample_draft_tree(
+            drafter, prefixes, TreeMask((3, 2, 1)), [3, 1, 2, 3], [RngStream(k) for k in range(4)],
+            mode=mode, side=4,
+        )
+        paths = forest.paths
+        nodes = np.arange(len(paths))
+        for k in (1, 2, 3, 4, 6, 9):
+            for picked in (nodes, nodes[::-1], nodes[len(nodes) // 2 :], nodes[:0]):
+                expected = [((-1,) * k + paths[node])[-k:] for node in picked.tolist()]
+                assert paths.tail(k, picked).tolist() == [list(row) for row in expected]

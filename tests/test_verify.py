@@ -31,6 +31,7 @@ from specrelax import (
     residual_dist,
     sample_draft_tree,
     tempered_table_drafter,
+    tvd,
     verify_cascade,
     verify_vanilla,
 )
@@ -332,6 +333,22 @@ def test_build_sets_match_scalar_definition_on_mixed_depth_forests():
                 [RngStream(seed + k) for k in range(4)], mode=mode, side=8,
             )
             assert_sets_match_scalar(forest, evaluate_tree(target, forest))
+
+
+def test_one_lane_cascade_records_carry_the_candidate_law_and_transfers():
+    target, drafter = GridWorldModel.default(), LinearDrafter.zeros(32, 8)
+    relaxed = []
+    for seed in range(20):
+        tree = draft_one(drafter, [seed % 32], TreeMask.default(), RngStream(seed), mode=STOCHASTIC)
+        evals = evaluate_tree(target, tree)
+        outcome = verify_cascade(tree, evals, RelaxConfig(), RngStream(100 + seed))
+        relaxed += [rec for rec in outcome.trace if rec.transfers]
+    assert relaxed
+    for rec in relaxed:
+        assert rec.q == rec.q_dist[rec.token]
+        moved = rec.transfer_dist()
+        assert moved[rec.token] == pytest.approx(min(rec.q + rec.added_mass, 1.0), abs=ATOL)
+        assert tvd(rec.q_dist, moved) == pytest.approx(rec.added_mass, abs=ATOL)
 
 
 def test_build_sets_match_scalar_definition_on_jittered_gridworld_trees():
