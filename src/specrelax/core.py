@@ -80,7 +80,7 @@ class ProbDist:
     shared rows can be sampled and read cheaply in hot loops.
     """
 
-    __slots__ = ("mass", "_cdf", "_floats")
+    __slots__ = ("mass", "_cdf")
 
     def __init__(self, mass: Sequence[float] | np.ndarray) -> None:
         arr = np.asarray(mass, dtype=np.float64)
@@ -97,7 +97,6 @@ class ProbDist:
         arr.flags.writeable = False
         self.mass = arr
         self._cdf: tuple[float, ...] | None = None
-        self._floats: tuple[float, ...] | None = None
 
     @classmethod
     def _of_checked_row(cls, row: np.ndarray) -> "ProbDist":
@@ -105,7 +104,6 @@ class ProbDist:
         dist = cls.__new__(cls)
         dist.mass = row
         dist._cdf = None
-        dist._floats = None
         return dist
 
     @classmethod
@@ -116,13 +114,6 @@ class ProbDist:
         if not np.isfinite(total) or total <= 0.0:
             raise InvalidValue("weights must be non-negative with a positive sum")
         return cls(arr / total)
-
-    @property
-    def floats(self) -> tuple[float, ...]:
-        """The masses as a tuple of Python floats, built on first read: `floats[t] == self[t]`."""
-        if self._floats is None:
-            self._floats = tuple(self.mass.tolist())
-        return self._floats
 
     def __len__(self) -> int:
         return int(self.mass.size)
@@ -212,18 +203,54 @@ def tvd(a: ProbDist, b: ProbDist) -> float:
     return 0.5 * float(np.abs(a.mass - b.mass).sum())
 
 
+def _residual_rows(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Each row's renormalized positive part of `q - p`, and which rows are degenerate.
+
+    A row whose excess sums to RESIDUAL_FLOOR or less is degenerate, and its
+    row of the result is `q`'s own; the mask is None when no row is.
+    """
+    excess = np.subtract(q, p)
+    np.maximum(excess, 0.0, out=excess)
+    total = np.add.reduce(excess, axis=1)
+    degenerate = None
+    if np.minimum.reduce(total) <= RESIDUAL_FLOOR:
+        degenerate = total <= RESIDUAL_FLOOR
+        excess[degenerate] = q[degenerate]
+        total[degenerate] = 1.0
+    excess /= total[:, None]
+    return excess, degenerate
+
+
 def residual_dist(q: ProbDist, p: ProbDist) -> ProbDist:
     """Renormalized positive part of q - p, the correction law on rejection."""
     if len(q) != len(p):
         raise LengthMismatch(f"distributions of size {len(q)} and {len(p)}")
-    excess = np.maximum(q.mass - p.mass, 0.0)
-    total = float(excess.sum())
-    if total <= RESIDUAL_FLOOR:
+    mass, degenerate = _residual_rows(q.mass[None], p.mass[None])
+    if degenerate is not None:
         raise DegenerateResidual("q and p coincide; residual mass is zero")
     # Finite, non-negative and summing to 1 by construction: skip re-checking.
-    mass = excess / total
+    mass = mass[0]
     mass.flags.writeable = False
     return ProbDist._of_checked_row(mass)
+
+
+def sample_corrections(q: np.ndarray, p: np.ndarray, r: np.ndarray) -> list[TokenId]:
+    """One correction token per row: row j draws `residual_dist(q[j], p[j])` with uniform `r[j]`.
+
+    A degenerate row draws from `q[j]` itself. Each draw is `ProbDist.sample`'s,
+    bit for bit: the count of cdf entries at or below `r[j]`, or, when the
+    cdf ends at or below it, the row's last positive token (0 if none).
+    """
+    mass, _ = _residual_rows(q, p)
+    tokens = np.add.reduce(mass.cumsum(axis=1) <= r[:, None], axis=1).tolist()
+    vocab = mass.shape[1]
+    if vocab in tokens:
+        rows = np.flatnonzero(np.equal(tokens, vocab))
+        positive = mass[rows] > 0.0
+        last = np.where(positive.any(axis=1), vocab - 1 - positive[:, ::-1].argmax(axis=1), 0)
+        for row, token in zip(rows.tolist(), last.tolist()):
+            tokens[row] = token
+    return tokens
 
 
 _MASK64 = (1 << 64) - 1
@@ -320,12 +347,15 @@ def peek_reals(rngs: Sequence[RngStream], counts: Sequence[int]) -> np.ndarray:
     # Draw i of the block (1-based) mixes `key + (counter + i - start) * gamma`,
     # so each stream contributes one offset and the block one arange.
     starts = list(accumulate(counts, initial=0))
-    offsets = np.array([(rng.counter - start) & _MASK64 for rng, start in zip(rngs, starts)], dtype=np.uint64)
+    offsets, keys = np.array(
+        [[(rng.counter - start) & _MASK64 for rng, start in zip(rngs, starts)], [rng._key for rng in rngs]],
+        dtype=np.uint64,
+    )
     offsets *= _GAMMA_U64
-    offsets += np.array([rng._key for rng in rngs], dtype=np.uint64)
+    offsets += keys
     z = np.arange(1, starts[-1] + 1, dtype=np.uint64)
     z *= _GAMMA_U64
-    z += np.repeat(offsets, counts)
+    z += offsets.repeat(counts)
     z = _mix64_array(z)
     z >>= 11
     return z * 1.1102230246251565e-16  # 2**-53

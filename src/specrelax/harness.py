@@ -16,7 +16,17 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .core import ConfigError, FeatureVec, GridPos, RngStream, RowOutOfRange, TokenId, cosine_sim, derive_streams
+from .core import (
+    ConfigError,
+    FeatureVec,
+    GridPos,
+    InvalidValue,
+    RngStream,
+    RowOutOfRange,
+    TokenId,
+    cosine_sim,
+    derive_streams,
+)
 from .models import Drafter, Target, enumerate_ar_distribution, load_model
 from .tree import CANDIDATE_MODES, STOCHASTIC, TOPK, TreeMask
 from .verify import AR, MODES, DecodeStats, RelaxConfig, decode_lanes, decode_sequence
@@ -61,7 +71,7 @@ class Metrics:
     @classmethod
     def aggregate(cls, per_seed: Sequence["Metrics"]) -> "Metrics":
         if not per_seed:
-            raise ValueError("cannot aggregate zero runs")
+            raise InvalidValue("cannot aggregate zero runs")
         n = len(per_seed)
         return cls(**{name: sum(getattr(m, name) for m in per_seed) / n for name, _ in _METRIC_KEYS})
 

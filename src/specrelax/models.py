@@ -81,9 +81,37 @@ class Drafter(Protocol):
         ...
 
 
-# Per node of a batch: its next-token laws, its features as the rows of one
-# read-only (nodes, h) float64 array, and each feature's own norm.
-BatchEval = tuple[list[ProbDist], np.ndarray, np.ndarray]
+class LawTable(NamedTuple):
+    """Next-token laws stacked once: row i of the read-only `(rows, V)` array `mass` is `dists[i].mass`.
+
+    `index` maps each listed `ProbDist` object (by identity) to its row.
+    """
+
+    dists: Sequence[ProbDist]
+    mass: np.ndarray
+    index: dict[ProbDist, int]
+
+    @classmethod
+    def stack(cls, dists: Sequence[ProbDist]) -> "LawTable":
+        mass = np.array([d.mass for d in dists])
+        mass.flags.writeable = False
+        return cls(dists, mass, {dist: row for row, dist in enumerate(dists)})
+
+    def rows_of(self, dists: Sequence[ProbDist]) -> tuple["LawTable", list[int]]:
+        """Each law's row: its own if listed, else a row stacked after the table's (a copy then)."""
+        index = self.index
+        rows = [index.get(dist, -1) for dist in dists]
+        if -1 not in rows:
+            return self, rows
+        extra = list(dict.fromkeys(d for d, row in zip(dists, rows) if row < 0))
+        table = LawTable.stack([*self.dists, *extra])
+        return table, [table.index[dist] for dist in dists]
+
+
+# One batch: the model's own law table, each node's row of it as an int
+# array, the nodes' features as the rows of one read-only (nodes, h) float64
+# array, and each feature's own norm.
+BatchEval = tuple[LawTable, np.ndarray, np.ndarray, np.ndarray]
 
 
 @runtime_checkable
@@ -97,7 +125,9 @@ class Target(Protocol):
 
         Node i has prefix `paths[i]` (never empty) and sits at sequence index
         `paths.index[i]` of a `side` x `side` grid, clamped to its last cell.
-        Row i of the result equals `evaluate(paths[i], pos)` bit for bit.
+        Its law is row `rows[i]` of the returned table, which the model owns
+        and shares across calls; that law and feature row i equal
+        `evaluate(paths[i], pos)` bit for bit.
         """
         ...
 
@@ -169,11 +199,11 @@ class TabularModel:
             w: TargetEval(self._table[w], self._features[w]) for w in self._table
         }
         # Every window's evaluation in window-id order, its features and
-        # norms stacked, and its conditionals stacked; built on first use.
+        # norms stacked, and its laws stacked; built on first use.
         self._rows: list[TargetEval] | None = None
         self._window_starts = self._window_powers = np.zeros(0, dtype=np.intp)
         self._row_features: tuple[np.ndarray, np.ndarray] | None = None
-        self._row_masses: np.ndarray | None = None
+        self._laws: LawTable | None = None
 
     def window(self, prefix: Sequence[TokenId]) -> Window:
         if len(prefix) >= self.order:
@@ -201,13 +231,15 @@ class TabularModel:
             sizes = v ** np.arange(k + 1, dtype=np.intp)
             self._window_starts = np.cumsum(sizes) - sizes
             self._window_powers = sizes[k - 1 :: -1] if k else sizes[:0]
+            self._laws = LawTable.stack([ev.dist for ev in self._rows])
         length = np.minimum(lengths, k)
         inside = np.arange(k) >= (k - length)[:, None]
-        bad = ((tails < 0) | (tails >= v)) & inside
-        if bad.any():
+        window = np.where(inside, tails, 0)
+        if np.minimum.reduce(window, axis=None, initial=0) < 0 or np.maximum.reduce(window, axis=None, initial=0) >= v:
+            bad = ((tails < 0) | (tails >= v)) & inside
             j = int(np.flatnonzero(bad.any(axis=1))[0])
             raise UnknownWindow(f"no table row for window {tuple(tails[j][inside[j]].tolist())}")
-        return self._window_starts[length] + np.where(inside, tails, 0) @ self._window_powers
+        return self._window_starts[length] + window @ self._window_powers
 
     def evaluate_batch(self, paths: "NodePaths", side: int) -> BatchEval:
         """`Target.evaluate_batch`; a tabular law ignores the grid, so only the windows are read."""
@@ -219,7 +251,7 @@ class TabularModel:
         values, norms = self._row_features
         features = values.take(ids, axis=0)
         features.flags.writeable = False
-        return [self._rows[i].dist for i in ids.tolist()], features, norms.take(ids)
+        return self._laws, ids, features, norms.take(ids)
 
     @property
     def context(self) -> int:
@@ -228,10 +260,7 @@ class TabularModel:
     def conditionals(self, contexts: np.ndarray, index: np.ndarray, side: int) -> np.ndarray:
         """`Drafter.conditionals`: each prefix's window row."""
         ids = self._window_ids(contexts, index)
-        if self._row_masses is None:
-            self._row_masses = np.array([ev.dist.mass for ev in self._rows])
-            self._row_masses.flags.writeable = False
-        return self._row_masses.take(ids, axis=0)
+        return self._laws.mass.take(ids, axis=0)
 
     def distribution(self, prefix: Sequence[TokenId], pos: GridPos) -> ProbDist:
         return self.evaluate(prefix, pos).dist
@@ -342,7 +371,7 @@ class GridWorldModel:
         self._dist_by_region = [self._build_region_dist(r) for r in range(n_regions)]
         self._n_clusters = n_clusters
         # Regions and clusters as arrays, and the region laws stacked; built on first batch use.
-        self._arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._arrays: tuple[np.ndarray, np.ndarray, LawTable] | None = None
         self._feature_cache: dict[tuple[int, int | None], FeatureVec] = {}
         # `_build_feature_table`'s result, built by the first `evaluate_batch`.
         self._feature_table: tuple[np.ndarray, np.ndarray, frozenset[int]] | None = None
@@ -444,11 +473,10 @@ class GridWorldModel:
             feat = self._cached_feature(region, cluster)
         return TargetEval(self._dist_by_region[region], feat)
 
-    def _batch_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _batch_arrays(self) -> tuple[np.ndarray, np.ndarray, LawTable]:
         if self._arrays is None:
-            masses = np.array([d.mass for d in self._dist_by_region])
-            masses.flags.writeable = False
-            self._arrays = (np.array(self.regions), np.array(self.clusters), masses)
+            laws = LawTable.stack(self._dist_by_region)
+            self._arrays = (np.array(self.regions), np.array(self.clusters), laws)
         return self._arrays
 
     def _regions(self, index: np.ndarray, side: int) -> np.ndarray:
@@ -460,7 +488,6 @@ class GridWorldModel:
         jittered ones from one fold over every node's path."""
         cells = np.minimum(paths.index, side * side - 1)
         regions = self._regions(cells, side)
-        dists = list(map(self._dist_by_region.__getitem__, regions.tolist()))
         if self.feature_jitter > 0.0:
             # `_make_feature` for every node at once, in the same elementwise steps.
             rows, cols = np.divmod(cells, side)
@@ -483,14 +510,14 @@ class GridWorldModel:
                 self._cached_feature(*divmod(first_bad, self._n_clusters))  # raises NonFinite
             features, norms = table.take(rows, axis=0), table_norms.take(rows)
         features.flags.writeable = False
-        return dists, features, norms
+        return self._batch_arrays()[2], regions, features, norms
 
     def distribution(self, prefix: Sequence[TokenId], pos: GridPos) -> ProbDist:
         return self._dist_by_region[self.region_of(pos)]
 
     def conditionals(self, contexts: np.ndarray, index: np.ndarray, side: int) -> np.ndarray:
         """`Drafter.conditionals`: each prefix's region law."""
-        return self._batch_arrays()[2].take(self._regions(index, side), axis=0)
+        return self._batch_arrays()[2].mass.take(self._regions(index, side), axis=0)
 
     @classmethod
     def default(cls, feature_jitter: float = 0.0) -> "GridWorldModel":

@@ -18,7 +18,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ConfigError, FeatureVec, GridPos, NonFinite, ProbDist, RngStream, TokenId, cosine_sim, derive_seed
+from .core import (
+    ConfigError,
+    FeatureVec,
+    GridPos,
+    InvalidValue,
+    NonFinite,
+    ProbDist,
+    RngStream,
+    TokenId,
+    cosine_sim,
+    derive_seed,
+)
 from .models import LinearDrafter, Target
 
 LOG_FLOOR = 1e-12
@@ -135,7 +146,7 @@ def loss_and_grad(
 ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
     """Batch-averaged loss and its analytic gradient w.r.t. (weights, bias)."""
     if len(batch) != len(weights):
-        raise ValueError("one weight per sample required")
+        raise InvalidValue("one weight per sample required")
     vocab, side = drafter.vocab, drafter.side
     phi, target_rows, ground_truth = _featurize(batch, vocab, side)
     probs = _forward(drafter.weights, drafter.bias, phi)
@@ -207,5 +218,5 @@ def held_out_convergent_kl(
             )
             count += 1
     if count == 0:
-        raise ValueError("no convergence-marked positions in the held-out rollouts")
+        raise InvalidValue("no convergence-marked positions in the held-out rollouts")
     return total / count

@@ -153,13 +153,32 @@ class ChildDists:
 
     __slots__ = ("table", "rows")
 
-    def __init__(self, table: np.ndarray, rows: Sequence[int]) -> None:
+    def __init__(self, table: np.ndarray, rows: np.ndarray) -> None:
         self.table = table
         self.rows = rows
 
     def __getitem__(self, node: int) -> ProbDist | None:
-        row = self.rows[node]
+        row = int(self.rows[node])
         return None if row < 0 else ProbDist._of_checked_row(self.table[row])
+
+
+class ForestArrays(NamedTuple):
+    """A draft forest's per-node lists as arrays, with its drafter laws stacked.
+
+    Per node i: `token[i]`, `prob[i]`, and `cond_row[i]`, the row of
+    `draft_table` its children were drawn from (-1 on its lane's deepest
+    level). Lane k's level 1 was drawn from row `root_row + root_index[k]`
+    (`DraftTree.root_index`), after every child conditional. `judge[i]` is
+    node i's parent, or `nodes + k` for a level-1 node of lane k: an index
+    into per-node values followed by per-lane ones.
+    """
+
+    token: np.ndarray
+    prob: np.ndarray
+    cond_row: np.ndarray
+    draft_table: np.ndarray
+    root_row: int
+    judge: np.ndarray
 
 
 class DraftTree:
@@ -178,12 +197,14 @@ class DraftTree:
     children were drawn from; None on its lane's deepest level) and
     `paths[i]` (its prefix plus the tokens from its lane's root to i). The
     structure (`level_starts`, `parents`, `children`) is tuples, shared by
-    drafted forests of the same shape; `nodes` spans every lane.
+    drafted forests of the same shape; `nodes` spans every lane. `arrays`
+    holds the same nodes as arrays, and `pairs` indexes their sibling pairs
+    and parent-child links.
     """
 
     __slots__ = (
         "side", "prefixes", "root_prefixes", "root_index", "root_dists", "level_starts",
-        "tokens", "probs", "parents", "children", "child_dists", "paths",
+        "tokens", "probs", "parents", "children", "child_dists", "paths", "arrays", "_pairs",
     )
 
     def __init__(
@@ -200,6 +221,8 @@ class DraftTree:
         children: Sequence[range],
         child_dists: Sequence[ProbDist | None],
         paths: Sequence[tuple[TokenId, ...]],
+        arrays: ForestArrays | None = None,
+        pairs: dict | None = None,
     ) -> None:
         self.side = side
         self.prefixes = prefixes
@@ -213,11 +236,42 @@ class DraftTree:
         self.children = children
         self.child_dists = child_dists
         self.paths = paths
+        # `sample_draft_tree` passes its arrays in; a forest built from lists stacks them here.
+        self.arrays = self._stack_arrays() if arrays is None else arrays
+        # Shared by every forest of one cached layout, so its pairs are indexed once.
+        self._pairs = {} if pairs is None else pairs
 
     @property
     def nodes(self) -> range:
         """All node ids of every lane."""
         return range(self.level_starts[-1][-1])
+
+    def _stack_arrays(self) -> ForestArrays:
+        """The per-node arrays of a forest built from lists, stacked once."""
+        parent = np.array(self.parents, dtype=np.intp)
+        lane = np.repeat(
+            np.arange(len(self.level_starts)), [starts[-1] - starts[0] for starts in self.level_starts]
+        )
+        kept = [node for node in self.nodes if self.child_dists[node] is not None]
+        cond_row = np.full(len(parent), -1, dtype=np.intp)
+        cond_row[kept] = np.arange(len(kept))
+        group_lane: dict[int, int] = {}
+        for lane_k, group in enumerate(self.root_index):
+            group_lane.setdefault(group, lane_k)
+        roots = [self.root_dists[group_lane[group]] for group in range(len(group_lane))]
+        draft_table = np.array([dist.mass for dist in [*map(self.child_dists.__getitem__, kept), *roots]])
+        return ForestArrays(
+            np.array(self.tokens, dtype=np.intp), np.array(self.probs, dtype=np.float64),
+            cond_row, draft_table, len(kept), np.where(parent == ROOT, len(parent) + lane, parent),
+        )
+
+    def pairs(self, siblings: bool, links: bool) -> "ForestPairs":
+        """`forest_pairs` of this forest, indexed once per layout of a cached shape."""
+        key = (siblings, links)
+        found = self._pairs.get(key)
+        if found is None:
+            found = self._pairs[key] = forest_pairs(self.parents, self.level_starts, siblings, links)
+        return found
 
 
 class ForestPairs(NamedTuple):
@@ -227,15 +281,25 @@ class ForestPairs(NamedTuple):
     level 2's, and so on, then every lane's parent-child links; `sibling`
     marks the sibling pairs, and `groups[l-1]` is where level l starts
     (`groups[-2]` where the links start, `groups[-1]` the end).
+
+    Each pair also names donors: a sibling pair lends each end the other's
+    token, and a link lends the parent its child's token. Donor j is pair
+    `donor_pair[j]`, lent by node `donor_lender[j]` to `donor_borrower[j]`.
+    They are listed by borrower, node x's sibling lenders (by id) from
+    `donor_starts[2x]`, then its children from `donor_starts[2x+1]`, up to
+    `donor_starts[2x+2]`.
     """
 
     first: np.ndarray
     second: np.ndarray
     sibling: np.ndarray
     groups: np.ndarray
+    donor_pair: np.ndarray
+    donor_borrower: np.ndarray
+    donor_lender: np.ndarray
+    donor_starts: np.ndarray
 
 
-@lru_cache(maxsize=16)
 def forest_pairs(
     parents: tuple[int, ...], level_starts: tuple[tuple[int, ...], ...], siblings: bool, links: bool
 ) -> ForestPairs:
@@ -270,10 +334,20 @@ def forest_pairs(
     groups = np.cumsum(np.concatenate([[0], per_level, [len(kids)]]))
     first = np.concatenate([first, parent[kids]])
     second = np.concatenate([second, kids])
-    sibling = np.arange(len(first)) < groups[depth]
-    for array in (first, second, sibling, groups):
+    pair = np.arange(len(first))
+    sibling = pair < groups[depth]
+    n_sib = int(groups[depth])
+    # Both ends of each sibling pair borrow, then each link's parent.
+    donor_pair = np.concatenate([pair[:n_sib], pair])
+    borrower = np.concatenate([second[:n_sib], first])
+    lender = np.concatenate([first[:n_sib], second])
+    key = 2 * borrower + ~sibling[donor_pair]  # a borrower's sibling lenders, then its children
+    order = np.lexsort((lender, key))
+    starts = np.searchsorted(key[order], np.arange(2 * n + 1))
+    donors = (donor_pair[order], borrower[order], lender[order], starts)
+    for array in (first, second, sibling, groups, *donors):
         array.flags.writeable = False
-    return ForestPairs(first, second, sibling, groups)
+    return ForestPairs(first, second, sibling, groups, *donors)
 
 
 class _Level(NamedTuple):
@@ -299,7 +373,9 @@ class _Skeleton(NamedTuple):
     order is level by level, each level grouped by lane. Lane k holds
     `lane_sizes[k]` nodes. `cond_rows[i]` is node i's row in the stacked
     child conditionals, which follow drafting order, or -1 on its lane's
-    deepest level. `levels[l-1]` lays out level l.
+    deepest level. `levels[l-1]` lays out level l. `judge` is
+    `ForestArrays.judge`. `pairs` caches the layout's `forest_pairs` by
+    (siblings, links).
     """
 
     order: np.ndarray
@@ -310,8 +386,10 @@ class _Skeleton(NamedTuple):
     children: tuple[range, ...]
     level_starts: tuple[tuple[int, ...], ...]
     lane_sizes: tuple[int, ...]
-    cond_rows: tuple[int, ...]
+    cond_rows: np.ndarray
     levels: tuple[_Level, ...]
+    judge: np.ndarray
+    pairs: dict
 
 
 def _skeleton(depths: tuple[int, ...], kids: Sequence[np.ndarray | int]) -> _Skeleton:
@@ -364,15 +442,18 @@ def _skeleton(depths: tuple[int, ...], kids: Sequence[np.ndarray | int]) -> _Ske
         _Level(row_lane, new_id[start : start + len(source)], source, grow)
         for row_lane, start, source, grow in frontiers
     )
-    for array in (parent, lane, level, *(a for step in steps for a in step if a is not None)):
+    judge = np.where(parent == ROOT, n + lane, parent)
+    for array in (parent, lane, level, cond_rows, judge, *(a for step in steps for a in step if a is not None)):
         array.flags.writeable = False
     return _Skeleton(
         order, lane, level, parent, tuple(parent.tolist()),
         tuple(map(range, first_kid.tolist(), (first_kid + n_kids).tolist())),
         tuple(tuple(row[: d + 1]) for row, d in zip(starts.tolist(), depths)),
         tuple(lane_size.tolist()),
-        tuple(cond_rows.tolist()),
+        cond_rows,
         steps,
+        judge,
+        {},
     )
 
 
@@ -459,7 +540,7 @@ def _draw_rows(
 def _first_hits(working: np.ndarray, hit: np.ndarray) -> np.ndarray:
     """Each row's first hit; a row without one takes its last positive token (0 if none)."""
     token = hit.argmax(axis=1)
-    if not hit[:, -1].all():
+    if not np.logical_and.reduce(hit[:, -1]):
         missed = ~hit[:, -1]
         pos = working[missed] > 0.0
         last = working.shape[1] - 1 - pos[:, ::-1].argmax(axis=1)
@@ -561,7 +642,8 @@ def sample_draft_tree(
         for lane, prefix in enumerate(prefixes):
             tail = prefix[-context:]
             contexts[lane, context - len(tail) :] = tail
-    rows = np.array([d.mass for d in group_dists]).take(root_index, axis=0)
+    root_table = np.array([d.mass for d in group_dists])
+    rows = root_table.take(root_index, axis=0)
     row_lane = np.arange(n_lanes)
     # Only forests whose lanes share one depth keep their layout cached:
     # mixed depths come from lanes nearing their ends and seldom recur.
@@ -588,7 +670,7 @@ def sample_draft_tree(
                 picks = rows.argmax(axis=1)[:, None]  # the first maximum: ties to the lower id
             else:
                 picks = np.argsort(-rows, axis=1, kind="stable")[:, :width]
-        elif full and rows.min() > SAFE_MIN_MASS:
+        elif full and np.minimum.reduce(rows, axis=None) > SAFE_MIN_MASS:
             picks = _draw_steps(rows, block[step.ids].reshape(len(rows), width))
         else:
             if full:
@@ -598,7 +680,7 @@ def sample_draft_tree(
             picks, valid = _draw_rows(rows, width, row_lane, block, cursor)
         level_tokens = picks.ravel()
         level_probs = rows[source, level_tokens]
-        if mode == TOPK and not level_probs.min() > 0.0:
+        if mode == TOPK and not np.minimum.reduce(level_probs) > 0.0:
             valid = (level_probs > 0.0).reshape(picks.shape)
         if valid is None:
             kids.append(width)
@@ -637,8 +719,11 @@ def sample_draft_tree(
 
     skeleton = layout if full else _skeleton(depths, kids)
     token = np.concatenate(tokens)[skeleton.order]
-    table = np.concatenate(tables) if tables else np.empty((0, vocab))
-    table.flags.writeable = False
+    prob = np.concatenate(probs)[skeleton.order]
+    # The root conditionals follow the child conditionals, so one table holds every drafter law.
+    table = np.concatenate([*tables, root_table])
+    for array in (token, prob, table):
+        array.flags.writeable = False
     return DraftTree(
         side,
         prefixes,
@@ -647,7 +732,7 @@ def sample_draft_tree(
         root_dists,
         skeleton.level_starts,
         token.tolist(),
-        np.concatenate(probs)[skeleton.order].tolist(),
+        prob.tolist(),
         skeleton.parents,
         skeleton.children,
         ChildDists(table, skeleton.cond_rows),
@@ -655,4 +740,6 @@ def sample_draft_tree(
             prefixes, skeleton.lane, skeleton.parent, token, skeleton.level,
             prefix_len[skeleton.lane] + skeleton.level,
         ),
+        ForestArrays(token, prob, skeleton.cond_rows, table, len(table) - len(root_table), skeleton.judge),
+        skeleton.pairs,
     )

@@ -14,6 +14,7 @@ total-variation budget.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -21,8 +22,8 @@ import numpy as np
 
 from .core import (
     ConfigError,
-    DegenerateResidual,
     GridPos,
+    InvalidValue,
     NORM_FLOOR,
     PROB_ATOL,
     ProbDist,
@@ -30,10 +31,10 @@ from .core import (
     TokenId,
     ZeroNormFeature,
     cosine_sim,  # noqa: F401  (bench/tracer.py counts scalar cosines through this name)
-    residual_dist,
+    sample_corrections,
 )
-from .models import Drafter, Target, TargetEval
-from .tree import CANDIDATE_MODES, ROOT, DraftTree, TOPK, TreeMask, forest_pairs, sample_draft_tree
+from .models import Drafter, LawTable, Target, TargetEval
+from .tree import CANDIDATE_MODES, ROOT, DraftTree, ForestPairs, TOPK, TreeMask, sample_draft_tree
 
 AR = "ar"
 VANILLA = "vanilla"
@@ -61,60 +62,147 @@ class RelaxConfig:
             raise ConfigError("tvd budget must lie in [0, 1]")
 
 
-class TreeEvals(NamedTuple):
+class _Judged:
+    """Per node of one forest: the law id it is judged against (its level's
+    target law) and that law's mass `q` at its token, as arrays, with `q` as
+    a Python list for the walk; `threshold`, `min(1, q/p)`, once a plain walk
+    asks for it."""
+
+    __slots__ = ("law", "q_array", "q", "threshold")
+
+    def __init__(self, law: np.ndarray, q_array: np.ndarray) -> None:
+        self.law = law
+        self.q_array = q_array
+        self.q: list[float] = q_array.tolist()
+        self.threshold: list[float] | None = None
+
+
+class TreeEvals:
     """One target pass over a draft forest.
 
-    `roots[k]` evaluates lane k's prefix. Node i's conditional is `dists[i]`,
-    its feature is row i of the read-only `(nodes, h)` array `features`, and
-    `norms[i]` is that feature's own norm.
+    `roots[k]` evaluates lane k's prefix. Node i's conditional is row
+    `rows[i]` of the law table `laws`, its feature is row i of the read-only
+    `(nodes, h)` array `features`, and `norms[i]` is that feature's own norm.
+    Lane k's root law is row `root_law[k]`: the model's own row when the root
+    evaluation returned one of the table's laws, else a row stacked after
+    them, so a row of `laws` is a law id.
     """
 
-    roots: list[TargetEval]
-    dists: list[ProbDist]
-    features: np.ndarray
-    norms: np.ndarray
+    __slots__ = ("roots", "laws", "rows", "features", "norms", "root_law", "_judged")
+
+    def __init__(
+        self,
+        roots: list[TargetEval],
+        laws: LawTable,
+        rows: np.ndarray,
+        features: np.ndarray,
+        norms: np.ndarray,
+        root_law: Sequence[int] | None = None,
+    ) -> None:
+        if root_law is None:
+            laws, root_law = laws.rows_of([ev.dist for ev in roots])
+        self.roots = roots
+        self.laws = laws
+        self.rows = rows
+        self.features = features
+        self.norms = norms
+        self.root_law = root_law
+        self._judged: tuple[DraftTree, _Judged] | None = None
+
+    def judged(self, tree: DraftTree, thresholds: bool = False) -> _Judged:
+        """Every node's decision law and `q` from one gather, kept for `tree`; with
+        `thresholds`, its vanilla threshold too."""
+        if self._judged is not None and self._judged[0] is tree:
+            judged = self._judged[1]
+        else:
+            arrays = tree.arrays
+            law = np.concatenate((self.rows, self.root_law)).take(arrays.judge)
+            judged = _Judged(law, self.laws.mass[law, arrays.token])
+            self._judged = (tree, judged)
+        if thresholds and judged.threshold is None:
+            judged.threshold = np.minimum(judged.q_array / tree.arrays.prob, 1.0).tolist()
+        return judged
 
 
 def evaluate_tree(target: Target, tree: DraftTree) -> TreeEvals:
     """One simulated parallel target pass: each distinct root prefix, then every node in one batch.
 
-    Lanes that share a root prefix share its evaluation. Nodes one step past
-    the grid end are evaluated at the final cell; only their features are
-    ever consulted there.
+    Lanes that share a root prefix share its evaluation and its law row.
+    Nodes one step past the grid end are evaluated at the final cell; only
+    their features are ever consulted there.
     """
     side = tree.side
     # `sample_draft_tree` checked that every lane's cell is on the grid.
     distinct = [target.evaluate(p, GridPos(*divmod(len(p), side))) for p in tree.root_prefixes]
     roots = [distinct[g] for g in tree.root_index]
-    return TreeEvals(roots, *target.evaluate_batch(tree.paths, side))
+    laws, rows, features, norms = target.evaluate_batch(tree.paths, side)
+    laws, root_law = laws.rows_of([ev.dist for ev in distinct])
+    if len(distinct) < len(roots):  # groups are numbered by first use: all distinct means lane order
+        root_law = np.array(root_law)[tree.root_index]
+    return TreeEvals(roots, laws, rows, features, norms, root_law)
 
 
-@dataclass(frozen=True)
-class SimilaritySets:
-    """Feature-similar pairs: sibling pairs per level, and parent-child links."""
+class _Donors(NamedTuple):
+    """Node x's sibling donors are `pool[off[2x]:off[2x+1]]` and its child donors
+    `pool[off[2x+1]:off[2x+2]]`, each a (token, mass) pair under its level's law."""
 
-    inter_pairs: dict[int, frozenset[tuple[int, int]]]
-    conv_pairs: frozenset[tuple[int, int]]
+    off: list[int]
+    pool: list[tuple[TokenId, float]]
+
+
+# Every node's donor ranges empty: a hit-free forest's cascade walk.
+_NO_DONORS = _Donors(defaultdict(int), [])
+
+
+class SimilaritySets(NamedTuple):
+    """Feature-similar pairs of a forest, and the donors they give.
+
+    `hit[j]` says whether pair j of `pairs` (`DraftTree.pairs`) is at or
+    above its threshold. `inter_pairs[l]` gives level l's similar sibling
+    pairs `(a, b)`, `a < b`, and `conv_pairs` the similar parent-child links,
+    each as a `(k, 2)` array. `donors` is None when no pair hits.
+    """
+
+    pairs: ForestPairs
+    hit: np.ndarray
+    donors: _Donors | None
+
+    def _hits(self) -> tuple[np.ndarray, list[int]]:
+        hit = np.flatnonzero(self.hit)
+        pairs = np.stack([self.pairs.first[hit], self.pairs.second[hit]], axis=1)
+        return pairs, np.searchsorted(hit, self.pairs.groups).tolist()
+
+    @property
+    def inter_pairs(self) -> dict[int, np.ndarray]:
+        pairs, bounds = self._hits()
+        return {level: pairs[bounds[level - 1] : bounds[level]] for level in range(1, len(bounds) - 1)}
+
+    @property
+    def conv_pairs(self) -> np.ndarray:
+        pairs, bounds = self._hits()
+        return pairs[bounds[-2] :]
 
 
 def build_sets(tree: DraftTree, evals: TreeEvals, cfg: RelaxConfig) -> SimilaritySets:
     """Collect same-parent sibling pairs and parent-child links above threshold, in every lane.
 
-    A forest's pairs are indexed once per forest structure (`forest_pairs`),
-    and their cosines come from one pass over the stacked features. Each
-    pair's dot product runs through the same BLAS kernel as `cosine_sim`'s
-    and its norms are the features' own, so every threshold decision matches
-    the scalar definition exactly.
+    A forest's pairs are indexed once per cached forest layout
+    (`DraftTree.pairs`), and their cosines come from one pass over the
+    stacked features. Each pair's dot product runs through the same BLAS
+    kernel as `cosine_sim`'s and its norms are the features' own, so every
+    threshold decision matches the scalar definition exactly.
     Clamping to [-1, 1] is skipped: against a threshold in [0, 1] it cannot
-    change a decision. Level l's sibling pairs of every lane share one set.
+    change a decision. The hits then pick the layout's donors, each lending
+    its token's mass under the borrower's level law.
     """
     want_i = cfg.tau_pos <= 1.0
     want_c = cfg.tau_seq <= 1.0
-    if not (want_i or want_c):
-        return SimilaritySets({}, frozenset())
-    first, second, sibling, groups = forest_pairs(tree.parents, tree.level_starts, want_i, want_c)
+    pairs = tree.pairs(want_i, want_c)
+    first, second = pairs.first, pairs.second
+    if not len(first):
+        return SimilaritySets(pairs, np.zeros(0, dtype=bool), None)
     norms = evals.norms
-    if len(first) and norms.min() <= NORM_FLOOR:
+    if np.minimum.reduce(norms) <= NORM_FLOOR:
         zero = (norms[first] <= NORM_FLOOR) | (norms[second] <= NORM_FLOOR)
         if zero.any():
             k = int(zero.argmax())
@@ -122,22 +210,19 @@ def build_sets(tree: DraftTree, evals: TreeEvals, cfg: RelaxConfig) -> Similarit
             raise ZeroNormFeature(f"cosine undefined for norms ({na!r}, {nb!r})")
     values = evals.features
     cos = np.vecdot(values[first], values[second]) / (norms[first] * norms[second])
-    hit = np.flatnonzero(cos >= np.where(sibling, cfg.tau_pos, cfg.tau_seq))
-    bounds = np.searchsorted(hit, groups).tolist()
-    pairs = list(zip(first[hit].tolist(), second[hit].tolist()))
-    inter_pairs: dict[int, frozenset[tuple[int, int]]] = {}
-    if want_i:
-        for level in range(1, len(bounds) - 1):
-            inter_pairs[level] = frozenset(pairs[bounds[level - 1] : bounds[level]])
-    return SimilaritySets(inter_pairs, frozenset(pairs[bounds[-2] :]))
-
-
-def _sibling_pair(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
+    hit = cos >= np.where(pairs.sibling, cfg.tau_pos, cfg.tau_seq)
+    keep = hit[pairs.donor_pair]
+    kept = np.cumsum(keep)
+    if not kept[-1]:
+        return SimilaritySets(pairs, hit, None)
+    # Each node's donor range in the kept list: how many kept donors precede its start.
+    off = np.concatenate(([0], kept))[pairs.donor_starts]
+    lent = tree.arrays.token[pairs.donor_lender[keep]]
+    mass = evals.laws.mass[evals.judged(tree).law[pairs.donor_borrower[keep]], lent]
+    return SimilaritySets(pairs, hit, _Donors(off.tolist(), list(zip(lent.tolist(), mass.tolist()))))
 
 
 def relax_q(
-    q: ProbDist,
     candidate: TokenId,
     donors_i: Sequence[tuple[TokenId, float]],
     donors_c: Sequence[tuple[TokenId, float]],
@@ -146,25 +231,26 @@ def relax_q(
     """Boost `candidate` by whichever donor sets fit the remaining budget.
 
     `donors_i` are the (token, mass) pairs of the candidate's similar siblings
-    and `donors_c` those of its aligned children. A child token that equals
-    the candidate or a sibling donor is dropped, so every donor gives up mass
-    it actually holds, exactly once. Each set is applied whole or not at all,
-    sibling mass before child mass; a set that does not fit is skipped
-    silently. Returns the sibling and child mass applied, and the donors
-    whose mass moved.
+    and `donors_c` those of its aligned children, each mass read from the
+    level's target law. A child token that equals the candidate or a sibling
+    donor is dropped, so every donor gives up mass it actually holds, exactly
+    once. Each set is applied whole or not at all, sibling mass before child
+    mass; a set that does not fit is skipped silently. Returns the sibling
+    and child mass applied, and the donors whose mass moved.
     """
-    seen = {candidate, *(token for token, _ in donors_i)}
+    seen = {candidate}
+    seen.update([token for token, _ in donors_i])
     kept_c: list[tuple[TokenId, float]] = []
     for token, mass in donors_c:
         if token not in seen:
             seen.add(token)
             kept_c.append((token, mass))
-    set_mass_i = math.fsum(m for _, m in donors_i)
-    set_mass_c = math.fsum(m for _, m in kept_c)
+    set_mass_i = math.fsum([mass for _, mass in donors_i])
+    set_mass_c = math.fsum([mass for _, mass in kept_c])
     if set_mass_i < 0.0 or set_mass_c < 0.0:
-        raise ValueError("set masses must be non-negative")
+        raise InvalidValue("set masses must be non-negative")
     if budget_left < -PROB_ATOL:
-        raise ValueError("budget_left must be non-negative")
+        raise InvalidValue("budget_left must be non-negative")
     applied_i = set_mass_i if set_mass_i <= budget_left + PROB_ATOL else 0.0
     remaining = budget_left - applied_i
     applied_c = set_mass_c if set_mass_c <= remaining + PROB_ATOL else 0.0
@@ -263,33 +349,53 @@ _TRACE_LINE = _trace_line_template()
 
 
 class VerifyOutcome:
-    """Result of one verification call over a draft tree.
+    """Result of one verification call over a draft forest.
 
-    Each decision is kept as a plain tuple in `TraceRecord` field order.
-    `trace` builds the records on first read and keeps them, and
-    `trace_lines` formats the tuples directly, so a decode whose decisions
-    nobody reads builds no records.
+    Each decision is kept as a plain tuple in `TraceRecord` field order,
+    with its node id in place of its target law. `trace` builds the
+    records on first read and keeps them, and `trace_lines` formats the
+    tuples directly, so a decode whose decisions nobody reads builds no
+    records. A rejection keeps its uniform instead of a token: `decode_lanes`
+    draws every lane's correction of a cycle in one pass, and otherwise the
+    first read of `correction_token` draws this one the same way.
     """
 
-    __slots__ = ("accepted_tokens", "correction_token", "tvd_consumed", "_decisions", "_trace")
+    __slots__ = (
+        "accepted_tokens", "tvd_consumed", "_correction", "_pending", "_decisions", "_laws", "_law", "_trace",
+    )
 
     def __init__(
         self,
         accepted_tokens: list[TokenId],
-        correction_token: TokenId | None,
         tvd_consumed: float,
         decisions: list[tuple],
+        laws: LawTable,
+        law: np.ndarray,
+        pending: tuple[DraftTree, int, int, float] | None = None,
     ) -> None:
         self.accepted_tokens = accepted_tokens
-        self.correction_token = correction_token
         self.tvd_consumed = tvd_consumed
+        self._correction: TokenId | None = None
+        # (forest, rejected node, drafter law id, uniform) of a correction not yet drawn.
+        self._pending = pending
         self._decisions = decisions
+        # The forest's law table, and each node's law id (`_Judged.law`).
+        self._laws = laws
+        self._law = law
         self._trace: list[TraceRecord] | None = None
+
+    @property
+    def correction_token(self) -> TokenId | None:
+        if self._pending is not None:
+            (self._correction,) = _draw_corrections(self._laws, self._law, [self._pending])
+            self._pending = None
+        return self._correction
 
     @property
     def trace(self) -> list[TraceRecord]:
         if self._trace is None:
-            self._trace = list(map(TraceRecord._make, self._decisions))
+            dists, law = self._laws.dists, self._law
+            self._trace = [TraceRecord._make((*d[:10], dists[law[d[10]]], d[11])) for d in self._decisions]
         return self._trace
 
     def trace_lines(self, seed: int, cycle: int) -> list[str]:
@@ -303,9 +409,22 @@ class VerifyOutcome:
 
     @property
     def emitted_tokens(self) -> list[TokenId]:
-        if self.correction_token is None:
+        correction = self.correction_token
+        if correction is None:
             return list(self.accepted_tokens)
-        return list(self.accepted_tokens) + [self.correction_token]
+        return list(self.accepted_tokens) + [correction]
+
+
+def _draw_corrections(laws: LawTable, law: np.ndarray, pending: Sequence[tuple]) -> list[TokenId]:
+    """Draw the pending corrections of one forest's walks in one residual pass.
+
+    Row j is walk j's level law minus the drafter row its level was drawn
+    from; `sample_corrections` draws each from its own kept uniform.
+    """
+    trees, nodes, p_laws, uniforms = zip(*pending)
+    q = laws.mass.take(law.take(nodes), axis=0)
+    p = trees[0].arrays.draft_table.take(p_laws, axis=0)
+    return sample_corrections(q, p, np.array(uniforms))
 
 
 def _run_verification(
@@ -316,74 +435,82 @@ def _run_verification(
     sets: SimilaritySets | None,
     budget: float,
 ) -> VerifyOutcome:
-    """Walk lane `lane` of the forest `tree` on its own stream."""
+    """Walk lane `lane` of the forest `tree` on its own stream.
+
+    Every node's `q` and threshold come from the forest's one gather
+    (`TreeEvals.judged`), and a cascade's donors from its sets, so the walk
+    reads Python lists only.
+    """
+    judged = evals.judged(tree, thresholds=sets is None)
+    qs, thresholds = judged.q, judged.threshold
     tokens, probs, children = tree.tokens, tree.probs, tree.children
+    if sets is not None:
+        off, pool = sets.donors or _NO_DONORS
     accepted: list[TokenId] = []
     decisions: list[tuple] = []
     budget_used = 0.0
-    correction: TokenId | None = None
 
     # Walk down the accepted path: each level offers the children of the
-    # last accepted node `parent` (the root's children first).
+    # last accepted node (the lane's level 1 first).
     level = 1
-    parent = ROOT
+    node = ROOT
     starts = tree.level_starts[lane]
     siblings = range(starts[0], starts[1])
-    q_dist = evals.roots[lane].dist
     while siblings:
-        # Target rows are shared across nodes and cycles, so their floats are built once.
-        q_masses = q_dist.floats
-        level_pairs = sets.inter_pairs.get(level, ()) if sets is not None else ()
-        for sibling_idx, node in enumerate(siblings):
-            r = rng.next_real()
-            token = tokens[node]
-            q_x = q_masses[token]
-            p_x = probs[node]
-            applied_i = applied_c = 0.0
-            transfers: tuple[tuple[TokenId, float], ...] = ()
-            if sets is not None:
-                donors_i = [
-                    (tokens[other], q_masses[tokens[other]])
-                    for other in siblings
-                    if other != node and _sibling_pair(node, other) in level_pairs
-                ]
-                donors_c = [
-                    (tokens[child], q_masses[tokens[child]])
-                    for child in children[node]
-                    if (node, child) in sets.conv_pairs
-                ]
-                applied_i, applied_c, transfers = relax_q(
-                    q_dist, token, donors_i, donors_c, budget - budget_used
-                )
-                budget_used += applied_i + applied_c
-                q_eff = min(q_x + (applied_i + applied_c), 1.0)
+        parent = node
+        if sets is None:
+            for sibling_idx, node in enumerate(siblings):
+                r = rng.next_real()
+                accept = r < thresholds[node]
+                decisions.append((
+                    level, sibling_idx, qs[node], probs[node], 0.0, 0.0, r,
+                    "accept" if accept else "reject", 0.0, tokens[node], node, (),
+                ))
+                if accept:
+                    break
             else:
-                q_eff = q_x
-            accept = r < min(1.0, q_eff / p_x)
-            decisions.append((
-                level, sibling_idx, q_x, p_x, applied_i, applied_c, r,
-                "accept" if accept else "reject", budget - budget_used, token, q_dist, transfers,
-            ))
-            if accept:
                 break
         else:
-            # Every sibling rejected. The correction stays exactly target-shaped:
-            # the unrelaxed conditional minus the drafter row the level was drawn
-            # from, or the conditional itself when p covers q.
-            p_dist = tree.root_dists[lane] if parent == ROOT else tree.child_dists[parent]
-            try:
-                corr_dist = residual_dist(q_dist, p_dist)
-            except DegenerateResidual:
-                corr_dist = q_dist
-            correction = corr_dist.sample(rng)
-            break
-        accepted.append(token)
-        parent = node
+            for sibling_idx, node in enumerate(siblings):
+                r = rng.next_real()
+                token = tokens[node]
+                q_x = qs[node]
+                p_x = probs[node]
+                applied_i = applied_c = 0.0
+                transfers: tuple[tuple[TokenId, float], ...] = ()
+                lo, mid, hi = off[2 * node], off[2 * node + 1], off[2 * node + 2]
+                if lo != hi:
+                    applied_i, applied_c, transfers = relax_q(
+                        token, pool[lo:mid], pool[mid:hi], budget - budget_used
+                    )
+                    budget_used += applied_i + applied_c
+                q_eff = min(q_x + (applied_i + applied_c), 1.0)
+                accept = r < min(1.0, q_eff / p_x)
+                decisions.append((
+                    level, sibling_idx, q_x, p_x, applied_i, applied_c, r,
+                    "accept" if accept else "reject", budget - budget_used, token, node, transfers,
+                ))
+                if accept:
+                    break
+            else:
+                break
+        accepted.append(tokens[node])
         siblings = children[node]
-        q_dist = evals.dists[node]
         level += 1
+    else:
+        return VerifyOutcome(accepted, budget_used, decisions, evals.laws, judged.law)
 
-    return VerifyOutcome(accepted, correction, budget_used, decisions)
+    # Every sibling rejected. The correction stays exactly target-shaped: the
+    # unrelaxed level law minus the drafter row the level was drawn from, or
+    # the level law itself when p covers q. Its uniform is drawn now, and its
+    # token once per cycle for every lane.
+    arrays = tree.arrays
+    if parent == ROOT:
+        p_law = arrays.root_row + tree.root_index[lane]
+    else:
+        p_law = int(arrays.cond_row[parent])
+    pending = (tree, node, p_law, rng.next_real())
+    return VerifyOutcome(accepted, budget_used, decisions, evals.laws, judged.law, pending)
 
 
 def verify_vanilla(tree: DraftTree, evals: TreeEvals, rng: RngStream, lane: int = 0) -> VerifyOutcome:
@@ -444,10 +571,11 @@ def decode_lanes(
 
     The lanes run in lockstep: each cycle drafts one forest holding every
     unfinished lane's tree, evaluates it with one target pass, takes every
-    lane's similarity sets from one pass, and then walks each lane's tree
-    on its own stream. A lane's tokens, counters and decisions are those of
-    decoding it alone. `on_outcome(lane, cycle, outcome)` sees each lane's
-    calls in order. An unknown mode or candidate mode, a length below 1 or
+    lane's similarity sets from one pass, walks each lane's tree on its own
+    stream, and then draws every lane's correction in one residual pass.
+    A lane's tokens, counters and decisions are those of decoding it alone.
+    `on_outcome(lane, cycle, outcome)` sees each lane's calls in order, with
+    its correction drawn. An unknown mode or candidate mode, a length below 1 or
     beyond the grid and a drafting mode without a drafter raise ConfigError
     before anything is drawn.
     """
@@ -476,17 +604,14 @@ def decode_lanes(
     depth = mask.depth
     while live:
         prefixes = [lanes[k][0] for k in live]
+        depths = [min(depth, length - len(p)) for p in prefixes]
         tree = sample_draft_tree(
-            drafter,
-            prefixes,
-            mask,
-            [min(depth, length - len(p)) for p in prefixes],
-            [rngs[k] for k in live],
-            mode=candidate_mode,
-            side=side,
+            drafter, prefixes, mask, depths, [rngs[k] for k in live], mode=candidate_mode, side=side
         )
         evals = evaluate_tree(target, tree)
         sets = build_sets(tree, evals, cfg) if mode == CASCADE else None
+        # Each rejecting walk's kept correction, and its lane (with its outcome when a sink reads it).
+        pending, corrected, seen = [], [], []
         for j, k in enumerate(live):
             if mode == CASCADE:
                 outcome = verify_cascade(tree, evals, cfg, rngs[k], sets, lane=j)
@@ -496,18 +621,29 @@ def decode_lanes(
             cycle = stats.verify_calls
             stats.verify_calls += 1
             stats.target_calls += 1
-            stats.drafter_calls += len(tree.level_starts[j]) - 1
-            stats.accepted_draft_tokens += outcome.alpha
+            stats.drafter_calls += depths[j]
+            stats.accepted_draft_tokens += len(outcome.accepted_tokens)
             stats.accumulated_tvd += outcome.tvd_consumed
             tokens.extend(outcome.accepted_tokens)
-            if outcome.correction_token is not None:
-                tokens.append(outcome.correction_token)
-            if on_outcome is not None:
-                on_outcome(k, cycle, outcome)
-            if not outcome.accepted_tokens and outcome.correction_token is None:
+            if outcome._pending is not None:
+                pending.append(outcome._pending)
+                corrected.append((k, outcome if on_outcome is not None else None))
+            elif not outcome.accepted_tokens:
                 # Unreachable for sane trees (a rejection always emits a correction),
                 # but guards against infinite loops on empty instantiations.
                 raise RuntimeError("verification cycle emitted no tokens")
+            if on_outcome is not None:
+                seen.append((k, cycle, outcome))
+        if pending:
+            drawn = _draw_corrections(evals.laws, evals.judged(tree).law, pending)
+            for (k, outcome), token in zip(corrected, drawn):
+                lanes[k][0].append(token)
+                if outcome is not None:
+                    outcome._correction, outcome._pending = token, None
+        for k, cycle, outcome in seen:
+            on_outcome(k, cycle, outcome)
+        # Free this cycle's forest, laws and sets before the next forest is drafted.
+        del tree, evals, sets, pending, corrected, seen, outcome
         live = [k for k in live if len(lanes[k][0]) < length]
     for tokens, stats in lanes:
         stats.tokens_emitted = len(tokens)

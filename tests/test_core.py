@@ -19,7 +19,7 @@ from specrelax import (
     residual_dist,
     tvd,
 )
-from specrelax.core import derive_streams, peek_reals
+from specrelax.core import derive_streams, peek_reals, sample_corrections
 
 ATOL = 1e-9
 
@@ -149,6 +149,64 @@ def test_residual_is_valid_distribution_when_distinct(wq, wp):
     assert np.all(out.mass >= 0.0)
     assert out.mass.sum() == pytest.approx(1.0, abs=ATOL)
     assert np.all(out.mass[q.mass <= p.mass] == 0.0)
+
+
+class OneUniform:
+    """A stream that yields one given uniform."""
+
+    def __init__(self, value: float) -> None:
+        self.value = value
+
+    def next_real(self) -> float:
+        return self.value
+
+
+def residual_sample(q: np.ndarray, p: np.ndarray, r: float) -> int:
+    """The correction the walk drew before corrections were batched: the residual law's own
+    `ProbDist.sample`, or the target row's when the residual is degenerate."""
+    q_dist, p_dist = ProbDist(q), ProbDist(p)
+    try:
+        law = residual_dist(q_dist, p_dist)
+    except DegenerateResidual:
+        law = q_dist
+    return law.sample(OneUniform(r))
+
+
+@pytest.mark.parametrize("vocab", [4, 32])
+def test_batched_corrections_equal_residual_samples_bit_for_bit(vocab):
+    gen = np.random.default_rng(vocab)
+    rows = 300
+    q = gen.dirichlet(np.full(vocab, 0.4), size=rows)
+    p = gen.dirichlet(np.full(vocab, 0.4), size=rows)
+    p[::7] = q[::7]  # q == p: a degenerate residual, drawn from q itself
+    p[3::7, -1] = 0.0  # an excess on the last token
+    p[3::7] /= p[3::7].sum(axis=1, keepdims=True)
+    q[5::7, vocab // 2 :] = 0.0  # no excess past the middle: the last positive token comes early
+    q[5::7] /= q[5::7].sum(axis=1, keepdims=True)
+    r = gen.random(rows)
+    r[11::13] = 0.0
+    # Where a row's cdf ends below 1, a uniform at its end falls past every entry.
+    beyond = 0
+    for j in range(rows):
+        law = q[j] if np.array_equal(q[j], p[j]) else residual_dist(ProbDist(q[j]), ProbDist(p[j])).mass
+        end = float(np.cumsum(law)[-1])
+        if end < 1.0 and j % 2:
+            r[j] = end
+            beyond += 1
+    assert beyond > 0 and any(np.array_equal(q[j], p[j]) for j in range(rows))
+    expected = [residual_sample(q[j], p[j], float(r[j])) for j in range(rows)]
+    assert sample_corrections(q, p, r) == expected
+    # One row at a time is the same pass.
+    assert [sample_corrections(q[j : j + 1], p[j : j + 1], r[j : j + 1])[0] for j in range(rows)] == expected
+
+
+def test_batched_correction_past_the_cdf_takes_the_last_positive_token():
+    # Ten masses of 0.1 sum, left to right, to 0.9999999999999999; the rest are zero.
+    q = np.array([[0.1] * 10 + [0.0] * 22])
+    end = float(np.cumsum(q[0])[-1])
+    assert end < 1.0
+    for p in (q.copy(), np.eye(32)[[31]]):  # a degenerate residual, and q renormalized
+        assert sample_corrections(q, p, np.array([end])) == [9] == [residual_sample(q[0], p[0], end)]
 
 
 # --- ProbDist ----------------------------------------------------------------

@@ -78,6 +78,13 @@ def test_metrics_jsonl_round_trip():
     assert parsed == metrics
 
 
+def test_aggregating_no_runs_raises_an_engine_error():
+    from specrelax import EngineError
+
+    with pytest.raises(EngineError, match="cannot aggregate zero runs"):
+        Metrics.aggregate([])
+
+
 def test_cascade_zero_budget_metrics_match_vanilla(gridworld, grid_drafter):
     for seed in (0, 1, 2):
         _, vanilla = decode_with_metrics(

@@ -494,3 +494,96 @@ def test_a_lane_with_a_prefix_out_of_range_raises_before_any_draw(case, grid_dra
         sample_draft_tree(drafter, [(), (1, 3), bad, (1, 3)], TreeMask((2, 1)), [2] * 4, rngs, mode=STOCHASTIC, side=8)
     assert str(lanes.value) == str(alone.value)
     assert [rng.counter for rng in rngs] == [0] * 4
+
+
+# --- corrections drawn once per cycle ---------------------------------------------
+
+
+def test_a_standalone_outcome_draws_its_correction_on_read_from_the_uniform_it_kept():
+    from specrelax import DegenerateResidual, residual_dist, verify_vanilla
+
+    target = random_tabular_model(4, 1, seed=11)
+    drafter = tempered_table_drafter(target)
+    rejected = 0
+    for seed in range(200):
+        rng = RngStream(seed)
+        tree = sample_draft_tree(drafter, [[seed % 4]], TreeMask((2, 1)), [2], [rng], mode=STOCHASTIC)
+        evals = evaluate_tree(target, tree)
+        start = rng.counter
+        outcome = verify_vanilla(tree, evals, rng)
+        decisions = len(outcome.trace)
+        if outcome.trace[-1].decision == "accept":
+            assert rng.counter == start + decisions and outcome.correction_token is None
+            continue
+        rejected += 1
+        # The correction's uniform is drawn by the walk, right after the last decision's.
+        assert rng.counter == start + decisions + 1
+        siblings, parent = tree_level(tree, 1), ROOT
+        for rec in outcome.trace:
+            node = siblings[rec.sibling]
+            if rec.decision == "accept":
+                siblings, parent = tree.children[node], node
+        last = outcome.trace[-1]
+        p_dist = tree.root_dists[0] if parent == ROOT else tree.child_dists[parent]
+        try:
+            law = residual_dist(last.q_dist, p_dist)
+        except DegenerateResidual:
+            law = last.q_dist
+        expected = law.sample(RngStream(seed, counter=start + decisions))
+        assert outcome.correction_token == expected
+        assert outcome.emitted_tokens == outcome.accepted_tokens + [expected]
+        assert rng.counter == start + decisions + 1  # reading it draws nothing more
+    assert rejected > 20
+
+
+def test_lanes_draw_every_correction_of_a_cycle_in_one_pass(monkeypatch):
+    import specrelax.core as core_mod
+    import specrelax.verify as verify_mod
+
+    passes, per_lane = [], []
+    real = verify_mod.sample_corrections
+
+    def counting_pass(q, p, r):
+        passes.append(len(r))
+        return real(q, p, r)
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            per_lane.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(verify_mod, "sample_corrections", counting_pass)
+    monkeypatch.setattr(core_mod, "residual_dist", counting("residual_dist", core_mod.residual_dist))
+    monkeypatch.setattr(ProbDist, "sample", counting("sample", ProbDist.sample))
+    target = random_tabular_model(4, 1, seed=11)
+    drafter = tempered_table_drafter(target)
+    seen = []
+
+    def record(lane, cycle, outcome):
+        seen.append((cycle, lane, outcome.emitted_tokens, outcome.correction_token is not None))
+
+    rngs = [RngStream(100 + k) for k in range(64)]
+    lanes = decode_lanes(
+        target, drafter, "vanilla", TreeMask.chain(3), RelaxConfig(), 6, rngs,
+        candidate_mode=STOCHASTIC, on_outcome=record,
+    )
+    assert per_lane == []
+    # One pass per cycle that rejected somewhere, one row per rejecting lane.
+    cycles = sorted({cycle for cycle, *_ in seen})
+    corrections = [sum(corrected for cycle, _, _, corrected in seen if cycle == c) for c in cycles]
+    assert passes == [n for n in corrections if n] and sum(passes) > 20
+    # Each lane's outcomes arrive in lane order within a cycle, their corrections drawn.
+    for c in cycles:
+        order = [lane for cycle, lane, _, _ in seen if cycle == c]
+        assert order == sorted(order)
+    for lane, (tokens, _) in enumerate(lanes):
+        assert [t for cycle, k, emitted, _ in seen if k == lane for t in emitted] == tokens
+    # The same tokens as one-lane decodes, whose corrections are drawn on read.
+    monkeypatch.setattr(verify_mod, "sample_corrections", real)
+    for k in (0, 17, 63):
+        alone, _ = decode_sequence(
+            target, drafter, "vanilla", TreeMask.chain(3), RelaxConfig(), 6, RngStream(100 + k),
+            candidate_mode=STOCHASTIC,
+        )
+        assert alone == lanes[k][0]

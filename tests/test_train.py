@@ -219,3 +219,20 @@ def test_convergence_flags_never_flag_the_tail(gridworld):
     flags = convergence_flags(seq, 0.0)
     assert not flags[-1]
     assert flags[:-1].all()  # cosine >= 0 everywhere on this model
+
+
+def test_mismatched_sample_weights_raise_an_engine_error():
+    from specrelax import EngineError
+
+    batch, weights = random_batch(np.random.default_rng(0), 3, 2, size=4)
+    with pytest.raises(EngineError, match="one weight per sample"):
+        loss_and_grad(LinearDrafter.zeros(3, 2), batch, weights[:3], TrainConfig())
+
+
+def test_held_out_kl_without_marked_positions_raises_an_engine_error(gridworld):
+    from specrelax import EngineError
+
+    # A threshold above 1 marks no position, so there is nothing to average.
+    cfg = TrainConfig(tau_seq_train=1.01)
+    with pytest.raises(EngineError, match="no convergence-marked positions"):
+        held_out_convergent_kl(gridworld, LinearDrafter.zeros(32, 8), cfg, seed=1, num_sequences=1)

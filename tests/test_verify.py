@@ -17,7 +17,6 @@ from specrelax import (
     cosine_sim,
     RelaxConfig,
     RngStream,
-    SimilaritySets,
     TargetEval,
     TreeMask,
     build_sets,
@@ -35,6 +34,7 @@ from specrelax import (
     verify_cascade,
     verify_vanilla,
 )
+from specrelax.models import LawTable
 from specrelax.tree import ROOT, DraftTree, STOCHASTIC, forest_pairs
 from specrelax.verify import TraceRecord, TreeEvals
 
@@ -90,7 +90,8 @@ def manual_evals(root_dist, node_specs):
     features = np.array([f.values for _, f in node_specs])
     features.flags.writeable = False
     norms = np.array([f.norm for _, f in node_specs])
-    return TreeEvals([root], [d for d, _ in node_specs], features, norms)
+    laws = LawTable.stack([d for d, _ in node_specs])
+    return TreeEvals([root], laws, np.arange(len(node_specs)), features, norms)
 
 
 def node_features(evals):
@@ -107,7 +108,7 @@ def donors(q, tokens):
 
 def relaxed_decision(q, candidate, donors_i, donors_c, budget_left):
     """relax_q's result as the decision record the verification walk builds from it."""
-    applied_i, applied_c, transfers = relax_q(q, candidate, donors_i, donors_c, budget_left)
+    applied_i, applied_c, transfers = relax_q(candidate, donors_i, donors_c, budget_left)
     record = TraceRecord(
         1, 0, q[candidate], 1.0, applied_i, applied_c, 0.0, "reject", budget_left,
         candidate, q, transfers,
@@ -163,13 +164,28 @@ def test_relax_q_drops_child_donors_already_counted():
 
 
 def test_relax_q_rejects_negative_masses_and_budget():
-    q = ProbDist([0.5, 0.5])
     with pytest.raises(ValueError):
-        relax_q(q, 0, [(1, -0.1)], [], 0.5)
+        relax_q(0, [(1, -0.1)], [], 0.5)
     with pytest.raises(ValueError):
-        relax_q(q, 0, [], [(1, -0.1)], 0.5)
+        relax_q(0, [], [(1, -0.1)], 0.5)
     with pytest.raises(ValueError):
-        relax_q(q, 0, [], [], -0.1)
+        relax_q(0, [], [], -0.1)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (([(1, -0.1)], [], 0.5), "set masses"),
+        (([], [(1, -0.1)], 0.5), "set masses"),
+        (([], [], -0.1), "budget_left"),
+    ],
+    ids=["sibling-mass", "child-mass", "budget"],
+)
+def test_relax_q_raises_engine_errors(args, message):
+    from specrelax import EngineError
+
+    with pytest.raises(EngineError, match=message):
+        relax_q(0, *args)
 
 
 # --- build_sets ---------------------------------------------------------------
@@ -187,8 +203,8 @@ def test_unsatisfiable_threshold_empties_interchange_set():
     feats = [unit_feature(0), unit_feature(0), unit_feature(0)]
     tree, evals = sibling_tree_with_features(feats)
     sets = build_sets(tree, evals, RelaxConfig(tau_pos=1.01, tau_seq=1.01))
-    assert all(not pairs for pairs in sets.inter_pairs.values())
-    assert not sets.conv_pairs
+    assert all(len(pairs) == 0 for pairs in sets.inter_pairs.values())
+    assert len(sets.conv_pairs) == 0
 
 
 def test_interchange_set_from_hand_cosines():
@@ -199,7 +215,7 @@ def test_interchange_set_from_hand_cosines():
     ]
     tree, evals = sibling_tree_with_features(feats)
     sets = build_sets(tree, evals, RelaxConfig(tau_pos=0.9, tau_seq=1.01))
-    assert sets.inter_pairs[1] == frozenset({(0, 1)})
+    assert pair_sets(sets)[0][1] == frozenset({(0, 1)})
 
 
 def test_partner_lookup_reads_each_pair_from_both_ends():
@@ -270,7 +286,8 @@ def test_gridworld_same_cluster_siblings_always_interchangeable(gridworld):
 def scalar_sets(tree, feature, cfg):
     """Reference definition of the similarity sets: one `cosine_sim` per candidate pair.
 
-    `feature[i]` is node i's FeatureVec.
+    `feature[i]` is node i's FeatureVec. Returns each non-empty level's
+    sibling pairs and the parent-child links, as sets of (first, second) tuples.
     """
     inter_pairs = {}
     if cfg.tau_pos <= 1.0:
@@ -290,9 +307,17 @@ def scalar_sets(tree, feature, cfg):
             for child in tree.children[node]:
                 if cosine_sim(feature[node], feature[child]) >= cfg.tau_seq:
                     conv_pairs.add((node, child))
-    return SimilaritySets(
-        {level: frozenset(p) for level, p in inter_pairs.items()}, frozenset(conv_pairs)
-    )
+    return {level: frozenset(p) for level, p in inter_pairs.items() if p}, frozenset(conv_pairs)
+
+
+def pair_sets(sets):
+    """`build_sets`' pair arrays as `scalar_sets` gives them: each non-empty level's sibling
+    pairs, and the links, as sets of (first, second) tuples."""
+    def as_set(pairs):
+        return frozenset(map(tuple, pairs.tolist()))
+
+    inter = {level: as_set(pairs) for level, pairs in sets.inter_pairs.items() if len(pairs)}
+    return inter, as_set(sets.conv_pairs)
 
 
 # Each set is on at its threshold or switched off by 1.01; duplicates dropped.
@@ -306,7 +331,7 @@ SET_CONFIGS = list(dict.fromkeys(
 
 def assert_sets_match_scalar(tree, evals, configs=SET_CONFIGS):
     for cfg in configs:
-        assert build_sets(tree, evals, cfg) == scalar_sets(tree, node_features(evals), cfg), cfg
+        assert pair_sets(build_sets(tree, evals, cfg)) == scalar_sets(tree, node_features(evals), cfg), cfg
 
 
 def test_build_sets_match_scalar_definition_on_random_tabular_trees():
@@ -400,7 +425,7 @@ def test_full_trees_of_one_mask_share_one_layout():
         draft_one(drafter, [], mask, RngStream(seed), side=4)
         for seed in range(3)
     ]
-    pairs = [forest_pairs(tree.parents, tree.level_starts, True, True) for tree in trees]
+    pairs = [tree.pairs(True, True) for tree in trees]
     assert pairs[0] is pairs[1] is pairs[2]
     # Sibling pairs: 3 among the root's children, then 1 in each of 3 pairs
     # of siblings, none among only children; then 6 + 6 parent-child links.
@@ -442,7 +467,7 @@ def test_build_sets_raises_zero_norm_exactly_where_scalar_does():
                 with pytest.raises(ZeroNormFeature):
                     build_sets(tree, evals, cfg)
             else:
-                assert build_sets(tree, evals, cfg) == expected
+                assert pair_sets(build_sets(tree, evals, cfg)) == expected
 
 
 # --- evaluate_tree --------------------------------------------------------------
@@ -467,13 +492,14 @@ def assert_batch_matches_per_node(target, tree):
     root = target.evaluate(prefix, GridPos.from_index(len(prefix), tree.side))
     assert evals.roots[0].dist is root.dist
     assert evals.roots[0].feature.values.tobytes() == root.feature.values.tobytes()
-    assert len(evals.dists) == n
+    assert evals.rows.shape == (n,)
     assert evals.features.shape == (n, h) and evals.features.dtype == np.float64
     assert not evals.features.flags.writeable
     assert evals.norms.shape == (n,) and evals.norms.dtype == np.float64
     for node, ev in enumerate(reference):
-        assert evals.dists[node] is ev.dist  # the walk's own law, not a copy
-        assert evals.dists[node].mass.tobytes() == ev.dist.mass.tobytes()
+        row = int(evals.rows[node])
+        assert evals.laws.dists[row] is ev.dist  # the model's own law, not a copy
+        assert evals.laws.mass[row].tobytes() == ev.dist.mass.tobytes()
         assert evals.features[node].tobytes() == ev.feature.values.tobytes()
         assert float(evals.norms[node]).hex() == ev.feature.norm.hex()
     return reference
@@ -579,7 +605,7 @@ def test_batched_sets_raise_zero_norm_exactly_where_per_node_features_do():
                         with pytest.raises(ZeroNormFeature):
                             build_sets(tree, evals, cfg)
                     else:
-                        assert build_sets(tree, evals, cfg) == expected
+                        assert pair_sets(build_sets(tree, evals, cfg)) == expected
     assert raised > 0
 
 
@@ -745,15 +771,15 @@ def test_cascade_transfer_invariant_holds():
 def test_decisions_name_their_candidate_and_donors(gridworld, monkeypatch):
     import specrelax.verify as verify_mod
 
-    no_sets = SimilaritySets({}, frozenset())
+    no_sets = ({}, frozenset())
     calls = []  # (forest, lane, similarity sets, outcome) of every verification call
 
     def recording_cascade(tree, evals, cfg, rng, sets, lane):
         outcome = real_cascade(tree, evals, cfg, rng, sets, lane=lane)
         own = build_sets(tree, evals, cfg)
         # The walk must be given exactly the sets of its own forest, rebuilt here.
-        assert sets == own
-        calls.append((tree, lane, own, outcome))
+        assert pair_sets(sets) == pair_sets(own)
+        calls.append((tree, lane, pair_sets(own), outcome))
         return outcome
 
     def recording_vanilla(tree, evals, rng, lane):
@@ -786,10 +812,10 @@ def test_decisions_name_their_candidate_and_donors(gridworld, monkeypatch):
             assert rec.token == tree.tokens[node]
             partners = {
                 tree.tokens[other] for other in siblings
-                if (min(node, other), max(node, other)) in sets.inter_pairs.get(rec.level, ())
+                if (min(node, other), max(node, other)) in sets[0].get(rec.level, ())
             }
             partners |= {
-                tree.tokens[child] for child in tree.children[node] if (node, child) in sets.conv_pairs
+                tree.tokens[child] for child in tree.children[node] if (node, child) in sets[1]
             }
             donors = [token for token, _ in rec.transfers]
             assert set(donors) <= partners and rec.token not in donors
@@ -978,7 +1004,7 @@ def closed_form_outcome_law(tree, evals, cfg):
         if not siblings:
             results[tokens] = results.get(tokens, 0.0) + weight
             return
-        q = evals.roots[0].dist if parent is None else evals.dists[parent]
+        q = evals.roots[0].dist if parent is None else evals.laws.dists[evals.rows[parent]]
         p_full = tree.root_dists[0] if parent is None else tree.child_dists[parent]
         survive = weight
         budget = budget_left
