@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    NORM_FLOOR,
     ConfigError,
     FeatureVec,
     GridPos,
@@ -95,14 +96,26 @@ def build_training_samples(
 def convergence_flags(samples: Sequence[TrainSample], tau: float) -> np.ndarray:
     """True where a position's feature aligns with its successor's (cosine >= tau).
 
-    The final position has no successor and is never flagged.
+    The final position has no successor and is never flagged. The cosines come
+    from one pass over the stacked features: each dot product runs through the
+    same BLAS kernel as `cosine_sim`'s, its norms are the features' own and its
+    clamp is the scalar one, so every flag matches `cosine_sim` bit for bit.
     """
     n = len(samples)
     flags = np.zeros(n, dtype=bool)
-    for k in range(n - 1):
-        flags[k] = (
-            cosine_sim(samples[k].target_feature, samples[k + 1].target_feature) >= tau
-        )
+    if n < 2:
+        return flags
+    features = [s.target_feature for s in samples]
+    norms = np.array([f.norm for f in features])
+    if np.minimum.reduce(norms) <= NORM_FLOOR:
+        zero = norms <= NORM_FLOOR
+        k = int((zero[:-1] | zero[1:]).argmax())
+        cosine_sim(features[k], features[k + 1])  # raises ZeroNormFeature for the first such pair
+    values = np.stack([f.values for f in features])
+    cos = np.vecdot(values[:-1], values[1:]) / (norms[:-1] * norms[1:])
+    # `max(-1.0, min(1.0, value))` as `cosine_sim` clamps, where a NaN becomes 1.0.
+    cos = np.maximum(np.where(cos < 1.0, cos, 1.0), -1.0)
+    flags[:-1] = cos >= tau
     return flags
 
 
@@ -111,59 +124,78 @@ def mark_convergent(samples: Sequence[TrainSample], cfg: TrainConfig) -> np.ndar
     return np.where(convergence_flags(samples, cfg.tau_seq_train), cfg.c, 1.0)
 
 
-def _featurize(
-    samples: Sequence[TrainSample], vocab: int, side: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense one-hot design matrix plus stacked target rows and ground truths."""
+@dataclass(frozen=True)
+class _FitArrays:
+    """A sample list as the arrays an epoch reads: one-hot design, target rows, labels."""
+
+    phi: np.ndarray
+    target_rows: np.ndarray
+    ground_truth: np.ndarray
+    onehot: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ground_truth)
+
+
+def _fit_arrays(samples: Sequence[TrainSample], vocab: int, side: int) -> _FitArrays:
+    """Dense one-hot design matrix, stacked target rows, ground truths and their one-hot labels."""
     n = len(samples)
-    d = vocab + 2 * side
-    phi = np.zeros((n, d))
-    target_rows = np.empty((n, vocab))
-    ground_truth = np.empty(n, dtype=np.int64)
-    for i, s in enumerate(samples):
-        if s.last_token is not None:
-            phi[i, s.last_token] = 1.0
-        phi[i, vocab + s.pos.row] = 1.0
-        phi[i, vocab + side + s.pos.col] = 1.0
-        target_rows[i] = s.target_dist.mass
-        ground_truth[i] = s.ground_truth
-    return phi, target_rows, ground_truth
+    rows = np.arange(n)
+    phi = np.zeros((n, vocab + 2 * side))
+    with_prev = [i for i, s in enumerate(samples) if s.last_token is not None]
+    phi[with_prev, [samples[i].last_token for i in with_prev]] = 1.0
+    pos = np.array([s.pos for s in samples], dtype=np.int64).reshape(n, 2)
+    phi[rows, vocab + pos[:, 0]] = 1.0
+    phi[rows, vocab + side + pos[:, 1]] = 1.0
+    target_rows = np.array([s.target_dist.mass for s in samples]).reshape(n, vocab)
+    ground_truth = np.array([s.ground_truth for s in samples], dtype=np.int64)
+    onehot = np.zeros((n, vocab))
+    onehot[rows, ground_truth] = 1.0
+    return _FitArrays(phi, target_rows, ground_truth, onehot)
 
 
 def _forward(weights: np.ndarray, bias: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    logits = phi @ weights.T + bias
-    logits -= logits.max(axis=1, keepdims=True)
-    probs = np.exp(logits)
+    probs = phi @ weights.T
+    probs += bias
+    probs -= probs.max(axis=1, keepdims=True)
+    np.exp(probs, out=probs)
     probs /= probs.sum(axis=1, keepdims=True)
     return probs
 
 
 def loss_and_grad(
     drafter: LinearDrafter,
-    batch: Sequence[TrainSample],
+    batch: Sequence[TrainSample] | _FitArrays,
     weights: np.ndarray,
     cfg: TrainConfig,
 ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
-    """Batch-averaged loss and its analytic gradient w.r.t. (weights, bias)."""
+    """Batch-averaged loss and its analytic gradient w.r.t. (weights, bias).
+
+    `batch` is a sample list, or the arrays `train_drafter` builds from one
+    once per fit. A loss that overflows raises NonFinite, with no numpy warning.
+    """
     if len(batch) != len(weights):
         raise InvalidValue("one weight per sample required")
-    vocab, side = drafter.vocab, drafter.side
-    phi, target_rows, ground_truth = _featurize(batch, vocab, side)
-    probs = _forward(drafter.weights, drafter.bias, phi)
-    n = len(batch)
-
-    log_p = np.log(np.maximum(probs, LOG_FLOOR))
-    soft = -(target_rows * log_p).sum(axis=1)
-    hard = -log_p[np.arange(n), ground_truth]
-    loss = float((weights * soft + cfg.hard_ce_weight * hard).sum() / n)
-    if not math.isfinite(loss):
-        raise NonFinite("training loss is not finite")
-
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(n), ground_truth] = 1.0
-    dz = (weights[:, None] * (probs - target_rows) + cfg.hard_ce_weight * (probs - onehot)) / n
-    grad_w = dz.T @ phi
-    grad_b = dz.sum(axis=0)
+    fit = batch if isinstance(batch, _FitArrays) else _fit_arrays(batch, drafter.vocab, drafter.side)
+    n = len(fit)
+    with np.errstate(over="ignore", invalid="ignore"):
+        probs = _forward(drafter.weights, drafter.bias, fit.phi)
+        log_p = np.maximum(probs, LOG_FLOOR)
+        np.log(log_p, out=log_p)
+        soft = -(fit.target_rows * log_p).sum(axis=1)
+        hard = -log_p[np.arange(n), fit.ground_truth]
+        loss = float((weights * soft + cfg.hard_ce_weight * hard).sum() / n)
+        if not math.isfinite(loss):
+            raise NonFinite("training loss is not finite")
+        # (w * (probs - target_rows) + hard_ce_weight * (probs - onehot)) / n, in place.
+        dz = probs - fit.target_rows
+        dz *= weights[:, None]
+        probs -= fit.onehot
+        probs *= cfg.hard_ce_weight
+        dz += probs
+        dz /= n
+        grad_w = dz.T @ fit.phi
+        grad_b = dz.sum(axis=0)
     return loss, (grad_w, grad_b)
 
 
@@ -172,23 +204,29 @@ def train_drafter(
     cfg: TrainConfig,
     history: list[float] | None = None,
 ) -> LinearDrafter:
-    """Fit a fresh linear drafter against target rollouts; deterministic per seed."""
+    """Fit a fresh linear drafter against target rollouts; deterministic per seed.
+
+    The rollouts become arrays once per fit; each epoch only runs the forward
+    pass, loss and gradient on them. A step that overflows leaves non-finite
+    parameters, which the next `LinearDrafter` refuses with NonFinite.
+    """
     side = target.grid_side or 8
     sequences = build_training_samples(target, cfg.num_sequences, side * side, side, cfg.seed)
-    batch: list[TrainSample] = [s for seq in sequences for s in seq]
     weight_arr = np.concatenate([mark_convergent(seq, cfg) for seq in sequences])
 
     vocab = getattr(target, "vocab")
+    fit = _fit_arrays([s for seq in sequences for s in seq], vocab, side)
     drafter = LinearDrafter.zeros(vocab, side)
     w = drafter.weights.copy()
     b = drafter.bias.copy()
-    for _ in range(cfg.epochs):
-        working = LinearDrafter(w, b, vocab, side)
-        loss, (grad_w, grad_b) = loss_and_grad(working, batch, weight_arr, cfg)
-        if history is not None:
-            history.append(loss)
-        w = w - cfg.learning_rate * grad_w
-        b = b - cfg.learning_rate * grad_b
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.epochs):
+            working = LinearDrafter(w, b, vocab, side)
+            loss, (grad_w, grad_b) = loss_and_grad(working, fit, weight_arr, cfg)
+            if history is not None:
+                history.append(loss)
+            w = w - cfg.learning_rate * grad_w
+            b = b - cfg.learning_rate * grad_b
     return LinearDrafter(w, b, vocab, side)
 
 

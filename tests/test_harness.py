@@ -667,6 +667,24 @@ def test_cli_overflowing_drafter_exits_2(tmp_path, model_files, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "flags, code, err",
+    [
+        (["--c", "1e308"], 2, "error: training loss is not finite\n"),
+        (["--lr", "1.7e308"], 2, "error: drafter parameters must be finite\n"),
+        # The second epoch's logits overflow, yet every loss and parameter stays finite.
+        (["--lr", "1.7e308", "--epochs", "3", "--sequences", "1"], 0, ""),
+    ],
+    ids=["c-loss-overflow", "lr-step-overflow", "lr-logit-overflow"],
+)
+def test_cli_overflowing_fit_prints_no_numpy_warning(tmp_path, model_files, capsys, flags, code, err):
+    out = tmp_path / "drafter.json"
+    assert run_cli(["train", "--model", model_files["grid"], *flags, "--out", out]) == code
+    assert capsys.readouterr().err == err
+    assert out.exists() == (code == 0)
+
+
 def exit_code(args) -> int:
     """The CLI's exit code, whether `main` returns it or argparse exits with it."""
     try:

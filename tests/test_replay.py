@@ -43,6 +43,10 @@ JITTER_RELAX = RelaxConfig(tau_pos=0.998, tau_seq=0.998)
 # drafter's uniform rows cannot show it.
 TRAINED_CONFIG = TrainConfig(epochs=20, num_sequences=4, seed=5)
 
+# The full-size default fit (24 rollouts, 80 epochs) is the drafter the CLI
+# and the benchmark train; pinning it guards every epoch's arithmetic.
+DEFAULT_TRAIN_CONFIG = TrainConfig()
+
 
 def _models(family):
     """(target, drafter, sequence length, relaxation config) of one model family."""
@@ -54,6 +58,9 @@ def _models(family):
     if family == "grid-trained":
         target = GridWorldModel.default()
         return target, train_drafter(target, TRAINED_CONFIG), 64, RelaxConfig()
+    if family == "grid-default-trained":
+        target = GridWorldModel.default()
+        return target, train_drafter(target, DEFAULT_TRAIN_CONFIG), 64, RelaxConfig()
     target = random_tabular_model(4, 1, seed=11)
     return target, tempered_table_drafter(target), 16, RelaxConfig()
 
@@ -108,6 +115,12 @@ GOLDEN = {
         "metrics": "461381bfb5a21e06db2ad4cbcedbdf9e829cc20675b707105cc36af6f4ccafe6",
         "trace": "22522c14484709f9e6632890e4337ddd337f0c1552287bcda6bc166b188e1aae",
         "relaxations": "e9e2c5ea98af0c3eeba2bbac42dce5d3effd57b70717e666bbf954113f0b94c9",
+    },
+    "grid-default-trained/vanilla/stochastic": {
+        "tokens": "826f4cce970a5d7e13131f43c908a2aae4006e591a2117fa486d019ccb7f6e13",
+        "metrics": "e505f5740ffa5b25e4918024f843ee23588182c2387632add591069f40abe149",
+        "trace": "60698df6c7c41ba2569561ef3a9880b63a4c733798d20505f26139c98a613d21",
+        "relaxations": EMPTY,
     },
     "grid-trained/cascade/stochastic": {
         "tokens": "d1ea17465ac0e677a847be1443d65cd49430e77129ef2b72fa8c37ecabfd5ac5",
@@ -193,6 +206,7 @@ def test_golden_covers_both_models_modes_and_candidate_kinds():
         + [f"grid-jitter/cascade/{c}" for c in (TOPK, STOCHASTIC)]
         + [f"grid-trained/{m}/{c}"
            for m, c in (("vanilla", STOCHASTIC), ("cascade", TOPK), ("cascade", STOCHASTIC))]
+        + [f"grid-default-trained/vanilla/{STOCHASTIC}"]
     )
     for case, digests in GOLDEN.items():
         relaxed = case.split("/")[1] == "cascade"

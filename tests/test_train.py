@@ -1,19 +1,27 @@
 from __future__ import annotations
 
+import functools
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specrelax import (
     FeatureVec,
     GridPos,
+    GridWorldModel,
     LinearDrafter,
     ProbDist,
     TrainConfig,
     TrainSample,
+    ZeroNormFeature,
+    cosine_sim,
     loss_and_grad,
     mark_convergent,
+    random_tabular_model,
     train_drafter,
 )
 from specrelax.train import build_training_samples, convergence_flags, held_out_convergent_kl
@@ -219,6 +227,68 @@ def test_convergence_flags_never_flag_the_tail(gridworld):
     flags = convergence_flags(seq, 0.0)
     assert not flags[-1]
     assert flags[:-1].all()  # cosine >= 0 everywhere on this model
+
+
+@functools.lru_cache(maxsize=None)
+def rollout(kind: str, seed: int) -> tuple[TrainSample, ...]:
+    """One training rollout: a jittered gridworld's cosines crowd just below 1,
+    a random tabular target's spread over [-1, 1]."""
+    if kind == "grid-jitter":
+        target, side = GridWorldModel.default(feature_jitter=0.05), 8
+    else:
+        target, side = random_tabular_model(5, 1, seed=seed), 4
+    (seq,) = build_training_samples(target, 1, side * side, side, seed=seed)
+    return tuple(seq)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    kind=st.sampled_from(["grid-jitter", "tabular"]),
+    seed=st.integers(0, 3),
+    length=st.integers(0, 64),
+    pick=st.integers(0, 63),
+    ulps=st.integers(-2, 2),
+)
+def test_convergence_flags_equal_scalar_cosine_decisions(kind, seed, length, pick, ulps):
+    seq = rollout(kind, seed)[:length]
+    cosines = [cosine_sim(a.target_feature, b.target_feature) for a, b in zip(seq, seq[1:])]
+    # A threshold at an observed cosine or a few ulps either side of it.
+    tau = cosines[pick % len(cosines)] if cosines else 0.5
+    for _ in range(abs(ulps)):
+        tau = float(np.nextafter(tau, math.copysign(math.inf, ulps)))
+    assert convergence_flags(seq, tau).tolist() == ([c >= tau for c in cosines] + [False])[: len(seq)]
+
+
+@pytest.mark.parametrize("length", [1, 2, 5])
+@pytest.mark.parametrize("norm", [0.0, 1e-13])
+def test_zero_norm_feature_raises_the_scalar_message(length, norm):
+    for zero_at in range(length):
+        samples = constant_feature_samples(length)
+        samples[zero_at] = sample(0, GridPos(0, 0), [0.5, 0.5], [norm, 0.0, 0.0], 0)
+        if length == 1:
+            assert convergence_flags(samples, 0.5).tolist() == [False]
+            continue
+        k = max(zero_at - 1, 0)
+        with pytest.raises(ZeroNormFeature) as scalar:
+            cosine_sim(samples[k].target_feature, samples[k + 1].target_feature)
+        with pytest.raises(ZeroNormFeature) as vectorized:
+            convergence_flags(samples, 0.5)
+        assert str(vectorized.value) == str(scalar.value)
+
+
+# SHA-256 of the default fit's weights, bias and loss-history bytes. A change
+# that moves it changes every drafter the benchmark and the CLI train.
+DEFAULT_FIT_SHA256 = "6f3fd19d18a643673f2bbdb9c635438f20383bb0b019ec878b05424c71044cf4"
+
+
+def test_default_fit_is_bit_identical(gridworld):
+    history: list[float] = []
+    drafter = train_drafter(gridworld, TrainConfig(), history=history)
+    digest = hashlib.sha256()
+    for arr in (drafter.weights, drafter.bias, np.asarray(history)):
+        digest.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+    assert len(history) == 80
+    assert digest.hexdigest() == DEFAULT_FIT_SHA256
 
 
 def test_mismatched_sample_weights_raise_an_engine_error():
