@@ -5,7 +5,7 @@ level; sampling instantiates it against a drafter, for every lane of a
 forest at once, into flat per-node lists. A lane is one sequence being
 decoded, with its own prefix, clipped mask and random stream. Each level is
 drafted with one drafter lookup and one numpy candidate selection for all
-lanes; paths and child conditionals are read lazily. The sibling and
+lanes; paths are read lazily. The sibling and
 parent-child pairs of a forest are indexed once per forest structure.
 """
 
@@ -144,24 +144,6 @@ class NodePaths:
         return out
 
 
-class ChildDists:
-    """Each node's drafter conditional for its children, wrapped on first read.
-
-    Node i's conditional is row `rows[i]` of the read-only `table`; a
-    negative row marks a node on its lane's deepest level, whose entry is None.
-    """
-
-    __slots__ = ("table", "rows")
-
-    def __init__(self, table: np.ndarray, rows: np.ndarray) -> None:
-        self.table = table
-        self.rows = rows
-
-    def __getitem__(self, node: int) -> ProbDist | None:
-        row = int(self.rows[node])
-        return None if row < 0 else ProbDist._of_checked_row(self.table[row])
-
-
 class ForestArrays(NamedTuple):
     """A draft forest's per-node lists as arrays, with its drafter laws stacked.
 
@@ -185,26 +167,24 @@ class DraftTree:
     """A draft forest: one speculation tree per lane, as flat per-node lists.
 
     Lane k extends `prefixes[k]`, starting at sequence index
-    `len(prefixes[k])`, and `root_dists[k]` is the drafter conditional its
-    level 1 was drawn from. Lanes with equal prefixes share one root:
+    `len(prefixes[k])`. Lanes with equal prefixes share one root:
     `root_prefixes` lists the distinct prefixes in order of first use, and
     lane k's is `root_prefixes[root_index[k]]`. Node ids count from 0,
     lane-major, and level-major within a lane: lane k's level l (1-based) holds ids
     `level_starts[k][l-1] .. level_starts[k][l]-1`, and the children of each
     node are one contiguous id range, in the order they were drafted. Per node i: `tokens[i]`,
     `probs[i]` (its drafter probability), `parents[i]` (`ROOT` on level 1),
-    `children[i]` (a range of ids), `child_dists[i]` (the conditional its
-    children were drawn from; None on its lane's deepest level) and
-    `paths[i]` (its prefix plus the tokens from its lane's root to i). The
-    structure (`level_starts`, `parents`, `children`) is tuples, shared by
-    drafted forests of the same shape; `nodes` spans every lane. `arrays`
-    holds the same nodes as arrays, and `pairs` indexes their sibling pairs
-    and parent-child links.
+    `children[i]` (a range of ids) and `paths[i]` (its prefix plus the
+    tokens from its lane's root to i). The structure (`level_starts`,
+    `parents`, `children`) is tuples, shared by drafted forests of the same
+    shape; `nodes` spans every lane. `arrays` holds the same nodes as
+    arrays with every drafter law the forest was drawn from, and `pairs`
+    indexes their sibling pairs and parent-child links.
     """
 
     __slots__ = (
-        "side", "prefixes", "root_prefixes", "root_index", "root_dists", "level_starts",
-        "tokens", "probs", "parents", "children", "child_dists", "paths", "arrays", "_pairs",
+        "side", "prefixes", "root_prefixes", "root_index", "level_starts",
+        "tokens", "probs", "parents", "children", "paths", "arrays", "_pairs",
     )
 
     def __init__(
@@ -213,31 +193,26 @@ class DraftTree:
         prefixes: list[tuple[TokenId, ...]],
         root_prefixes: list[tuple[TokenId, ...]],
         root_index: list[int],
-        root_dists: list[ProbDist],
         level_starts: tuple[tuple[int, ...], ...],
         tokens: list[TokenId],
         probs: list[float],
         parents: tuple[int, ...],
         children: Sequence[range],
-        child_dists: Sequence[ProbDist | None],
         paths: Sequence[tuple[TokenId, ...]],
-        arrays: ForestArrays | None = None,
+        arrays: ForestArrays,
         pairs: dict | None = None,
     ) -> None:
         self.side = side
         self.prefixes = prefixes
         self.root_prefixes = root_prefixes
         self.root_index = root_index
-        self.root_dists = root_dists
         self.level_starts = level_starts
         self.tokens = tokens
         self.probs = probs
         self.parents = parents
         self.children = children
-        self.child_dists = child_dists
         self.paths = paths
-        # `sample_draft_tree` passes its arrays in; a forest built from lists stacks them here.
-        self.arrays = self._stack_arrays() if arrays is None else arrays
+        self.arrays = arrays
         # Shared by every forest of one cached layout, so its pairs are indexed once.
         self._pairs = {} if pairs is None else pairs
 
@@ -245,25 +220,6 @@ class DraftTree:
     def nodes(self) -> range:
         """All node ids of every lane."""
         return range(self.level_starts[-1][-1])
-
-    def _stack_arrays(self) -> ForestArrays:
-        """The per-node arrays of a forest built from lists, stacked once."""
-        parent = np.array(self.parents, dtype=np.intp)
-        lane = np.repeat(
-            np.arange(len(self.level_starts)), [starts[-1] - starts[0] for starts in self.level_starts]
-        )
-        kept = [node for node in self.nodes if self.child_dists[node] is not None]
-        cond_row = np.full(len(parent), -1, dtype=np.intp)
-        cond_row[kept] = np.arange(len(kept))
-        group_lane: dict[int, int] = {}
-        for lane_k, group in enumerate(self.root_index):
-            group_lane.setdefault(group, lane_k)
-        roots = [self.root_dists[group_lane[group]] for group in range(len(group_lane))]
-        draft_table = np.array([dist.mass for dist in [*map(self.child_dists.__getitem__, kept), *roots]])
-        return ForestArrays(
-            np.array(self.tokens, dtype=np.intp), np.array(self.probs, dtype=np.float64),
-            cond_row, draft_table, len(kept), np.where(parent == ROOT, len(parent) + lane, parent),
-        )
 
     def pairs(self, siblings: bool, links: bool) -> "ForestPairs":
         """`forest_pairs` of this forest, indexed once per layout of a cached shape."""
@@ -630,7 +586,6 @@ def sample_draft_tree(
         raise ConfigError(f"sequence index {deepest} outside {side}x{side} grid")
     # Every lane's cell is on the grid, so each root cell is a plain divmod.
     group_dists = [drafter.distribution(p, GridPos(*divmod(len(p), side))) for p in root_prefixes]
-    root_dists = [group_dists[g] for g in root_index]
 
     # Drafting order: level by level, each level grouped by lane. Each
     # frontier row holds the conditional one node's children are drawn from.
@@ -729,13 +684,11 @@ def sample_draft_tree(
         prefixes,
         root_prefixes,
         root_index,
-        root_dists,
         skeleton.level_starts,
         token.tolist(),
         prob.tolist(),
         skeleton.parents,
         skeleton.children,
-        ChildDists(table, skeleton.cond_rows),
         NodePaths(
             prefixes, skeleton.lane, skeleton.parent, token, skeleton.level,
             prefix_len[skeleton.lane] + skeleton.level,

@@ -14,7 +14,6 @@ total-variation budget.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -33,7 +32,7 @@ from .core import (
     cosine_sim,  # noqa: F401  (bench/tracer.py counts scalar cosines through this name)
     sample_corrections,
 )
-from .models import Drafter, LawTable, Target, TargetEval
+from .models import Drafter, LawTable, Target
 from .tree import CANDIDATE_MODES, ROOT, DraftTree, ForestPairs, TOPK, TreeMask, sample_draft_tree
 
 AR = "ar"
@@ -64,44 +63,39 @@ class RelaxConfig:
 
 class _Judged:
     """Per node of one forest: the law id it is judged against (its level's
-    target law) and that law's mass `q` at its token, as arrays, with `q` as
-    a Python list for the walk; `threshold`, `min(1, q/p)`, once a plain walk
-    asks for it."""
+    target law), that law's mass `q` at its token and the plain threshold
+    `min(1, q/p)`, each from one gather; `q` and `threshold` as Python lists
+    for the walk."""
 
-    __slots__ = ("law", "q_array", "q", "threshold")
+    __slots__ = ("law", "q", "threshold")
 
-    def __init__(self, law: np.ndarray, q_array: np.ndarray) -> None:
+    def __init__(self, law: np.ndarray, q: np.ndarray, prob: np.ndarray) -> None:
         self.law = law
-        self.q_array = q_array
-        self.q: list[float] = q_array.tolist()
-        self.threshold: list[float] | None = None
+        self.q: list[float] = q.tolist()
+        self.threshold: list[float] = np.minimum(q / prob, 1.0).tolist()
 
 
 class TreeEvals:
     """One target pass over a draft forest.
 
-    `roots[k]` evaluates lane k's prefix. Node i's conditional is row
-    `rows[i]` of the law table `laws`, its feature is row i of the read-only
-    `(nodes, h)` array `features`, and `norms[i]` is that feature's own norm.
-    Lane k's root law is row `root_law[k]`: the model's own row when the root
-    evaluation returned one of the table's laws, else a row stacked after
-    them, so a row of `laws` is a law id.
+    Node i's conditional is row `rows[i]` of the law table `laws`, its
+    feature is row i of the read-only `(nodes, h)` array `features`, and
+    `norms[i]` is that feature's own norm. Lane k's root law is row
+    `root_law[k]`: the model's own row when the root evaluation returned one
+    of the table's laws, else a row stacked after them, so a row of `laws`
+    is a law id.
     """
 
-    __slots__ = ("roots", "laws", "rows", "features", "norms", "root_law", "_judged")
+    __slots__ = ("laws", "rows", "features", "norms", "root_law", "_judged")
 
     def __init__(
         self,
-        roots: list[TargetEval],
         laws: LawTable,
         rows: np.ndarray,
         features: np.ndarray,
         norms: np.ndarray,
-        root_law: Sequence[int] | None = None,
+        root_law: Sequence[int],
     ) -> None:
-        if root_law is None:
-            laws, root_law = laws.rows_of([ev.dist for ev in roots])
-        self.roots = roots
         self.laws = laws
         self.rows = rows
         self.features = features
@@ -109,19 +103,13 @@ class TreeEvals:
         self.root_law = root_law
         self._judged: tuple[DraftTree, _Judged] | None = None
 
-    def judged(self, tree: DraftTree, thresholds: bool = False) -> _Judged:
-        """Every node's decision law and `q` from one gather, kept for `tree`; with
-        `thresholds`, its vanilla threshold too."""
-        if self._judged is not None and self._judged[0] is tree:
-            judged = self._judged[1]
-        else:
+    def judged(self, tree: DraftTree) -> _Judged:
+        """Every node's decision law, `q` and threshold from one gather, kept for `tree`."""
+        if self._judged is None or self._judged[0] is not tree:
             arrays = tree.arrays
             law = np.concatenate((self.rows, self.root_law)).take(arrays.judge)
-            judged = _Judged(law, self.laws.mass[law, arrays.token])
-            self._judged = (tree, judged)
-        if thresholds and judged.threshold is None:
-            judged.threshold = np.minimum(judged.q_array / tree.arrays.prob, 1.0).tolist()
-        return judged
+            self._judged = (tree, _Judged(law, self.laws.mass[law, arrays.token], arrays.prob))
+        return self._judged[1]
 
 
 def evaluate_tree(target: Target, tree: DraftTree) -> TreeEvals:
@@ -134,12 +122,11 @@ def evaluate_tree(target: Target, tree: DraftTree) -> TreeEvals:
     side = tree.side
     # `sample_draft_tree` checked that every lane's cell is on the grid.
     distinct = [target.evaluate(p, GridPos(*divmod(len(p), side))) for p in tree.root_prefixes]
-    roots = [distinct[g] for g in tree.root_index]
     laws, rows, features, norms = target.evaluate_batch(tree.paths, side)
     laws, root_law = laws.rows_of([ev.dist for ev in distinct])
-    if len(distinct) < len(roots):  # groups are numbered by first use: all distinct means lane order
+    if len(distinct) < len(tree.root_index):  # groups are numbered by first use: all distinct means lane order
         root_law = np.array(root_law)[tree.root_index]
-    return TreeEvals(roots, laws, rows, features, norms, root_law)
+    return TreeEvals(laws, rows, features, norms, root_law)
 
 
 class _Donors(NamedTuple):
@@ -148,10 +135,6 @@ class _Donors(NamedTuple):
 
     off: list[int]
     pool: list[tuple[TokenId, float]]
-
-
-# Every node's donor ranges empty: a hit-free forest's cascade walk.
-_NO_DONORS = _Donors(defaultdict(int), [])
 
 
 class SimilaritySets(NamedTuple):
@@ -437,18 +420,20 @@ def _run_verification(
 ) -> VerifyOutcome:
     """Walk lane `lane` of the forest `tree` on its own stream.
 
-    Every node's `q` and threshold come from the forest's one gather
-    (`TreeEvals.judged`), and a cascade's donors from its sets, so the walk
+    A node without donors is decided by its threshold from the forest's one
+    gather (`TreeEvals.judged`); a node with donors in `sets` is boosted by
+    `relax_q` first. `vanilla` is the walk with no donors at all. The walk
     reads Python lists only.
     """
-    judged = evals.judged(tree, thresholds=sets is None)
+    judged = evals.judged(tree)
     qs, thresholds = judged.q, judged.threshold
     tokens, probs, children = tree.tokens, tree.probs, tree.children
-    if sets is not None:
-        off, pool = sets.donors or _NO_DONORS
+    donors = None if sets is None else sets.donors
+    off, pool = (None, None) if donors is None else donors
     accepted: list[TokenId] = []
     decisions: list[tuple] = []
     budget_used = 0.0
+    budget_left = budget
 
     # Walk down the accepted path: each level offers the children of the
     # last accepted node (the lane's level 1 first).
@@ -458,42 +443,26 @@ def _run_verification(
     siblings = range(starts[0], starts[1])
     while siblings:
         parent = node
-        if sets is None:
-            for sibling_idx, node in enumerate(siblings):
-                r = rng.next_real()
-                accept = r < thresholds[node]
-                decisions.append((
-                    level, sibling_idx, qs[node], probs[node], 0.0, 0.0, r,
-                    "accept" if accept else "reject", 0.0, tokens[node], node, (),
-                ))
-                if accept:
-                    break
-            else:
-                break
-        else:
-            for sibling_idx, node in enumerate(siblings):
-                r = rng.next_real()
-                token = tokens[node]
-                q_x = qs[node]
-                p_x = probs[node]
+        for sibling_idx, node in enumerate(siblings):
+            r = rng.next_real()
+            if off is None or off[2 * node] == off[2 * node + 2]:
                 applied_i = applied_c = 0.0
                 transfers: tuple[tuple[TokenId, float], ...] = ()
-                lo, mid, hi = off[2 * node], off[2 * node + 1], off[2 * node + 2]
-                if lo != hi:
-                    applied_i, applied_c, transfers = relax_q(
-                        token, pool[lo:mid], pool[mid:hi], budget - budget_used
-                    )
-                    budget_used += applied_i + applied_c
-                q_eff = min(q_x + (applied_i + applied_c), 1.0)
-                accept = r < min(1.0, q_eff / p_x)
-                decisions.append((
-                    level, sibling_idx, q_x, p_x, applied_i, applied_c, r,
-                    "accept" if accept else "reject", budget - budget_used, token, node, transfers,
-                ))
-                if accept:
-                    break
+                accept = r < thresholds[node]
             else:
+                lo, mid, hi = off[2 * node], off[2 * node + 1], off[2 * node + 2]
+                applied_i, applied_c, transfers = relax_q(tokens[node], pool[lo:mid], pool[mid:hi], budget_left)
+                budget_used += applied_i + applied_c
+                budget_left = budget - budget_used
+                accept = r < min(1.0, min(qs[node] + (applied_i + applied_c), 1.0) / probs[node])
+            decisions.append((
+                level, sibling_idx, qs[node], probs[node], applied_i, applied_c, r,
+                "accept" if accept else "reject", budget_left, tokens[node], node, transfers,
+            ))
+            if accept:
                 break
+        else:
+            break
         accepted.append(tokens[node])
         siblings = children[node]
         level += 1

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -76,6 +77,17 @@ def test_metrics_jsonl_round_trip():
     metrics = Metrics(2.5, 10, 50, 1.75, 0.875, 0.0136, 64)
     parsed = Metrics.from_record(json.loads(json.dumps(metrics.to_record())))
     assert parsed == metrics
+
+
+def test_aggregate_sums_seeds_left_to_right_on_every_interpreter():
+    # Ten seeds of 0.1 sum to 0.9999999999999999 left to right but to 1.0 under
+    # compensated summation (Python's own `sum` from 3.12 on, and `math.fsum`).
+    tenths = [0.1] * 10
+    assert math.fsum(tenths) == 1.0
+    per_seed = [Metrics(0.1, 3, 5, 0.1, 0.1, 0.1, 8)] * 10
+    tenth = 0.9999999999999999 / 10
+    assert tenth != 1.0 / 10
+    assert Metrics.aggregate(per_seed) == Metrics(tenth, 3.0, 5.0, tenth, tenth, tenth, 8.0)
 
 
 def test_aggregating_no_runs_raises_an_engine_error():

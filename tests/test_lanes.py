@@ -109,11 +109,12 @@ def assert_forest_matches_reference(drafter, prefixes, mask, depths, seeds, mode
         assert [forest.tokens[i] for i in ids] == tokens
         assert [forest.probs[i] for i in ids] == probs
         assert [p if p == ROOT else p - start for p in (forest.parents[i] for i in ids)] == parents
+        arrays = forest.arrays
         for i, mass in zip(ids, child_masses):
-            child = forest.child_dists[i]
-            assert (child is None) == (mass is None)
-            if child is not None:
-                assert child.mass.tobytes() == mass
+            row = int(arrays.cond_row[i])
+            assert (row < 0) == (mass is None)
+            if row >= 0:
+                assert arrays.draft_table[row].tobytes() == mass
             assert forest.paths[i] == tuple(prefix) + tuple(
                 forest.tokens[a] for a in reversed(list(_ancestors(forest, i)))
             )
@@ -475,10 +476,10 @@ def test_lanes_sharing_a_prefix_share_one_root_pass(case, mode, grid_drafter):
         ids = list(range(forest.level_starts[k][0], forest.level_starts[k][-1]))
         assert [forest.tokens[i] for i in ids] == alone.tokens
         assert [forest.probs[i] for i in ids] == alone.probs
-        assert forest.root_dists[k].mass.tobytes() == alone.root_dists[0].mass.tobytes()
-        root, alone_root = evals.roots[k], alone_evals.roots[0]
-        assert root.dist.mass.tobytes() == alone_root.dist.mass.tobytes()
-        assert root.feature.values.tobytes() == alone_root.feature.values.tobytes()
+        root_row, alone_row = forest.arrays.root_row + forest.root_index[k], alone.arrays.root_row
+        assert forest.arrays.draft_table[root_row].tobytes() == alone.arrays.draft_table[alone_row].tobytes()
+        root, alone_root = evals.laws.mass[evals.root_law[k]], alone_evals.laws.mass[alone_evals.root_law[0]]
+        assert root.tobytes() == alone_root.tobytes()
         assert evals.features[ids].tobytes() == alone_evals.features.tobytes()
         assert evals.norms[ids].tobytes() == alone_evals.norms.tobytes()
 
@@ -524,7 +525,8 @@ def test_a_standalone_outcome_draws_its_correction_on_read_from_the_uniform_it_k
             if rec.decision == "accept":
                 siblings, parent = tree.children[node], node
         last = outcome.trace[-1]
-        p_dist = tree.root_dists[0] if parent == ROOT else tree.child_dists[parent]
+        arrays = tree.arrays
+        p_dist = ProbDist(arrays.draft_table[arrays.root_row if parent == ROOT else arrays.cond_row[parent]])
         try:
             law = residual_dist(last.q_dist, p_dist)
         except DegenerateResidual:
@@ -587,3 +589,31 @@ def test_lanes_draw_every_correction_of_a_cycle_in_one_pass(monkeypatch):
             candidate_mode=STOCHASTIC,
         )
         assert alone == lanes[k][0]
+
+
+# --- no state outlives a decode ----------------------------------------------------
+
+
+def _module_container_sizes(module):
+    """The size of every dict or list among a module's globals, and one level into its tuples."""
+    sizes = {}
+    for name, value in vars(module).items():
+        if name.startswith("__"):
+            continue
+        items = enumerate(value) if isinstance(value, tuple) else [(None, value)]
+        for key, item in items:
+            if isinstance(item, (dict, list)):
+                sizes[name, key] = len(item)
+    return sizes
+
+
+def test_a_hit_free_cascade_decode_leaves_the_verify_module_as_it_found_it(gridworld):
+    import specrelax.verify as verify_mod
+
+    before = _module_container_sizes(verify_mod)
+    drafter = LinearDrafter.zeros(gridworld.vocab, gridworld.side)
+    rngs = [RngStream(k) for k in range(512)]
+    cfg = RelaxConfig(tau_pos=1.01, tau_seq=1.01)
+    lanes = decode_lanes(gridworld, drafter, "cascade", TreeMask.default(), cfg, 64, rngs)
+    assert all(len(tokens) == 64 for tokens, _ in lanes)
+    assert _module_container_sizes(verify_mod) == before

@@ -163,7 +163,7 @@ def test_flat_arrays_describe_one_consistent_tree():
                             0 if level == tree_depth(tree) else min(widths[level], 4)
                         )
                         last = level == len(widths)
-                        assert (tree.child_dists[node] is None) == last
+                        assert (tree.arrays.cond_row[node] < 0) == last
 
 
 def test_path_tails_match_each_whole_path():

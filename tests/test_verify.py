@@ -17,7 +17,6 @@ from specrelax import (
     cosine_sim,
     RelaxConfig,
     RngStream,
-    TargetEval,
     TreeMask,
     build_sets,
     decode_lanes,
@@ -35,7 +34,7 @@ from specrelax import (
     verify_vanilla,
 )
 from specrelax.models import LawTable
-from specrelax.tree import ROOT, DraftTree, STOCHASTIC, forest_pairs
+from specrelax.tree import ROOT, DraftTree, ForestArrays, STOCHASTIC, forest_pairs
 from specrelax.verify import TraceRecord, TreeEvals
 
 from conftest import FixedDrafter, ScriptedRng, draft_one, small_gridworld, tree_depth, tree_level
@@ -72,11 +71,19 @@ def manual_tree(level_specs, root_dist, prefix=(), side=8, child_dists=None):
             first = children[parent].start if children[parent] else node
             assert first + len(children[parent]) == node, "list each level in parent order"
             children[parent] = range(first, node + 1)
-    child_dists = child_dists or {}
+    # The drafter laws stacked as `sample_draft_tree` stacks them: child conditionals, then the root's.
+    kept = sorted(child_dists or {})
+    cond_row = np.full(len(tokens), -1, dtype=np.intp)
+    cond_row[kept] = np.arange(len(kept))
+    parent = np.array(parents, dtype=np.intp)
+    arrays = ForestArrays(
+        np.array(tokens, dtype=np.intp), np.array(probs, dtype=np.float64), cond_row,
+        np.array([child_dists[node].mass for node in kept] + [root_dist.mass]), len(kept),
+        np.where(parent == ROOT, len(tokens), parent),
+    )
     return DraftTree(
-        side, [tuple(prefix)], [tuple(prefix)], [0], [root_dist], (tuple(level_starts),), tokens, probs,
-        tuple(parents),
-        children, [child_dists.get(node) for node in range(len(tokens))], paths,
+        side, [tuple(prefix)], [tuple(prefix)], [0], (tuple(level_starts),), tokens, probs,
+        tuple(parents), children, paths, arrays,
     )
 
 
@@ -86,12 +93,11 @@ def level_of(tree, node):
 
 def manual_evals(root_dist, node_specs):
     """node_specs: list of (dist, feature) per node id, all features of one dimension."""
-    root = TargetEval(root_dist, unit_feature(0))
     features = np.array([f.values for _, f in node_specs])
     features.flags.writeable = False
     norms = np.array([f.norm for _, f in node_specs])
-    laws = LawTable.stack([d for d, _ in node_specs])
-    return TreeEvals([root], laws, np.arange(len(node_specs)), features, norms)
+    laws, root_law = LawTable.stack([d for d, _ in node_specs]).rows_of([root_dist])
+    return TreeEvals(laws, np.arange(len(node_specs)), features, norms, root_law)
 
 
 def node_features(evals):
@@ -490,8 +496,7 @@ def assert_batch_matches_per_node(target, tree):
     n, h = len(reference), len(reference[0].feature)
     prefix = tree.prefixes[0]
     root = target.evaluate(prefix, GridPos.from_index(len(prefix), tree.side))
-    assert evals.roots[0].dist is root.dist
-    assert evals.roots[0].feature.values.tobytes() == root.feature.values.tobytes()
+    assert evals.laws.dists[evals.root_law[0]] is root.dist
     assert evals.rows.shape == (n,)
     assert evals.features.shape == (n, h) and evals.features.dtype == np.float64
     assert not evals.features.flags.writeable
@@ -717,7 +722,7 @@ def test_cascade_oversized_interchange_mass_is_skipped(gridworld):
     assert [tree.tokens[n] for n in tree_level(tree, 1)] == [0, 1, 2, 3]
     evals = evaluate_tree(gridworld, tree)
     small = gridworld
-    assert evals.roots[0].dist[0] == pytest.approx(0.8 / 8, abs=ATOL)
+    assert evals.laws.mass[evals.root_law[0], 0] == pytest.approx(0.8 / 8, abs=ATOL)
 
     # Rebuild the scenario on the 8-token cluster model for the 0.2 split.
     model = small_gridworld()
@@ -1004,8 +1009,9 @@ def closed_form_outcome_law(tree, evals, cfg):
         if not siblings:
             results[tokens] = results.get(tokens, 0.0) + weight
             return
-        q = evals.roots[0].dist if parent is None else evals.laws.dists[evals.rows[parent]]
-        p_full = tree.root_dists[0] if parent is None else tree.child_dists[parent]
+        q = evals.laws.dists[evals.root_law[0] if parent is None else evals.rows[parent]]
+        arrays = tree.arrays
+        p_full = ProbDist(arrays.draft_table[arrays.root_row if parent is None else arrays.cond_row[parent]])
         survive = weight
         budget = budget_left
         for node in siblings:
