@@ -148,7 +148,8 @@ def _build_decode_parser(sub) -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="target model file")
     p.add_argument("--drafter", help="drafter model file (vanilla/cascade)")
     p.add_argument("--mode", choices=MODES, default="vanilla")
-    p.add_argument("--tree", default="4,2,2,1,1", help="per-level widths, e.g. 4,2,2,1,1")
+    p.add_argument("--tree", default=",".join(map(str, TreeMask.default().widths)),
+                   help="per-level widths, e.g. 4,2,2,1,1")
     p.add_argument("--seeds", default="0", help="e.g. 0..199 or 0,7,9")
     p.add_argument("--len", type=int, dest="length", help="tokens per sequence (grid default N^2)")
     p.add_argument("--kappa", type=float, default=DEFAULT_KAPPA, help="drafter cost ratio")
@@ -160,16 +161,17 @@ def _build_decode_parser(sub) -> argparse.ArgumentParser:
 
 
 def _build_train_parser(sub) -> argparse.ArgumentParser:
+    d = TrainConfig()
     p = sub.add_parser("train", help="fit a linear drafter against a target model")
     p.add_argument("--config", help="JSON file whose keys mirror these flags")
     p.add_argument("--model", required=True, help="target model file")
-    p.add_argument("--c", type=float, default=2.0, help="convergence reweighting factor")
-    p.add_argument("--tau-seq-train", type=float, default=0.5)
-    p.add_argument("--epochs", type=int, default=80)
-    p.add_argument("--lr", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sequences", type=int, default=24, help="training rollouts")
-    p.add_argument("--hard-ce-weight", type=float, default=1.0)
+    p.add_argument("--c", type=float, default=d.c, help="convergence reweighting factor")
+    p.add_argument("--tau-seq-train", type=float, default=d.tau_seq_train)
+    p.add_argument("--epochs", type=int, default=d.epochs)
+    p.add_argument("--lr", type=float, default=d.learning_rate)
+    p.add_argument("--seed", type=int, default=d.seed)
+    p.add_argument("--sequences", type=int, default=d.num_sequences, help="training rollouts")
+    p.add_argument("--hard-ce-weight", type=float, default=d.hard_ce_weight)
     p.add_argument("--out", required=True, help="drafter JSON path")
     return p
 

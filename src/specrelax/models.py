@@ -13,7 +13,7 @@ import itertools
 import json
 import math
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -132,6 +132,11 @@ class Target(Protocol):
         ...
 
 
+def _windows(vocab: int, order: int) -> Iterator[Window]:
+    """Every window of 0 to `order` tokens: shorter windows first, each length in lexicographic order."""
+    return (w for length in range(order + 1) for w in itertools.product(range(vocab), repeat=length))
+
+
 def _check_tabular_shape(vocab: int, order: int, h: int) -> None:
     """Refuse a tabular model without tokens, context or features, or with more cells than the guard.
 
@@ -175,83 +180,73 @@ class TabularModel:
         self.vocab = vocab
         self.order = order
         self.h = h
-        self._table: dict[Window, ProbDist] = {}
-        self._features: dict[Window, FeatureVec] = {}
-        for window, row in table.items():
-            key = tuple(int(t) for t in window)
-            dist = row if isinstance(row, ProbDist) else ProbDist(row)
-            if len(dist) != vocab:
-                raise ConfigError(f"row for window {key} has size {len(dist)} != {vocab}")
-            self._table[key] = dist
-        for window, vec in feature_table.items():
-            key = tuple(int(t) for t in window)
-            feat = vec if isinstance(vec, FeatureVec) else FeatureVec(vec)
-            if len(feat) != h:
-                raise ConfigError(f"feature for window {key} has dim {len(feat)} != {h}")
-            self._features[key] = feat
-        for length in range(order + 1):
-            for window in itertools.product(range(vocab), repeat=length):
-                if window not in self._table:
-                    raise UnknownWindow(f"table missing window {window}")
-                if window not in self._features:
-                    raise UnknownWindow(f"feature table missing window {window}")
-        self._evals: dict[Window, TargetEval] = {
-            w: TargetEval(self._table[w], self._features[w]) for w in self._table
-        }
-        # Every window's evaluation in window-id order, its features and
-        # norms stacked, and its laws stacked; built on first use.
-        self._rows: list[TargetEval] | None = None
-        self._window_starts = self._window_powers = np.zeros(0, dtype=np.intp)
-        self._row_features: tuple[np.ndarray, np.ndarray] | None = None
-        self._laws: LawTable | None = None
+        windows = list(_windows(vocab, order))
+        columns = []
+        for name, mapping, kind, size in (
+            ("table", table, ProbDist, vocab),
+            ("feature table", feature_table, FeatureVec, h),
+        ):
+            column: list = [None] * len(windows)
+            for window, value in mapping.items():
+                key = tuple(int(t) for t in window)
+                if len(key) > order:
+                    raise UnknownWindow(f"{name} window {key} is longer than order {order}")
+                # `_row_of` refuses a token outside the vocabulary.
+                item = column[self._row_of(key)] = value if isinstance(value, kind) else kind(value)
+                if len(item) != size:
+                    raise ConfigError(f"{name} entry for window {key} has size {len(item)} != {size}")
+            if None in column:
+                raise UnknownWindow(f"{name} missing window {windows[column.index(None)]}")
+            columns.append(column)
+        # Every window's evaluation, listed in `_row_of` order.
+        self._evals = list(map(TargetEval, *columns))
+        # The laws, feature values and norms stacked, and the powers of V
+        # that read a window; built on first batch use.
+        self._stack: tuple[LawTable, np.ndarray, np.ndarray, np.ndarray] | None = None
 
-    def window(self, prefix: Sequence[TokenId]) -> Window:
-        if len(prefix) >= self.order:
-            return tuple(prefix[len(prefix) - self.order :])
-        return tuple(prefix)
+    def _row_of(self, window: Sequence[TokenId]) -> int:
+        """The window's row: windows of length m follow all shorter ones in
+        lexicographic order, so the row is (V^m - 1) / (V - 1), the start of
+        the length-m block, plus the window read in base V. That sum is the
+        window read in base V with digits token + 1."""
+        row = 0
+        for token in window:
+            if not 0 <= token < self.vocab:
+                raise UnknownWindow(f"no table row for window {tuple(window)}")
+            row = row * self.vocab + token + 1
+        return row
 
     def evaluate(self, prefix: Sequence[TokenId], pos: GridPos) -> TargetEval:
-        key = self.window(prefix)
-        try:
-            return self._evals[key]
-        except KeyError:
-            raise UnknownWindow(f"no table row for window {key}") from None
+        return self._evals[self._row_of(prefix[-self.order :])]
+
+    def _stacked(self) -> tuple[LawTable, np.ndarray, np.ndarray, np.ndarray]:
+        if self._stack is None:
+            values = np.array([ev.feature.values for ev in self._evals])
+            values.flags.writeable = False
+            norms = np.array([ev.feature.norm for ev in self._evals])
+            powers = self.vocab ** np.arange(self.order - 1, -1, -1)
+            self._stack = (LawTable.stack([ev.dist for ev in self._evals]), values, norms, powers)
+        return self._stack
 
     def _window_ids(self, tails: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """Each window's id: windows of length m follow all shorter ones in
-        lexicographic order, so the id is (V^m - 1) / (V - 1) plus the window
-        read in base V. Row j of `tails` ends with a window of `lengths[j]` tokens."""
+        """Each window's `_row_of`, for a batch: row j of `tails` ends with a
+        window of `lengths[j]` tokens (at most `order`)."""
         k, v = self.order, self.vocab
-        if self._rows is None:
-            self._rows = [
-                self._evals[window]
-                for length in range(k + 1)
-                for window in itertools.product(range(v), repeat=length)
-            ]
-            sizes = v ** np.arange(k + 1, dtype=np.intp)
-            self._window_starts = np.cumsum(sizes) - sizes
-            self._window_powers = sizes[k - 1 :: -1] if k else sizes[:0]
-            self._laws = LawTable.stack([ev.dist for ev in self._rows])
-        length = np.minimum(lengths, k)
-        inside = np.arange(k) >= (k - length)[:, None]
+        inside = np.arange(k) >= (k - np.minimum(lengths, k))[:, None]
         window = np.where(inside, tails, 0)
         if np.minimum.reduce(window, axis=None, initial=0) < 0 or np.maximum.reduce(window, axis=None, initial=0) >= v:
             bad = ((tails < 0) | (tails >= v)) & inside
             j = int(np.flatnonzero(bad.any(axis=1))[0])
             raise UnknownWindow(f"no table row for window {tuple(tails[j][inside[j]].tolist())}")
-        return self._window_starts[length] + window @ self._window_powers
+        return (window + inside) @ self._stacked()[3]
 
     def evaluate_batch(self, paths: "NodePaths", side: int) -> BatchEval:
         """`Target.evaluate_batch`; a tabular law ignores the grid, so only the windows are read."""
         ids = self._window_ids(paths.tail(self.order, np.arange(len(paths))), paths.index)
-        if self._row_features is None:
-            values = np.array([ev.feature.values for ev in self._rows]).reshape(len(self._rows), self.h)
-            values.flags.writeable = False
-            self._row_features = (values, np.array([ev.feature.norm for ev in self._rows]))
-        values, norms = self._row_features
+        laws, values, norms, _ = self._stacked()
         features = values.take(ids, axis=0)
         features.flags.writeable = False
-        return self._laws, ids, features, norms.take(ids)
+        return laws, ids, features, norms.take(ids)
 
     @property
     def context(self) -> int:
@@ -259,23 +254,21 @@ class TabularModel:
 
     def conditionals(self, contexts: np.ndarray, index: np.ndarray, side: int) -> np.ndarray:
         """`Drafter.conditionals`: each prefix's window row."""
-        ids = self._window_ids(contexts, index)
-        return self._laws.mass.take(ids, axis=0)
+        return self._stacked()[0].mass.take(self._window_ids(contexts, index), axis=0)
 
     def distribution(self, prefix: Sequence[TokenId], pos: GridPos) -> ProbDist:
         return self.evaluate(prefix, pos).dist
 
     def to_dict(self) -> dict:
+        keys = [_window_key(w) for w in _windows(self.vocab, self.order)]
         return {
             "format_version": FORMAT_VERSION,
             "kind": self.kind,
             "V": self.vocab,
             "order": self.order,
             "h": self.h,
-            "table": {_window_key(w): d.mass.tolist() for w, d in sorted(self._table.items())},
-            "featureTable": {
-                _window_key(w): f.values.tolist() for w, f in sorted(self._features.items())
-            },
+            "table": {key: ev.dist.mass.tolist() for key, ev in zip(keys, self._evals)},
+            "featureTable": {key: ev.feature.values.tolist() for key, ev in zip(keys, self._evals)},
         }
 
     @classmethod
@@ -288,6 +281,20 @@ class TabularModel:
 def _row_norms(rows: np.ndarray) -> np.ndarray:
     """`np.linalg.norm` of each row, bit for bit: the same BLAS dot product, then its square root."""
     return np.sqrt(np.vecdot(rows, rows))
+
+
+class _GridTable(NamedTuple):
+    """A gridworld's arrays. Row region * (clusters + 1) of `values`, `norms`
+    and `evals` is the region's root feature, with no last token; the next
+    rows follow a token of each cluster in turn. A row whose anchors cancel
+    has no evaluation (None)."""
+
+    regions: np.ndarray  # each cell's region
+    clusters: np.ndarray  # each token's cluster
+    laws: LawTable  # the region laws
+    values: np.ndarray  # every unjittered feature, read-only
+    norms: np.ndarray
+    evals: list[TargetEval | None]
 
 
 class GridWorldModel:
@@ -340,6 +347,8 @@ class GridWorldModel:
 
         n_regions = len(region_clusters)
         n_clusters = max(self.clusters) + 1
+        if min(self.regions) < 0 or min(self.clusters) < 0:
+            raise ConfigError("region and cluster ids must be non-negative")
         if len(region_anchors) != n_regions:
             raise ConfigError("one region anchor required per region")
         if len(cluster_anchors) < n_clusters:
@@ -349,32 +358,27 @@ class GridWorldModel:
         if any(not 0 <= c < n_clusters for c in self.region_clusters):
             raise ConfigError("region_clusters references an unknown cluster")
 
-        def _unit(vec) -> np.ndarray:
+        def _anchor(vec) -> np.ndarray:
             arr = np.asarray(
                 vec.values if isinstance(vec, FeatureVec) else vec, dtype=np.float64
             )
             if arr.shape != (h,) or not np.all(np.isfinite(arr)):
                 raise NonFinite(f"anchor must be a finite vector of dim {h}")
+            return arr
+
+        def _unit(vec) -> np.ndarray:
+            arr = _anchor(vec)
             norm = float(np.linalg.norm(arr))
             if norm <= 0.0:
                 raise ConfigError("region anchors must be non-zero")
             return arr / norm
 
-        self._region_anchors = [_unit(v) for v in region_anchors]
-        self._cluster_anchors = [
-            np.asarray(
-                v.values if isinstance(v, FeatureVec) else v, dtype=np.float64
-            )
-            for v in cluster_anchors
-        ]
+        self._region_anchors = np.array([_unit(v) for v in region_anchors])
+        self._cluster_anchors = np.array([_anchor(v) for v in cluster_anchors])
 
         self._dist_by_region = [self._build_region_dist(r) for r in range(n_regions)]
         self._n_clusters = n_clusters
-        # Regions and clusters as arrays, and the region laws stacked; built on first batch use.
-        self._arrays: tuple[np.ndarray, np.ndarray, LawTable] | None = None
-        self._feature_cache: dict[tuple[int, int | None], FeatureVec] = {}
-        # `_build_feature_table`'s result, built by the first `evaluate_batch`.
-        self._feature_table: tuple[np.ndarray, np.ndarray, frozenset[int]] | None = None
+        self._grid_table: _GridTable | None = None  # built on first use
 
     def _build_region_dist(self, region: int) -> ProbDist:
         preferred = self.region_clusters[region]
@@ -388,47 +392,38 @@ class GridWorldModel:
     def region_of(self, pos: GridPos) -> int:
         return self.regions[pos.flatten(self.side)]
 
-    def cluster_of(self, token: TokenId) -> int:
-        return self.clusters[token]
+    def _feature_rows(
+        self, regions: np.ndarray, clusters: np.ndarray, jitter: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The feature of each (region, cluster) pair, plus row j of `jitter` if given, and its norm.
 
-    def _cached_feature(self, region: int, cluster: int | None) -> FeatureVec:
-        """The unjittered feature of (region, cluster), built once."""
-        key = (region, cluster)
-        feat = self._feature_cache.get(key)
-        if feat is None:
-            feat = self._feature_cache[key] = self._make_feature(region, cluster, None)
-        return feat
-
-    def _make_feature(
-        self, region: int, cluster: int | None, jitter: np.ndarray | None
-    ) -> FeatureVec:
-        raw = self._region_anchors[region].copy()
-        if cluster is not None:
-            raw += self.feature_mix * self._cluster_anchors[cluster]
+        Cluster -1 (a root, with no last token) adds no cluster anchor. Where
+        the anchors cancel, the row and its norm are not finite.
+        """
+        raw = self._region_anchors[regions]
+        mixed = self.feature_mix * self._cluster_anchors[clusters]
+        np.add(raw, mixed, out=raw, where=(clusters >= 0)[:, None])
         if jitter is not None:
             raw += jitter
-        return FeatureVec(raw / np.linalg.norm(raw))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            raw /= _row_norms(raw)[:, None]
+        return raw, _row_norms(raw)
 
-    def _build_feature_table(self) -> tuple[np.ndarray, np.ndarray, frozenset[int]]:
-        """Every unjittered (region, cluster) feature as one read-only table, with its norms.
-
-        Row region * clusters + cluster holds that pair's `FeatureVec` bytes.
-        A pair whose anchors cancel has no feature: its row is NaN and listed
-        in the returned set, so that gathering it raises as `evaluate` does.
-        """
-        values = np.full((len(self._dist_by_region) * self._n_clusters, self.h), np.nan)
-        norms = np.full(len(values), np.nan)
-        undefined: set[int] = set()
-        for row in range(len(values)):
-            try:
-                feat = self._cached_feature(*divmod(row, self._n_clusters))
-            except NonFinite:
-                undefined.add(row)
-                continue
-            values[row] = feat.values
-            norms[row] = feat.norm
-        values.flags.writeable = False
-        return values, norms, frozenset(undefined)
+    def _table(self) -> _GridTable:
+        if self._grid_table is None:
+            n_regions, width = len(self._dist_by_region), self._n_clusters + 1
+            regions = np.arange(n_regions).repeat(width)
+            values, norms = self._feature_rows(regions, np.tile(np.arange(-1, width - 1), n_regions), None)
+            values.flags.writeable = False
+            evals = [
+                TargetEval(self._dist_by_region[region], FeatureVec(row)) if math.isfinite(norm) else None
+                for region, row, norm in zip(regions.tolist(), values, norms.tolist())
+            ]
+            self._grid_table = _GridTable(
+                np.array(self.regions), np.array(self.clusters), LawTable.stack(self._dist_by_region),
+                values, norms, evals,
+            )
+        return self._grid_table
 
     def _jitter(self, prefix: Sequence[TokenId], pos: GridPos) -> np.ndarray:
         # Deterministic per (prefix, pos): fold tokens through a 64-bit mixer.
@@ -466,58 +461,46 @@ class GridWorldModel:
 
     def evaluate(self, prefix: Sequence[TokenId], pos: GridPos) -> TargetEval:
         region = self.region_of(pos)
-        cluster = self.cluster_of(prefix[-1]) if len(prefix) > 0 else None
+        cluster = self.clusters[prefix[-1]] if len(prefix) > 0 else -1
         if self.feature_jitter > 0.0:
-            feat = self._make_feature(region, cluster, self._jitter(prefix, pos))
-        else:
-            feat = self._cached_feature(region, cluster)
-        return TargetEval(self._dist_by_region[region], feat)
-
-    def _batch_arrays(self) -> tuple[np.ndarray, np.ndarray, LawTable]:
-        if self._arrays is None:
-            laws = LawTable.stack(self._dist_by_region)
-            self._arrays = (np.array(self.regions), np.array(self.clusters), laws)
-        return self._arrays
+            jitter = self._jitter(prefix, pos)[None]
+            values, _ = self._feature_rows(np.array([region]), np.array([cluster]), jitter)
+            return TargetEval(self._dist_by_region[region], FeatureVec(values[0]))
+        ev = self._table().evals[region * (self._n_clusters + 1) + cluster + 1]
+        if ev is None:
+            raise NonFinite("feature vector contains non-finite entries")
+        return ev
 
     def _regions(self, index: np.ndarray, side: int) -> np.ndarray:
         """The region of each sequence index of a `side` x `side` grid."""
-        return self._batch_arrays()[0][index // side * self.side + index % side]
+        return self._table().regions[index // side * self.side + index % side]
 
     def evaluate_batch(self, paths: "NodePaths", side: int) -> BatchEval:
         """`Target.evaluate_batch`: laws by region; unjittered features come from one table,
         jittered ones from one fold over every node's path."""
+        table = self._table()
         cells = np.minimum(paths.index, side * side - 1)
         regions = self._regions(cells, side)
+        clusters = table.clusters[paths.token]
         if self.feature_jitter > 0.0:
-            # `_make_feature` for every node at once, in the same elementwise steps.
             rows, cols = np.divmod(cells, side)
             tails = paths.tail(int(paths.index.max(initial=0)), np.arange(len(paths)))
-            clusters = self._batch_arrays()[1][paths.token]
-            features = np.array(self._region_anchors)[regions]
-            features += self.feature_mix * np.array(self._cluster_anchors)[clusters]
-            features += self._jitters(tails, rows * self.side + cols)
-            features /= _row_norms(features)[:, None]
-            if not np.all(np.isfinite(features)):
-                raise NonFinite("feature vector contains non-finite entries")
-            norms = _row_norms(features)
+            jitter = self._jitters(tails, rows * self.side + cols)
+            features, norms = self._feature_rows(regions, clusters, jitter)
         else:
-            if self._feature_table is None:
-                self._feature_table = self._build_feature_table()
-            table, table_norms, undefined = self._feature_table
-            rows = regions * self._n_clusters + self._batch_arrays()[1][paths.token]
-            if undefined and not undefined.isdisjoint(rows.tolist()):
-                first_bad = next(row for row in rows.tolist() if row in undefined)
-                self._cached_feature(*divmod(first_bad, self._n_clusters))  # raises NonFinite
-            features, norms = table.take(rows, axis=0), table_norms.take(rows)
+            rows = regions * (self._n_clusters + 1) + clusters + 1
+            features, norms = table.values.take(rows, axis=0), table.norms.take(rows)
+        if not np.all(np.isfinite(norms)):
+            raise NonFinite("feature vector contains non-finite entries")
         features.flags.writeable = False
-        return self._batch_arrays()[2], regions, features, norms
+        return table.laws, regions, features, norms
 
     def distribution(self, prefix: Sequence[TokenId], pos: GridPos) -> ProbDist:
         return self._dist_by_region[self.region_of(pos)]
 
     def conditionals(self, contexts: np.ndarray, index: np.ndarray, side: int) -> np.ndarray:
         """`Drafter.conditionals`: each prefix's region law."""
-        return self._batch_arrays()[2].mass.take(self._regions(index, side), axis=0)
+        return self._table().laws.mass.take(self._regions(index, side), axis=0)
 
     @classmethod
     def default(cls, feature_jitter: float = 0.0) -> "GridWorldModel":
@@ -763,11 +746,10 @@ def random_tabular_model(vocab: int, order: int, seed: int, h: int = 4) -> Tabul
     rng = np.random.default_rng(seed)
     table: dict[Window, ProbDist] = {}
     features: dict[Window, FeatureVec] = {}
-    for length in range(order + 1):
-        for window in itertools.product(range(vocab), repeat=length):
-            table[window] = ProbDist(rng.dirichlet(np.ones(vocab)))
-            raw = rng.normal(size=h)
-            features[window] = FeatureVec(raw / np.linalg.norm(raw))
+    for window in _windows(vocab, order):
+        table[window] = ProbDist(rng.dirichlet(np.ones(vocab)))
+        raw = rng.normal(size=h)
+        features[window] = FeatureVec(raw / np.linalg.norm(raw))
     return TabularModel(vocab, order, table, features, h)
 
 
@@ -779,10 +761,10 @@ def tempered_table_drafter(model: TabularModel, exponent: float = 0.5) -> Tabula
     """
     if not 0.0 < exponent <= 1.0:
         raise ConfigError("exponent must lie in (0, 1]")
-    table = {
-        w: ProbDist.normalized(np.power(d.mass, exponent)) for w, d in model._table.items()
-    }
-    return TabularModel(model.vocab, model.order, table, model._features, model.h)
+    windows = list(_windows(model.vocab, model.order))
+    table = {w: ProbDist.normalized(np.power(ev.dist.mass, exponent)) for w, ev in zip(windows, model._evals)}
+    features = {w: ev.feature for w, ev in zip(windows, model._evals)}
+    return TabularModel(model.vocab, model.order, table, features, model.h)
 
 
 def enumerate_ar_distribution(

@@ -3,7 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -719,6 +719,18 @@ def test_cli_relaxation_flags_default_to_relax_config():
     for command, out in (("decode", ["--out", "m.jsonl"]), ("oracle", [])):
         args = parser.parse_args([command, "--model", "grid.json", *out])
         assert RelaxConfig(args.tau_pos, args.tau_seq, args.tvd_budget) == RelaxConfig()
+
+
+def test_cli_train_and_tree_flags_default_to_their_configs():
+    parser, _ = build_parser()
+    args = parser.parse_args(["train", "--model", "grid.json", "--out", "d.json"])
+    flags = {"c": "c", "tau_seq_train": "tau_seq_train", "learning_rate": "lr", "epochs": "epochs",
+             "hard_ce_weight": "hard_ce_weight", "seed": "seed", "num_sequences": "sequences"}
+    assert set(flags) == {field.name for field in fields(TrainConfig)}
+    for field, dest in flags.items():
+        assert getattr(args, dest) == getattr(TrainConfig(), field), field
+    args = parser.parse_args(["decode", "--model", "grid.json", "--out", "m.jsonl"])
+    assert TreeMask.parse(args.tree) == TreeMask.default()
 
 
 def write_config(tmp_path, data) -> Path:

@@ -15,15 +15,19 @@ from specrelax import (
     ModelFormatError,
     NonFinite,
     ProbDist,
+    RelaxConfig,
     RngStream,
     TabularModel,
     TooLarge,
     TrainConfig,
+    TreeMask,
     cosine_sim,
+    decode_sequence,
     enumerate_ar_distribution,
     load_model,
     random_tabular_model,
     save_model,
+    tempered_table_drafter,
     train_drafter,
 )
 from specrelax.core import UnknownWindow
@@ -420,6 +424,98 @@ def test_malformed_model_files_raise_model_format_error_only(tmp_path_factory, c
     # Some replacements still describe a valid model (JSON true for a mixing
     # weight reads as 1.0); a missing required key never does.
     assert not must_fail, f"loaded a model without a required key: {sorted(data)}"
+
+
+def _grid_id_out_of_range(draw, data):
+    key = draw(st.sampled_from(["regions", "clusters"]))
+    past = max(data[key]) + 1  # one past the ids in use; every id there has an anchor
+    data[key][draw(st.integers(0, len(data[key]) - 1))] = draw(st.sampled_from([-1, past]))
+
+
+def _grid_anchor_resized(draw, data):
+    anchors = data[draw(st.sampled_from(["regionAnchors", "clusterAnchors"]))]
+    i = draw(st.integers(0, len(anchors) - 1))
+    anchors[i] = (anchors[i] + [0.5] * 3)[: draw(st.sampled_from([1, data["h"] - 1, data["h"] + 1]))]
+
+
+def _tabular_key_outside(draw, data):
+    vocab, order = data["V"], data["order"]
+    window = draw(st.sampled_from([[vocab], [-1], [0] * (order + 1), [vocab - 1, vocab]]))
+    key = ",".join(map(str, window))
+    for name in draw(st.sampled_from([["table"], ["featureTable"], ["table", "featureTable"]])):
+        data[name][key] = list(data[name][""])
+
+
+TYPED_MUTATIONS = {
+    "grid-id": ("gridworld", _grid_id_out_of_range),
+    "grid-anchor": ("gridworld", _grid_anchor_resized),
+    "tabular-key": ("tabular", _tabular_key_outside),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(TYPED_MUTATIONS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_well_typed_bad_model_files_fail_at_load_or_decode_cleanly(tmp_path_factory, mutation, data):
+    """A mutation that keeps every JSON type: refused at load, or a 4-token decode raises only EngineError."""
+    kind, mutate = TYPED_MUTATIONS[mutation]
+    model = json.loads(json.dumps(STOCK_MODELS[kind]))
+    mutate(data.draw, model)
+    path = tmp_path_factory.getbasetemp() / "typed-mutation.json"
+    path.write_text(json.dumps(model))
+    try:
+        target = load_model(path)
+    except ModelFormatError:
+        return
+    drafter = tempered_table_drafter(target) if kind == "tabular" else LinearDrafter.zeros(32, 8)
+    try:
+        decode_sequence(target, drafter, "cascade", TreeMask.default(), RelaxConfig(), 4, RngStream(0))
+    except EngineError:
+        pass
+
+
+def test_gridworld_refuses_negative_ids_and_bad_cluster_anchors():
+    stock = GridWorldModel.default().to_dict()
+    for key, index, value in (("regions", 5, -1), ("clusters", 3, -1),
+                              ("clusterAnchors", 1, [1.0, 0.0, 0.0]), ("clusterAnchors", 2, [float("nan")] * 8)):
+        data = json.loads(json.dumps(stock))
+        data[key][index] = value
+        with pytest.raises(EngineError):
+            GridWorldModel.from_dict(data)
+    data = json.loads(json.dumps(stock))
+    data["clusterAnchors"][3] = [0.0] * 8  # a zero cluster anchor is allowed
+    assert GridWorldModel.from_dict(data).evaluate([31], GridPos(0, 1)).feature.values.tolist() == np.eye(8)[0].tolist()
+
+
+def test_tabular_refuses_windows_outside_its_vocabulary_or_order():
+    stock = random_tabular_model(3, 1, seed=0)
+    windows = [(), (0,), (1,), (2,)]
+    table = {w: ev.dist for w, ev in zip(windows, stock._evals)}
+    features = {w: ev.feature for w, ev in zip(windows, stock._evals)}
+    for extra in ((7,), (-1,), (0, 0)):
+        for bad_table, bad_features in ((True, False), (False, True)):
+            with pytest.raises(UnknownWindow):
+                TabularModel(3, 1, {**table, extra: table[()]} if bad_table else table,
+                             {**features, extra: features[()]} if bad_features else features, 4)
+    for prefix in ([7], [-1], [0, 3]):
+        with pytest.raises(UnknownWindow):
+            stock.evaluate(prefix, GridPos(0, 0))
+
+
+def test_tabular_scalar_rows_are_the_batch_window_ids():
+    from specrelax.models import _windows
+
+    model = random_tabular_model(3, 2, seed=4, h=2)
+    windows = list(_windows(3, 2))
+    assert windows[:5] == [(), (0,), (1,), (2,), (0, 0)]
+    tails = np.array([[-1] * (2 - len(w)) + list(w) for w in windows])
+    ids = model._window_ids(tails, np.array([len(w) for w in windows]))
+    assert ids.tolist() == list(range(len(windows)))
+    saved = model.to_dict()
+    for row, window in enumerate(windows):
+        ev = model.evaluate(list(window), GridPos(0, 0))
+        assert ev is model._evals[row]
+        assert saved["table"][",".join(map(str, window))] == ev.dist.mass.tolist()
 
 
 def test_loader_wraps_missing_keys_and_bad_shapes(tmp_path):

@@ -591,9 +591,10 @@ def test_batched_sets_raise_zero_norm_exactly_where_per_node_features_do():
     base = random_tabular_model(3, 1, seed=2, h=3)
     zero = FeatureVec([0.0, 1e-13, 0.0])
     raised = 0
-    for zero_window in [(), (0,), (1,), (2,)]:
-        features = {w: (zero if w == zero_window else f) for w, f in base._features.items()}
-        target = TabularModel(3, 1, base._table, features, 3)
+    windows = [(), (0,), (1,), (2,)]  # the model's row order
+    for zero_window in windows:
+        features = {w: (zero if w == zero_window else ev.feature) for w, ev in zip(windows, base._evals)}
+        target = TabularModel(3, 1, {w: ev.dist for w, ev in zip(windows, base._evals)}, features, 3)
         for mode in ("topk", STOCHASTIC):
             for mask in (TreeMask((2, 2, 1)), TreeMask((3, 1))):
                 tree = draft_one(
