@@ -234,23 +234,30 @@ def residual_dist(q: ProbDist, p: ProbDist) -> ProbDist:
     return ProbDist._of_checked_row(mass)
 
 
+def first_hits(mass: np.ndarray, hit: np.ndarray) -> np.ndarray:
+    """The inverse-CDF pick of every row of `mass`; drafting and corrections both draw through it.
+
+    `hit[j]` marks where row j's prefix sums pass its threshold, so the pick
+    is the row's first hit; a row without one, where rounding left its sums
+    at or below the threshold, takes its last positive token (0 if none).
+    """
+    token = hit.argmax(axis=1)
+    if not np.logical_and.reduce(hit[:, -1]):
+        missed = ~hit[:, -1]
+        pos = mass[missed] > 0.0
+        last = mass.shape[1] - 1 - pos[:, ::-1].argmax(axis=1)
+        token[missed] = np.where(pos.any(axis=1), last, 0)
+    return token
+
+
 def sample_corrections(q: np.ndarray, p: np.ndarray, r: np.ndarray) -> list[TokenId]:
     """One correction token per row: row j draws `residual_dist(q[j], p[j])` with uniform `r[j]`.
 
     A degenerate row draws from `q[j]` itself. Each draw is `ProbDist.sample`'s,
-    bit for bit: the count of cdf entries at or below `r[j]`, or, when the
-    cdf ends at or below it, the row's last positive token (0 if none).
+    bit for bit: the `first_hits` pick of the first cdf entry above `r[j]`.
     """
     mass, _ = _residual_rows(q, p)
-    tokens = np.add.reduce(mass.cumsum(axis=1) <= r[:, None], axis=1).tolist()
-    vocab = mass.shape[1]
-    if vocab in tokens:
-        rows = np.flatnonzero(np.equal(tokens, vocab))
-        positive = mass[rows] > 0.0
-        last = np.where(positive.any(axis=1), vocab - 1 - positive[:, ::-1].argmax(axis=1), 0)
-        for row, token in zip(rows.tolist(), last.tolist()):
-            tokens[row] = token
-    return tokens
+    return first_hits(mass, mass.cumsum(axis=1) > r[:, None]).tolist()
 
 
 _MASK64 = (1 << 64) - 1

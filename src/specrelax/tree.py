@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import ConfigError, GridPos, ProbDist, RngStream, TokenId, VocabExhausted, peek_reals
+from .core import ConfigError, GridPos, RngStream, TokenId, VocabExhausted, first_hits, peek_reals
 from .models import Drafter
 
 DEFAULT_NODE_CAP = 256
@@ -27,9 +27,6 @@ CANDIDATE_MODES = (TOPK, STOCHASTIC)
 
 # Total mass at or below which a draw without replacement stops early.
 EXHAUSTION_FLOOR = 1e-12
-# A row whose every mass exceeds this is drawn `width` times: its running
-# total stays above EXHAUSTION_FLOOR until then, whatever the draws pick.
-SAFE_MIN_MASS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -419,115 +416,64 @@ def _full_skeleton(widths: tuple[int, ...], depths: tuple[int, ...]) -> _Skeleto
     return _skeleton(depths, widths)
 
 
-def _inverse_cdf(mass: list[float], total: float, r: float) -> int:
-    acc = 0.0
-    threshold = r * total
-    last_positive = 0
-    for idx, m in enumerate(mass):
-        if m > 0.0:
-            last_positive = idx
-            acc += m
-            if threshold < acc:
-                return idx
-    return last_positive
-
-
-class _BlockStream:
-    """`next_real` over a list of peeked uniforms; `used` counts those read."""
-
-    __slots__ = ("values", "used")
-
-    def __init__(self, values: list[float]) -> None:
-        self.values = values
-        self.used = 0
-
-    def next_real(self) -> float:
-        self.used += 1
-        return self.values[self.used - 1]
-
-
-def _draw_row(mass: np.ndarray, width: int, rng: _BlockStream) -> list[TokenId]:
-    """Draw up to `width` distinct tokens from one row, one uniform at a time.
-
-    A width-1 row takes one `ProbDist.sample` draw. Wider rows draw
-    sequentially without replacement against `r * total`, taking the drawn
-    token's mass off the running total, and stop once that total is at most
-    EXHAUSTION_FLOOR. The starting total is the row's left-to-right sum, as
-    in `_draw_steps` (Python's own `sum` compensates from 3.12 on).
-    """
-    if width == 1:
-        return [ProbDist._of_checked_row(mass).sample(rng)]
-    working = mass.tolist()
-    total = float(np.cumsum(mass)[-1])
-    picked = []
-    for _ in range(width):
-        if total <= EXHAUSTION_FLOOR:
-            break
-        token = _inverse_cdf(working, total, rng.next_real())
-        picked.append(token)
-        total -= working[token]
-        working[token] = 0.0
-    return picked
-
-
-def _draw_rows(
-    rows: np.ndarray, width: int, row_lane: np.ndarray, block: np.ndarray, cursor: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw each row's candidates on its own through `_draw_row`, each lane's uniforms in row order.
-
-    Lane k's uniforms are read from `block` at `cursor[k]` on, and the
-    cursor is moved past the ones used. Returns the `(rows, width)` picks
-    and which of them are valid.
-    """
-    picks = np.zeros((len(rows), width), dtype=np.intp)
-    valid = np.zeros((len(rows), width), dtype=bool)
-    bounds = np.searchsorted(row_lane, np.arange(len(cursor) + 1)).tolist()
-    for lane, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        start = int(cursor[lane])
-        stream = _BlockStream(block[start : start + (hi - lo) * width].tolist())
-        for row in range(lo, hi):
-            picked = _draw_row(rows[row], width, stream)
-            picks[row, : len(picked)] = picked
-            valid[row, : len(picked)] = True
-        cursor[lane] += stream.used
-    return picks, valid
-
-
-def _first_hits(working: np.ndarray, hit: np.ndarray) -> np.ndarray:
-    """Each row's first hit; a row without one takes its last positive token (0 if none)."""
-    token = hit.argmax(axis=1)
-    if not np.logical_and.reduce(hit[:, -1]):
-        missed = ~hit[:, -1]
-        pos = working[missed] > 0.0
-        last = working.shape[1] - 1 - pos[:, ::-1].argmax(axis=1)
-        token[missed] = np.where(pos.any(axis=1), last, 0)
-    return token
-
-
-def _draw_steps(rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+def _draw_steps(rows: np.ndarray, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """Draw without replacement from every row at once, `uniforms[j, s]` for row j's step s.
 
-    The same arithmetic as `_draw_row`, one step for all rows at a time:
-    the prefix sums of the row's remaining mass against `r * total` (against
-    `r` for width 1), falling back to the last positive token.
+    Width 1 is one `first_hits` pick against `r`, as `ProbDist.sample`.
+    Wider rows pick against `r * total`, where the total starts at the row's
+    left-to-right sum and loses each drawn token's mass, which is then
+    zeroed; a row stops once its total is at most EXHAUSTION_FLOOR, and its
+    later picks mean nothing. Returns the `(rows, width)` picks and each
+    row's count of draws before it stopped, or None when every row drew its
+    full width.
     """
     n_rows, width = uniforms.shape
     if width == 1:
-        return _first_hits(rows, rows.cumsum(axis=1) > uniforms)[:, None]
+        return first_hits(rows, rows.cumsum(axis=1) > uniforms)[:, None], None
     picks = np.empty((n_rows, width), dtype=np.intp)
     working = rows.copy()
     reach = np.arange(n_rows)
-    total = None
+    total = drawn = None
     for step in range(width):
         cum = working.cumsum(axis=1)
         if total is None:
             total = cum[:, -1]
-        token = _first_hits(working, cum > (uniforms[:, step] * total)[:, None])
+        if not np.minimum.reduce(total) > EXHAUSTION_FLOOR:
+            if drawn is None:
+                drawn = np.full(n_rows, width)
+            drawn[(total <= EXHAUSTION_FLOOR) & (drawn > step)] = step
+        token = first_hits(working, cum > (uniforms[:, step] * total)[:, None])
         picks[:, step] = token
         if step + 1 < width:
             total = total - working[reach, token]
             working[reach, token] = 0.0
-    return picks
+    return picks, drawn
+
+
+def _draw_level(
+    rows: np.ndarray, row_lane: np.ndarray, block: np.ndarray, cursor: np.ndarray, drawn: np.ndarray, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw a level whose rows may stop early, each lane's rows in turn reading on from `cursor`.
+
+    Row j's first uniform is `block[cursor[row_lane[j]]]` moved on by the
+    draws of its lane's earlier rows. Starting from the guessed counts
+    `drawn`, the level is redrawn until the starts its draws give are the
+    starts it was drawn from; each pass settles the next row of every lane,
+    so a lane of n rows needs n passes at most. Moves `cursor` past the
+    uniforms used, and returns the picks and each row's count of draws.
+    """
+    first = np.searchsorted(row_lane, row_lane)  # the first row of each row's lane
+    steps = np.arange(width)
+    start = None
+    while True:
+        before = np.cumsum(drawn) - drawn
+        drawn_from, start = start, cursor[row_lane] + before - before[first]
+        if np.array_equal(start, drawn_from):
+            break
+        picks, stopped = _draw_steps(rows, block[start[:, None] + steps])
+        drawn = np.full(len(rows), width) if stopped is None else stopped
+    np.add.at(cursor, row_lane, drawn)
+    return picks, drawn
 
 
 def sample_draft_tree(
@@ -555,12 +501,16 @@ def sample_draft_tree(
     clipped mask's node count; each counter then moves past the ones its
     lane used, so the unused ones stay the stream's next draws.
 
-    The forest is laid out up front as if full, every row yielding its
-    level's width, so lane-major node i takes uniform i of the block. From
-    the first level with a stochastic row holding a mass at or below
-    SAFE_MIN_MASS, or with a zero-mass top-k pick, rows are drawn one by one
-    and the forest is laid out from the counts drawn. Lane depths outside
-    `[1, mask.depth]` and a lane reaching past the grid raise ConfigError.
+    Every stochastic level is drawn by `_draw_steps`. The forest is laid
+    out up front as if full, every row yielding its level's width, so
+    lane-major node i takes uniform i of the block and a full level takes
+    its uniforms in one gather. From the first level with a stochastic row
+    that stops early or a zero-mass top-k pick, the forest is laid out from
+    the counts drawn, and each stochastic level is drawn by `_draw_level`,
+    every lane reading on from the uniforms its earlier rows used. A lane
+    count of zero, `prefixes`, `depths` and `rngs` of unequal lengths, lane
+    depths outside `[1, mask.depth]` and a lane reaching past the grid raise
+    ConfigError.
     """
     if mode not in CANDIDATE_MODES:
         raise ConfigError(f"unknown candidate mode {mode!r}")
@@ -570,6 +520,11 @@ def sample_draft_tree(
     root_index = [groups.setdefault(p, len(groups)) for p in prefixes]
     root_prefixes = list(groups)
     depths = tuple(depths)
+    if not len(prefixes) == len(depths) == len(rngs) > 0:
+        raise ConfigError(
+            f"{len(prefixes)} prefixes, {len(depths)} depths and {len(rngs)} streams: "
+            "a forest needs at least one lane, and one of each per lane"
+        )
     shallowest, max_depth = min(depths), max(depths)
     if shallowest < 1 or max_depth > mask.depth:
         raise ConfigError(f"lane depths must lie in [1, {mask.depth}]")
@@ -614,7 +569,7 @@ def sample_draft_tree(
     full = True
     tokens, probs, tables, kids = [], [], [], []
     for level, width in enumerate(widths, start=1):
-        valid = None
+        drawn = None
         if full:
             step = layout.levels[level - 1]
             source = step.source
@@ -625,16 +580,18 @@ def sample_draft_tree(
                 picks = rows.argmax(axis=1)[:, None]  # the first maximum: ties to the lower id
             else:
                 picks = np.argsort(-rows, axis=1, kind="stable")[:, :width]
-        elif full and np.minimum.reduce(rows, axis=None) > SAFE_MIN_MASS:
-            picks = _draw_steps(rows, block[step.ids].reshape(len(rows), width))
-        else:
-            if full:
-                # Row by row from here on: each lane reads on from its first
-                # uniform of this level, or from its block's end if it stopped above.
+        elif full:
+            picks, drawn = _draw_steps(rows, block[step.ids].reshape(len(rows), width))
+            if drawn is not None:
+                # Redrawn from lane cursors from here on: each lane reads on from its
+                # first uniform of this level, or from its block's end if it stopped above.
                 cursor = np.array([starts[min(level, len(starts)) - 1] for starts in layout.level_starts])
-            picks, valid = _draw_rows(rows, width, row_lane, block, cursor)
+                picks, drawn = _draw_level(rows, row_lane, block, cursor, drawn, width)
+        else:
+            picks, drawn = _draw_level(rows, row_lane, block, cursor, np.full(len(rows), width), width)
         level_tokens = picks.ravel()
         level_probs = rows[source, level_tokens]
+        valid = None if drawn is None else np.arange(width) < drawn[:, None]
         if mode == TOPK and not np.minimum.reduce(level_probs) > 0.0:
             valid = (level_probs > 0.0).reshape(picks.shape)
         if valid is None:

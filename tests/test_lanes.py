@@ -24,7 +24,7 @@ from specrelax import (
     tempered_table_drafter,
 )
 from specrelax.core import UnknownWindow
-from specrelax.tree import ROOT, SAFE_MIN_MASS, STOCHASTIC, TOPK
+from specrelax.tree import EXHAUSTION_FLOOR, ROOT, STOCHASTIC, TOPK, _draw_steps
 from specrelax.verify import TraceRecord
 
 from conftest import FixedDrafter, tree_depth, tree_level
@@ -226,14 +226,19 @@ class IndexDrafter:
 
 
 def test_forests_mixing_row_by_row_and_stepped_levels_match_the_scalar_drafter():
-    # Even indexes hold a row with a tiny and a zero mass, drawn row by row
-    # (`_draw_row`), which can stop before its width; odd indexes a row with
-    # no small mass. Level 1 sits at an even index, so each forest falls back
-    # at once and draws its odd levels row by row too: each lane must read
-    # its uniforms on from those its earlier levels used.
+    # Even indexes hold a row with a tiny and a zero mass, which can stop
+    # before its width; odd indexes a row with no small mass, which cannot.
+    # Level 1 sits at an even index, so each forest leaves its full layout at
+    # once and draws its odd levels from lane cursors too: each lane must
+    # read its uniforms on from those its earlier levels used.
     slow = [0.6, 0.4 - 1e-12, 1e-12, 0.0]
     fast = [0.1, 0.2, 0.3, 0.4]
-    assert min(slow) <= SAFE_MIN_MASS < min(fast)
+    uniforms = np.random.default_rng(0).random((200, 3))
+    _, drawn = _draw_steps(np.array([slow] * 200), uniforms)
+    assert drawn is not None and drawn.min() < 3
+    # After its two largest masses are drawn, a fast row still holds more than the floor.
+    assert sum(sorted(fast)[:2]) > EXHAUSTION_FLOOR
+    assert _draw_steps(np.array([fast] * 200), uniforms)[1] is None
     drafter = IndexDrafter([slow, fast])
     prefixes = [[], [1, 2], [3, 0], [0, 1, 2, 3]]  # even lengths: every level is one kind
     for mask in (TreeMask((3, 2, 2)), TreeMask((2, 3, 1, 2))):
@@ -245,10 +250,10 @@ def test_forests_mixing_row_by_row_and_stepped_levels_match_the_scalar_drafter()
 
 def test_forests_falling_back_after_full_levels_match_the_scalar_drafter():
     # Indexes 0 and 1 (mod 3) hold rows every candidate can be drawn from in
-    # one pass; index 2 a row with a tiny mass, which a stochastic level
-    # draws row by row, or with one positive token, which a top-k level of
-    # width 3 cannot fill. Prefix lengths divisible by 3 make levels 1 and 2
-    # full and level 3 the first to fall back; later levels stay row by row.
+    # one pass; index 2 a row with a tiny mass, which can stop a stochastic
+    # row early, or with one positive token, which a top-k level of width 3
+    # cannot fill. Prefix lengths divisible by 3 make levels 1 and 2 full and
+    # level 3 the first to leave the full layout; later levels stay off it.
     # Each lane must read on from its own first uniform of level 3, and
     # lanes that stop above level 3 must use up their blocks.
     fast = [[0.1, 0.2, 0.3, 0.4], [0.4, 0.1, 0.25, 0.25]]

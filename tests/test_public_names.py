@@ -18,13 +18,15 @@ NO_CALLER_YET = {
 }
 
 
-def loaded_names() -> set[str]:
-    """Every name read, bare or as an attribute, in the package's modules other than `__init__.py`."""
+def parsed(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def loaded_names(paths) -> set[str]:
+    """Every name read, bare or as an attribute, in the package modules at `paths`."""
     names = set()
-    for path in SRC.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+    for path in paths:
+        for node in ast.walk(parsed(path)):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
@@ -32,8 +34,30 @@ def loaded_names() -> set[str]:
     return names
 
 
+def private_module_names(path: Path) -> set[str]:
+    """The `_private` functions, classes and constants a module defines at its top level."""
+    names = set()
+    for node in parsed(path).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(target.id for target in node.targets if isinstance(target, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
 def test_every_public_name_has_a_caller_in_the_package():
-    loaded = loaded_names()
+    # `__init__.py` only re-exports, so its reads are no callers.
+    loaded = loaded_names(path for path in SRC.glob("*.py") if path.name != "__init__.py")
     uncalled = {name for name in specrelax.__all__ if name not in loaded}
     assert uncalled - NO_CALLER_YET.keys() == set(), "public names without a caller in the package"
     assert NO_CALLER_YET.keys() - uncalled == set(), "listed names that gained a caller or left __all__"
+
+
+def test_every_private_helper_is_read_in_the_package():
+    loaded = loaded_names(SRC.glob("*.py"))
+    orphans = {
+        f"{path.name}:{name}" for path in SRC.glob("*.py") for name in private_module_names(path) - loaded
+    }
+    assert orphans == set(), "private module-level names nothing in the package reads"

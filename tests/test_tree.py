@@ -5,12 +5,13 @@ import pytest
 
 from specrelax import (
     ConfigError,
+    LinearDrafter,
     RngStream,
     TreeMask,
     VocabExhausted,
     sample_draft_tree,
 )
-from specrelax.tree import ROOT, STOCHASTIC
+from specrelax.tree import ROOT, STOCHASTIC, TOPK
 
 from conftest import FixedDrafter, draft_one, tree_depth, tree_level
 
@@ -71,6 +72,23 @@ def test_lane_depths_outside_the_mask_raise_config_error():
         rngs = [RngStream(k) for k in range(len(depths))]
         with pytest.raises(ConfigError):
             sample_draft_tree(drafter, [[]] * len(depths), TreeMask((2, 2)), depths, rngs)
+
+
+@pytest.mark.parametrize("mode", [TOPK, STOCHASTIC])
+@pytest.mark.parametrize(
+    "prefixes, depths, streams",
+    [
+        ([], [], 0),  # no lane
+        ([[], [1]], [2], 2),  # a depth short
+        ([[], [1]], [2, 2], 1),  # a stream short
+        ([[]], [2], 2),  # a stream too many
+        ([[], [1]], [2, 2, 2], 2),  # a depth too many
+    ],
+)
+def test_lane_arguments_of_unequal_length_raise_config_error(prefixes, depths, streams, mode):
+    rngs = [RngStream(k) for k in range(streams)]
+    with pytest.raises(ConfigError):
+        sample_draft_tree(LinearDrafter.zeros(32, 8), prefixes, TreeMask.default(), depths, rngs, mode=mode)
 
 
 def test_lane_reaching_past_the_grid_raises_config_error():
