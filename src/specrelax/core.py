@@ -271,6 +271,16 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _check_seed(seed: int) -> None:
+    """Raise ConfigError unless `seed` lies in a stream's seed space, [0, 2**64).
+
+    `RngStream` masks its seed to 64 bits, so a seed outside would silently
+    decode another seed's stream.
+    """
+    if not 0 <= seed <= _MASK64:
+        raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
+
+
 def derive_seed(base: int, index: int) -> int:
     """Deterministic child seed for sub-streams (per sequence, per worker)."""
     return _mix64((_mix64(base & _MASK64) + ((index & _MASK64) * _GAMMA)) & _MASK64)

@@ -26,6 +26,7 @@ from .core import (
     RngStream,
     RowOutOfRange,
     TokenId,
+    _check_seed,
     cosine_sim,
     derive_streams,
 )
@@ -151,6 +152,8 @@ class ExperimentConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        _check_seed(min(self.seeds))
+        _check_seed(max(self.seeds))
         if self.candidate_mode not in CANDIDATE_MODES:
             raise ConfigError(f"unknown candidate mode {self.candidate_mode!r}")
         _check_kappa(self.kappa)
@@ -297,6 +300,7 @@ def mc_distribution_test(
     """
     if samples < 1:
         raise ConfigError(f"at least one sample is required, got {samples}")
+    _check_seed(base_seed)
     _check_drafter_matches(target, drafter)
     _check_length(target, drafter, length)
     oracle = enumerate_ar_distribution(target, length)

@@ -30,6 +30,7 @@ from .core import (
     TokenId,
     TooLarge,
     UnknownWindow,
+    _check_seed,
     _mix64,
     _mix64_array,
 )
@@ -741,8 +742,7 @@ def load_model(path: str | Path):
 def random_tabular_model(vocab: int, order: int, seed: int, h: int = 4) -> TabularModel:
     """Seeded tabular fixture: flat-Dirichlet rows and unit random features per window."""
     _check_tabular_shape(vocab, order, h)
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     table: dict[Window, ProbDist] = {}
     features: dict[Window, FeatureVec] = {}

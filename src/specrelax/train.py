@@ -28,6 +28,7 @@ from .core import (
     ProbDist,
     RngStream,
     TokenId,
+    _check_seed,
     cosine_sim,
     derive_seed,
 )
@@ -59,6 +60,7 @@ class TrainConfig:
             raise ConfigError("tau_seq_train must lie in [0, 1.01]")
         if not (math.isfinite(self.hard_ce_weight) and self.hard_ce_weight >= 0.0):
             raise ConfigError("hard_ce_weight must be finite and >= 0")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -30,6 +31,7 @@ from .core import (
     TokenId,
     ZeroNormFeature,
     cosine_sim,  # noqa: F401  (bench/tracer.py counts scalar cosines through this name)
+    peek_reals,
     sample_corrections,
 )
 from .models import Drafter, LawTable, Target
@@ -410,15 +412,33 @@ def _draw_corrections(laws: LawTable, law: np.ndarray, pending: Sequence[tuple])
     return sample_corrections(q, p, np.array(uniforms))
 
 
+class _Uniforms:
+    """A lane's slice of its cycle's uniform block, read in order as its stream would draw it.
+
+    `next_real` is the slice iterator's own `__next__`: no counter and no Python frame.
+    """
+
+    __slots__ = ("next_real",)
+
+    def __init__(self, values: list[float]) -> None:
+        self.next_real = iter(values).__next__
+
+
+# Below this many uniforms in a cycle's block, lanes draw from their own
+# streams: one `peek_reals` pass costs about 22 `next_real` draws, which a few
+# short walks do not repay. Measured on tabular chains and grid trees.
+_BLOCK_MIN = 64
+
+
 def _run_verification(
     tree: DraftTree,
     evals: TreeEvals,
     lane: int,
-    rng: RngStream,
+    rng: RngStream | _Uniforms,
     sets: SimilaritySets | None,
     budget: float,
 ) -> VerifyOutcome:
-    """Walk lane `lane` of the forest `tree` on its own stream.
+    """Walk lane `lane` of the forest `tree` on its own stream, or on a reader of its uniforms.
 
     A node without donors is decided by its threshold from the forest's one
     gather (`TreeEvals.judged`); a node with donors in `sets` is boosted by
@@ -540,8 +560,13 @@ def decode_lanes(
 
     The lanes run in lockstep: each cycle drafts one forest holding every
     unfinished lane's tree, evaluates it with one target pass, takes every
-    lane's similarity sets from one pass, walks each lane's tree on its own
-    stream, and then draws every lane's correction in one residual pass.
+    lane's similarity sets from one pass, walks each lane's tree, and then
+    draws every lane's correction in one residual pass. The walks take their
+    uniforms from one `peek_reals` block per cycle: lane j's slice holds
+    `1 + sum(mask.widths[:depth_j])`, the most a walk can draw (every
+    sibling of each level, then a correction), and its stream's counter then
+    moves past the ones its walk read. A cycle whose block would hold fewer
+    than `_BLOCK_MIN` uniforms walks each lane on its own stream instead.
     A lane's tokens, counters and decisions are those of decoding it alone.
     `on_outcome(lane, cycle, outcome)` sees each lane's calls in order, with
     its correction drawn. An unknown mode or candidate mode, a length below 1 or
@@ -571,21 +596,34 @@ def decode_lanes(
 
     live = list(range(len(rngs)))
     depth = mask.depth
+    # A walk of depth d draws at most one uniform per sibling of each level, and one for a correction.
+    most = [1 + reach for reach in accumulate(mask.widths, initial=0)]
     while live:
         prefixes = [lanes[k][0] for k in live]
         depths = [min(depth, length - len(p)) for p in prefixes]
-        tree = sample_draft_tree(
-            drafter, prefixes, mask, depths, [rngs[k] for k in live], mode=candidate_mode, side=side
-        )
+        streams = [rngs[k] for k in live]
+        tree = sample_draft_tree(drafter, prefixes, mask, depths, streams, mode=candidate_mode, side=side)
         evals = evaluate_tree(target, tree)
         sets = build_sets(tree, evals, cfg) if mode == CASCADE else None
+        need = [most[d] for d in depths]
+        block = peek_reals(streams, need).tolist() if sum(need) >= _BLOCK_MIN else None
+        end = 0
         # Each rejecting walk's kept correction, and its lane (with its outcome when a sink reads it).
         pending, corrected, seen = [], [], []
         for j, k in enumerate(live):
+            rng = rngs[k]
+            if block is not None:
+                # Built lane by lane and freed after its walk: a whole cycle of live
+                # readers would set off extra garbage collections.
+                rng = _Uniforms(block[end : end + need[j]])
+                end += need[j]
             if mode == CASCADE:
-                outcome = verify_cascade(tree, evals, cfg, rngs[k], sets, lane=j)
+                outcome = verify_cascade(tree, evals, cfg, rng, sets, lane=j)
             else:
-                outcome = verify_vanilla(tree, evals, rngs[k], lane=j)
+                outcome = verify_vanilla(tree, evals, rng, lane=j)
+            if block is not None:
+                # The stream moves past the uniforms its walk read.
+                rngs[k].counter += len(outcome._decisions) + (outcome._pending is not None)
             tokens, stats = lanes[k]
             cycle = stats.verify_calls
             stats.verify_calls += 1
@@ -612,7 +650,7 @@ def decode_lanes(
         for k, cycle, outcome in seen:
             on_outcome(k, cycle, outcome)
         # Free this cycle's forest, laws and sets before the next forest is drafted.
-        del tree, evals, sets, pending, corrected, seen, outcome
+        del tree, evals, sets, block, pending, corrected, seen, outcome
         live = [k for k in live if len(lanes[k][0]) < length]
     for tokens, stats in lanes:
         stats.tokens_emitted = len(tokens)

@@ -27,6 +27,7 @@ from specrelax import (
     export_similarity_heatmap,
     load_model,
     mc_distribution_test,
+    random_tabular_model,
     run_experiment,
     save_model,
     train_drafter,
@@ -500,6 +501,47 @@ def test_parse_seed_spec_forms():
         parse_seed_spec("1..x")
 
 
+@pytest.mark.parametrize(
+    "spec",
+    ["-1", "18446744073709551616", "3,-2..4", "18446744073709551615..18446744073709551616", "-7..-9"],
+)
+def test_parse_seed_spec_refuses_numbers_outside_the_seed_space(spec):
+    # `RngStream` masks a seed to 64 bits: -1 would decode stream 2**64 - 1, and 2**64 stream 0.
+    with pytest.raises(ConfigError, match=r"\[0, 2\*\*64\)"):
+        parse_seed_spec(spec)
+
+
+def test_parse_seed_spec_counts_ranges_against_the_cap_before_expanding_them():
+    top = 2**64 - 1
+    assert parse_seed_spec(f"{top - 1}..{top}") == (top - 1, top)
+    assert len(parse_seed_spec("0..999999")) == 1_000_000
+    with pytest.raises(ConfigError, match="1000001 seeds"):
+        parse_seed_spec("0..999999,7")
+    with pytest.raises(ConfigError, match="above the cap"):
+        parse_seed_spec(f"0..{top}")  # 2**64 seeds: refused without building a list of them
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda tmp: ExperimentConfig(model_path=str(tmp), mode="ar", seeds=(0, 2**64)),
+        lambda tmp: ExperimentConfig(model_path=str(tmp), mode="ar", seeds=(-1, 0)),
+        lambda tmp: TrainConfig(seed=-1),
+        lambda tmp: TrainConfig(seed=2**64),
+        lambda tmp: random_tabular_model(4, 1, seed=2**64),
+        lambda tmp: mc_distribution_test(random_tabular_model(4, 1, seed=11), None, "ar", 10, 2, base_seed=-1),
+        lambda tmp: mc_distribution_test(random_tabular_model(4, 1, seed=11), None, "ar", 10, 2, base_seed=2**64),
+    ],
+    ids=["experiment-2**64", "experiment-negative", "train-negative", "train-2**64", "tabular-2**64",
+         "oracle-negative", "oracle-2**64"],
+)
+def test_library_configs_refuse_seeds_outside_the_seed_space(tmp_path, build):
+    model = tmp_path / "grid.json"
+    save_model(GridWorldModel.default(), model)
+    with pytest.raises(ConfigError, match=r"\[0, 2\*\*64\)"):
+        build(model)
+
+
 def run_cli(args) -> int:
     return cli_main([str(a) for a in args])
 
@@ -599,6 +641,7 @@ def test_cli_make_model_round_trip(tmp_path):
         # Two windows at order 1, but 10^12 and 4 * 10^9 table cells.
         ["--family", "tabular", "--vocab", "999999"],
         ["--family", "tabular", "--h", "1000000000"],
+        ["--family", "tabular", "--seed", "18446744073709551616"],
     ],
 )
 def test_cli_make_model_bad_values_exit_2(tmp_path, model_files, capsys, monkeypatch, flags):
@@ -647,6 +690,13 @@ def test_cli_reports_engine_errors(tmp_path, capsys):
         ["train", "--c", "inf"],
         ["train", "--lr", "nan"],
         ["train", "--lr", "inf"],
+        ["decode", "--seeds", "-1"],
+        ["decode", "--seeds", "18446744073709551616"],
+        ["decode", "--seeds", "0,18446744073709551615..18446744073709551616"],
+        ["oracle", "--seed", "-1", "--samples", "100"],
+        ["oracle", "--seed", "18446744073709551616", "--samples", "100"],
+        ["train", "--seed", "-1"],
+        ["train", "--seed", "18446744073709551616"],
     ],
 )
 def test_cli_bad_flag_values_exit_2(tmp_path, model_files, capsys, monkeypatch, flags):

@@ -506,41 +506,49 @@ def test_a_lane_with_a_prefix_out_of_range_raises_before_any_draw(case, grid_dra
 
 
 def test_a_standalone_outcome_draws_its_correction_on_read_from_the_uniform_it_kept():
-    from specrelax import DegenerateResidual, residual_dist, verify_vanilla
+    from specrelax import DegenerateResidual, residual_dist, verify_cascade, verify_vanilla
 
     target = random_tabular_model(4, 1, seed=11)
     drafter = tempered_table_drafter(target)
-    rejected = 0
-    for seed in range(200):
-        rng = RngStream(seed)
-        tree = sample_draft_tree(drafter, [[seed % 4]], TreeMask((2, 1)), [2], [rng], mode=STOCHASTIC)
-        evals = evaluate_tree(target, tree)
-        start = rng.counter
-        outcome = verify_vanilla(tree, evals, rng)
-        decisions = len(outcome.trace)
-        if outcome.trace[-1].decision == "accept":
-            assert rng.counter == start + decisions and outcome.correction_token is None
-            continue
-        rejected += 1
-        # The correction's uniform is drawn by the walk, right after the last decision's.
-        assert rng.counter == start + decisions + 1
-        siblings, parent = tree_level(tree, 1), ROOT
-        for rec in outcome.trace:
-            node = siblings[rec.sibling]
-            if rec.decision == "accept":
-                siblings, parent = tree.children[node], node
-        last = outcome.trace[-1]
-        arrays = tree.arrays
-        p_dist = ProbDist(arrays.draft_table[arrays.root_row if parent == ROOT else arrays.cond_row[parent]])
-        try:
-            law = residual_dist(last.q_dist, p_dist)
-        except DegenerateResidual:
-            law = last.q_dist
-        expected = law.sample(RngStream(seed, counter=start + decisions))
-        assert outcome.correction_token == expected
-        assert outcome.emitted_tokens == outcome.accepted_tokens + [expected]
-        assert rng.counter == start + decisions + 1  # reading it draws nothing more
-    assert rejected > 20
+    cfg = RelaxConfig(tau_pos=0.3, tau_seq=0.3)
+    for mode in ("vanilla", "cascade"):
+        rejected = relaxed = 0
+        for seed in range(200):
+            rng = RngStream(seed)
+            tree = sample_draft_tree(drafter, [[seed % 4]], TreeMask((2, 1)), [2], [rng], mode=STOCHASTIC)
+            evals = evaluate_tree(target, tree)
+            start = rng.counter
+            if mode == "cascade":
+                outcome = verify_cascade(tree, evals, cfg, rng)
+                relaxed += outcome.tvd_consumed > 0.0
+            else:
+                outcome = verify_vanilla(tree, evals, rng)
+            decisions = len(outcome.trace)
+            if outcome.trace[-1].decision == "accept":
+                assert rng.counter == start + decisions and outcome.correction_token is None
+                continue
+            rejected += 1
+            # The correction's uniform is drawn by the walk, right after the last decision's.
+            assert rng.counter == start + decisions + 1
+            siblings, parent = tree_level(tree, 1), ROOT
+            for rec in outcome.trace:
+                node = siblings[rec.sibling]
+                if rec.decision == "accept":
+                    siblings, parent = tree.children[node], node
+            last = outcome.trace[-1]
+            arrays = tree.arrays
+            p_dist = ProbDist(arrays.draft_table[arrays.root_row if parent == ROOT else arrays.cond_row[parent]])
+            try:
+                law = residual_dist(last.q_dist, p_dist)
+            except DegenerateResidual:
+                law = last.q_dist
+            expected = law.sample(RngStream(seed, counter=start + decisions))
+            assert outcome.correction_token == expected
+            assert outcome.emitted_tokens == outcome.accepted_tokens + [expected]
+            assert rng.counter == start + decisions + 1  # reading it draws nothing more
+        assert rejected > 20
+        # The cascade walks relax often, so they take other paths than the vanilla ones.
+        assert (relaxed > 20) == (mode == "cascade")
 
 
 def test_lanes_draw_every_correction_of_a_cycle_in_one_pass(monkeypatch):
@@ -594,6 +602,74 @@ def test_lanes_draw_every_correction_of_a_cycle_in_one_pass(monkeypatch):
             candidate_mode=STOCHASTIC,
         )
         assert alone == lanes[k][0]
+
+
+# --- verification uniforms from one block per cycle ---------------------------------
+
+
+def _tabular_chain():
+    target = random_tabular_model(4, 1, seed=11)
+    return target, tempered_table_drafter(target), TreeMask.chain(3), RelaxConfig(), 3, tuple(range(64))
+
+
+# (target, drafter, mask, relaxation, length, seeds) of each case, from the trained grid drafter.
+BLOCK_CASES = {
+    "grid-zero": lambda trained: (
+        GridWorldModel.default(), LinearDrafter.zeros(32, 8), TreeMask.default(), RelaxConfig(), 64, SEEDS,
+    ),
+    "grid-trained": lambda trained: (
+        GridWorldModel.default(), trained, TreeMask.default(), RelaxConfig(), 23, SEEDS,
+    ),
+    "tabular-chain": lambda trained: _tabular_chain(),
+    "pruned-rows": lambda trained: (
+        random_tabular_model(6, 1, seed=8, h=3), FixedDrafter([0.5, 0.0, 0.3, 0.2 - 1e-12, 1e-12, 0.0]),
+        TreeMask((4, 2, 1)), RelaxConfig(tau_pos=0.3, tau_seq=0.3), 11, SEEDS,
+    ),
+    # Lanes reach the end of the sequence after different numbers of cycles.
+    "staggered": lambda trained: (
+        GridWorldModel.default(), LinearDrafter.zeros(32, 8), TreeMask.default(), RelaxConfig(), 30, range(6),
+    ),
+}
+
+
+def _decode_at_crossover(monkeypatch, crossover, case, mode, candidate_mode):
+    import specrelax.verify as verify_mod
+
+    target, drafter, mask, cfg, length, seeds = case
+    blocks = []
+    peek = verify_mod.peek_reals
+    monkeypatch.setattr(verify_mod, "_BLOCK_MIN", crossover)
+    monkeypatch.setattr(verify_mod, "peek_reals", lambda rngs, counts: blocks.append(counts) or peek(rngs, counts))
+    rngs = [RngStream(seed) for seed in seeds]
+    lines = []
+
+    def sink(lane, cycle, outcome):
+        lines.append((lane, cycle, outcome.emitted_tokens, outcome.trace_lines(seeds[lane], cycle)))
+
+    lanes = decode_lanes(
+        target, drafter, mode, mask, cfg, length, rngs, candidate_mode=candidate_mode, on_outcome=sink
+    )
+    monkeypatch.setattr(verify_mod, "peek_reals", peek)
+    return (lanes, [rng.counter for rng in rngs], lines), blocks
+
+
+@pytest.mark.parametrize("candidate_mode", [TOPK, STOCHASTIC])
+@pytest.mark.parametrize("mode", ["vanilla", "cascade"])
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_walks_on_the_cycle_block_equal_walks_on_the_streams(
+    monkeypatch, case, mode, candidate_mode, grid_drafter
+):
+    built = BLOCK_CASES[case](grid_drafter)
+    on_block, blocks = _decode_at_crossover(monkeypatch, 0, built, mode, candidate_mode)
+    on_streams, none = _decode_at_crossover(monkeypatch, 10**9, built, mode, candidate_mode)
+    # Tokens, stats, final counters, emitted tokens and trace lines, lane by lane and cycle by cycle.
+    assert on_block == on_streams
+    lanes = on_block[0]
+    # Drafting peeks too; the walks add one block per cycle, and none on the streams.
+    cycles = max(stats.verify_calls for _, stats in lanes)
+    assert len(blocks) - len(none) == cycles
+    if case == "staggered":
+        assert len({stats.verify_calls for _, stats in lanes}) > 1
 
 
 # --- no state outlives a decode ----------------------------------------------------

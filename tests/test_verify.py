@@ -687,6 +687,29 @@ def test_vanilla_degenerate_residual_falls_back_to_target():
     assert outcome.correction_token == 1  # sampled from q itself
 
 
+@pytest.mark.parametrize("candidate_mode", ["topk", STOCHASTIC])
+@pytest.mark.parametrize("mode", ["vanilla", "cascade"])
+@pytest.mark.parametrize("widths", [(1,), (3, 2), (4, 2, 2, 1, 1)])
+def test_a_worst_case_walk_draws_one_uniform_per_sibling_and_one_for_its_correction(widths, mode, candidate_mode):
+    # `decode_lanes` hands each walk a block of `1 + sum(widths)` uniforms: the walk may never need more.
+    target = random_tabular_model(5, 1, seed=3, h=3)
+    drafter = tempered_table_drafter(target)
+    tree = draft_one(drafter, [0], TreeMask(widths), RngStream(7), mode=candidate_mode)
+    evals = evaluate_tree(target, tree)
+    # Every mass is positive: r = 1.0 rejects against any threshold and r = 0.0 accepts.
+    # Each level rejects every sibling but its last, and the final level rejects all.
+    script = [r for w in widths[:-1] for r in [1.0] * (w - 1) + [0.0]] + [1.0] * widths[-1] + [0.5]
+    rng = ScriptedRng(script)
+    if mode == "cascade":
+        outcome = verify_cascade(tree, evals, RelaxConfig(tau_pos=0.3, tau_seq=0.3), rng)
+    else:
+        outcome = verify_vanilla(tree, evals, rng)
+    assert rng.counter == len(script) == 1 + sum(widths)
+    decisions = [d for w in widths[:-1] for d in ["reject"] * (w - 1) + ["accept"]] + ["reject"] * widths[-1]
+    assert [rec.decision for rec in outcome.trace] == decisions
+    assert outcome.alpha == len(widths) - 1 and outcome.correction_token is not None
+
+
 # --- verify_cascade -----------------------------------------------------------
 
 
