@@ -128,19 +128,31 @@ def mark_convergent(samples: Sequence[TrainSample], cfg: TrainConfig) -> np.ndar
 
 @dataclass(frozen=True)
 class _FitArrays:
-    """A sample list as the arrays an epoch reads: one-hot design, target rows, labels."""
+    """A sample list as the arrays an epoch reads, and the scratch it writes.
+
+    `phi`, `target_rows` and `ground_truth` are the one-hot design, the
+    stacked target rows and the labels, with `rows` their row indices.
+    `probs` and `work` (n, V), `probs_t` (V, n) and the (n, 1) `row_max` and
+    `row_sum` are per-fit scratch: each `loss_and_grad` call writes them
+    before it reads them, so calls on one `_FitArrays` do not interact.
+    """
 
     phi: np.ndarray
     target_rows: np.ndarray
     ground_truth: np.ndarray
-    onehot: np.ndarray
+    rows: np.ndarray
+    probs: np.ndarray
+    work: np.ndarray
+    probs_t: np.ndarray
+    row_max: np.ndarray
+    row_sum: np.ndarray
 
     def __len__(self) -> int:
         return len(self.ground_truth)
 
 
 def _fit_arrays(samples: Sequence[TrainSample], vocab: int, side: int) -> _FitArrays:
-    """Dense one-hot design matrix, stacked target rows, ground truths and their one-hot labels."""
+    """Dense one-hot design matrix, stacked target rows, ground truths and scratch."""
     n = len(samples)
     rows = np.arange(n)
     phi = np.zeros((n, vocab + 2 * side))
@@ -151,17 +163,30 @@ def _fit_arrays(samples: Sequence[TrainSample], vocab: int, side: int) -> _FitAr
     phi[rows, vocab + side + pos[:, 1]] = 1.0
     target_rows = np.array([s.target_dist.mass for s in samples]).reshape(n, vocab)
     ground_truth = np.array([s.ground_truth for s in samples], dtype=np.int64)
-    onehot = np.zeros((n, vocab))
-    onehot[rows, ground_truth] = 1.0
-    return _FitArrays(phi, target_rows, ground_truth, onehot)
+    return _FitArrays(
+        phi,
+        target_rows,
+        ground_truth,
+        rows,
+        np.empty((n, vocab)),
+        np.empty((n, vocab)),
+        np.empty((vocab, n)),
+        np.empty((n, 1)),
+        np.empty((n, 1)),
+    )
 
 
-def _forward(weights: np.ndarray, bias: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    probs = phi @ weights.T
+def _forward(weights: np.ndarray, bias: np.ndarray, fit: _FitArrays) -> np.ndarray:
+    """The batch's softmax rows, written into `fit.probs`."""
+    probs = np.matmul(fit.phi, weights.T, out=fit.probs)
     probs += bias
-    probs -= probs.max(axis=1, keepdims=True)
+    # A max is exact in any order, so the row max reduces the transposed
+    # copy's contiguous rows. Only a zero max's sign can differ, and exp(±0) is 1.
+    np.copyto(fit.probs_t, probs.T)
+    np.maximum.reduce(fit.probs_t, axis=0, out=fit.row_max[:, 0])
+    probs -= fit.row_max
     np.exp(probs, out=probs)
-    probs /= probs.sum(axis=1, keepdims=True)
+    probs /= probs.sum(axis=1, keepdims=True, out=fit.row_sum)
     return probs
 
 
@@ -174,25 +199,31 @@ def loss_and_grad(
     """Batch-averaged loss and its analytic gradient w.r.t. (weights, bias).
 
     `batch` is a sample list, or the arrays `train_drafter` builds from one
-    once per fit. A loss that overflows raises NonFinite, with no numpy warning.
+    once per fit. An empty batch raises InvalidValue. A loss that overflows
+    raises NonFinite, with no numpy warning. The gradients are fresh arrays.
     """
+    if len(batch) == 0:
+        raise InvalidValue("empty training batch: no samples to average the loss over")
     if len(batch) != len(weights):
         raise InvalidValue("one weight per sample required")
     fit = batch if isinstance(batch, _FitArrays) else _fit_arrays(batch, drafter.vocab, drafter.side)
     n = len(fit)
     with np.errstate(over="ignore", invalid="ignore"):
-        probs = _forward(drafter.weights, drafter.bias, fit.phi)
-        log_p = np.maximum(probs, LOG_FLOOR)
+        probs = _forward(drafter.weights, drafter.bias, fit)
+        log_p = np.maximum(probs, LOG_FLOOR, out=fit.work)
         np.log(log_p, out=log_p)
-        soft = -(fit.target_rows * log_p).sum(axis=1)
-        hard = -log_p[np.arange(n), fit.ground_truth]
+        hard = -log_p[fit.rows, fit.ground_truth]
+        log_p *= fit.target_rows
+        soft = -log_p.sum(axis=1)
         loss = float((weights * soft + cfg.hard_ce_weight * hard).sum() / n)
         if not math.isfinite(loss):
             raise NonFinite("training loss is not finite")
-        # (w * (probs - target_rows) + hard_ce_weight * (probs - onehot)) / n, in place.
-        dz = probs - fit.target_rows
+        # (w * (probs - target_rows) + hard_ce_weight * (probs - onehot)) / n, in
+        # place; subtracting a one-hot's zeros changes nothing, so only the
+        # labels' entries are touched.
+        dz = np.subtract(probs, fit.target_rows, out=fit.work)
         dz *= weights[:, None]
-        probs -= fit.onehot
+        probs[fit.rows, fit.ground_truth] -= 1.0
         probs *= cfg.hard_ce_weight
         dz += probs
         dz /= n

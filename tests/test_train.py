@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import math
@@ -14,6 +15,7 @@ from specrelax import (
     GridPos,
     GridWorldModel,
     LinearDrafter,
+    NonFinite,
     ProbDist,
     TrainConfig,
     TrainSample,
@@ -24,7 +26,14 @@ from specrelax import (
     random_tabular_model,
     train_drafter,
 )
-from specrelax.train import build_training_samples, convergence_flags, held_out_convergent_kl
+from specrelax.core import InvalidValue
+from specrelax.train import (
+    LOG_FLOOR,
+    _fit_arrays,
+    build_training_samples,
+    convergence_flags,
+    held_out_convergent_kl,
+)
 
 
 def sample(last, pos, q, feat, gt) -> TrainSample:
@@ -176,6 +185,107 @@ def test_scaling_all_weights_scales_loss_and_gradient():
     assert loss3 == pytest.approx(3.0 * loss1, rel=1e-12)
     assert np.allclose(gw3, 3.0 * gw1, rtol=1e-12, atol=0)
     assert np.allclose(gb3, 3.0 * gb1, rtol=1e-12, atol=0)
+
+
+def reference_loss_and_grad(drafter, batch, weights, cfg):
+    """`loss_and_grad` with fresh temporaries, `probs.max(axis=1)` and one-hot labels."""
+    n, vocab, side = len(batch), drafter.vocab, drafter.side
+    rows = np.arange(n)
+    phi = np.zeros((n, vocab + 2 * side))
+    for i, s in enumerate(batch):
+        if s.last_token is not None:
+            phi[i, s.last_token] = 1.0
+        phi[i, vocab + s.pos.row] = 1.0
+        phi[i, vocab + side + s.pos.col] = 1.0
+    target_rows = np.array([s.target_dist.mass for s in batch])
+    ground_truth = np.array([s.ground_truth for s in batch])
+    onehot = np.zeros((n, vocab))
+    onehot[rows, ground_truth] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        probs = phi @ drafter.weights.T
+        probs += drafter.bias
+        probs -= probs.max(axis=1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=1, keepdims=True)
+        log_p = np.maximum(probs, LOG_FLOOR)
+        np.log(log_p, out=log_p)
+        soft = -(target_rows * log_p).sum(axis=1)
+        hard = -log_p[rows, ground_truth]
+        loss = float((weights * soft + cfg.hard_ce_weight * hard).sum() / n)
+        if not math.isfinite(loss):
+            raise NonFinite("training loss is not finite")
+        dz = probs - target_rows
+        dz *= weights[:, None]
+        probs -= onehot
+        probs *= cfg.hard_ce_weight
+        dz += probs
+        dz /= n
+        return loss, (dz.T @ phi, dz.sum(axis=0))
+
+
+def fit_outcome(fn, *args):
+    """A call's loss and gradients as bytes, or the message of the NonFinite it raised."""
+    try:
+        loss, (grad_w, grad_b) = fn(*args)
+    except NonFinite as exc:
+        return ("NonFinite", str(exc))
+    return tuple(
+        (a.shape, a.dtype.str, a.tobytes()) for a in (np.float64(loss), grad_w, grad_b)
+    )
+
+
+def extreme_drafter(rng, vocab, side, extreme):
+    """Random parameters at a random scale; with `extreme`, some but not all
+    tokens' logits are ±inf."""
+    scale = float(rng.choice([0.3, 30.0, 1e306]))
+    weights = rng.normal(scale=scale, size=(vocab, vocab + 2 * side))
+    bias = rng.normal(scale=scale, size=vocab)
+    if extreme:
+        # Bias plus any weight of the same sign sums past the largest double.
+        hit = rng.random(vocab) < 0.4
+        always, never = rng.permutation(vocab)[:2]
+        hit[always], hit[never] = True, False
+        weights[hit] = extreme * 1e308
+        bias[hit] = extreme * 1e308
+    return LinearDrafter(weights, bias, vocab, side)
+
+
+@pytest.mark.parametrize("extreme", [0.0, -1.0, 1.0], ids=["finite", "neg-inf", "pos-inf"])
+@pytest.mark.parametrize("hard_ce_weight", [0.0, 1.0, 2.5])
+@pytest.mark.parametrize("c", [1.0, 2.0, 7.0])
+def test_scratch_loss_and_grad_equal_the_fresh_array_reference_bytewise(c, hard_ce_weight, extreme):
+    cfg = TrainConfig(c=c, hard_ce_weight=hard_ce_weight)
+    rng = np.random.default_rng([int(c), int(2 * hard_ce_weight), int(extreme) + 1])
+    outcomes = set()
+    for _ in range(6):
+        vocab, side, size = int(rng.integers(2, 40)), int(rng.integers(1, 7)), int(rng.integers(1, 90))
+        batch, _ = random_batch(rng, vocab, side, size)
+        fit = _fit_arrays(batch, vocab, side)
+        # Two calls in a row on one fit's scratch, with different parameters
+        # and sample weights.
+        for _ in range(2):
+            drafter = extreme_drafter(rng, vocab, side, extreme)
+            weights = np.where(rng.random(size) < 0.5, c, 1.0)
+            got = fit_outcome(loss_and_grad, drafter, fit, weights, cfg)
+            assert got == fit_outcome(reference_loss_and_grad, drafter, batch, weights, cfg)
+            assert got == fit_outcome(loss_and_grad, drafter, batch, weights, cfg)
+            outcomes.add(got[0] == "NonFinite")
+            if got[0] == "NonFinite":
+                continue
+            _, (grad_w, grad_b) = loss_and_grad(drafter, fit, weights, cfg)
+            for field in dataclasses.fields(fit):
+                scratch = getattr(fit, field.name)
+                assert not np.shares_memory(grad_w, scratch)
+                assert not np.shares_memory(grad_b, scratch)
+    # A +inf logit leaves inf - inf in its row; a -inf one only zero mass.
+    assert outcomes == {extreme > 0}
+
+
+@pytest.mark.parametrize("make_batch", [lambda: [], lambda: _fit_arrays([], 3, 2)], ids=["list", "arrays"])
+def test_empty_batch_raises_invalid_value_naming_it(make_batch):
+    with np.errstate(all="raise"):
+        with pytest.raises(InvalidValue, match="empty training batch"):
+            loss_and_grad(LinearDrafter.zeros(3, 2), make_batch(), np.array([]), TrainConfig())
 
 
 # --- train_drafter ------------------------------------------------------------
