@@ -76,8 +76,8 @@ class InvalidValue(EngineError, ValueError):
 class ProbDist:
     """Normalized probability mass over a finite token vocabulary.
 
-    Instances are immutable; the cdf and `floats` are built lazily so that
-    shared rows can be sampled and read cheaply in hot loops.
+    Instances are immutable; the cdf is built on the first draw, so a row
+    that is only read never pays for it.
     """
 
     __slots__ = ("mass", "_cdf")

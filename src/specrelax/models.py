@@ -36,7 +36,7 @@ from .core import (
 )
 
 if TYPE_CHECKING:
-    from .tree import NodePaths
+    from .tree import DraftTree
 
 FORMAT_VERSION = 1
 ENUMERATION_GUARD = 1_000_000
@@ -121,14 +121,14 @@ class Target(Protocol):
 
     def evaluate(self, prefix: Sequence[TokenId], pos: GridPos) -> TargetEval: ...
 
-    def evaluate_batch(self, paths: "NodePaths", side: int) -> BatchEval:
+    def evaluate_batch(self, tree: "DraftTree") -> BatchEval:
         """Evaluate every node of a draft forest in one call.
 
-        Node i has prefix `paths[i]` (never empty) and sits at sequence index
-        `paths.index[i]` of a `side` x `side` grid, clamped to its last cell.
-        Its law is row `rows[i]` of the returned table, which the model owns
-        and shares across calls; that law and feature row i equal
-        `evaluate(paths[i], pos)` bit for bit.
+        Node i has prefix `tree.path(i)` (never empty) and sits at sequence
+        index `tree.index[i]` of the forest's `tree.side` x `tree.side` grid,
+        clamped to its last cell. Its law is row `rows[i]` of the returned
+        table, which the model owns and shares across calls; that law and
+        feature row i equal `evaluate(tree.path(i), pos)` bit for bit.
         """
         ...
 
@@ -241,9 +241,9 @@ class TabularModel:
             raise UnknownWindow(f"no table row for window {tuple(tails[j][inside[j]].tolist())}")
         return (window + inside) @ self._stacked()[3]
 
-    def evaluate_batch(self, paths: "NodePaths", side: int) -> BatchEval:
+    def evaluate_batch(self, tree: "DraftTree") -> BatchEval:
         """`Target.evaluate_batch`; a tabular law ignores the grid, so only the windows are read."""
-        ids = self._window_ids(paths.tail(self.order, np.arange(len(paths))), paths.index)
+        ids = self._window_ids(tree.tail(self.order, np.arange(len(tree.token))), tree.index)
         laws, values, norms, _ = self._stacked()
         features = values.take(ids, axis=0)
         features.flags.writeable = False
@@ -476,16 +476,17 @@ class GridWorldModel:
         """The region of each sequence index of a `side` x `side` grid."""
         return self._table().regions[index // side * self.side + index % side]
 
-    def evaluate_batch(self, paths: "NodePaths", side: int) -> BatchEval:
+    def evaluate_batch(self, tree: "DraftTree") -> BatchEval:
         """`Target.evaluate_batch`: laws by region; unjittered features come from one table,
         jittered ones from one fold over every node's path."""
         table = self._table()
-        cells = np.minimum(paths.index, side * side - 1)
+        side = tree.side
+        cells = np.minimum(tree.index, side * side - 1)
         regions = self._regions(cells, side)
-        clusters = table.clusters[paths.token]
+        clusters = table.clusters[tree.token]
         if self.feature_jitter > 0.0:
             rows, cols = np.divmod(cells, side)
-            tails = paths.tail(int(paths.index.max(initial=0)), np.arange(len(paths)))
+            tails = tree.tail(int(tree.index.max(initial=0)), np.arange(len(tree.token)))
             jitter = self._jitters(tails, rows * self.side + cols)
             features, norms = self._feature_rows(regions, clusters, jitter)
         else:

@@ -2,10 +2,11 @@
 
 A mask fixes how many sibling candidates each surviving branch spawns per
 level; sampling instantiates it against a drafter, for every lane of a
-forest at once, into flat per-node lists. A lane is one sequence being
-decoded, with its own prefix, clipped mask and random stream. Each level is
-drafted with one drafter lookup and one numpy candidate selection for all
-lanes; paths are read lazily. The sibling and
+forest at once, into one `DraftTree` of per-node arrays. A lane is one
+sequence being decoded, with its own prefix, clipped mask and random stream.
+Each level is drafted with one drafter lookup and one numpy candidate
+selection for all lanes. No path is stored: a node's path, or the last few
+tokens of many, is read from the parent array on demand. The sibling and
 parent-child pairs of a forest are indexed once per forest structure.
 """
 
@@ -76,43 +77,81 @@ class TreeMask:
 ROOT = -1  # parent index of level-1 nodes
 
 
-class NodePaths:
-    """Every node's path, its lane's prefix plus the tokens from the lane's root to it.
+class DraftTree:
+    """A draft forest: one speculation tree per lane, as flat per-node arrays.
 
-    Nothing is materialized up front: `token[i]` is the path's last token,
-    `level[i]` how many of its tokens were drafted, `index[i]` its length
-    (the sequence index of the token that follows it), `tail(k, nodes)` the
-    last k tokens of several paths at once, and `paths[i]` one whole path.
-    Level-1 nodes have parent `ROOT`.
+    Lane k extends `prefixes[k]`, starting at sequence index
+    `len(prefixes[k])`. Lanes with equal prefixes share one root:
+    `root_prefixes` lists the distinct prefixes in order of first use, and
+    lane k's is `root_prefixes[root_index[k]]`. Node ids count from 0,
+    lane-major, and level-major within a lane: lane k's level l (1-based) holds ids
+    `level_starts[k][l-1] .. level_starts[k][l]-1`, and the children of each
+    node are one contiguous id range, in the order they were drafted.
+
+    Per node i: `token[i]` and `prob[i]` (its drafter probability), also as
+    the lists `tokens` and `probs`; `lane[i]`; `level[i]`, how many of its
+    path's tokens were drafted; `index[i]`, its path's length (the sequence
+    index of the token that follows it); `parent[i]` (`ROOT` on level 1),
+    also as the tuple `parents`; and `children[i]`, a range of ids. A path,
+    its lane's prefix plus the tokens from the lane's root to i, is read on
+    demand: `path(i)` whole, `tail(k, nodes)` the last k tokens of several.
+    `cond_row[i]` is the row of `draft_table` node i's children were drawn
+    from (-1 on its lane's deepest level); lane k's level 1 was drawn from
+    row `root_row + root_index[k]`, after every child conditional.
+    `judge[i]` is node i's parent, or `len(nodes) + k` for a level-1 node of
+    lane k: an index into per-node values followed by per-lane ones.
+
+    Everything but the prefixes and the drawn arrays comes from the forest's
+    `_Skeleton` layout, shared by drafted forests of the same shape, and
+    `pairs` indexes their sibling pairs and parent-child links once per layout.
     """
 
-    __slots__ = ("prefixes", "lane", "parent", "token", "level", "index")
+    __slots__ = (
+        "side", "prefixes", "root_prefixes", "root_index", "token", "prob", "tokens", "probs",
+        "draft_table", "root_row", "lane", "level", "index", "parent", "parents", "children",
+        "level_starts", "cond_row", "judge", "_pairs",
+    )
 
     def __init__(
         self,
-        prefixes: Sequence[tuple[TokenId, ...]],
-        lane: np.ndarray,
-        parent: np.ndarray,
+        side: int,
+        prefixes: list[tuple[TokenId, ...]],
+        root_prefixes: list[tuple[TokenId, ...]],
+        root_index: list[int],
+        layout: _Skeleton,
         token: np.ndarray,
-        level: np.ndarray,
-        index: np.ndarray,
+        prob: np.ndarray,
+        draft_table: np.ndarray,
+        root_row: int,
     ) -> None:
+        self.side = side
         self.prefixes = prefixes
-        self.lane = lane
-        self.parent = parent
-        self.token = token
-        self.level = level
-        self.index = index
+        self.root_prefixes = root_prefixes
+        self.root_index = root_index
+        self.token, self.prob, self.draft_table, self.root_row = token, prob, draft_table, root_row
+        self.tokens: list[TokenId] = token.tolist()
+        self.probs: list[float] = prob.tolist()
+        self.lane, self.level, self.parent, self.parents = layout.lane, layout.level, layout.parent, layout.parents
+        self.children, self.level_starts = layout.children, layout.level_starts
+        self.cond_row, self.judge = layout.cond_row, layout.judge
+        self.index = np.array([len(p) for p in prefixes])[self.lane] + self.level
+        for array in (token, prob, draft_table, self.index):
+            array.flags.writeable = False
+        # Shared by every forest of one cached layout, so its pairs are indexed once.
+        self._pairs = layout.pairs
 
-    def __len__(self) -> int:
-        return len(self.token)
+    @property
+    def nodes(self) -> range:
+        """All node ids of every lane."""
+        return range(self.level_starts[-1][-1])
 
-    def __getitem__(self, node: int) -> tuple[TokenId, ...]:
+    def path(self, node: int) -> tuple[TokenId, ...]:
+        """Node `node`'s whole path: its lane's prefix plus the tokens from the lane's root to it."""
         drafted: list[TokenId] = []
         lane = int(self.lane[node])
         while node != ROOT:
-            drafted.append(int(self.token[node]))
-            node = int(self.parent[node])
+            drafted.append(self.tokens[node])
+            node = self.parents[node]
         return self.prefixes[lane] + tuple(reversed(drafted))
 
     def tail(self, k: int, nodes: np.ndarray) -> np.ndarray:
@@ -139,84 +178,6 @@ class NodePaths:
             lanes = np.broadcast_to(self.lane[nodes][:, None], src.shape)
             out[take] = prefixes[lanes[take], src[take]]
         return out
-
-
-class ForestArrays(NamedTuple):
-    """A draft forest's per-node lists as arrays, with its drafter laws stacked.
-
-    Per node i: `token[i]`, `prob[i]`, and `cond_row[i]`, the row of
-    `draft_table` its children were drawn from (-1 on its lane's deepest
-    level). Lane k's level 1 was drawn from row `root_row + root_index[k]`
-    (`DraftTree.root_index`), after every child conditional. `judge[i]` is
-    node i's parent, or `nodes + k` for a level-1 node of lane k: an index
-    into per-node values followed by per-lane ones.
-    """
-
-    token: np.ndarray
-    prob: np.ndarray
-    cond_row: np.ndarray
-    draft_table: np.ndarray
-    root_row: int
-    judge: np.ndarray
-
-
-class DraftTree:
-    """A draft forest: one speculation tree per lane, as flat per-node lists.
-
-    Lane k extends `prefixes[k]`, starting at sequence index
-    `len(prefixes[k])`. Lanes with equal prefixes share one root:
-    `root_prefixes` lists the distinct prefixes in order of first use, and
-    lane k's is `root_prefixes[root_index[k]]`. Node ids count from 0,
-    lane-major, and level-major within a lane: lane k's level l (1-based) holds ids
-    `level_starts[k][l-1] .. level_starts[k][l]-1`, and the children of each
-    node are one contiguous id range, in the order they were drafted. Per node i: `tokens[i]`,
-    `probs[i]` (its drafter probability), `parents[i]` (`ROOT` on level 1),
-    `children[i]` (a range of ids) and `paths[i]` (its prefix plus the
-    tokens from its lane's root to i). The structure (`level_starts`,
-    `parents`, `children`) is tuples, shared by drafted forests of the same
-    shape; `nodes` spans every lane. `arrays` holds the same nodes as
-    arrays with every drafter law the forest was drawn from, and `pairs`
-    indexes their sibling pairs and parent-child links.
-    """
-
-    __slots__ = (
-        "side", "prefixes", "root_prefixes", "root_index", "level_starts",
-        "tokens", "probs", "parents", "children", "paths", "arrays", "_pairs",
-    )
-
-    def __init__(
-        self,
-        side: int,
-        prefixes: list[tuple[TokenId, ...]],
-        root_prefixes: list[tuple[TokenId, ...]],
-        root_index: list[int],
-        level_starts: tuple[tuple[int, ...], ...],
-        tokens: list[TokenId],
-        probs: list[float],
-        parents: tuple[int, ...],
-        children: Sequence[range],
-        paths: Sequence[tuple[TokenId, ...]],
-        arrays: ForestArrays,
-        pairs: dict | None = None,
-    ) -> None:
-        self.side = side
-        self.prefixes = prefixes
-        self.root_prefixes = root_prefixes
-        self.root_index = root_index
-        self.level_starts = level_starts
-        self.tokens = tokens
-        self.probs = probs
-        self.parents = parents
-        self.children = children
-        self.paths = paths
-        self.arrays = arrays
-        # Shared by every forest of one cached layout, so its pairs are indexed once.
-        self._pairs = {} if pairs is None else pairs
-
-    @property
-    def nodes(self) -> range:
-        """All node ids of every lane."""
-        return range(self.level_starts[-1][-1])
 
     def pairs(self, siblings: bool, links: bool) -> "ForestPairs":
         """`forest_pairs` of this forest, indexed once per layout of a cached shape."""
@@ -324,10 +285,10 @@ class _Skeleton(NamedTuple):
 
     `order[i]` is the drafting-order position of lane-major node i; drafting
     order is level by level, each level grouped by lane. Lane k holds
-    `lane_sizes[k]` nodes. `cond_rows[i]` is node i's row in the stacked
+    `lane_sizes[k]` nodes. `cond_row[i]` is node i's row in the stacked
     child conditionals, which follow drafting order, or -1 on its lane's
-    deepest level. `levels[l-1]` lays out level l. `judge` is
-    `ForestArrays.judge`. `pairs` caches the layout's `forest_pairs` by
+    deepest level. `levels[l-1]` lays out level l. The other fields are
+    those of `DraftTree`, and `pairs` caches the layout's `forest_pairs` by
     (siblings, links).
     """
 
@@ -339,7 +300,7 @@ class _Skeleton(NamedTuple):
     children: tuple[range, ...]
     level_starts: tuple[tuple[int, ...], ...]
     lane_sizes: tuple[int, ...]
-    cond_rows: np.ndarray
+    cond_row: np.ndarray
     levels: tuple[_Level, ...]
     judge: np.ndarray
     pairs: dict
@@ -383,9 +344,9 @@ def _skeleton(depths: tuple[int, ...], kids: Sequence[np.ndarray | int]) -> _Ske
     first_kid = np.append(kid_ids, 0)[np.searchsorted(parent[kid_ids], np.arange(n))]
     first_kid[n_kids == 0] = 0
     grows = depth[lane] > level
-    cond_rows = np.full(n, -1)
+    cond_row = np.full(n, -1)
     drafted_grows = np.flatnonzero(grows[new_id])  # drafting-order positions of growing nodes
-    cond_rows[new_id[drafted_grows]] = np.arange(len(drafted_grows))
+    cond_row[new_id[drafted_grows]] = np.arange(len(drafted_grows))
     lane_size = np.bincount(lane, minlength=n_lanes)
     lane_start = np.cumsum(lane_size) - lane_size
     level_counts = np.zeros((n_lanes, int(depth.max()) + 1), dtype=np.intp)
@@ -396,14 +357,14 @@ def _skeleton(depths: tuple[int, ...], kids: Sequence[np.ndarray | int]) -> _Ske
         for row_lane, start, source, grow in frontiers
     )
     judge = np.where(parent == ROOT, n + lane, parent)
-    for array in (parent, lane, level, cond_rows, judge, *(a for step in steps for a in step if a is not None)):
+    for array in (parent, lane, level, cond_row, judge, *(a for step in steps for a in step if a is not None)):
         array.flags.writeable = False
     return _Skeleton(
         order, lane, level, parent, tuple(parent.tolist()),
         tuple(map(range, first_kid.tolist(), (first_kid + n_kids).tolist())),
         tuple(tuple(row[: d + 1]) for row, d in zip(starts.tolist(), depths)),
         tuple(lane_size.tolist()),
-        cond_rows,
+        cond_row,
         steps,
         judge,
         {},
@@ -629,27 +590,12 @@ def sample_draft_tree(
         for rng, count in zip(rngs, used):
             rng.counter += count
 
-    skeleton = layout if full else _skeleton(depths, kids)
-    token = np.concatenate(tokens)[skeleton.order]
-    prob = np.concatenate(probs)[skeleton.order]
+    if not full:
+        layout = _skeleton(depths, kids)
     # The root conditionals follow the child conditionals, so one table holds every drafter law.
     table = np.concatenate([*tables, root_table])
-    for array in (token, prob, table):
-        array.flags.writeable = False
     return DraftTree(
-        side,
-        prefixes,
-        root_prefixes,
-        root_index,
-        skeleton.level_starts,
-        token.tolist(),
-        prob.tolist(),
-        skeleton.parents,
-        skeleton.children,
-        NodePaths(
-            prefixes, skeleton.lane, skeleton.parent, token, skeleton.level,
-            prefix_len[skeleton.lane] + skeleton.level,
-        ),
-        ForestArrays(token, prob, skeleton.cond_rows, table, len(table) - len(root_table), skeleton.judge),
-        skeleton.pairs,
+        side, prefixes, root_prefixes, root_index, layout,
+        np.concatenate(tokens)[layout.order], np.concatenate(probs)[layout.order],
+        table, len(table) - len(root_table),
     )

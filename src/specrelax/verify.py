@@ -63,72 +63,42 @@ class RelaxConfig:
             raise ConfigError("tvd budget must lie in [0, 1]")
 
 
-class _Judged:
-    """Per node of one forest: the law id it is judged against (its level's
-    target law), that law's mass `q` at its token and the plain threshold
-    `min(1, q/p)`, each from one gather; `q` and `threshold` as Python lists
-    for the walk."""
+class TreeEvals(NamedTuple):
+    """One target pass over a draft forest, and every node's judgement from it.
 
-    __slots__ = ("law", "q", "threshold")
-
-    def __init__(self, law: np.ndarray, q: np.ndarray, prob: np.ndarray) -> None:
-        self.law = law
-        self.q: list[float] = q.tolist()
-        self.threshold: list[float] = np.minimum(q / prob, 1.0).tolist()
-
-
-class TreeEvals:
-    """One target pass over a draft forest.
-
-    Node i's conditional is row `rows[i]` of the law table `laws`, its
-    feature is row i of the read-only `(nodes, h)` array `features`, and
-    `norms[i]` is that feature's own norm. Lane k's root law is row
-    `root_law[k]`: the model's own row when the root evaluation returned one
-    of the table's laws, else a row stacked after them, so a row of `laws`
-    is a law id.
+    Each row of the law table `laws` is a law id. Node i is judged against
+    law `law[i]`, its level's target law: its parent's conditional, or its
+    lane's root law on level 1. `q[i]` is that law's mass at its token and
+    `threshold[i]` the plain threshold `min(1, q/p)`, both Python lists for
+    the walk. Node i's feature is row i of the read-only `(nodes, h)` array
+    `features`, and `norms[i]` is that feature's own norm.
     """
 
-    __slots__ = ("laws", "rows", "features", "norms", "root_law", "_judged")
-
-    def __init__(
-        self,
-        laws: LawTable,
-        rows: np.ndarray,
-        features: np.ndarray,
-        norms: np.ndarray,
-        root_law: Sequence[int],
-    ) -> None:
-        self.laws = laws
-        self.rows = rows
-        self.features = features
-        self.norms = norms
-        self.root_law = root_law
-        self._judged: tuple[DraftTree, _Judged] | None = None
-
-    def judged(self, tree: DraftTree) -> _Judged:
-        """Every node's decision law, `q` and threshold from one gather, kept for `tree`."""
-        if self._judged is None or self._judged[0] is not tree:
-            arrays = tree.arrays
-            law = np.concatenate((self.rows, self.root_law)).take(arrays.judge)
-            self._judged = (tree, _Judged(law, self.laws.mass[law, arrays.token], arrays.prob))
-        return self._judged[1]
+    laws: LawTable
+    law: np.ndarray
+    q: list[float]
+    threshold: list[float]
+    features: np.ndarray
+    norms: np.ndarray
 
 
 def evaluate_tree(target: Target, tree: DraftTree) -> TreeEvals:
     """One simulated parallel target pass: each distinct root prefix, then every node in one batch.
 
-    Lanes that share a root prefix share its evaluation and its law row.
-    Nodes one step past the grid end are evaluated at the final cell; only
-    their features are ever consulted there.
+    Lanes that share a root prefix share its evaluation and its law row: the
+    model's own row when the root evaluation returned one of its table's
+    laws, else a row stacked after them. Nodes one step past the grid end
+    are evaluated at the final cell; only their features are ever consulted
+    there. Every node's law, `q` and threshold then come from one gather.
     """
     side = tree.side
     # `sample_draft_tree` checked that every lane's cell is on the grid.
     distinct = [target.evaluate(p, GridPos(*divmod(len(p), side))) for p in tree.root_prefixes]
-    laws, rows, features, norms = target.evaluate_batch(tree.paths, side)
+    laws, rows, features, norms = target.evaluate_batch(tree)
     laws, root_law = laws.rows_of([ev.dist for ev in distinct])
-    if len(distinct) < len(tree.root_index):  # groups are numbered by first use: all distinct means lane order
-        root_law = np.array(root_law)[tree.root_index]
-    return TreeEvals(laws, rows, features, norms, root_law)
+    law = np.concatenate((rows, np.take(root_law, tree.root_index))).take(tree.judge)
+    q = laws.mass[law, tree.token]
+    return TreeEvals(laws, law, q.tolist(), np.minimum(q / tree.prob, 1.0).tolist(), features, norms)
 
 
 class _Donors(NamedTuple):
@@ -202,8 +172,8 @@ def build_sets(tree: DraftTree, evals: TreeEvals, cfg: RelaxConfig) -> Similarit
         return SimilaritySets(pairs, hit, None)
     # Each node's donor range in the kept list: how many kept donors precede its start.
     off = np.concatenate(([0], kept))[pairs.donor_starts]
-    lent = tree.arrays.token[pairs.donor_lender[keep]]
-    mass = evals.laws.mass[evals.judged(tree).law[pairs.donor_borrower[keep]], lent]
+    lent = tree.token[pairs.donor_lender[keep]]
+    mass = evals.laws.mass[evals.law[pairs.donor_borrower[keep]], lent]
     return SimilaritySets(pairs, hit, _Donors(off.tolist(), list(zip(lent.tolist(), mass.tolist()))))
 
 
@@ -364,7 +334,7 @@ class VerifyOutcome:
         # (forest, rejected node, drafter law id, uniform) of a correction not yet drawn.
         self._pending = pending
         self._decisions = decisions
-        # The forest's law table, and each node's law id (`_Judged.law`).
+        # The forest's law table, and each node's law id (`TreeEvals.law`).
         self._laws = laws
         self._law = law
         self._trace: list[TraceRecord] | None = None
@@ -408,7 +378,7 @@ def _draw_corrections(laws: LawTable, law: np.ndarray, pending: Sequence[tuple])
     """
     trees, nodes, p_laws, uniforms = zip(*pending)
     q = laws.mass.take(law.take(nodes), axis=0)
-    p = trees[0].arrays.draft_table.take(p_laws, axis=0)
+    p = trees[0].draft_table.take(p_laws, axis=0)
     return sample_corrections(q, p, np.array(uniforms))
 
 
@@ -441,12 +411,11 @@ def _run_verification(
     """Walk lane `lane` of the forest `tree` on its own stream, or on a reader of its uniforms.
 
     A node without donors is decided by its threshold from the forest's one
-    gather (`TreeEvals.judged`); a node with donors in `sets` is boosted by
+    gather (`evaluate_tree`); a node with donors in `sets` is boosted by
     `relax_q` first. `vanilla` is the walk with no donors at all. The walk
     reads Python lists only.
     """
-    judged = evals.judged(tree)
-    qs, thresholds = judged.q, judged.threshold
+    qs, thresholds = evals.q, evals.threshold
     tokens, probs, children = tree.tokens, tree.probs, tree.children
     donors = None if sets is None else sets.donors
     off, pool = (None, None) if donors is None else donors
@@ -487,19 +456,18 @@ def _run_verification(
         siblings = children[node]
         level += 1
     else:
-        return VerifyOutcome(accepted, budget_used, decisions, evals.laws, judged.law)
+        return VerifyOutcome(accepted, budget_used, decisions, evals.laws, evals.law)
 
     # Every sibling rejected. The correction stays exactly target-shaped: the
     # unrelaxed level law minus the drafter row the level was drawn from, or
     # the level law itself when p covers q. Its uniform is drawn now, and its
     # token once per cycle for every lane.
-    arrays = tree.arrays
     if parent == ROOT:
-        p_law = arrays.root_row + tree.root_index[lane]
+        p_law = tree.root_row + tree.root_index[lane]
     else:
-        p_law = int(arrays.cond_row[parent])
+        p_law = int(tree.cond_row[parent])
     pending = (tree, node, p_law, rng.next_real())
-    return VerifyOutcome(accepted, budget_used, decisions, evals.laws, judged.law, pending)
+    return VerifyOutcome(accepted, budget_used, decisions, evals.laws, evals.law, pending)
 
 
 def verify_vanilla(tree: DraftTree, evals: TreeEvals, rng: RngStream, lane: int = 0) -> VerifyOutcome:
@@ -642,7 +610,7 @@ def decode_lanes(
             if on_outcome is not None:
                 seen.append((k, cycle, outcome))
         if pending:
-            drawn = _draw_corrections(evals.laws, evals.judged(tree).law, pending)
+            drawn = _draw_corrections(evals.laws, evals.law, pending)
             for (k, outcome), token in zip(corrected, drawn):
                 lanes[k][0].append(token)
                 if outcome is not None:

@@ -109,13 +109,12 @@ def assert_forest_matches_reference(drafter, prefixes, mask, depths, seeds, mode
         assert [forest.tokens[i] for i in ids] == tokens
         assert [forest.probs[i] for i in ids] == probs
         assert [p if p == ROOT else p - start for p in (forest.parents[i] for i in ids)] == parents
-        arrays = forest.arrays
         for i, mass in zip(ids, child_masses):
-            row = int(arrays.cond_row[i])
+            row = int(forest.cond_row[i])
             assert (row < 0) == (mass is None)
             if row >= 0:
-                assert arrays.draft_table[row].tobytes() == mass
-            assert forest.paths[i] == tuple(prefix) + tuple(
+                assert forest.draft_table[row].tobytes() == mass
+            assert forest.path(i) == tuple(prefix) + tuple(
                 forest.tokens[a] for a in reversed(list(_ancestors(forest, i)))
             )
         assert rngs[k].counter == ref_rng.counter
@@ -481,10 +480,11 @@ def test_lanes_sharing_a_prefix_share_one_root_pass(case, mode, grid_drafter):
         ids = list(range(forest.level_starts[k][0], forest.level_starts[k][-1]))
         assert [forest.tokens[i] for i in ids] == alone.tokens
         assert [forest.probs[i] for i in ids] == alone.probs
-        root_row, alone_row = forest.arrays.root_row + forest.root_index[k], alone.arrays.root_row
-        assert forest.arrays.draft_table[root_row].tobytes() == alone.arrays.draft_table[alone_row].tobytes()
-        root, alone_root = evals.laws.mass[evals.root_law[k]], alone_evals.laws.mass[alone_evals.root_law[0]]
-        assert root.tobytes() == alone_root.tobytes()
+        root_row, alone_row = forest.root_row + forest.root_index[k], alone.root_row
+        assert forest.draft_table[root_row].tobytes() == alone.draft_table[alone_row].tobytes()
+        assert evals.laws.mass[evals.law[ids]].tobytes() == alone_evals.laws.mass[alone_evals.law].tobytes()
+        assert evals.q[ids[0] : ids[-1] + 1] == alone_evals.q
+        assert evals.threshold[ids[0] : ids[-1] + 1] == alone_evals.threshold
         assert evals.features[ids].tobytes() == alone_evals.features.tobytes()
         assert evals.norms[ids].tobytes() == alone_evals.norms.tobytes()
 
@@ -536,8 +536,7 @@ def test_a_standalone_outcome_draws_its_correction_on_read_from_the_uniform_it_k
                 if rec.decision == "accept":
                     siblings, parent = tree.children[node], node
             last = outcome.trace[-1]
-            arrays = tree.arrays
-            p_dist = ProbDist(arrays.draft_table[arrays.root_row if parent == ROOT else arrays.cond_row[parent]])
+            p_dist = ProbDist(tree.draft_table[tree.root_row if parent == ROOT else tree.cond_row[parent]])
             try:
                 law = residual_dist(last.q_dist, p_dist)
             except DegenerateResidual:

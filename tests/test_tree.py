@@ -57,7 +57,7 @@ def test_width_one_tree_is_greedy_chain():
     assert [tree.tokens[n] for n in chain] == [1, 1]
     assert tree.parents[chain[1]] == chain[0]
     assert list(tree.children[chain[0]]) == [chain[1]]
-    assert tree.paths[chain[1]] == (1, 1)
+    assert tree.path(chain[1]) == (1, 1)
 
 
 def test_width_beyond_vocab_raises():
@@ -170,10 +170,10 @@ def test_flat_arrays_describe_one_consistent_tree():
                         parent = tree.parents[node]
                         if level == 1:
                             assert parent == ROOT
-                            assert tree.paths[node] == (1, 2, tree.tokens[node])
+                            assert tree.path(node) == (1, 2, tree.tokens[node])
                         else:
                             assert parent in tree_level(tree, level - 1)
-                            assert tree.paths[node] == tree.paths[parent] + (tree.tokens[node],)
+                            assert tree.path(node) == tree.path(parent) + (tree.tokens[node],)
                         assert tree.probs[node] == drafter.dist[tree.tokens[node]]
                         kids = [c for c in tree.nodes if tree.parents[c] == node]
                         assert list(tree.children[node]) == kids
@@ -181,7 +181,7 @@ def test_flat_arrays_describe_one_consistent_tree():
                             0 if level == tree_depth(tree) else min(widths[level], 4)
                         )
                         last = level == len(widths)
-                        assert (tree.arrays.cond_row[node] < 0) == last
+                        assert (tree.cond_row[node] < 0) == last
 
 
 def test_path_tails_match_each_whole_path():
@@ -192,9 +192,8 @@ def test_path_tails_match_each_whole_path():
             drafter, prefixes, TreeMask((3, 2, 1)), [3, 1, 2, 3], [RngStream(k) for k in range(4)],
             mode=mode, side=4,
         )
-        paths = forest.paths
-        nodes = np.arange(len(paths))
+        nodes = np.arange(len(forest.nodes))
         for k in (1, 2, 3, 4, 6, 9):
             for picked in (nodes, nodes[::-1], nodes[len(nodes) // 2 :], nodes[:0]):
-                expected = [((-1,) * k + paths[node])[-k:] for node in picked.tolist()]
-                assert paths.tail(k, picked).tolist() == [list(row) for row in expected]
+                expected = [((-1,) * k + forest.path(node))[-k:] for node in picked.tolist()]
+                assert forest.tail(k, picked).tolist() == [list(row) for row in expected]

@@ -34,7 +34,8 @@ from specrelax import (
     verify_vanilla,
 )
 from specrelax.models import LawTable
-from specrelax.tree import ROOT, DraftTree, ForestArrays, STOCHASTIC, forest_pairs
+import specrelax.tree as tree_mod
+from specrelax.tree import ROOT, DraftTree, STOCHASTIC, forest_pairs
 from specrelax.verify import TraceRecord, TreeEvals
 
 from conftest import FixedDrafter, ScriptedRng, draft_one, small_gridworld, tree_depth, tree_level
@@ -54,36 +55,22 @@ def manual_tree(level_specs, root_dist, prefix=(), side=8, child_dists=None):
     """Build a DraftTree by hand: level_specs is a list of lists of
     (token, drafter_prob, parent_index_in_previous_level | None), each level
     listed in parent order; `child_dists` maps a node id to the conditional
-    its children were drawn from."""
-    tokens, probs, parents, paths = [], [], [], []
-    level_starts = [0]
-    for level_num, spec in enumerate(level_specs, start=1):
-        for token, prob, parent_idx in spec:
-            parent = ROOT if parent_idx is None else level_starts[level_num - 2] + parent_idx
-            tokens.append(token)
-            probs.append(prob)
-            parents.append(parent)
-            paths.append((tuple(prefix) if parent == ROOT else paths[parent]) + (token,))
-        level_starts.append(len(tokens))
-    children = [range(0)] * len(tokens)
-    for node, parent in enumerate(parents):
-        if parent != ROOT:
-            first = children[parent].start if children[parent] else node
-            assert first + len(children[parent]) == node, "list each level in parent order"
-            children[parent] = range(first, node + 1)
+    its children were drawn from, the root's by default."""
+    kids = [len(level_specs[0])]
+    for above, spec in zip(level_specs, level_specs[1:]):
+        parent_idx = [p for _, _, p in spec]
+        assert parent_idx == sorted(parent_idx), "list each level in parent order"
+        kids.append(np.bincount(parent_idx, minlength=len(above)))
+    layout = tree_mod._skeleton((len(level_specs),), kids)
+    nodes = [node for spec in level_specs for node in spec]
     # The drafter laws stacked as `sample_draft_tree` stacks them: child conditionals, then the root's.
-    kept = sorted(child_dists or {})
-    cond_row = np.full(len(tokens), -1, dtype=np.intp)
-    cond_row[kept] = np.arange(len(kept))
-    parent = np.array(parents, dtype=np.intp)
-    arrays = ForestArrays(
-        np.array(tokens, dtype=np.intp), np.array(probs, dtype=np.float64), cond_row,
-        np.array([child_dists[node].mass for node in kept] + [root_dist.mass]), len(kept),
-        np.where(parent == ROOT, len(tokens), parent),
-    )
+    growing = len(nodes) - len(level_specs[-1])
+    table = np.array([(child_dists or {}).get(node, root_dist).mass for node in range(growing)] + [root_dist.mass])
     return DraftTree(
-        side, [tuple(prefix)], [tuple(prefix)], [0], (tuple(level_starts),), tokens, probs,
-        tuple(parents), children, paths, arrays,
+        side, [tuple(prefix)], [tuple(prefix)], [0], layout,
+        np.array([token for token, _, _ in nodes], dtype=np.intp),
+        np.array([prob for _, prob, _ in nodes], dtype=np.float64),
+        table, growing,
     )
 
 
@@ -91,13 +78,18 @@ def level_of(tree, node):
     return next(lvl for lvl in range(1, tree_depth(tree) + 1) if node in tree_level(tree, lvl))
 
 
-def manual_evals(root_dist, node_specs):
-    """node_specs: list of (dist, feature) per node id, all features of one dimension."""
+def manual_evals(tree, root_dist, node_specs):
+    """The target pass over a one-lane `tree` whose root law is `root_dist`.
+
+    node_specs: list of (dist, feature) per node id, all features of one dimension.
+    """
     features = np.array([f.values for _, f in node_specs])
     features.flags.writeable = False
     norms = np.array([f.norm for _, f in node_specs])
     laws, root_law = LawTable.stack([d for d, _ in node_specs]).rows_of([root_dist])
-    return TreeEvals(laws, np.arange(len(node_specs)), features, norms, root_law)
+    law = np.append(np.arange(len(node_specs)), root_law).take(tree.judge)
+    q = laws.mass[law, tree.token]
+    return TreeEvals(laws, law, q.tolist(), np.minimum(q / tree.prob, 1.0).tolist(), features, norms)
 
 
 def node_features(evals):
@@ -201,7 +193,7 @@ def sibling_tree_with_features(features, probs=(0.5, 0.3, 0.2)):
     root_dist = ProbDist([0.5, 0.3, 0.2])
     tree = manual_tree([[(i, probs[i], None) for i in range(3)]], root_dist)
     q = ProbDist([0.3, 0.3, 0.4])
-    evals = manual_evals(root_dist, [(q, f) for f in features])
+    evals = manual_evals(tree, root_dist, [(q, f) for f in features])
     return tree, evals
 
 
@@ -448,7 +440,7 @@ def test_threshold_one_with_identical_features_matches_scalar():
             [[(0, 0.5, None), (1, 0.3, None), (2, 0.2, None)], [(1, 0.5, 0), (2, 0.5, 0)]],
             root_dist, child_dists={0: root_dist},
         )
-        evals = manual_evals(root_dist, [(root_dist, feat)] * 5)
+        evals = manual_evals(tree, root_dist, [(root_dist, feat)] * 5)
         assert_sets_match_scalar(tree, evals, [RelaxConfig(tau_pos=1.0, tau_seq=1.0)])
 
 
@@ -465,7 +457,7 @@ def test_build_sets_raises_zero_norm_exactly_where_scalar_does():
     for zero_node in range(3):
         feats = [unit_feature(1, dim=2)] * 3
         feats[zero_node] = zero
-        evals = manual_evals(root_dist, [(root_dist, f) for f in feats])
+        evals = manual_evals(tree, root_dist, [(root_dist, f) for f in feats])
         for cfg in SET_CONFIGS:
             try:
                 expected = scalar_sets(tree, feats, cfg)
@@ -486,7 +478,7 @@ def per_node_evals(target, tree):
     evals = []
     for level in range(1, tree_depth(tree) + 1):
         pos = GridPos.from_index(min(len(tree.prefixes[0]) + level, cap), tree.side)
-        evals += [target.evaluate(tree.paths[node], pos) for node in tree_level(tree, level)]
+        evals += [target.evaluate(tree.path(node), pos) for node in tree_level(tree, level)]
     return evals
 
 
@@ -496,15 +488,16 @@ def assert_batch_matches_per_node(target, tree):
     n, h = len(reference), len(reference[0].feature)
     prefix = tree.prefixes[0]
     root = target.evaluate(prefix, GridPos.from_index(len(prefix), tree.side))
-    assert evals.laws.dists[evals.root_law[0]] is root.dist
-    assert evals.rows.shape == (n,)
+    assert evals.laws.dists[evals.law[tree_level(tree, 1)[0]]] is root.dist
+    laws, rows, _, _ = target.evaluate_batch(tree)
+    assert rows.shape == (n,)
     assert evals.features.shape == (n, h) and evals.features.dtype == np.float64
     assert not evals.features.flags.writeable
     assert evals.norms.shape == (n,) and evals.norms.dtype == np.float64
     for node, ev in enumerate(reference):
-        row = int(evals.rows[node])
-        assert evals.laws.dists[row] is ev.dist  # the model's own law, not a copy
-        assert evals.laws.mass[row].tobytes() == ev.dist.mass.tobytes()
+        row = int(rows[node])
+        assert laws.dists[row] is ev.dist  # the model's own law, not a copy
+        assert laws.mass[row].tobytes() == ev.dist.mass.tobytes()
         assert evals.features[node].tobytes() == ev.feature.values.tobytes()
         assert float(evals.norms[node]).hex() == ev.feature.norm.hex()
     return reference
@@ -587,6 +580,37 @@ def test_evaluate_batch_matches_per_node_evaluate_on_pruned_trees():
             assert_batch_matches_per_node(target, tree)
 
 
+@pytest.mark.parametrize("mode", ["topk", STOCHASTIC])
+@pytest.mark.parametrize("case", ["grid", "grid-jitter", "tabular"])
+def test_every_node_is_judged_against_its_level_law(case, mode):
+    """Node by node: a level-1 node of lane k against lane k's root law, a deeper
+    node against its parent's batch row, with `q` and the threshold read from that law."""
+    if case == "tabular":
+        target = random_tabular_model(5, 2, seed=4, h=3)
+        drafter = tempered_table_drafter(target)
+    else:
+        target = GridWorldModel.default(feature_jitter=0.05 if case == "grid-jitter" else 0.0)
+        drafter = LinearDrafter.zeros(32, 8)
+    # Mixed depths; lanes 0 and 2, and lanes 1 and 4, share a root prefix. Lanes 0 and 1
+    # reach across a region boundary, so on a gridworld a node's law is not its own row.
+    first, second = tuple(k % 5 for k in range(22)), tuple(k * 3 % 5 for k in range(46))
+    prefixes, depths = [first, second, first, (2, 4, 1), second], [5, 4, 2, 1, 3]
+    rngs = [RngStream(k) for k in range(len(prefixes))]
+    tree = sample_draft_tree(drafter, prefixes, TreeMask.default(), depths, rngs, mode=mode, side=8)
+    evals = evaluate_tree(target, tree)
+    laws, rows, _, _ = target.evaluate_batch(tree)
+    roots = [target.evaluate(p, GridPos.from_index(len(p), 8)).dist for p in prefixes]
+    for node in tree.nodes:
+        law, parent, token = int(evals.law[node]), tree.parents[node], tree.tokens[node]
+        if parent == ROOT:
+            assert evals.laws.dists[law] is roots[tree.lane[node]]
+        else:
+            assert law == rows[parent] and evals.laws.dists[law] is laws.dists[law]
+        q = float(evals.laws.mass[law, token])
+        assert evals.q[node].hex() == q.hex()
+        assert evals.threshold[node].hex() == min(1.0, q / tree.probs[node]).hex()
+
+
 def test_batched_sets_raise_zero_norm_exactly_where_per_node_features_do():
     base = random_tabular_model(3, 1, seed=2, h=3)
     zero = FeatureVec([0.0, 1e-13, 0.0])
@@ -645,7 +669,7 @@ def chain_tree_single(token, p_token, root_mass):
 def test_vanilla_accepts_below_ratio():
     tree = chain_tree_single(0, 0.5, [0.5, 0.5])
     q = ProbDist([0.25, 0.75])
-    evals = manual_evals(q, [(q, unit_feature(1))])
+    evals = manual_evals(tree, q, [(q, unit_feature(1))])
     outcome = verify_vanilla(tree, evals, ScriptedRng([0.4]))
     assert outcome.accepted_tokens == [0]
     assert outcome.correction_token is None
@@ -655,7 +679,7 @@ def test_vanilla_accepts_below_ratio():
 def test_vanilla_rejects_above_ratio_and_corrects():
     tree = chain_tree_single(0, 0.5, [0.5, 0.5])
     q = ProbDist([0.25, 0.75])
-    evals = manual_evals(q, [(q, unit_feature(1))])
+    evals = manual_evals(tree, q, [(q, unit_feature(1))])
     outcome = verify_vanilla(tree, evals, ScriptedRng([0.6, 0.2]))
     assert outcome.accepted_tokens == []
     # Residual of ([0.25, 0.75] - [0.5, 0.5])+ is all mass on token 1.
@@ -671,7 +695,7 @@ def test_vanilla_accepts_everything_when_q_dominates_p():
         [[(0, 0.5, None)], [(1, 0.5, 0)], [(0, 0.5, 0)]], root_dist,
         child_dists={0: root_dist, 1: root_dist},
     )
-    evals = manual_evals(q, [(q, unit_feature(1))] * 3)
+    evals = manual_evals(tree, q, [(q, unit_feature(1))] * 3)
     outcome = verify_vanilla(tree, evals, ScriptedRng([0.999, 0.999, 0.999]))
     assert outcome.alpha == 3
     assert outcome.correction_token is None
@@ -682,7 +706,7 @@ def test_vanilla_degenerate_residual_falls_back_to_target():
     # through an impossible draw to check the fallback law.
     tree = chain_tree_single(0, 0.5, [0.5, 0.5])
     q = ProbDist([0.5, 0.5])
-    evals = manual_evals(q, [(q, unit_feature(1))])
+    evals = manual_evals(tree, q, [(q, unit_feature(1))])
     outcome = verify_vanilla(tree, evals, ScriptedRng([1.0, 0.7]))
     assert outcome.correction_token == 1  # sampled from q itself
 
@@ -719,7 +743,7 @@ def two_sibling_relax_case():
     tree = manual_tree([[(0, 0.5, None), (1, 0.3, None)]], root_dist)
     q = ProbDist([0.1, 0.35, 0.55])
     feats = [unit_feature(1), unit_feature(1)]
-    evals = manual_evals(q, [(q, f) for f in feats])
+    evals = manual_evals(tree, q, [(q, f) for f in feats])
     return tree, evals
 
 
@@ -746,7 +770,7 @@ def test_cascade_oversized_interchange_mass_is_skipped(gridworld):
     assert [tree.tokens[n] for n in tree_level(tree, 1)] == [0, 1, 2, 3]
     evals = evaluate_tree(gridworld, tree)
     small = gridworld
-    assert evals.laws.mass[evals.root_law[0], 0] == pytest.approx(0.8 / 8, abs=ATOL)
+    assert evals.laws.mass[evals.law[tree_level(tree, 1)[0]], 0] == pytest.approx(0.8 / 8, abs=ATOL)
 
     # Rebuild the scenario on the 8-token cluster model for the 0.2 split.
     model = small_gridworld()
@@ -772,7 +796,7 @@ def test_cascade_budget_is_shared_across_levels():
     q_root = ProbDist([0.3, 0.45, 0.25])  # level-1 law; child token 1 holds 0.45
     q_node0 = ProbDist([0.25, 0.5, 0.25])  # level-2 law; accepts token 1 outright
     feats = unit_feature(1)
-    evals = manual_evals(q_root, [(q_node0, feats), (q_node0, feats)])
+    evals = manual_evals(tree, q_root, [(q_node0, feats), (q_node0, feats)])
     cfg = RelaxConfig(tau_pos=1.01, tau_seq=0.5, tvd_budget=0.5)
     outcome = verify_cascade(tree, evals, cfg, ScriptedRng([0.9, 0.9]))
     assert outcome.alpha == 2
@@ -917,12 +941,12 @@ def probe_accept_threshold(q_row: ProbDist, p_row: ProbDist, token: int) -> floa
     eps = 1e-12
     if threshold > eps:
         tree = manual_tree([[(token, p_row[token], None)]], p_row)
-        evals = manual_evals(q_row, [(q_row, unit_feature(1))])
+        evals = manual_evals(tree, q_row, [(q_row, unit_feature(1))])
         outcome = verify_vanilla(tree, evals, ScriptedRng([threshold - eps]))
         assert outcome.accepted_tokens == [token]
     if threshold + eps < 1.0:
         tree = manual_tree([[(token, p_row[token], None)]], p_row)
-        evals = manual_evals(q_row, [(q_row, unit_feature(1))])
+        evals = manual_evals(tree, q_row, [(q_row, unit_feature(1))])
         outcome = verify_vanilla(tree, evals, ScriptedRng([threshold + eps, 0.5]))
         assert outcome.accepted_tokens == []
     return threshold
@@ -1033,9 +1057,8 @@ def closed_form_outcome_law(tree, evals, cfg):
         if not siblings:
             results[tokens] = results.get(tokens, 0.0) + weight
             return
-        q = evals.laws.dists[evals.root_law[0] if parent is None else evals.rows[parent]]
-        arrays = tree.arrays
-        p_full = ProbDist(arrays.draft_table[arrays.root_row if parent is None else arrays.cond_row[parent]])
+        q = evals.laws.dists[evals.law[siblings[0]]]
+        p_full = ProbDist(tree.draft_table[tree.root_row if parent is None else tree.cond_row[parent]])
         survive = weight
         budget = budget_left
         for node in siblings:
@@ -1094,6 +1117,7 @@ def budgeted_two_level_scenario():
     q_right = ProbDist([0.50, 0.25, 0.25])
     aligned = unit_feature(1)
     evals = manual_evals(
+        tree,
         q_root,
         [(q_left, aligned), (q_right, aligned), (q_left, aligned), (q_right, aligned)],
     )
