@@ -25,7 +25,6 @@ from .core import (
     InvalidValue,
     ModelFormatError,
     NonFinite,
-    PROB_ATOL,
     ProbDist,
     TokenId,
     TooLarge,
@@ -618,21 +617,20 @@ class LinearDrafter:
         table = np.empty(((v + 1) * n * n, v))
         grid = table.reshape(v + 1, n, n, v)
         # A logit sum that overflows to inf leaves inf - inf = nan in its row;
-        # the check below turns that into NonFinite instead of a warning.
+        # the row-sum check below turns that into NonFinite instead of a warning.
         with np.errstate(over="ignore", invalid="ignore"):
             np.add(self.bias, wt[v : v + n, None, :], out=grid[0])
             grid[0] += wt[None, v + n : v + 2 * n, :]
             np.add(grid[0], wt[:v, None, None, :], out=grid[1:])
             table -= table.max(axis=1, keepdims=True)
             np.exp(table, out=table)
-        if not np.all(np.isfinite(table)):
+            sums = table.sum(axis=1, keepdims=True)
+        # Each row's largest entry is exp(0) = 1, so a finite sum of true exponentials lies in [1, V].
+        if not np.all(np.isfinite(sums)):
             raise NonFinite("drafter logits overflow: softmax table has non-finite entries")
-        negative = np.any(table < 0.0)
-        # A zero or infinite row sum leaves a row of nan or zeros, which fails the sum check.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            table /= table.sum(axis=1, keepdims=True)
-        if negative or not np.all(np.abs(table.sum(axis=1) - 1.0) <= PROB_ATOL):
-            raise InvalidValue("a drafter softmax row has a negative entry or does not sum to 1.0")
+        if not np.minimum.reduce(sums, axis=None) > 0.0:
+            raise InvalidValue("a drafter softmax row does not have a positive sum")
+        table /= sums
         table.flags.writeable = False
         return table
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -529,17 +530,21 @@ def decode_lanes(
     The lanes run in lockstep: each cycle drafts one forest holding every
     unfinished lane's tree, evaluates it with one target pass, takes every
     lane's similarity sets from one pass, walks each lane's tree, and then
-    draws every lane's correction in one residual pass. The walks take their
-    uniforms from one `peek_reals` block per cycle: lane j's slice holds
-    `1 + sum(mask.widths[:depth_j])`, the most a walk can draw (every
-    sibling of each level, then a correction), and its stream's counter then
-    moves past the ones its walk read. A cycle whose block would hold fewer
-    than `_BLOCK_MIN` uniforms walks each lane on its own stream instead.
-    A lane's tokens, counters and decisions are those of decoding it alone.
-    `on_outcome(lane, cycle, outcome)` sees each lane's calls in order, with
-    its correction drawn. An unknown mode or candidate mode, a length below 1 or
-    beyond the grid and a drafting mode without a drafter raise ConfigError
-    before anything is drawn.
+    draws every lane's correction in one residual pass. When the lanes'
+    depths differ, the forest holds them deepest first (a stable sort), so
+    the forests of lanes nearing their ends repeat a few shapes, whose
+    layouts `sample_draft_tree` keeps; all else maps back per lane. The
+    walks take their uniforms from one `peek_reals` block per cycle: the
+    slice of the forest's lane j holds `1 + sum(mask.widths[:depth_j])`,
+    the most a walk can draw (every sibling of each level, then a
+    correction), and its stream's counter then moves past the ones its walk
+    read. A cycle whose block would hold fewer than `_BLOCK_MIN` uniforms
+    walks each lane on its own stream instead. A lane's tokens, counters and
+    decisions are those of decoding it alone. `on_outcome(lane, cycle,
+    outcome)` sees each lane's calls in order, a cycle's lanes in lane
+    order, with each correction drawn. An unknown mode or candidate mode, a
+    length below 1 or beyond the grid and a drafting mode without a drafter
+    raise ConfigError before anything is drawn.
     """
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
@@ -569,7 +574,12 @@ def decode_lanes(
     while live:
         prefixes = [lanes[k][0] for k in live]
         depths = [min(depth, length - len(p)) for p in prefixes]
-        streams = [rngs[k] for k in live]
+        drafted = live
+        if depths.count(depths[0]) != len(depths):
+            # Deepest first, so the forests of lanes nearing their ends repeat a few shapes.
+            pick = itemgetter(*sorted(range(len(live)), key=depths.__getitem__, reverse=True))
+            drafted, prefixes, depths = pick(live), pick(prefixes), list(pick(depths))
+        streams = [rngs[k] for k in drafted]
         tree = sample_draft_tree(drafter, prefixes, mask, depths, streams, mode=candidate_mode, side=side)
         evals = evaluate_tree(target, tree)
         sets = build_sets(tree, evals, cfg) if mode == CASCADE else None
@@ -578,7 +588,7 @@ def decode_lanes(
         end = 0
         # Each rejecting walk's kept correction, and its lane (with its outcome when a sink reads it).
         pending, corrected, seen = [], [], []
-        for j, k in enumerate(live):
+        for j, k in enumerate(drafted):
             rng = rngs[k]
             if block is not None:
                 # Built lane by lane and freed after its walk: a whole cycle of live
@@ -615,6 +625,7 @@ def decode_lanes(
                 lanes[k][0].append(token)
                 if outcome is not None:
                     outcome._correction, outcome._pending = token, None
+        seen.sort(key=itemgetter(0))
         for k, cycle, outcome in seen:
             on_outcome(k, cycle, outcome)
         # Free this cycle's forest, laws and sets before the next forest is drafted.

@@ -3,10 +3,13 @@ the scalar per-node drafter that forest drafting replaced."""
 
 from __future__ import annotations
 
+import random
+from itertools import combinations_with_replacement
 from operator import itemgetter
 
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings, strategies as st
 
 from specrelax import (
     GridPos,
@@ -406,20 +409,142 @@ def test_lanes_finish_on_different_cycles_and_stop_drawing():
         assert rng.counter == alone.counter
 
 
-def test_mixed_depth_forests_stay_out_of_the_layout_cache(monkeypatch):
+def _permuted_decode(target, drafter, mode, mask, length, seeds, candidate_mode):
+    """Decode one lane per seed; per seed its result, final counter and trace lines, and every sink call."""
+    rngs = [RngStream(seed) for seed in seeds]
+    lines = {seed: [] for seed in seeds}
+    calls = []
+
+    def sink(lane, cycle, outcome):
+        calls.append((cycle, lane))
+        lines[seeds[lane]] += outcome.trace_lines(seeds[lane], cycle)
+
+    lanes = decode_lanes(
+        target, drafter, mode, mask, RelaxConfig(), length, rngs, candidate_mode=candidate_mode, on_outcome=sink
+    )
+    per_seed = {seed: (result, rng.counter, lines[seed]) for seed, result, rng in zip(seeds, lanes, rngs)}
+    return per_seed, calls
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    widths=st.sampled_from([(4, 2, 2, 1, 1), (3, 2), (1, 1, 1)]),
+    mode=st.sampled_from(["vanilla", "cascade"]),
+    candidate_mode=st.sampled_from([TOPK, STOCHASTIC]),
+    length=st.integers(2, 24),
+    seeds=st.lists(st.integers(0, 2**16), min_size=2, max_size=5, unique=True),
+    shuffler=st.randoms(use_true_random=False),
+)
+@example(
+    widths=(4, 2, 2, 1, 1), mode="cascade", candidate_mode=STOCHASTIC, length=24, seeds=[0, 1, 2, 3, 4],
+    shuffler=random.Random(1),
+)
+def test_decoding_permuted_streams_permutes_the_results(
+    gridworld, grid_drafter, widths, mode, candidate_mode, length, seeds, shuffler
+):
+    # Where lanes end on different cycles, mixed-depth cycles are drafted deepest first;
+    # each lane's tokens, stats, counter and trace lines must not depend on where it sits.
+    permuted = list(seeds)
+    shuffler.shuffle(permuted)
+    args = (gridworld, grid_drafter, mode, TreeMask(widths), length)
+    expected, _ = _permuted_decode(*args, seeds, candidate_mode)
+    actual, calls = _permuted_decode(*args, permuted, candidate_mode)
+    assert actual == expected
+    # The sink sees every cycle in turn, and the lanes of a cycle in lane order.
+    assert calls == sorted(calls)
+    if len({stats.verify_calls for (_, stats), _, _ in expected.values()}) > 1:
+        event("lanes end on different cycles")
+
+
+@pytest.fixture
+def layouts(monkeypatch):
+    """A fresh layout cache, and the depths of every layout laid out from then on."""
     from specrelax import tree
 
-    cached, laid_out = [], []
-    full_skeleton, skeleton = tree._full_skeleton, tree._skeleton
-    monkeypatch.setattr(tree, "_full_skeleton", lambda w, d: cached.append(d) or full_skeleton(w, d))
-    monkeypatch.setattr(tree, "_skeleton", lambda d, kids: laid_out.append(d) or skeleton(d, kids))
-    # Lanes reach the end of the sequence after different numbers of tokens.
-    decode_lanes(
+    cache = tree._LayoutCache(tree._layouts.bound)
+    monkeypatch.setattr(tree, "_layouts", cache)
+    built = []
+    skeleton = tree._skeleton
+    monkeypatch.setattr(tree, "_skeleton", lambda depths, kids: built.append(depths) or skeleton(depths, kids))
+    return cache, built
+
+
+def _cache_decode():
+    rngs = [RngStream(seed) for seed in range(4)]
+    lanes = decode_lanes(
         GridWorldModel.default(), LinearDrafter.zeros(32, 8), "cascade", TreeMask.default(), RelaxConfig(),
-        30, [RngStream(seed) for seed in range(6)], candidate_mode=STOCHASTIC,
+        30, rngs, candidate_mode=STOCHASTIC,
     )
-    assert cached and all(len(set(depths)) == 1 for depths in cached)
-    assert any(len(set(depths)) > 1 for depths in laid_out)
+    return lanes, [rng.counter for rng in rngs]
+
+
+def test_a_decode_run_again_builds_no_layout(layouts, monkeypatch):
+    from specrelax import tree
+
+    cache, built = layouts
+    first = _cache_decode()
+    # Lanes reach the end of the sequence after different numbers of tokens.
+    assert any(len(set(depths)) > 1 for depths in built)
+    once = list(built)
+    # A shape is kept from its second request on: the rerun lays out again only what the first laid out.
+    built.clear()
+    assert _cache_decode() == first
+    assert set(built) <= set(once)
+    built.clear()
+    indexed = []
+    pairs = tree.forest_pairs
+    monkeypatch.setattr(tree, "forest_pairs", lambda *args: indexed.append(args) or pairs(*args))
+    assert _cache_decode() == first
+    # Every layout, and the pairs each indexed, come back from the cache.
+    assert built == [] and indexed == []
+
+
+def _draft(depths):
+    sample_draft_tree(
+        LinearDrafter.zeros(32, 8), [(1,)] * len(depths), TreeMask.default(), depths,
+        [RngStream(k) for k in range(len(depths))], mode=STOCHASTIC,
+    )
+
+
+def test_a_shape_asked_for_once_is_not_kept(layouts):
+    cache, built = layouts
+    widths = TreeMask.default().widths
+    for depths in [(5, 3), (4, 4), (5, 3), (4, 4, 1), (5, 3)]:
+        _draft(depths)
+    assert built == [(5, 3), (4, 4), (5, 3), (4, 4, 1)]
+    assert list(cache.layouts) == [(widths, (5, 3))]
+    # Eight lanes of mixed depths make more shapes than the cache holds: never kept.
+    for depths in [(5,) * 7 + (2,), (5,) * 8, (5,) * 7 + (2,), (5,) * 8]:
+        _draft(depths)
+    assert not cache.fits(widths, 8) and cache.fits(widths, 4)
+    assert list(cache.layouts) == [(widths, (5, 3)), (widths, (5,) * 8)]
+
+
+def test_the_layout_cache_never_holds_more_nodes_than_its_bound(layouts):
+    cache, built = layouts
+    widths = TreeMask.default().widths
+
+    def held():
+        return sum(len(kept.parents) for kept in cache.layouts.values())
+
+    # Every deepest-first shape of one to four lanes, asked for twice: more nodes than the bound.
+    shapes = [
+        depths for n in range(1, 5) for depths in combinations_with_replacement(range(5, 0, -1), n)
+    ]
+    for depths in shapes * 2:
+        cache.get(widths[: max(depths)], depths)
+        assert cache.nodes == held() <= cache.bound
+    assert len(cache.layouts) < len(shapes)
+    # A 512-lane block holds more nodes than the bound, whatever its depths.
+    for depths in [(5,) * 512, (5,) * 300 + (4,) * 212] * 2:
+        _draft(depths)
+        assert cache.nodes == held() <= cache.bound
+    assert all(len(depths) <= 4 for _, depths in cache.layouts)
+    # Yet a run of such forests lays their layout out once.
+    built.clear()
+    for _ in range(3):
+        _draft((5,) * 512)
+    assert built == [(5,) * 512]
 
 
 # --- lanes sharing a root prefix -------------------------------------------------
