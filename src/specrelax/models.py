@@ -120,7 +120,7 @@ class Target(Protocol):
 
     def evaluate(self, prefix: Sequence[TokenId], pos: GridPos) -> TargetEval: ...
 
-    def evaluate_batch(self, tree: "DraftTree") -> BatchEval:
+    def evaluate_batch(self, tree: DraftTree) -> BatchEval:
         """Evaluate every node of a draft forest in one call.
 
         Node i has prefix `tree.path(i)` (never empty) and sits at sequence
@@ -240,7 +240,7 @@ class TabularModel:
             raise UnknownWindow(f"no table row for window {tuple(tails[j][inside[j]].tolist())}")
         return (window + inside) @ self._stacked()[3]
 
-    def evaluate_batch(self, tree: "DraftTree") -> BatchEval:
+    def evaluate_batch(self, tree: DraftTree) -> BatchEval:
         """`Target.evaluate_batch`; a tabular law ignores the grid, so only the windows are read."""
         ids = self._window_ids(tree.tail(self.order, np.arange(len(tree.token))), tree.index)
         laws, values, norms, _ = self._stacked()
@@ -475,7 +475,7 @@ class GridWorldModel:
         """The region of each sequence index of a `side` x `side` grid."""
         return self._table().regions[index // side * self.side + index % side]
 
-    def evaluate_batch(self, tree: "DraftTree") -> BatchEval:
+    def evaluate_batch(self, tree: DraftTree) -> BatchEval:
         """`Target.evaluate_batch`: laws by region; unjittered features come from one table,
         jittered ones from one fold over every node's path."""
         table = self._table()

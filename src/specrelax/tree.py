@@ -6,8 +6,9 @@ forest at once, into one `DraftTree` of per-node arrays. A lane is one
 sequence being decoded, with its own prefix, clipped mask and random stream.
 Each level is drafted with one drafter lookup and one numpy candidate
 selection for all lanes. No path is stored: a node's path, or the last few
-tokens of many, is read from the parent array on demand. The sibling and
-parent-child pairs of a forest are indexed once per forest structure.
+tokens of many, is read from the parent array on demand. A recurring
+forest shape takes its layout, kept as built from its first request, from
+one cache, with the sibling and parent-child pairs its forests index.
 """
 
 from __future__ import annotations
@@ -374,111 +375,38 @@ def _skeleton(depths: tuple[int, ...], kids: Sequence[np.ndarray | int]) -> _Ske
     )
 
 
-_INDEX_ARRAYS = ("order", "lane", "level", "parent", "cond_row", "judge")
-
-
-class _Packed(NamedTuple):
-    """A kept layout with every index array in one int32 buffer.
-
-    `layout` keeps the tuples, with its arrays, `levels` and `pairs` None.
-    `ints` holds the `_INDEX_ARRAYS`, then each level's arrays (its `grow`
-    only where `grows` says so), then the `ForestPairs` of each of
-    `pair_keys`; `ends` is where each array ends.
-    """
-
-    layout: _Skeleton
-    ints: np.ndarray
-    ends: tuple[int, ...]
-    grows: tuple[bool, ...]
-    pair_keys: tuple[tuple[bool, bool], ...]
-
-    @property
-    def parents(self) -> tuple[int, ...]:
-        return self.layout.parents
-
-
-def _pack(layout: _Skeleton) -> _Packed:
-    arrays = [getattr(layout, name) for name in _INDEX_ARRAYS]
-    arrays += [array for step in layout.levels for array in step if array is not None]
-    for found in layout.pairs.values():
-        arrays += found
-    return _Packed(
-        layout._replace(**dict.fromkeys(_INDEX_ARRAYS), levels=None, pairs=None),
-        np.concatenate(arrays).astype(np.int32),
-        tuple(accumulate(map(len, arrays))),
-        tuple(step.grow is not None for step in layout.levels),
-        tuple(layout.pairs),
-    )
-
-
-def _unpack(packed: _Packed) -> _Skeleton:
-    full = packed.ints.astype(np.intp)
-    full.flags.writeable = False
-    parts = iter([full[a:b] for a, b in zip((0, *packed.ends), packed.ends)])
-    arrays = {name: next(parts) for name in _INDEX_ARRAYS}
-    levels = tuple(
-        _Level(next(parts), next(parts), next(parts), next(parts) if grows else None) for grows in packed.grows
-    )
-    pairs = {}
-    for key in packed.pair_keys:
-        first, second, sibling, *rest = (next(parts) for _ in ForestPairs._fields)
-        sibling = sibling != 0
-        sibling.flags.writeable = False
-        pairs[key] = ForestPairs(first, second, sibling, *rest)
-    return packed.layout._replace(**arrays, levels=levels, pairs=pairs)
-
-
 class _LayoutCache:
     """The layouts of full forests, in which every row of level l has `widths[l-1]` children.
 
-    A shape, `(widths, depths)`, is laid out afresh the first time it is
-    asked for and kept from its second request on, so one-off shapes never
-    displace recurring ones. A shape of mixed depths is kept only when every
-    deepest-first shape of its lane count would fit at once (`fits`); with
-    more lanes, lanes ending on different cycles make more shapes than the
-    cache holds, and they would only churn it. The kept layouts hold at most
-    `bound` nodes between them, the least recently used going first; a
-    larger one is never kept. `asked` holds the hashes of the last `ASKED`
-    shapes asked for once: a collision only keeps a shape early.
-
-    Kept layouts share their children ranges. Uniform shapes are few and
-    asked for every cycle, so they are kept as they are; mixed shapes are
-    many and each is asked for seldom, so they are kept packed (`_Packed`).
-    The layout asked for last stays unpacked, whatever its size, with the
-    pairs its forests index, so a run of forests of one shape lays it out
-    once; a packed shape's pairs are packed with it when another shape is
-    asked for.
+    A shape, `(widths, depths)`, is laid out the first time it is asked for
+    and kept as built, its children ranges shared with the other kept
+    layouts. The kept layouts hold at most `bound` nodes between them, the
+    least recently used going first; a larger one is never kept. A shape of
+    mixed depths is kept only when every deepest-first shape of its lane
+    count would fit at once (`fits`); with more lanes, lanes ending on
+    different cycles make more shapes than the cache holds, and they would
+    only churn it. Each layout keeps the pairs its forests index. The layout
+    asked for last stays at hand whatever its size, so a run of forests of
+    one shape lays it out once.
     """
-
-    ASKED = 256
 
     def __init__(self, bound: int) -> None:
         self.bound = bound
         self.nodes = 0
-        self.layouts: OrderedDict[tuple, _Skeleton | _Packed] = OrderedDict()
-        self.asked: dict[int, None] = {}
+        self.layouts: OrderedDict[tuple, _Skeleton] = OrderedDict()
         self.ranges: dict[range, range] = {}
         self.key: tuple | None = None
         self.layout: _Skeleton | None = None
-        self.packed: _Packed | None = None  # the layout asked for last, as kept
 
     def get(self, widths: tuple[int, ...], depths: tuple[int, ...]) -> _Skeleton:
         key = (widths, depths)
-        if key == self.key:
-            return self.layout
-        packed = self.packed
-        if packed is not None and len(packed.pair_keys) < len(self.layout.pairs) and self.key in self.layouts:
-            self.layouts[self.key] = _pack(self.layout)
-        self.key, self.packed = key, None
-        kept = self.layouts.get(key)
-        if kept is None:
-            self.layout = self._laid_out(key)
-        else:
-            self.layouts.move_to_end(key)
-            if isinstance(kept, _Packed):
-                self.packed, self.layout = kept, _unpack(kept)
+        if key != self.key:
+            layout = self.layouts.get(key)
+            if layout is None:
+                layout = self._laid_out(key)
             else:
-                self.layout = kept
+                self.layouts.move_to_end(key)
+            self.key, self.layout = key, layout
         return self.layout
 
     def fits(self, widths: tuple[int, ...], n_lanes: int) -> bool:
@@ -498,28 +426,19 @@ class _LayoutCache:
         mixed = depths.count(depths[0]) != len(depths)
         if size > self.bound or (mixed and not self.fits(widths, len(depths))):
             return layout
-        shape = hash(key)
-        if shape not in self.asked:
-            self.asked[shape] = None
-            if len(self.asked) > self.ASKED:
-                del self.asked[next(iter(self.asked))]
-            return layout
-        del self.asked[shape]
         # The layouts of one mask share most children ranges: keep one of each.
         if len(self.ranges) > self.bound:
             self.ranges.clear()
         layout = layout._replace(children=tuple(map(self.ranges.setdefault, layout.children, layout.children)))
-        if mixed:
-            self.packed = self.layouts[key] = _pack(layout)
-        else:
-            self.layouts[key] = layout
+        self.layouts[key] = layout
         self.nodes += size
         while self.nodes > self.bound:
             self.nodes -= len(self.layouts.popitem(last=False)[1].parents)
         return layout
 
 
-# Room for the recurring end-of-decode shapes of four lanes under the default mask (about 10.2k nodes).
+# Layouts kept as built, from their first request: room for every deepest-first
+# shape of four lanes under the default mask (8,288 nodes), with some to spare.
 _layouts = _LayoutCache(10240)
 
 
@@ -610,7 +529,8 @@ def sample_draft_tree(
 
     Every stochastic level is drawn by `_draw_steps`. The forest is laid
     out up front as if full, every row yielding its level's width, in a
-    layout a recurring shape takes from `_layouts`, so lane-major node i
+    layout `_layouts` keeps as built from the shape's first request (a
+    mixed shape only if its lane count `fits`), so lane-major node i
     takes uniform i of the block and a full level takes its uniforms in one
     gather. From the first level with a stochastic row
     that stops early or a zero-mass top-k pick, the forest is laid out from

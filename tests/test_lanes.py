@@ -486,7 +486,7 @@ def test_a_decode_run_again_builds_no_layout(layouts, monkeypatch):
     # Lanes reach the end of the sequence after different numbers of tokens.
     assert any(len(set(depths)) > 1 for depths in built)
     once = list(built)
-    # A shape is kept from its second request on: the rerun lays out again only what the first laid out.
+    # A shape is kept from its first request on: the rerun lays out again only what the first laid out.
     built.clear()
     assert _cache_decode() == first
     assert set(built) <= set(once)
@@ -500,24 +500,60 @@ def test_a_decode_run_again_builds_no_layout(layouts, monkeypatch):
 
 
 def _draft(depths):
-    sample_draft_tree(
+    return sample_draft_tree(
         LinearDrafter.zeros(32, 8), [(1,)] * len(depths), TreeMask.default(), depths,
         [RngStream(k) for k in range(len(depths))], mode=STOCHASTIC,
     )
 
 
-def test_a_shape_asked_for_once_is_not_kept(layouts):
+def test_a_shape_is_kept_from_its_first_request(layouts):
     cache, built = layouts
     widths = TreeMask.default().widths
-    for depths in [(5, 3), (4, 4), (5, 3), (4, 4, 1), (5, 3)]:
+    # Mixed shapes of at most four lanes are kept at once: drafting them again lays nothing out.
+    for depths in [(5, 3), (4, 4, 1), (5, 3), (4, 4, 1)]:
         _draft(depths)
-    assert built == [(5, 3), (4, 4), (5, 3), (4, 4, 1)]
-    assert list(cache.layouts) == [(widths, (5, 3))]
-    # Eight lanes of mixed depths make more shapes than the cache holds: never kept.
+    assert built == [(5, 3), (4, 4, 1)]
+    assert list(cache.layouts) == [(widths, (5, 3)), (widths[:4], (4, 4, 1))]
+    # Eight lanes of mixed depths make more shapes than the cache holds: never kept, unlike eight uniform lanes.
+    built.clear()
     for depths in [(5,) * 7 + (2,), (5,) * 8, (5,) * 7 + (2,), (5,) * 8]:
         _draft(depths)
+    assert built == [(5,) * 7 + (2,), (5,) * 8, (5,) * 7 + (2,)]
     assert not cache.fits(widths, 8) and cache.fits(widths, 4)
-    assert list(cache.layouts) == [(widths, (5, 3)), (widths, (5,) * 8)]
+    assert list(cache.layouts) == [(widths, (5, 3)), (widths[:4], (4, 4, 1)), (widths, (5,) * 8)]
+
+
+def _assert_same(kept, fresh):
+    """Equal arrays byte for byte (with dtype and shape), and equal tuples, ranges and values, all the way down."""
+    if isinstance(fresh, np.ndarray):
+        assert (kept.dtype, kept.shape, kept.tobytes()) == (fresh.dtype, fresh.shape, fresh.tobytes())
+    elif isinstance(fresh, tuple):
+        assert type(kept) is type(fresh) and len(kept) == len(fresh)
+        for a, b in zip(kept, fresh):
+            _assert_same(a, b)
+    else:
+        assert kept == fresh
+
+
+def test_a_kept_layout_is_the_layout_built_for_its_shape(layouts):
+    from specrelax import tree
+
+    cache, _ = layouts
+    widths = TreeMask.default().widths
+    shapes = [
+        depths for n in range(1, 5) for depths in combinations_with_replacement(range(5, 0, -1), n)
+    ]
+    for depths in shapes * 2:
+        forest = _draft(depths)
+        layout = cache.get(widths[: max(depths)], depths)
+        fresh = tree._skeleton(depths, widths[: max(depths)])
+        for name in tree._Skeleton._fields:
+            if name != "pairs":
+                _assert_same(getattr(layout, name), getattr(fresh, name))
+        assert list(layout.children) == list(fresh.children)
+        # The pairs the layout keeps for its forests are those a fresh index gives.
+        _assert_same(forest.pairs(True, True), tree.forest_pairs(fresh.parents, fresh.level_starts, True, True))
+        assert layout.pairs[True, True] is forest.pairs(True, True)
 
 
 def test_the_layout_cache_never_holds_more_nodes_than_its_bound(layouts):

@@ -17,6 +17,12 @@ NO_CALLER_YET = {
     "tvd": "used by the tests and by callers of the package",
 }
 
+# Module-level imports no code in their own module reads, each with its reason.
+# An import leaves this list when its module reads it or drops it.
+UNREAD_IMPORTS = {
+    "verify.py:cosine_sim": "bench/tracer.py counts scalar cosines through this name until item 1a's counter",
+}
+
 
 def parsed(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -61,3 +67,30 @@ def test_every_private_helper_is_read_in_the_package():
         f"{path.name}:{name}" for path in SRC.glob("*.py") for name in private_module_names(path) - loaded
     }
     assert orphans == set(), "private module-level names nothing in the package reads"
+
+
+def module_imports(path: Path) -> set[str]:
+    """The names a module binds by importing at its top level, `if` and `try` blocks included."""
+    names, statements = set(), list(parsed(path).body)
+    while statements:
+        node = statements.pop()
+        if isinstance(node, (ast.If, ast.Try)):
+            statements += node.body + node.orelse + getattr(node, "finalbody", [])
+            statements += [stmt for handler in getattr(node, "handlers", []) for stmt in handler.body]
+        elif isinstance(node, ast.Import):
+            names.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(alias.asname or alias.name for alias in node.names)
+    return names
+
+
+def test_every_import_is_read_in_its_own_module():
+    # `__init__.py` imports only to re-export.
+    unread = {
+        f"{path.name}:{name}"
+        for path in SRC.glob("*.py")
+        if path.name != "__init__.py"
+        for name in module_imports(path) - loaded_names([path])
+    }
+    assert unread - UNREAD_IMPORTS.keys() == set(), "imports their own module never reads"
+    assert UNREAD_IMPORTS.keys() - unread == set(), "listed imports that are now read or gone"
