@@ -17,6 +17,7 @@ from .core import ConfigError, EngineError, _check_seed
 from .harness import (
     DEFAULT_KAPPA,
     ExperimentConfig,
+    _check_distinct_paths,
     check_output_path,
     load_target,
     mc_distribution_test,
@@ -221,6 +222,9 @@ def _build_make_model_parser(sub) -> argparse.ArgumentParser:
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
+    # The config file is the one input that ExperimentConfig does not see.
+    outputs = {"--out": args.out, "--trace": args.trace, "--heatmap": args.heatmap}
+    _check_distinct_paths({"--config": args.config}, outputs)
     cfg = ExperimentConfig(
         model_path=args.model,
         mode=args.mode,
@@ -243,6 +247,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 def _cmd_train(args: argparse.Namespace) -> int:
     target = load_target(args.model)
     check_output_path(args.out)
+    _check_distinct_paths({"--model": args.model, "--config": args.config}, {"--out": args.out})
     cfg = TrainConfig(
         c=args.c,
         tau_seq_train=args.tau_seq_train,
@@ -279,6 +284,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_make_model(args: argparse.Namespace) -> int:
     check_output_path(args.out)
+    _check_distinct_paths({"--from": args.source}, {"--out": args.out})
     if args.family == "gridworld":
         model = GridWorldModel.default(feature_jitter=args.jitter)
     elif args.family == "tabular":
@@ -295,33 +301,42 @@ def _cmd_make_model(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The `specrelax` parser, and its subcommand parsers by name."""
+# Each command's parser builder and handler.
+_COMMANDS = {
+    "decode": (_build_decode_parser, _cmd_decode),
+    "train": (_build_train_parser, _cmd_train),
+    "oracle": (_build_oracle_parser, _cmd_oracle),
+    "make-model": (_build_make_model_parser, _cmd_make_model),
+}
+
+
+def build_parser(
+    command: str | None = None,
+) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The `specrelax` parser, and its subcommand parsers by name.
+
+    When `command` names a subcommand, only its parser is built, and the
+    usage line still lists every command. Any other value builds all four,
+    so help and the messages for a missing or unknown command stay complete.
+    """
     parser = argparse.ArgumentParser(
         prog="specrelax",
         description="Speculative decoding with similarity-relaxed acceptance, desk scale.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    return parser, {
-        "decode": _build_decode_parser(sub),
-        "train": _build_train_parser(sub),
-        "oracle": _build_oracle_parser(sub),
-        "make-model": _build_make_model_parser(sub),
-    }
+    if command in _COMMANDS:
+        names, metavar = [command], "{" + ",".join(_COMMANDS) + "}"
+    else:  # argparse names the missing subcommand by its dest unless a metavar is set
+        names, metavar = list(_COMMANDS), None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    return parser, {name: _COMMANDS[name][0](sub) for name in names}
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, subparsers = build_parser()
+    parser, subparsers = build_parser(argv[0] if argv else None)
     args = parser.parse_args(_splice_config_file(subparsers, argv))
-    handlers = {
-        "decode": _cmd_decode,
-        "train": _cmd_train,
-        "oracle": _cmd_oracle,
-        "make-model": _cmd_make_model,
-    }
     try:
-        return handlers[args.command](args)
+        return _COMMANDS[args.command][1](args)
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,6 +12,8 @@ import functools
 import json
 import math
 import operator
+import os
+import stat
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence, TextIO
@@ -30,7 +32,7 @@ from .core import (
     cosine_sim,
     derive_streams,
 )
-from .models import Drafter, Target, enumerate_ar_distribution, load_model
+from .models import Drafter, Target, _open_output, enumerate_ar_distribution, load_model
 from .tree import CANDIDATE_MODES, STOCHASTIC, TOPK, TreeMask
 from .verify import AR, MODES, DecodeStats, RelaxConfig, decode_lanes, decode_sequence
 
@@ -166,6 +168,10 @@ class ExperimentConfig:
         for path in (self.metrics_path, self.trace_path, self.heatmap_path):
             if path is not None:
                 check_output_path(path)
+        _check_distinct_paths(
+            {"--model": self.model_path, "--drafter": self.drafter_path},
+            {"--out": self.metrics_path, "--trace": self.trace_path, "--heatmap": self.heatmap_path},
+        )
 
 
 def check_output_path(path: str | Path) -> None:
@@ -175,6 +181,42 @@ def check_output_path(path: str | Path) -> None:
         raise ConfigError(f"output path {str(path)!r} is a directory")
     if not out.parent.is_dir():
         raise ConfigError(f"output path {str(path)!r} is in a directory that does not exist")
+
+
+def _file_key(path: str | Path) -> tuple[int, int] | str | None:
+    """What identifies the file at `path` when paths are compared.
+
+    That is its device and inode, or its resolved path if it does not exist
+    yet; None for a device or any other file that is not a regular file.
+    """
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return (st.st_dev, st.st_ino) if stat.S_ISREG(st.st_mode) else None
+
+
+def _check_distinct_paths(
+    inputs: dict[str, str | Path | None], outputs: dict[str, str | Path | None]
+) -> None:
+    """Raise ConfigError when an output names the same file as an input or an earlier output.
+
+    Both maps go from flag to path, and a None path is absent. A symlink or a
+    hard link names the file it leads to. A device such as /dev/null may be
+    named more than once: writing it destroys nothing.
+    """
+    seen: dict = {}
+    for flag, path in inputs.items():
+        if path is not None:
+            seen.setdefault(_file_key(path), (flag, path))
+    for flag, path in outputs.items():
+        key = None if path is None else _file_key(path)
+        if key is None:
+            continue
+        if key in seen:
+            other_flag, other = seen[key]
+            raise ConfigError(f"{flag} {path} names the same file as {other_flag} {other}")
+        seen[key] = (flag, path)
 
 
 def load_target(path: str | Path) -> Target:
@@ -250,12 +292,12 @@ def run_experiment(cfg: ExperimentConfig) -> Metrics:
 
     aggregate = Metrics.aggregate(per_seed)
     if cfg.metrics_path is not None:
-        with open(cfg.metrics_path, "w", encoding="utf-8", newline="\n") as out:
+        with _open_output(cfg.metrics_path) as out:
             for seed, metrics in zip(cfg.seeds, per_seed):
                 _dump_line(out, {"seed": seed, **metrics.to_record()})
             _dump_line(out, {"aggregate": True, **aggregate.to_record()})
     if cfg.trace_path is not None:
-        with open(cfg.trace_path, "w", encoding="utf-8", newline="\n") as out:
+        with _open_output(cfg.trace_path) as out:
             for lines in traces:
                 out.writelines(lines)
     if cfg.heatmap_path is not None:
@@ -358,7 +400,7 @@ def export_similarity_heatmap(
     for i, pi in enumerate(positions):
         for j, pj in enumerate(positions):
             matrix[i, j] = cosine_sim(feats[pi], feats[pj]) if j >= i else matrix[j, i]
-    with open(path, "w", encoding="utf-8", newline="") as out:
+    with _open_output(path, newline="") as out:
         writer = csv.writer(out)
         writer.writerow(["pos"] + [str(p) for p in positions])
         for i, pi in enumerate(positions):

@@ -9,11 +9,12 @@ token and the grid position only, deliberately weaker than either target.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Protocol, Sequence, TextIO, runtime_checkable
 
 import numpy as np
 
@@ -707,9 +708,24 @@ def _parse_window_key(key: str) -> Window:
     return tuple(int(part) for part in key.split(","))
 
 
+@contextlib.contextmanager
+def _open_output(path: str | Path, newline: str = "\n") -> Iterator[TextIO]:
+    """`path` opened for writing UTF-8 text.
+
+    An OSError from opening, writing or closing it (a full disk, a missing
+    permission) becomes an EngineError that names the path.
+    """
+    try:
+        with open(path, "w", encoding="utf-8", newline=newline) as out:
+            yield out
+    except OSError as exc:
+        raise EngineError(f"cannot write {path}: {exc}") from exc
+
+
 def save_model(model, path: str | Path) -> None:
     """Write any model to its JSON file form (format_version 1)."""
-    Path(path).write_text(json.dumps(model.to_dict(), sort_keys=True), encoding="utf-8")
+    with _open_output(path) as out:
+        out.write(json.dumps(model.to_dict(), sort_keys=True))
 
 
 def load_model(path: str | Path):

@@ -218,7 +218,8 @@ def relax_q(
     return applied_i, applied_c, tuple(transfers)
 
 
-# Trace field -> JSONL key, in sorted key order; `to_record` and `to_line` derive from this table.
+# Trace field -> JSONL key, in sorted key order; `to_record` derives from this table, and
+# `_trace_line` writes the same keys.
 _TRACE_KEYS = (
     ("added_mass_c", "addedMassC"),
     ("added_mass_i", "addedMassI"),
@@ -276,32 +277,28 @@ class TraceRecord(NamedTuple):
         return {key: getattr(self, name) for name, key in _TRACE_KEYS}
 
     def to_line(self, seed: int, cycle: int) -> str:
-        """This decision's trace JSONL line, newline included.
-
-        The text is `json.dumps({"seed": seed, "cycle": cycle, **self.to_record()},
-        sort_keys=True)`, written without the dict or the encoder (every field is finite).
-        """
-        return _TRACE_LINE.format(*self, seed, cycle)
+        """This decision's trace JSONL line, newline included (see `_trace_line`)."""
+        return _trace_line(*self, seed, cycle)
 
 
-def _trace_line_template() -> str:
-    """The `str.format` template of one trace line, filled from `(*record, seed, cycle)`.
+def _trace_line(
+    level, sibling, q, p, added_mass_i, added_mass_c, r, decision, budget_left, token, q_dist, transfers,
+    seed, cycle,
+) -> str:
+    """One decision's trace JSONL line, from `(*record, seed, cycle)` in `TraceRecord` field order.
 
-    Keys come in sorted order, as `sort_keys` writes them. An empty format
-    spec renders an int as `%d` and a float (numpy's included) as
-    `float.__repr__`, which is what `json.dumps` writes for finite values;
-    `decision` is a plain ASCII word, so quoting it is its JSON string.
+    The text is `json.dumps({"seed": seed, "cycle": cycle, **record.to_record()},
+    sort_keys=True)`, written without the dict or the encoder: keys come in
+    sorted order, and `{x}` renders an int as `%d` and a float (numpy's
+    included) as `float.__repr__`, which is what `json.dumps` writes for
+    finite values; `decision` is a plain ASCII word, so quoting it is its
+    JSON string. `token`, `q_dist` (or a node id) and `transfers` are not written.
     """
-    positions = {name: i for i, name in enumerate((*TraceRecord._fields, "seed", "cycle"))}
-    keys = sorted([*_TRACE_KEYS, ("seed", "seed"), ("cycle", "cycle")], key=lambda pair: pair[1])
-    fields = [
-        f'"{key}": "{{{positions[name]}}}"' if name == "decision" else f'"{key}": {{{positions[name]}}}'
-        for name, key in keys
-    ]
-    return "{{" + ", ".join(fields) + "}}\n"
-
-
-_TRACE_LINE = _trace_line_template()
+    return (
+        f'{{"addedMassC": {added_mass_c}, "addedMassI": {added_mass_i}, "budgetLeft": {budget_left}, '
+        f'"cycle": {cycle}, "decision": "{decision}", "level": {level}, "p": {p}, "q": {q}, "r": {r}, '
+        f'"seed": {seed}, "sibling": {sibling}}}\n'
+    )
 
 
 class VerifyOutcome:
@@ -356,8 +353,7 @@ class VerifyOutcome:
 
     def trace_lines(self, seed: int, cycle: int) -> list[str]:
         """Every decision's trace JSONL line, as `TraceRecord.to_line` writes it."""
-        line = _TRACE_LINE.format
-        return [line(*decision, seed, cycle) for decision in self._decisions]
+        return [_trace_line(*decision, seed, cycle) for decision in self._decisions]
 
     @property
     def alpha(self) -> int:

@@ -3,11 +3,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from specrelax import (
     ConfigError,
@@ -15,6 +17,7 @@ from specrelax import (
     GridWorldModel,
     LinearDrafter,
     Metrics,
+    ProbDist,
     RelaxConfig,
     RngStream,
     RowOutOfRange,
@@ -37,6 +40,7 @@ from specrelax import train as train_module
 from specrelax.cli import build_parser, main as cli_main, parse_seed_spec
 from specrelax.harness import read_metrics_jsonl
 from specrelax.tree import STOCHASTIC, TOPK
+from specrelax.verify import TraceRecord
 
 from conftest import make_tabular_v2
 
@@ -319,6 +323,27 @@ def test_trace_lines_are_the_sorted_json_of_each_decision(tmp_path, model_files,
     assert text[:-1].split("\n") == [line for lane in expected for line in lane]
     if family == "grid" and mode == "cascade":
         assert any(json.loads(line)["addedMassI"] > 0.0 for lane in expected for line in lane)
+
+
+EXTREME_FLOATS = st.sampled_from([5e-324, 1e-300, 1e16, 0.1 + 0.2, 1.0, 0.0, -0.0, 2.0**53 + 2, 1 / 3])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    values=st.lists(st.one_of(EXTREME_FLOATS, st.floats(allow_nan=False, allow_infinity=False)),
+                    min_size=6, max_size=6),
+    numpy_floats=st.booleans(),
+    ints=st.lists(st.integers(0, 2**64 - 1), min_size=4, max_size=4),
+    decision=st.sampled_from(["accept", "reject"]),
+)
+def test_trace_line_is_the_sorted_json_of_extreme_values(values, numpy_floats, ints, decision):
+    if numpy_floats:
+        values = [np.float64(v) for v in values]
+    q, p, added_i, added_c, r, budget = values
+    level, sibling, seed, cycle = ints
+    rec = TraceRecord(level, sibling, q, p, added_i, added_c, r, decision, budget, 0, ProbDist([1.0]), ())
+    expected = json.dumps({"seed": seed, "cycle": cycle, **rec.to_record()}, sort_keys=True) + "\n"
+    assert rec.to_line(seed, cycle) == expected
 
 
 def test_run_experiment_decodes_seeds_in_blocks(monkeypatch, tmp_path, model_files):
@@ -717,6 +742,80 @@ def test_cli_bad_flag_values_exit_2(tmp_path, model_files, capsys, monkeypatch, 
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize(
+    "flags, victim",
+    [
+        (["decode", "--mode", "ar", "--model", "{grid}", "--out", "{grid}"], "grid"),
+        (["decode", "--model", "{grid}", "--out", "m.jsonl", "--drafter", "{drafter}", "--trace", "{drafter}"],
+         "drafter"),
+        (["decode", "--mode", "ar", "--model", "{grid}", "--out", "m.jsonl", "--trace", "m.jsonl"], "m.jsonl"),
+        (["decode", "--mode", "ar", "--model", "{grid}", "--out", "m.jsonl", "--heatmap", "./m.jsonl"],
+         "m.jsonl"),
+        (["decode", "--config", "{config}", "--model", "{grid}", "--out", "{config}"], "config"),
+        (["train", "--model", "{grid}", "--out", "{grid}"], "grid"),
+        (["train", "--model", "{grid}", "--out", "{link}"], "grid"),
+        (["train", "--config", "{config}", "--model", "{grid}", "--out", "{config}"], "config"),
+        (["make-model", "--family", "tempered-drafter", "--from", "{tab}", "--out", "{tab}"], "tab"),
+    ],
+    ids=["decode-model", "decode-drafter", "decode-trace", "decode-heatmap", "decode-config", "train-model",
+         "train-symlink", "train-config", "make-model-from"],
+)
+def test_cli_output_naming_an_input_exits_2(tmp_path, model_files, capsys, monkeypatch, flags, victim):
+    def no_rollout(*args, **kwargs):
+        raise AssertionError("an output that names an input ran the training rollout")
+
+    monkeypatch.setattr(train_module, "build_training_samples", no_rollout)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.jsonl").write_text("kept\n")
+    (tmp_path / "link.json").symlink_to(model_files["grid"])
+    config = write_config(tmp_path, {"drafter": str(model_files["grid_drafter"]), "mode": "vanilla"}
+                          if flags[0] == "decode" else {"epochs": 1})
+    paths = {"grid": model_files["grid"], "drafter": model_files["grid_drafter"], "tab": model_files["tab"],
+             "config": config, "link": tmp_path / "link.json", "m.jsonl": tmp_path / "m.jsonl"}
+    before = paths[victim].read_bytes()
+    assert run_cli([flag.format(**paths) for flag in flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "names the same file as" in err
+    assert paths[victim].read_bytes() == before
+
+
+def test_experiment_config_refuses_an_output_that_names_an_input(tmp_path, model_files):
+    grid = str(model_files["grid"])
+    os.link(grid, tmp_path / "hard.json")
+    for output in (grid, str(tmp_path / "hard.json")):
+        with pytest.raises(ConfigError, match="names the same file"):
+            ExperimentConfig(model_path=grid, mode="ar", seeds=(0,), metrics_path=output)
+    with pytest.raises(ConfigError, match="names the same file"):
+        ExperimentConfig(model_path=grid, mode="ar", seeds=(0,), trace_path=str(tmp_path / "t.jsonl"),
+                         heatmap_path=str(tmp_path / "t.jsonl"))
+    # A device such as /dev/null may take several outputs: writing it destroys nothing.
+    ExperimentConfig(model_path=grid, mode="ar", seeds=(0,), metrics_path=os.devnull, trace_path=os.devnull)
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["decode", "--out", "/dev/full"],
+        ["decode", "--out", "{tmp}/m.jsonl", "--trace", "/dev/full"],
+        ["decode", "--out", "{tmp}/m.jsonl", "--heatmap", "/dev/full"],
+        ["train", "--sequences", "1", "--epochs", "1", "--out", "/dev/full"],
+        ["make-model", "--family", "gridworld", "--out", "/dev/full"],
+    ],
+    ids=["decode-out", "decode-trace", "decode-heatmap", "train-out", "make-model-out"],
+)
+def test_cli_failed_write_exits_2(tmp_path, model_files, capsys, flags):
+    command, *rest = flags
+    args = [command]
+    if command == "decode":
+        args += ["--model", model_files["grid"], "--drafter", model_files["grid_drafter"], "--mode", "vanilla"]
+    elif command == "train":
+        args += ["--model", model_files["grid"]]
+    assert run_cli(args + [flag.format(tmp=tmp_path) for flag in rest]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write /dev/full: ") and err.count("\n") == 1
+
+
 def test_cli_overflowing_drafter_exits_2(tmp_path, model_files, capsys):
     # Every parameter is finite, so the file loads; the logit sums overflow to inf.
     save_model(LinearDrafter(np.full((32, 48), 1e308), np.full(32, 1e308), 32, 8),
@@ -781,6 +880,32 @@ def test_cli_train_and_tree_flags_default_to_their_configs():
         assert getattr(args, dest) == getattr(TrainConfig(), field), field
     args = parser.parse_args(["decode", "--model", "grid.json", "--out", "m.jsonl"])
     assert TreeMask.parse(args.tree) == TreeMask.default()
+
+
+def parser_actions(parser) -> list[tuple]:
+    return [(a.option_strings, a.dest, a.default, a.type, a.choices, a.required) for a in parser._actions]
+
+
+@pytest.mark.parametrize("command", ["decode", "train", "oracle", "make-model"])
+def test_cli_parser_built_for_one_command_matches_the_full_parser(command):
+    full_parser, full = build_parser()
+    parser, alone = build_parser(command)
+    assert list(alone) == [command]
+    assert parser_actions(alone[command]) == parser_actions(full[command])
+    assert alone[command].format_help() == full[command].format_help()
+    # The top-level parser reports unrecognized arguments, with a usage line that lists every command.
+    assert parser.format_usage() == full_parser.format_usage()
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["no-such-command"], []])
+def test_cli_without_a_command_lists_every_command(argv, capsys):
+    with pytest.raises(SystemExit):
+        cli_main(argv)
+    printed = capsys.readouterr()
+    text = printed.out + printed.err
+    assert "{decode,train,oracle,make-model}" in text
+    if argv == ["-h"]:
+        assert all(f"    {command} " in text for command in ("decode", "train", "oracle", "make-model"))
 
 
 def write_config(tmp_path, data) -> Path:
