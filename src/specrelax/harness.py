@@ -32,9 +32,9 @@ from .core import (
     cosine_sim,
     derive_streams,
 )
-from .models import Drafter, Target, _open_output, enumerate_ar_distribution, load_model
+from .models import Drafter, Target, _OutputFiles, enumerate_ar_distribution, load_model
 from .tree import CANDIDATE_MODES, STOCHASTIC, TOPK, TreeMask
-from .verify import AR, MODES, DecodeStats, RelaxConfig, decode_lanes, decode_sequence
+from .verify import AR, MODES, DecodeStats, RelaxConfig, _check_drafter_matches, decode_lanes, decode_sequence
 
 DEFAULT_KAPPA = 0.1
 # Sequences decoded in lockstep at a time, by `run_experiment` (seeds) and
@@ -227,17 +227,6 @@ def load_target(path: str | Path) -> Target:
     return model
 
 
-def _check_drafter_matches(target: Target, drafter: Drafter | None) -> None:
-    """Raise ConfigError unless the drafter proposes over the target's vocabulary and grid."""
-    if drafter is None:
-        return
-    target_vocab, drafter_vocab = getattr(target, "vocab"), getattr(drafter, "vocab")
-    if drafter_vocab != target_vocab:
-        raise ConfigError(f"drafter vocabulary {drafter_vocab} != target vocabulary {target_vocab}")
-    if target.grid_side and drafter.grid_side and drafter.grid_side != target.grid_side:
-        raise ConfigError(f"drafter grid side {drafter.grid_side} != target grid side {target.grid_side}")
-
-
 def _check_length(target: Target, drafter: Drafter | None, length: int) -> None:
     """Raise ConfigError unless `length` is positive and fits the grid of each model that has one."""
     if length < 1:
@@ -291,17 +280,20 @@ def run_experiment(cfg: ExperimentConfig) -> Metrics:
     per_seed = [_metrics(cfg.mode, stats, cfg.kappa) for _, stats in results]
 
     aggregate = Metrics.aggregate(per_seed)
-    if cfg.metrics_path is not None:
-        with _open_output(cfg.metrics_path) as out:
-            for seed, metrics in zip(cfg.seeds, per_seed):
-                _dump_line(out, {"seed": seed, **metrics.to_record()})
-            _dump_line(out, {"aggregate": True, **aggregate.to_record()})
-    if cfg.trace_path is not None:
-        with _open_output(cfg.trace_path) as out:
-            for lines in traces:
-                out.writelines(lines)
-    if cfg.heatmap_path is not None:
-        export_similarity_heatmap(target, results[0][0], range(side), cfg.heatmap_path)
+    # The outputs appear together, once the last is written.
+    with _OutputFiles() as outputs:
+        if cfg.metrics_path is not None:
+            with outputs.open(cfg.metrics_path) as out:
+                for seed, metrics in zip(cfg.seeds, per_seed):
+                    _dump_line(out, {"seed": seed, **metrics.to_record()})
+                _dump_line(out, {"aggregate": True, **aggregate.to_record()})
+        if cfg.trace_path is not None:
+            with outputs.open(cfg.trace_path) as out:
+                for lines in traces:
+                    out.writelines(lines)
+        if cfg.heatmap_path is not None:
+            # Written last: its own rename follows every other write.
+            export_similarity_heatmap(target, results[0][0], range(side), cfg.heatmap_path)
     return aggregate
 
 
@@ -400,7 +392,7 @@ def export_similarity_heatmap(
     for i, pi in enumerate(positions):
         for j, pj in enumerate(positions):
             matrix[i, j] = cosine_sim(feats[pi], feats[pj]) if j >= i else matrix[j, i]
-    with _open_output(path, newline="") as out:
+    with _OutputFiles() as outputs, outputs.open(path, newline="") as out:
         writer = csv.writer(out)
         writer.writerow(["pos"] + [str(p) for p in positions])
         for i, pi in enumerate(positions):

@@ -13,6 +13,8 @@ import contextlib
 import itertools
 import json
 import math
+import os
+import stat
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Protocol, Sequence, TextIO, runtime_checkable
 
@@ -708,23 +710,79 @@ def _parse_window_key(key: str) -> Window:
     return tuple(int(part) for part in key.split(","))
 
 
-@contextlib.contextmanager
-def _open_output(path: str | Path, newline: str = "\n") -> Iterator[TextIO]:
-    """`path` opened for writing UTF-8 text.
+class _OutputFiles:
+    """Output files written together: every one appears, or none changes.
 
-    An OSError from opening, writing or closing it (a full disk, a missing
+    `open(path, newline="\n")` opens `path` for writing UTF-8 text. A
+    regular file, or a path with no file yet, is written to a new temporary
+    file in the same directory (its symlink target's), keeping an existing
+    file's permissions; the temporaries replace their outputs only once the
+    `with` block ends without an error, and any error removes them. Each
+    replacement unlinks the old file and renames its temporary into place,
+    so a crash between the two leaves that output missing. An existing file
+    that is not a regular file, such as /dev/null or a FIFO, is written in
+    place: a rename would replace the device node itself. An OSError from
+    opening, writing, closing or renaming (a full disk, a missing
     permission) becomes an EngineError that names the path.
     """
-    try:
-        with open(path, "w", encoding="utf-8", newline=newline) as out:
-            yield out
-    except OSError as exc:
-        raise EngineError(f"cannot write {path}: {exc}") from exc
+
+    def __init__(self) -> None:
+        self.staged: list[tuple[str, str | Path, str | Path]] = []  # (temporary, output, path as given)
+
+    def __enter__(self) -> "_OutputFiles":
+        return self
+
+    def __exit__(self, kind, value, traceback) -> None:
+        renamed = 0
+        try:
+            if kind is None:
+                for temporary, real, path in self.staged:
+                    try:
+                        # Unlinked, not renamed over: ext4 flushes a file renamed onto
+                        # another (`auto_da_alloc`), about 0.1 ms for a small file.
+                        with contextlib.suppress(FileNotFoundError):
+                            os.unlink(real)
+                        os.rename(temporary, real)
+                    except OSError as exc:
+                        raise EngineError(f"cannot write {path}: {exc}") from exc
+                    renamed += 1
+        finally:
+            for temporary, _, _ in self.staged[renamed:]:
+                with contextlib.suppress(OSError):
+                    os.remove(temporary)
+
+    @contextlib.contextmanager
+    def open(self, path: str | Path, newline: str = "\n") -> Iterator[TextIO]:
+        try:
+            with self._staged(path, newline) as out:
+                yield out
+        except OSError as exc:
+            raise EngineError(f"cannot write {path}: {exc}") from exc
+
+    def _staged(self, path: str | Path, newline: str) -> TextIO:
+        # One lstat decides the common case; only a symlink is resolved.
+        real = path
+        try:
+            st = os.lstat(path)
+            if stat.S_ISLNK(st.st_mode):
+                real = os.path.realpath(path)
+                st = os.stat(real)
+        except FileNotFoundError:
+            st = None
+        if st is not None and not stat.S_ISREG(st.st_mode):
+            return open(path, "w", encoding="utf-8", newline=newline)
+        temporary = f"{real}.{os.urandom(8).hex()}.tmp"
+        fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        self.staged.append((temporary, real, path))
+        # A chmod costs the file system more than a stat: only a differing mode is copied.
+        if st is not None and os.fstat(fd).st_mode != st.st_mode:
+            os.chmod(fd, stat.S_IMODE(st.st_mode))
+        return open(fd, "w", encoding="utf-8", newline=newline)
 
 
 def save_model(model, path: str | Path) -> None:
-    """Write any model to its JSON file form (format_version 1)."""
-    with _open_output(path) as out:
+    """Write any model to its JSON file form (format_version 1), whole or not at all."""
+    with _OutputFiles() as outputs, outputs.open(path) as out:
         out.write(json.dumps(model.to_dict(), sort_keys=True))
 
 

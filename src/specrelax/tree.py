@@ -95,10 +95,10 @@ class DraftTree:
     Per node i: `token[i]` and `prob[i]` (its drafter probability), also as
     the lists `tokens` and `probs`; `lane[i]`; `level[i]`, how many of its
     path's tokens were drafted; `index[i]`, its path's length (the sequence
-    index of the token that follows it); `parent[i]` (`ROOT` on level 1),
-    also as the tuple `parents`; and `children[i]`, a range of ids. A path,
-    its lane's prefix plus the tokens from the lane's root to i, is read on
-    demand: `path(i)` whole, `tail(k, nodes)` the last k tokens of several.
+    index of the token that follows it); `parent[i]` (`ROOT` on level 1); and
+    `children[i]`, a range of ids. A path, its lane's prefix plus the tokens
+    from the lane's root to i, is read on demand: `path(i)` whole,
+    `tail(k, nodes)` the last k tokens of several.
     `cond_row[i]` is the row of `draft_table` node i's children were drawn
     from (-1 on its lane's deepest level); lane k's level 1 was drawn from
     row `root_row + root_index[k]`, after every child conditional.
@@ -107,12 +107,12 @@ class DraftTree:
 
     Everything but the prefixes and the drawn arrays comes from the forest's
     `_Skeleton` layout, shared by drafted forests of the same shape, and
-    `pairs` indexes their sibling pairs and parent-child links once per layout.
+    `pairs()` indexes their sibling pairs and parent-child links once per layout.
     """
 
     __slots__ = (
         "side", "prefixes", "root_prefixes", "root_index", "token", "prob", "tokens", "probs",
-        "draft_table", "root_row", "lane", "level", "index", "parent", "parents", "children",
+        "draft_table", "root_row", "lane", "level", "index", "parent", "children",
         "level_starts", "cond_row", "judge", "_pairs",
     )
 
@@ -135,7 +135,7 @@ class DraftTree:
         self.token, self.prob, self.draft_table, self.root_row = token, prob, draft_table, root_row
         self.tokens: list[TokenId] = token.tolist()
         self.probs: list[float] = prob.tolist()
-        self.lane, self.level, self.parent, self.parents = layout.lane, layout.level, layout.parent, layout.parents
+        self.lane, self.level, self.parent = layout.lane, layout.level, layout.parent
         self.children, self.level_starts = layout.children, layout.level_starts
         self.cond_row, self.judge = layout.cond_row, layout.judge
         self.index = np.array([len(p) for p in prefixes])[self.lane] + self.level
@@ -155,7 +155,7 @@ class DraftTree:
         lane = int(self.lane[node])
         while node != ROOT:
             drafted.append(self.tokens[node])
-            node = self.parents[node]
+            node = int(self.parent[node])
         return self.prefixes[lane] + tuple(reversed(drafted))
 
     def tail(self, k: int, nodes: np.ndarray) -> np.ndarray:
@@ -183,17 +183,15 @@ class DraftTree:
             out[take] = prefixes[lanes[take], src[take]]
         return out
 
-    def pairs(self, siblings: bool, links: bool) -> "ForestPairs":
+    def pairs(self) -> "ForestPairs":
         """`forest_pairs` of this forest, indexed once per layout of a cached shape."""
-        key = (siblings, links)
-        found = self._pairs.get(key)
-        if found is None:
-            found = self._pairs[key] = forest_pairs(self.parents, self.level_starts, siblings, links)
-        return found
+        if not self._pairs:
+            self._pairs.append(forest_pairs(self.parent, self.lane, self.level))
+        return self._pairs[0]
 
 
 class ForestPairs(NamedTuple):
-    """The enabled pairs of a forest, level by level.
+    """The sibling pairs and parent-child links of a forest, level by level.
 
     `first` and `second` list level 1's sibling pairs of every lane, then
     level 2's, and so on, then every lane's parent-child links; `sibling`
@@ -218,36 +216,25 @@ class ForestPairs(NamedTuple):
     donor_starts: np.ndarray
 
 
-def forest_pairs(
-    parents: tuple[int, ...], level_starts: tuple[tuple[int, ...], ...], siblings: bool, links: bool
-) -> ForestPairs:
-    """Index the sibling pairs and parent-child links of the forest with these parents.
+def forest_pairs(parent: np.ndarray, lane: np.ndarray, level: np.ndarray) -> ForestPairs:
+    """Index the sibling pairs and parent-child links of a forest from its per-node arrays.
 
-    Siblings are runs of equal parent, and on level 1 runs within one lane.
-    Each level lists its pairs `(a, b)`, `a < b`, in lexicographic order;
-    links follow the child ids. Only sibling pairs (`siblings`) and
-    parent-child links (`links`) that are asked for are listed.
+    Siblings are runs of equal parent within one lane, so a change of lane
+    starts a level-1 group. Each level lists its pairs `(a, b)`, `a < b`, in
+    lexicographic order; links follow the child ids.
     """
-    parent = np.array(parents, dtype=np.intp)
     n = len(parent)
-    depth = max(len(starts) for starts in level_starts) - 1
-    level = np.repeat(
-        [lvl for starts in level_starts for lvl in range(1, len(starts))],
-        [b - a for starts in level_starts for a, b in zip(starts, starts[1:])],
-    )
-    later = np.zeros(n, dtype=np.intp)  # how many siblings follow each node
-    if siblings:
-        new_group = np.ones(n, dtype=bool)
-        new_group[1:] = parent[1:] != parent[:-1]
-        new_group[[starts[0] for starts in level_starts]] = True
-        group_end = np.append(np.flatnonzero(new_group), n)[np.cumsum(new_group)]
-        later = group_end - np.arange(n) - 1
+    depth = int(level.max())
+    new_group = np.ones(n, dtype=bool)
+    new_group[1:] = (parent[1:] != parent[:-1]) | (lane[1:] != lane[:-1])
+    group_end = np.append(np.flatnonzero(new_group), n)[np.cumsum(new_group)]
+    later = group_end - np.arange(n) - 1  # how many siblings follow each node
     node = np.argsort(level, kind="stable")  # level-major
     count = later[node]
     # Node a pairs with each of the `later[a]` siblings right after it.
     first = np.repeat(node, count)
     second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(count) - count, count)
-    kids = np.flatnonzero(parent != ROOT) if links else np.empty(0, dtype=np.intp)
+    kids = np.flatnonzero(parent != ROOT)
     per_level = np.bincount(level, weights=later, minlength=depth + 1)[1:].astype(np.intp)
     groups = np.cumsum(np.concatenate([[0], per_level, [len(kids)]]))
     first = np.concatenate([first, parent[kids]])
@@ -292,22 +279,21 @@ class _Skeleton(NamedTuple):
     `lane_sizes[k]` nodes. `cond_row[i]` is node i's row in the stacked
     child conditionals, which follow drafting order, or -1 on its lane's
     deepest level. `levels[l-1]` lays out level l. The other fields are
-    those of `DraftTree`, and `pairs` caches the layout's `forest_pairs` by
-    (siblings, links).
+    those of `DraftTree`, and `pairs` holds the layout's `forest_pairs` once
+    a forest has indexed them, empty until then.
     """
 
     order: np.ndarray
     lane: np.ndarray
     level: np.ndarray
     parent: np.ndarray
-    parents: tuple[int, ...]
     children: tuple[range, ...]
     level_starts: tuple[tuple[int, ...], ...]
     lane_sizes: tuple[int, ...]
     cond_row: np.ndarray
     levels: tuple[_Level, ...]
     judge: np.ndarray
-    pairs: dict
+    pairs: list
 
 
 def _skeleton(depths: tuple[int, ...], kids: Sequence[np.ndarray | int]) -> _Skeleton:
@@ -364,14 +350,14 @@ def _skeleton(depths: tuple[int, ...], kids: Sequence[np.ndarray | int]) -> _Ske
     for array in (parent, lane, level, cond_row, judge, *(a for step in steps for a in step if a is not None)):
         array.flags.writeable = False
     return _Skeleton(
-        order, lane, level, parent, tuple(parent.tolist()),
+        order, lane, level, parent,
         tuple(map(range, first_kid.tolist(), (first_kid + n_kids).tolist())),
         tuple(tuple(row[: d + 1]) for row, d in zip(starts.tolist(), depths)),
         tuple(lane_size.tolist()),
         cond_row,
         steps,
         judge,
-        {},
+        [],
     )
 
 
@@ -422,7 +408,7 @@ class _LayoutCache:
     def _laid_out(self, key: tuple) -> _Skeleton:
         widths, depths = key
         layout = _skeleton(depths, widths)
-        size = len(layout.parents)
+        size = len(layout.parent)
         mixed = depths.count(depths[0]) != len(depths)
         if size > self.bound or (mixed and not self.fits(widths, len(depths))):
             return layout
@@ -433,7 +419,7 @@ class _LayoutCache:
         self.layouts[key] = layout
         self.nodes += size
         while self.nodes > self.bound:
-            self.nodes -= len(self.layouts.popitem(last=False)[1].parents)
+            self.nodes -= len(self.layouts.popitem(last=False)[1].parent)
         return layout
 
 

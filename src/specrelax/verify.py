@@ -114,9 +114,10 @@ class SimilaritySets(NamedTuple):
     """Feature-similar pairs of a forest, and the donors they give.
 
     `hit[j]` says whether pair j of `pairs` (`DraftTree.pairs`) is at or
-    above its threshold. `inter_pairs[l]` gives level l's similar sibling
-    pairs `(a, b)`, `a < b`, and `conv_pairs` the similar parent-child links,
-    each as a `(k, 2)` array. `donors` is None when no pair hits.
+    above its threshold; a pair whose set is switched off never hits.
+    `inter_pairs[l]` gives level l's similar sibling pairs `(a, b)`, `a < b`,
+    and `conv_pairs` the similar parent-child links, each as a `(k, 2)`
+    array. `donors` is None when no pair hits.
     """
 
     pairs: ForestPairs
@@ -143,20 +144,24 @@ def build_sets(tree: DraftTree, evals: TreeEvals, cfg: RelaxConfig) -> Similarit
     """Collect same-parent sibling pairs and parent-child links above threshold, in every lane.
 
     A forest's pairs are indexed once per cached forest layout
-    (`DraftTree.pairs`), and their cosines come from one pass over the
-    stacked features. Each pair's dot product runs through the same BLAS
-    kernel as `cosine_sim`'s and its norms are the features' own, so every
-    threshold decision matches the scalar definition exactly.
-    Clamping to [-1, 1] is skipped: against a threshold in [0, 1] it cannot
-    change a decision. The hits then pick the layout's donors, each lending
-    its token's mass under the borrower's level law.
+    (`DraftTree.pairs`). Its sibling pairs come before its links, so a set
+    switched off by a threshold above 1 leaves one slice of pairs that can
+    hit: only those are checked for zero-norm features, and their cosines
+    come from one pass over the stacked features. Each pair's dot product
+    runs through the same BLAS kernel as `cosine_sim`'s and its norms are
+    the features' own, so every threshold decision matches the scalar
+    definition exactly. Clamping to [-1, 1] is skipped: against a threshold
+    in [0, 1] it cannot change a decision. The hits then pick the layout's
+    donors, each lending its token's mass under the borrower's level law.
     """
-    want_i = cfg.tau_pos <= 1.0
-    want_c = cfg.tau_seq <= 1.0
-    pairs = tree.pairs(want_i, want_c)
-    first, second = pairs.first, pairs.second
-    if not len(first):
-        return SimilaritySets(pairs, np.zeros(0, dtype=bool), None)
+    pairs = tree.pairs()
+    n_sib = int(pairs.groups[-2])
+    lo = 0 if cfg.tau_pos <= 1.0 else n_sib
+    hi = len(pairs.first) if cfg.tau_seq <= 1.0 else n_sib
+    hit = np.zeros(len(pairs.first), dtype=bool)
+    if lo == hi:
+        return SimilaritySets(pairs, hit, None)
+    first, second = pairs.first[lo:hi], pairs.second[lo:hi]
     norms = evals.norms
     if np.minimum.reduce(norms) <= NORM_FLOOR:
         zero = (norms[first] <= NORM_FLOOR) | (norms[second] <= NORM_FLOOR)
@@ -166,7 +171,7 @@ def build_sets(tree: DraftTree, evals: TreeEvals, cfg: RelaxConfig) -> Similarit
             raise ZeroNormFeature(f"cosine undefined for norms ({na!r}, {nb!r})")
     values = evals.features
     cos = np.vecdot(values[first], values[second]) / (norms[first] * norms[second])
-    hit = cos >= np.where(pairs.sibling, cfg.tau_pos, cfg.tau_seq)
+    hit[lo:hi] = cos >= np.where(pairs.sibling[lo:hi], cfg.tau_pos, cfg.tau_seq)
     keep = hit[pairs.donor_pair]
     kept = np.cumsum(keep)
     if not kept[-1]:
@@ -504,6 +509,17 @@ class DecodeStats:
     accumulated_tvd: float = 0.0
 
 
+def _check_drafter_matches(target: Target, drafter: Drafter | None) -> None:
+    """Raise ConfigError unless the drafter proposes over the target's vocabulary and grid."""
+    if drafter is None:
+        return
+    target_vocab, drafter_vocab = getattr(target, "vocab"), getattr(drafter, "vocab")
+    if drafter_vocab != target_vocab:
+        raise ConfigError(f"drafter vocabulary {drafter_vocab} != target vocabulary {target_vocab}")
+    if target.grid_side and drafter.grid_side and drafter.grid_side != target.grid_side:
+        raise ConfigError(f"drafter grid side {drafter.grid_side} != target grid side {target.grid_side}")
+
+
 def decode_lanes(
     target: Target,
     drafter: Drafter | None,
@@ -539,8 +555,9 @@ def decode_lanes(
     decisions are those of decoding it alone. `on_outcome(lane, cycle,
     outcome)` sees each lane's calls in order, a cycle's lanes in lane
     order, with each correction drawn. An unknown mode or candidate mode, a
-    length below 1 or beyond the grid and a drafting mode without a drafter
-    raise ConfigError before anything is drawn.
+    length below 1 or beyond the grid, a drafting mode without a drafter and
+    a drafter over another vocabulary or grid raise ConfigError before
+    anything is drawn.
     """
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
@@ -553,6 +570,7 @@ def decode_lanes(
         raise ConfigError(f"length {length} exceeds the {side}x{side} grid")
     if mode != AR and drafter is None:
         raise ConfigError(f"mode {mode!r} requires a drafter")
+    _check_drafter_matches(target, drafter)
     lanes = [([], DecodeStats()) for _ in rngs]
 
     if mode == AR:

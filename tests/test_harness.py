@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import stat
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -779,6 +780,28 @@ def test_cli_output_naming_an_input_exits_2(tmp_path, model_files, capsys, monke
     assert paths[victim].read_bytes() == before
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"mode": "bogus"}, "mode must be one of"),
+        ({"candidate_mode": "bogus"}, "unknown candidate mode 'bogus'"),
+        ({"mode": "vanilla", "drafter_path": "missing.json"}, "drafter file not found: "),
+    ],
+    ids=["mode", "candidate-mode", "drafter-file"],
+)
+def test_experiment_config_refuses_an_unknown_mode_or_a_missing_drafter(tmp_path, model_files, overrides, message):
+    overrides = {key: str(tmp_path / value) if key == "drafter_path" else value for key, value in overrides.items()}
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig(**{"model_path": str(model_files["grid"]), "mode": "ar", "seeds": (0,), **overrides})
+
+
+def test_metrics_file_without_an_aggregate_record_is_refused(tmp_path):
+    path = tmp_path / "m.jsonl"
+    path.write_text(json.dumps({"seed": 0, **Metrics(1.0, 4, 0, 1.0, 0.0, 0.0, 4).to_record()}) + "\n")
+    with pytest.raises(ConfigError, match="has no aggregate record"):
+        read_metrics_jsonl(path)
+
+
 def test_experiment_config_refuses_an_output_that_names_an_input(tmp_path, model_files):
     grid = str(model_files["grid"])
     os.link(grid, tmp_path / "hard.json")
@@ -814,6 +837,52 @@ def test_cli_failed_write_exits_2(tmp_path, model_files, capsys, flags):
     assert run_cli(args + [flag.format(tmp=tmp_path) for flag in rest]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write /dev/full: ") and err.count("\n") == 1
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_a_failed_write_leaves_no_output_behind(tmp_path, model_files, capsys):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    metrics = out_dir / "m2.jsonl"
+    ar = ["decode", "--model", model_files["grid"], "--mode", "ar", "--seeds", "0..1", "--out", metrics]
+    # A later output that fails: no metrics file appears, and no temporary is left beside it.
+    assert run_cli(ar + ["--heatmap", "/dev/full"]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write /dev/full: ")
+    assert list(out_dir.iterdir()) == []
+    # An earlier file keeps its bytes and its permissions.
+    decode = ar[:4] + ["vanilla", "--drafter", model_files["grid_drafter"]] + ar[5:]
+    metrics.write_bytes(b"kept\n")
+    metrics.chmod(0o640)
+    assert run_cli(decode + ["--trace", "/dev/full"]) == 2
+    assert metrics.read_bytes() == b"kept\n" and list(out_dir.iterdir()) == [metrics]
+    # A successful run replaces it whole, with the same permissions.
+    assert run_cli(decode + ["--trace", out_dir / "t.jsonl"]) == 0
+    assert read_metrics_jsonl(metrics)[1].tokens_emitted == 64
+    assert (metrics.stat().st_mode & 0o777) == 0o640
+    assert sorted(p.name for p in out_dir.iterdir()) == ["m2.jsonl", "t.jsonl"]
+    # A device is written in place, never renamed over.
+    assert run_cli(decode[:-1] + [os.devnull, "--trace", out_dir / "t.jsonl"]) == 0
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    capsys.readouterr()
+
+
+def test_save_model_writes_whole_or_not_at_all(tmp_path, gridworld, monkeypatch):
+    path = tmp_path / "grid.json"
+    path.write_text("kept")
+    monkeypatch.setattr(GridWorldModel, "to_dict", lambda self: {"bad": object()})
+    with pytest.raises(TypeError):
+        save_model(gridworld, path)
+    assert path.read_text() == "kept" and list(tmp_path.iterdir()) == [path]
+    monkeypatch.undo()
+    save_model(gridworld, path)
+    assert load_model(path).to_dict() == gridworld.to_dict()
+    assert list(tmp_path.iterdir()) == [path]
+    # Through a symlink, the file it leads to is replaced and the link stays.
+    link = tmp_path / "link.json"
+    link.symlink_to(path)
+    save_model(LinearDrafter.zeros(32, 8), link)
+    assert link.is_symlink() and load_model(path).kind == "linear_drafter"
+    assert sorted(tmp_path.iterdir()) == [path, link]
 
 
 def test_cli_overflowing_drafter_exits_2(tmp_path, model_files, capsys):

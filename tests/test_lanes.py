@@ -111,7 +111,7 @@ def assert_forest_matches_reference(drafter, prefixes, mask, depths, seeds, mode
         assert ids == list(range(start, start + len(tokens)))
         assert [forest.tokens[i] for i in ids] == tokens
         assert [forest.probs[i] for i in ids] == probs
-        assert [p if p == ROOT else p - start for p in (forest.parents[i] for i in ids)] == parents
+        assert [p if p == ROOT else p - start for p in (forest.parent[i] for i in ids)] == parents
         for i, mass in zip(ids, child_masses):
             row = int(forest.cond_row[i])
             assert (row < 0) == (mass is None)
@@ -127,7 +127,7 @@ def assert_forest_matches_reference(drafter, prefixes, mask, depths, seeds, mode
 def _ancestors(forest, node):
     while node != ROOT:
         yield node
-        node = forest.parents[node]
+        node = forest.parent[node]
 
 
 # --- forests against the scalar drafter ----------------------------------------
@@ -552,8 +552,8 @@ def test_a_kept_layout_is_the_layout_built_for_its_shape(layouts):
                 _assert_same(getattr(layout, name), getattr(fresh, name))
         assert list(layout.children) == list(fresh.children)
         # The pairs the layout keeps for its forests are those a fresh index gives.
-        _assert_same(forest.pairs(True, True), tree.forest_pairs(fresh.parents, fresh.level_starts, True, True))
-        assert layout.pairs[True, True] is forest.pairs(True, True)
+        _assert_same(forest.pairs(), tree.forest_pairs(fresh.parent, fresh.lane, fresh.level))
+        assert layout.pairs[0] is forest.pairs()
 
 
 def test_the_layout_cache_never_holds_more_nodes_than_its_bound(layouts):
@@ -561,7 +561,7 @@ def test_the_layout_cache_never_holds_more_nodes_than_its_bound(layouts):
     widths = TreeMask.default().widths
 
     def held():
-        return sum(len(kept.parents) for kept in cache.layouts.values())
+        return sum(len(kept.parent) for kept in cache.layouts.values())
 
     # Every deepest-first shape of one to four lanes, asked for twice: more nodes than the bound.
     shapes = [
@@ -581,6 +581,26 @@ def test_the_layout_cache_never_holds_more_nodes_than_its_bound(layouts):
     for _ in range(3):
         _draft((5,) * 512)
     assert built == [(5,) * 512]
+
+
+def test_a_small_cache_starts_its_shared_ranges_afresh_and_keeps_building_true_layouts():
+    from specrelax import tree
+
+    cache = tree._LayoutCache(120)
+    widths = TreeMask.default().widths
+    shapes = [depths for n in (1, 2) for depths in combinations_with_replacement(range(5, 0, -1), n)]
+    cleared = 0
+    for depths in shapes * 2:
+        before = len(cache.ranges)
+        layout = cache.get(widths[: max(depths)], depths)
+        cleared += len(cache.ranges) < before
+        fresh = tree._skeleton(depths, widths[: max(depths)])
+        for name in tree._Skeleton._fields:
+            if name != "pairs":
+                _assert_same(getattr(layout, name), getattr(fresh, name))
+        assert list(layout.children) == list(fresh.children)
+        assert len(cache.ranges) <= cache.bound + len(layout.children)
+    assert cleared > 0
 
 
 # --- lanes sharing a root prefix -------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -500,6 +501,57 @@ def test_tabular_refuses_windows_outside_its_vocabulary_or_order():
     for prefix in ([7], [-1], [0, 3]):
         with pytest.raises(UnknownWindow):
             stock.evaluate(prefix, GridPos(0, 0))
+
+
+def test_tabular_batch_windows_outside_its_vocabulary_are_refused():
+    model = random_tabular_model(3, 2, seed=4, h=2)
+    rows = model.conditionals(np.array([[0, 1], [-1, 2]]), np.array([2, 1]), 8)
+    assert rows.shape == (2, 3)  # a -1 before a window's start is padding
+    for tails, lengths, window in (([[0, 1], [1, 3]], [2, 2], (1, 3)), ([[-1, 2]], [2], (-1, 2))):
+        with pytest.raises(UnknownWindow, match=re.escape(f"no table row for window {window}")):
+            model.conditionals(np.array(tails), np.array(lengths), 8)
+
+
+def _incomplete_regions(data):
+    data["regions"].pop()
+
+
+def _unknown_region_cluster(data):
+    data["regionClusters"][2] = 9
+
+
+def _zero_region_anchor(data):
+    data["regionAnchors"][1] = [0.0] * 8
+
+
+def _empty_preferred_cluster(data):
+    data["clusters"] = [3 if c == 2 else c for c in data["clusters"]]
+
+
+GRID_REFUSALS = {
+    "incomplete-regions": (_incomplete_regions, "regions must cover every grid cell"),
+    "unknown-region-cluster": (_unknown_region_cluster, "region_clusters references an unknown cluster"),
+    "zero-region-anchor": (_zero_region_anchor, "region anchors must be non-zero"),
+    "improper-preferred-cluster": (_empty_preferred_cluster, "each region needs a proper, non-empty preferred cluster"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRID_REFUSALS))
+def test_malformed_gridworld_files_are_refused_at_load_and_by_decode(tmp_path, capsys, case):
+    from specrelax.cli import main
+
+    mutate, message = GRID_REFUSALS[case]
+    data = json.loads(json.dumps(STOCK_MODELS["gridworld"]))
+    mutate(data)
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ModelFormatError, match=message):
+        load_model(path)
+    out = tmp_path / "m.jsonl"
+    assert main(["decode", "--model", str(path), "--mode", "ar", "--seeds", "0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not out.exists()
 
 
 def test_tabular_scalar_rows_are_the_batch_window_ids():

@@ -55,7 +55,7 @@ def test_width_one_tree_is_greedy_chain():
     assert [len(tree_level(tree, lvl)) for lvl in (1, 2)] == [1, 1]
     chain = [tree_level(tree, 1)[0], tree_level(tree, 2)[0]]
     assert [tree.tokens[n] for n in chain] == [1, 1]
-    assert tree.parents[chain[1]] == chain[0]
+    assert tree.parent[chain[1]] == chain[0]
     assert list(tree.children[chain[0]]) == [chain[1]]
     assert tree.path(chain[1]) == (1, 1)
 
@@ -121,7 +121,7 @@ def test_sibling_tokens_are_distinct():
             for level in range(1, tree_depth(tree) + 1):
                 groups: dict[int, list[int]] = {}
                 for node in tree_level(tree, level):
-                    groups.setdefault(tree.parents[node], []).append(tree.tokens[node])
+                    groups.setdefault(tree.parent[node], []).append(tree.tokens[node])
                 for tokens in groups.values():
                     assert len(tokens) == len(set(tokens))
                     assert all(
@@ -167,7 +167,7 @@ def test_flat_arrays_describe_one_consistent_tree():
                 assert tree.level_starts[0][0] == 0 and tree.level_starts[0][-1] == n
                 for level in range(1, tree_depth(tree) + 1):
                     for node in tree_level(tree, level):
-                        parent = tree.parents[node]
+                        parent = tree.parent[node]
                         if level == 1:
                             assert parent == ROOT
                             assert tree.path(node) == (1, 2, tree.tokens[node])
@@ -175,7 +175,7 @@ def test_flat_arrays_describe_one_consistent_tree():
                             assert parent in tree_level(tree, level - 1)
                             assert tree.path(node) == tree.path(parent) + (tree.tokens[node],)
                         assert tree.probs[node] == drafter.dist[tree.tokens[node]]
-                        kids = [c for c in tree.nodes if tree.parents[c] == node]
+                        kids = [c for c in tree.nodes if tree.parent[c] == node]
                         assert list(tree.children[node]) == kids
                         assert len(kids) == (
                             0 if level == tree_depth(tree) else min(widths[level], 4)

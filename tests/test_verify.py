@@ -243,10 +243,10 @@ def test_interchange_pairs_are_irreflexive_and_symmetric_on_random_trees():
             for a, b in pairs:
                 assert a < b
                 assert level_of(tree, a) == level == level_of(tree, b)
-                assert tree.parents[a] == tree.parents[b]
+                assert tree.parent[a] == tree.parent[b]
         for a, b in sets.conv_pairs:
             assert level_of(tree, b) == level_of(tree, a) + 1
-            assert tree.parents[b] == a
+            assert tree.parent[b] == a
 
 
 def test_relax_config_is_two_thresholds_and_a_budget():
@@ -295,7 +295,7 @@ def scalar_sets(tree, feature, cfg):
                 nodes = list(tree_level(tree, level, lane))
                 for i, a in enumerate(nodes):
                     for b in nodes[i + 1 :]:
-                        if tree.parents[a] != tree.parents[b]:
+                        if tree.parent[a] != tree.parent[b]:
                             continue
                         if cosine_sim(feature[a], feature[b]) >= cfg.tau_pos:
                             pairs.add((a, b))
@@ -411,7 +411,7 @@ def test_build_sets_match_scalar_definition_on_pruned_trees():
 
 def all_pairs(tree):
     """Every sibling pair and parent-child link of a forest, as (first, second) tuples."""
-    pairs = forest_pairs(tree.parents, tree.level_starts, True, True)
+    pairs = forest_pairs(tree.parent, tree.lane, tree.level)
     return list(zip(pairs.first.tolist(), pairs.second.tolist()))
 
 
@@ -423,7 +423,7 @@ def test_full_trees_of_one_mask_share_one_layout():
         draft_one(drafter, [], mask, RngStream(seed), side=4)
         for seed in range(3)
     ]
-    pairs = [tree.pairs(True, True) for tree in trees]
+    pairs = [tree.pairs() for tree in trees]
     assert pairs[0] is pairs[1] is pairs[2]
     # Sibling pairs: 3 among the root's children, then 1 in each of 3 pairs
     # of siblings, none among only children; then 6 + 6 parent-child links.
@@ -466,6 +466,50 @@ def test_build_sets_raises_zero_norm_exactly_where_scalar_does():
                     build_sets(tree, evals, cfg)
             else:
                 assert pair_sets(build_sets(tree, evals, cfg)) == expected
+
+
+def test_a_switched_off_set_never_lends():
+    import math
+
+    # Every node shares one feature whose computed self-cosine rounds up to
+    # nextafter(1, 2), so each pair would pass a threshold just above 1.
+    rng_np = np.random.default_rng(0)
+    for _ in range(10_000):
+        feat = FeatureVec(rng_np.normal(size=3))
+        if np.vecdot(feat.values, feat.values) / (feat.norm * feat.norm) > 1.0:
+            break
+    root_dist = ProbDist([0.5, 0.3, 0.2])
+    tree = manual_tree(
+        [[(0, 0.5, None), (1, 0.3, None), (2, 0.2, None)], [(1, 0.5, 0), (2, 0.5, 0)]],
+        root_dist, child_dists={0: root_dist},
+    )
+    evals = manual_evals(tree, root_dist, [(root_dist, feat)] * 5)
+    pairs = tree.pairs()
+    cos = np.vecdot(evals.features[pairs.first], evals.features[pairs.second]) / (
+        evals.norms[pairs.first] * evals.norms[pairs.second]
+    )
+    assert (cos >= math.nextafter(1.0, 2.0)).all()
+    for off in (1.01, math.nextafter(1.0, 2.0)):
+        for tau_pos, tau_seq in ((off, 1.0), (1.0, off), (off, off)):
+            sets = build_sets(tree, evals, RelaxConfig(tau_pos=tau_pos, tau_seq=tau_seq))
+            enabled = np.where(pairs.sibling, tau_pos <= 1.0, tau_seq <= 1.0)
+            # The enabled pairs' own hits, and none of a switched-off set's.
+            expected = enabled & (cos >= np.where(pairs.sibling, tau_pos, tau_seq))
+            assert sets.hit.tolist() == expected.tolist()
+            hits = [(a, b) for a, b, h in zip(pairs.first.tolist(), pairs.second.tolist(), expected) if h]
+            inter = [tuple(p) for level in sorted(sets.inter_pairs) for p in sets.inter_pairs[level].tolist()]
+            conv = [tuple(p) for p in sets.conv_pairs.tolist()]
+            assert inter == [p for p, s in zip(hits, pairs.sibling[expected]) if s]
+            assert conv == [p for p, s in zip(hits, pairs.sibling[expected]) if not s]
+            assert (inter == []) == (tau_pos > 1.0) and (conv == []) == (tau_seq > 1.0)
+            if tau_pos > 1.0 and tau_seq > 1.0:
+                assert sets.donors is None
+            else:
+                # Only the enabled set's donors are lent: siblings to siblings, or children to parents.
+                off = sets.donors.off
+                sibling_lent = any(off[2 * x] < off[2 * x + 1] for x in tree.nodes)
+                child_lent = any(off[2 * x + 1] < off[2 * x + 2] for x in tree.nodes)
+                assert (sibling_lent, child_lent) == (tau_pos <= 1.0, tau_seq <= 1.0)
 
 
 # --- evaluate_tree --------------------------------------------------------------
@@ -601,7 +645,7 @@ def test_every_node_is_judged_against_its_level_law(case, mode):
     laws, rows, _, _ = target.evaluate_batch(tree)
     roots = [target.evaluate(p, GridPos.from_index(len(p), 8)).dist for p in prefixes]
     for node in tree.nodes:
-        law, parent, token = int(evals.law[node]), tree.parents[node], tree.tokens[node]
+        law, parent, token = int(evals.law[node]), tree.parent[node], tree.tokens[node]
         if parent == ROOT:
             assert evals.laws.dists[law] is roots[tree.lane[node]]
         else:
@@ -1165,6 +1209,18 @@ def test_decode_sequence_refuses_bad_requests_with_config_error(tabular_v4, tabu
                 decode_sequence(tabular_v4, tabular_v4_drafter, mode, *args, length, RngStream(0))
             with pytest.raises(ConfigError, match="at least 1"):
                 decode_with_metrics(tabular_v4, tabular_v4_drafter, mode, *args, length, RngStream(0))
+
+
+def test_decode_lanes_refuses_a_drafter_over_another_vocabulary():
+    target = random_tabular_model(4, 1, seed=1)
+    for vocab in (8, 3):
+        for mode in ("vanilla", "cascade"):
+            streams = [RngStream(0), RngStream(1)]
+            with pytest.raises(ConfigError, match=f"drafter vocabulary {vocab} != target vocabulary 4"):
+                decode_lanes(target, LinearDrafter.zeros(vocab, 8), mode, TreeMask((2, 1)), RelaxConfig(), 3,
+                             streams, candidate_mode="topk")
+            # Refused before anything is drawn.
+            assert [rng.counter for rng in streams] == [0, 0]
 
 
 class CountingDrafter:
