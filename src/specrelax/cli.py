@@ -37,7 +37,8 @@ from .verify import AR, MODES, RelaxConfig
 
 
 # The most seeds one spec may name: about 40 minutes of 64-token grid decodes
-# at 25k tokens/s, and a seed tuple of about 40 MB.
+# at 25k tokens/s. `decode` holds the seed tuple, about 40 MB at the cap, and
+# one block of `LANE_BLOCK` seeds' records and trace lines at a time.
 _MAX_SEEDS = 1_000_000
 
 

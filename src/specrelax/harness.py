@@ -7,16 +7,15 @@ decoding scores exactly 1.0.
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import functools
 import json
 import math
-import operator
 import os
 import stat
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -38,7 +37,8 @@ from .verify import AR, MODES, DecodeStats, RelaxConfig, _check_drafter_matches,
 
 DEFAULT_KAPPA = 0.1
 # Sequences decoded in lockstep at a time, by `run_experiment` (seeds) and
-# `mc_distribution_test` (samples); it bounds a decode's memory.
+# `mc_distribution_test` (samples); with outputs written block by block, it
+# bounds a decode's memory.
 LANE_BLOCK = 512
 
 
@@ -74,16 +74,17 @@ class Metrics:
         return cls(**{name: record[key] for name, key in _METRIC_KEYS})
 
     @classmethod
-    def aggregate(cls, per_seed: Sequence["Metrics"]) -> "Metrics":
-        if not per_seed:
-            raise InvalidValue("cannot aggregate zero runs")
-        n = len(per_seed)
-        # A left-to-right fold from int 0, as Python 3.11's `sum`: from 3.12 on `sum`
+    def aggregate(cls, per_seed: Iterable["Metrics"]) -> "Metrics":
+        """The field-wise mean, in one pass over `per_seed`."""
+        # Each sum is a left-to-right fold from int 0, as Python 3.11's `sum`: from 3.12 on `sum`
         # compensates float rounding, so the record's bytes would depend on the interpreter.
-        def mean(name: str) -> float:
-            return functools.reduce(operator.add, (getattr(m, name) for m in per_seed), 0) / n
-
-        return cls(**{name: mean(name) for name, _ in _METRIC_KEYS})
+        n, sums = 0, [0] * len(_METRIC_KEYS)
+        for metrics in per_seed:
+            n += 1
+            sums = [total + getattr(metrics, name) for total, (name, _) in zip(sums, _METRIC_KEYS)]
+        if not n:
+            raise InvalidValue("cannot aggregate zero runs")
+        return cls(**{name: total / n for total, (name, _) in zip(sums, _METRIC_KEYS)})
 
 
 def _check_kappa(kappa: float) -> None:
@@ -227,16 +228,6 @@ def load_target(path: str | Path) -> Target:
     return model
 
 
-def _check_length(target: Target, drafter: Drafter | None, length: int) -> None:
-    """Raise ConfigError unless `length` is positive and fits the grid of each model that has one."""
-    if length < 1:
-        raise ConfigError(f"sequence length must be at least 1, got {length}")
-    for role, model in (("target", target), ("drafter", drafter)):
-        side = model.grid_side if model is not None else None
-        if side and length > side * side:
-            raise ConfigError(f"length {length} exceeds the {role}'s {side}x{side} grid")
-
-
 # `json.dumps(record, sort_keys=True)` would build a new encoder for every line.
 _LINE_ENCODER = json.JSONEncoder(sort_keys=True)
 
@@ -246,54 +237,65 @@ def _dump_line(out: TextIO, record: dict) -> None:
 
 
 def run_experiment(cfg: ExperimentConfig) -> Metrics:
-    """Decode one sequence per seed, write JSONL records, return the seed mean."""
+    """Decode one sequence per seed, write JSONL records, return the seed mean.
+
+    The seeds are decoded as lanes, LANE_BLOCK at a time, and each block's
+    records and trace lines are written as it ends: a decode holds one
+    block, the first seed's tokens (for the heatmap) and the mean's running
+    sums. The outputs appear together, once the last is written.
+    """
     target = load_target(cfg.model_path)
     drafter = load_model(cfg.drafter_path) if cfg.drafter_path else None
-    _check_drafter_matches(target, drafter)
     length = cfg.length
     if length is None:
         if target.grid_side is None:
             raise ConfigError("a sequence length is required for non-grid models")
         length = target.grid_side * target.grid_side
-    _check_length(target, drafter, length)
-    side = target.grid_side or max(1, math.isqrt(max(length - 1, 0)) + 1)
+    side = _check_drafter_matches(target, drafter, length)
     if cfg.heatmap_path is not None and length != side * side:
         raise ConfigError(
             f"the heatmap covers every row of the {side}x{side} grid, so it needs length {side * side}, "
             f"got {length}"
         )
+    first: list[TokenId] = []
 
-    # One lane per seed, LANE_BLOCK seeds at a time; each lane's trace lines
-    # are kept apart so that the file lists them seed by seed, cycle by cycle.
-    traces: list[list[str]] = [[] for _ in cfg.seeds]
-    results = []
-    for lo in range(0, len(cfg.seeds), LANE_BLOCK):
-        seeds = cfg.seeds[lo : lo + LANE_BLOCK]
-        sink = None
-        if cfg.trace_path is not None:
-            def sink(lane: int, cycle: int, outcome) -> None:
-                traces[lo + lane].extend(outcome.trace_lines(seeds[lane], cycle))
-        results += decode_lanes(
-            target, drafter, cfg.mode, cfg.mask, cfg.relax, length,
-            [RngStream(seed) for seed in seeds], candidate_mode=cfg.candidate_mode, on_outcome=sink,
-        )
-    per_seed = [_metrics(cfg.mode, stats, cfg.kappa) for _, stats in results]
-
-    aggregate = Metrics.aggregate(per_seed)
-    # The outputs appear together, once the last is written.
-    with _OutputFiles() as outputs:
-        if cfg.metrics_path is not None:
-            with outputs.open(cfg.metrics_path) as out:
-                for seed, metrics in zip(cfg.seeds, per_seed):
-                    _dump_line(out, {"seed": seed, **metrics.to_record()})
-                _dump_line(out, {"aggregate": True, **aggregate.to_record()})
-        if cfg.trace_path is not None:
-            with outputs.open(cfg.trace_path) as out:
+    def decoded(metrics_out: TextIO | None, trace_out: TextIO | None) -> Iterator[Metrics]:
+        """Each seed's Metrics, in seed order; a block's records and trace lines are written as it ends."""
+        for lo in range(0, len(cfg.seeds), LANE_BLOCK):
+            seeds = cfg.seeds[lo : lo + LANE_BLOCK]
+            # Each lane's trace lines are kept apart, so that the file lists them seed by seed, cycle by cycle.
+            traces: list[list[str]] = [[] for _ in seeds]
+            sink = None
+            if trace_out is not None:
+                def sink(lane: int, cycle: int, outcome) -> None:
+                    traces[lane].extend(outcome.trace_lines(seeds[lane], cycle))
+            results = decode_lanes(
+                target, drafter, cfg.mode, cfg.mask, cfg.relax, length,
+                [RngStream(seed) for seed in seeds], candidate_mode=cfg.candidate_mode, on_outcome=sink,
+            )
+            if lo == 0:
+                first.extend(results[0][0])
+            per_seed = [_metrics(cfg.mode, stats, cfg.kappa) for _, stats in results]
+            if metrics_out is not None:
+                for seed, metrics in zip(seeds, per_seed):
+                    _dump_line(metrics_out, {"seed": seed, **metrics.to_record()})
+            if trace_out is not None:
                 for lines in traces:
-                    out.writelines(lines)
+                    trace_out.writelines(lines)
+            yield from per_seed
+
+    with _OutputFiles() as outputs:
+        with contextlib.ExitStack() as files:
+            metrics_out, trace_out = (
+                None if path is None else files.enter_context(outputs.open(path))
+                for path in (cfg.metrics_path, cfg.trace_path)
+            )
+            aggregate = Metrics.aggregate(decoded(metrics_out, trace_out))
+            if metrics_out is not None:
+                _dump_line(metrics_out, {"aggregate": True, **aggregate.to_record()})
         if cfg.heatmap_path is not None:
             # Written last: its own rename follows every other write.
-            export_similarity_heatmap(target, results[0][0], range(side), cfg.heatmap_path)
+            export_similarity_heatmap(target, first, range(side), cfg.heatmap_path)
     return aggregate
 
 
@@ -335,8 +337,7 @@ def mc_distribution_test(
     if samples < 1:
         raise ConfigError(f"at least one sample is required, got {samples}")
     _check_seed(base_seed)
-    _check_drafter_matches(target, drafter)
-    _check_length(target, drafter, length)
+    _check_drafter_matches(target, drafter, length)
     oracle = enumerate_ar_distribution(target, length)
     mask = mask if mask is not None else TreeMask.chain(length)
     relax = relax if relax is not None else RelaxConfig()

@@ -42,6 +42,10 @@ if TYPE_CHECKING:
 
 FORMAT_VERSION = 1
 ENUMERATION_GUARD = 1_000_000
+# The most entries a linear drafter's softmax table, (V+1) * N^2 * V of them, may
+# hold: 256 MiB of float64. V=512 at N=8 (16.8M entries, 128 MiB) fits; V=2,048
+# at N=8 (2 GiB) does not.
+_MAX_TABLE_ENTRIES = 2**25
 
 Window = tuple[int, ...]
 
@@ -571,7 +575,8 @@ class LinearDrafter:
     The feature dimension is V + 2N. The first position (empty prefix) drops
     the last-token one-hot and uses only the positional terms. Every
     conditional is a read-only row of one softmax table, built and checked in
-    a single numpy pass by the first `distribution` call. A token outside the
+    a single numpy pass by the first `distribution` call; a shape whose table
+    would pass `_MAX_TABLE_ENTRIES` raises InvalidValue. A token outside the
     vocabulary or a cell outside the N x N grid raises UnknownWindow.
     """
 
@@ -592,6 +597,12 @@ class LinearDrafter:
             raise InvalidValue(f"weights must have shape ({vocab}, {d}), got {w.shape}")
         if b.shape != (vocab,):
             raise InvalidValue(f"bias must have shape ({vocab},), got {b.shape}")
+        entries = (vocab + 1) * side * side * vocab
+        if entries > _MAX_TABLE_ENTRIES:
+            raise InvalidValue(
+                f"a drafter with V={vocab} and N={side} has a softmax table of {entries} entries, "
+                f"above the cap of {_MAX_TABLE_ENTRIES}"
+            )
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
             raise NonFinite("drafter parameters must be finite")
         self.weights = w

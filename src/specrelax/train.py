@@ -35,6 +35,11 @@ from .core import (
 from .models import LinearDrafter, Target
 
 LOG_FLOOR = 1e-12
+# The most rollout positions, num_sequences * side^2, one fit may hold. A
+# position cost 1.8-2.2 KiB of peak RSS on the 32-token gridworld (6,400 to
+# 102,400 positions, one epoch) and 3.6 KiB at V=64, so a gridworld fit at the
+# cap stays near 1 GiB.
+_MAX_TRAIN_POSITIONS = 2**19
 
 
 @dataclass(frozen=True)
@@ -240,16 +245,24 @@ def train_drafter(
     """Fit a fresh linear drafter against target rollouts; deterministic per seed.
 
     The rollouts become arrays once per fit; each epoch only runs the forward
-    pass, loss and gradient on them. A step that overflows leaves non-finite
-    parameters, which the next `LinearDrafter` refuses with NonFinite.
+    pass, loss and gradient on them. Rollouts of more than
+    `_MAX_TRAIN_POSITIONS` positions raise ConfigError before any is rolled
+    out. A step that overflows leaves non-finite parameters, which the next
+    `LinearDrafter` refuses with NonFinite.
     """
     side = target.grid_side or 8
+    if cfg.num_sequences * side * side > _MAX_TRAIN_POSITIONS:
+        raise ConfigError(
+            f"{cfg.num_sequences} rollouts of {side * side} positions exceed the cap of "
+            f"{_MAX_TRAIN_POSITIONS} training positions"
+        )
+    vocab = getattr(target, "vocab")
+    # Built before the rollouts, so a drafter table above its cap is refused first.
+    drafter = LinearDrafter.zeros(vocab, side)
     sequences = build_training_samples(target, cfg.num_sequences, side * side, side, cfg.seed)
     weight_arr = np.concatenate([mark_convergent(seq, cfg) for seq in sequences])
 
-    vocab = getattr(target, "vocab")
     fit = _fit_arrays([s for seq in sequences for s in seq], vocab, side)
-    drafter = LinearDrafter.zeros(vocab, side)
     w = drafter.weights.copy()
     b = drafter.bias.copy()
     with np.errstate(over="ignore", invalid="ignore"):

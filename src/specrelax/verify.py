@@ -509,15 +509,30 @@ class DecodeStats:
     accumulated_tvd: float = 0.0
 
 
-def _check_drafter_matches(target: Target, drafter: Drafter | None) -> None:
-    """Raise ConfigError unless the drafter proposes over the target's vocabulary and grid."""
+def _check_drafter_matches(target: Target, drafter: Drafter | None, length: int) -> int:
+    """Raise ConfigError unless `length` tokens fit the target and the drafter; return the grid side.
+
+    The length is at least 1 and fits the target's grid, or for a grid-less
+    target the smallest square that holds it, whose side is returned. The
+    drafter proposes over the target's vocabulary and grid side, and its own
+    grid, if it has one, holds the length.
+    """
+    if length < 1:
+        raise ConfigError(f"sequence length must be at least 1, got {length}")
+    side = target.grid_side or max(1, math.isqrt(length - 1) + 1)
+    if length > side * side:
+        raise ConfigError(f"length {length} exceeds the {side}x{side} grid")
     if drafter is None:
-        return
+        return side
     target_vocab, drafter_vocab = getattr(target, "vocab"), getattr(drafter, "vocab")
     if drafter_vocab != target_vocab:
         raise ConfigError(f"drafter vocabulary {drafter_vocab} != target vocabulary {target_vocab}")
-    if target.grid_side and drafter.grid_side and drafter.grid_side != target.grid_side:
-        raise ConfigError(f"drafter grid side {drafter.grid_side} != target grid side {target.grid_side}")
+    own = drafter.grid_side
+    if target.grid_side and own and own != target.grid_side:
+        raise ConfigError(f"drafter grid side {own} != target grid side {target.grid_side}")
+    if own and length > own * own:
+        raise ConfigError(f"length {length} exceeds the drafter's {own}x{own} grid")
+    return side
 
 
 def decode_lanes(
@@ -555,22 +570,17 @@ def decode_lanes(
     decisions are those of decoding it alone. `on_outcome(lane, cycle,
     outcome)` sees each lane's calls in order, a cycle's lanes in lane
     order, with each correction drawn. An unknown mode or candidate mode, a
-    length below 1 or beyond the grid, a drafting mode without a drafter and
-    a drafter over another vocabulary or grid raise ConfigError before
-    anything is drawn.
+    target, drafter and length that `_check_drafter_matches` refuses and a
+    drafting mode without a drafter raise ConfigError before anything is
+    drawn.
     """
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     if candidate_mode not in CANDIDATE_MODES:
         raise ConfigError(f"unknown candidate mode {candidate_mode!r}")
-    if length < 1:
-        raise ConfigError(f"sequence length must be at least 1, got {length}")
-    side = target.grid_side or max(1, math.isqrt(length - 1) + 1)
-    if length > side * side:
-        raise ConfigError(f"length {length} exceeds the {side}x{side} grid")
+    side = _check_drafter_matches(target, drafter, length)
     if mode != AR and drafter is None:
         raise ConfigError(f"mode {mode!r} requires a drafter")
-    _check_drafter_matches(target, drafter)
     lanes = [([], DecodeStats()) for _ in rngs]
 
     if mode == AR:

@@ -236,6 +236,10 @@ def test_heatmap_rejects_out_of_range_rows(tmp_path, gridworld):
     )
     with pytest.raises(RowOutOfRange):
         export_similarity_heatmap(gridworld, tokens, [8], tmp_path / "hm.csv")
+    # Row 2 ends at position 23, past the first 20 tokens.
+    with pytest.raises(RowOutOfRange, match="past the decoded sequence"):
+        export_similarity_heatmap(gridworld, tokens[:20], [0, 2], tmp_path / "hm.csv")
+    assert not (tmp_path / "hm.csv").exists()
 
 
 def test_heatmap_csv_matches_matrix(tmp_path, gridworld):
@@ -723,6 +727,8 @@ def test_cli_reports_engine_errors(tmp_path, capsys):
         ["oracle", "--seed", "18446744073709551616", "--samples", "100"],
         ["train", "--seed", "-1"],
         ["train", "--seed", "18446744073709551616"],
+        # 6.4G rollout positions, above the training cap.
+        ["train", "--sequences", "100000000"],
     ],
 )
 def test_cli_bad_flag_values_exit_2(tmp_path, model_files, capsys, monkeypatch, flags):
@@ -739,7 +745,7 @@ def test_cli_bad_flag_values_exit_2(tmp_path, model_files, capsys, monkeypatch, 
         args += ["--drafter", model_files["grid_drafter"], "--mode", "vanilla"]
     assert run_cli(args + rest) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1
     assert not (tmp_path / "out.json").exists()
 
 
@@ -923,6 +929,22 @@ def exit_code(args) -> int:
         return exc.code
 
 
+def test_cli_config_as_the_last_argument_exits_2(tmp_path, model_files, capsys):
+    out = tmp_path / "m.jsonl"
+    assert exit_code(["decode", "--model", model_files["grid"], "--mode", "ar", "--out", out, "--config"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if "error:" in line] == ["specrelax decode: error: --config requires a file path"]
+    assert not out.exists()
+
+
+def test_cli_tempered_drafter_from_a_gridworld_exits_2(tmp_path, model_files, capsys):
+    out = tmp_path / "model.json"
+    assert run_cli(["make-model", "--family", "tempered-drafter", "--from", model_files["grid"],
+                    "--out", out]) == 2
+    assert capsys.readouterr().err == "error: tempered-drafter needs a tabular source model\n"
+    assert not out.exists()
+
+
 def test_cli_sibling_mode_flag_is_gone(tmp_path, model_files, capsys):
     code = exit_code(["decode", "--model", model_files["grid"], "--drafter", model_files["grid_drafter"],
                       "--mode", "vanilla", "--seeds", "0", "--len", "8",
@@ -1095,3 +1117,91 @@ def test_cli_length_beyond_the_drafter_grid_exits_2(tmp_path, tabular_linear_fil
     err = capsys.readouterr().err
     assert err.startswith("error:") and "drafter's 8x8 grid" in err
     assert not (tmp_path / "m.jsonl").exists()
+
+
+# Each bad target, drafter and length, with the message every entry point gives for it.
+BAD_DECODES = {
+    "vocabulary": (lambda: random_tabular_model(4, 1, seed=11), (32, 8), 4,
+                   "drafter vocabulary 32 != target vocabulary 4"),
+    "grid-side": (GridWorldModel.default, (32, 4), 4, "drafter grid side 4 != target grid side 8"),
+    "length-below-1": (lambda: random_tabular_model(4, 1, seed=11), (4, 8), 0,
+                       "sequence length must be at least 1, got 0"),
+    "past-the-target-grid": (GridWorldModel.default, (32, 8), 65, "length 65 exceeds the 8x8 grid"),
+    # A grid-less target: 10 tokens lie on a 4x4 grid, past the drafter's own 3x3 one.
+    "past-the-drafter-grid": (lambda: random_tabular_model(4, 1, seed=11), (4, 3), 10,
+                              "length 10 exceeds the drafter's 3x3 grid"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DECODES))
+def test_every_entry_point_refuses_a_bad_decode_with_one_message(tmp_path, monkeypatch, case):
+    make_target, (vocab, side), length, message = BAD_DECODES[case]
+    target, drafter = make_target(), LinearDrafter.zeros(vocab, side)
+    messages = []
+    streams = [RngStream(0), RngStream(1)]
+    with pytest.raises(ConfigError) as refused:
+        decode_lanes(target, drafter, "vanilla", TreeMask((2, 1)), RelaxConfig(), length, streams)
+    messages.append(str(refused.value))
+    assert [rng.counter for rng in streams] == [0, 0]
+
+    save_model(target, tmp_path / "target.json")
+    save_model(drafter, tmp_path / "drafter.json")
+    cfg = ExperimentConfig(model_path=str(tmp_path / "target.json"), drafter_path=str(tmp_path / "drafter.json"),
+                           mode="vanilla", seeds=(0,), length=length, metrics_path=str(tmp_path / "m.jsonl"))
+    with pytest.raises(ConfigError) as refused:
+        run_experiment(cfg)
+    messages.append(str(refused.value))
+    assert not (tmp_path / "m.jsonl").exists()
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("the oracle enumerated a refused decode")
+
+    monkeypatch.setattr(harness, "enumerate_ar_distribution", no_enumeration)
+    with pytest.raises(ConfigError) as refused:
+        mc_distribution_test(target, drafter, "vanilla", 10, length)
+    messages.append(str(refused.value))
+    assert messages == [message] * 3
+
+
+def test_run_experiment_writes_each_block_as_it_ends(monkeypatch, tmp_path, model_files):
+    events = []
+    decode, dump = harness.decode_lanes, harness._dump_line
+
+    def logged_decode(*args, **kwargs):
+        events.append(("decode", len(args[6])))
+        return decode(*args, **kwargs)
+
+    def logged_dump(out, record):
+        events.append(("record", record.get("seed", "aggregate")))
+        dump(out, record)
+
+    monkeypatch.setattr(harness, "decode_lanes", logged_decode)
+    monkeypatch.setattr(harness, "_dump_line", logged_dump)
+    monkeypatch.setattr(harness, "LANE_BLOCK", 2)
+    cfg = ExperimentConfig(model_path=str(model_files["grid"]), mode="ar", seeds=(5, 6, 7), length=4,
+                           metrics_path=str(tmp_path / "m.jsonl"))
+    run_experiment(cfg)
+    assert events == [("decode", 2), ("record", 5), ("record", 6), ("decode", 1), ("record", 7),
+                      ("record", "aggregate")]
+
+
+def test_a_decode_that_fails_in_a_later_block_leaves_no_output(monkeypatch, tmp_path, model_files):
+    calls = []
+    decode = harness.decode_lanes
+
+    def failing_decode(*args, **kwargs):
+        calls.append(len(args[6]))
+        if len(calls) == 2:
+            raise ConfigError("the second block fails")
+        return decode(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "decode_lanes", failing_decode)
+    monkeypatch.setattr(harness, "LANE_BLOCK", 2)
+    out = tmp_path / "out"
+    out.mkdir()
+    cfg = ExperimentConfig(model_path=str(model_files["grid"]), drafter_path=str(model_files["grid_drafter"]),
+                           mode="vanilla", seeds=(0, 1, 2), metrics_path=str(out / "m.jsonl"),
+                           trace_path=str(out / "t.jsonl"), heatmap_path=str(out / "h.csv"))
+    with pytest.raises(ConfigError, match="the second block fails"):
+        run_experiment(cfg)
+    assert calls == [2, 1] and list(out.iterdir()) == []

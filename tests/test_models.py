@@ -31,7 +31,7 @@ from specrelax import (
     tempered_table_drafter,
     train_drafter,
 )
-from specrelax.core import UnknownWindow
+from specrelax.core import InvalidValue, UnknownWindow
 
 from conftest import make_tabular_v2, small_gridworld
 
@@ -213,6 +213,30 @@ def test_linear_drafter_shapes_raise_engine_errors_that_are_value_errors(weights
     with pytest.raises(EngineError) as info:
         LinearDrafter(weights, bias, 3, 2)
     assert isinstance(info.value, ValueError)
+
+
+def test_linear_drafter_refuses_a_table_above_its_cap(tmp_path, capsys):
+    from specrelax.cli import main
+    from specrelax.models import _MAX_TABLE_ENTRIES
+
+    # (V+1) * N^2 * V entries: 16.8M at V=512, N=8 fit; 268.6M at V=2,048 do not.
+    assert 513 * 64 * 512 <= _MAX_TABLE_ENTRIES < 2049 * 64 * 2048
+    assert LinearDrafter.zeros(512, 8)._table is None
+    with pytest.raises(InvalidValue, match="softmax table of 268566528 entries, above the cap"):
+        LinearDrafter.zeros(2048, 8)
+    # A 400 KB file whose table would hold 2.4G entries: refused at load, and decode exits 2.
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"format_version": 1, "kind": "linear_drafter", "V": 2, "N": 20_000,
+                                "weights": [[0.0] * 40_002] * 2, "bias": [0.0, 0.0]}))
+    with pytest.raises(ModelFormatError, match="above the cap"):
+        load_model(path)
+    save_model(random_tabular_model(2, 1, seed=0), tmp_path / "tab.json")
+    out = tmp_path / "m.jsonl"
+    assert main(["decode", "--model", str(tmp_path / "tab.json"), "--drafter", str(path), "--mode", "vanilla",
+                 "--tree", "2,1", "--len", "4", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "above the cap" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("exp_value", [-1.0, 0.0], ids=["negative", "zero-sum"])
@@ -528,7 +552,17 @@ def _empty_preferred_cluster(data):
     data["clusters"] = [3 if c == 2 else c for c in data["clusters"]]
 
 
+def _short_clusters(data):
+    data["clusters"].pop()
+
+
+def _certain_cluster(data):
+    data["inClusterMass"] = 1.0
+
+
 GRID_REFUSALS = {
+    "short-clusters": (_short_clusters, "clusters must assign every token"),
+    "certain-cluster": (_certain_cluster, "in_cluster_mass must lie in"),
     "incomplete-regions": (_incomplete_regions, "regions must cover every grid cell"),
     "unknown-region-cluster": (_unknown_region_cluster, "region_clusters references an unknown cluster"),
     "zero-region-anchor": (_zero_region_anchor, "region anchors must be non-zero"),
@@ -549,6 +583,37 @@ def test_malformed_gridworld_files_are_refused_at_load_and_by_decode(tmp_path, c
         load_model(path)
     out = tmp_path / "m.jsonl"
     assert main(["decode", "--model", str(path), "--mode", "ar", "--seeds", "0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not out.exists()
+
+
+def _short_table_entry(data):
+    data["table"][""] = [0.5, 0.25, 0.25]  # a law over 3 tokens in a 4-token model
+
+
+def _json_array(data):
+    return [data]
+
+
+MODEL_FILE_REFUSALS = {
+    "short-table-entry": (_short_table_entry, "table entry for window () has size 3 != 4"),
+    "json-array": (_json_array, "expected a JSON object"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MODEL_FILE_REFUSALS))
+def test_malformed_tabular_files_are_refused_at_load_and_by_decode(tmp_path, capsys, case):
+    from specrelax.cli import main
+
+    mutate, message = MODEL_FILE_REFUSALS[case]
+    data = json.loads(json.dumps(STOCK_MODELS["tabular"]))
+    path = tmp_path / "tab.json"
+    path.write_text(json.dumps(mutate(data) or data))
+    with pytest.raises(ModelFormatError, match=re.escape(message)):
+        load_model(path)
+    out = tmp_path / "m.jsonl"
+    assert main(["decode", "--model", str(path), "--mode", "ar", "--len", "4", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
     assert not out.exists()

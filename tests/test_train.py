@@ -416,3 +416,21 @@ def test_held_out_kl_without_marked_positions_raises_an_engine_error(gridworld):
     cfg = TrainConfig(tau_seq_train=1.01)
     with pytest.raises(EngineError, match="no convergence-marked positions"):
         held_out_convergent_kl(gridworld, LinearDrafter.zeros(32, 8), cfg, seed=1, num_sequences=1)
+
+
+def test_a_fit_above_the_position_cap_is_refused_before_any_rollout(monkeypatch, gridworld):
+    from specrelax import ConfigError, train as train_module
+    from specrelax.train import _MAX_TRAIN_POSITIONS
+
+    def no_rollout(*args, **kwargs):
+        raise AssertionError("the rollout ran")
+
+    monkeypatch.setattr(train_module, "build_training_samples", no_rollout)
+    at_cap = _MAX_TRAIN_POSITIONS // 64
+    with pytest.raises(ConfigError, match=f"exceed the cap of {_MAX_TRAIN_POSITIONS} training positions"):
+        train_drafter(gridworld, TrainConfig(num_sequences=at_cap + 1))
+    with pytest.raises(AssertionError, match="the rollout ran"):
+        train_drafter(gridworld, TrainConfig(num_sequences=at_cap))
+    # A drafter whose table passes its cap is refused before the rollout too: V=800 at N=8.
+    with pytest.raises(InvalidValue, match="above the cap"):
+        train_drafter(random_tabular_model(800, 1, seed=0), TrainConfig(num_sequences=1))

@@ -91,6 +91,13 @@ def test_lane_arguments_of_unequal_length_raise_config_error(prefixes, depths, s
         sample_draft_tree(LinearDrafter.zeros(32, 8), prefixes, TreeMask.default(), depths, rngs, mode=mode)
 
 
+def test_unknown_candidate_mode_raises_config_error():
+    rngs = [RngStream(0)]
+    with pytest.raises(ConfigError, match="unknown candidate mode 'nucleus'"):
+        sample_draft_tree(LinearDrafter.zeros(32, 8), [[]], TreeMask.default(), [5], rngs, mode="nucleus")
+    assert rngs[0].counter == 0
+
+
 def test_lane_reaching_past_the_grid_raises_config_error():
     drafter = FixedDrafter([0.6, 0.4])
     # On a 2x2 grid, a 2-level tree after 2 tokens ends at index 3, after 3 tokens at
