@@ -31,9 +31,9 @@ from .core import (
     cosine_sim,
     derive_streams,
 )
-from .models import Drafter, Target, _OutputFiles, enumerate_ar_distribution, load_model
+from .models import Drafter, Target, _OutputFiles, _decode_side, enumerate_ar_distribution, load_model
 from .tree import CANDIDATE_MODES, STOCHASTIC, TOPK, TreeMask
-from .verify import AR, MODES, DecodeStats, RelaxConfig, _check_drafter_matches, decode_lanes, decode_sequence
+from .verify import AR, MODES, DecodeStats, RelaxConfig, _check_decode, decode_lanes, decode_sequence
 
 DEFAULT_KAPPA = 0.1
 # Sequences decoded in lockstep at a time, by `run_experiment` (seeds) and
@@ -251,7 +251,7 @@ def run_experiment(cfg: ExperimentConfig) -> Metrics:
         if target.grid_side is None:
             raise ConfigError("a sequence length is required for non-grid models")
         length = target.grid_side * target.grid_side
-    side = _check_drafter_matches(target, drafter, length)
+    side = _check_decode(target, drafter, cfg.mode, cfg.candidate_mode, length)
     if cfg.heatmap_path is not None and length != side * side:
         raise ConfigError(
             f"the heatmap covers every row of the {side}x{side} grid, so it needs length {side * side}, "
@@ -337,7 +337,7 @@ def mc_distribution_test(
     if samples < 1:
         raise ConfigError(f"at least one sample is required, got {samples}")
     _check_seed(base_seed)
-    _check_drafter_matches(target, drafter, length)
+    _check_decode(target, drafter, mode, STOCHASTIC, length)
     oracle = enumerate_ar_distribution(target, length)
     mask = mask if mask is not None else TreeMask.chain(length)
     relax = relax if relax is not None else RelaxConfig()
@@ -380,7 +380,7 @@ def export_similarity_heatmap(
     Writes a CSV with one header line and one line per position; an empty row
     selection produces the header alone.
     """
-    side = target.grid_side or max(1, math.isqrt(max(len(tokens) - 1, 0)) + 1)
+    side = _decode_side(target, len(tokens))
     for row in rows:
         if not 0 <= row < side:
             raise RowOutOfRange(f"row {row} outside grid of side {side}")

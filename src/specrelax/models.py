@@ -139,6 +139,11 @@ class Target(Protocol):
         ...
 
 
+def _decode_side(model: Target | Drafter, length: int) -> int:
+    """The side of a `length`-token decode's grid: the model's own, else the smallest square holding it."""
+    return model.grid_side or math.isqrt(max(length - 1, 0)) + 1
+
+
 def _windows(vocab: int, order: int) -> Iterator[Window]:
     """Every window of 0 to `order` tokens: shorter windows first, each length in lexicographic order."""
     return (w for length in range(order + 1) for w in itertools.product(range(vocab), repeat=length))
@@ -590,6 +595,8 @@ class LinearDrafter:
         vocab: int,
         side: int,
     ) -> None:
+        if side < 1:
+            raise InvalidValue(f"drafter grid side must be >= 1, got {side}")
         w = np.asarray(weights, dtype=np.float64)
         b = np.asarray(bias, dtype=np.float64)
         d = vocab + 2 * side
@@ -851,9 +858,7 @@ def tempered_table_drafter(model: TabularModel, exponent: float = 0.5) -> Tabula
     return TabularModel(model.vocab, model.order, table, features, model.h)
 
 
-def enumerate_ar_distribution(
-    model: Target, length: int, side: int | None = None
-) -> dict[tuple[int, ...], float]:
+def enumerate_ar_distribution(model: Target, length: int) -> dict[tuple[int, ...], float]:
     """Exact chain-rule law of every length-L sequence under the target.
 
     Guarded at V^L <= 10^6 states; the result sums to 1 within 1e-9.
@@ -861,7 +866,7 @@ def enumerate_ar_distribution(
     vocab = getattr(model, "vocab")
     if _power_exceeds_guard(vocab, length):
         raise TooLarge(f"{vocab}^{length} sequences exceed enumeration guard")
-    grid = side if side is not None else (model.grid_side or max(1, math.isqrt(max(length - 1, 0)) + 1))
+    grid = _decode_side(model, length)
     result: dict[tuple[int, ...], float] = {(): 1.0}
     for t in range(length):
         pos = GridPos.from_index(t, grid)

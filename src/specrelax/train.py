@@ -35,11 +35,12 @@ from .core import (
 from .models import LinearDrafter, Target
 
 LOG_FLOOR = 1e-12
-# The most rollout positions, num_sequences * side^2, one fit may hold. A
-# position cost 1.8-2.2 KiB of peak RSS on the 32-token gridworld (6,400 to
-# 102,400 positions, one epoch) and 3.6 KiB at V=64, so a gridworld fit at the
-# cap stays near 1 GiB.
-_MAX_TRAIN_POSITIONS = 2**19
+# The most cells, rollout positions (num_sequences * side^2) times V + 2N, one
+# fit may hold; `_fit_arrays` keeps about positions * (5V + 2N) floats. A
+# position cost 1.8-2.2 KiB of peak RSS on the 32-token gridworld (V + 2N = 48;
+# 6,400 to 102,400 positions, one epoch) and 3.6 KiB at V=64 (80), about 45
+# bytes a cell, so a fit at the cap (2^19 gridworld positions) stays near 1 GiB.
+_MAX_FIT_CELLS = 2**19 * 48
 
 
 @dataclass(frozen=True)
@@ -245,18 +246,19 @@ def train_drafter(
     """Fit a fresh linear drafter against target rollouts; deterministic per seed.
 
     The rollouts become arrays once per fit; each epoch only runs the forward
-    pass, loss and gradient on them. Rollouts of more than
-    `_MAX_TRAIN_POSITIONS` positions raise ConfigError before any is rolled
-    out. A step that overflows leaves non-finite parameters, which the next
-    `LinearDrafter` refuses with NonFinite.
+    pass, loss and gradient on them. Rollouts whose arrays would pass
+    `_MAX_FIT_CELLS` raise ConfigError before any is rolled out. A step that
+    overflows leaves non-finite parameters, which the next `LinearDrafter`
+    refuses with NonFinite.
     """
     side = target.grid_side or 8
-    if cfg.num_sequences * side * side > _MAX_TRAIN_POSITIONS:
-        raise ConfigError(
-            f"{cfg.num_sequences} rollouts of {side * side} positions exceed the cap of "
-            f"{_MAX_TRAIN_POSITIONS} training positions"
-        )
     vocab = getattr(target, "vocab")
+    cells = cfg.num_sequences * side * side * (vocab + 2 * side)
+    if cells > _MAX_FIT_CELLS:
+        raise ConfigError(
+            f"{cfg.num_sequences} rollouts of {side * side} positions over V={vocab} and N={side} "
+            f"make {cells} fit cells, above the cap of {_MAX_FIT_CELLS}"
+        )
     # Built before the rollouts, so a drafter table above its cap is refused first.
     drafter = LinearDrafter.zeros(vocab, side)
     sequences = build_training_samples(target, cfg.num_sequences, side * side, side, cfg.seed)

@@ -494,14 +494,14 @@ def sample_draft_tree(
     mask: TreeMask,
     depths: Sequence[int],
     rngs: Sequence[RngStream],
+    side: int,
     mode: str = TOPK,
-    side: int | None = None,
 ) -> DraftTree:
     """Instantiate `mask` against the drafter for every lane, all lanes level by level.
 
-    Lane k drafts after `prefixes[k]`, from grid cell
-    `divmod(len(prefixes[k]), side)`, under the first `depths[k]` levels of
-    `mask`, drawing from `rngs[k]`. Lanes are grouped by their whole prefix,
+    Lane k drafts after `prefixes[k]`, from cell `divmod(len(prefixes[k]), side)`
+    of the caller's grid, under the first `depths[k]` levels of `mask`,
+    drawing from `rngs[k]`. Lanes are grouped by their whole prefix,
     and each distinct prefix takes its root conditional from one
     `drafter.distribution` call; each deeper level's conditionals come from
     one `drafter.conditionals` lookup for every lane.
@@ -542,8 +542,6 @@ def sample_draft_tree(
     shallowest, max_depth = min(depths), max(depths)
     if shallowest < 1 or max_depth > mask.depth:
         raise ConfigError(f"lane depths must lie in [1, {mask.depth}]")
-    if side is None:
-        side = drafter.grid_side or max(len(p) + d for p, d in zip(prefixes, depths))
     vocab = getattr(drafter, "vocab")
     widths = mask.widths[:max_depth]
     if max(widths) > vocab:

@@ -35,7 +35,7 @@ from .core import (
     peek_reals,
     sample_corrections,
 )
-from .models import Drafter, LawTable, Target
+from .models import Drafter, LawTable, Target, _decode_side
 from .tree import CANDIDATE_MODES, ROOT, DraftTree, ForestPairs, TOPK, TreeMask, sample_draft_tree
 
 AR = "ar"
@@ -509,20 +509,26 @@ class DecodeStats:
     accumulated_tvd: float = 0.0
 
 
-def _check_drafter_matches(target: Target, drafter: Drafter | None, length: int) -> int:
-    """Raise ConfigError unless `length` tokens fit the target and the drafter; return the grid side.
+def _check_decode(target: Target, drafter: Drafter | None, mode: str, candidate_mode: str, length: int) -> int:
+    """Raise ConfigError unless the decode can run; return the side of its grid (`_decode_side`).
 
-    The length is at least 1 and fits the target's grid, or for a grid-less
-    target the smallest square that holds it, whose side is returned. The
-    drafter proposes over the target's vocabulary and grid side, and its own
-    grid, if it has one, holds the length.
+    The mode and candidate mode are known, the length is at least 1 and the
+    grid holds it, and a drafting mode has a drafter. The drafter proposes
+    over the target's vocabulary and grid side, and its own grid, if it has
+    one, holds the length.
     """
+    if mode not in MODES:
+        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+    if candidate_mode not in CANDIDATE_MODES:
+        raise ConfigError(f"unknown candidate mode {candidate_mode!r}")
     if length < 1:
         raise ConfigError(f"sequence length must be at least 1, got {length}")
-    side = target.grid_side or max(1, math.isqrt(length - 1) + 1)
+    side = _decode_side(target, length)
     if length > side * side:
         raise ConfigError(f"length {length} exceeds the {side}x{side} grid")
     if drafter is None:
+        if mode != AR:
+            raise ConfigError(f"mode {mode!r} requires a drafter")
         return side
     target_vocab, drafter_vocab = getattr(target, "vocab"), getattr(drafter, "vocab")
     if drafter_vocab != target_vocab:
@@ -569,18 +575,10 @@ def decode_lanes(
     walks each lane on its own stream instead. A lane's tokens, counters and
     decisions are those of decoding it alone. `on_outcome(lane, cycle,
     outcome)` sees each lane's calls in order, a cycle's lanes in lane
-    order, with each correction drawn. An unknown mode or candidate mode, a
-    target, drafter and length that `_check_drafter_matches` refuses and a
-    drafting mode without a drafter raise ConfigError before anything is
-    drawn.
+    order, with each correction drawn. A decode that `_check_decode`
+    refuses raises ConfigError before anything is drawn.
     """
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    if candidate_mode not in CANDIDATE_MODES:
-        raise ConfigError(f"unknown candidate mode {candidate_mode!r}")
-    side = _check_drafter_matches(target, drafter, length)
-    if mode != AR and drafter is None:
-        raise ConfigError(f"mode {mode!r} requires a drafter")
+    side = _check_decode(target, drafter, mode, candidate_mode, length)
     lanes = [([], DecodeStats()) for _ in rngs]
 
     if mode == AR:

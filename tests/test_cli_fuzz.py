@@ -27,7 +27,7 @@ from specrelax.cli import main as cli_main
 
 FLOATS = ["nan", "inf", "-inf", "1e308", "-1e308", "", "abc", "-1", "0", "0.5", "1", "2"]
 MODELS = ["{grid}", "{tab}", "{grid_drafter}", "{tab_drafter}", "{missing}", "{dir}", "{garbage}",
-          "{unknown_kind}"]
+          "{unknown_kind}", "{empty_grid_drafter}", "{negative_grid_drafter}"]
 OUTS = ["{out}", "{out2}", "{missing}", "{missing_dir_file}", "{dir}", ""]
 CONFIGS = ["{missing}", "{dir}", "{garbage}", "{config_list}", "{config_bad_len}", "{config_budget}",
            "{config_ok}"]
@@ -105,6 +105,11 @@ def paths(tmp_path_factory) -> dict[str, str]:
     save_model(LinearDrafter.zeros(32, 8), work / "grid_drafter.json")
     save_model(target, work / "tab.json")
     save_model(tempered_table_drafter(target), work / "tab_drafter.json")
+    # Linear drafters whose grid has no cell, written by hand since `LinearDrafter` refuses them.
+    for name, side in (("empty_grid_drafter", 0), ("negative_grid_drafter", -1)):
+        drafter = {"format_version": 1, "kind": "linear_drafter", "V": 4, "N": side,
+                   "weights": [[0.0] * (4 + 2 * side)] * 4, "bias": [0.0] * 4}
+        (work / f"{name}.json").write_text(json.dumps(drafter), encoding="utf-8")
     (work / "garbage.json").write_text("{not json", encoding="utf-8")
     (work / "unknown_kind.json").write_text(json.dumps({"format_version": 1, "kind": "nope"}), encoding="utf-8")
     (work / "config_list.json").write_text("[1, 2]", encoding="utf-8")
@@ -112,8 +117,8 @@ def paths(tmp_path_factory) -> dict[str, str]:
     (work / "config_budget.json").write_text(json.dumps({"tvd-budget": 5}), encoding="utf-8")
     (work / "config_ok.json").write_text(json.dumps({"seeds": [0, 1]}), encoding="utf-8")
     (work / "dir").mkdir()
-    names = ["grid", "tab", "grid_drafter", "tab_drafter", "garbage", "unknown_kind", "config_list",
-             "config_bad_len", "config_budget", "config_ok"]
+    names = ["grid", "tab", "grid_drafter", "tab_drafter", "empty_grid_drafter", "negative_grid_drafter",
+             "garbage", "unknown_kind", "config_list", "config_bad_len", "config_budget", "config_ok"]
     return {
         **{name: str(work / f"{name}.json") for name in names},
         "missing": str(work / "missing.json"),
@@ -144,6 +149,7 @@ def exit_code(argv: list[str]) -> int:
 @example(argv=["decode", "--model", "{tab}", "--drafter", "{tab_drafter}", "--len", "3", "--out", "{out}",
                "--trace", "{dir}"])
 @example(argv=["make-model", "--family", "tabular", "--out", "{missing_dir_file}"])
+@example(argv=["decode", "--model", "{tab}", "--drafter", "{empty_grid_drafter}", "--len", "1", "--out", "{out}"])
 def test_cli_argv_never_ends_in_a_traceback(paths, argv):
     code = exit_code([arg.format(**paths) for arg in argv])
     assert code in ((0, 1, 2) if argv[0] == "oracle" else (0, 2))

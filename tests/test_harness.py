@@ -39,6 +39,7 @@ from specrelax import (
 from specrelax import harness
 from specrelax import train as train_module
 from specrelax.cli import build_parser, main as cli_main, parse_seed_spec
+from specrelax.core import InvalidValue
 from specrelax.harness import read_metrics_jsonl
 from specrelax.tree import STOCHASTIC, TOPK
 from specrelax.verify import TraceRecord
@@ -903,6 +904,23 @@ def test_cli_overflowing_drafter_exits_2(tmp_path, model_files, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("length", ["1", "2"])
+@pytest.mark.parametrize("side", [0, -1])
+def test_cli_drafter_with_an_empty_grid_exits_2(tmp_path, model_files, capsys, side, length):
+    # A grid of side below 1 has no cell; `LinearDrafter` refuses one, so the file is written by hand.
+    with pytest.raises(InvalidValue, match=f"drafter grid side must be >= 1, got {side}"):
+        LinearDrafter.zeros(4, side)
+    (tmp_path / "empty.json").write_text(json.dumps({"format_version": 1, "kind": "linear_drafter", "V": 4, "N": side,
+                                                     "weights": [[0.0] * (4 + 2 * side)] * 4, "bias": [0.0] * 4}))
+    out = tmp_path / "m.jsonl"
+    code = run_cli(["decode", "--model", model_files["tab"], "--drafter", tmp_path / "empty.json",
+                    "--mode", "vanilla", "--len", length, "--out", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "drafter grid side must be >= 1" in err
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "flags, code, err",
@@ -1119,48 +1137,57 @@ def test_cli_length_beyond_the_drafter_grid_exits_2(tmp_path, tabular_linear_fil
     assert not (tmp_path / "m.jsonl").exists()
 
 
-# Each bad target, drafter and length, with the message every entry point gives for it.
+# Each bad decode, as a target, a drafter shape (None for no drafter), a mode and a
+# length, with the message every entry point gives for it.
 BAD_DECODES = {
-    "vocabulary": (lambda: random_tabular_model(4, 1, seed=11), (32, 8), 4,
+    "vocabulary": (lambda: random_tabular_model(4, 1, seed=11), (32, 8), "vanilla", 4,
                    "drafter vocabulary 32 != target vocabulary 4"),
-    "grid-side": (GridWorldModel.default, (32, 4), 4, "drafter grid side 4 != target grid side 8"),
-    "length-below-1": (lambda: random_tabular_model(4, 1, seed=11), (4, 8), 0,
+    "grid-side": (GridWorldModel.default, (32, 4), "vanilla", 4, "drafter grid side 4 != target grid side 8"),
+    "length-below-1": (lambda: random_tabular_model(4, 1, seed=11), (4, 8), "vanilla", 0,
                        "sequence length must be at least 1, got 0"),
-    "past-the-target-grid": (GridWorldModel.default, (32, 8), 65, "length 65 exceeds the 8x8 grid"),
+    "past-the-target-grid": (GridWorldModel.default, (32, 8), "vanilla", 65, "length 65 exceeds the 8x8 grid"),
     # A grid-less target: 10 tokens lie on a 4x4 grid, past the drafter's own 3x3 one.
-    "past-the-drafter-grid": (lambda: random_tabular_model(4, 1, seed=11), (4, 3), 10,
+    "past-the-drafter-grid": (lambda: random_tabular_model(4, 1, seed=11), (4, 3), "vanilla", 10,
                               "length 10 exceeds the drafter's 3x3 grid"),
+    "unknown-mode": (lambda: random_tabular_model(4, 1, seed=11), (4, 8), "bogus", 4,
+                     "mode must be one of ('ar', 'vanilla', 'cascade'), got 'bogus'"),
+    "no-drafter": (lambda: random_tabular_model(4, 1, seed=11), None, "vanilla", 4,
+                   "mode 'vanilla' requires a drafter"),
 }
+# `ExperimentConfig` refuses these itself, before any file is read, in words of its own.
+CONFIG_REFUSED = {"unknown-mode", "no-drafter"}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_DECODES))
 def test_every_entry_point_refuses_a_bad_decode_with_one_message(tmp_path, monkeypatch, case):
-    make_target, (vocab, side), length, message = BAD_DECODES[case]
-    target, drafter = make_target(), LinearDrafter.zeros(vocab, side)
+    make_target, shape, mode, length, message = BAD_DECODES[case]
+    target = make_target()
+    drafter = None if shape is None else LinearDrafter.zeros(*shape)
     messages = []
     streams = [RngStream(0), RngStream(1)]
     with pytest.raises(ConfigError) as refused:
-        decode_lanes(target, drafter, "vanilla", TreeMask((2, 1)), RelaxConfig(), length, streams)
+        decode_lanes(target, drafter, mode, TreeMask((2, 1)), RelaxConfig(), length, streams)
     messages.append(str(refused.value))
     assert [rng.counter for rng in streams] == [0, 0]
 
-    save_model(target, tmp_path / "target.json")
-    save_model(drafter, tmp_path / "drafter.json")
-    cfg = ExperimentConfig(model_path=str(tmp_path / "target.json"), drafter_path=str(tmp_path / "drafter.json"),
-                           mode="vanilla", seeds=(0,), length=length, metrics_path=str(tmp_path / "m.jsonl"))
-    with pytest.raises(ConfigError) as refused:
-        run_experiment(cfg)
-    messages.append(str(refused.value))
-    assert not (tmp_path / "m.jsonl").exists()
+    if case not in CONFIG_REFUSED:
+        save_model(target, tmp_path / "target.json")
+        save_model(drafter, tmp_path / "drafter.json")
+        cfg = ExperimentConfig(model_path=str(tmp_path / "target.json"), drafter_path=str(tmp_path / "drafter.json"),
+                               mode=mode, seeds=(0,), length=length, metrics_path=str(tmp_path / "m.jsonl"))
+        with pytest.raises(ConfigError) as refused:
+            run_experiment(cfg)
+        messages.append(str(refused.value))
+        assert not (tmp_path / "m.jsonl").exists()
 
     def no_enumeration(*args, **kwargs):
         raise AssertionError("the oracle enumerated a refused decode")
 
     monkeypatch.setattr(harness, "enumerate_ar_distribution", no_enumeration)
     with pytest.raises(ConfigError) as refused:
-        mc_distribution_test(target, drafter, "vanilla", 10, length)
+        mc_distribution_test(target, drafter, mode, 10, length)
     messages.append(str(refused.value))
-    assert messages == [message] * 3
+    assert messages == [message] * len(messages)
 
 
 def test_run_experiment_writes_each_block_as_it_ends(monkeypatch, tmp_path, model_files):

@@ -502,7 +502,7 @@ def test_a_decode_run_again_builds_no_layout(layouts, monkeypatch):
 def _draft(depths):
     return sample_draft_tree(
         LinearDrafter.zeros(32, 8), [(1,)] * len(depths), TreeMask.default(), depths,
-        [RngStream(k) for k in range(len(depths))], mode=STOCHASTIC,
+        [RngStream(k) for k in range(len(depths))], mode=STOCHASTIC, side=8,
     )
 
 
@@ -696,7 +696,7 @@ def test_a_standalone_outcome_draws_its_correction_on_read_from_the_uniform_it_k
         rejected = relaxed = 0
         for seed in range(200):
             rng = RngStream(seed)
-            tree = sample_draft_tree(drafter, [[seed % 4]], TreeMask((2, 1)), [2], [rng], mode=STOCHASTIC)
+            tree = sample_draft_tree(drafter, [[seed % 4]], TreeMask((2, 1)), [2], [rng], mode=STOCHASTIC, side=8)
             evals = evaluate_tree(target, tree)
             start = rng.counter
             if mode == "cascade":

@@ -560,7 +560,17 @@ def _certain_cluster(data):
     data["inClusterMass"] = 1.0
 
 
+def _zero_side(data):
+    data["N"] = 0
+
+
+def _short_region_anchors(data):
+    data["regionAnchors"].pop()
+
+
 GRID_REFUSALS = {
+    "zero-side": (_zero_side, "side must be >= 1 and vocab >= 2"),
+    "short-region-anchors": (_short_region_anchors, "one region anchor required per region"),
     "short-clusters": (_short_clusters, "clusters must assign every token"),
     "certain-cluster": (_certain_cluster, "in_cluster_mass must lie in"),
     "incomplete-regions": (_incomplete_regions, "regions must cover every grid cell"),

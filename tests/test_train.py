@@ -420,17 +420,23 @@ def test_held_out_kl_without_marked_positions_raises_an_engine_error(gridworld):
 
 def test_a_fit_above_the_position_cap_is_refused_before_any_rollout(monkeypatch, gridworld):
     from specrelax import ConfigError, train as train_module
-    from specrelax.train import _MAX_TRAIN_POSITIONS
+    from specrelax.train import _MAX_FIT_CELLS
 
     def no_rollout(*args, **kwargs):
         raise AssertionError("the rollout ran")
 
     monkeypatch.setattr(train_module, "build_training_samples", no_rollout)
-    at_cap = _MAX_TRAIN_POSITIONS // 64
-    with pytest.raises(ConfigError, match=f"exceed the cap of {_MAX_TRAIN_POSITIONS} training positions"):
+    # 64 positions a rollout, each a row of V + 2N = 48 cells on the gridworld.
+    at_cap = _MAX_FIT_CELLS // (64 * 48)
+    assert at_cap == 8192
+    over = f"make {(at_cap + 1) * 64 * 48} fit cells, above the cap of {_MAX_FIT_CELLS}"
+    with pytest.raises(ConfigError, match=over):
         train_drafter(gridworld, TrainConfig(num_sequences=at_cap + 1))
     with pytest.raises(AssertionError, match="the rollout ran"):
         train_drafter(gridworld, TrainConfig(num_sequences=at_cap))
+    # A wider vocabulary makes wider rows: 8,192 rollouts of a V=64 target are 41.9M cells.
+    with pytest.raises(ConfigError, match="over V=64 and N=8 make 41943040 fit cells"):
+        train_drafter(random_tabular_model(64, 1, seed=0), TrainConfig(num_sequences=at_cap))
     # A drafter whose table passes its cap is refused before the rollout too: V=800 at N=8.
     with pytest.raises(InvalidValue, match="above the cap"):
         train_drafter(random_tabular_model(800, 1, seed=0), TrainConfig(num_sequences=1))

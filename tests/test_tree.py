@@ -71,7 +71,7 @@ def test_lane_depths_outside_the_mask_raise_config_error():
     for depths in ([0], [2, 3], [1, -1]):
         rngs = [RngStream(k) for k in range(len(depths))]
         with pytest.raises(ConfigError):
-            sample_draft_tree(drafter, [[]] * len(depths), TreeMask((2, 2)), depths, rngs)
+            sample_draft_tree(drafter, [[]] * len(depths), TreeMask((2, 2)), depths, rngs, side=2)
 
 
 @pytest.mark.parametrize("mode", [TOPK, STOCHASTIC])
@@ -88,13 +88,13 @@ def test_lane_depths_outside_the_mask_raise_config_error():
 def test_lane_arguments_of_unequal_length_raise_config_error(prefixes, depths, streams, mode):
     rngs = [RngStream(k) for k in range(streams)]
     with pytest.raises(ConfigError):
-        sample_draft_tree(LinearDrafter.zeros(32, 8), prefixes, TreeMask.default(), depths, rngs, mode=mode)
+        sample_draft_tree(LinearDrafter.zeros(32, 8), prefixes, TreeMask.default(), depths, rngs, mode=mode, side=8)
 
 
 def test_unknown_candidate_mode_raises_config_error():
     rngs = [RngStream(0)]
     with pytest.raises(ConfigError, match="unknown candidate mode 'nucleus'"):
-        sample_draft_tree(LinearDrafter.zeros(32, 8), [[]], TreeMask.default(), [5], rngs, mode="nucleus")
+        sample_draft_tree(LinearDrafter.zeros(32, 8), [[]], TreeMask.default(), [5], rngs, mode="nucleus", side=8)
     assert rngs[0].counter == 0
 
 
