@@ -7,6 +7,7 @@ or a pure function over those values. All heavier machinery builds on top.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from itertools import accumulate
 from typing import Iterator, NamedTuple, Sequence
@@ -144,24 +145,23 @@ class ProbDist:
 class FeatureVec:
     """Real-valued hidden-state vector used for similarity measurements."""
 
-    __slots__ = ("values", "_norm")
+    __slots__ = ("values", "norm")
 
     def __init__(self, values: Sequence[float] | np.ndarray) -> None:
         arr = np.asarray(values, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise InvalidValue("feature vector must be a non-empty 1-d array")
-        if not np.all(np.isfinite(arr)):
-            raise NonFinite("feature vector contains non-finite entries")
+        # `np.linalg.norm(arr)`, bit for bit; a non-finite entry leaves it non-finite too.
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm = math.sqrt(arr.dot(arr))
+        if not math.isfinite(norm):
+            if not np.all(np.isfinite(arr)):
+                raise NonFinite("feature vector contains non-finite entries")
+            raise NonFinite("feature vector norm overflows")
         arr = arr.copy()
         arr.flags.writeable = False
         self.values = arr
-        self._norm: float | None = None
-
-    @property
-    def norm(self) -> float:
-        if self._norm is None:
-            self._norm = float(np.linalg.norm(self.values))
-        return self._norm
+        self.norm = norm
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -194,6 +194,26 @@ def cosine_sim(a: FeatureVec, b: FeatureVec) -> float:
         raise ZeroNormFeature(f"cosine undefined for norms ({na!r}, {nb!r})")
     value = float(np.dot(a.values, b.values)) / (na * nb)
     return max(-1.0, min(1.0, value))
+
+
+def _pair_cosines(values: np.ndarray, norms: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """`cosine_sim` of each row pair `values[first[k]]`, `values[second[k]]`, bit for bit.
+
+    `norms[i]` is row i's own norm. Each dot product runs through the same
+    BLAS kernel as `cosine_sim`'s, and the clamp is its scalar one: `fmin`
+    turns a NaN into 1.0, as `min(1.0, value)` does. The first pair holding
+    a norm at or below NORM_FLOOR goes to `cosine_sim`, which raises.
+    """
+    if np.minimum.reduce(norms) <= NORM_FLOOR:
+        zero = (norms[first] <= NORM_FLOOR) | (norms[second] <= NORM_FLOOR)
+        if zero.any():
+            k = int(zero.argmax())
+            cosine_sim(FeatureVec(values[first[k]]), FeatureVec(values[second[k]]))
+    cos = np.vecdot(values[first], values[second])
+    cos /= norms[first] * norms[second]
+    np.fmin(cos, 1.0, out=cos)
+    np.maximum(cos, -1.0, out=cos)
+    return cos
 
 
 def tvd(a: ProbDist, b: ProbDist) -> float:

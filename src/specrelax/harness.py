@@ -21,14 +21,13 @@ import numpy as np
 
 from .core import (
     ConfigError,
-    FeatureVec,
     GridPos,
     InvalidValue,
     RngStream,
     RowOutOfRange,
     TokenId,
     _check_seed,
-    cosine_sim,
+    _pair_cosines,
     derive_streams,
 )
 from .models import Drafter, Target, _OutputFiles, _decode_side, enumerate_ar_distribution, load_model
@@ -361,14 +360,6 @@ def mc_distribution_test(
     return distance, distance <= bound
 
 
-def sequence_features(target: Target, tokens: Sequence[TokenId], side: int) -> list[FeatureVec]:
-    """Per-step hidden states of a finished sequence, re-evaluated step by step."""
-    feats: list[FeatureVec] = []
-    for t in range(len(tokens)):
-        feats.append(target.evaluate(tokens[:t], GridPos.from_index(t, side)).feature)
-    return feats
-
-
 def export_similarity_heatmap(
     target: Target,
     tokens: Sequence[TokenId],
@@ -377,8 +368,9 @@ def export_similarity_heatmap(
 ) -> np.ndarray:
     """Pairwise cosine matrix over the per-step features of the requested grid rows.
 
-    Writes a CSV with one header line and one line per position; an empty row
-    selection produces the header alone.
+    Only the printed positions are evaluated, and every pair `i <= j` goes
+    through one `_pair_cosines` call. Writes a CSV with one header line and
+    one line per position; an empty row selection produces the header alone.
     """
     side = _decode_side(target, len(tokens))
     for row in rows:
@@ -387,12 +379,13 @@ def export_similarity_heatmap(
     positions = [row * side + col for row in rows for col in range(side)]
     if any(p >= len(tokens) for p in positions):
         raise RowOutOfRange("requested rows extend past the decoded sequence")
-    feats = sequence_features(target, tokens, side)
+    feats = [target.evaluate(tokens[:p], GridPos.from_index(p, side)).feature for p in positions]
     n = len(positions)
     matrix = np.empty((n, n))
-    for i, pi in enumerate(positions):
-        for j, pj in enumerate(positions):
-            matrix[i, j] = cosine_sim(feats[pi], feats[pj]) if j >= i else matrix[j, i]
+    if n:
+        first, second = np.triu_indices(n)
+        values, norms = np.stack([f.values for f in feats]), np.array([f.norm for f in feats])
+        matrix[first, second] = matrix[second, first] = _pair_cosines(values, norms, first, second)
     with _OutputFiles() as outputs, outputs.open(path, newline="") as out:
         writer = csv.writer(out)
         writer.writerow(["pos"] + [str(p) for p in positions])

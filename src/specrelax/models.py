@@ -410,15 +410,17 @@ class GridWorldModel:
         """The feature of each (region, cluster) pair, plus row j of `jitter` if given, and its norm.
 
         Cluster -1 (a root, with no last token) adds no cluster anchor. Where
-        the anchors cancel, the row and its norm are not finite.
+        the anchors cancel, or their sum's norm overflows, the row and its
+        norm are not finite.
         """
         raw = self._region_anchors[regions]
         mixed = self.feature_mix * self._cluster_anchors[clusters]
         np.add(raw, mixed, out=raw, where=(clusters >= 0)[:, None])
         if jitter is not None:
             raw += jitter
-        with np.errstate(invalid="ignore", divide="ignore"):
-            raw /= _row_norms(raw)[:, None]
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            norms = _row_norms(raw)
+            raw /= np.where(norms < np.inf, norms, np.nan)[:, None]
         return raw, _row_norms(raw)
 
     def _table(self) -> _GridTable:

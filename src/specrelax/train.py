@@ -19,7 +19,6 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    NORM_FLOOR,
     ConfigError,
     FeatureVec,
     GridPos,
@@ -29,7 +28,7 @@ from .core import (
     RngStream,
     TokenId,
     _check_seed,
-    cosine_sim,
+    _pair_cosines,
     derive_seed,
 )
 from .models import LinearDrafter, Target
@@ -104,26 +103,16 @@ def build_training_samples(
 def convergence_flags(samples: Sequence[TrainSample], tau: float) -> np.ndarray:
     """True where a position's feature aligns with its successor's (cosine >= tau).
 
-    The final position has no successor and is never flagged. The cosines come
-    from one pass over the stacked features: each dot product runs through the
-    same BLAS kernel as `cosine_sim`'s, its norms are the features' own and its
-    clamp is the scalar one, so every flag matches `cosine_sim` bit for bit.
+    The final position has no successor and is never flagged.
     """
     n = len(samples)
     flags = np.zeros(n, dtype=bool)
     if n < 2:
         return flags
     features = [s.target_feature for s in samples]
-    norms = np.array([f.norm for f in features])
-    if np.minimum.reduce(norms) <= NORM_FLOOR:
-        zero = norms <= NORM_FLOOR
-        k = int((zero[:-1] | zero[1:]).argmax())
-        cosine_sim(features[k], features[k + 1])  # raises ZeroNormFeature for the first such pair
-    values = np.stack([f.values for f in features])
-    cos = np.vecdot(values[:-1], values[1:]) / (norms[:-1] * norms[1:])
-    # `max(-1.0, min(1.0, value))` as `cosine_sim` clamps, where a NaN becomes 1.0.
-    cos = np.maximum(np.where(cos < 1.0, cos, 1.0), -1.0)
-    flags[:-1] = cos >= tau
+    first = np.arange(n - 1)
+    values, norms = np.stack([f.values for f in features]), np.array([f.norm for f in features])
+    flags[:-1] = _pair_cosines(values, norms, first, first + 1) >= tau
     return flags
 
 

@@ -25,12 +25,11 @@ from .core import (
     ConfigError,
     GridPos,
     InvalidValue,
-    NORM_FLOOR,
     PROB_ATOL,
     ProbDist,
     RngStream,
     TokenId,
-    ZeroNormFeature,
+    _pair_cosines,
     cosine_sim,  # noqa: F401  (bench/tracer.py counts scalar cosines through this name)
     peek_reals,
     sample_corrections,
@@ -146,13 +145,9 @@ def build_sets(tree: DraftTree, evals: TreeEvals, cfg: RelaxConfig) -> Similarit
     A forest's pairs are indexed once per cached forest layout
     (`DraftTree.pairs`). Its sibling pairs come before its links, so a set
     switched off by a threshold above 1 leaves one slice of pairs that can
-    hit: only those are checked for zero-norm features, and their cosines
-    come from one pass over the stacked features. Each pair's dot product
-    runs through the same BLAS kernel as `cosine_sim`'s and its norms are
-    the features' own, so every threshold decision matches the scalar
-    definition exactly. Clamping to [-1, 1] is skipped: against a threshold
-    in [0, 1] it cannot change a decision. The hits then pick the layout's
-    donors, each lending its token's mass under the borrower's level law.
+    hit: only those go through `_pair_cosines`. The hits then pick the
+    layout's donors, each lending its token's mass under the borrower's
+    level law.
     """
     pairs = tree.pairs()
     n_sib = int(pairs.groups[-2])
@@ -161,16 +156,7 @@ def build_sets(tree: DraftTree, evals: TreeEvals, cfg: RelaxConfig) -> Similarit
     hit = np.zeros(len(pairs.first), dtype=bool)
     if lo == hi:
         return SimilaritySets(pairs, hit, None)
-    first, second = pairs.first[lo:hi], pairs.second[lo:hi]
-    norms = evals.norms
-    if np.minimum.reduce(norms) <= NORM_FLOOR:
-        zero = (norms[first] <= NORM_FLOOR) | (norms[second] <= NORM_FLOOR)
-        if zero.any():
-            k = int(zero.argmax())
-            na, nb = float(norms[first[k]]), float(norms[second[k]])
-            raise ZeroNormFeature(f"cosine undefined for norms ({na!r}, {nb!r})")
-    values = evals.features
-    cos = np.vecdot(values[first], values[second]) / (norms[first] * norms[second])
+    cos = _pair_cosines(evals.features, evals.norms, pairs.first[lo:hi], pairs.second[lo:hi])
     hit[lo:hi] = cos >= np.where(pairs.sibling[lo:hi], cfg.tau_pos, cfg.tau_seq)
     keep = hit[pairs.donor_pair]
     kept = np.cumsum(keep)

@@ -27,7 +27,8 @@ from specrelax.cli import main as cli_main
 
 FLOATS = ["nan", "inf", "-inf", "1e308", "-1e308", "", "abc", "-1", "0", "0.5", "1", "2"]
 MODELS = ["{grid}", "{tab}", "{grid_drafter}", "{tab_drafter}", "{missing}", "{dir}", "{garbage}",
-          "{unknown_kind}", "{empty_grid_drafter}", "{negative_grid_drafter}"]
+          "{unknown_kind}", "{empty_grid_drafter}", "{negative_grid_drafter}", "{tab_overflow}",
+          "{grid_overflow}"]
 OUTS = ["{out}", "{out2}", "{missing}", "{missing_dir_file}", "{dir}", ""]
 CONFIGS = ["{missing}", "{dir}", "{garbage}", "{config_list}", "{config_bad_len}", "{config_budget}",
            "{config_ok}"]
@@ -110,6 +111,12 @@ def paths(tmp_path_factory) -> dict[str, str]:
         drafter = {"format_version": 1, "kind": "linear_drafter", "V": 4, "N": side,
                    "weights": [[0.0] * (4 + 2 * side)] * 4, "bias": [0.0] * 4}
         (work / f"{name}.json").write_text(json.dumps(drafter), encoding="utf-8")
+    # Targets whose feature norms overflow: each tabular feature, or each gridworld cluster anchor, x 1e200.
+    tab, grid = target.to_dict(), GridWorldModel.default().to_dict()
+    tab["featureTable"] = {key: [x * 1e200 for x in row] for key, row in tab["featureTable"].items()}
+    grid["clusterAnchors"] = [[x * 1e200 for x in row] for row in grid["clusterAnchors"]]
+    (work / "tab_overflow.json").write_text(json.dumps(tab), encoding="utf-8")
+    (work / "grid_overflow.json").write_text(json.dumps(grid), encoding="utf-8")
     (work / "garbage.json").write_text("{not json", encoding="utf-8")
     (work / "unknown_kind.json").write_text(json.dumps({"format_version": 1, "kind": "nope"}), encoding="utf-8")
     (work / "config_list.json").write_text("[1, 2]", encoding="utf-8")
@@ -118,7 +125,8 @@ def paths(tmp_path_factory) -> dict[str, str]:
     (work / "config_ok.json").write_text(json.dumps({"seeds": [0, 1]}), encoding="utf-8")
     (work / "dir").mkdir()
     names = ["grid", "tab", "grid_drafter", "tab_drafter", "empty_grid_drafter", "negative_grid_drafter",
-             "garbage", "unknown_kind", "config_list", "config_bad_len", "config_budget", "config_ok"]
+             "tab_overflow", "grid_overflow", "garbage", "unknown_kind", "config_list", "config_bad_len",
+             "config_budget", "config_ok"]
     return {
         **{name: str(work / f"{name}.json") for name in names},
         "missing": str(work / "missing.json"),
@@ -150,6 +158,8 @@ def exit_code(argv: list[str]) -> int:
                "--trace", "{dir}"])
 @example(argv=["make-model", "--family", "tabular", "--out", "{missing_dir_file}"])
 @example(argv=["decode", "--model", "{tab}", "--drafter", "{empty_grid_drafter}", "--len", "1", "--out", "{out}"])
+@example(argv=["decode", "--model", "{tab_overflow}", "--mode", "ar", "--len", "4", "--out", "{out}"])
+@example(argv=["decode", "--model", "{grid_overflow}", "--mode", "ar", "--len", "4", "--out", "{out}"])
 def test_cli_argv_never_ends_in_a_traceback(paths, argv):
     code = exit_code([arg.format(**paths) for arg in argv])
     assert code in ((0, 1, 2) if argv[0] == "oracle" else (0, 2))

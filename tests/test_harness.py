@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from specrelax import (
     ConfigError,
     ExperimentConfig,
+    GridPos,
     GridWorldModel,
     LinearDrafter,
     Metrics,
@@ -25,6 +26,7 @@ from specrelax import (
     TabularModel,
     TrainConfig,
     TreeMask,
+    cosine_sim,
     decode_lanes,
     decode_sequence,
     decode_with_metrics,
@@ -41,6 +43,7 @@ from specrelax import train as train_module
 from specrelax.cli import build_parser, main as cli_main, parse_seed_spec
 from specrelax.core import InvalidValue
 from specrelax.harness import read_metrics_jsonl
+from specrelax.models import _decode_side
 from specrelax.tree import STOCHASTIC, TOPK
 from specrelax.verify import TraceRecord
 
@@ -243,17 +246,44 @@ def test_heatmap_rejects_out_of_range_rows(tmp_path, gridworld):
     assert not (tmp_path / "hm.csv").exists()
 
 
-def test_heatmap_csv_matches_matrix(tmp_path, gridworld):
-    tokens, _ = decode_sequence(
-        gridworld, None, "ar", TreeMask.chain(1), RelaxConfig(), 64, RngStream(0)
-    )
+def scalar_heatmap(target, tokens, positions, side) -> list[list[float]]:
+    """The heatmap as a scalar loop: `cosine_sim` of each pair `i <= j`, mirrored."""
+    feats = [target.evaluate(tokens[:p], GridPos.from_index(p, side)).feature for p in positions]
+    n = len(positions)
+    return [[cosine_sim(feats[min(i, j)], feats[max(i, j)]) for j in range(n)] for i in range(n)]
+
+
+def test_heatmap_csv_matches_matrix(tmp_path, gridworld, tabular_v4):
+    jittered = GridWorldModel.default(feature_jitter=0.05)
     path = tmp_path / "hm.csv"
-    matrix = export_similarity_heatmap(gridworld, tokens, [1], path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["pos"] + [str(8 + c) for c in range(8)]
-    parsed = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
-    assert np.array_equal(parsed, matrix)
+    for target, length, rows in ((gridworld, 64, [1]), (jittered, 64, [0, 3, 5]), (tabular_v4, 16, [1, 2])):
+        tokens, _ = decode_sequence(target, None, "ar", TreeMask.chain(1), RelaxConfig(), length, RngStream(0))
+        matrix = export_similarity_heatmap(target, tokens, rows, path)
+        side = _decode_side(target, length)
+        positions = [row * side + col for row in rows for col in range(side)]
+        with open(path, newline="") as fh:
+            lines = list(csv.reader(fh))
+        assert lines[0] == ["pos"] + [str(p) for p in positions]
+        assert [line[0] for line in lines[1:]] == [str(p) for p in positions]
+        expected = scalar_heatmap(target, tokens, positions, side)
+        assert [line[1:] for line in lines[1:]] == [[repr(v) for v in row] for row in expected]
+        parsed = np.array([[float(v) for v in line[1:]] for line in lines[1:]])
+        assert np.array_equal(parsed, matrix)
+        if target is not gridworld:
+            assert ((0.0 < np.abs(matrix)) & (np.abs(matrix) < 1.0)).any()
+
+    # A one-row heatmap evaluates the row's positions, each once, and no other.
+    target = GridWorldModel.default()
+    tokens, _ = decode_sequence(target, None, "ar", TreeMask.chain(1), RelaxConfig(), 64, RngStream(0))
+    evaluate, evaluated = target.evaluate, []
+
+    def counting(prefix, pos):
+        evaluated.append(len(prefix))
+        return evaluate(prefix, pos)
+
+    target.evaluate = counting
+    export_similarity_heatmap(target, tokens, [2], path)
+    assert evaluated == list(range(16, 24))
 
 
 # --- run_experiment and CLI ------------------------------------------------------

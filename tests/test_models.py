@@ -606,9 +606,14 @@ def _json_array(data):
     return [data]
 
 
+def _overflowing_features(data):
+    data["featureTable"] = {key: [x * 1e200 for x in row] for key, row in data["featureTable"].items()}
+
+
 MODEL_FILE_REFUSALS = {
     "short-table-entry": (_short_table_entry, "table entry for window () has size 3 != 4"),
     "json-array": (_json_array, "expected a JSON object"),
+    "overflowing-feature": (_overflowing_features, "feature vector norm overflows"),
 }
 
 
@@ -627,6 +632,42 @@ def test_malformed_tabular_files_are_refused_at_load_and_by_decode(tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
     assert not out.exists()
+
+
+def _overflowing_cluster_anchors(data):
+    data["clusterAnchors"] = [[x * 1e200 for x in row] for row in data["clusterAnchors"]]
+
+
+@pytest.mark.parametrize(
+    "family, mutate, drafter, message",
+    [
+        ("gridworld", _overflowing_cluster_anchors, LinearDrafter.zeros(32, 8),
+         "feature vector contains non-finite entries"),
+        ("tabular", _overflowing_features, tempered_table_drafter(random_tabular_model(4, 1, seed=0)),
+         "feature vector norm overflows"),
+    ],
+    ids=["gridworld", "tabular"],
+)
+def test_overflowing_features_end_every_decode_mode_and_train_in_one_error(
+    tmp_path, capsys, family, mutate, drafter, message
+):
+    from specrelax.cli import main
+
+    data = json.loads(json.dumps(STOCK_MODELS[family]))
+    mutate(data)
+    path, drafter_path, out = tmp_path / "model.json", tmp_path / "drafter.json", tmp_path / "out.json"
+    path.write_text(json.dumps(data))
+    save_model(drafter, drafter_path)
+    runs = [
+        ["decode", "--model", str(path), "--drafter", str(drafter_path), "--mode", mode, "--len", "4"]
+        for mode in ("ar", "vanilla", "cascade")
+    ]
+    runs.append(["train", "--model", str(path), "--epochs", "1", "--sequences", "1"])
+    for argv in runs:
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert not out.exists()
 
 
 def test_tabular_scalar_rows_are_the_batch_window_ids():

@@ -684,22 +684,22 @@ def test_batched_sets_raise_zero_norm_exactly_where_per_node_features_do():
 
 
 def test_gridworld_batch_raises_where_evaluate_does_on_cancelling_anchors():
-    # Cluster 1's anchor cancels the region anchor: 1 + 0.2 * -5 == 0.
-    target = GridWorldModel(
-        side=2, vocab=4, h=2, clusters=[0, 0, 1, 1], regions=[0, 0, 0, 0], region_clusters=[0],
-        region_anchors=[[1.0, 0.0]], cluster_anchors=[[0.0, 1.0], [-5.0, 0.0]],
-    )
+    # Cluster 1's anchor cancels the region anchor, 1 + 0.2 * -5 == 0, or
+    # makes the feature's norm overflow, (1 + 0.2 * 1e200) ** 2 > 1.8e308.
     mask = TreeMask((2, 1))
-    with np.errstate(invalid="ignore"):
-        safe = draft_one(FixedDrafter([0.5, 0.5, 0, 0]), [], mask,
-                                 RngStream(0), side=2)
-        assert_batch_matches_per_node(target, safe)
-        bad = draft_one(FixedDrafter([0.5, 0, 0.5, 0]), [], mask,
-                                RngStream(0), side=2)
-        with pytest.raises(NonFinite):
-            per_node_evals(target, bad)
-        with pytest.raises(NonFinite):
-            evaluate_tree(target, bad)
+    for bad_anchor in ([-5.0, 0.0], [1e200, 0.0]):
+        target = GridWorldModel(
+            side=2, vocab=4, h=2, clusters=[0, 0, 1, 1], regions=[0, 0, 0, 0], region_clusters=[0],
+            region_anchors=[[1.0, 0.0]], cluster_anchors=[[0.0, 1.0], bad_anchor],
+        )
+        with np.errstate(invalid="ignore"):
+            safe = draft_one(FixedDrafter([0.5, 0.5, 0, 0]), [], mask, RngStream(0), side=2)
+            assert_batch_matches_per_node(target, safe)
+            bad = draft_one(FixedDrafter([0.5, 0, 0.5, 0]), [], mask, RngStream(0), side=2)
+            with pytest.raises(NonFinite):
+                per_node_evals(target, bad)
+            with pytest.raises(NonFinite):
+                evaluate_tree(target, bad)
 
 
 # --- verify_vanilla -----------------------------------------------------------
