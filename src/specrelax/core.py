@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from itertools import accumulate
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -168,23 +168,6 @@ class FeatureVec:
 
     def __repr__(self) -> str:
         return f"FeatureVec({self.values.tolist()})"
-
-
-class GridPos(NamedTuple):
-    """Row/column address on an N x N generation grid."""
-
-    row: int
-    col: int
-
-    def flatten(self, side: int) -> int:
-        return self.row * side + self.col
-
-    @classmethod
-    def from_index(cls, index: int, side: int) -> "GridPos":
-        if not 0 <= index < side * side:
-            raise InvalidValue(f"sequence index {index} outside {side}x{side} grid")
-        row, col = divmod(index, side)
-        return cls(row, col)
 
 
 def cosine_sim(a: FeatureVec, b: FeatureVec) -> float:

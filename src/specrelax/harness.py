@@ -21,7 +21,6 @@ import numpy as np
 
 from .core import (
     ConfigError,
-    GridPos,
     InvalidValue,
     RngStream,
     RowOutOfRange,
@@ -379,7 +378,7 @@ def export_similarity_heatmap(
     positions = [row * side + col for row in rows for col in range(side)]
     if any(p >= len(tokens) for p in positions):
         raise RowOutOfRange("requested rows extend past the decoded sequence")
-    feats = [target.evaluate(tokens[:p], GridPos.from_index(p, side)).feature for p in positions]
+    feats = [target.evaluate(tokens[:p]).feature for p in positions]
     n = len(positions)
     matrix = np.empty((n, n))
     if n:

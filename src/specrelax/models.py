@@ -5,6 +5,10 @@ order-k tabular model (the exact-oracle workhorse) and a grid-world model
 whose token clusters and spatial regions inject feature redundancy by
 construction. The drafter is a linear softmax model conditioned on the last
 token and the grid position only, deliberately weaker than either target.
+
+Every model reads a prefix at one position, its sequence index
+`len(prefix)`; a gridded model lays that index out on its own N x N grid in
+raster order.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from .core import (
     ConfigError,
     EngineError,
     FeatureVec,
-    GridPos,
     InvalidValue,
     ModelFormatError,
     NonFinite,
@@ -75,15 +78,14 @@ class Drafter(Protocol):
     # How many trailing tokens of a prefix `conditionals` reads.
     context: int
 
-    def distribution(self, prefix: Sequence[TokenId], pos: GridPos) -> ProbDist: ...
+    def distribution(self, prefix: Sequence[TokenId]) -> ProbDist: ...
 
-    def conditionals(self, contexts: np.ndarray, index: np.ndarray, side: int) -> np.ndarray:
+    def conditionals(self, contexts: np.ndarray, index: np.ndarray) -> np.ndarray:
         """The next-token conditionals of many prefixes, as the rows of one `(n, V)` array.
 
-        Prefix j (never empty) has length `index[j]`, so its next token sits
-        at that sequence index of a `side` x `side` grid; `contexts[j]` holds
+        Prefix j (never empty) has length `index[j]`, and `contexts[j]` holds
         its last `context` tokens, -1 before its start. Row j equals the mass
-        of `distribution(prefix, pos)` bit for bit.
+        of `distribution(prefix)` bit for bit.
         """
         ...
 
@@ -125,16 +127,15 @@ BatchEval = tuple[LawTable, np.ndarray, np.ndarray, np.ndarray]
 class Target(Protocol):
     grid_side: int | None
 
-    def evaluate(self, prefix: Sequence[TokenId], pos: GridPos) -> TargetEval: ...
+    def evaluate(self, prefix: Sequence[TokenId]) -> TargetEval: ...
 
     def evaluate_batch(self, tree: DraftTree) -> BatchEval:
         """Evaluate every node of a draft forest in one call.
 
-        Node i has prefix `tree.path(i)` (never empty) and sits at sequence
-        index `tree.index[i]` of the forest's `tree.side` x `tree.side` grid,
-        clamped to its last cell. Its law is row `rows[i]` of the returned
-        table, which the model owns and shares across calls; that law and
-        feature row i equal `evaluate(tree.path(i), pos)` bit for bit.
+        Node i sits at its path's length, `tree.index[i]`. Its law is row
+        `rows[i]` of the returned table, which the model owns and shares
+        across calls; that law and feature row i equal `evaluate(tree.path(i))`
+        bit for bit.
         """
         ...
 
@@ -142,6 +143,13 @@ class Target(Protocol):
 def _decode_side(model: Target | Drafter, length: int) -> int:
     """The side of a `length`-token decode's grid: the model's own, else the smallest square holding it."""
     return model.grid_side or math.isqrt(max(length - 1, 0)) + 1
+
+
+def _check_on_grid(index: int, side: int, reach: int = 0) -> None:
+    """Raise UnknownWindow unless sequence index `index` lies on the `side` x `side` grid
+    or at most `reach` steps past its end."""
+    if index >= side * side + reach:
+        raise UnknownWindow(f"sequence index {index} lies past the {side}x{side} grid")
 
 
 def _windows(vocab: int, order: int) -> Iterator[Window]:
@@ -228,7 +236,7 @@ class TabularModel:
             row = row * self.vocab + token + 1
         return row
 
-    def evaluate(self, prefix: Sequence[TokenId], pos: GridPos) -> TargetEval:
+    def evaluate(self, prefix: Sequence[TokenId]) -> TargetEval:
         return self._evals[self._row_of(prefix[-self.order :])]
 
     def _stacked(self) -> tuple[LawTable, np.ndarray, np.ndarray, np.ndarray]:
@@ -264,12 +272,12 @@ class TabularModel:
     def context(self) -> int:
         return self.order
 
-    def conditionals(self, contexts: np.ndarray, index: np.ndarray, side: int) -> np.ndarray:
+    def conditionals(self, contexts: np.ndarray, index: np.ndarray) -> np.ndarray:
         """`Drafter.conditionals`: each prefix's window row."""
         return self._stacked()[0].mass.take(self._window_ids(contexts, index), axis=0)
 
-    def distribution(self, prefix: Sequence[TokenId], pos: GridPos) -> ProbDist:
-        return self.evaluate(prefix, pos).dist
+    def distribution(self, prefix: Sequence[TokenId]) -> ProbDist:
+        return self.evaluate(prefix).dist
 
     def to_dict(self) -> dict:
         keys = [_window_key(w) for w in _windows(self.vocab, self.order)]
@@ -357,15 +365,15 @@ class GridWorldModel:
         self.feature_mix = float(feature_mix)
         self.feature_jitter = float(feature_jitter)
 
-        n_regions = len(region_clusters)
+        region_count = len(region_clusters)
         n_clusters = max(self.clusters) + 1
         if min(self.regions) < 0 or min(self.clusters) < 0:
             raise ConfigError("region and cluster ids must be non-negative")
-        if len(region_anchors) != n_regions:
+        if len(region_anchors) != region_count:
             raise ConfigError("one region anchor required per region")
         if len(cluster_anchors) < n_clusters:
             raise ConfigError("one cluster anchor required per cluster")
-        if max(self.regions) >= n_regions:
+        if max(self.regions) >= region_count:
             raise ConfigError("region map references a region without an anchor")
         if any(not 0 <= c < n_clusters for c in self.region_clusters):
             raise ConfigError("region_clusters references an unknown cluster")
@@ -380,7 +388,10 @@ class GridWorldModel:
 
         def _unit(vec) -> np.ndarray:
             arr = _anchor(vec)
-            norm = float(np.linalg.norm(arr))
+            with np.errstate(over="ignore"):
+                norm = math.sqrt(arr.dot(arr))  # `np.linalg.norm(arr)`, bit for bit
+            if not math.isfinite(norm):
+                raise NonFinite("region anchor norm overflows")
             if norm <= 0.0:
                 raise ConfigError("region anchors must be non-zero")
             return arr / norm
@@ -388,7 +399,7 @@ class GridWorldModel:
         self._region_anchors = np.array([_unit(v) for v in region_anchors])
         self._cluster_anchors = np.array([_anchor(v) for v in cluster_anchors])
 
-        self._dist_by_region = [self._build_region_dist(r) for r in range(n_regions)]
+        self._dist_by_region = [self._build_region_dist(r) for r in range(region_count)]
         self._n_clusters = n_clusters
         self._grid_table: _GridTable | None = None  # built on first use
 
@@ -400,9 +411,6 @@ class GridWorldModel:
         mass = np.full(self.vocab, (1.0 - self.in_cluster_mass) / (self.vocab - len(members)))
         mass[members] = self.in_cluster_mass / len(members)
         return ProbDist(mass)
-
-    def region_of(self, pos: GridPos) -> int:
-        return self.regions[pos.flatten(self.side)]
 
     def _feature_rows(
         self, regions: np.ndarray, clusters: np.ndarray, jitter: np.ndarray | None
@@ -425,9 +433,9 @@ class GridWorldModel:
 
     def _table(self) -> _GridTable:
         if self._grid_table is None:
-            n_regions, width = len(self._dist_by_region), self._n_clusters + 1
-            regions = np.arange(n_regions).repeat(width)
-            values, norms = self._feature_rows(regions, np.tile(np.arange(-1, width - 1), n_regions), None)
+            region_count, width = len(self._dist_by_region), self._n_clusters + 1
+            regions = np.arange(region_count).repeat(width)
+            values, norms = self._feature_rows(regions, np.tile(np.arange(-1, width - 1), region_count), None)
             values.flags.writeable = False
             evals = [
                 TargetEval(self._dist_by_region[region], FeatureVec(row)) if math.isfinite(norm) else None
@@ -439,10 +447,10 @@ class GridWorldModel:
             )
         return self._grid_table
 
-    def _jitter(self, prefix: Sequence[TokenId], pos: GridPos) -> np.ndarray:
-        # Deterministic per (prefix, pos): fold tokens through a 64-bit mixer.
+    def _jitter(self, prefix: Sequence[TokenId], cell: int) -> np.ndarray:
+        # Deterministic per (prefix, cell): fold tokens through a 64-bit mixer.
         # Python ints: for one path they beat `_jitters`' per-token numpy passes.
-        acc = _mix64(pos.flatten(self.side) + 0x9E37)
+        acc = _mix64(cell + 0x9E37)
         for tok in prefix:
             acc = _mix64(acc ^ (tok + 0x100))
         comps = np.empty(self.h)
@@ -456,7 +464,7 @@ class GridWorldModel:
         """`_jitter` of many paths at once, bit for bit, one row per path.
 
         Row j of `paths` holds path j's tokens, left-padded with -1, and
-        `cells[j]` is its flattened cell. The fold runs in uint64 arrays, one
+        `cells[j]` is its cell. The fold runs in uint64 arrays, one
         numpy pass per token column for every path.
         """
         acc = _mix64_array(np.asarray(cells, dtype=np.uint64) + np.uint64(0x9E37))
@@ -473,11 +481,14 @@ class GridWorldModel:
         # A zero norm needs all h mixer outputs in [2**63, 2**63 + 2**11): `_jitter`'s guard is left out.
         return comps * (self.feature_jitter / _row_norms(comps))[:, None]
 
-    def evaluate(self, prefix: Sequence[TokenId], pos: GridPos) -> TargetEval:
-        region = self.region_of(pos)
+    def evaluate(self, prefix: Sequence[TokenId]) -> TargetEval:
+        """`Target.evaluate`; a prefix of N^2 tokens is read at the last cell."""
+        _check_on_grid(len(prefix), self.side, reach=1)
+        cell = min(len(prefix), self.side * self.side - 1)
+        region = self.regions[cell]
         cluster = self.clusters[prefix[-1]] if len(prefix) > 0 else -1
         if self.feature_jitter > 0.0:
-            jitter = self._jitter(prefix, pos)[None]
+            jitter = self._jitter(prefix, cell)[None]
             values, _ = self._feature_rows(np.array([region]), np.array([cluster]), jitter)
             return TargetEval(self._dist_by_region[region], FeatureVec(values[0]))
         ev = self._table().evals[region * (self._n_clusters + 1) + cluster + 1]
@@ -485,22 +496,18 @@ class GridWorldModel:
             raise NonFinite("feature vector contains non-finite entries")
         return ev
 
-    def _regions(self, index: np.ndarray, side: int) -> np.ndarray:
-        """The region of each sequence index of a `side` x `side` grid."""
-        return self._table().regions[index // side * self.side + index % side]
-
     def evaluate_batch(self, tree: DraftTree) -> BatchEval:
         """`Target.evaluate_batch`: laws by region; unjittered features come from one table,
         jittered ones from one fold over every node's path."""
         table = self._table()
-        side = tree.side
-        cells = np.minimum(tree.index, side * side - 1)
-        regions = self._regions(cells, side)
+        deepest = int(tree.index.max(initial=0))
+        _check_on_grid(deepest, self.side, reach=1)
+        cells = np.minimum(tree.index, self.side * self.side - 1)
+        regions = table.regions[cells]
         clusters = table.clusters[tree.token]
         if self.feature_jitter > 0.0:
-            rows, cols = np.divmod(cells, side)
-            tails = tree.tail(int(tree.index.max(initial=0)), np.arange(len(tree.token)))
-            jitter = self._jitters(tails, rows * self.side + cols)
+            tails = tree.tail(deepest, np.arange(len(tree.token)))
+            jitter = self._jitters(tails, cells)
             features, norms = self._feature_rows(regions, clusters, jitter)
         else:
             rows = regions * (self._n_clusters + 1) + clusters + 1
@@ -510,12 +517,15 @@ class GridWorldModel:
         features.flags.writeable = False
         return table.laws, regions, features, norms
 
-    def distribution(self, prefix: Sequence[TokenId], pos: GridPos) -> ProbDist:
-        return self._dist_by_region[self.region_of(pos)]
+    def distribution(self, prefix: Sequence[TokenId]) -> ProbDist:
+        _check_on_grid(len(prefix), self.side)
+        return self._dist_by_region[self.regions[len(prefix)]]
 
-    def conditionals(self, contexts: np.ndarray, index: np.ndarray, side: int) -> np.ndarray:
+    def conditionals(self, contexts: np.ndarray, index: np.ndarray) -> np.ndarray:
         """`Drafter.conditionals`: each prefix's region law."""
-        return self._table().laws.mass.take(self._regions(index, side), axis=0)
+        _check_on_grid(int(index.max(initial=0)), self.side)
+        table = self._table()
+        return table.laws.mass.take(table.regions[index], axis=0)
 
     @classmethod
     def default(cls, feature_jitter: float = 0.0) -> "GridWorldModel":
@@ -584,7 +594,7 @@ class LinearDrafter:
     conditional is a read-only row of one softmax table, built and checked in
     a single numpy pass by the first `distribution` call; a shape whose table
     would pass `_MAX_TABLE_ENTRIES` raises InvalidValue. A token outside the
-    vocabulary or a cell outside the N x N grid raises UnknownWindow.
+    vocabulary or a sequence index past the N x N grid raises UnknownWindow.
     """
 
     kind = "linear_drafter"
@@ -663,38 +673,27 @@ class LinearDrafter:
             self._rows = [None] * len(self._table)
         return self._table
 
-    def distribution(self, prefix: Sequence[TokenId], pos: GridPos) -> ProbDist:
+    def distribution(self, prefix: Sequence[TokenId]) -> ProbDist:
         self._softmax_table()
-        n = self.side
-        row, col = pos
         last = prefix[-1] + 1 if len(prefix) > 0 else 0
-        if not ((0 < last <= self.vocab or len(prefix) == 0) and 0 <= row < n and 0 <= col < n):
-            raise UnknownWindow(f"last token {prefix[-1:]} or cell ({row}, {col}) outside "
-                                f"the drafter's {self.vocab} tokens and {n}x{n} grid")
-        index = (last * n + row) * n + col
-        dist = self._rows[index]
+        if not (0 < last <= self.vocab or len(prefix) == 0):
+            raise UnknownWindow(f"last token {prefix[-1]} outside the drafter's {self.vocab} tokens")
+        _check_on_grid(len(prefix), self.side)
+        row = last * self.side * self.side + len(prefix)
+        dist = self._rows[row]
         if dist is None:
-            dist = self._rows[index] = ProbDist._of_checked_row(self._table[index])
+            dist = self._rows[row] = ProbDist._of_checked_row(self._table[row])
         return dist
 
-    def conditionals(self, contexts: np.ndarray, index: np.ndarray, side: int) -> np.ndarray:
+    def conditionals(self, contexts: np.ndarray, index: np.ndarray) -> np.ndarray:
         """`Drafter.conditionals`: one gather from the softmax table."""
         table = self._softmax_table()
-        n = self.side
-        if side == n:
-            # On the drafter's own grid the cell's offset in its block is the index itself.
-            if len(index) and index.max() >= n * n:
-                raise UnknownWindow(f"a sequence index lies outside the drafter's {n}x{n} grid")
-            rows = (contexts[:, 0] + 1) * (n * n) + index
-        else:
-            row, col = np.divmod(index, side)
-            if (row >= n).any() or (col >= n).any():
-                raise UnknownWindow(
-                    f"a cell of the {side}x{side} grid lies outside the drafter's {n}x{n} grid"
-                )
-            rows = ((contexts[:, 0] + 1) * n + row) * n + col
+        cells = self.side * self.side
+        _check_on_grid(int(index.max(initial=0)), self.side)
+        # Block `last + 1` of N*N rows follows token `last`; the cell's offset in it is the index.
+        rows = (contexts[:, 0] + 1) * cells + index
         # Row r follows token r // (N*N) - 1, which must be one of the V tokens.
-        if len(rows) and (rows.min() < n * n or rows.max() >= len(table)):
+        if len(rows) and (rows.min() < cells or rows.max() >= len(table)):
             raise UnknownWindow(f"a last token lies outside the drafter's {self.vocab} tokens")
         return table.take(rows, axis=0)
 
@@ -868,13 +867,14 @@ def enumerate_ar_distribution(model: Target, length: int) -> dict[tuple[int, ...
     vocab = getattr(model, "vocab")
     if _power_exceeds_guard(vocab, length):
         raise TooLarge(f"{vocab}^{length} sequences exceed enumeration guard")
-    grid = _decode_side(model, length)
+    side = _decode_side(model, length)
+    if length > side * side:
+        raise InvalidValue(f"length {length} exceeds the {side}x{side} grid")
     result: dict[tuple[int, ...], float] = {(): 1.0}
-    for t in range(length):
-        pos = GridPos.from_index(t, grid)
+    for _ in range(length):
         step: dict[tuple[int, ...], float] = {}
         for seq, prob in result.items():
-            dist = model.evaluate(seq, pos).dist
+            dist = model.evaluate(seq).dist
             for token in range(vocab):
                 step[seq + (token,)] = prob * dist[token]
         result = step

@@ -21,7 +21,6 @@ import numpy as np
 from .core import (
     ConfigError,
     FeatureVec,
-    GridPos,
     InvalidValue,
     NonFinite,
     ProbDist,
@@ -73,15 +72,13 @@ class TrainSample:
     """One supervised position from a target rollout."""
 
     last_token: TokenId | None
-    pos: GridPos
+    index: int  # the sequence index of the token sampled here
     target_dist: ProbDist
     target_feature: FeatureVec
     ground_truth: TokenId
 
 
-def build_training_samples(
-    target: Target, num_sequences: int, length: int, side: int, seed: int
-) -> list[list[TrainSample]]:
+def build_training_samples(target: Target, num_sequences: int, length: int, seed: int) -> list[list[TrainSample]]:
     """Roll the target autoregressively; one ordered sample list per sequence."""
     sequences: list[list[TrainSample]] = []
     for i in range(num_sequences):
@@ -89,12 +86,9 @@ def build_training_samples(
         tokens: list[TokenId] = []
         samples: list[TrainSample] = []
         for t in range(length):
-            pos = GridPos.from_index(t, side)
-            ev = target.evaluate(tokens, pos)
+            ev = target.evaluate(tokens)
             token = ev.dist.sample(rng)
-            samples.append(
-                TrainSample(tokens[-1] if tokens else None, pos, ev.dist, ev.feature, token)
-            )
+            samples.append(TrainSample(tokens[-1] if tokens else None, t, ev.dist, ev.feature, token))
             tokens.append(token)
         sequences.append(samples)
     return sequences
@@ -147,15 +141,15 @@ class _FitArrays:
 
 
 def _fit_arrays(samples: Sequence[TrainSample], vocab: int, side: int) -> _FitArrays:
-    """Dense one-hot design matrix, stacked target rows, ground truths and scratch."""
+    """Dense one-hot design matrix, stacked target rows, ground truths and scratch; index i is cell divmod(i, side)."""
     n = len(samples)
     rows = np.arange(n)
     phi = np.zeros((n, vocab + 2 * side))
     with_prev = [i for i, s in enumerate(samples) if s.last_token is not None]
     phi[with_prev, [samples[i].last_token for i in with_prev]] = 1.0
-    pos = np.array([s.pos for s in samples], dtype=np.int64).reshape(n, 2)
-    phi[rows, vocab + pos[:, 0]] = 1.0
-    phi[rows, vocab + side + pos[:, 1]] = 1.0
+    grid_row, grid_col = np.divmod(np.array([s.index for s in samples], dtype=np.int64), side)
+    phi[rows, vocab + grid_row] = 1.0
+    phi[rows, vocab + side + grid_col] = 1.0
     target_rows = np.array([s.target_dist.mass for s in samples]).reshape(n, vocab)
     ground_truth = np.array([s.ground_truth for s in samples], dtype=np.int64)
     return _FitArrays(
@@ -250,7 +244,7 @@ def train_drafter(
         )
     # Built before the rollouts, so a drafter table above its cap is refused first.
     drafter = LinearDrafter.zeros(vocab, side)
-    sequences = build_training_samples(target, cfg.num_sequences, side * side, side, cfg.seed)
+    sequences = build_training_samples(target, cfg.num_sequences, side * side, cfg.seed)
     weight_arr = np.concatenate([mark_convergent(seq, cfg) for seq in sequences])
 
     fit = _fit_arrays([s for seq in sequences for s in seq], vocab, side)
@@ -276,16 +270,15 @@ def held_out_convergent_kl(
 ) -> float:
     """Mean KL(q || p) over convergence-marked positions of fresh rollouts."""
     side = target.grid_side or drafter.side
-    sequences = build_training_samples(target, num_sequences, side * side, side, seed)
+    sequences = build_training_samples(target, num_sequences, side * side, seed)
     total, count = 0.0, 0
     for seq in sequences:
         flags = convergence_flags(seq, cfg.tau_seq_train)
+        tokens = [sample.ground_truth for sample in seq]
         for sample, flagged in zip(seq, flags):
             if not flagged:
                 continue
-            p = drafter.distribution(
-                [sample.last_token] if sample.last_token is not None else [], sample.pos
-            )
+            p = drafter.distribution(tokens[: sample.index])
             q = sample.target_dist.mass
             support = q > 0.0
             total += float(

@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import ConfigError, GridPos, RngStream, TokenId, VocabExhausted, first_hits, peek_reals
+from .core import ConfigError, RngStream, TokenId, VocabExhausted, first_hits, peek_reals
 from .models import Drafter
 
 DEFAULT_NODE_CAP = 256
@@ -84,41 +84,35 @@ ROOT = -1  # parent index of level-1 nodes
 class DraftTree:
     """A draft forest: one speculation tree per lane, as flat per-node arrays.
 
-    Lane k extends `prefixes[k]`, starting at sequence index
-    `len(prefixes[k])`. Lanes with equal prefixes share one root:
-    `root_prefixes` lists the distinct prefixes in order of first use, and
-    lane k's is `root_prefixes[root_index[k]]`. Node ids count from 0,
-    lane-major, and level-major within a lane: lane k's level l (1-based) holds ids
-    `level_starts[k][l-1] .. level_starts[k][l]-1`, and the children of each
-    node are one contiguous id range, in the order they were drafted.
+    Lane k extends `prefixes[k]`; lanes with equal prefixes share one root,
+    `root_prefixes[root_index[k]]`, listed in order of first use. Node ids
+    count from 0, lane-major and level-major within a lane: lane k's level l
+    (1-based) is `level_starts[k][l-1] .. level_starts[k][l]-1`, and each
+    node's children are one contiguous id range, in drafting order.
 
-    Per node i: `token[i]` and `prob[i]` (its drafter probability), also as
-    the lists `tokens` and `probs`; `lane[i]`; `level[i]`, how many of its
-    path's tokens were drafted; `index[i]`, its path's length (the sequence
-    index of the token that follows it); `parent[i]` (`ROOT` on level 1); and
-    `children[i]`, a range of ids. A path, its lane's prefix plus the tokens
-    from the lane's root to i, is read on demand: `path(i)` whole,
-    `tail(k, nodes)` the last k tokens of several.
-    `cond_row[i]` is the row of `draft_table` node i's children were drawn
-    from (-1 on its lane's deepest level); lane k's level 1 was drawn from
-    row `root_row + root_index[k]`, after every child conditional.
-    `judge[i]` is node i's parent, or `len(nodes) + k` for a level-1 node of
-    lane k: an index into per-node values followed by per-lane ones.
+    Node i holds `token[i]` and its drafter probability `prob[i]` (also the
+    lists `tokens` and `probs`), `lane[i]`, `level[i]` (its path's drafted
+    tokens), `parent[i]` (`ROOT` on level 1) and `children[i]`. Its position
+    is its path's length, `index[i]`: the sequence index of the token after
+    it. A path is read on demand, `path(i)` whole or `tail(k, nodes)` the
+    last k tokens of several. Node i's children were drawn from row
+    `cond_row[i]` of `draft_table` (-1 on its lane's deepest level), and lane
+    k's level 1 from row `root_row + root_index[k]`. `judge[i]` indexes
+    per-node values followed by per-lane ones: node i's parent, or
+    `len(nodes) + k` on level 1 of lane k.
 
-    Everything but the prefixes and the drawn arrays comes from the forest's
-    `_Skeleton` layout, shared by drafted forests of the same shape, and
-    `pairs()` indexes their sibling pairs and parent-child links once per layout.
+    All but the prefixes and the drawn arrays come from the shape's shared
+    `_Skeleton` layout, whose pairs `pairs()` indexes once.
     """
 
     __slots__ = (
-        "side", "prefixes", "root_prefixes", "root_index", "token", "prob", "tokens", "probs",
+        "prefixes", "root_prefixes", "root_index", "token", "prob", "tokens", "probs",
         "draft_table", "root_row", "lane", "level", "index", "parent", "children",
         "level_starts", "cond_row", "judge", "_pairs",
     )
 
     def __init__(
         self,
-        side: int,
         prefixes: list[tuple[TokenId, ...]],
         root_prefixes: list[tuple[TokenId, ...]],
         root_index: list[int],
@@ -128,7 +122,6 @@ class DraftTree:
         draft_table: np.ndarray,
         root_row: int,
     ) -> None:
-        self.side = side
         self.prefixes = prefixes
         self.root_prefixes = root_prefixes
         self.root_index = root_index
@@ -494,37 +487,30 @@ def sample_draft_tree(
     mask: TreeMask,
     depths: Sequence[int],
     rngs: Sequence[RngStream],
-    side: int,
     mode: str = TOPK,
 ) -> DraftTree:
     """Instantiate `mask` against the drafter for every lane, all lanes level by level.
 
-    Lane k drafts after `prefixes[k]`, from cell `divmod(len(prefixes[k]), side)`
-    of the caller's grid, under the first `depths[k]` levels of `mask`,
-    drawing from `rngs[k]`. Lanes are grouped by their whole prefix,
-    and each distinct prefix takes its root conditional from one
-    `drafter.distribution` call; each deeper level's conditionals come from
-    one `drafter.conditionals` lookup for every lane.
-    Top-k mode ranks candidates by drafter probability (deterministic; ties
-    to the lower token id). Stochastic mode draws them sequentially without
-    replacement, consuming one uniform per node of its lane's stream in node
-    order, so a width-1 mask reproduces plain autoregressive drafting draw
-    for draw. Every lane's uniforms come from one `peek_reals` pass over its
-    clipped mask's node count; each counter then moves past the ones its
-    lane used, so the unused ones stay the stream's next draws.
+    Lane k drafts after `prefixes[k]` under the first `depths[k]` levels of
+    `mask`, drawing from `rngs[k]`. A position is a path's length, which
+    the drafter reads on its own grid. Each distinct prefix takes its root
+    law from one `drafter.distribution` call, and each deeper level every
+    lane's laws from one `drafter.conditionals` call.
 
-    Every stochastic level is drawn by `_draw_steps`. The forest is laid
-    out up front as if full, every row yielding its level's width, in a
-    layout `_layouts` keeps as built from the shape's first request (a
-    mixed shape only if its lane count `fits`), so lane-major node i
-    takes uniform i of the block and a full level takes its uniforms in one
-    gather. From the first level with a stochastic row
-    that stops early or a zero-mass top-k pick, the forest is laid out from
-    the counts drawn, and each stochastic level is drawn by `_draw_level`,
-    every lane reading on from the uniforms its earlier rows used. A lane
-    count of zero, `prefixes`, `depths` and `rngs` of unequal lengths, lane
-    depths outside `[1, mask.depth]` and a lane reaching past the grid raise
-    ConfigError.
+    Top-k ranks candidates by drafter probability, ties to the lower token
+    id. Stochastic draws them in turn without replacement, one uniform per
+    node in node order, so a width-1 mask reproduces autoregressive drafting
+    draw for draw. Each lane's uniforms come from one `peek_reals` block of
+    its clipped mask's node count, and its counter then moves past the ones
+    it used. While every row yields its level's width, the forest keeps the
+    layout `_layouts` holds for its shape and lane-major node i takes
+    uniform i; from the first row that stops early or a zero-mass top-k
+    pick, it is laid out from the counts drawn, each lane reading on from
+    its own cursor.
+
+    No lanes, `prefixes`, `depths` and `rngs` of unequal lengths, a lane
+    depth outside `[1, mask.depth]` and a lane reaching past the drafter's
+    grid raise ConfigError.
     """
     if mode not in CANDIDATE_MODES:
         raise ConfigError(f"unknown candidate mode {mode!r}")
@@ -549,10 +535,10 @@ def sample_draft_tree(
     prefix_len = np.array([len(p) for p in prefixes])
     lane_depth = np.array(depths)
     deepest = int((prefix_len + lane_depth).max()) - 1  # the last sequence index drafted
-    if deepest >= side * side:
-        raise ConfigError(f"sequence index {deepest} outside {side}x{side} grid")
-    # Every lane's cell is on the grid, so each root cell is a plain divmod.
-    group_dists = [drafter.distribution(p, GridPos(*divmod(len(p), side))) for p in root_prefixes]
+    own = drafter.grid_side
+    if own and deepest >= own * own:
+        raise ConfigError(f"sequence index {deepest} outside the drafter's {own}x{own} grid")
+    group_dists = [drafter.distribution(p) for p in root_prefixes]
 
     # Drafting order: level by level, each level grouped by lane. Each
     # frontier row holds the conditional one node's children are drawn from.
@@ -629,7 +615,7 @@ def sample_draft_tree(
             contexts = level_tokens[:, None][:, :context]
         if grow is not None:
             contexts = contexts[grow]
-        rows = drafter.conditionals(contexts, prefix_len[row_lane] + level, side)
+        rows = drafter.conditionals(contexts, prefix_len[row_lane] + level)
         tables.append(rows)
 
     if mode == STOCHASTIC:
@@ -644,7 +630,7 @@ def sample_draft_tree(
     # The root conditionals follow the child conditionals, so one table holds every drafter law.
     table = np.concatenate([*tables, root_table])
     return DraftTree(
-        side, prefixes, root_prefixes, root_index, layout,
+        prefixes, root_prefixes, root_index, layout,
         np.concatenate(tokens)[layout.order], np.concatenate(probs)[layout.order],
         table, len(table) - len(root_table),
     )

@@ -23,7 +23,6 @@ import numpy as np
 
 from .core import (
     ConfigError,
-    GridPos,
     InvalidValue,
     PROB_ATOL,
     ProbDist,
@@ -87,13 +86,12 @@ def evaluate_tree(target: Target, tree: DraftTree) -> TreeEvals:
 
     Lanes that share a root prefix share its evaluation and its law row: the
     model's own row when the root evaluation returned one of its table's
-    laws, else a row stacked after them. Nodes one step past the grid end
-    are evaluated at the final cell; only their features are ever consulted
-    there. Every node's law, `q` and threshold then come from one gather.
+    laws, else a row stacked after them. A node one step past a gridded
+    target's end is read at its last cell; only its feature is ever
+    consulted there. Every node's law, `q` and threshold then come from one
+    gather.
     """
-    side = tree.side
-    # `sample_draft_tree` checked that every lane's cell is on the grid.
-    distinct = [target.evaluate(p, GridPos(*divmod(len(p), side))) for p in tree.root_prefixes]
+    distinct = [target.evaluate(p) for p in tree.root_prefixes]
     laws, rows, features, norms = target.evaluate_batch(tree)
     laws, root_law = laws.rows_of([ev.dist for ev in distinct])
     law = np.concatenate((rows, np.take(root_law, tree.root_index))).take(tree.judge)
@@ -541,37 +539,34 @@ def decode_lanes(
     """Generate `length` tokens in each of several lanes, one lane per stream in `rngs`.
 
     `ar` samples the target directly. `vanilla` and `cascade` repeat
-    draft/verify cycles, appending accepted tokens plus the correction token
-    when a rejection occurs; the drafted-but-unverified deepest token of a
-    fully accepted cycle is never emitted. Target cost is one parallel pass
-    per cycle; drafter cost is one pass per drafted level.
+    draft/verify cycles, each emitting its accepted tokens plus a correction
+    on a rejection; a fully accepted cycle's deepest drafted token is never
+    emitted. A token's position is the length of the prefix before it,
+    which each gridded model reads on its own grid; `_check_decode` makes a
+    gridded target and drafter agree on it. A cycle costs a lane one target
+    pass and one drafter pass per drafted level.
 
-    The lanes run in lockstep: each cycle drafts one forest holding every
-    unfinished lane's tree, evaluates it with one target pass, takes every
-    lane's similarity sets from one pass, walks each lane's tree, and then
-    draws every lane's correction in one residual pass. When the lanes'
-    depths differ, the forest holds them deepest first (a stable sort), so
-    the forests of lanes nearing their ends repeat a few shapes, whose
-    layouts `sample_draft_tree` keeps; all else maps back per lane. The
-    walks take their uniforms from one `peek_reals` block per cycle: the
-    slice of the forest's lane j holds `1 + sum(mask.widths[:depth_j])`,
-    the most a walk can draw (every sibling of each level, then a
-    correction), and its stream's counter then moves past the ones its walk
-    read. A cycle whose block would hold fewer than `_BLOCK_MIN` uniforms
-    walks each lane on its own stream instead. A lane's tokens, counters and
+    The lanes run in lockstep: each cycle drafts one forest of every
+    unfinished lane, deepest first when depths differ (so lanes nearing
+    their ends repeat a few cached shapes), with one target pass and one
+    similarity pass; each lane's tree is then walked, and every correction
+    drawn in one residual pass. The walks read one `peek_reals` block per
+    cycle, lane j's slice holding the most its walk can draw, `1 +
+    sum(mask.widths[:depth_j])`, and each stream then moves past the
+    uniforms its walk read; below `_BLOCK_MIN` uniforms a cycle walks each
+    lane on its own stream. Either way a lane's tokens, counters and
     decisions are those of decoding it alone. `on_outcome(lane, cycle,
     outcome)` sees each lane's calls in order, a cycle's lanes in lane
-    order, with each correction drawn. A decode that `_check_decode`
-    refuses raises ConfigError before anything is drawn.
+    order, each with its correction drawn. A decode `_check_decode` refuses
+    raises ConfigError before anything is drawn.
     """
-    side = _check_decode(target, drafter, mode, candidate_mode, length)
+    _check_decode(target, drafter, mode, candidate_mode, length)
     lanes = [([], DecodeStats()) for _ in rngs]
 
     if mode == AR:
         for (tokens, stats), rng in zip(lanes, rngs):
-            for t in range(length):
-                ev = target.evaluate(tokens, GridPos.from_index(t, side))
-                tokens.append(ev.dist.sample(rng))
+            for _ in range(length):
+                tokens.append(target.evaluate(tokens).dist.sample(rng))
             stats.target_calls = stats.tokens_emitted = length
         return lanes
 
@@ -588,7 +583,7 @@ def decode_lanes(
             pick = itemgetter(*sorted(range(len(live)), key=depths.__getitem__, reverse=True))
             drafted, prefixes, depths = pick(live), pick(prefixes), list(pick(depths))
         streams = [rngs[k] for k in drafted]
-        tree = sample_draft_tree(drafter, prefixes, mask, depths, streams, mode=candidate_mode, side=side)
+        tree = sample_draft_tree(drafter, prefixes, mask, depths, streams, mode=candidate_mode)
         evals = evaluate_tree(target, tree)
         sets = build_sets(tree, evals, cfg) if mode == CASCADE else None
         need = [most[d] for d in depths]

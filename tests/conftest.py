@@ -14,7 +14,6 @@ from specrelax import (
     tempered_table_drafter,
     train_drafter,
 )
-from specrelax.models import _decode_side
 
 
 @pytest.fixture(scope="session")
@@ -91,22 +90,16 @@ class FixedDrafter:
         self.dist = ProbDist(mass)
         self.vocab = len(self.dist)
 
-    def distribution(self, prefix, pos):
+    def distribution(self, prefix):
         return self.dist
 
-    def conditionals(self, contexts, index, side):
+    def conditionals(self, contexts, index):
         return np.broadcast_to(self.dist.mass, (len(index), self.vocab))
 
 
-def draft_one(drafter, prefix, mask, rng, side=None, **kwargs):
-    """A one-lane forest: the draft tree of one prefix.
-
-    Unless `side` is given, the tree lies on the grid of a decode that ends
-    with it, as `decode_lanes` would give it.
-    """
-    if side is None:
-        side = _decode_side(drafter, len(prefix) + mask.depth)
-    return sample_draft_tree(drafter, [prefix], mask, [mask.depth], [rng], side, **kwargs)
+def draft_one(drafter, prefix, mask, rng, **kwargs):
+    """A one-lane forest: the draft tree of one prefix."""
+    return sample_draft_tree(drafter, [prefix], mask, [mask.depth], [rng], **kwargs)
 
 
 def tree_depth(tree, lane=0):

@@ -11,7 +11,6 @@ import time
 import numpy as np
 
 from specrelax import (
-    GridPos,
     LinearDrafter,
     RelaxConfig,
     RngStream,
@@ -55,8 +54,8 @@ def test_criterion_1_exactness_analytic():
         drafter = tempered_table_drafter(target)
         prefixes = [[]] + [[t] for t in range(vocab)]
         for prefix in prefixes:
-            q_row = target.evaluate(prefix, GridPos(0, 0)).dist
-            p_row = drafter.evaluate(prefix, GridPos(0, 0)).dist
+            q_row = target.evaluate(prefix).dist
+            p_row = drafter.evaluate(prefix).dist
             emission = step_emission(q_row, p_row)
             worst = max(worst, float(np.max(np.abs(emission - q_row.mass))))
     _elapsed_ok(1, started, 1.0)
@@ -201,7 +200,7 @@ def test_criterion_6_training(gridworld):
     kl_ok = kls[2.0] < kls[1.0]
 
     cfg1 = TrainConfig(c=1.0, seed=4, num_sequences=2)
-    sequences = build_training_samples(gridworld, 2, 64, 8, seed=4)
+    sequences = build_training_samples(gridworld, 2, 64, seed=4)
     batch = [s for seq in sequences for s in seq]
     marked = np.concatenate([mark_convergent(seq, cfg1) for seq in sequences])
     probe = LinearDrafter.zeros(32, 8)

@@ -9,17 +9,19 @@ from specrelax import (
     DegenerateResidual,
     EngineError,
     FeatureVec,
-    GridPos,
     LengthMismatch,
     ProbDist,
     RngStream,
     ZeroNormFeature,
     cosine_sim,
     derive_seed,
+    enumerate_ar_distribution,
     residual_dist,
     tvd,
 )
 from specrelax.core import derive_streams, peek_reals, sample_corrections
+
+from conftest import small_gridworld
 
 ATOL = 1e-9
 
@@ -330,24 +332,6 @@ def test_derive_seed_is_deterministic_and_spread():
     assert derive_seed(42, 7) == derive_seed(42, 7)
 
 
-# --- GridPos -----------------------------------------------------------------
-
-
-def test_gridpos_flatten_bijection():
-    side = 5
-    seen = set()
-    for idx in range(side * side):
-        pos = GridPos.from_index(idx, side)
-        assert pos.flatten(side) == idx
-        seen.add(pos)
-    assert len(seen) == side * side
-
-
-def test_gridpos_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        GridPos.from_index(25, 5)
-
-
 # --- library errors ----------------------------------------------------------
 
 
@@ -360,10 +344,10 @@ def test_gridpos_rejects_out_of_range():
         lambda: ProbDist([0.5, 0.6]),
         lambda: ProbDist.normalized([0.0, 0.0]),
         lambda: FeatureVec([]),
-        lambda: GridPos.from_index(-1, 5),
+        lambda: enumerate_ar_distribution(small_gridworld(), 5),  # 5 tokens on a 2x2 grid
     ],
     ids=["probdist-shape", "probdist-empty", "probdist-negative", "probdist-sum", "normalized-zero-sum",
-         "featurevec-empty", "gridpos-off-grid"],
+         "featurevec-empty", "enumeration-off-grid"],
 )
 def test_value_types_raise_engine_errors_that_are_value_errors(build):
     with pytest.raises(EngineError) as info:

@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from specrelax import (
     ConfigError,
     ExperimentConfig,
-    GridPos,
     GridWorldModel,
     LinearDrafter,
     Metrics,
@@ -246,9 +245,9 @@ def test_heatmap_rejects_out_of_range_rows(tmp_path, gridworld):
     assert not (tmp_path / "hm.csv").exists()
 
 
-def scalar_heatmap(target, tokens, positions, side) -> list[list[float]]:
+def scalar_heatmap(target, tokens, positions) -> list[list[float]]:
     """The heatmap as a scalar loop: `cosine_sim` of each pair `i <= j`, mirrored."""
-    feats = [target.evaluate(tokens[:p], GridPos.from_index(p, side)).feature for p in positions]
+    feats = [target.evaluate(tokens[:p]).feature for p in positions]
     n = len(positions)
     return [[cosine_sim(feats[min(i, j)], feats[max(i, j)]) for j in range(n)] for i in range(n)]
 
@@ -265,7 +264,7 @@ def test_heatmap_csv_matches_matrix(tmp_path, gridworld, tabular_v4):
             lines = list(csv.reader(fh))
         assert lines[0] == ["pos"] + [str(p) for p in positions]
         assert [line[0] for line in lines[1:]] == [str(p) for p in positions]
-        expected = scalar_heatmap(target, tokens, positions, side)
+        expected = scalar_heatmap(target, tokens, positions)
         assert [line[1:] for line in lines[1:]] == [[repr(v) for v in row] for row in expected]
         parsed = np.array([[float(v) for v in line[1:]] for line in lines[1:]])
         assert np.array_equal(parsed, matrix)
@@ -277,9 +276,9 @@ def test_heatmap_csv_matches_matrix(tmp_path, gridworld, tabular_v4):
     tokens, _ = decode_sequence(target, None, "ar", TreeMask.chain(1), RelaxConfig(), 64, RngStream(0))
     evaluate, evaluated = target.evaluate, []
 
-    def counting(prefix, pos):
+    def counting(prefix):
         evaluated.append(len(prefix))
-        return evaluate(prefix, pos)
+        return evaluate(prefix)
 
     target.evaluate = counting
     export_similarity_heatmap(target, tokens, [2], path)

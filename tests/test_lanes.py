@@ -12,7 +12,6 @@ import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 from specrelax import (
-    GridPos,
     GridWorldModel,
     LinearDrafter,
     ProbDist,
@@ -75,10 +74,10 @@ def _select_candidates(dist, width, mode, rng):
     return picked
 
 
-def reference_tree(drafter, prefix, mask, rng, mode, side):
+def reference_tree(drafter, prefix, mask, rng, mode):
     """The per-node drafter: (tokens, probs, parents, child conditionals) in level-major ids."""
     tokens, probs, parents, child_masses = [], [], [], []
-    frontier = [(ROOT, tuple(prefix), drafter.distribution(tuple(prefix), GridPos.from_index(len(prefix), side)))]
+    frontier = [(ROOT, tuple(prefix), drafter.distribution(tuple(prefix)))]
     for level, width in enumerate(mask.widths, start=1):
         grows = level < mask.depth
         next_frontier = []
@@ -87,7 +86,7 @@ def reference_tree(drafter, prefix, mask, rng, mode, side):
                 node_path = path + (token,)
                 child = None
                 if grows:
-                    child = drafter.distribution(node_path, GridPos.from_index(len(node_path), side))
+                    child = drafter.distribution(node_path)
                     next_frontier.append((len(tokens), node_path, child))
                 tokens.append(token)
                 probs.append(prob)
@@ -97,14 +96,14 @@ def reference_tree(drafter, prefix, mask, rng, mode, side):
     return tokens, probs, parents, child_masses
 
 
-def assert_forest_matches_reference(drafter, prefixes, mask, depths, seeds, mode, side):
+def assert_forest_matches_reference(drafter, prefixes, mask, depths, seeds, mode):
     rngs = [RngStream(seed) for seed in seeds]
-    forest = sample_draft_tree(drafter, prefixes, mask, depths, rngs, mode=mode, side=side)
+    forest = sample_draft_tree(drafter, prefixes, mask, depths, rngs, mode=mode)
     assert len(forest.nodes) == len(forest.tokens)
     for k, (prefix, depth, seed) in enumerate(zip(prefixes, depths, seeds)):
         ref_rng = RngStream(seed)
         tokens, probs, parents, child_masses = reference_tree(
-            drafter, prefix, TreeMask(mask.widths[:depth]), ref_rng, mode, side
+            drafter, prefix, TreeMask(mask.widths[:depth]), ref_rng, mode
         )
         start, end = forest.level_starts[k][0], forest.level_starts[k][-1]
         ids = list(range(start, end))
@@ -138,17 +137,17 @@ def test_forests_match_the_scalar_drafter_on_grid_and_tabular_drafters(mode, gri
     tabular1 = random_tabular_model(5, 1, seed=4, h=3)
     tabular2 = random_tabular_model(5, 2, seed=6, h=3)
     cases = [
-        (LinearDrafter.zeros(32, 8), 8, 32),
-        (grid_drafter, 8, 32),
-        (GridWorldModel.default(), 8, 32),
-        (tempered_table_drafter(tabular1), 8, 5),
-        (tempered_table_drafter(tabular2), 8, 5),
+        (LinearDrafter.zeros(32, 8), 32),
+        (grid_drafter, 32),
+        (GridWorldModel.default(), 32),
+        (tempered_table_drafter(tabular1), 5),
+        (tempered_table_drafter(tabular2), 5),
     ]
-    for drafter, side, vocab in cases:
+    for drafter, vocab in cases:
         # Prefixes of several lengths, lanes clipped to different depths.
         prefixes = [[(7 * k + 3 * i) % vocab for i in range(n)] for k, n in enumerate((0, 1, 5, 17, 40))]
         assert_forest_matches_reference(
-            drafter, prefixes, TreeMask.default(), [5, 3, 5, 1, 2], [11, 12, 13, 14, 15], mode, side
+            drafter, prefixes, TreeMask.default(), [5, 3, 5, 1, 2], [11, 12, 13, 14, 15], mode
         )
 
 
@@ -158,7 +157,7 @@ def test_forests_match_the_scalar_drafter_on_pruned_rows(mode):
     drafter = FixedDrafter([0.5, 0.0, 0.3, 0.2, 0.0, 0.0])
     for mask in (TreeMask((4, 2, 1)), TreeMask((4, 4)), TreeMask((2, 4, 1))):
         assert_forest_matches_reference(
-            drafter, [[], [1], [2, 3]], mask, [mask.depth, 1, mask.depth], [3, 4, 5], mode, 8
+            drafter, [[], [1], [2, 3]], mask, [mask.depth, 1, mask.depth], [3, 4, 5], mode
         )
 
 
@@ -178,11 +177,11 @@ def test_stochastic_rows_at_the_exhaustion_floor_match_the_scalar_drafter(mass):
     for width in (2, 3, 4):
         mask = TreeMask((width, 2))
         assert_forest_matches_reference(
-            drafter, [[], [0], [1]], mask, [2, 2, 1], [7, 8, 9], STOCHASTIC, 4
+            drafter, [[], [0], [1]], mask, [2, 2, 1], [7, 8, 9], STOCHASTIC
         )
         # Level 1 of lane 0 is one row drawn on its own stream.
         rng = RngStream(21)
-        forest = sample_draft_tree(drafter, [[]], TreeMask((width,)), [1], [rng], mode=STOCHASTIC, side=4)
+        forest = sample_draft_tree(drafter, [[]], TreeMask((width,)), [1], [rng], mode=STOCHASTIC)
         ref_rng = RngStream(21)
         expected = _select_candidates(dist, width, STOCHASTIC, ref_rng)
         assert [(forest.tokens[n], forest.probs[n]) for n in tree_level(forest, 1)] == expected
@@ -205,7 +204,7 @@ def test_random_rows_with_zeros_and_tiny_masses_match_the_scalar_drafter():
             widths = tuple(int(w) for w in rng_np.integers(1, vocab + 1, size=2))
             assert_forest_matches_reference(
                 drafter, [[], [0], []], TreeMask(widths), [2, 1, 2], [trial, trial + 1, trial + 2],
-                mode, 4,
+                mode,
             )
 
 
@@ -220,10 +219,10 @@ class IndexDrafter:
         self.masses.flags.writeable = False
         self.vocab = self.masses.shape[1]
 
-    def distribution(self, prefix, pos):
+    def distribution(self, prefix):
         return ProbDist(self.masses[len(prefix) % len(self.masses)])
 
-    def conditionals(self, contexts, index, side):
+    def conditionals(self, contexts, index):
         return self.masses[np.asarray(index) % len(self.masses)]
 
 
@@ -246,7 +245,7 @@ def test_forests_mixing_row_by_row_and_stepped_levels_match_the_scalar_drafter()
     for mask in (TreeMask((3, 2, 2)), TreeMask((2, 3, 1, 2))):
         for seeds in ((1, 2, 3, 4), (50, 60, 70, 80), (9, 9, 9, 9)):
             assert_forest_matches_reference(
-                drafter, prefixes, mask, [mask.depth, 1, mask.depth - 1, mask.depth], seeds, STOCHASTIC, 4
+                drafter, prefixes, mask, [mask.depth, 1, mask.depth - 1, mask.depth], seeds, STOCHASTIC
             )
 
 
@@ -265,7 +264,7 @@ def test_forests_falling_back_after_full_levels_match_the_scalar_drafter():
         for mask in (TreeMask((2, 2, 3, 2)), TreeMask((3, 1, 3, 1, 2))):
             depths = [mask.depth, 1, 2, mask.depth, 3]
             for seeds in ((1, 2, 3, 4, 5), (50, 60, 70, 80, 90)):
-                assert_forest_matches_reference(drafter, prefixes, mask, depths, seeds, mode, 4)
+                assert_forest_matches_reference(drafter, prefixes, mask, depths, seeds, mode)
 
 
 # --- lanes against one-lane decodes ----------------------------------------------
@@ -502,7 +501,7 @@ def test_a_decode_run_again_builds_no_layout(layouts, monkeypatch):
 def _draft(depths):
     return sample_draft_tree(
         LinearDrafter.zeros(32, 8), [(1,)] * len(depths), TreeMask.default(), depths,
-        [RngStream(k) for k in range(len(depths))], mode=STOCHASTIC, side=8,
+        [RngStream(k) for k in range(len(depths))], mode=STOCHASTIC,
     )
 
 
@@ -616,13 +615,13 @@ class Counting:
     def __getattr__(self, name):
         return getattr(self.model, name)
 
-    def distribution(self, prefix, pos):
+    def distribution(self, prefix):
         self.calls.append(tuple(prefix))
-        return self.model.distribution(prefix, pos)
+        return self.model.distribution(prefix)
 
-    def evaluate(self, prefix, pos):
+    def evaluate(self, prefix):
         self.calls.append(tuple(prefix))
-        return self.model.evaluate(prefix, pos)
+        return self.model.evaluate(prefix)
 
 
 # (1, 3) and (2, 3) share their length and last token: only the whole prefix tells them apart.
@@ -642,11 +641,11 @@ def _shared_prefix_models(case, grid_drafter):
 @pytest.mark.parametrize("case", ["tabular", "grid", "grid-jitter"])
 def test_lanes_sharing_a_prefix_share_one_root_pass(case, mode, grid_drafter):
     target, drafter = _shared_prefix_models(case, grid_drafter)
-    mask, side = TreeMask((2, 2, 1)), 8
+    mask = TreeMask((2, 2, 1))
     depths = [3, 3, 2, 3, 3, 1, 3, 3]
     counted_drafter, counted_target = Counting(drafter), Counting(target)
     forest = sample_draft_tree(
-        counted_drafter, SHARED_PREFIXES, mask, depths, [RngStream(k) for k in range(8)], mode=mode, side=side
+        counted_drafter, SHARED_PREFIXES, mask, depths, [RngStream(k) for k in range(8)], mode=mode
     )
     evals = evaluate_tree(counted_target, forest)
     distinct = list(dict.fromkeys(SHARED_PREFIXES))
@@ -656,7 +655,7 @@ def test_lanes_sharing_a_prefix_share_one_root_pass(case, mode, grid_drafter):
     # Each lane's tree and evaluations are those of a forest of that lane alone.
     for k, (prefix, depth) in enumerate(zip(SHARED_PREFIXES, depths)):
         rng = RngStream(k)
-        alone = sample_draft_tree(drafter, [prefix], mask, [depth], [rng], mode=mode, side=side)
+        alone = sample_draft_tree(drafter, [prefix], mask, [depth], [rng], mode=mode)
         alone_evals = evaluate_tree(target, alone)
         ids = list(range(forest.level_starts[k][0], forest.level_starts[k][-1]))
         assert [forest.tokens[i] for i in ids] == alone.tokens
@@ -675,10 +674,10 @@ def test_a_lane_with_a_prefix_out_of_range_raises_before_any_draw(case, grid_dra
     target, drafter = _shared_prefix_models(case, grid_drafter)
     bad = (1, 40)  # token 40 lies outside both vocabularies
     with pytest.raises(UnknownWindow) as alone:
-        drafter.distribution(bad, GridPos(0, 2))
+        drafter.distribution(bad)
     rngs = [RngStream(k) for k in range(4)]
     with pytest.raises(UnknownWindow) as lanes:
-        sample_draft_tree(drafter, [(), (1, 3), bad, (1, 3)], TreeMask((2, 1)), [2] * 4, rngs, mode=STOCHASTIC, side=8)
+        sample_draft_tree(drafter, [(), (1, 3), bad, (1, 3)], TreeMask((2, 1)), [2] * 4, rngs, mode=STOCHASTIC)
     assert str(lanes.value) == str(alone.value)
     assert [rng.counter for rng in rngs] == [0] * 4
 
@@ -696,7 +695,7 @@ def test_a_standalone_outcome_draws_its_correction_on_read_from_the_uniform_it_k
         rejected = relaxed = 0
         for seed in range(200):
             rng = RngStream(seed)
-            tree = sample_draft_tree(drafter, [[seed % 4]], TreeMask((2, 1)), [2], [rng], mode=STOCHASTIC, side=8)
+            tree = sample_draft_tree(drafter, [[seed % 4]], TreeMask((2, 1)), [2], [rng], mode=STOCHASTIC)
             evals = evaluate_tree(target, tree)
             start = rng.counter
             if mode == "cascade":

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import json
 import re
 
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from specrelax import (
     EngineError,
-    GridPos,
     GridWorldModel,
     LinearDrafter,
     ModelFormatError,
@@ -39,47 +39,46 @@ ATOL = 1e-9
 
 
 def test_gridworld_mass_split():
-    q = small_gridworld().evaluate([], GridPos(0, 0)).dist
+    q = small_gridworld().evaluate([]).dist
     assert np.allclose(q.mass, [0.2] * 4 + [0.05] * 4, atol=ATOL)
 
 
 def test_gridworld_same_cluster_features_identical():
     model = small_gridworld()
-    pos = GridPos(0, 1)
-    f1 = model.evaluate([0, 2], pos).feature
-    f2 = model.evaluate([1, 3], pos).feature
+    f1 = model.evaluate([0, 2]).feature
+    f2 = model.evaluate([1, 3]).feature
     assert cosine_sim(f1, f2) == 1.0
 
 
 def test_gridworld_consecutive_positions_converge_within_region():
     model = GridWorldModel.default()
     # Positions 9 and 10 sit in region 0; last tokens from cluster 1.
-    f1 = model.evaluate([0] * 8 + [9], GridPos.from_index(9, 8)).feature
-    f2 = model.evaluate([0] * 9 + [10], GridPos.from_index(10, 8)).feature
+    f1 = model.evaluate([0] * 8 + [9]).feature
+    f2 = model.evaluate([0] * 9 + [10]).feature
     assert cosine_sim(f1, f2) >= 0.99
 
 
 def test_gridworld_cross_region_features_diverge():
     model = GridWorldModel.default()
-    in_region0 = model.evaluate([0], GridPos.from_index(1, 8)).feature
-    in_region1 = model.evaluate([0], GridPos.from_index(3 * 8, 8)).feature
+    in_region0 = model.evaluate([0]).feature
+    in_region1 = model.evaluate([0] * (3 * 8)).feature
     assert cosine_sim(in_region0, in_region1) < 0.5
 
 
 def test_gridworld_first_position_feature_is_region_anchor():
     model = small_gridworld()
-    feat = model.evaluate([], GridPos(0, 0)).feature
+    feat = model.evaluate([]).feature
     assert np.allclose(feat.values, [1, 0, 0, 0], atol=ATOL)
 
 
 def test_gridworld_jitter_is_deterministic_and_small():
     model = GridWorldModel.default(feature_jitter=0.05)
     ref = GridWorldModel.default()
-    pos = GridPos.from_index(9, 8)
-    f1 = model.evaluate([3, 4], pos).feature
-    f2 = model.evaluate([3, 4], pos).feature
+    prefix = [0] * 7 + [3, 4]  # index 9
+    f1 = model.evaluate(prefix).feature
+    f2 = model.evaluate(prefix).feature
     assert np.array_equal(f1.values, f2.values)
-    base = ref.evaluate([3, 4], pos).feature
+    base = ref.evaluate(prefix).feature
     assert cosine_sim(f1, base) > 0.99
     assert not np.array_equal(f1.values, base.values)
 
@@ -93,19 +92,41 @@ def test_gridworld_jitter_fold_matches_the_one_path_jitter_bitwise():
     for cells in (np.zeros(len(paths), dtype=np.intp), np.arange(len(paths)) * 9 % 64, np.full(len(paths), 63)):
         rows = model._jitters(padded, cells)
         for prefix, cell, row in zip(paths, cells.tolist(), rows):
-            assert row.tobytes() == model._jitter(prefix, GridPos.from_index(cell, 8)).tobytes()
+            assert row.tobytes() == model._jitter(prefix, cell).tobytes()
+
+
+@pytest.mark.parametrize("jitter", [0.0, 0.05])
+def test_gridworld_refuses_a_prefix_longer_than_its_grid(jitter):
+    model = GridWorldModel.default(feature_jitter=jitter)
+    last_cell = model.evaluate([5] * 63)
+    at_end = model.evaluate([5] * 64)  # read at the last cell, index 63
+    assert at_end.dist is last_cell.dist
+    if jitter == 0.0:
+        assert at_end.feature is last_cell.feature
+    for read in (model.evaluate, model.distribution):
+        with pytest.raises(UnknownWindow, match="sequence index 65 lies past the 8x8 grid"):
+            read([5] * 65)
+
+
+def test_gridworld_as_a_drafter_refuses_an_index_past_its_grid():
+    model = GridWorldModel.default()
+    assert model.conditionals(np.array([[0]]), np.array([63])).tobytes() == model.distribution([0] * 63).mass.tobytes()
+    with pytest.raises(UnknownWindow, match="sequence index 64 lies past the 8x8 grid"):
+        model.conditionals(np.array([[0]]), np.array([64]))
+    with pytest.raises(UnknownWindow, match="sequence index 64 lies past the 8x8 grid"):
+        model.distribution([0] * 64)
 
 
 def test_tabular_lookup():
     model = make_tabular_v2({(0,): [0.9, 0.1]})
-    assert np.allclose(model.evaluate([0], GridPos(0, 0)).dist.mass, [0.9, 0.1], atol=ATOL)
+    assert np.allclose(model.evaluate([0]).dist.mass, [0.9, 0.1], atol=ATOL)
 
 
 def test_tabular_uses_last_k_window():
     model = make_tabular_v2({(0,): [0.9, 0.1], (1,): [0.3, 0.7]})
     long_prefix = [1, 1, 0]
     assert np.allclose(
-        model.evaluate(long_prefix, GridPos(0, 0)).dist.mass, [0.9, 0.1], atol=ATOL
+        model.evaluate(long_prefix).dist.mass, [0.9, 0.1], atol=ATOL
     )
 
 
@@ -122,29 +143,30 @@ def test_tabular_requires_full_coverage():
 
 def test_linear_drafter_uniform_at_zero_parameters():
     drafter = LinearDrafter.zeros(4, 2)
-    p = drafter.distribution([1], GridPos(0, 1))
+    p = drafter.distribution([1])
     assert np.allclose(p.mass, [0.25] * 4, atol=ATOL)
 
 
 def test_linear_drafter_softmax_by_hand():
     bias = np.array([np.log(2.0), 0.0])
     drafter = LinearDrafter(np.zeros((2, 2 + 4)), bias, 2, 2)
-    p = drafter.distribution([0], GridPos(0, 0))
+    p = drafter.distribution([0])
     assert np.allclose(p.mass, [2 / 3, 1 / 3], atol=ATOL)
 
 
 def test_linear_drafter_is_deterministic():
     rng = np.random.default_rng(3)
     drafter = LinearDrafter(rng.normal(size=(4, 4 + 4)), rng.normal(size=4), 4, 2)
-    a = drafter.distribution([2], GridPos(1, 0))
-    b = drafter.distribution([2], GridPos(1, 0))
+    a = drafter.distribution([0, 2])  # cell (1, 0)
+    b = drafter.distribution([0, 2])
     assert np.array_equal(a.mass, b.mass)
 
 
-def reference_row(drafter: LinearDrafter, last: int | None, pos: GridPos) -> ProbDist:
+def reference_row(drafter: LinearDrafter, last: int | None, index: int) -> ProbDist:
     """One conditional computed on its own: the logits, then a per-row softmax."""
     v, n = drafter.vocab, drafter.side
-    z = drafter.bias + drafter.weights[:, v + pos.row] + drafter.weights[:, v + n + pos.col]
+    row, col = divmod(index, n)
+    z = drafter.bias + drafter.weights[:, v + row] + drafter.weights[:, v + n + col]
     if last is not None:
         z = z + drafter.weights[:, last]
     return ProbDist.normalized(np.exp(z - z.max()))
@@ -171,16 +193,21 @@ def _parity_drafters():
 def test_linear_drafter_table_rows_match_per_row_softmax_bitwise():
     for name, drafter in _parity_drafters():
         assert drafter._table is None, name
+        cells = drafter.side**2
         for last in [None, *range(drafter.vocab)]:
-            prefix = [] if last is None else [last]
-            for index in range(drafter.side**2):
-                pos = GridPos.from_index(index, drafter.side)
-                row, ref = drafter.distribution(prefix, pos), reference_row(drafter, last, pos)
-                assert row.mass.tobytes() == ref.mass.tobytes(), (name, last, pos)
-                assert not row.mass.flags.writeable, (name, last, pos)
-                assert drafter.distribution(prefix, pos) is row
+            for index in range(cells):
+                ref = reference_row(drafter, last, index)
+                table_row = drafter._softmax_table()[(0 if last is None else last + 1) * cells + index]
+                assert table_row.tobytes() == ref.mass.tobytes(), (name, last, index)
+                if (last is None) != (index == 0):
+                    continue  # no prefix has this length and last token
+                prefix = [] if last is None else [0] * (index - 1) + [last]
+                row = drafter.distribution(prefix)
+                assert row.mass.tobytes() == ref.mass.tobytes(), (name, last, index)
+                assert not row.mass.flags.writeable, (name, last, index)
+                assert drafter.distribution(prefix) is row
                 assert row.sample(RngStream(index)) == ref.sample(RngStream(index))
-                assert row._cdf == ref._cdf, (name, last, pos)
+                assert row._cdf == ref._cdf, (name, last, index)
         assert drafter._table.shape == ((drafter.vocab + 1) * drafter.side**2, drafter.vocab)
         assert drafter._table.flags.c_contiguous and not drafter._table.flags.writeable
 
@@ -189,7 +216,7 @@ def test_linear_drafter_builds_its_table_on_first_use_only():
     drafter = LinearDrafter.zeros(4, 2)
     assert drafter._table is None
     assert train_drafter(small_gridworld(), SMALL_TRAINING)._table is None
-    row = drafter.distribution([3], GridPos(1, 1))
+    row = drafter.distribution([0, 0, 3])  # cell (1, 1)
     with pytest.raises(ValueError):
         row.mass[0] = 1.0
     assert row.mass.base is drafter._table
@@ -198,11 +225,11 @@ def test_linear_drafter_builds_its_table_on_first_use_only():
 def test_linear_drafter_overflowing_logits_raise_non_finite():
     huge = LinearDrafter(np.full((3, 3 + 4), 1e308), np.full(3, 1e308), 3, 2)
     with pytest.raises(NonFinite):
-        huge.distribution([0], GridPos(0, 0))
+        huge.distribution([0])
     # Logits that overflow to -inf on some tokens only leave those tokens zero mass.
     weights = np.zeros((3, 3 + 4))
     weights[0, 3:] = -1e308
-    p = LinearDrafter(weights, np.zeros(3), 3, 2).distribution([], GridPos(1, 0))
+    p = LinearDrafter(weights, np.zeros(3), 3, 2).distribution([])
     assert p.mass.tolist() == [0.0, 0.5, 0.5]
 
 
@@ -250,53 +277,47 @@ def test_linear_drafter_bad_softmax_rows_raise_engine_errors(monkeypatch, exp_va
 
     monkeypatch.setattr(np, "exp", fake_exp)
     with pytest.raises(EngineError) as info:
-        drafter.distribution([], GridPos(0, 0))
+        drafter.distribution([])
     assert isinstance(info.value, ValueError)
 
 
 def test_linear_drafter_rejects_tokens_and_cells_outside_its_range():
     drafter = train_drafter(random_tabular_model(4, 1, seed=4), SMALL_TRAINING)
     assert (drafter.vocab, drafter.side) == (4, 8)
-    outside = [
-        ([-1], GridPos(0, 0)), ([4], GridPos(0, 0)), ([0], GridPos(8, 0)), ([0], GridPos(0, 8)),
-        ([], GridPos(-1, 0)), ([], GridPos(0, -1)), ([2, 3], GridPos(7, 8)),
-    ]
-    for prefix, pos in outside:
+    # Tokens -1 and 4, and prefixes of 64 tokens, whose next index (8, 0) lies past the grid.
+    outside = [[-1], [4], [0] * 64, [2] * 63 + [3]]
+    for prefix in outside:
         with pytest.raises(UnknownWindow):
-            drafter.distribution(prefix, pos)
-    # The edges of the range still read their own rows.
-    for prefix, pos, index in [([], GridPos(0, 0), 0), ([0], GridPos(7, 0), 64 + 56),
-                               ([3], GridPos(7, 7), 4 * 64 + 63)]:
-        assert drafter.distribution(prefix, pos).mass.tobytes() == drafter._table[index].tobytes()
+            drafter.distribution(prefix)
+    # The edges of the range still read their own rows: cells (0, 0), (7, 0) and (7, 7).
+    for prefix, index in [([], 0), ([0] * 56, 64 + 56), ([0] * 62 + [3], 4 * 64 + 63)]:
+        assert drafter.distribution(prefix).mass.tobytes() == drafter._table[index].tobytes()
 
 
 def test_linear_drafter_conditionals_match_distribution_bitwise():
     rng = np.random.default_rng(3)
     v, n = 5, 4
     drafter = LinearDrafter(rng.normal(scale=2.0, size=(v, v + 2 * n)), rng.normal(size=v), v, n)
-    # The drafter's own grid, then a smaller lane grid that maps each index to its own cell.
-    for side in (n, n - 1):
-        lasts, index = np.arange(v).repeat(side * side), np.tile(np.arange(side * side), v)
-        rows = drafter.conditionals(lasts[:, None], index, side)
-        for row, last, i in zip(rows, lasts.tolist(), index.tolist()):
-            expected = drafter.distribution([last], GridPos.from_index(i, side)).mass
-            assert row.tobytes() == expected.tobytes(), (side, last, i)
+    # Every prefix of at least one token on the drafter's grid.
+    lasts, index = np.arange(v).repeat(n * n - 1), np.tile(np.arange(1, n * n), v)
+    rows = drafter.conditionals(lasts[:, None], index)
+    for row, last, i in zip(rows, lasts.tolist(), index.tolist()):
+        expected = drafter.distribution([0] * (i - 1) + [last]).mass
+        assert row.tobytes() == expected.tobytes(), (last, i)
 
 
 def test_linear_drafter_conditionals_reject_indexes_and_tokens_outside_its_range():
     drafter = LinearDrafter.zeros(4, 2)
     ok_context, ok_index = np.array([[0], [3]]), np.array([1, 3])
-    assert drafter.conditionals(ok_context, ok_index, 2).shape == (2, 4)
-    for side in (2, 1):
-        past_grid = np.array([1, 4 if side == 2 else 2])  # row 2 of a 2x2 grid
-        cases = [
-            (ok_context, past_grid),
-            (np.array([[0], [4]]), ok_index % side**2),  # a last token >= V
-            (np.array([[-1], [0]]), ok_index % side**2),  # no last token
-        ]
-        for contexts, index in cases:
-            with pytest.raises(UnknownWindow):
-                drafter.conditionals(contexts, index, side)
+    assert drafter.conditionals(ok_context, ok_index).shape == (2, 4)
+    cases = [
+        (ok_context, np.array([1, 4])),  # row 2 of a 2x2 grid
+        (np.array([[0], [4]]), ok_index),  # a last token >= V
+        (np.array([[-1], [0]]), ok_index),  # no last token
+    ]
+    for contexts, index in cases:
+        with pytest.raises(UnknownWindow):
+            drafter.conditionals(contexts, index)
 
 
 def test_tabular_size_guard_counts_cells_before_any_draw(monkeypatch):
@@ -347,13 +368,13 @@ def test_enumerate_marginals_match_target_eval(tabular_v4):
     mass_first_1 = sum(p for seq, p in law.items() if seq[0] == 1)
     for token in range(4):
         marginal = sum(p for seq, p in law.items() if seq[0] == 1 and seq[1] == token)
-        expected = tabular_v4.evaluate([1], GridPos(0, 1)).dist[token]
+        expected = tabular_v4.evaluate([1]).dist[token]
         assert marginal / mass_first_1 == pytest.approx(expected, abs=1e-9)
 
 
 def test_tempered_drafter_flattens_rows(tabular_v4, tabular_v4_drafter):
-    q = tabular_v4.evaluate([2], GridPos(0, 0)).dist
-    p = tabular_v4_drafter.evaluate([2], GridPos(0, 0)).dist
+    q = tabular_v4.evaluate([2]).dist
+    p = tabular_v4_drafter.evaluate([2]).dist
     assert np.allclose(p.mass, np.sqrt(q.mass) / np.sqrt(q.mass).sum(), atol=ATOL)
 
 
@@ -363,11 +384,10 @@ def test_model_serialization_round_trip(tmp_path, tabular_v4):
         save_model(model, path)
         loaded = load_model(path)
         assert type(loaded) is type(model)
-        pos = GridPos(0, 0)
         if isinstance(model, LinearDrafter):
-            assert np.allclose(loaded.distribution([1], pos).mass, model.distribution([1], pos).mass)
+            assert np.allclose(loaded.distribution([1]).mass, model.distribution([1]).mass)
         else:
-            ref, out = model.evaluate([1], pos), loaded.evaluate([1], pos)
+            ref, out = model.evaluate([1]), loaded.evaluate([1])
             assert np.allclose(ref.dist.mass, out.dist.mass, atol=0)
             assert np.allclose(ref.feature.values, out.feature.values, atol=0)
 
@@ -509,7 +529,7 @@ def test_gridworld_refuses_negative_ids_and_bad_cluster_anchors():
             GridWorldModel.from_dict(data)
     data = json.loads(json.dumps(stock))
     data["clusterAnchors"][3] = [0.0] * 8  # a zero cluster anchor is allowed
-    assert GridWorldModel.from_dict(data).evaluate([31], GridPos(0, 1)).feature.values.tolist() == np.eye(8)[0].tolist()
+    assert GridWorldModel.from_dict(data).evaluate([31]).feature.values.tolist() == np.eye(8)[0].tolist()
 
 
 def test_tabular_refuses_windows_outside_its_vocabulary_or_order():
@@ -524,16 +544,16 @@ def test_tabular_refuses_windows_outside_its_vocabulary_or_order():
                              {**features, extra: features[()]} if bad_features else features, 4)
     for prefix in ([7], [-1], [0, 3]):
         with pytest.raises(UnknownWindow):
-            stock.evaluate(prefix, GridPos(0, 0))
+            stock.evaluate(prefix)
 
 
 def test_tabular_batch_windows_outside_its_vocabulary_are_refused():
     model = random_tabular_model(3, 2, seed=4, h=2)
-    rows = model.conditionals(np.array([[0, 1], [-1, 2]]), np.array([2, 1]), 8)
+    rows = model.conditionals(np.array([[0, 1], [-1, 2]]), np.array([2, 1]))
     assert rows.shape == (2, 3)  # a -1 before a window's start is padding
     for tails, lengths, window in (([[0, 1], [1, 3]], [2, 2], (1, 3)), ([[-1, 2]], [2], (-1, 2))):
         with pytest.raises(UnknownWindow, match=re.escape(f"no table row for window {window}")):
-            model.conditionals(np.array(tails), np.array(lengths), 8)
+            model.conditionals(np.array(tails), np.array(lengths))
 
 
 def _incomplete_regions(data):
@@ -568,6 +588,10 @@ def _short_region_anchors(data):
     data["regionAnchors"].pop()
 
 
+def _overflowing_region_anchors(data):
+    data["regionAnchors"] = [[x * 1e200 for x in row] for row in data["regionAnchors"]]
+
+
 GRID_REFUSALS = {
     "zero-side": (_zero_side, "side must be >= 1 and vocab >= 2"),
     "short-region-anchors": (_short_region_anchors, "one region anchor required per region"),
@@ -576,6 +600,7 @@ GRID_REFUSALS = {
     "incomplete-regions": (_incomplete_regions, "regions must cover every grid cell"),
     "unknown-region-cluster": (_unknown_region_cluster, "region_clusters references an unknown cluster"),
     "zero-region-anchor": (_zero_region_anchor, "region anchors must be non-zero"),
+    "overflowing-region-anchor": (_overflowing_region_anchors, "region anchor norm overflows"),
     "improper-preferred-cluster": (_empty_preferred_cluster, "each region needs a proper, non-empty preferred cluster"),
 }
 
@@ -681,7 +706,7 @@ def test_tabular_scalar_rows_are_the_batch_window_ids():
     assert ids.tolist() == list(range(len(windows)))
     saved = model.to_dict()
     for row, window in enumerate(windows):
-        ev = model.evaluate(list(window), GridPos(0, 0))
+        ev = model.evaluate(list(window))
         assert ev is model._evals[row]
         assert saved["table"][",".join(map(str, window))] == ev.dist.mass.tolist()
 
@@ -719,3 +744,32 @@ def test_size_guard_boundary():
     assert not _power_exceeds_guard(10, 6) and _power_exceeds_guard(10, 7)
     assert not _power_exceeds_guard(1000, 2) and _power_exceeds_guard(1001, 2)
     assert not _power_exceeds_guard(1, 10**9) and not _power_exceeds_guard(7, 0)
+
+
+def test_models_and_fakes_take_exactly_the_protocol_parameters():
+    # A position is a prefix's length, so no model method takes a `pos` or a `side`.
+    import test_lanes
+    import test_verify
+    from conftest import FixedDrafter
+    from specrelax.models import Drafter, Target
+
+    protocol = {
+        name: list(inspect.signature(getattr(proto, name)).parameters)
+        for proto, names in ((Target, ("evaluate", "evaluate_batch")), (Drafter, ("distribution", "conditionals")))
+        for name in names
+    }
+    assert protocol == {
+        "evaluate": ["self", "prefix"],
+        "evaluate_batch": ["self", "tree"],
+        "distribution": ["self", "prefix"],
+        "conditionals": ["self", "contexts", "index"],
+    }
+    models = (TabularModel, GridWorldModel, LinearDrafter, FixedDrafter, test_lanes.IndexDrafter,
+              test_lanes.Counting, test_verify.CountingDrafter)
+    checked = 0
+    for model in models:
+        for name, parameters in protocol.items():
+            if name in vars(model):
+                assert list(inspect.signature(vars(model)[name]).parameters) == parameters, (model, name)
+                checked += 1
+    assert checked == 4 + 4 + 5 * 2  # the two targets, then five drafters and fakes

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from specrelax import (
     FeatureVec,
-    GridPos,
     GridWorldModel,
     LinearDrafter,
     NonFinite,
@@ -36,14 +35,14 @@ from specrelax.train import (
 )
 
 
-def sample(last, pos, q, feat, gt) -> TrainSample:
-    return TrainSample(last, pos, ProbDist(q), FeatureVec(feat), gt)
+def sample(last, index, q, feat, gt) -> TrainSample:
+    return TrainSample(last, index, ProbDist(q), FeatureVec(feat), gt)
 
 
 def constant_feature_samples(n: int, c_dim: int = 3) -> list[TrainSample]:
     feat = [1.0, 0.0, 0.0]
     return [
-        sample(None if k == 0 else 0, GridPos(0, k % 2), [0.5, 0.5], feat, 0)
+        sample(None if k == 0 else 0, k % 2, [0.5, 0.5], feat, 0)
         for k in range(n)
     ]
 
@@ -65,14 +64,14 @@ def test_unsatisfiable_threshold_marks_nothing():
 
 def test_weights_take_only_the_two_allowed_values(gridworld):
     cfg = TrainConfig(c=3.5, seed=2, num_sequences=2)
-    for seq in build_training_samples(gridworld, 2, 64, 8, seed=2):
+    for seq in build_training_samples(gridworld, 2, 64, seed=2):
         weights = mark_convergent(seq, cfg)
         assert set(weights.tolist()) <= {1.0, 3.5}
 
 
 def test_gridworld_weights_drop_exactly_at_region_boundaries(gridworld):
     cfg = TrainConfig(c=2.0, tau_seq_train=0.5, seed=0)
-    (seq,) = build_training_samples(gridworld, 1, 64, 8, seed=0)
+    (seq,) = build_training_samples(gridworld, 1, 64, seed=0)
     weights = mark_convergent(seq, cfg)
     # Row bands 0-2 / 3-5 / 6-7: successors cross regions after positions
     # 23 and 47; position 63 has no successor.
@@ -85,7 +84,7 @@ def test_gridworld_weights_drop_exactly_at_region_boundaries(gridworld):
 
 def test_weighted_soft_term_by_hand():
     drafter = LinearDrafter.zeros(2, 2)
-    batch = [sample(None, GridPos(0, 0), [1.0, 0.0], [1.0, 0.0], 0)]
+    batch = [sample(None, 0, [1.0, 0.0], [1.0, 0.0], 0)]
     cfg = TrainConfig(hard_ce_weight=0.0)
     loss, _ = loss_and_grad(drafter, batch, np.array([2.0]), cfg)
     assert loss == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
@@ -93,7 +92,7 @@ def test_weighted_soft_term_by_hand():
 
 def test_c_equal_one_matches_unweighted_baseline(gridworld):
     cfg = TrainConfig(c=1.0, seed=4, num_sequences=2)
-    sequences = build_training_samples(gridworld, 2, 64, 8, seed=4)
+    sequences = build_training_samples(gridworld, 2, 64, seed=4)
     batch = [s for seq in sequences for s in seq]
     marked = np.concatenate([mark_convergent(seq, cfg) for seq in sequences])
     drafter = LinearDrafter.zeros(32, 8)
@@ -107,9 +106,10 @@ def test_soft_gradient_vanishes_when_drafter_matches_targets():
     rng = np.random.default_rng(0)
     drafter = LinearDrafter(rng.normal(scale=0.3, size=(3, 3 + 4)), rng.normal(size=3), 3, 2)
     batch = []
-    for last, pos in ((None, GridPos(0, 0)), (1, GridPos(0, 1)), (2, GridPos(1, 0))):
-        p = drafter.distribution([] if last is None else [last], pos)
-        batch.append(sample(last, pos, p.mass, [1.0, 0.0], 0))
+    # Indices 0, 1 and 2 of the 2x2 grid: cells (0, 0), (0, 1) and (1, 0).
+    for prefix in ([], [1], [0, 2]):
+        p = drafter.distribution(prefix)
+        batch.append(sample(prefix[-1] if prefix else None, len(prefix), p.mass, [1.0, 0.0], 0))
     cfg = TrainConfig(hard_ce_weight=0.0)
     _, (grad_w, grad_b) = loss_and_grad(drafter, batch, np.ones(3), cfg)
     assert np.max(np.abs(grad_w)) <= 1e-12
@@ -149,10 +149,11 @@ def random_batch(rng: np.random.Generator, vocab: int, side: int, size: int):
     batch = []
     for _ in range(size):
         last = None if rng.random() < 0.2 else int(rng.integers(vocab))
-        pos = GridPos(int(rng.integers(side)), int(rng.integers(side)))
+        row = int(rng.integers(side))
+        index = row * side + int(rng.integers(side))
         q = rng.dirichlet(np.ones(vocab))
         feat = rng.normal(size=3)
-        batch.append(sample(last, pos, q, feat / np.linalg.norm(feat), int(rng.integers(vocab))))
+        batch.append(sample(last, index, q, feat / np.linalg.norm(feat), int(rng.integers(vocab))))
     weights = np.where(rng.random(size) < 0.5, 2.0, 1.0)
     return batch, weights
 
@@ -195,8 +196,9 @@ def reference_loss_and_grad(drafter, batch, weights, cfg):
     for i, s in enumerate(batch):
         if s.last_token is not None:
             phi[i, s.last_token] = 1.0
-        phi[i, vocab + s.pos.row] = 1.0
-        phi[i, vocab + side + s.pos.col] = 1.0
+        row, col = divmod(s.index, side)
+        phi[i, vocab + row] = 1.0
+        phi[i, vocab + side + col] = 1.0
     target_rows = np.array([s.target_dist.mass for s in batch])
     ground_truth = np.array([s.ground_truth for s in batch])
     onehot = np.zeros((n, vocab))
@@ -293,7 +295,7 @@ def test_empty_batch_raises_invalid_value_naming_it(make_batch):
 
 def test_zero_epochs_returns_uniform_drafter(gridworld):
     drafter = train_drafter(gridworld, TrainConfig(epochs=0, num_sequences=2))
-    p = drafter.distribution([5], GridPos(0, 0))
+    p = drafter.distribution([5])
     assert np.allclose(p.mass, np.full(32, 1 / 32), atol=1e-12)
 
 
@@ -307,8 +309,8 @@ def test_training_is_deterministic_and_c_changes_result(gridworld):
     assert np.array_equal(d1a.bias, d1b.bias)
     assert not np.array_equal(d1a.weights, d2.weights)
     # Identical seeds draw identical rollouts regardless of c.
-    seq1 = build_training_samples(gridworld, 4, 64, 8, seed=9)
-    seq2 = build_training_samples(gridworld, 4, 64, 8, seed=9)
+    seq1 = build_training_samples(gridworld, 4, 64, seed=9)
+    seq2 = build_training_samples(gridworld, 4, 64, seed=9)
     assert [[s.ground_truth for s in seq] for seq in seq1] == [
         [s.ground_truth for s in seq] for seq in seq2
     ]
@@ -333,7 +335,7 @@ def test_reweighting_improves_held_out_convergent_kl(gridworld):
 
 
 def test_convergence_flags_never_flag_the_tail(gridworld):
-    (seq,) = build_training_samples(gridworld, 1, 64, 8, seed=3)
+    (seq,) = build_training_samples(gridworld, 1, 64, seed=3)
     flags = convergence_flags(seq, 0.0)
     assert not flags[-1]
     assert flags[:-1].all()  # cosine >= 0 everywhere on this model
@@ -347,7 +349,7 @@ def rollout(kind: str, seed: int) -> tuple[TrainSample, ...]:
         target, side = GridWorldModel.default(feature_jitter=0.05), 8
     else:
         target, side = random_tabular_model(5, 1, seed=seed), 4
-    (seq,) = build_training_samples(target, 1, side * side, side, seed=seed)
+    (seq,) = build_training_samples(target, 1, side * side, seed=seed)
     return tuple(seq)
 
 
@@ -374,7 +376,7 @@ def test_convergence_flags_equal_scalar_cosine_decisions(kind, seed, length, pic
 def test_zero_norm_feature_raises_the_scalar_message(length, norm):
     for zero_at in range(length):
         samples = constant_feature_samples(length)
-        samples[zero_at] = sample(0, GridPos(0, 0), [0.5, 0.5], [norm, 0.0, 0.0], 0)
+        samples[zero_at] = sample(0, 0, [0.5, 0.5], [norm, 0.0, 0.0], 0)
         if length == 1:
             assert convergence_flags(samples, 0.5).tolist() == [False]
             continue

@@ -71,7 +71,7 @@ def test_lane_depths_outside_the_mask_raise_config_error():
     for depths in ([0], [2, 3], [1, -1]):
         rngs = [RngStream(k) for k in range(len(depths))]
         with pytest.raises(ConfigError):
-            sample_draft_tree(drafter, [[]] * len(depths), TreeMask((2, 2)), depths, rngs, side=2)
+            sample_draft_tree(drafter, [[]] * len(depths), TreeMask((2, 2)), depths, rngs)
 
 
 @pytest.mark.parametrize("mode", [TOPK, STOCHASTIC])
@@ -88,25 +88,25 @@ def test_lane_depths_outside_the_mask_raise_config_error():
 def test_lane_arguments_of_unequal_length_raise_config_error(prefixes, depths, streams, mode):
     rngs = [RngStream(k) for k in range(streams)]
     with pytest.raises(ConfigError):
-        sample_draft_tree(LinearDrafter.zeros(32, 8), prefixes, TreeMask.default(), depths, rngs, mode=mode, side=8)
+        sample_draft_tree(LinearDrafter.zeros(32, 8), prefixes, TreeMask.default(), depths, rngs, mode=mode)
 
 
 def test_unknown_candidate_mode_raises_config_error():
     rngs = [RngStream(0)]
     with pytest.raises(ConfigError, match="unknown candidate mode 'nucleus'"):
-        sample_draft_tree(LinearDrafter.zeros(32, 8), [[]], TreeMask.default(), [5], rngs, mode="nucleus", side=8)
+        sample_draft_tree(LinearDrafter.zeros(32, 8), [[]], TreeMask.default(), [5], rngs, mode="nucleus")
     assert rngs[0].counter == 0
 
 
 def test_lane_reaching_past_the_grid_raises_config_error():
-    drafter = FixedDrafter([0.6, 0.4])
-    # On a 2x2 grid, a 2-level tree after 2 tokens ends at index 3, after 3 tokens at
+    drafter = LinearDrafter.zeros(2, 2)
+    # On the drafter's 2x2 grid, a 2-level tree after 2 tokens ends at index 3, after 3 tokens at
     # index 4; a 1-level tree after 4 tokens starts at index 4.
-    sample_draft_tree(drafter, [[0, 1]], TreeMask((1, 1)), [2], [RngStream(0)], side=2)
+    sample_draft_tree(drafter, [[0, 1]], TreeMask((1, 1)), [2], [RngStream(0)])
     for prefixes, depths in (([[0, 1], [0, 1, 0]], [2, 2]), ([[0], [0, 1, 0, 1]], [2, 1])):
         with pytest.raises(ConfigError):
             sample_draft_tree(drafter, prefixes, TreeMask((1, 1)), depths,
-                              [RngStream(0), RngStream(1)], side=2)
+                              [RngStream(0), RngStream(1)])
 
 
 def test_level_counts_multiply():
@@ -168,7 +168,7 @@ def test_flat_arrays_describe_one_consistent_tree():
             for widths in ((3, 3, 2), (5, 1), (4, 2, 2, 1, 1)):
                 tree = draft_one(
                     drafter, [1, 2], TreeMask(widths),
-                    RngStream(trial), mode=mode, side=8,
+                    RngStream(trial), mode=mode,
                 )
                 n = len(tree.nodes)
                 assert tree.level_starts[0][0] == 0 and tree.level_starts[0][-1] == n
@@ -197,7 +197,7 @@ def test_path_tails_match_each_whole_path():
     for mode in ("topk", STOCHASTIC):
         forest = sample_draft_tree(
             drafter, prefixes, TreeMask((3, 2, 1)), [3, 1, 2, 3], [RngStream(k) for k in range(4)],
-            mode=mode, side=4,
+            mode=mode,
         )
         nodes = np.arange(len(forest.nodes))
         for k in (1, 2, 3, 4, 6, 9):

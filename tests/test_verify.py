@@ -7,17 +7,18 @@ from specrelax import (
     ConfigError,
     DegenerateResidual,
     FeatureVec,
-    GridPos,
     GridWorldModel,
     LinearDrafter,
     NonFinite,
     ProbDist,
     TabularModel,
+    TrainConfig,
     ZeroNormFeature,
     cosine_sim,
     RelaxConfig,
     RngStream,
     TreeMask,
+    UnknownWindow,
     build_sets,
     decode_lanes,
     decode_sequence,
@@ -29,6 +30,7 @@ from specrelax import (
     residual_dist,
     sample_draft_tree,
     tempered_table_drafter,
+    train_drafter,
     tvd,
     verify_cascade,
     verify_vanilla,
@@ -51,7 +53,7 @@ def unit_feature(axis: int, dim: int = 4) -> FeatureVec:
     return FeatureVec(values)
 
 
-def manual_tree(level_specs, root_dist, prefix=(), side=8, child_dists=None):
+def manual_tree(level_specs, root_dist, prefix=(), child_dists=None):
     """Build a DraftTree by hand: level_specs is a list of lists of
     (token, drafter_prob, parent_index_in_previous_level | None), each level
     listed in parent order; `child_dists` maps a node id to the conditional
@@ -67,7 +69,7 @@ def manual_tree(level_specs, root_dist, prefix=(), side=8, child_dists=None):
     growing = len(nodes) - len(level_specs[-1])
     table = np.array([(child_dists or {}).get(node, root_dist).mass for node in range(growing)] + [root_dist.mass])
     return DraftTree(
-        side, [tuple(prefix)], [tuple(prefix)], [0], layout,
+        [tuple(prefix)], [tuple(prefix)], [0], layout,
         np.array([token for token, _, _ in nodes], dtype=np.intp),
         np.array([prob for _, prob, _ in nodes], dtype=np.float64),
         table, growing,
@@ -340,7 +342,6 @@ def test_build_sets_match_scalar_definition_on_random_tabular_trees():
             for mask in (TreeMask((3, 2)), TreeMask((4, 2, 2, 1, 1))):
                 tree = draft_one(
                     drafter, [seed % 5], mask, RngStream(seed), mode=mode,
-                    side=8,
                 )
                 assert_sets_match_scalar(tree, evaluate_tree(target, tree))
 
@@ -353,7 +354,7 @@ def test_build_sets_match_scalar_definition_on_mixed_depth_forests():
         for mode in ("topk", STOCHASTIC):
             forest = sample_draft_tree(
                 drafter, [[], [seed % 5], [1, 2], [3]], TreeMask.default(), [1, 5, 1, 3],
-                [RngStream(seed + k) for k in range(4)], mode=mode, side=8,
+                [RngStream(seed + k) for k in range(4)], mode=mode,
             )
             assert_sets_match_scalar(forest, evaluate_tree(target, forest))
 
@@ -400,10 +401,10 @@ def test_build_sets_match_scalar_definition_on_pruned_trees():
     drafter = FixedDrafter([0.6, 0.0, 0.4, 0.0])
     mask = TreeMask((3, 3, 2))
     full = draft_one(
-        tempered_table_drafter(target), [], mask, RngStream(0), side=4
+        tempered_table_drafter(target), [], mask, RngStream(0)
     )
     for mode in ("topk", STOCHASTIC):
-        tree = draft_one(drafter, [], mask, RngStream(1), mode=mode, side=4)
+        tree = draft_one(drafter, [], mask, RngStream(1), mode=mode)
         assert [len(tree_level(tree, lvl)) for lvl in (1, 2, 3)] == [2, 4, 8]
         assert all_pairs(tree) != all_pairs(full)
         assert_sets_match_scalar(tree, evaluate_tree(target, tree))
@@ -420,7 +421,7 @@ def test_full_trees_of_one_mask_share_one_layout():
     drafter = tempered_table_drafter(target)
     mask = TreeMask((3, 2, 1))
     trees = [
-        draft_one(drafter, [], mask, RngStream(seed), side=4)
+        draft_one(drafter, [], mask, RngStream(seed))
         for seed in range(3)
     ]
     pairs = [tree.pairs() for tree in trees]
@@ -516,13 +517,10 @@ def test_a_switched_off_set_never_lends():
 
 
 def per_node_evals(target, tree):
-    """Scalar reference of the batched pass: one `evaluate` per node, at its level's
-    sequence index clamped to the grid's last cell."""
-    cap = tree.side * tree.side - 1
+    """Scalar reference of the batched pass: one `evaluate` per node, level by level."""
     evals = []
     for level in range(1, tree_depth(tree) + 1):
-        pos = GridPos.from_index(min(len(tree.prefixes[0]) + level, cap), tree.side)
-        evals += [target.evaluate(tree.path(node), pos) for node in tree_level(tree, level)]
+        evals += [target.evaluate(tree.path(node)) for node in tree_level(tree, level)]
     return evals
 
 
@@ -531,7 +529,7 @@ def assert_batch_matches_per_node(target, tree):
     reference = per_node_evals(target, tree)
     n, h = len(reference), len(reference[0].feature)
     prefix = tree.prefixes[0]
-    root = target.evaluate(prefix, GridPos.from_index(len(prefix), tree.side))
+    root = target.evaluate(prefix)
     assert evals.laws.dists[evals.law[tree_level(tree, 1)[0]]] is root.dist
     laws, rows, _, _ = target.evaluate_batch(tree)
     assert rows.shape == (n,)
@@ -606,7 +604,7 @@ def test_evaluate_batch_matches_per_node_evaluate_on_tabular_models(order):
             for mode in ("topk", STOCHASTIC):
                 tree = draft_one(
                     drafter, prefix, TreeMask.default(),
-                    RngStream(seed), mode=mode, side=8,
+                    RngStream(seed), mode=mode,
                 )
                 assert_batch_matches_per_node(target, tree)
 
@@ -618,7 +616,7 @@ def test_evaluate_batch_matches_per_node_evaluate_on_pruned_trees():
     for target, mass in ((tabular, [0.6, 0.0, 0.4, 0.0]), (grid, [0.0, 0.6, 0.0, 0.0, 0.4, 0, 0, 0])):
         for mode in ("topk", STOCHASTIC):
             tree = draft_one(
-                FixedDrafter(mass), [], mask, RngStream(1), mode=mode, side=2,
+                FixedDrafter(mass), [], mask, RngStream(1), mode=mode,
             )
             assert [len(tree_level(tree, lvl)) for lvl in (1, 2, 3)] == [2, 4, 8]
             assert_batch_matches_per_node(target, tree)
@@ -640,10 +638,10 @@ def test_every_node_is_judged_against_its_level_law(case, mode):
     first, second = tuple(k % 5 for k in range(22)), tuple(k * 3 % 5 for k in range(46))
     prefixes, depths = [first, second, first, (2, 4, 1), second], [5, 4, 2, 1, 3]
     rngs = [RngStream(k) for k in range(len(prefixes))]
-    tree = sample_draft_tree(drafter, prefixes, TreeMask.default(), depths, rngs, mode=mode, side=8)
+    tree = sample_draft_tree(drafter, prefixes, TreeMask.default(), depths, rngs, mode=mode)
     evals = evaluate_tree(target, tree)
     laws, rows, _, _ = target.evaluate_batch(tree)
-    roots = [target.evaluate(p, GridPos.from_index(len(p), 8)).dist for p in prefixes]
+    roots = [target.evaluate(p).dist for p in prefixes]
     for node in tree.nodes:
         law, parent, token = int(evals.law[node]), tree.parent[node], tree.tokens[node]
         if parent == ROOT:
@@ -667,7 +665,7 @@ def test_batched_sets_raise_zero_norm_exactly_where_per_node_features_do():
             for mask in (TreeMask((2, 2, 1)), TreeMask((3, 1))):
                 tree = draft_one(
                     tempered_table_drafter(base), [1], mask, RngStream(7),
-                    mode=mode, side=4,
+                    mode=mode,
                 )
                 evals = evaluate_tree(target, tree)
                 feats = [ev.feature for ev in assert_batch_matches_per_node(target, tree)]
@@ -683,6 +681,30 @@ def test_batched_sets_raise_zero_norm_exactly_where_per_node_features_do():
     assert raised > 0
 
 
+@pytest.mark.parametrize("jitter", [0.0, 0.05])
+def test_gridworld_reads_a_node_one_step_past_its_grid_at_the_last_cell(jitter):
+    # Each node's path holds 64 tokens: its next token would sit at index 64 of the 8x8 grid.
+    target = GridWorldModel.default(feature_jitter=jitter)
+    for last in (0, 9, 31):
+        tree = draft_one(FixedDrafter(np.full(32, 1 / 32)), [last] * 63, TreeMask((3,)), RngStream(last))
+        assert tree.index.tolist() == [64] * 3
+        evals = assert_batch_matches_per_node(target, tree)
+        # The last cell's law, and its feature: a trailing token's cluster on region 2.
+        lasts = [target.evaluate(tree.path(node)[1:]) for node in tree.nodes]
+        assert all(ev.dist is target.evaluate([0] * 63).dist for ev in evals)
+        if jitter == 0.0:
+            assert [ev.feature for ev in evals] == [ev.feature for ev in lasts]
+
+
+@pytest.mark.parametrize("jitter", [0.0, 0.05])
+def test_gridworld_batch_refuses_a_node_more_than_one_step_past_its_grid(jitter):
+    target = GridWorldModel.default(feature_jitter=jitter)
+    tree = draft_one(FixedDrafter(np.full(32, 1 / 32)), [0] * 63, TreeMask((2, 1)), RngStream(0))
+    assert tree.index.max() == 65
+    with pytest.raises(UnknownWindow, match="sequence index 65 lies past the 8x8 grid"):
+        target.evaluate_batch(tree)
+
+
 def test_gridworld_batch_raises_where_evaluate_does_on_cancelling_anchors():
     # Cluster 1's anchor cancels the region anchor, 1 + 0.2 * -5 == 0, or
     # makes the feature's norm overflow, (1 + 0.2 * 1e200) ** 2 > 1.8e308.
@@ -693,9 +715,9 @@ def test_gridworld_batch_raises_where_evaluate_does_on_cancelling_anchors():
             region_anchors=[[1.0, 0.0]], cluster_anchors=[[0.0, 1.0], bad_anchor],
         )
         with np.errstate(invalid="ignore"):
-            safe = draft_one(FixedDrafter([0.5, 0.5, 0, 0]), [], mask, RngStream(0), side=2)
+            safe = draft_one(FixedDrafter([0.5, 0.5, 0, 0]), [], mask, RngStream(0))
             assert_batch_matches_per_node(target, safe)
-            bad = draft_one(FixedDrafter([0.5, 0, 0.5, 0]), [], mask, RngStream(0), side=2)
+            bad = draft_one(FixedDrafter([0.5, 0, 0.5, 0]), [], mask, RngStream(0))
             with pytest.raises(NonFinite):
                 per_node_evals(target, bad)
             with pytest.raises(NonFinite):
@@ -1028,8 +1050,8 @@ def test_worked_single_step_emission():
 
 def test_per_step_emission_equals_target_row(tabular_v4, tabular_v4_drafter):
     for prefix in ([], [0], [1], [2], [3]):
-        q_row = tabular_v4.evaluate(prefix, GridPos(0, 0)).dist
-        p_row = tabular_v4_drafter.evaluate(prefix, GridPos(0, 0)).dist
+        q_row = tabular_v4.evaluate(prefix).dist
+        p_row = tabular_v4_drafter.evaluate(prefix).dist
         emission = step_emission(q_row, p_row)
         assert np.max(np.abs(emission - q_row.mass)) <= ATOL
 
@@ -1044,8 +1066,8 @@ def test_full_sequence_law_matches_enumeration(tabular_v4, tabular_v4_drafter):
         for t in range(length):
             prefix = seq[:t]
             if prefix not in emissions:
-                q_row = tabular_v4.evaluate(list(prefix), GridPos.from_index(t, 2)).dist
-                p_row = tabular_v4_drafter.evaluate(list(prefix), GridPos.from_index(t, 2)).dist
+                q_row = tabular_v4.evaluate(list(prefix)).dist
+                p_row = tabular_v4_drafter.evaluate(list(prefix)).dist
                 emissions[prefix] = step_emission(q_row, p_row)
             prob *= emissions[prefix][seq[t]]
         return prob
@@ -1231,13 +1253,13 @@ class CountingDrafter:
         self.grid_side, self.vocab, self.context = drafter.grid_side, drafter.vocab, drafter.context
         self.calls = 0
 
-    def distribution(self, prefix, pos):
+    def distribution(self, prefix):
         self.calls += 1
-        return self.drafter.distribution(prefix, pos)
+        return self.drafter.distribution(prefix)
 
-    def conditionals(self, contexts, index, side):
+    def conditionals(self, contexts, index):
         self.calls += 1
-        return self.drafter.conditionals(contexts, index, side)
+        return self.drafter.conditionals(contexts, index)
 
 
 def test_unknown_candidate_mode_is_refused_before_any_drafting(tabular_v4, tabular_v4_drafter):
@@ -1296,19 +1318,18 @@ def test_decode_against_reference_chain_implementation(tabular_v4, tabular_v4_dr
     draw for draw: same tokens from the same stream."""
 
     def reference_chain(target, drafter, length, depth, rng):
-        side = 2
         tokens: list[int] = []
         while len(tokens) < length:
             steps = min(depth, length - len(tokens))
             ctx = list(tokens)
             draft: list[tuple[int, ProbDist]] = []
             for _ in range(steps):
-                p_row = drafter.evaluate(ctx, GridPos.from_index(len(ctx), side)).dist
+                p_row = drafter.evaluate(ctx).dist
                 token = p_row.sample(rng)
                 draft.append((token, p_row))
                 ctx.append(token)
             for token, p_row in draft:
-                q_row = tabular_v4.evaluate(tokens, GridPos.from_index(len(tokens), side)).dist
+                q_row = tabular_v4.evaluate(tokens).dist
                 r = rng.next_real()
                 if r < min(1.0, q_row[token] / p_row[token]):
                     tokens.append(token)
@@ -1345,3 +1366,26 @@ def test_budget_soundness_small_sweep(gridworld, grid_drafter):
             # Correction present exactly when some level rejected every sibling.
             rejected_level = outcome.trace[-1].decision == "reject"
             assert (outcome.correction_token is not None) == rejected_level
+
+
+def test_a_grid_less_target_reads_its_trained_drafter_on_the_drafter_grid_at_every_length():
+    # `train_drafter` fits a grid-less target's drafter on an 8x8 grid; a 16-token
+    # decode must read level 5 (sequence index 4) at cell (0, 4) as a 64-token one does.
+    target = random_tabular_model(4, 1, seed=11)
+    drafter = train_drafter(target, TrainConfig())
+
+    def first_cycle(length):
+        lines = []
+
+        def sink(lane, cycle, outcome):
+            if cycle == 0:
+                lines.extend(outcome.trace_lines(lane, cycle))
+
+        rngs = [RngStream(seed) for seed in range(16)]
+        decode_lanes(target, drafter, "cascade", TreeMask.default(), RelaxConfig(), length, rngs,
+                     candidate_mode=STOCHASTIC, on_outcome=sink)
+        return lines
+
+    short = first_cycle(16)
+    assert any('"level": 5,' in line for line in short)
+    assert short == first_cycle(64)
