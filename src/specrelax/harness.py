@@ -1,4 +1,4 @@
-"""Experiment harness: metrics, seeded runs, distribution oracles, heatmap export.
+"""Experiment harness: metrics, seeded runs, exact laws and distribution oracles, heatmap export.
 
 Speedup is a call-count cost model, not wall clock: emitted tokens divided by
 (target passes + kappa * drafter passes), normalized so plain autoregressive
@@ -20,18 +20,24 @@ from typing import Iterable, Iterator, Sequence, TextIO
 import numpy as np
 
 from .core import (
+    PROB_ATOL,
     ConfigError,
     InvalidValue,
     RngStream,
     RowOutOfRange,
     TokenId,
+    TooLarge,
     _check_seed,
     _pair_cosines,
+    _residual_rows,
     derive_streams,
 )
-from .models import Drafter, Target, _OutputFiles, _decode_side, enumerate_ar_distribution, load_model
-from .tree import CANDIDATE_MODES, STOCHASTIC, TOPK, TreeMask
-from .verify import AR, MODES, DecodeStats, RelaxConfig, _check_decode, decode_lanes, decode_sequence
+from .models import ENUMERATION_GUARD, Drafter, Target, _OutputFiles, _decode_side, load_model
+from .tree import CANDIDATE_MODES, STOCHASTIC, TOPK, DraftTree, TreeMask, sample_draft_tree
+from .verify import (
+    AR, CASCADE, MODES, DecodeStats, RelaxConfig, TreeEvals, _check_decode, decode_lanes, decode_sequence,
+    evaluate_tree,
+)
 
 DEFAULT_KAPPA = 0.1
 # Sequences decoded in lockstep at a time, by `run_experiment` (seeds) and
@@ -312,6 +318,104 @@ def read_metrics_jsonl(path: str | Path) -> tuple[list[tuple[int, Metrics]], Met
     return per_seed, aggregate
 
 
+Law = dict[tuple[TokenId, ...], float]
+
+
+def _power_exceeds_guard(base: int, exponent: int) -> bool:
+    """Whether base**exponent > ENUMERATION_GUARD, with no huge power: `bit_length` factors of 2 exceed it."""
+    return base > 1 and base ** min(exponent, ENUMERATION_GUARD.bit_length()) > ENUMERATION_GUARD
+
+
+def exact_call_law(tree: DraftTree, evals: TreeEvals, cfg: RelaxConfig | None) -> Law:
+    """The exact law of the tokens one verification call over lane 0 of `tree` emits, uniforms integrated out.
+
+    A candidate passes with min(1, q'/p), q' its level law's mass plus, under
+    `cfg` (None is `vanilla`), its similar siblings' then its aligned
+    children's masses (each token once, each set whole while it fits the
+    budget left); if all fail, the residual of the level's law and drafter row
+    emits a token. It reads the forest's arrays, `_pair_cosines` and
+    `_residual_rows`, never `build_sets`, `relax_q` or the walk it checks.
+    """
+    tokens, probs, children, mass = tree.tokens, tree.probs, tree.children, evals.laws.mass
+    cfg = cfg or RelaxConfig(tau_pos=1.01, tau_seq=1.01, tvd_budget=0.0)  # `vanilla`: both sets off, no budget
+    law: Law = {}
+
+    def similar(a: int, b: int, tau: float) -> bool:
+        return tau <= 1.0 and _pair_cosines(evals.features, evals.norms, np.array([a]), np.array([b]))[0] >= tau
+
+    def walk(siblings: range, p_row: int, emitted: tuple[TokenId, ...], used: float, weight: float) -> None:
+        if weight <= 0.0:
+            return
+        if not siblings:  # past the lane's deepest level, or a correction
+            law[emitted] = law.get(emitted, 0.0) + weight
+            return
+        q_row = mass[evals.law[siblings[0]]]
+        q = q_row.tolist()
+        for node in siblings:
+            lent_i = [tokens[other] for other in siblings if other != node and similar(node, other, cfg.tau_pos)]
+            seen = {tokens[node], *lent_i}
+            hits = dict.fromkeys(tokens[child] for child in children[node] if similar(node, child, cfg.tau_seq))
+            mass_i, mass_c = math.fsum([q[t] for t in lent_i]), math.fsum([q[t] for t in hits if t not in seen])
+            left = cfg.tvd_budget - used
+            boost = mass_i if mass_i <= left + PROB_ATOL else 0.0
+            boost += mass_c if mass_c <= left - boost + PROB_ATOL else 0.0
+            used += boost
+            threshold = min(1.0, min(q[tokens[node]] + boost, 1.0) / probs[node])
+            walk(children[node], int(tree.cond_row[node]), emitted + (tokens[node],), used, weight * threshold)
+            weight *= 1.0 - threshold
+        if weight > 0.0:
+            residual = _residual_rows(q_row[None], tree.draft_table[p_row][None])[0][0]
+            for token in np.flatnonzero(residual).tolist():  # each ends the call
+                walk(range(0), p_row, emitted + (token,), used, weight * float(residual[token]))
+
+    starts = tree.level_starts[0]
+    walk(range(starts[0], starts[1]), tree.root_row + tree.root_index[0], (), 0.0, 1.0)
+    return law
+
+
+def exact_sequence_law(
+    target: Target, drafter: Drafter | None, mode: str, mask: TreeMask, cfg: RelaxConfig, length: int,
+    candidate_mode: str = TOPK,
+) -> Law:
+    """The exact law of the `length` tokens a decode emits: one dynamic program over prefixes, by length.
+
+    A prefix's probability spreads over its call's law: for `ar` the target's
+    next-token law, else `exact_call_law` of the top-k forest `decode_lanes`
+    drafts for it. Before any model call, a decode `_check_decode` refuses and
+    stochastic candidates raise ConfigError, and V^L > 10^6 raises TooLarge."""
+    _check_decode(target, drafter, mode, candidate_mode, length)
+    if mode != AR and candidate_mode == STOCHASTIC:
+        raise ConfigError("the exact law of a decode with stochastic candidates is not implemented")
+    vocab = getattr(target, "vocab")
+    if _power_exceeds_guard(vocab, length):
+        raise TooLarge(f"{vocab}^{length} sequences exceed enumeration guard")
+    unused, singles = RngStream(0), [(token,) for token in range(vocab)]
+    by_length: list[Law] = [{(): 1.0}] + [{} for _ in range(length)]
+    for reached in by_length[:length]:
+        for prefix, prob in reached.items():
+            if mode == AR:
+                call = zip(singles, target.evaluate(prefix).dist)
+            else:
+                tree = sample_draft_tree(drafter, [prefix], mask, [min(mask.depth, length - len(prefix))], [unused])
+                call = exact_call_law(tree, evaluate_tree(target, tree), cfg if mode == CASCADE else None).items()
+            for emitted, p in call:
+                key = prefix + emitted
+                longer = by_length[len(key)]
+                longer[key] = longer.get(key, 0.0) + prob * p
+    return by_length[length]
+
+
+def law_tvd(exact: Law, other: Law) -> float:
+    """Total-variation distance: over `exact`'s keys in order, then `other`'s keys that `exact` lacks."""
+    distance = 0.0
+    for key, prob in exact.items():
+        distance += abs(other.get(key, 0.0) - prob)
+    for key, prob in other.items():
+        if key not in exact:
+            distance += prob
+    return 0.5 * distance
+
+
 def mc_distribution_test(
     target: Target,
     drafter: Drafter | None,
@@ -322,23 +426,23 @@ def mc_distribution_test(
     relax: RelaxConfig | None = None,
     base_seed: int = 0,
 ) -> tuple[float, bool]:
-    """Empirical sequence law over `samples` seeded decodes versus the exact law.
+    """Empirical sequence law over `samples` seeded decodes versus the target's exact law.
 
     Draft candidates are sampled (not ranked) here, since the exactness claim
-    concerns proposals drawn from the drafter. Sample i decodes on the
-    stream `RngStream(derive_seed(base_seed, i))`; the samples are decoded
-    as lanes, LANE_BLOCK at a time, whose streams come from one
-    `derive_streams` pass. The pass flag applies the
-    3 * sqrt(V^length / samples) multinomial bound; stricter caps are the
-    caller's business.
+    concerns proposals drawn from the drafter. The exact law is the `ar` case
+    of `exact_sequence_law`. Sample i decodes on the stream
+    `RngStream(derive_seed(base_seed, i))`; the samples are decoded as lanes,
+    LANE_BLOCK at a time, whose streams come from one `derive_streams` pass.
+    The pass flag applies the 3 * sqrt(V^length / samples) multinomial bound
+    to the `law_tvd` distance; stricter caps are the caller's business.
     """
     if samples < 1:
         raise ConfigError(f"at least one sample is required, got {samples}")
     _check_seed(base_seed)
     _check_decode(target, drafter, mode, STOCHASTIC, length)
-    oracle = enumerate_ar_distribution(target, length)
     mask = mask if mask is not None else TreeMask.chain(length)
     relax = relax if relax is not None else RelaxConfig()
+    oracle = exact_sequence_law(target, None, AR, mask, relax, length)
     counts: dict[tuple[int, ...], int] = {}
     for lo in range(0, samples, LANE_BLOCK):
         rngs = derive_streams(base_seed, lo, min(lo + LANE_BLOCK, samples))
@@ -347,13 +451,7 @@ def mc_distribution_test(
         ):
             key = tuple(tokens)
             counts[key] = counts.get(key, 0) + 1
-    distance = 0.0
-    for key, prob in oracle.items():
-        distance += abs(counts.get(key, 0) / samples - prob)
-    for key in counts:
-        if key not in oracle:  # impossible for a correct decoder; count anyway
-            distance += counts[key] / samples
-    distance *= 0.5
+    distance = law_tvd(oracle, {key: n / samples for key, n in counts.items()})
     vocab = getattr(target, "vocab")
     bound = 3.0 * math.sqrt(vocab**length / samples)
     return distance, distance <= bound

@@ -53,18 +53,6 @@ _MAX_TABLE_ENTRIES = 2**25
 Window = tuple[int, ...]
 
 
-def _power_exceeds_guard(base: int, exponent: int) -> bool:
-    """Whether base**exponent > ENUMERATION_GUARD, decided without building a huge power."""
-    if base <= 1:
-        return False  # 0**n and 1**n never exceed 1
-    power = 1
-    for _ in range(exponent):
-        power *= base
-        if power > ENUMERATION_GUARD:
-            return True
-    return False
-
-
 class TargetEval(NamedTuple):
     """One target forward: next-token law plus the hidden-state feature."""
 
@@ -293,9 +281,10 @@ class TabularModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TabularModel":
-        table = {_parse_window_key(k): v for k, v in data["table"].items()}
-        features = {_parse_window_key(k): v for k, v in data["featureTable"].items()}
-        return cls(int(data["V"]), int(data["order"]), table, features, int(data["h"]))
+        vocab, order, h = _json_int(data, "V"), _json_int(data, "order"), _json_int(data, "h")
+        table = {_parse_window_key(k): _json_array(v, "table") for k, v in data["table"].items()}
+        features = {_parse_window_key(k): _json_array(v, "featureTable") for k, v in data["featureTable"].items()}
+        return cls(vocab, order, table, features, h)
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
@@ -572,17 +561,17 @@ class GridWorldModel:
     @classmethod
     def from_dict(cls, data: dict) -> "GridWorldModel":
         return cls(
-            int(data["N"]),
-            int(data["V"]),
-            int(data["h"]),
-            data["clusters"],
-            data["regions"],
-            data["regionClusters"],
-            data["regionAnchors"],
-            data["clusterAnchors"],
-            in_cluster_mass=float(data["inClusterMass"]),
-            feature_mix=float(data["featureMix"]),
-            feature_jitter=float(data.get("featureJitter", 0.0)),
+            _json_int(data, "N"),
+            _json_int(data, "V"),
+            _json_int(data, "h"),
+            _json_ints(data, "clusters"),
+            _json_ints(data, "regions"),
+            _json_ints(data, "regionClusters"),
+            [_json_array(anchor, "regionAnchors") for anchor in data["regionAnchors"]],
+            [_json_array(anchor, "clusterAnchors") for anchor in data["clusterAnchors"]],
+            in_cluster_mass=_json_number(data, "inClusterMass"),
+            feature_mix=_json_number(data, "featureMix"),
+            feature_jitter=_json_number(data, "featureJitter", 0.0),
         )
 
 
@@ -709,7 +698,44 @@ class LinearDrafter:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LinearDrafter":
-        return cls(data["weights"], data["bias"], int(data["V"]), int(data["N"]))
+        weights, bias = _json_array(data["weights"], "weights"), _json_array(data["bias"], "bias")
+        return cls(weights, bias, _json_int(data, "V"), _json_int(data, "N"))
+
+
+# A model file's fields hold numbers of their own JSON type; a reader refuses
+# any other, instead of coercing it into another model.
+
+
+def _json_int(data: dict, key: str) -> int:
+    """`data[key]`, a count or id: a JSON integer, not a bool, a float or a string."""
+    value = data[key]
+    if type(value) is not int:
+        raise ModelFormatError(f"{key} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _json_ints(data: dict, key: str) -> list[int]:
+    """`data[key]`, a list of JSON integers; the entries' types are read in one pass of `map`."""
+    value = data[key]
+    if type(value) is not list or not set(map(type, value)) <= {int}:
+        raise ModelFormatError(f"{key} must be a list of JSON integers")
+    return value
+
+
+def _json_number(data: dict, key: str, default: float | None = None) -> float:
+    """`data[key]` as a float, or `default` when given and the key is absent: a JSON number, not a bool or a string."""
+    value = data[key] if default is None else data.get(key, default)
+    if type(value) not in (int, float):
+        raise ModelFormatError(f"{key} must be a JSON number, got {value!r}")
+    return float(value)
+
+
+def _json_array(value, key: str) -> np.ndarray:
+    """`value` as an array whose dtype must be integer or float: no bools, strings or other objects."""
+    array = np.asarray(value)
+    if array.dtype.kind not in "iuf":
+        raise ModelFormatError(f"{key} must hold JSON numbers, got an array of {array.dtype}")
+    return array
 
 
 _MODEL_KINDS = {
@@ -857,25 +883,3 @@ def tempered_table_drafter(model: TabularModel, exponent: float = 0.5) -> Tabula
     table = {w: ProbDist.normalized(np.power(ev.dist.mass, exponent)) for w, ev in zip(windows, model._evals)}
     features = {w: ev.feature for w, ev in zip(windows, model._evals)}
     return TabularModel(model.vocab, model.order, table, features, model.h)
-
-
-def enumerate_ar_distribution(model: Target, length: int) -> dict[tuple[int, ...], float]:
-    """Exact chain-rule law of every length-L sequence under the target.
-
-    Guarded at V^L <= 10^6 states; the result sums to 1 within 1e-9.
-    """
-    vocab = getattr(model, "vocab")
-    if _power_exceeds_guard(vocab, length):
-        raise TooLarge(f"{vocab}^{length} sequences exceed enumeration guard")
-    side = _decode_side(model, length)
-    if length > side * side:
-        raise InvalidValue(f"length {length} exceeds the {side}x{side} grid")
-    result: dict[tuple[int, ...], float] = {(): 1.0}
-    for _ in range(length):
-        step: dict[tuple[int, ...], float] = {}
-        for seq, prob in result.items():
-            dist = model.evaluate(seq).dist
-            for token in range(vocab):
-                step[seq + (token,)] = prob * dist[token]
-        result = step
-    return result

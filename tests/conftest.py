@@ -8,7 +8,10 @@ from specrelax import (
     GridWorldModel,
     ProbDist,
     TabularModel,
+    RelaxConfig,
     TrainConfig,
+    TreeMask,
+    exact_sequence_law,
     random_tabular_model,
     sample_draft_tree,
     tempered_table_drafter,
@@ -53,6 +56,11 @@ def small_gridworld() -> GridWorldModel:
         cluster_anchors=[eye[1], eye[2]],
         in_cluster_mass=0.8,
     )
+
+
+def ar_law(target, length: int) -> dict:
+    """The exact law of a `length`-token autoregressive decode of `target`."""
+    return exact_sequence_law(target, None, "ar", TreeMask.chain(1), RelaxConfig(), length)
 
 
 def make_tabular_v2(rows: dict[tuple[int, ...], list[float]], h: int = 2) -> TabularModel:

@@ -15,13 +15,11 @@ from specrelax import (
     ZeroNormFeature,
     cosine_sim,
     derive_seed,
-    enumerate_ar_distribution,
     residual_dist,
     tvd,
 )
 from specrelax.core import derive_streams, peek_reals, sample_corrections
 
-from conftest import small_gridworld
 
 ATOL = 1e-9
 
@@ -344,10 +342,9 @@ def test_derive_seed_is_deterministic_and_spread():
         lambda: ProbDist([0.5, 0.6]),
         lambda: ProbDist.normalized([0.0, 0.0]),
         lambda: FeatureVec([]),
-        lambda: enumerate_ar_distribution(small_gridworld(), 5),  # 5 tokens on a 2x2 grid
     ],
     ids=["probdist-shape", "probdist-empty", "probdist-negative", "probdist-sum", "normalized-zero-sum",
-         "featurevec-empty", "enumeration-off-grid"],
+         "featurevec-empty"],
 )
 def test_value_types_raise_engine_errors_that_are_value_errors(build):
     with pytest.raises(EngineError) as info:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -29,6 +30,7 @@ from specrelax import (
     decode_lanes,
     decode_sequence,
     decode_with_metrics,
+    exact_sequence_law,
     export_similarity_heatmap,
     load_model,
     mc_distribution_test,
@@ -40,13 +42,13 @@ from specrelax import (
 from specrelax import harness
 from specrelax import train as train_module
 from specrelax.cli import build_parser, main as cli_main, parse_seed_spec
-from specrelax.core import InvalidValue
-from specrelax.harness import read_metrics_jsonl
+from specrelax.core import InvalidValue, derive_streams
+from specrelax.harness import law_tvd, read_metrics_jsonl
 from specrelax.models import _decode_side
 from specrelax.tree import STOCHASTIC, TOPK
 from specrelax.verify import TraceRecord
 
-from conftest import make_tabular_v2
+from conftest import ar_law, make_tabular_v2, small_gridworld
 
 
 # --- metrics ------------------------------------------------------------------
@@ -195,6 +197,84 @@ def test_mc_cascade_records_distance_without_pass_requirement(gridworld):
         gridworld, drafter, "cascade", 400, 2, mask=TreeMask((2, 1)), relax=RelaxConfig()
     )
     assert 0.0 <= distance <= 1.0  # deviation is allowed, only recorded
+
+
+# --- exact laws -------------------------------------------------------------------
+
+
+def sha256_of_law(law) -> str:
+    return hashlib.sha256(repr(list(law.items())).encode()).hexdigest()
+
+
+# Each `ar` law's digest, as the autoregressive enumeration it replaced gave it.
+AR_LAW_PINS = {
+    "tabular-v4": (lambda: random_tabular_model(4, 1, seed=11), 3,
+                   "4a99d67d4cb8664a92436b9436397156564d3c0f064e2597c7d2ad72ef68fea3"),
+    "tabular-v3-order-2": (lambda: random_tabular_model(3, 2, seed=5), 4,
+                           "4aaa3ace35da5994ac7201b6b4553576af51bb0faeba98a219a681dcf6cc96bc"),
+    "small-gridworld": (small_gridworld, 4, "9eb8c4bd85b90552e1655221beed939ef8fc60af717280e41a82d70694638eee"),
+    "jittered-gridworld": (lambda: GridWorldModel.default(0.05), 2,
+                           "29e469a27ae29e09bf315bd077fc04f4556655fd62767f81922c31069310964f"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AR_LAW_PINS))
+def test_ar_law_keys_order_and_values_are_pinned(case):
+    make_target, length, digest = AR_LAW_PINS[case]
+    assert sha256_of_law(ar_law(make_target(), length)) == digest
+
+
+def test_topk_laws_are_the_greedy_sequence_at_one_distance_from_the_target(tabular_v4, tabular_v4_drafter):
+    # The tempered drafter's top token is the target's, with less mass, so it is always accepted.
+    target_law = ar_law(tabular_v4, 2)
+    masks = ("1", "1,1", "2", "2,2", "3", "4,2")
+    distances = {
+        (mode, text): law_tvd(target_law, exact_sequence_law(
+            tabular_v4, tabular_v4_drafter, mode, TreeMask.parse(text), RelaxConfig(), 2))
+        for mode in ("vanilla", "cascade")
+        for text in masks
+    }
+    print(f"[top-k, V=4, 2 tokens] TVD to the target: {max(distances.values()):.6f} "
+          f"for masks {', '.join(masks)} in both modes")
+    assert all(abs(distance - 0.729787) <= 1e-6 for distance in distances.values()), distances
+
+
+def two_region_gridworld() -> GridWorldModel:
+    """A 2x2 grid of 8 tokens in 4 clusters of 2; the top row prefers cluster 0, the bottom row cluster 1."""
+    eye = np.eye(8)
+    return GridWorldModel(
+        side=2, vocab=8, h=8, clusters=[t // 2 for t in range(8)], regions=[0, 0, 1, 1], region_clusters=[0, 1],
+        region_anchors=[eye[0], eye[1]], cluster_anchors=[eye[3 + c] for c in range(4)],
+    )
+
+
+@pytest.mark.parametrize("mode", ["vanilla", "cascade"])
+def test_exact_topk_law_matches_the_engine_on_a_two_region_gridworld(mode):
+    target, drafter, mask = two_region_gridworld(), LinearDrafter.zeros(8, 2), TreeMask((4, 2))
+    exact = exact_sequence_law(target, drafter, mode, mask, RelaxConfig(), 4)
+    assert sum(exact.values()) == pytest.approx(1.0, abs=1e-12)
+    samples = 20_000
+    counts: dict[tuple[int, ...], int] = {}
+    for tokens, _ in decode_lanes(target, drafter, mode, mask, RelaxConfig(), 4, derive_streams(0, 0, samples)):
+        counts[tuple(tokens)] = counts.get(tuple(tokens), 0) + 1
+    assert law_tvd(exact, {key: n / samples for key, n in counts.items()}) <= 0.02
+
+
+class Untouched:
+    """A model's grid side and vocabulary; any other attribute read fails the test."""
+
+    def __init__(self, model):
+        self.grid_side, self.vocab = model.grid_side, model.vocab
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the model's {name} was read")
+
+
+def test_exact_sequence_law_refuses_stochastic_candidates_before_any_model_call(tabular_v4, tabular_v4_drafter):
+    target, drafter = Untouched(tabular_v4), Untouched(tabular_v4_drafter)
+    for mode in ("vanilla", "cascade"):
+        with pytest.raises(ConfigError, match="stochastic candidates"):
+            exact_sequence_law(target, drafter, mode, TreeMask.chain(2), RelaxConfig(), 3, candidate_mode=STOCHASTIC)
 
 
 # --- heatmap --------------------------------------------------------------------
@@ -546,7 +626,8 @@ def test_cli_heatmap_over_a_whole_tabular_grid_is_written(tmp_path, model_files)
     heatmap = tmp_path / "h.csv"
     assert run_cli(["decode", "--model", model_files["tab"], "--drafter", model_files["tab_drafter"],
                     "--len", "9", "--out", tmp_path / "m.jsonl", "--heatmap", heatmap]) == 0
-    rows = list(csv.reader(heatmap.open(encoding="utf-8")))
+    with heatmap.open(encoding="utf-8") as lines:
+        rows = list(csv.reader(lines))
     assert rows[0] == ["pos"] + [str(p) for p in range(9)]
     assert len(rows) == 10
 
@@ -1182,6 +1263,8 @@ BAD_DECODES = {
                      "mode must be one of ('ar', 'vanilla', 'cascade'), got 'bogus'"),
     "no-drafter": (lambda: random_tabular_model(4, 1, seed=11), None, "vanilla", 4,
                    "mode 'vanilla' requires a drafter"),
+    # 5 tokens on a 2x2 grid.
+    "enumeration-off-grid": (small_gridworld, (8, 2), "ar", 5, "length 5 exceeds the 2x2 grid"),
 }
 # `ExperimentConfig` refuses these itself, before any file is read, in words of its own.
 CONFIG_REFUSED = {"unknown-mode", "no-drafter"}
@@ -1209,10 +1292,14 @@ def test_every_entry_point_refuses_a_bad_decode_with_one_message(tmp_path, monke
         messages.append(str(refused.value))
         assert not (tmp_path / "m.jsonl").exists()
 
+    with pytest.raises(ConfigError) as refused:
+        exact_sequence_law(target, drafter, mode, TreeMask((2, 1)), RelaxConfig(), length)
+    messages.append(str(refused.value))
+
     def no_enumeration(*args, **kwargs):
         raise AssertionError("the oracle enumerated a refused decode")
 
-    monkeypatch.setattr(harness, "enumerate_ar_distribution", no_enumeration)
+    monkeypatch.setattr(harness, "exact_sequence_law", no_enumeration)
     with pytest.raises(ConfigError) as refused:
         mc_distribution_test(target, drafter, mode, 10, length)
     messages.append(str(refused.value))

@@ -24,7 +24,6 @@ from specrelax import (
     TreeMask,
     cosine_sim,
     decode_sequence,
-    enumerate_ar_distribution,
     load_model,
     random_tabular_model,
     save_model,
@@ -33,7 +32,7 @@ from specrelax import (
 )
 from specrelax.core import InvalidValue, UnknownWindow
 
-from conftest import make_tabular_v2, small_gridworld
+from conftest import ar_law, make_tabular_v2, small_gridworld
 
 ATOL = 1e-9
 
@@ -339,31 +338,31 @@ def test_tabular_size_guard_counts_cells_before_any_draw(monkeypatch):
 
 def test_enumerate_single_step():
     model = make_tabular_v2({(): [0.9, 0.1]})
-    law = enumerate_ar_distribution(model, 1)
+    law = ar_law(model, 1)
     assert law[(0,)] == pytest.approx(0.9, abs=ATOL)
     assert law[(1,)] == pytest.approx(0.1, abs=ATOL)
 
 
 def test_enumerate_sums_to_one(tabular_v4):
-    law = enumerate_ar_distribution(tabular_v4, 2)
+    law = ar_law(tabular_v4, 2)
     assert len(law) == 16
     assert sum(law.values()) == pytest.approx(1.0, abs=ATOL)
 
 
 def test_enumerate_chain_rule_by_hand():
     model = make_tabular_v2({(): [0.5, 0.5], (0,): [0.9, 0.1]})
-    law = enumerate_ar_distribution(model, 2)
+    law = ar_law(model, 2)
     assert law[(0, 0)] == pytest.approx(0.45, abs=ATOL)
 
 
 def test_enumerate_guard():
     model = random_tabular_model(4, 1, seed=0)
     with pytest.raises(TooLarge):
-        enumerate_ar_distribution(model, 11)
+        ar_law(model, 11)
 
 
 def test_enumerate_marginals_match_target_eval(tabular_v4):
-    law = enumerate_ar_distribution(tabular_v4, 3)
+    law = ar_law(tabular_v4, 3)
     # Step-2 conditional given first token 1 must equal the table row.
     mass_first_1 = sum(p for seq, p in law.items() if seq[0] == 1)
     for token in range(4):
@@ -466,8 +465,8 @@ def test_malformed_model_files_raise_model_format_error_only(tmp_path_factory, c
         load_model(path)
     except ModelFormatError:
         return
-    # Some replacements still describe a valid model (JSON true for a mixing
-    # weight reads as 1.0); a missing required key never does.
+    # A replacement of another JSON type is refused too (a bool for a mixing
+    # weight no longer reads as 1.0), but only a missing required key must be.
     assert not must_fail, f"loaded a model without a required key: {sorted(data)}"
 
 
@@ -592,8 +591,37 @@ def _overflowing_region_anchors(data):
     data["regionAnchors"] = [[x * 1e200 for x in row] for row in data["regionAnchors"]]
 
 
+def _set(key, value):
+    """A mutation that puts `value` at `key`."""
+    return lambda data: data.__setitem__(key, value)
+
+
+def _shifted_ids(key, offset):
+    """A mutation that adds `offset` to every id of `key`."""
+    return lambda data: data.__setitem__(key, [i + offset for i in data[key]])
+
+
+def _string_region_anchor(data):
+    data["regionAnchors"][0] = [str(x) for x in data["regionAnchors"][0]]
+
+
+def _bool_region_cluster(data):
+    data["regionClusters"][1] = True
+
+
 GRID_REFUSALS = {
     "zero-side": (_zero_side, "side must be >= 1 and vocab >= 2"),
+    "fractional-side": (_set("N", 8.9), "N must be a JSON integer"),
+    "fractional-vocab": (_set("V", 32.7), "V must be a JSON integer"),
+    "fractional-h": (_set("h", 8.4), "h must be a JSON integer"),
+    "string-side": (_set("N", "8"), "N must be a JSON integer"),
+    "bool-side": (_set("N", True), "N must be a JSON integer"),
+    "fractional-cluster-ids": (_shifted_ids("clusters", 0.5), "clusters must be a list of JSON integers"),
+    "fractional-region-ids": (_shifted_ids("regions", 0.25), "regions must be a list of JSON integers"),
+    "bool-region-cluster": (_bool_region_cluster, "regionClusters must be a list of JSON integers"),
+    "string-in-cluster-mass": (_set("inClusterMass", "0.8"), "inClusterMass must be a JSON number"),
+    "bool-feature-mix": (_set("featureMix", True), "featureMix must be a JSON number"),
+    "string-region-anchor": (_string_region_anchor, "regionAnchors must hold JSON numbers"),
     "short-region-anchors": (_short_region_anchors, "one region anchor required per region"),
     "short-clusters": (_short_clusters, "clusters must assign every token"),
     "certain-cluster": (_certain_cluster, "in_cluster_mass must lie in"),
@@ -635,8 +663,14 @@ def _overflowing_features(data):
     data["featureTable"] = {key: [x * 1e200 for x in row] for key, row in data["featureTable"].items()}
 
 
+def _string_table_row(data):
+    data["table"]["0"] = [str(x) for x in data["table"]["0"]]
+
+
 MODEL_FILE_REFUSALS = {
     "short-table-entry": (_short_table_entry, "table entry for window () has size 3 != 4"),
+    "fractional-order": (_set("order", 1.9), "order must be a JSON integer"),
+    "string-table-row": (_string_table_row, "table must hold JSON numbers"),
     "json-array": (_json_array, "expected a JSON object"),
     "overflowing-feature": (_overflowing_features, "feature vector norm overflows"),
 }
@@ -654,6 +688,33 @@ def test_malformed_tabular_files_are_refused_at_load_and_by_decode(tmp_path, cap
         load_model(path)
     out = tmp_path / "m.jsonl"
     assert main(["decode", "--model", str(path), "--mode", "ar", "--len", "4", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not out.exists()
+
+
+def _string_bias(data):
+    data["bias"] = [str(x) for x in data["bias"]]
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [(_set("N", 8.5), "N must be a JSON integer"), (_string_bias, "bias must hold JSON numbers")],
+    ids=["fractional-side", "string-bias"],
+)
+def test_malformed_linear_drafter_files_are_refused_at_load_and_by_decode(tmp_path, capsys, mutate, message):
+    from specrelax.cli import main
+
+    data = json.loads(json.dumps(STOCK_MODELS["linear_drafter"]))
+    mutate(data)
+    target, drafter = tmp_path / "grid.json", tmp_path / "drafter.json"
+    save_model(GridWorldModel.default(), target)
+    drafter.write_text(json.dumps(data))
+    with pytest.raises(ModelFormatError, match=message):
+        load_model(drafter)
+    out = tmp_path / "m.jsonl"
+    argv = ["decode", "--model", str(target), "--drafter", str(drafter), "--mode", "ar", "--seeds", "0"]
+    assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
     assert not out.exists()
@@ -733,12 +794,13 @@ def test_huge_order_is_refused_without_building_the_power(tmp_path):
     with pytest.raises(ModelFormatError):
         load_model(path)
     with pytest.raises(TooLarge):
-        enumerate_ar_distribution(random_tabular_model(4, 1, seed=0), 10**8)
+        ar_law(random_tabular_model(4, 1, seed=0), 10**8)
     assert time.process_time() - start < 0.5
 
 
 def test_size_guard_boundary():
-    from specrelax.models import ENUMERATION_GUARD, _power_exceeds_guard
+    from specrelax.harness import _power_exceeds_guard
+    from specrelax.models import ENUMERATION_GUARD
 
     assert ENUMERATION_GUARD == 10**6
     assert not _power_exceeds_guard(10, 6) and _power_exceeds_guard(10, 7)

@@ -23,7 +23,6 @@ from specrelax import (
     decode_lanes,
     decode_sequence,
     decode_with_metrics,
-    enumerate_ar_distribution,
     evaluate_tree,
     random_tabular_model,
     relax_q,
@@ -38,9 +37,10 @@ from specrelax import (
 from specrelax.models import LawTable
 import specrelax.tree as tree_mod
 from specrelax.tree import ROOT, DraftTree, STOCHASTIC, forest_pairs
+from specrelax.harness import exact_call_law, law_tvd
 from specrelax.verify import TraceRecord, TreeEvals
 
-from conftest import FixedDrafter, ScriptedRng, draft_one, small_gridworld, tree_depth, tree_level
+from conftest import FixedDrafter, ScriptedRng, ar_law, draft_one, small_gridworld, tree_depth, tree_level
 
 ATOL = 1e-9
 
@@ -1019,23 +1019,17 @@ def probe_accept_threshold(q_row: ProbDist, p_row: ProbDist, token: int) -> floa
 
 
 def step_emission(q_row: ProbDist, p_row: ProbDist) -> np.ndarray:
-    """Analytic law of the token emitted by one chain verification step,
-    integrating the engine's accept rule over the uniform draw."""
-    vocab = len(q_row)
-    emission = np.zeros(vocab)
-    reject_mass = 0.0
-    for token in range(vocab):
+    """Analytic law of the token emitted by one chain verification step: the
+    exact law of the one-node forest of each token, weighted by its draft probability."""
+    emission = np.zeros(len(q_row))
+    for token in range(len(q_row)):
         if p_row[token] <= 0.0:
             continue
-        threshold = probe_accept_threshold(q_row, p_row, token)
-        emission[token] += p_row[token] * threshold
-        reject_mass += p_row[token] * (1.0 - threshold)
-    if reject_mass > 1e-15:
-        try:
-            correction = residual_dist(q_row, p_row).mass
-        except DegenerateResidual:
-            correction = q_row.mass
-        emission += reject_mass * correction
+        probe_accept_threshold(q_row, p_row, token)
+        tree = manual_tree([[(token, p_row[token], None)]], p_row)
+        evals = manual_evals(tree, q_row, [(q_row, unit_feature(1))])
+        for (emitted,), prob in exact_call_law(tree, evals, None).items():
+            emission[emitted] += p_row[token] * prob
     return emission
 
 
@@ -1058,7 +1052,7 @@ def test_per_step_emission_equals_target_row(tabular_v4, tabular_v4_drafter):
 
 def test_full_sequence_law_matches_enumeration(tabular_v4, tabular_v4_drafter):
     length = 3
-    oracle = enumerate_ar_distribution(tabular_v4, length)
+    oracle = ar_law(tabular_v4, length)
     emissions: dict[tuple[int, ...], np.ndarray] = {}
 
     def law(seq: tuple[int, ...]) -> float:
@@ -1079,91 +1073,12 @@ def test_full_sequence_law_matches_enumeration(tabular_v4, tabular_v4_drafter):
 # --- closed-form outcome law ----------------------------------------------------
 
 
-def closed_form_outcome_law(tree, evals, cfg):
-    """Exact law of emitted-token tuples for literal-mode verification.
-
-    Independently integrates the engine's decision process over the uniform
-    draws: thresholds are deterministic given the sibling reached, because
-    budget consumption never depends on the draw itself.
-    """
-    results: dict[tuple[int, ...], float] = {}
-    relax = cfg is not None and (cfg.tau_pos <= 1.0 or cfg.tau_seq <= 1.0)
-    tree_tokens = tree.tokens
-
-    features = node_features(evals)
-
-    def partner_masses(node, siblings, q):
-        mass_i, seen = 0.0, {tree_tokens[node]}
-        if cfg.tau_pos <= 1.0:
-            feat = features[node]
-            for other in siblings:
-                if other == node:
-                    continue
-                if cosine_sim(feat, features[other]) >= cfg.tau_pos:
-                    mass_i += q[tree_tokens[other]]
-                    seen.add(tree_tokens[other])
-        mass_c = 0.0
-        if cfg.tau_seq <= 1.0:
-            feat = features[node]
-            for child in tree.children[node]:
-                if tree_tokens[child] in seen:
-                    continue
-                if cosine_sim(feat, features[child]) >= cfg.tau_seq:
-                    mass_c += q[tree_tokens[child]]
-                    seen.add(tree_tokens[child])
-        return mass_i, mass_c
-
-    def walk(parent, level_idx, tokens, budget_left, weight):
-        if weight <= 0.0:
-            return
-        if level_idx >= tree_depth(tree):
-            results[tokens] = results.get(tokens, 0.0) + weight
-            return
-        siblings = tree_level(tree, 1) if parent is None else tree.children[parent]
-        if not siblings:
-            results[tokens] = results.get(tokens, 0.0) + weight
-            return
-        q = evals.laws.dists[evals.law[siblings[0]]]
-        p_full = ProbDist(tree.draft_table[tree.root_row if parent is None else tree.cond_row[parent]])
-        survive = weight
-        budget = budget_left
-        for node in siblings:
-            boost = 0.0
-            if relax:
-                mass_i, mass_c = partner_masses(node, siblings, q)
-                if mass_i <= budget + 1e-9:
-                    boost += mass_i
-                if mass_c <= budget - boost + 1e-9:
-                    boost += mass_c
-                budget -= boost
-            threshold = min(1.0, min(q[tree_tokens[node]] + boost, 1.0) / tree.probs[node])
-            walk(node, level_idx + 1, tokens + (tree_tokens[node],), budget, survive * threshold)
-            survive *= 1.0 - threshold
-        if survive > 0.0:
-            try:
-                corr = residual_dist(q, p_full)
-            except DegenerateResidual:
-                corr = q
-            for token in range(len(corr)):
-                if corr[token] > 0.0:
-                    key = tokens + (token,)
-                    results[key] = results.get(key, 0.0) + survive * corr[token]
-
-    walk(None, 0, (), cfg.tvd_budget if cfg is not None else 0.0, 1.0)
-    return results
-
-
 def empirical_outcome_law(run, samples):
     counts: dict[tuple[int, ...], int] = {}
     for seed in range(samples):
         key = tuple(run(RngStream(seed)).emitted_tokens)
         counts[key] = counts.get(key, 0) + 1
     return {key: n / samples for key, n in counts.items()}
-
-
-def law_tvd(a, b):
-    keys = set(a) | set(b)
-    return 0.5 * sum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys)
 
 
 def budgeted_two_level_scenario():
@@ -1193,7 +1108,7 @@ def budgeted_two_level_scenario():
 
 def test_engine_matches_closed_form_outcome_law_relaxed():
     tree, evals, cfg = budgeted_two_level_scenario()
-    exact = closed_form_outcome_law(tree, evals, cfg)
+    exact = exact_call_law(tree, evals, cfg)
     assert sum(exact.values()) == pytest.approx(1.0, abs=1e-12)
     empirical = empirical_outcome_law(
         lambda rng: verify_cascade(tree, evals, cfg, rng), 60_000
@@ -1203,7 +1118,7 @@ def test_engine_matches_closed_form_outcome_law_relaxed():
 
 def test_engine_matches_closed_form_outcome_law_vanilla():
     tree, evals, _ = budgeted_two_level_scenario()
-    exact = closed_form_outcome_law(tree, evals, None)
+    exact = exact_call_law(tree, evals, None)
     assert sum(exact.values()) == pytest.approx(1.0, abs=1e-12)
     empirical = empirical_outcome_law(
         lambda rng: verify_vanilla(tree, evals, rng), 60_000
