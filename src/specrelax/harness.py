@@ -374,18 +374,16 @@ def exact_call_law(tree: DraftTree, evals: TreeEvals, cfg: RelaxConfig | None) -
 
 
 def exact_sequence_law(
-    target: Target, drafter: Drafter | None, mode: str, mask: TreeMask, cfg: RelaxConfig, length: int,
-    candidate_mode: str = TOPK,
+    target: Target, drafter: Drafter | None, mode: str, mask: TreeMask, cfg: RelaxConfig, length: int
 ) -> Law:
-    """The exact law of the `length` tokens a decode emits: one dynamic program over prefixes, by length.
+    """The exact law of the `length` tokens a top-k decode emits: one dynamic program over prefixes, by length.
 
     A prefix's probability spreads over its call's law: for `ar` the target's
     next-token law, else `exact_call_law` of the top-k forest `decode_lanes`
-    drafts for it. Before any model call, a decode `_check_decode` refuses and
-    stochastic candidates raise ConfigError, and V^L > 10^6 raises TooLarge."""
-    _check_decode(target, drafter, mode, candidate_mode, length)
-    if mode != AR and candidate_mode == STOCHASTIC:
-        raise ConfigError("the exact law of a decode with stochastic candidates is not implemented")
+    drafts for it. A decode `_check_decode` refuses raises ConfigError before
+    any model call, and V^L > 10^6 TooLarge: a bound on keys, not time (at
+    its edge, V=2 and 19 tokens, width-1 drafting walks 524,287 forests in 37 s)."""
+    _check_decode(target, drafter, mode, TOPK, length)
     vocab = getattr(target, "vocab")
     if _power_exceeds_guard(vocab, length):
         raise TooLarge(f"{vocab}^{length} sequences exceed enumeration guard")
@@ -399,8 +397,7 @@ def exact_sequence_law(
                 tree = sample_draft_tree(drafter, [prefix], mask, [min(mask.depth, length - len(prefix))], [unused])
                 call = exact_call_law(tree, evaluate_tree(target, tree), cfg if mode == CASCADE else None).items()
             for emitted, p in call:
-                key = prefix + emitted
-                longer = by_length[len(key)]
+                key, longer = prefix + emitted, by_length[len(prefix) + len(emitted)]
                 longer[key] = longer.get(key, 0.0) + prob * p
     return by_length[length]
 
@@ -429,12 +426,11 @@ def mc_distribution_test(
     """Empirical sequence law over `samples` seeded decodes versus the target's exact law.
 
     Draft candidates are sampled (not ranked) here, since the exactness claim
-    concerns proposals drawn from the drafter. The exact law is the `ar` case
-    of `exact_sequence_law`. Sample i decodes on the stream
-    `RngStream(derive_seed(base_seed, i))`; the samples are decoded as lanes,
-    LANE_BLOCK at a time, whose streams come from one `derive_streams` pass.
-    The pass flag applies the 3 * sqrt(V^length / samples) multinomial bound
-    to the `law_tvd` distance; stricter caps are the caller's business.
+    concerns proposals drawn from the drafter; the exact law is the `ar` case
+    of `exact_sequence_law`. Sample i decodes on `RngStream(derive_seed(base_seed, i))`,
+    LANE_BLOCK lanes at a time from one `derive_streams` pass. The pass flag
+    applies the 3 * sqrt(V^length / samples) multinomial bound to the
+    `law_tvd` distance; stricter caps are the caller's business.
     """
     if samples < 1:
         raise ConfigError(f"at least one sample is required, got {samples}")

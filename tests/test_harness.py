@@ -260,23 +260,6 @@ def test_exact_topk_law_matches_the_engine_on_a_two_region_gridworld(mode):
     assert law_tvd(exact, {key: n / samples for key, n in counts.items()}) <= 0.02
 
 
-class Untouched:
-    """A model's grid side and vocabulary; any other attribute read fails the test."""
-
-    def __init__(self, model):
-        self.grid_side, self.vocab = model.grid_side, model.vocab
-
-    def __getattr__(self, name):
-        raise AssertionError(f"the model's {name} was read")
-
-
-def test_exact_sequence_law_refuses_stochastic_candidates_before_any_model_call(tabular_v4, tabular_v4_drafter):
-    target, drafter = Untouched(tabular_v4), Untouched(tabular_v4_drafter)
-    for mode in ("vanilla", "cascade"):
-        with pytest.raises(ConfigError, match="stochastic candidates"):
-            exact_sequence_law(target, drafter, mode, TreeMask.chain(2), RelaxConfig(), 3, candidate_mode=STOCHASTIC)
-
-
 # --- heatmap --------------------------------------------------------------------
 
 
