@@ -9,6 +9,11 @@ verification is an open item. The relaxed engine (`cascade`) additionally
 transfers target mass from feature-similar sibling tokens and
 feature-aligned child tokens onto the candidate, never exceeding a per-call
 total-variation budget.
+
+Each lane's tree is walked on its own by `_run_verification`, except in one
+case: a cycle of width-1 chains without donors whose decisions nobody reads
+is decided for every lane at once by `_walk_chains`, which reads the same
+uniforms and thresholds and so gives the same tokens.
 """
 
 from __future__ import annotations
@@ -368,6 +373,11 @@ def _draw_corrections(laws: LawTable, law: np.ndarray, pending: Sequence[tuple])
     return sample_corrections(q, p, np.array(uniforms))
 
 
+def _drawn_row(tree: DraftTree, lane: int, parent: int) -> int:
+    """The drafter row lane `lane`'s level under `parent` was drawn from: its root row on level 1."""
+    return tree.root_row + tree.root_index[lane] if parent == ROOT else int(tree.cond_row[parent])
+
+
 class _Uniforms:
     """A lane's slice of its cycle's uniform block, read in order as its stream would draw it.
 
@@ -448,12 +458,41 @@ def _run_verification(
     # unrelaxed level law minus the drafter row the level was drawn from, or
     # the level law itself when p covers q. Its uniform is drawn now, and its
     # token once per cycle for every lane.
-    if parent == ROOT:
-        p_law = tree.root_row + tree.root_index[lane]
-    else:
-        p_law = int(tree.cond_row[parent])
-    pending = (tree, node, p_law, rng.next_real())
+    pending = (tree, node, _drawn_row(tree, lane, parent), rng.next_real())
     return VerifyOutcome(accepted, budget_used, decisions, evals.laws, evals.law, pending)
+
+
+def _walk_chains(
+    tree: DraftTree, evals: TreeEvals, streams: Sequence[RngStream], need: Sequence[int]
+) -> tuple[list[list[TokenId]], list[int], list[tuple]]:
+    """Walk every lane of a width-1 forest without donors at once, on one `peek_reals` block.
+
+    Lane j's slice of the block holds `need[j]` uniforms: one per node, then
+    one for its correction. Its level-l node is decided by uniform l of it
+    against its gathered threshold, as `_run_verification` decides it, and
+    the lane accepts up to its first reject. Each stream moves past exactly
+    the uniforms its walk read. Returns each lane's accepted tokens, the
+    rejecting lanes, and their corrections pending as `VerifyOutcome` keeps them.
+    """
+    block = peek_reals(streams, need)
+    n = len(tree.lane)
+    ids = np.arange(n)
+    first = np.flatnonzero(tree.level == 1).tolist()
+    # Node i reads uniform i + lane[i]. Each lane's first rejected node, or n if it rejects none.
+    accept = block[ids + tree.lane] < np.array(evals.threshold)
+    stops = np.minimum.reduceat(np.where(accept, n, ids), first).tolist()
+    tokens, parent = tree.tokens, tree.parent
+    accepted, rejected, pending = [], [], []
+    for j, (lo, hi, stop, rng) in enumerate(zip(first, first[1:] + [n], stops, streams)):
+        if stop == n:
+            accepted.append(tokens[lo:hi])
+            rng.counter += hi - lo
+        else:
+            accepted.append(tokens[lo:stop])
+            rng.counter += stop - lo + 2
+            rejected.append(j)
+            pending.append((tree, stop, _drawn_row(tree, j, int(parent[stop])), block[stop + j + 1]))
+    return accepted, rejected, pending
 
 
 def verify_vanilla(tree: DraftTree, evals: TreeEvals, rng: RngStream, lane: int = 0) -> VerifyOutcome:
@@ -554,7 +593,10 @@ def decode_lanes(
     cycle, lane j's slice holding the most its walk can draw, `1 +
     sum(mask.widths[:depth_j])`, and each stream then moves past the
     uniforms its walk read; below `_BLOCK_MIN` uniforms a cycle walks each
-    lane on its own stream. Either way a lane's tokens, counters and
+    lane on its own stream. A block cycle of width-1 chains with no donors
+    (`vanilla`, or `cascade` whose sets found none) and no `on_outcome`
+    decides every lane in one numpy pass (`_walk_chains`); every other
+    cycle walks lane by lane. Either way a lane's tokens, counters and
     decisions are those of decoding it alone. `on_outcome(lane, cycle,
     outcome)` sees each lane's calls in order, a cycle's lanes in lane
     order, each with its correction drawn. A decode `_check_decode` refuses
@@ -574,6 +616,8 @@ def decode_lanes(
     depth = mask.depth
     # A walk of depth d draws at most one uniform per sibling of each level, and one for a correction.
     most = [1 + reach for reach in accumulate(mask.widths, initial=0)]
+    # Chain forests decode in one pass when nothing reads their decisions.
+    chains = on_outcome is None and set(mask.widths) == {1}
     while live:
         prefixes = [lanes[k][0] for k in live]
         depths = [min(depth, length - len(p)) for p in prefixes]
@@ -587,41 +631,54 @@ def decode_lanes(
         evals = evaluate_tree(target, tree)
         sets = build_sets(tree, evals, cfg) if mode == CASCADE else None
         need = [most[d] for d in depths]
-        block = peek_reals(streams, need).tolist() if sum(need) >= _BLOCK_MIN else None
-        end = 0
+        blocked = sum(need) >= _BLOCK_MIN
         # Each rejecting walk's kept correction, and its lane (with its outcome when a sink reads it).
         pending, corrected, seen = [], [], []
-        for j, k in enumerate(drafted):
-            rng = rngs[k]
-            if block is not None:
-                # Built lane by lane and freed after its walk: a whole cycle of live
-                # readers would set off extra garbage collections.
-                rng = _Uniforms(block[end : end + need[j]])
-                end += need[j]
-            if mode == CASCADE:
-                outcome = verify_cascade(tree, evals, cfg, rng, sets, lane=j)
-            else:
-                outcome = verify_vanilla(tree, evals, rng, lane=j)
-            if block is not None:
-                # The stream moves past the uniforms its walk read.
-                rngs[k].counter += len(outcome._decisions) + (outcome._pending is not None)
-            tokens, stats = lanes[k]
-            cycle = stats.verify_calls
-            stats.verify_calls += 1
-            stats.target_calls += 1
-            stats.drafter_calls += depths[j]
-            stats.accepted_draft_tokens += len(outcome.accepted_tokens)
-            stats.accumulated_tvd += outcome.tvd_consumed
-            tokens.extend(outcome.accepted_tokens)
-            if outcome._pending is not None:
-                pending.append(outcome._pending)
-                corrected.append((k, outcome if on_outcome is not None else None))
-            elif not outcome.accepted_tokens:
-                # Unreachable for sane trees (a rejection always emits a correction),
-                # but guards against infinite loops on empty instantiations.
-                raise RuntimeError("verification cycle emitted no tokens")
-            if on_outcome is not None:
-                seen.append((k, cycle, outcome))
+        if blocked and chains and (sets is None or sets.donors is None):
+            accepted, rejected, pending = _walk_chains(tree, evals, streams, need)
+            for j, k in enumerate(drafted):
+                tokens, stats = lanes[k]
+                stats.verify_calls += 1
+                stats.target_calls += 1
+                stats.drafter_calls += depths[j]
+                stats.accepted_draft_tokens += len(accepted[j])
+                # No donors, so no budget spent: `accumulated_tvd` stays as it is.
+                tokens.extend(accepted[j])
+            corrected = [(drafted[j], None) for j in rejected]
+        else:
+            block = peek_reals(streams, need).tolist() if blocked else None
+            end = 0
+            for j, k in enumerate(drafted):
+                rng = rngs[k]
+                if block is not None:
+                    # Built lane by lane and freed after its walk: a whole cycle of live
+                    # readers would set off extra garbage collections.
+                    rng = _Uniforms(block[end : end + need[j]])
+                    end += need[j]
+                if mode == CASCADE:
+                    outcome = verify_cascade(tree, evals, cfg, rng, sets, lane=j)
+                else:
+                    outcome = verify_vanilla(tree, evals, rng, lane=j)
+                if block is not None:
+                    # The stream moves past the uniforms its walk read.
+                    rngs[k].counter += len(outcome._decisions) + (outcome._pending is not None)
+                tokens, stats = lanes[k]
+                cycle = stats.verify_calls
+                stats.verify_calls += 1
+                stats.target_calls += 1
+                stats.drafter_calls += depths[j]
+                stats.accepted_draft_tokens += len(outcome.accepted_tokens)
+                stats.accumulated_tvd += outcome.tvd_consumed
+                tokens.extend(outcome.accepted_tokens)
+                if outcome._pending is not None:
+                    pending.append(outcome._pending)
+                    corrected.append((k, outcome if on_outcome is not None else None))
+                elif not outcome.accepted_tokens:
+                    # Unreachable for sane trees (a rejection always emits a correction),
+                    # but guards against infinite loops on empty instantiations.
+                    raise RuntimeError("verification cycle emitted no tokens")
+                if on_outcome is not None:
+                    seen.append((k, cycle, outcome))
         if pending:
             drawn = _draw_corrections(evals.laws, evals.law, pending)
             for (k, outcome), token in zip(corrected, drawn):
@@ -631,8 +688,9 @@ def decode_lanes(
         seen.sort(key=itemgetter(0))
         for k, cycle, outcome in seen:
             on_outcome(k, cycle, outcome)
-        # Free this cycle's forest, laws and sets before the next forest is drafted.
-        del tree, evals, sets, block, pending, corrected, seen, outcome
+        # Free this cycle's forest, laws, sets and walks before the next forest is drafted.
+        del tree, evals, sets, pending, corrected, seen
+        block = outcome = None
         live = [k for k in live if len(lanes[k][0]) < length]
     for tokens, stats in lanes:
         stats.tokens_emitted = len(tokens)

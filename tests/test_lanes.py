@@ -851,6 +851,97 @@ def test_walks_on_the_cycle_block_equal_walks_on_the_streams(
         assert len({stats.verify_calls for _, stats in lanes}) > 1
 
 
+# --- chain forests decided in one pass ----------------------------------------------
+
+
+@pytest.fixture
+def chain_walks(monkeypatch):
+    """The `need` list of every cycle that took the batched chain walk."""
+    import specrelax.verify as verify_mod
+
+    calls = []
+    walk = verify_mod._walk_chains
+
+    def counting(tree, evals, streams, need):
+        calls.append(list(need))
+        return walk(tree, evals, streams, need)
+
+    monkeypatch.setattr(verify_mod, "_walk_chains", counting)
+    return calls
+
+
+def _decode_chains(target, drafter, mode, mask, cfg, length, lanes, candidate_mode, sink):
+    rngs = [RngStream(1000 + k) for k in range(lanes)]
+    results = decode_lanes(
+        target, drafter, mode, mask, cfg, length, rngs, candidate_mode=candidate_mode, on_outcome=sink
+    )
+    return results, [rng.counter for rng in rngs]
+
+
+NO_DONORS = RelaxConfig(tau_pos=1.01, tau_seq=1.01)
+# (target, drafter, mode, mask, relaxation, length, lanes) of each chain case.
+CHAIN_CASES = {
+    "tabular-vanilla": lambda trained: (*_tabular_chain()[:2], "vanilla", TreeMask.chain(3), RelaxConfig(), 3, 500),
+    "tabular-cascade-no-donors": lambda trained: (
+        *_tabular_chain()[:2], "cascade", TreeMask.chain(3), NO_DONORS, 3, 500,
+    ),
+    "tabular-cascade-donors": lambda trained: (
+        *_tabular_chain()[:2], "cascade", TreeMask.chain(3), RelaxConfig(), 3, 500,
+    ),
+    # A 7-token decode on a chain of 3: later cycles mix lanes of depth 1, 2 and 3.
+    "tabular-mixed-depths": lambda trained: (
+        *_tabular_chain()[:2], "vanilla", TreeMask.chain(3), RelaxConfig(), 7, 200,
+    ),
+    "grid-trained": lambda trained: (
+        GridWorldModel.default(), trained, "vanilla", TreeMask.chain(3), RelaxConfig(), 20, 40,
+    ),
+    "grid-trained-cascade-no-donors": lambda trained: (
+        GridWorldModel.default(), trained, "cascade", TreeMask.chain(2), NO_DONORS, 20, 40,
+    ),
+}
+
+
+@pytest.mark.parametrize("candidate_mode", [TOPK, STOCHASTIC])
+@pytest.mark.parametrize("case", sorted(CHAIN_CASES))
+def test_chain_forests_decoded_in_one_pass_equal_the_per_lane_walk(chain_walks, case, candidate_mode, grid_drafter):
+    built = CHAIN_CASES[case](grid_drafter)
+    per_lane = _decode_chains(*built, candidate_mode, lambda lane, cycle, outcome: None)
+    assert chain_walks == []
+    batched = _decode_chains(*built, candidate_mode, None)
+    # Tokens, DecodeStats and every stream's final counter.
+    assert batched == per_lane
+    if case == "tabular-cascade-donors" and candidate_mode == STOCHASTIC:
+        # Every cycle at the crossover or above finds donors, so each lane is walked on its own.
+        assert chain_walks == []
+        return
+    assert chain_walks
+    if case == "tabular-mixed-depths" and candidate_mode == STOCHASTIC:
+        # Top-k chains of this drafter never reject here, so only stochastic lanes fall out of step.
+        assert any(len(set(need)) > 1 for need in chain_walks)
+
+
+def test_one_lane_small_sinked_and_donor_decodes_take_the_per_lane_walk(chain_walks):
+    target, drafter = _tabular_chain()[:2]
+    chain = TreeMask.chain(3)
+    # One lane; 15 three-level lanes, whose 60 uniforms fall below the block crossover; a sink; donors.
+    cases = [
+        (1, "vanilla", None),
+        (15, "vanilla", None),
+        (500, "vanilla", lambda lane, cycle, outcome: None),
+        (500, "cascade", None),
+    ]
+    for lanes, mode, sink in cases:
+        _decode_chains(target, drafter, mode, chain, RelaxConfig(), 3, lanes, STOCHASTIC, sink)
+    assert chain_walks == []
+    # A 16-lane cycle reads the crossover's 64 uniforms exactly, and takes the batched walk.
+    _decode_chains(target, drafter, "vanilla", chain, RelaxConfig(), 3, 16, STOCHASTIC, None)
+    assert chain_walks[0] == [4] * 16
+    # A tree of width 2 never does.
+    chain_walks.clear()
+    _decode_chains(target, drafter, "vanilla", TreeMask((2, 1)), RelaxConfig(), 3, 500, STOCHASTIC, None)
+    assert chain_walks == []
+
+
 # --- no state outlives a decode ----------------------------------------------------
 
 
