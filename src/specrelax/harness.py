@@ -14,6 +14,7 @@ import math
 import os
 import stat
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -35,8 +36,8 @@ from .core import (
 from .models import ENUMERATION_GUARD, Drafter, Target, _OutputFiles, _decode_side, load_model
 from .tree import CANDIDATE_MODES, STOCHASTIC, TOPK, DraftTree, TreeMask, sample_draft_tree
 from .verify import (
-    AR, CASCADE, MODES, DecodeStats, RelaxConfig, TreeEvals, _check_decode, decode_lanes, decode_sequence,
-    evaluate_tree,
+    AR, CASCADE, MODES, DecodeStats, RelaxConfig, TreeEvals, _check_decode, _decode_cycles, decode_lanes,
+    decode_sequence, evaluate_tree,
 )
 
 DEFAULT_KAPPA = 0.1
@@ -439,16 +440,20 @@ def mc_distribution_test(
     mask = mask if mask is not None else TreeMask.chain(length)
     relax = relax if relax is not None else RelaxConfig()
     oracle = exact_sequence_law(target, None, AR, mask, relax, length)
-    counts: dict[tuple[int, ...], int] = {}
+    vocab = getattr(target, "vocab")
+    # A sequence is counted as its base-V integer (under the guard's 10^6), in order of first sight.
+    place = vocab ** np.arange(length - 1, -1, -1)
+    counts: dict[int, int] = {}
     for lo in range(0, samples, LANE_BLOCK):
         rngs = derive_streams(base_seed, lo, min(lo + LANE_BLOCK, samples))
-        for tokens, _ in decode_lanes(
-            target, drafter, mode, mask, relax, length, rngs, candidate_mode=STOCHASTIC
-        ):
-            key = tuple(tokens)
-            counts[key] = counts.get(key, 0) + 1
-    distance = law_tvd(oracle, {key: n / samples for key, n in counts.items()})
-    vocab = getattr(target, "vocab")
+        lanes, _ = _decode_cycles(target, drafter, mode, mask, relax, length, rngs, STOCHASTIC, None)
+        tokens = np.fromiter(chain.from_iterable(lanes), np.int64, len(lanes) * length)
+        keys, first, seen = np.unique(tokens.reshape(-1, length) @ place, return_index=True, return_counts=True)
+        order = np.argsort(first, kind="stable")
+        for key, n in zip(keys[order].tolist(), seen[order].tolist()):
+            counts[key] = counts.get(key, 0) + n
+    digits = (np.array(list(counts))[:, None] // place % vocab).tolist()
+    distance = law_tvd(oracle, {tuple(key): n / samples for key, n in zip(digits, counts.values())})
     bound = 3.0 * math.sqrt(vocab**length / samples)
     return distance, distance <= bound
 

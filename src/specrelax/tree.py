@@ -93,9 +93,10 @@ class DraftTree:
     Node i holds `token[i]` and its drafter probability `prob[i]` (also the
     lists `tokens` and `probs`), `lane[i]`, `level[i]` (its path's drafted
     tokens), `parent[i]` (`ROOT` on level 1) and `children[i]`. Its position
-    is its path's length, `index[i]`: the sequence index of the token after
-    it. A path is read on demand, `path(i)` whole or `tail(k, nodes)` the
-    last k tokens of several. Node i's children were drawn from row
+    is its path's length, `index[i]` (its lane's `prefix_len` plus its
+    level): the sequence index of the token after it. A path is read on
+    demand, `path(i)` whole or `tail(k, nodes)` the last k tokens of
+    several. Node i's children were drawn from row
     `cond_row[i]` of `draft_table` (-1 on its lane's deepest level), and lane
     k's level 1 from row `root_row + root_index[k]`. `judge[i]` indexes
     per-node values followed by per-lane ones: node i's parent, or
@@ -121,6 +122,7 @@ class DraftTree:
         prob: np.ndarray,
         draft_table: np.ndarray,
         root_row: int,
+        prefix_len: np.ndarray,
     ) -> None:
         self.prefixes = prefixes
         self.root_prefixes = root_prefixes
@@ -131,7 +133,7 @@ class DraftTree:
         self.lane, self.level, self.parent = layout.lane, layout.level, layout.parent
         self.children, self.level_starts = layout.children, layout.level_starts
         self.cond_row, self.judge = layout.cond_row, layout.judge
-        self.index = np.array([len(p) for p in prefixes])[self.lane] + self.level
+        self.index = prefix_len[self.lane] + self.level
         for array in (token, prob, draft_table, self.index):
             array.flags.writeable = False
         # Shared by every forest of one cached layout, so its pairs are indexed once.
@@ -514,7 +516,7 @@ def sample_draft_tree(
     """
     if mode not in CANDIDATE_MODES:
         raise ConfigError(f"unknown candidate mode {mode!r}")
-    prefixes = [tuple(p) for p in prefixes]
+    prefixes = list(map(tuple, prefixes))
     # Each prefix is hashed once: its root group, numbered in order of first use.
     groups: dict[tuple[TokenId, ...], int] = {}
     root_index = [groups.setdefault(p, len(groups)) for p in prefixes]
@@ -532,7 +534,7 @@ def sample_draft_tree(
     widths = mask.widths[:max_depth]
     if max(widths) > vocab:
         raise VocabExhausted(f"width {max(widths)} exceeds vocabulary of {vocab}")
-    prefix_len = np.array([len(p) for p in prefixes])
+    prefix_len = np.array(list(map(len, prefixes)))
     lane_depth = np.array(depths)
     deepest = int((prefix_len + lane_depth).max()) - 1  # the last sequence index drafted
     own = drafter.grid_side
@@ -632,5 +634,5 @@ def sample_draft_tree(
     return DraftTree(
         prefixes, root_prefixes, root_index, layout,
         np.concatenate(tokens)[layout.order], np.concatenate(probs)[layout.order],
-        table, len(table) - len(root_table),
+        table, len(table) - len(root_table), prefix_len,
     )

@@ -13,7 +13,14 @@ total-variation budget.
 Each lane's tree is walked on its own by `_run_verification`, except in one
 case: a cycle of width-1 chains without donors whose decisions nobody reads
 is decided for every lane at once by `_walk_chains`, which reads the same
-uniforms and thresholds and so gives the same tokens.
+uniforms and thresholds and so gives the same tokens, and draws its
+rejecting lanes' corrections in one pass.
+
+A many-lane decode keeps its bookkeeping per cycle, not per lane: the
+decode loop (`_decode_cycles`) extends each lane's tokens and appends one
+record per cycle, and `decode_lanes` folds each lane's `DecodeStats` from
+the records once, at the end. The Monte Carlo oracle reads the tokens
+alone and folds nothing.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import itemgetter
+from operator import itemgetter, sub
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -74,8 +81,9 @@ class TreeEvals(NamedTuple):
     law `law[i]`, its level's target law: its parent's conditional, or its
     lane's root law on level 1. `q[i]` is that law's mass at its token and
     `threshold[i]` the plain threshold `min(1, q/p)`, both Python lists for
-    the walk. Node i's feature is row i of the read-only `(nodes, h)` array
-    `features`, and `norms[i]` is that feature's own norm.
+    the walk; `threshold_array` holds the same thresholds for the batched
+    chain walk. Node i's feature is row i of the read-only `(nodes, h)`
+    array `features`, and `norms[i]` is that feature's own norm.
     """
 
     laws: LawTable
@@ -84,6 +92,7 @@ class TreeEvals(NamedTuple):
     threshold: list[float]
     features: np.ndarray
     norms: np.ndarray
+    threshold_array: np.ndarray
 
 
 def evaluate_tree(target: Target, tree: DraftTree) -> TreeEvals:
@@ -101,7 +110,8 @@ def evaluate_tree(target: Target, tree: DraftTree) -> TreeEvals:
     laws, root_law = laws.rows_of([ev.dist for ev in distinct])
     law = np.concatenate((rows, np.take(root_law, tree.root_index))).take(tree.judge)
     q = laws.mass[law, tree.token]
-    return TreeEvals(laws, law, q.tolist(), np.minimum(q / tree.prob, 1.0).tolist(), features, norms)
+    threshold = np.minimum(q / tree.prob, 1.0)
+    return TreeEvals(laws, law, q.tolist(), threshold.tolist(), features, norms, threshold)
 
 
 class _Donors(NamedTuple):
@@ -464,35 +474,40 @@ def _run_verification(
 
 def _walk_chains(
     tree: DraftTree, evals: TreeEvals, streams: Sequence[RngStream], need: Sequence[int]
-) -> tuple[list[list[TokenId]], list[int], list[tuple]]:
+) -> tuple[list[int], list[int], list[int], list[TokenId]]:
     """Walk every lane of a width-1 forest without donors at once, on one `peek_reals` block.
 
     Lane j's slice of the block holds `need[j]` uniforms: one per node, then
     one for its correction. Its level-l node is decided by uniform l of it
     against its gathered threshold, as `_run_verification` decides it, and
     the lane accepts up to its first reject. Each stream moves past exactly
-    the uniforms its walk read. Returns each lane's accepted tokens, the
-    rejecting lanes, and their corrections pending as `VerifyOutcome` keeps them.
+    the uniforms its walk read. Returns where each lane's nodes start and
+    where its accepted ones end, the rejecting lanes, and their corrections,
+    drawn in one residual pass as `_draw_corrections` draws them.
     """
     block = peek_reals(streams, need)
     n = len(tree.lane)
     ids = np.arange(n)
-    first = np.flatnonzero(tree.level == 1).tolist()
+    first = np.flatnonzero(tree.level == 1)
     # Node i reads uniform i + lane[i]. Each lane's first rejected node, or n if it rejects none.
-    accept = block[ids + tree.lane] < np.array(evals.threshold)
-    stops = np.minimum.reduceat(np.where(accept, n, ids), first).tolist()
-    tokens, parent = tree.tokens, tree.parent
-    accepted, rejected, pending = [], [], []
-    for j, (lo, hi, stop, rng) in enumerate(zip(first, first[1:] + [n], stops, streams)):
-        if stop == n:
-            accepted.append(tokens[lo:hi])
-            rng.counter += hi - lo
-        else:
-            accepted.append(tokens[lo:stop])
-            rng.counter += stop - lo + 2
-            rejected.append(j)
-            pending.append((tree, stop, _drawn_row(tree, j, int(parent[stop])), block[stop + j + 1]))
-    return accepted, rejected, pending
+    accept = block[ids + tree.lane] < evals.threshold_array
+    stops = np.minimum.reduceat(np.where(accept, n, ids), first)
+    rejects = stops < n
+    # Lane j accepts nodes first[j] .. ends[j] - 1; a rejecting lane reads two uniforms more.
+    ends = np.where(rejects, stops, np.append(first[1:], n))
+    for rng, moved in zip(streams, (ends - first + 2 * rejects).tolist()):
+        rng.counter += moved
+    bounds = first.tolist(), ends.tolist()
+    rejected = np.flatnonzero(rejects)
+    if not len(rejected):
+        return *bounds, [], []
+    lanes, stop = rejected.tolist(), stops[rejected]
+    parent = tree.parent[stop]
+    # `_drawn_row` of each rejected node: its lane's root row on level 1, else its parent's row.
+    root = tree.root_row + np.array([tree.root_index[j] for j in lanes])
+    rows = np.where(parent == ROOT, root, tree.cond_row[parent])
+    q = evals.laws.mass.take(evals.law.take(stop), axis=0)
+    return *bounds, lanes, sample_corrections(q, tree.draft_table.take(rows, axis=0), block[stop + rejected + 1])
 
 
 def verify_vanilla(tree: DraftTree, evals: TreeEvals, rng: RngStream, lane: int = 0) -> VerifyOutcome:
@@ -579,11 +594,11 @@ def decode_lanes(
 
     `ar` samples the target directly. `vanilla` and `cascade` repeat
     draft/verify cycles, each emitting its accepted tokens plus a correction
-    on a rejection; a fully accepted cycle's deepest drafted token is never
-    emitted. A token's position is the length of the prefix before it,
-    which each gridded model reads on its own grid; `_check_decode` makes a
-    gridded target and drafter agree on it. A cycle costs a lane one target
-    pass and one drafter pass per drafted level.
+    on a rejection; a fully accepted cycle emits its whole path and draws no
+    extra token from the target. A token's position is the length of the
+    prefix before it, which each gridded model reads on its own grid;
+    `_check_decode` makes a gridded target and drafter agree on it. A cycle
+    costs a lane one target pass and one drafter pass per drafted level.
 
     The lanes run in lockstep: each cycle drafts one forest of every
     unfinished lane, deepest first when depths differ (so lanes nearing
@@ -601,16 +616,65 @@ def decode_lanes(
     outcome)` sees each lane's calls in order, a cycle's lanes in lane
     order, each with its correction drawn. A decode `_check_decode` refuses
     raises ConfigError before anything is drawn.
+
+    The cycles (`_decode_cycles`) keep one record each, and each lane's
+    `DecodeStats` is folded from them once, at the end (`_fold_stats`).
+    """
+    lanes, cycles = _decode_cycles(target, drafter, mode, mask, cfg, length, rngs, candidate_mode, on_outcome)
+    if mode == AR:
+        return [(tokens, DecodeStats(length, length)) for tokens in lanes]
+    return list(zip(lanes, _fold_stats(lanes, cycles)))
+
+
+# One lockstep cycle: the lanes it drafted, their depths, how many drafted tokens each
+# accepted, and (lane, mass) for each lane whose walk charged budget.
+_Cycle = tuple[Sequence[int], Sequence[int], list[int], Sequence[tuple[int, float]]]
+
+
+def _fold_stats(lanes: list[list[TokenId]], cycles: list[_Cycle]) -> list[DecodeStats]:
+    """Each lane's `DecodeStats` of a drafting decode, from its tokens and the cycle records.
+
+    Every drafted lane spends one target pass and one verification call per
+    cycle. Charged mass is added lane by lane in cycle order, with `+=` as
+    a lane decoded alone adds it, so `accumulated_tvd` keeps its bits on every
+    interpreter (Python 3.12's `sum` would compensate its rounding).
+    """
+    n = len(lanes)
+    calls, drafts, accepted, spent = [0] * n, [0] * n, [0] * n, [0.0] * n
+    for drafted, depths, counts, charged in cycles:
+        for k, depth, count in zip(drafted, depths, counts):
+            calls[k] += 1
+            drafts[k] += depth
+            accepted[k] += count
+        for k, mass in charged:
+            spent[k] += mass
+    return list(map(DecodeStats, map(len, lanes), calls, drafts, calls, accepted, spent))
+
+
+def _decode_cycles(
+    target: Target,
+    drafter: Drafter | None,
+    mode: str,
+    mask: TreeMask,
+    cfg: RelaxConfig,
+    length: int,
+    rngs: Sequence[RngStream],
+    candidate_mode: str,
+    on_outcome: Callable[[int, int, VerifyOutcome], None] | None,
+) -> tuple[list[list[TokenId]], list[_Cycle]]:
+    """`decode_lanes`' decode: each lane's tokens, and one `_Cycle` record per cycle (none under `ar`).
+
+    Every live lane is drafted on every cycle, so a lane's cycle number is the decode's.
     """
     _check_decode(target, drafter, mode, candidate_mode, length)
-    lanes = [([], DecodeStats()) for _ in rngs]
+    lanes: list[list[TokenId]] = [[] for _ in rngs]
+    cycles: list[_Cycle] = []
 
     if mode == AR:
-        for (tokens, stats), rng in zip(lanes, rngs):
+        for tokens, rng in zip(lanes, rngs):
             for _ in range(length):
                 tokens.append(target.evaluate(tokens).dist.sample(rng))
-            stats.target_calls = stats.tokens_emitted = length
-        return lanes
+        return lanes, cycles
 
     live = list(range(len(rngs)))
     depth = mask.depth
@@ -618,9 +682,11 @@ def decode_lanes(
     most = [1 + reach for reach in accumulate(mask.widths, initial=0)]
     # Chain forests decode in one pass when nothing reads their decisions.
     chains = on_outcome is None and set(mask.widths) == {1}
+    # A lane with more than `cut` tokens drafts only up to its end.
+    cut = length - depth
     while live:
-        prefixes = [lanes[k][0] for k in live]
-        depths = [min(depth, length - len(p)) for p in prefixes]
+        prefixes = [lanes[k] for k in live]
+        depths = [length - n if n > cut else depth for n in map(len, prefixes)]
         drafted = live
         if depths.count(depths[0]) != len(depths):
             # Deepest first, so the forests of lanes nearing their ends repeat a few shapes.
@@ -632,20 +698,21 @@ def decode_lanes(
         sets = build_sets(tree, evals, cfg) if mode == CASCADE else None
         need = [most[d] for d in depths]
         blocked = sum(need) >= _BLOCK_MIN
-        # Each rejecting walk's kept correction, and its lane (with its outcome when a sink reads it).
-        pending, corrected, seen = [], [], []
         if blocked and chains and (sets is None or sets.donors is None):
-            accepted, rejected, pending = _walk_chains(tree, evals, streams, need)
-            for j, k in enumerate(drafted):
-                tokens, stats = lanes[k]
-                stats.verify_calls += 1
-                stats.target_calls += 1
-                stats.drafter_calls += depths[j]
-                stats.accepted_draft_tokens += len(accepted[j])
-                # No donors, so no budget spent: `accumulated_tvd` stays as it is.
-                tokens.extend(accepted[j])
-            corrected = [(drafted[j], None) for j in rejected]
+            starts, ends, rejected, drawn = _walk_chains(tree, evals, streams, need)
+            tokens = tree.tokens
+            # `prefixes` holds the drafted lanes' own token lists, in drafting order.
+            for lane, lo, hi in zip(prefixes, starts, ends):
+                lane += tokens[lo:hi]
+            for j, token in zip(rejected, drawn):
+                prefixes[j].append(token)
+            # No donors, so no budget charged.
+            cycles.append((drafted, depths, list(map(sub, ends, starts)), ()))
         else:
+            cycle = len(cycles)
+            counts, charged = [], []
+            # Each rejecting walk's kept correction, and its lane (with its outcome when a sink reads it).
+            pending, corrected, seen = [], [], []
             block = peek_reals(streams, need).tolist() if blocked else None
             end = 0
             for j, k in enumerate(drafted):
@@ -662,14 +729,10 @@ def decode_lanes(
                 if block is not None:
                     # The stream moves past the uniforms its walk read.
                     rngs[k].counter += len(outcome._decisions) + (outcome._pending is not None)
-                tokens, stats = lanes[k]
-                cycle = stats.verify_calls
-                stats.verify_calls += 1
-                stats.target_calls += 1
-                stats.drafter_calls += depths[j]
-                stats.accepted_draft_tokens += len(outcome.accepted_tokens)
-                stats.accumulated_tvd += outcome.tvd_consumed
-                tokens.extend(outcome.accepted_tokens)
+                counts.append(len(outcome.accepted_tokens))
+                if outcome.tvd_consumed:
+                    charged.append((k, outcome.tvd_consumed))
+                lanes[k].extend(outcome.accepted_tokens)
                 if outcome._pending is not None:
                     pending.append(outcome._pending)
                     corrected.append((k, outcome if on_outcome is not None else None))
@@ -678,23 +741,23 @@ def decode_lanes(
                     # but guards against infinite loops on empty instantiations.
                     raise RuntimeError("verification cycle emitted no tokens")
                 if on_outcome is not None:
-                    seen.append((k, cycle, outcome))
-        if pending:
-            drawn = _draw_corrections(evals.laws, evals.law, pending)
-            for (k, outcome), token in zip(corrected, drawn):
-                lanes[k][0].append(token)
-                if outcome is not None:
-                    outcome._correction, outcome._pending = token, None
-        seen.sort(key=itemgetter(0))
-        for k, cycle, outcome in seen:
-            on_outcome(k, cycle, outcome)
-        # Free this cycle's forest, laws, sets and walks before the next forest is drafted.
-        del tree, evals, sets, pending, corrected, seen
-        block = outcome = None
-        live = [k for k in live if len(lanes[k][0]) < length]
-    for tokens, stats in lanes:
-        stats.tokens_emitted = len(tokens)
-    return lanes
+                    seen.append((k, outcome))
+            if pending:
+                drawn = _draw_corrections(evals.laws, evals.law, pending)
+                for (k, outcome), token in zip(corrected, drawn):
+                    lanes[k].append(token)
+                    if outcome is not None:
+                        outcome._correction, outcome._pending = token, None
+            cycles.append((drafted, depths, counts, charged))
+            seen.sort(key=itemgetter(0))
+            for k, outcome in seen:
+                on_outcome(k, cycle, outcome)
+            del pending, corrected, seen
+            block = outcome = None
+        # Free this cycle's forest, laws and sets before the next forest is drafted.
+        del tree, evals, sets
+        live = [k for k in live if len(lanes[k]) < length]
+    return lanes, cycles
 
 
 def decode_sequence(

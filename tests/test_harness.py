@@ -189,6 +189,37 @@ def test_mc_oracle_result_does_not_depend_on_the_lane_block(monkeypatch, tabular
     assert mc_distribution_test(*args, base_seed=9) == whole
 
 
+@pytest.mark.parametrize("samples", [1, 511, 513, 1200])
+@pytest.mark.parametrize("mask", ["1,1,1", "2,2"])
+@pytest.mark.parametrize("mode", ["vanilla", "cascade"])
+def test_mc_oracle_counts_the_tokens_decode_lanes_emits_and_folds_no_stats(
+    monkeypatch, tabular_v4, tabular_v4_drafter, mode, mask, samples
+):
+    import specrelax.verify as verify_mod
+
+    built = []
+    stats_type = verify_mod.DecodeStats
+    monkeypatch.setattr(verify_mod, "DecodeStats", lambda *args: built.append(args) or stats_type(*args))
+    mask, base_seed = TreeMask.parse(mask), 5
+    distance, passed = mc_distribution_test(
+        tabular_v4, tabular_v4_drafter, mode, samples, 3, mask=mask, base_seed=base_seed
+    )
+    assert built == []
+    # The reference: every sample's tokens from one `decode_lanes` call, one tuple per sample.
+    lanes = decode_lanes(
+        tabular_v4, tabular_v4_drafter, mode, mask, RelaxConfig(), 3, derive_streams(base_seed, 0, samples),
+        candidate_mode=STOCHASTIC,
+    )
+    assert len(built) == samples
+    counts = {}
+    for tokens, _ in lanes:
+        counts[tuple(tokens)] = counts.get(tuple(tokens), 0) + 1
+    exact = exact_sequence_law(tabular_v4, None, "ar", mask, RelaxConfig(), 3)
+    expected = law_tvd(exact, {key: n / samples for key, n in counts.items()})
+    assert distance.hex() == expected.hex()
+    assert passed == (expected <= 3.0 * math.sqrt(4**3 / samples))
+
+
 def test_mc_cascade_records_distance_without_pass_requirement(gridworld):
     from specrelax import LinearDrafter
 

@@ -3,6 +3,7 @@ the scalar per-node drafter that forest drafting replaced."""
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from itertools import combinations_with_replacement
 from operator import itemgetter
@@ -27,7 +28,7 @@ from specrelax import (
 )
 from specrelax.core import UnknownWindow
 from specrelax.tree import EXHAUSTION_FLOOR, ROOT, STOCHASTIC, TOPK, _draw_steps
-from specrelax.verify import TraceRecord
+from specrelax.verify import DecodeStats, TraceRecord
 
 from conftest import FixedDrafter, tree_depth, tree_level
 
@@ -940,6 +941,105 @@ def test_one_lane_small_sinked_and_donor_decodes_take_the_per_lane_walk(chain_wa
     chain_walks.clear()
     _decode_chains(target, drafter, "vanilla", TreeMask((2, 1)), RelaxConfig(), 3, 500, STOCHASTIC, None)
     assert chain_walks == []
+
+
+# --- stats folded once per decode ----------------------------------------------------
+
+
+@pytest.mark.parametrize("lanes", [1, 20])
+def test_a_fully_accepted_cycle_emits_its_whole_path_and_draws_no_target_token(chain_walks, lanes):
+    # The target as its own stochastic drafter: q/p is 1 at every node, so every node is accepted.
+    target = random_tabular_model(4, 1, seed=11)
+    chain = TreeMask.chain(3)
+    seen = []
+
+    def sink(lane, cycle, outcome):
+        seen.append((lane, outcome.accepted_tokens, outcome.correction_token, outcome.emitted_tokens))
+
+    for on_outcome in (None, sink):
+        rngs = [RngStream(300 + k) for k in range(lanes)]
+        results = decode_lanes(target, target, "vanilla", chain, RelaxConfig(), 6, rngs, STOCHASTIC, on_outcome)
+        expected = DecodeStats(
+            tokens_emitted=6, target_calls=2, drafter_calls=6, verify_calls=2, accepted_draft_tokens=6
+        )
+        assert [stats for _, stats in results] == [expected] * lanes
+        # Two cycles of three drafting and three walk uniforms each, and never one for a correction.
+        assert [rng.counter for rng in rngs] == [12] * lanes
+    # 20 lanes of 4 uniforms reach the block crossover: without a sink they take the batched walk.
+    assert (chain_walks != []) == (lanes == 20)
+    assert len(seen) == 2 * lanes
+    for k, (tokens, _) in enumerate(results):
+        calls = [(accepted, correction, emitted) for lane, accepted, correction, emitted in seen if lane == k]
+        assert [correction for _, correction, _ in calls] == [None, None]
+        assert all(len(accepted) == 3 and emitted == accepted for accepted, _, emitted in calls)
+        assert calls[0][0] + calls[1][0] == tokens
+
+
+# (target, drafter, mode, mask, relaxation, length, lanes, candidate mode) of each fold case. Every case
+# mixes lane depths on some cycle; all but one have lanes that finish on different cycles.
+FOLD_CASES = {
+    # Budget charged over several cycles.
+    "grid-cascade": lambda trained: (
+        GridWorldModel.default(feature_jitter=0.05), LinearDrafter.zeros(32, 8), "cascade",
+        TreeMask.default(), RelaxConfig(), 30, 6, TOPK,
+    ),
+    # Every lane finishes on cycle 9.
+    "grid-cascade-trained": lambda trained: (
+        GridWorldModel.default(feature_jitter=0.05), trained, "cascade", TreeMask((3, 2, 1)), RelaxConfig(), 25, 8,
+        STOCHASTIC,
+    ),
+    "tabular-cascade-tree": lambda trained: (
+        *_tabular_chain()[:2], "cascade", TreeMask((2, 2, 1)), RelaxConfig(), 11, 40, STOCHASTIC,
+    ),
+    # Many chain lanes: the batched walk.
+    "tabular-chain-batched": lambda trained: (
+        *_tabular_chain()[:2], "vanilla", TreeMask.chain(3), RelaxConfig(), 7, 200, STOCHASTIC,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FOLD_CASES))
+def test_folded_stats_equal_one_lane_decodes_field_by_field(monkeypatch, chain_walks, case, grid_drafter):
+    import specrelax.verify as verify_mod
+
+    target, drafter, mode, mask, cfg, length, lanes, candidate_mode = FOLD_CASES[case](grid_drafter)
+    depths = []
+    draft = verify_mod.sample_draft_tree
+    monkeypatch.setattr(
+        verify_mod, "sample_draft_tree", lambda *args, **kwargs: depths.append(list(args[3])) or draft(*args, **kwargs)
+    )
+    rngs = [RngStream(500 + k) for k in range(lanes)]
+    results = decode_lanes(target, drafter, mode, mask, cfg, length, rngs, candidate_mode=candidate_mode)
+    assert any(len(set(cycle)) > 1 for cycle in depths), "no cycle mixes lane depths"
+    finished = {stats.verify_calls for _, stats in results}
+    assert (len(finished) > 1) == (case != "grid-cascade-trained")
+    assert (chain_walks != []) == (case == "tabular-chain-batched")
+    charging = []
+    for k, (tokens, stats) in enumerate(results):
+        # The reference counts each call of a one-lane decode of the same stream as it is seen.
+        rng, expected, charged = RngStream(500 + k), DecodeStats(), []
+
+        def count(cycle, outcome):
+            expected.drafter_calls += min(mask.depth, length - expected.tokens_emitted)
+            expected.tokens_emitted += len(outcome.emitted_tokens)
+            expected.target_calls += 1
+            expected.verify_calls += 1
+            expected.accepted_draft_tokens += outcome.alpha
+            expected.accumulated_tvd += outcome.tvd_consumed
+            charged.append(outcome.tvd_consumed > 0.0)
+
+        alone, alone_stats = decode_sequence(
+            target, drafter, mode, mask, cfg, length, rng, candidate_mode=candidate_mode, on_outcome=count
+        )
+        assert tokens == alone
+        assert rng.counter == rngs[k].counter
+        for field in dataclasses.fields(DecodeStats):
+            assert getattr(stats, field.name) == getattr(expected, field.name), field.name
+            assert getattr(alone_stats, field.name) == getattr(expected, field.name), field.name
+        assert stats.accumulated_tvd.hex() == alone_stats.accumulated_tvd.hex() == expected.accumulated_tvd.hex()
+        charging.append(sum(charged))
+    if mode == "cascade":
+        assert max(charging) >= 2, "no lane charges budget on two cycles"
 
 
 # --- no state outlives a decode ----------------------------------------------------

@@ -72,7 +72,7 @@ def manual_tree(level_specs, root_dist, prefix=(), child_dists=None):
         [tuple(prefix)], [tuple(prefix)], [0], layout,
         np.array([token for token, _, _ in nodes], dtype=np.intp),
         np.array([prob for _, prob, _ in nodes], dtype=np.float64),
-        table, growing,
+        table, growing, np.array([len(prefix)]),
     )
 
 
@@ -91,7 +91,8 @@ def manual_evals(tree, root_dist, node_specs):
     laws, root_law = LawTable.stack([d for d, _ in node_specs]).rows_of([root_dist])
     law = np.append(np.arange(len(node_specs)), root_law).take(tree.judge)
     q = laws.mass[law, tree.token]
-    return TreeEvals(laws, law, q.tolist(), np.minimum(q / tree.prob, 1.0).tolist(), features, norms)
+    threshold = np.minimum(q / tree.prob, 1.0)
+    return TreeEvals(laws, law, q.tolist(), threshold.tolist(), features, norms, threshold)
 
 
 def node_features(evals):
