@@ -116,7 +116,7 @@ class DraftTree:
         self,
         prefixes: list[tuple[TokenId, ...]],
         root_prefixes: list[tuple[TokenId, ...]],
-        root_index: list[int],
+        root_index: np.ndarray,
         layout: _Skeleton,
         token: np.ndarray,
         prob: np.ndarray,
@@ -519,7 +519,7 @@ def sample_draft_tree(
     prefixes = list(map(tuple, prefixes))
     # Each prefix is hashed once: its root group, numbered in order of first use.
     groups: dict[tuple[TokenId, ...], int] = {}
-    root_index = [groups.setdefault(p, len(groups)) for p in prefixes]
+    root_index = np.array([groups.setdefault(p, len(groups)) for p in prefixes])
     root_prefixes = list(groups)
     depths = tuple(depths)
     if not len(prefixes) == len(depths) == len(rngs) > 0:

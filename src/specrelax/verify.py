@@ -13,14 +13,14 @@ total-variation budget.
 Each lane's tree is walked on its own by `_run_verification`, except in one
 case: a cycle of width-1 chains without donors whose decisions nobody reads
 is decided for every lane at once by `_walk_chains`, which reads the same
-uniforms and thresholds and so gives the same tokens, and draws its
-rejecting lanes' corrections in one pass.
+uniforms and thresholds and so gives the same tokens. Either walk only
+names its rejected levels; `_draw_corrections` is the one place a rejected
+level becomes a correction token, for every rejecting lane of a cycle in
+one pass.
 
-A many-lane decode keeps its bookkeeping per cycle, not per lane: the
-decode loop (`_decode_cycles`) extends each lane's tokens and appends one
-record per cycle, and `decode_lanes` folds each lane's `DecodeStats` from
-the records once, at the end. The Monte Carlo oracle reads the tokens
-alone and folds nothing.
+A many-lane decode (`_decode_cycles`) keeps one record per cycle, and
+`decode_lanes` folds each lane's `DecodeStats` from the records once, at
+the end. The Monte Carlo oracle reads the tokens alone and folds nothing.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .core import (
     sample_corrections,
 )
 from .models import Drafter, LawTable, Target, _decode_side
-from .tree import CANDIDATE_MODES, ROOT, DraftTree, ForestPairs, TOPK, TreeMask, sample_draft_tree
+from .tree import CANDIDATE_MODES, DraftTree, ForestPairs, TOPK, TreeMask, sample_draft_tree
 
 AR = "ar"
 VANILLA = "vanilla"
@@ -312,13 +312,14 @@ class VerifyOutcome:
     with its node id in place of its target law. `trace` builds the
     records on first read and keeps them, and `trace_lines` formats the
     tuples directly, so a decode whose decisions nobody reads builds no
-    records. A rejection keeps its uniform instead of a token: `decode_lanes`
-    draws every lane's correction of a cycle in one pass, and otherwise the
-    first read of `correction_token` draws this one the same way.
+    records. A rejection keeps its node and uniform instead of a token:
+    `decode_lanes` draws every lane's correction of a cycle in one
+    `_draw_corrections` pass, and otherwise the first read of
+    `correction_token` draws this one alone.
     """
 
     __slots__ = (
-        "accepted_tokens", "tvd_consumed", "_correction", "_pending", "_decisions", "_laws", "_law", "_trace",
+        "accepted_tokens", "tvd_consumed", "_correction", "_pending", "_decisions", "_tree", "_evals", "_trace",
     )
 
     def __init__(
@@ -326,32 +327,32 @@ class VerifyOutcome:
         accepted_tokens: list[TokenId],
         tvd_consumed: float,
         decisions: list[tuple],
-        laws: LawTable,
-        law: np.ndarray,
-        pending: tuple[DraftTree, int, int, float] | None = None,
+        tree: DraftTree,
+        evals: TreeEvals,
+        pending: tuple[int, float] | None = None,
     ) -> None:
         self.accepted_tokens = accepted_tokens
         self.tvd_consumed = tvd_consumed
         self._correction: TokenId | None = None
-        # (forest, rejected node, drafter law id, uniform) of a correction not yet drawn.
+        # (last rejected node, uniform) of a correction not yet drawn.
         self._pending = pending
         self._decisions = decisions
-        # The forest's law table, and each node's law id (`TreeEvals.law`).
-        self._laws = laws
-        self._law = law
+        self._tree = tree
+        self._evals = evals
         self._trace: list[TraceRecord] | None = None
 
     @property
     def correction_token(self) -> TokenId | None:
         if self._pending is not None:
-            (self._correction,) = _draw_corrections(self._laws, self._law, [self._pending])
+            node, uniform = self._pending
+            (self._correction,) = _draw_corrections(self._tree, self._evals, [node], [uniform])
             self._pending = None
         return self._correction
 
     @property
     def trace(self) -> list[TraceRecord]:
         if self._trace is None:
-            dists, law = self._laws.dists, self._law
+            dists, law = self._evals.laws.dists, self._evals.law
             self._trace = [TraceRecord._make((*d[:10], dists[law[d[10]]], d[11])) for d in self._decisions]
         return self._trace
 
@@ -371,21 +372,21 @@ class VerifyOutcome:
         return list(self.accepted_tokens) + [correction]
 
 
-def _draw_corrections(laws: LawTable, law: np.ndarray, pending: Sequence[tuple]) -> list[TokenId]:
-    """Draw the pending corrections of one forest's walks in one residual pass.
+def _draw_corrections(
+    tree: DraftTree, evals: TreeEvals, nodes: Sequence[int], uniforms: Sequence[float]
+) -> list[TokenId]:
+    """The correction of each rejected level of the forest `tree`, all in one residual pass.
 
-    Row j is walk j's level law minus the drafter row its level was drawn
-    from; `sample_corrections` draws each from its own kept uniform.
+    Walk j rejected every sibling of the level holding node `nodes[j]`. Its
+    correction stays exactly target-shaped: the unrelaxed level law `q`
+    minus the drafter row `p` the level was drawn from, or `q` itself when
+    `p` covers it, drawn with `uniforms[j]`.
     """
-    trees, nodes, p_laws, uniforms = zip(*pending)
-    q = laws.mass.take(law.take(nodes), axis=0)
-    p = trees[0].draft_table.take(p_laws, axis=0)
-    return sample_corrections(q, p, np.array(uniforms))
-
-
-def _drawn_row(tree: DraftTree, lane: int, parent: int) -> int:
-    """The drafter row lane `lane`'s level under `parent` was drawn from: its root row on level 1."""
-    return tree.root_row + tree.root_index[lane] if parent == ROOT else int(tree.cond_row[parent])
+    # The level's drafter row, found through `judge` as its law is: the parent's `cond_row`,
+    # or its lane's root row on level 1.
+    rows = np.concatenate((tree.cond_row, tree.root_row + tree.root_index)).take(tree.judge.take(nodes))
+    q = evals.laws.mass.take(evals.law.take(nodes), axis=0)
+    return sample_corrections(q, tree.draft_table.take(rows, axis=0), np.asarray(uniforms))
 
 
 class _Uniforms:
@@ -433,11 +434,9 @@ def _run_verification(
     # Walk down the accepted path: each level offers the children of the
     # last accepted node (the lane's level 1 first).
     level = 1
-    node = ROOT
     starts = tree.level_starts[lane]
     siblings = range(starts[0], starts[1])
     while siblings:
-        parent = node
         for sibling_idx, node in enumerate(siblings):
             r = rng.next_real()
             if off is None or off[2 * node] == off[2 * node + 2]:
@@ -462,19 +461,15 @@ def _run_verification(
         siblings = children[node]
         level += 1
     else:
-        return VerifyOutcome(accepted, budget_used, decisions, evals.laws, evals.law)
+        return VerifyOutcome(accepted, budget_used, decisions, tree, evals)
 
-    # Every sibling rejected. The correction stays exactly target-shaped: the
-    # unrelaxed level law minus the drafter row the level was drawn from, or
-    # the level law itself when p covers q. Its uniform is drawn now, and its
-    # token once per cycle for every lane.
-    pending = (tree, node, _drawn_row(tree, lane, parent), rng.next_real())
-    return VerifyOutcome(accepted, budget_used, decisions, evals.laws, evals.law, pending)
+    # Every sibling rejected: the correction's uniform is drawn now, its token by `_draw_corrections`.
+    return VerifyOutcome(accepted, budget_used, decisions, tree, evals, (node, rng.next_real()))
 
 
 def _walk_chains(
     tree: DraftTree, evals: TreeEvals, streams: Sequence[RngStream], need: Sequence[int]
-) -> tuple[list[int], list[int], list[int], list[TokenId]]:
+) -> tuple[list[int], list[int], np.ndarray, list[int], np.ndarray]:
     """Walk every lane of a width-1 forest without donors at once, on one `peek_reals` block.
 
     Lane j's slice of the block holds `need[j]` uniforms: one per node, then
@@ -482,8 +477,9 @@ def _walk_chains(
     against its gathered threshold, as `_run_verification` decides it, and
     the lane accepts up to its first reject. Each stream moves past exactly
     the uniforms its walk read. Returns where each lane's nodes start and
-    where its accepted ones end, the rejecting lanes, and their corrections,
-    drawn in one residual pass as `_draw_corrections` draws them.
+    where its accepted ones end, then the rejecting lanes' rejected nodes,
+    the lanes themselves and their corrections' uniforms; the nodes and
+    uniforms stay arrays, as `_draw_corrections` takes them.
     """
     block = peek_reals(streams, need)
     n = len(tree.lane)
@@ -497,17 +493,9 @@ def _walk_chains(
     ends = np.where(rejects, stops, np.append(first[1:], n))
     for rng, moved in zip(streams, (ends - first + 2 * rejects).tolist()):
         rng.counter += moved
-    bounds = first.tolist(), ends.tolist()
-    rejected = np.flatnonzero(rejects)
-    if not len(rejected):
-        return *bounds, [], []
-    lanes, stop = rejected.tolist(), stops[rejected]
-    parent = tree.parent[stop]
-    # `_drawn_row` of each rejected node: its lane's root row on level 1, else its parent's row.
-    root = tree.root_row + np.array([tree.root_index[j] for j in lanes])
-    rows = np.where(parent == ROOT, root, tree.cond_row[parent])
-    q = evals.laws.mass.take(evals.law.take(stop), axis=0)
-    return *bounds, lanes, sample_corrections(q, tree.draft_table.take(rows, axis=0), block[stop + rejected + 1])
+    lanes = np.flatnonzero(rejects)
+    nodes = stops[lanes]
+    return first.tolist(), ends.tolist(), nodes, lanes.tolist(), block[nodes + lanes + 1]
 
 
 def verify_vanilla(tree: DraftTree, evals: TreeEvals, rng: RngStream, lane: int = 0) -> VerifyOutcome:
@@ -603,23 +591,23 @@ def decode_lanes(
     The lanes run in lockstep: each cycle drafts one forest of every
     unfinished lane, deepest first when depths differ (so lanes nearing
     their ends repeat a few cached shapes), with one target pass and one
-    similarity pass; each lane's tree is then walked, and every correction
-    drawn in one residual pass. The walks read one `peek_reals` block per
-    cycle, lane j's slice holding the most its walk can draw, `1 +
-    sum(mask.widths[:depth_j])`, and each stream then moves past the
-    uniforms its walk read; below `_BLOCK_MIN` uniforms a cycle walks each
-    lane on its own stream. A block cycle of width-1 chains with no donors
-    (`vanilla`, or `cascade` whose sets found none) and no `on_outcome`
-    decides every lane in one numpy pass (`_walk_chains`); every other
-    cycle walks lane by lane. Either way a lane's tokens, counters and
-    decisions are those of decoding it alone. `on_outcome(lane, cycle,
-    outcome)` sees each lane's calls in order, a cycle's lanes in lane
-    order, each with its correction drawn. A decode `_check_decode` refuses
-    raises ConfigError before anything is drawn.
+    similarity pass. The walks then read one `peek_reals` block per cycle,
+    or each lane's own stream below `_BLOCK_MIN` uniforms; a block cycle of
+    width-1 chains with no donors and no `on_outcome` is decided in one
+    numpy pass (`_walk_chains`). Whichever walk runs, `_draw_corrections`
+    draws every rejecting lane's correction of the cycle in one pass, and a
+    lane's tokens, counters and decisions are those of decoding it alone.
+    `on_outcome(lane, cycle, outcome)` sees each lane's calls in order, a
+    cycle's lanes in lane order, each with its correction drawn. Each lane's
+    `DecodeStats` is folded once, at the end, from one record per cycle
+    (`_fold_stats`).
 
-    The cycles (`_decode_cycles`) keep one record each, and each lane's
-    `DecodeStats` is folded from them once, at the end (`_fold_stats`).
+    A decode `_check_decode` refuses, or one that lists a stream object
+    twice (its lanes' draws would interleave), raises ConfigError before
+    anything is drawn.
     """
+    if len({id(rng) for rng in rngs}) != len(rngs):
+        raise ConfigError("each lane needs its own RngStream; a stream object is listed twice")
     lanes, cycles = _decode_cycles(target, drafter, mode, mask, cfg, length, rngs, candidate_mode, on_outcome)
     if mode == AR:
         return [(tokens, DecodeStats(length, length)) for tokens in lanes]
@@ -698,25 +686,23 @@ def _decode_cycles(
         sets = build_sets(tree, evals, cfg) if mode == CASCADE else None
         need = [most[d] for d in depths]
         blocked = sum(need) >= _BLOCK_MIN
+        # Each drafted lane's accepted tokens (and outcome, for a sink) and, for each rejecting
+        # lane j, its rejected node, j and its correction's uniform; all in drafting order.
+        outcomes: list[VerifyOutcome] = []
         if blocked and chains and (sets is None or sets.donors is None):
-            starts, ends, rejected, drawn = _walk_chains(tree, evals, streams, need)
+            starts, ends, nodes, rejected, uniforms = _walk_chains(tree, evals, streams, need)
             tokens = tree.tokens
-            # `prefixes` holds the drafted lanes' own token lists, in drafting order.
-            for lane, lo, hi in zip(prefixes, starts, ends):
-                lane += tokens[lo:hi]
-            for j, token in zip(rejected, drawn):
-                prefixes[j].append(token)
+            # Sliced only as the tail extends each lane: a cycle's worth of live slices
+            # would set off extra garbage collections.
+            accepted = (tokens[lo:hi] for lo, hi in zip(starts, ends))
+            counts = list(map(sub, ends, starts))
             # No donors, so no budget charged.
-            cycles.append((drafted, depths, list(map(sub, ends, starts)), ()))
+            charged = ()
         else:
-            cycle = len(cycles)
-            counts, charged = [], []
-            # Each rejecting walk's kept correction, and its lane (with its outcome when a sink reads it).
-            pending, corrected, seen = [], [], []
+            accepted, counts, charged, pending = [], [], [], []
             block = peek_reals(streams, need).tolist() if blocked else None
             end = 0
-            for j, k in enumerate(drafted):
-                rng = rngs[k]
+            for j, rng in enumerate(streams):
                 if block is not None:
                     # Built lane by lane and freed after its walk: a whole cycle of live
                     # readers would set off extra garbage collections.
@@ -728,34 +714,36 @@ def _decode_cycles(
                     outcome = verify_vanilla(tree, evals, rng, lane=j)
                 if block is not None:
                     # The stream moves past the uniforms its walk read.
-                    rngs[k].counter += len(outcome._decisions) + (outcome._pending is not None)
+                    streams[j].counter += len(outcome._decisions) + (outcome._pending is not None)
+                accepted.append(outcome.accepted_tokens)
                 counts.append(len(outcome.accepted_tokens))
                 if outcome.tvd_consumed:
-                    charged.append((k, outcome.tvd_consumed))
-                lanes[k].extend(outcome.accepted_tokens)
+                    charged.append((drafted[j], outcome.tvd_consumed))
                 if outcome._pending is not None:
-                    pending.append(outcome._pending)
-                    corrected.append((k, outcome if on_outcome is not None else None))
+                    pending.append((j, *outcome._pending))
                 elif not outcome.accepted_tokens:
                     # Unreachable for sane trees (a rejection always emits a correction),
                     # but guards against infinite loops on empty instantiations.
                     raise RuntimeError("verification cycle emitted no tokens")
                 if on_outcome is not None:
-                    seen.append((k, outcome))
-            if pending:
-                drawn = _draw_corrections(evals.laws, evals.law, pending)
-                for (k, outcome), token in zip(corrected, drawn):
-                    lanes[k].append(token)
-                    if outcome is not None:
-                        outcome._correction, outcome._pending = token, None
-            cycles.append((drafted, depths, counts, charged))
-            seen.sort(key=itemgetter(0))
-            for k, outcome in seen:
-                on_outcome(k, cycle, outcome)
-            del pending, corrected, seen
+                    outcomes.append(outcome)
+            rejected, nodes, uniforms = zip(*pending) if pending else ((), (), ())
             block = outcome = None
-        # Free this cycle's forest, laws and sets before the next forest is drafted.
-        del tree, evals, sets
+        # `prefixes` holds the drafted lanes' own token lists, in drafting order.
+        for prefix, kept in zip(prefixes, accepted):
+            prefix += kept
+        if len(rejected):
+            for j, token in zip(rejected, _draw_corrections(tree, evals, nodes, uniforms)):
+                prefixes[j].append(token)
+                if outcomes:
+                    outcomes[j]._correction, outcomes[j]._pending = token, None
+        cycle = len(cycles)
+        cycles.append((drafted, depths, counts, charged))
+        if on_outcome is not None:
+            for j in sorted(range(len(drafted)), key=drafted.__getitem__):
+                on_outcome(drafted[j], cycle, outcomes[j])
+        # Free this cycle's forest, laws, sets and outcomes before the next forest is drafted.
+        del tree, evals, sets, outcomes
         live = [k for k in live if len(lanes[k]) < length]
     return lanes, cycles
 

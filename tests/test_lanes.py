@@ -26,7 +26,7 @@ from specrelax import (
     sample_draft_tree,
     tempered_table_drafter,
 )
-from specrelax.core import UnknownWindow
+from specrelax.core import ConfigError, UnknownWindow
 from specrelax.tree import EXHAUSTION_FLOOR, ROOT, STOCHASTIC, TOPK, _draw_steps
 from specrelax.verify import DecodeStats, TraceRecord
 
@@ -731,15 +731,18 @@ def test_a_standalone_outcome_draws_its_correction_on_read_from_the_uniform_it_k
         assert (relaxed > 20) == (mode == "cascade")
 
 
-def test_lanes_draw_every_correction_of_a_cycle_in_one_pass(monkeypatch):
+@pytest.mark.parametrize("sinked", [True, False], ids=["sink", "no sink"])
+def test_lanes_draw_every_correction_of_a_cycle_in_one_pass(monkeypatch, chain_walks, sinked):
     import specrelax.core as core_mod
     import specrelax.verify as verify_mod
 
-    passes, per_lane = [], []
+    # Each cycle drafts one forest ("tree"); each correction pass logs its rows.
+    events, per_lane = [], []
     real = verify_mod.sample_corrections
+    draft = verify_mod.sample_draft_tree
 
     def counting_pass(q, p, r):
-        passes.append(len(r))
+        events.append(len(r))
         return real(q, p, r)
 
     def counting(name, fn):
@@ -749,6 +752,7 @@ def test_lanes_draw_every_correction_of_a_cycle_in_one_pass(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(verify_mod, "sample_corrections", counting_pass)
+    monkeypatch.setattr(verify_mod, "sample_draft_tree", lambda *a, **kw: events.append("tree") or draft(*a, **kw))
     monkeypatch.setattr(core_mod, "residual_dist", counting("residual_dist", core_mod.residual_dist))
     monkeypatch.setattr(ProbDist, "sample", counting("sample", ProbDist.sample))
     target = random_tabular_model(4, 1, seed=11)
@@ -761,19 +765,28 @@ def test_lanes_draw_every_correction_of_a_cycle_in_one_pass(monkeypatch):
     rngs = [RngStream(100 + k) for k in range(64)]
     lanes = decode_lanes(
         target, drafter, "vanilla", TreeMask.chain(3), RelaxConfig(), 6, rngs,
-        candidate_mode=STOCHASTIC, on_outcome=record,
+        candidate_mode=STOCHASTIC, on_outcome=record if sinked else None,
     )
     assert per_lane == []
-    # One pass per cycle that rejected somewhere, one row per rejecting lane.
-    cycles = sorted({cycle for cycle, *_ in seen})
-    corrections = [sum(corrected for cycle, _, _, corrected in seen if cycle == c) for c in cycles]
-    assert passes == [n for n in corrections if n] and sum(passes) > 20
-    # Each lane's outcomes arrive in lane order within a cycle, their corrections drawn.
-    for c in cycles:
-        order = [lane for cycle, lane, _, _ in seen if cycle == c]
-        assert order == sorted(order)
-    for lane, (tokens, _) in enumerate(lanes):
-        assert [t for cycle, k, emitted, _ in seen if k == lane for t in emitted] == tokens
+    # Nothing reads a chain forest's decisions without a sink, so its block cycles skip the per-lane walks.
+    assert bool(chain_walks) != sinked
+    # At most one pass per cycle, each with a row per correction: one pass per rejecting cycle.
+    per_cycle = "".join("t" if e == "tree" else "p" for e in events)
+    assert "pp" not in per_cycle and not per_cycle.startswith("p")
+    passes = [e for e in events if e != "tree"]
+    assert all(passes) and sum(passes) > 20
+    assert sum(passes) == sum(stats.tokens_emitted - stats.accepted_draft_tokens for _, stats in lanes)
+    if sinked:
+        # One row per rejecting lane of its cycle.
+        cycles = sorted({cycle for cycle, *_ in seen})
+        corrections = [sum(corrected for cycle, _, _, corrected in seen if cycle == c) for c in cycles]
+        assert passes == [n for n in corrections if n]
+        # Each lane's outcomes arrive in lane order within a cycle, their corrections drawn.
+        for c in cycles:
+            order = [lane for cycle, lane, _, _ in seen if cycle == c]
+            assert order == sorted(order)
+        for lane, (tokens, _) in enumerate(lanes):
+            assert [t for cycle, k, emitted, _ in seen if k == lane for t in emitted] == tokens
     # The same tokens as one-lane decodes, whose corrections are drawn on read.
     monkeypatch.setattr(verify_mod, "sample_corrections", real)
     for k in (0, 17, 63):
@@ -782,6 +795,19 @@ def test_lanes_draw_every_correction_of_a_cycle_in_one_pass(monkeypatch):
             candidate_mode=STOCHASTIC,
         )
         assert alone == lanes[k][0]
+
+
+@pytest.mark.parametrize("mode", ["ar", "vanilla"])
+def test_a_stream_listed_twice_is_refused_before_any_draw(mode):
+    # Two lanes on one stream would interleave their draws, so the tokens would hang on
+    # how the lanes' walks are scheduled.
+    rng, other = RngStream(5), RngStream(6)
+    with pytest.raises(ConfigError, match="listed twice"):
+        decode_lanes(
+            GridWorldModel.default(), LinearDrafter.zeros(32, 8), mode, TreeMask.default(), RelaxConfig(), 16,
+            [rng, other, rng], candidate_mode=STOCHASTIC,
+        )
+    assert rng.counter == other.counter == 0
 
 
 # --- verification uniforms from one block per cycle ---------------------------------

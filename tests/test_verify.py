@@ -69,7 +69,7 @@ def manual_tree(level_specs, root_dist, prefix=(), child_dists=None):
     growing = len(nodes) - len(level_specs[-1])
     table = np.array([(child_dists or {}).get(node, root_dist).mass for node in range(growing)] + [root_dist.mass])
     return DraftTree(
-        [tuple(prefix)], [tuple(prefix)], [0], layout,
+        [tuple(prefix)], [tuple(prefix)], np.array([0]), layout,
         np.array([token for token, _, _ in nodes], dtype=np.intp),
         np.array([prob for _, prob, _ in nodes], dtype=np.float64),
         table, growing, np.array([len(prefix)]),
