@@ -343,6 +343,8 @@ class GridWorldModel:
             raise ConfigError("in_cluster_mass must lie in (0, 1)")
         if not 0.0 <= feature_jitter <= 0.05:
             raise ConfigError("feature_jitter must lie in [0, 0.05]")
+        if not math.isfinite(feature_mix):
+            raise ConfigError("feature_mix must be finite")
         self.side = side
         self.grid_side: int | None = side
         self.vocab = vocab

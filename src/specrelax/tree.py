@@ -84,37 +84,34 @@ ROOT = -1  # parent index of level-1 nodes
 class DraftTree:
     """A draft forest: one speculation tree per lane, as flat per-node arrays.
 
-    Lane k extends `prefixes[k]`; lanes with equal prefixes share one root,
-    `root_prefixes[root_index[k]]`, listed in order of first use. Node ids
-    count from 0, lane-major and level-major within a lane: lane k's level l
-    (1-based) is `level_starts[k][l-1] .. level_starts[k][l]-1`, and each
-    node's children are one contiguous id range, in drafting order.
+    Lane k extends its root's prefix, `root_prefixes[root_index[k]]`; lanes
+    with equal prefixes share one root, listed in order of first use. Node
+    ids count from 0, lane-major and level-major within a lane: lane k's
+    level l (1-based) is `level_starts[k][l-1] .. level_starts[k][l]-1`, and
+    each node's children are one contiguous id range, in drafting order.
 
     Node i holds `token[i]` and its drafter probability `prob[i]` (also the
     lists `tokens` and `probs`), `lane[i]`, `level[i]` (its path's drafted
-    tokens), `parent[i]` (`ROOT` on level 1) and `children[i]`. Its position
-    is its path's length, `index[i]` (its lane's `prefix_len` plus its
-    level): the sequence index of the token after it. A path is read on
-    demand, `path(i)` whole or `tail(k, nodes)` the last k tokens of
-    several. Node i's children were drawn from row
-    `cond_row[i]` of `draft_table` (-1 on its lane's deepest level), and lane
-    k's level 1 from row `root_row + root_index[k]`. `judge[i]` indexes
-    per-node values followed by per-lane ones: node i's parent, or
-    `len(nodes) + k` on level 1 of lane k.
+    tokens), `parent[i]` (`ROOT` on level 1) and `children[i]`. `index[i]`,
+    its path's length, is the sequence index of the token after it. Node
+    i's children were drawn from row `cond_row[i]` of `draft_table` (-1 on
+    its lane's deepest level), and lane k's level 1 from row
+    `root_row + root_index[k]`. `judge[i]` indexes per-node values followed
+    by per-lane ones: node i's parent, or `len(nodes) + k` on level 1 of
+    lane k.
 
-    All but the prefixes and the drawn arrays come from the shape's shared
+    All but the roots and the drawn arrays come from the shape's shared
     `_Skeleton` layout, whose pairs `pairs()` indexes once.
     """
 
     __slots__ = (
-        "prefixes", "root_prefixes", "root_index", "token", "prob", "tokens", "probs",
+        "root_prefixes", "root_index", "token", "prob", "tokens", "probs",
         "draft_table", "root_row", "lane", "level", "index", "parent", "children",
         "level_starts", "cond_row", "judge", "_pairs",
     )
 
     def __init__(
         self,
-        prefixes: list[tuple[TokenId, ...]],
         root_prefixes: list[tuple[TokenId, ...]],
         root_index: np.ndarray,
         layout: _Skeleton,
@@ -124,7 +121,6 @@ class DraftTree:
         root_row: int,
         prefix_len: np.ndarray,
     ) -> None:
-        self.prefixes = prefixes
         self.root_prefixes = root_prefixes
         self.root_index = root_index
         self.token, self.prob, self.draft_table, self.root_row = token, prob, draft_table, root_row
@@ -147,11 +143,11 @@ class DraftTree:
     def path(self, node: int) -> tuple[TokenId, ...]:
         """Node `node`'s whole path: its lane's prefix plus the tokens from the lane's root to it."""
         drafted: list[TokenId] = []
-        lane = int(self.lane[node])
+        root = self.root_index[self.lane[node]]
         while node != ROOT:
             drafted.append(self.tokens[node])
             node = int(self.parent[node])
-        return self.prefixes[lane] + tuple(reversed(drafted))
+        return self.root_prefixes[root] + tuple(reversed(drafted))
 
     def tail(self, k: int, nodes: np.ndarray) -> np.ndarray:
         """The last `k` tokens of each listed path, in order, as an int array; -1 pads short paths."""
@@ -165,17 +161,13 @@ class DraftTree:
             live = level > d
             out[live, k - 1 - d] = self.token[up[live]]
             up[live] = self.parent[up[live]]
-        # The lane prefix's last tokens fill the columns left of them.
+        # The root prefix's last tokens fill the columns left of them.
         width = k - int(level.min(initial=k))
         if width > 0:
-            prefixes = np.full((len(self.prefixes), width), -1, dtype=np.intp)
-            for lane, prefix in enumerate(self.prefixes):
-                last = prefix[-width:]
-                prefixes[lane, width - len(last) :] = last
             src = np.arange(k) + (level - k + width)[:, None]
             take = (src >= 0) & (src < width)
-            lanes = np.broadcast_to(self.lane[nodes][:, None], src.shape)
-            out[take] = prefixes[lanes[take], src[take]]
+            roots = np.broadcast_to(self.root_index[self.lane[nodes]][:, None], src.shape)
+            out[take] = _last_tokens(self.root_prefixes, width)[roots[take], src[take]]
         return out
 
     def pairs(self) -> "ForestPairs":
@@ -185,13 +177,22 @@ class DraftTree:
         return self._pairs[0]
 
 
+def _last_tokens(prefixes: Sequence[tuple[TokenId, ...]], k: int) -> np.ndarray:
+    """The last `k` (at least 1) tokens of each prefix, one row each; -1 pads short prefixes on the left."""
+    out = np.full((len(prefixes), k), -1, dtype=np.intp)
+    for row, prefix in zip(out, prefixes):
+        last = prefix[-k:]
+        row[k - len(last) :] = last
+    return out
+
+
 class ForestPairs(NamedTuple):
     """The sibling pairs and parent-child links of a forest, level by level.
 
     `first` and `second` list level 1's sibling pairs of every lane, then
-    level 2's, and so on, then every lane's parent-child links; `sibling`
-    marks the sibling pairs, and `groups[l-1]` is where level l starts
-    (`groups[-2]` where the links start, `groups[-1]` the end).
+    level 2's, and so on, then every lane's parent-child links;
+    `groups[l-1]` is where level l starts (`groups[-2]` where the links
+    start, `groups[-1]` the end).
 
     Each pair also names donors: a sibling pair lends each end the other's
     token, and a link lends the parent its child's token. Donor j is pair
@@ -203,7 +204,6 @@ class ForestPairs(NamedTuple):
 
     first: np.ndarray
     second: np.ndarray
-    sibling: np.ndarray
     groups: np.ndarray
     donor_pair: np.ndarray
     donor_borrower: np.ndarray
@@ -235,19 +235,18 @@ def forest_pairs(parent: np.ndarray, lane: np.ndarray, level: np.ndarray) -> For
     first = np.concatenate([first, parent[kids]])
     second = np.concatenate([second, kids])
     pair = np.arange(len(first))
-    sibling = pair < groups[depth]
     n_sib = int(groups[depth])
     # Both ends of each sibling pair borrow, then each link's parent.
     donor_pair = np.concatenate([pair[:n_sib], pair])
     borrower = np.concatenate([second[:n_sib], first])
     lender = np.concatenate([first[:n_sib], second])
-    key = 2 * borrower + ~sibling[donor_pair]  # a borrower's sibling lenders, then its children
+    key = 2 * borrower + (donor_pair >= n_sib)  # a borrower's sibling lenders, then its children
     order = np.lexsort((lender, key))
     starts = np.searchsorted(key[order], np.arange(2 * n + 1))
     donors = (donor_pair[order], borrower[order], lender[order], starts)
-    for array in (first, second, sibling, groups, *donors):
+    for array in (first, second, groups, *donors):
         array.flags.writeable = False
-    return ForestPairs(first, second, sibling, groups, *donors)
+    return ForestPairs(first, second, groups, *donors)
 
 
 class _Level(NamedTuple):
@@ -546,12 +545,9 @@ def sample_draft_tree(
     # frontier row holds the conditional one node's children are drawn from.
     n_lanes = len(prefixes)
     context = drafter.context
-    # contexts[j]: the last `context` tokens of row j's path, -1 before its start.
-    contexts = np.full((n_lanes, context), -1, dtype=np.intp)
-    if context > 1 and max_depth > 1:
-        for lane, prefix in enumerate(prefixes):
-            tail = prefix[-context:]
-            contexts[lane, context - len(tail) :] = tail
+    # contexts[j]: the last `context` tokens of row j's path, -1 before its start;
+    # a context of one token or none is read from the level drafted last alone.
+    contexts = _last_tokens(root_prefixes, context).take(root_index, axis=0) if context > 1 else None
     root_table = np.array([d.mass for d in group_dists])
     rows = root_table.take(root_index, axis=0)
     row_lane = np.arange(n_lanes)
@@ -632,7 +628,7 @@ def sample_draft_tree(
     # The root conditionals follow the child conditionals, so one table holds every drafter law.
     table = np.concatenate([*tables, root_table])
     return DraftTree(
-        prefixes, root_prefixes, root_index, layout,
+        root_prefixes, root_index, layout,
         np.concatenate(tokens)[layout.order], np.concatenate(probs)[layout.order],
         table, len(table) - len(root_table), prefix_len,
     )

@@ -77,22 +77,19 @@ class RelaxConfig:
 class TreeEvals(NamedTuple):
     """One target pass over a draft forest, and every node's judgement from it.
 
-    Each row of the law table `laws` is a law id. Node i is judged against
-    law `law[i]`, its level's target law: its parent's conditional, or its
-    lane's root law on level 1. `q[i]` is that law's mass at its token and
-    `threshold[i]` the plain threshold `min(1, q/p)`, both Python lists for
-    the walk; `threshold_array` holds the same thresholds for the batched
-    chain walk. Node i's feature is row i of the read-only `(nodes, h)`
-    array `features`, and `norms[i]` is that feature's own norm.
+    Node i is judged against row `law[i]` of `laws`, its level's target law:
+    its parent's conditional, or its lane's root law on level 1. `q[i]`, a
+    Python list for the walk, is that law's mass at its token, and
+    `threshold[i]` the plain threshold `min(1, q/p)`. Node i's feature is
+    row i of the read-only `features`, and `norms[i]` its norm.
     """
 
     laws: LawTable
     law: np.ndarray
     q: list[float]
-    threshold: list[float]
+    threshold: np.ndarray
     features: np.ndarray
     norms: np.ndarray
-    threshold_array: np.ndarray
 
 
 def evaluate_tree(target: Target, tree: DraftTree) -> TreeEvals:
@@ -111,15 +108,7 @@ def evaluate_tree(target: Target, tree: DraftTree) -> TreeEvals:
     law = np.concatenate((rows, np.take(root_law, tree.root_index))).take(tree.judge)
     q = laws.mass[law, tree.token]
     threshold = np.minimum(q / tree.prob, 1.0)
-    return TreeEvals(laws, law, q.tolist(), threshold.tolist(), features, norms, threshold)
-
-
-class _Donors(NamedTuple):
-    """Node x's sibling donors are `pool[off[2x]:off[2x+1]]` and its child donors
-    `pool[off[2x+1]:off[2x+2]]`, each a (token, mass) pair under its level's law."""
-
-    off: list[int]
-    pool: list[tuple[TokenId, float]]
+    return TreeEvals(laws, law, q.tolist(), threshold, features, norms)
 
 
 class SimilaritySets(NamedTuple):
@@ -129,12 +118,15 @@ class SimilaritySets(NamedTuple):
     above its threshold; a pair whose set is switched off never hits.
     `inter_pairs[l]` gives level l's similar sibling pairs `(a, b)`, `a < b`,
     and `conv_pairs` the similar parent-child links, each as a `(k, 2)`
-    array. `donors` is None when no pair hits.
+    array. Node x's sibling donors are `pool[off[2x]:off[2x+1]]` and its
+    child donors `pool[off[2x+1]:off[2x+2]]`, each a (token, mass) pair
+    under its level's law; `off` and `pool` are None when no pair hits.
     """
 
     pairs: ForestPairs
     hit: np.ndarray
-    donors: _Donors | None
+    off: list[int] | None
+    pool: list[tuple[TokenId, float]] | None
 
     def _hits(self) -> tuple[np.ndarray, list[int]]:
         hit = np.flatnonzero(self.hit)
@@ -168,18 +160,18 @@ def build_sets(tree: DraftTree, evals: TreeEvals, cfg: RelaxConfig) -> Similarit
     hi = len(pairs.first) if cfg.tau_seq <= 1.0 else n_sib
     hit = np.zeros(len(pairs.first), dtype=bool)
     if lo == hi:
-        return SimilaritySets(pairs, hit, None)
+        return SimilaritySets(pairs, hit, None, None)
     cos = _pair_cosines(evals.features, evals.norms, pairs.first[lo:hi], pairs.second[lo:hi])
-    hit[lo:hi] = cos >= np.where(pairs.sibling[lo:hi], cfg.tau_pos, cfg.tau_seq)
+    hit[lo:hi] = cos >= np.where(np.arange(lo, hi) < n_sib, cfg.tau_pos, cfg.tau_seq)
     keep = hit[pairs.donor_pair]
     kept = np.cumsum(keep)
     if not kept[-1]:
-        return SimilaritySets(pairs, hit, None)
+        return SimilaritySets(pairs, hit, None, None)
     # Each node's donor range in the kept list: how many kept donors precede its start.
     off = np.concatenate(([0], kept))[pairs.donor_starts]
     lent = tree.token[pairs.donor_lender[keep]]
     mass = evals.laws.mass[evals.law[pairs.donor_borrower[keep]], lent]
-    return SimilaritySets(pairs, hit, _Donors(off.tolist(), list(zip(lent.tolist(), mass.tolist()))))
+    return SimilaritySets(pairs, hit, off.tolist(), list(zip(lent.tolist(), mass.tolist())))
 
 
 def relax_q(
@@ -417,15 +409,11 @@ def _run_verification(
 ) -> VerifyOutcome:
     """Walk lane `lane` of the forest `tree` on its own stream, or on a reader of its uniforms.
 
-    A node without donors is decided by its threshold from the forest's one
-    gather (`evaluate_tree`); a node with donors in `sets` is boosted by
-    `relax_q` first. `vanilla` is the walk with no donors at all. The walk
-    reads Python lists only.
+    A node with donors in `sets` has its `q` boosted by `relax_q` before its
+    threshold is taken; `vanilla` is the walk with no donors at all.
     """
-    qs, thresholds = evals.q, evals.threshold
-    tokens, probs, children = tree.tokens, tree.probs, tree.children
-    donors = None if sets is None else sets.donors
-    off, pool = (None, None) if donors is None else donors
+    qs, tokens, probs, children = evals.q, tree.tokens, tree.probs, tree.children
+    off, pool = (None, None) if sets is None else (sets.off, sets.pool)
     accepted: list[TokenId] = []
     decisions: list[tuple] = []
     budget_used = 0.0
@@ -442,7 +430,7 @@ def _run_verification(
             if off is None or off[2 * node] == off[2 * node + 2]:
                 applied_i = applied_c = 0.0
                 transfers: tuple[tuple[TokenId, float], ...] = ()
-                accept = r < thresholds[node]
+                accept = r < min(1.0, qs[node] / probs[node])
             else:
                 lo, mid, hi = off[2 * node], off[2 * node + 1], off[2 * node + 2]
                 applied_i, applied_c, transfers = relax_q(tokens[node], pool[lo:mid], pool[mid:hi], budget_left)
@@ -486,7 +474,7 @@ def _walk_chains(
     ids = np.arange(n)
     first = np.flatnonzero(tree.level == 1)
     # Node i reads uniform i + lane[i]. Each lane's first rejected node, or n if it rejects none.
-    accept = block[ids + tree.lane] < evals.threshold_array
+    accept = block[ids + tree.lane] < evals.threshold
     stops = np.minimum.reduceat(np.where(accept, n, ids), first)
     rejects = stops < n
     # Lane j accepts nodes first[j] .. ends[j] - 1; a rejecting lane reads two uniforms more.
@@ -689,7 +677,7 @@ def _decode_cycles(
         # Each drafted lane's accepted tokens (and outcome, for a sink) and, for each rejecting
         # lane j, its rejected node, j and its correction's uniform; all in drafting order.
         outcomes: list[VerifyOutcome] = []
-        if blocked and chains and (sets is None or sets.donors is None):
+        if blocked and chains and (sets is None or sets.off is None):
             starts, ends, nodes, rejected, uniforms = _walk_chains(tree, evals, streams, need)
             tokens = tree.tokens
             # Sliced only as the tail extends each lane: a cycle's worth of live slices

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import stat
 from dataclasses import fields, replace
 from pathlib import Path
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from specrelax import (
     ConfigError,
+    EngineError,
     ExperimentConfig,
     GridWorldModel,
     LinearDrafter,
@@ -37,6 +39,7 @@ from specrelax import (
     random_tabular_model,
     run_experiment,
     save_model,
+    tempered_table_drafter,
     train_drafter,
 )
 from specrelax import harness
@@ -218,6 +221,19 @@ def test_mc_oracle_counts_the_tokens_decode_lanes_emits_and_folds_no_stats(
     expected = law_tvd(exact, {key: n / samples for key, n in counts.items()})
     assert distance.hex() == expected.hex()
     assert passed == (expected <= 3.0 * math.sqrt(4**3 / samples))
+
+
+@pytest.mark.parametrize(
+    "exact, other, distance",
+    [
+        ({(0,): 1.0}, {(1,): 1.0}, 1.0),
+        ({(0,): 0.5, (1,): 0.5}, {(1,): 0.5, (0,): 0.5}, 0.0),
+        ({(0,): 0.75, (1,): 0.25}, {(0,): 0.25, (2,): 0.75}, 0.75),
+    ],
+    ids=["disjoint", "equal", "key-only-in-other"],
+)
+def test_law_tvd_sums_both_laws_keys(exact, other, distance):
+    assert law_tvd(exact, other) == distance
 
 
 def test_mc_cascade_records_distance_without_pass_requirement(gridworld):
@@ -766,6 +782,20 @@ def test_cli_oracle_smoke(tmp_path, model_files, capsys):
     assert payload["tvdToOracle"] <= 0.05
 
 
+def test_cli_oracle_decodes_with_the_given_drafter(tmp_path, model_files, tabular_v4, capsys):
+    # Not the tempered drafter the oracle builds by default, so its decodes differ.
+    drafter = tempered_table_drafter(tabular_v4, exponent=0.9)
+    save_model(drafter, tmp_path / "d.json")
+    code = run_cli(["oracle", "--model", model_files["tab"], "--drafter", tmp_path / "d.json",
+                    "--len", "2", "--samples", "2000"])
+    chain = {"mask": TreeMask.chain(2), "relax": RelaxConfig()}
+    distance, passed = mc_distribution_test(tabular_v4, drafter, "vanilla", 2000, 2, **chain)
+    assert code == (0 if passed else 1)
+    assert json.loads(capsys.readouterr().out) == {"tvdToOracle": distance, "pass": passed}
+    default, _ = mc_distribution_test(tabular_v4, tempered_table_drafter(tabular_v4), "vanilla", 2000, 2, **chain)
+    assert default != distance
+
+
 def test_cli_make_model_round_trip(tmp_path):
     model_path = tmp_path / "t.json"
     drafter_path = tmp_path / "d.json"
@@ -812,6 +842,29 @@ def test_cli_make_model_bad_values_exit_2(tmp_path, model_files, capsys, monkeyp
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not out.exists()
+
+
+# Refusals no flag value reaches: a missing flag, or a model path that names a directory.
+CLI_REFUSALS = {
+    "decode-tabular-without-len": (["decode", "--model", "{tab}", "--mode", "ar", "--seeds", "0", "--out", "{out}"],
+                                   "a sequence length is required for non-grid models\n"),
+    "decode-a-directory": (["decode", "--model", "{dir}", "--mode", "ar", "--seeds", "0", "--out", "{out}"],
+                           "cannot read model file {dir}: "),
+    "oracle-grid-without-drafter": (["oracle", "--model", "{grid}", "--len", "2", "--samples", "10"],
+                                    "non-tabular targets need an explicit --drafter\n"),
+    "tempered-drafter-without-from": (["make-model", "--family", "tempered-drafter", "--out", "{out}"],
+                                      "--from is required for tempered-drafter\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_REFUSALS))
+def test_cli_refusals_exit_2_with_one_message(tmp_path, model_files, capsys, case):
+    flags, message = CLI_REFUSALS[case]
+    paths = {"tab": model_files["tab"], "grid": model_files["grid"], "dir": tmp_path, "out": tmp_path / "out.json"}
+    assert run_cli([flag.format(**paths) for flag in flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message.format(**paths)) and err.count("\n") == 1
+    assert not paths["out"].exists()
 
 
 def test_cli_reports_engine_errors(tmp_path, capsys):
@@ -1014,6 +1067,17 @@ def test_save_model_writes_whole_or_not_at_all(tmp_path, gridworld, monkeypatch)
     save_model(LinearDrafter.zeros(32, 8), link)
     assert link.is_symlink() and load_model(path).kind == "linear_drafter"
     assert sorted(tmp_path.iterdir()) == [path, link]
+
+
+def test_a_failed_rename_raises_an_engine_error_and_leaves_no_temporary(tmp_path, gridworld, monkeypatch):
+    def full_disk(source, target):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "rename", full_disk)
+    path = tmp_path / "grid.json"
+    with pytest.raises(EngineError, match=f"cannot write {re.escape(str(path))}: .*No space left"):
+        save_model(gridworld, path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_overflowing_drafter_exits_2(tmp_path, model_files, capsys):

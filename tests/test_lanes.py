@@ -665,7 +665,7 @@ def test_lanes_sharing_a_prefix_share_one_root_pass(case, mode, grid_drafter):
         assert forest.draft_table[root_row].tobytes() == alone.draft_table[alone_row].tobytes()
         assert evals.laws.mass[evals.law[ids]].tobytes() == alone_evals.laws.mass[alone_evals.law].tobytes()
         assert evals.q[ids[0] : ids[-1] + 1] == alone_evals.q
-        assert evals.threshold[ids[0] : ids[-1] + 1] == alone_evals.threshold
+        assert evals.threshold[ids].tobytes() == alone_evals.threshold.tobytes()
         assert evals.features[ids].tobytes() == alone_evals.features.tobytes()
         assert evals.norms[ids].tobytes() == alone_evals.norms.tobytes()
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import math
 import re
 
 import numpy as np
@@ -621,6 +622,8 @@ GRID_REFUSALS = {
     "bool-region-cluster": (_bool_region_cluster, "regionClusters must be a list of JSON integers"),
     "string-in-cluster-mass": (_set("inClusterMass", "0.8"), "inClusterMass must be a JSON number"),
     "bool-feature-mix": (_set("featureMix", True), "featureMix must be a JSON number"),
+    "nan-feature-mix": (_set("featureMix", math.nan), "feature_mix must be finite"),
+    "infinite-feature-mix": (_set("featureMix", math.inf), "feature_mix must be finite"),
     "string-region-anchor": (_string_region_anchor, "regionAnchors must hold JSON numbers"),
     "short-region-anchors": (_short_region_anchors, "one region anchor required per region"),
     "short-clusters": (_short_clusters, "clusters must assign every token"),
@@ -631,6 +634,20 @@ GRID_REFUSALS = {
     "overflowing-region-anchor": (_overflowing_region_anchors, "region anchor norm overflows"),
     "improper-preferred-cluster": (_empty_preferred_cluster, "each region needs a proper, non-empty preferred cluster"),
 }
+
+
+def test_a_huge_finite_feature_mix_loads_and_its_rows_are_refused_at_first_use(tmp_path, capsys):
+    from specrelax.cli import main
+
+    data = json.loads(json.dumps(STOCK_MODELS["gridworld"]))
+    data["featureMix"] = 1e308
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(data))
+    assert load_model(path).feature_mix == 1e308
+    out = tmp_path / "m.jsonl"
+    assert main(["decode", "--model", str(path), "--mode", "ar", "--seeds", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: feature vector contains non-finite entries\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("case", sorted(GRID_REFUSALS))

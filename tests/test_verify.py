@@ -69,7 +69,7 @@ def manual_tree(level_specs, root_dist, prefix=(), child_dists=None):
     growing = len(nodes) - len(level_specs[-1])
     table = np.array([(child_dists or {}).get(node, root_dist).mass for node in range(growing)] + [root_dist.mass])
     return DraftTree(
-        [tuple(prefix)], [tuple(prefix)], np.array([0]), layout,
+        [tuple(prefix)], np.array([0]), layout,
         np.array([token for token, _, _ in nodes], dtype=np.intp),
         np.array([prob for _, prob, _ in nodes], dtype=np.float64),
         table, growing, np.array([len(prefix)]),
@@ -92,7 +92,7 @@ def manual_evals(tree, root_dist, node_specs):
     law = np.append(np.arange(len(node_specs)), root_law).take(tree.judge)
     q = laws.mass[law, tree.token]
     threshold = np.minimum(q / tree.prob, 1.0)
-    return TreeEvals(laws, law, q.tolist(), threshold.tolist(), features, norms, threshold)
+    return TreeEvals(laws, law, q.tolist(), threshold, features, norms)
 
 
 def node_features(evals):
@@ -487,6 +487,7 @@ def test_a_switched_off_set_never_lends():
     )
     evals = manual_evals(tree, root_dist, [(root_dist, feat)] * 5)
     pairs = tree.pairs()
+    sibling = np.arange(len(pairs.first)) < pairs.groups[-2]
     cos = np.vecdot(evals.features[pairs.first], evals.features[pairs.second]) / (
         evals.norms[pairs.first] * evals.norms[pairs.second]
     )
@@ -494,21 +495,21 @@ def test_a_switched_off_set_never_lends():
     for off in (1.01, math.nextafter(1.0, 2.0)):
         for tau_pos, tau_seq in ((off, 1.0), (1.0, off), (off, off)):
             sets = build_sets(tree, evals, RelaxConfig(tau_pos=tau_pos, tau_seq=tau_seq))
-            enabled = np.where(pairs.sibling, tau_pos <= 1.0, tau_seq <= 1.0)
+            enabled = np.where(sibling, tau_pos <= 1.0, tau_seq <= 1.0)
             # The enabled pairs' own hits, and none of a switched-off set's.
-            expected = enabled & (cos >= np.where(pairs.sibling, tau_pos, tau_seq))
+            expected = enabled & (cos >= np.where(sibling, tau_pos, tau_seq))
             assert sets.hit.tolist() == expected.tolist()
             hits = [(a, b) for a, b, h in zip(pairs.first.tolist(), pairs.second.tolist(), expected) if h]
             inter = [tuple(p) for level in sorted(sets.inter_pairs) for p in sets.inter_pairs[level].tolist()]
             conv = [tuple(p) for p in sets.conv_pairs.tolist()]
-            assert inter == [p for p, s in zip(hits, pairs.sibling[expected]) if s]
-            assert conv == [p for p, s in zip(hits, pairs.sibling[expected]) if not s]
+            assert inter == [p for p, s in zip(hits, sibling[expected]) if s]
+            assert conv == [p for p, s in zip(hits, sibling[expected]) if not s]
             assert (inter == []) == (tau_pos > 1.0) and (conv == []) == (tau_seq > 1.0)
             if tau_pos > 1.0 and tau_seq > 1.0:
-                assert sets.donors is None
+                assert sets.off is None and sets.pool is None
             else:
                 # Only the enabled set's donors are lent: siblings to siblings, or children to parents.
-                off = sets.donors.off
+                off = sets.off
                 sibling_lent = any(off[2 * x] < off[2 * x + 1] for x in tree.nodes)
                 child_lent = any(off[2 * x + 1] < off[2 * x + 2] for x in tree.nodes)
                 assert (sibling_lent, child_lent) == (tau_pos <= 1.0, tau_seq <= 1.0)
@@ -529,7 +530,7 @@ def assert_batch_matches_per_node(target, tree):
     evals = evaluate_tree(target, tree)
     reference = per_node_evals(target, tree)
     n, h = len(reference), len(reference[0].feature)
-    prefix = tree.prefixes[0]
+    prefix = tree.root_prefixes[0]
     root = target.evaluate(prefix)
     assert evals.laws.dists[evals.law[tree_level(tree, 1)[0]]] is root.dist
     laws, rows, _, _ = target.evaluate_batch(tree)
@@ -590,7 +591,7 @@ def test_evaluate_batch_matches_per_node_evaluate_on_gridworlds(make_target):
     target = make_target()
     drafter = LinearDrafter.zeros(32, 8)
     trees = grid_trees(target, drafter)
-    assert {len(tree.prefixes[0]) + tree_depth(tree) for tree in trees} >= {64}  # the clamped cell
+    assert {len(tree.root_prefixes[0]) + tree_depth(tree) for tree in trees} >= {64}  # the clamped cell
     for tree in trees:
         assert_batch_matches_per_node(target, tree)
 
